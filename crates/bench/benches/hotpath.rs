@@ -2,9 +2,8 @@
 //!
 //! * `hotpath_hom` — the iterative scratch-arena matcher against the
 //!   recursive reference matcher on a join-heavy pattern;
-//! * `hotpath_chase` — the optimised engines (sequential and parallel)
-//!   against the frozen seed engines on closure and existential
-//!   workloads.
+//! * `hotpath_chase` — the optimised engines against the frozen seed
+//!   engines on closure and existential workloads.
 //!
 //! Run with `cargo bench -p chase-bench --bench hotpath`.
 
@@ -14,7 +13,6 @@ use chase_bench::{closure_workload, existential_workload};
 use chase_core::hom::{self, reference, HomScratch};
 use chase_core::subst::Binding;
 use chase_core::tgd::TgdId;
-use chase_engine::driver::Parallelism;
 use chase_engine::oblivious::ObliviousChase;
 use chase_engine::restricted::{Budget, RestrictedChase};
 use chase_engine::seed::{SeedObliviousChase, SeedRestrictedChase};
@@ -71,12 +69,6 @@ fn chase_macro(c: &mut Criterion) {
     });
     group.bench_function("closure_optimised_restricted", |b| {
         let engine = RestrictedChase::new(&cset).record_derivation(false);
-        b.iter(|| black_box(engine.run(&cdb, budget)).steps);
-    });
-    group.bench_function("closure_parallel_restricted", |b| {
-        let engine = RestrictedChase::new(&cset)
-            .record_derivation(false)
-            .parallelism(Parallelism::On);
         b.iter(|| black_box(engine.run(&cdb, budget)).steps);
     });
 

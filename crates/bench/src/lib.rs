@@ -34,8 +34,7 @@ pub fn closure_workload(nodes: usize, edges: usize) -> (Vocabulary, TgdSet, Inst
 
 /// A fan-out workload: `k` full TGDs sharing the same join-heavy body,
 /// `E(x,y), E(y,z) -> C_i(x,z)`, over a random edge database. The seed
-/// discovery batch evaluates the same two-atom join once per rule, so
-/// it spreads well across the parallel driver's per-TGD workers.
+/// discovery batch evaluates the same two-atom join once per rule.
 pub fn fan_workload(k: usize, nodes: usize, edges: usize) -> (Vocabulary, TgdSet, Instance) {
     let mut rules = String::new();
     for i in 0..k {

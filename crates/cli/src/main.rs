@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! chasectl classify <file>          structural class profile
-//! chasectl chase <file> [--steps N] [--strategy fifo|lifo|random|priority] [--seed N] [--threads N]
-//! chasectl oblivious <file> [--steps N] [--semi] [--threads N]
+//! chasectl chase <file> [--steps N] [--strategy fifo|lifo|random|priority] [--seed N]
+//! chasectl oblivious <file> [--steps N] [--semi]
 //! chasectl decide <file>            all-instances termination verdict
 //! chasectl profile <file>           profiled run: span/memory report + overhead gate
 //! chasectl dot <file> [--steps N]   chase, then emit the derivation as graphviz
@@ -31,10 +31,10 @@
 //! `--idle-exit-ms <N>` to stop once the producer goes quiet.
 //!
 //! `serve` and `client` are the resident-server pair (DESIGN.md §17):
-//! `serve` keeps warm worker pools across requests and multiplexes
-//! concurrent, governed sessions; `client` submits one session,
-//! relays its telemetry (`--telemetry`) and retries `overloaded`
-//! sheds with exponential backoff (`--retries N`).
+//! `serve` keeps compiled programs and matcher arenas warm across
+//! requests and multiplexes concurrent, governed sessions; `client`
+//! submits one session, relays its telemetry (`--telemetry`) and
+//! retries `overloaded` sheds with exponential backoff (`--retries N`).
 //!
 //! ## Exit codes
 //!
@@ -57,7 +57,6 @@ use std::time::Duration;
 
 use chase_core::compile::compile;
 use chase_core::vocab::Vocabulary;
-use chase_engine::driver::Parallelism;
 use chase_engine::faults::FaultPlan;
 use chase_engine::governor::ResourceGovernor;
 use chase_engine::oblivious::ObliviousChase;
@@ -171,7 +170,6 @@ fn usage() -> String {
      \u{20}        --profile     include the span/memory profiling stream (chase|oblivious|decide)\n\
      \u{20}        --deadline-ms N  wall-clock deadline (chase|oblivious|decide)\n\
      \u{20}        --cancel-after N cancel after N chase steps (chase|oblivious)\n\
-     \u{20}        --threads N   worker cap for the parallel driver (chase|oblivious|profile)\n\
      profile: --runs N --heartbeat-every N --sample-every N --json F --folded F\n\
      \u{20}        --max-overhead PCT (spans are 1-in-64 sampled by default; --sample-every 1 = exhaustive)\n\
      \u{20}        (plus --steps/--strategy/--seed/--trace; --oblivious [--semi] switches engine)\n\
@@ -183,7 +181,7 @@ fn usage() -> String {
      client:  <endpoint> ping|shutdown|cancel|chase|decide [<file>]\n\
      \u{20}        cancel: --id S;  chase/decide: --id S --tenant S --deadline-ms N\n\
      \u{20}        --telemetry (relay event lines) --retries N (overload backoff)\n\
-     \u{20}        chase also: --strategy --seed --steps --max-atoms --threads\n\
+     \u{20}        chase also: --strategy --seed --steps --max-atoms\n\
      exit codes: 0 ok, 1 runtime error, 2 usage error, 3 budget exhausted,\n\
      \u{20}           4 deadline exceeded, 5 cancelled, 6 server overloaded"
         .to_string()
@@ -291,7 +289,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                         "--steps",
                         "--strategy",
                         "--seed",
-                        "--threads",
                         "--trace",
                         "--deadline-ms",
                         "--cancel-after",
@@ -300,13 +297,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 )?,
                 "oblivious" => check_flags(
                     rest,
-                    &[
-                        "--steps",
-                        "--threads",
-                        "--trace",
-                        "--deadline-ms",
-                        "--cancel-after",
-                    ],
+                    &["--steps", "--trace", "--deadline-ms", "--cancel-after"],
                     &["--semi", "--metrics", "--profile"],
                 )?,
                 "decide" => check_flags(
@@ -320,7 +311,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                         "--steps",
                         "--strategy",
                         "--seed",
-                        "--threads",
                         "--runs",
                         "--heartbeat-every",
                         "--sample-every",
@@ -370,14 +360,12 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                         eprintln!("chasectl: note: --seed only affects --strategy random");
                     }
                     let gov = governor_from_flags(args, steps)?;
-                    let threads = threads_from_flags(args)?;
                     let mut telemetry = CliTelemetry::from_args(args)?;
                     let outcome = cmd_chase(
                         compiled.database(),
                         set,
                         vocab,
                         strategy,
-                        threads,
                         &gov,
                         &mut telemetry,
                     )?;
@@ -386,14 +374,12 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 }
                 "oblivious" => {
                     let gov = governor_from_flags(args, steps)?;
-                    let threads = threads_from_flags(args)?;
                     let mut telemetry = CliTelemetry::from_args(args)?;
                     let outcome = cmd_oblivious(
                         compiled.database(),
                         set,
                         vocab,
                         args.iter().any(|a| a == "--semi"),
-                        threads,
                         &gov,
                         &mut telemetry,
                     )?;
@@ -440,7 +426,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                         strategy,
                         oblivious: args.iter().any(|a| a == "--oblivious"),
                         semi: args.iter().any(|a| a == "--semi"),
-                        threads: threads_from_flags(args)?,
                         runs: parse_u64("--runs")?
                             .map(|n| n as usize)
                             .unwrap_or(defaults.runs),
@@ -483,31 +468,6 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, CliError> {
             None => Err(CliError::Usage(format!("{flag} requires a value"))),
         },
     }
-}
-
-/// Hard ceiling on `--threads`: the instance layer shards work across
-/// at most [`chase_core::instance::MAX_SHARD_COUNT`] shards, so
-/// workers beyond that can never be scheduled — a larger request is a
-/// typo, not a tuning choice.
-const MAX_THREADS: usize = chase_core::instance::MAX_SHARD_COUNT;
-
-/// Parses `--threads N` into a worker cap for the engines' parallel
-/// driver, if present. `1 <= N <= MAX_THREADS`; 1 keeps everything on
-/// the calling thread (the parallel driver's single-worker path is the
-/// sequential enumeration), larger values cap the persistent pool.
-fn threads_from_flags(args: &[String]) -> Result<Option<usize>, CliError> {
-    flag_value(args, "--threads")?
-        .map(|s| match s.parse::<usize>() {
-            Ok(0) => Err(CliError::Usage(
-                "--threads must be at least 1 (1 = sequential)".into(),
-            )),
-            Ok(n) if n > MAX_THREADS => Err(CliError::Usage(format!(
-                "--threads must be at most {MAX_THREADS} (got {n})"
-            ))),
-            Ok(n) => Ok(n),
-            Err(e) => Err(CliError::Usage(format!("invalid --threads '{s}': {e}"))),
-        })
-        .transpose()
 }
 
 /// Parses a `--seed` value, accepting decimal or `0x`-prefixed hex.
@@ -699,16 +659,13 @@ fn cmd_chase(
     set: &chase_core::tgd::TgdSet,
     vocab: &Vocabulary,
     strategy: Strategy,
-    threads: Option<usize>,
     gov: &ResourceGovernor,
     telemetry: &mut CliTelemetry,
 ) -> Result<Outcome, String> {
     let run = time_phase(telemetry, "chase", |obs| {
-        let mut engine = RestrictedChase::new(set).strategy(strategy);
-        if let Some(n) = threads {
-            engine = engine.parallelism(Parallelism::On).workers(n);
-        }
-        engine.run_governed_observed(db, gov, obs)
+        RestrictedChase::new(set)
+            .strategy(strategy)
+            .run_governed_observed(db, gov, obs)
     });
     println!(
         "restricted chase ({strategy:?}): {} after {} steps, {} atoms",
@@ -727,18 +684,14 @@ fn cmd_oblivious(
     set: &chase_core::tgd::TgdSet,
     vocab: &Vocabulary,
     semi: bool,
-    threads: Option<usize>,
     gov: &ResourceGovernor,
     telemetry: &mut CliTelemetry,
 ) -> Result<Outcome, String> {
-    let mut engine = if semi {
+    let engine = if semi {
         ObliviousChase::new(set).semi_oblivious()
     } else {
         ObliviousChase::new(set)
     };
-    if let Some(n) = threads {
-        engine = engine.parallelism(Parallelism::On).workers(n);
-    }
     let run = time_phase(telemetry, "chase", |obs| {
         engine.run_governed_observed(db, gov, obs)
     });

@@ -35,7 +35,6 @@ use std::time::Instant;
 use chase_core::instance::Instance;
 use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
-use chase_engine::driver::Parallelism;
 use chase_engine::oblivious::ObliviousChase;
 use chase_engine::restricted::{Budget, Outcome, RestrictedChase, Strategy};
 use chase_engine::DEFAULT_PROFILE_SAMPLE_EVERY;
@@ -73,10 +72,6 @@ pub struct ProfileOptions {
     pub trace: Option<String>,
     /// Fail (exit 1) when profiling overhead exceeds this percentage.
     pub max_overhead_pct: Option<u64>,
-    /// Worker cap for the parallel driver (`None` leaves the engines
-    /// sequential; `Some(1)` exercises the parallel path on one
-    /// worker, which the engines collapse back to the inline driver).
-    pub threads: Option<usize>,
 }
 
 impl Default for ProfileOptions {
@@ -93,7 +88,6 @@ impl Default for ProfileOptions {
             folded: None,
             trace: None,
             max_overhead_pct: None,
-            threads: None,
         }
     }
 }
@@ -122,20 +116,14 @@ fn run_once<O: ChaseObserver + ?Sized>(
         if opts.semi {
             engine = engine.semi_oblivious();
         }
-        if let Some(n) = opts.threads {
-            engine = engine.parallelism(Parallelism::On).workers(n);
-        }
         let run = engine.run_observed(db, budget, obs);
         (run.outcome, run.steps, run.instance)
     } else {
-        let mut engine = RestrictedChase::new(set)
+        let engine = RestrictedChase::new(set)
             .strategy(opts.strategy)
             .record_derivation(false)
             .heartbeat_every(opts.heartbeat_every)
             .profile_sample_every(sample_every);
-        if let Some(n) = opts.threads {
-            engine = engine.parallelism(Parallelism::On).workers(n);
-        }
         let run = engine.run_observed(db, budget, obs);
         (run.outcome, run.steps, run.instance)
     };

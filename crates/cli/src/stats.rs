@@ -120,10 +120,6 @@ impl TraceStats {
                 let delta = num("delta")?;
                 self.bump(&name, delta);
             }
-            "worker_panicked" => {
-                let panics = num("panics")?;
-                self.bump(names::WORKER_PANICS, panics);
-            }
             "run_interrupted" => self.bump(names::RUNS_INTERRUPTED, 1),
             "phase_entered" => {}
             "phase_exited" => {
@@ -137,7 +133,8 @@ impl TraceStats {
                     None => self.phases.push((phase.to_string(), nanos)),
                 }
             }
-            // Unknown kinds are tolerated (newer traces) but still
+            // Unknown kinds are tolerated (newer traces, and retired
+            // kinds such as `worker_panicked` in older ones) but still
             // counted in the per-kind table.
             _ => {}
         }
@@ -385,11 +382,6 @@ mod tests {
                 name: "sticky.automaton_states",
                 delta: 17,
             },
-            Event::WorkerPanicked {
-                engine,
-                step: 1,
-                panics: 1,
-            },
             Event::RunInterrupted {
                 engine,
                 step: 2,
@@ -448,7 +440,10 @@ mod tests {
 ";
         let stats = aggregate(trace).unwrap();
         assert_eq!(stats.events, 11);
-        assert_eq!(stats.counters[names::WORKER_PANICS], 2);
+        // A retired event kind from an older trace is counted but
+        // feeds no counter.
+        assert_eq!(stats.kinds["worker_panicked"], 1);
+        assert!(!stats.counters.contains_key("driver.worker_panics"));
         assert_eq!(stats.counters[names::RUNS_INTERRUPTED], 1);
         assert_eq!(stats.counters[names::TRIGGERS_CHECKED], 2);
         assert_eq!(stats.counters[names::TRIGGERS_ACTIVE], 1);

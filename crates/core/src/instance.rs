@@ -19,10 +19,7 @@
 //! seed oracle observe bit-identical slot assignment whether an
 //! instance has 1 shard or 64. Sharding is therefore invisible to
 //! correctness and exists for scale: per-shard dedup/index maps stay
-//! small and cache-resident on million-atom instances, and the home
-//! shard gives the parallel chase driver its conflict rule (triggers
-//! whose head atoms target disjoint shard sets commute — see
-//! `chase-engine`).
+//! small and cache-resident on million-atom instances.
 //!
 //! ## Index layout
 //!
@@ -50,7 +47,6 @@
 //! what keeps the optimised engines bit-identical to the seed oracle.
 
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::atom::{Atom, AtomRef, ARG_INLINE};
 use crate::ids::{fx_set, FxHashMap, FxHasher, PredId};
@@ -77,9 +73,8 @@ pub enum IndexMode {
 
 /// Default number of storage/index shards (see the module docs).
 ///
-/// Eight balances parallel-application fan-out (the engine's conflict
-/// rule needs distinct home shards to overlap rarely) against per-shard
-/// map overhead on tiny instances; both extremes remain available via
+/// Eight keeps per-shard maps small on large instances without much
+/// per-shard overhead on tiny ones; both extremes remain available via
 /// [`Instance::with_shards`]. Results are bit-identical for every
 /// count.
 pub const DEFAULT_SHARD_COUNT: usize = 8;
@@ -233,12 +228,6 @@ struct Shard {
 }
 
 impl Shard {
-    /// Number of atoms stored in this shard.
-    #[inline]
-    fn len(&self) -> usize {
-        self.preds.len()
-    }
-
     /// Appends an atom's columns; returns its shard-local index.
     #[inline]
     fn push_atom(&mut self, pred: PredId, args: &[Term]) -> u32 {
@@ -315,17 +304,6 @@ pub struct Instance {
     /// engine registers pairs from its join plans.
     pair_plans: Vec<Vec<(u16, u16)>>,
     mode: IndexMode,
-    /// Logical visibility bound for reads (`usize::MAX` = unbounded).
-    /// While set, `len`, `iter`, `slot_of`/`contains` and every index
-    /// probe behave as if only slots `< scan_bound` existed. The
-    /// parallel-apply engine commits a whole mask-disjoint batch of
-    /// atoms at once and then replays each member's delta discovery
-    /// with the bound at that member's sequential instance length, so
-    /// later members' atoms stay invisible exactly as they would have
-    /// been under sequential application. [`Instance::atom`] is
-    /// deliberately exempt: slots above the bound are already-reserved
-    /// identities, not probe results.
-    scan_bound: usize,
 }
 
 impl Default for Instance {
@@ -351,7 +329,7 @@ impl Instance {
     /// `shards` shards (clamped to `1..=`[`MAX_SHARD_COUNT`]). Shard
     /// count never changes observable behaviour — slot ids, iteration
     /// order and index answers are bit-identical for every count — only
-    /// memory locality and the parallel driver's conflict granularity.
+    /// memory locality.
     pub fn with_shards(shards: usize) -> Self {
         Self::with_mode_and_shards(IndexMode::Full, shards)
     }
@@ -366,7 +344,6 @@ impl Instance {
             by_pred: Vec::new(),
             pair_plans: Vec::new(),
             mode,
-            scan_bound: usize::MAX,
         }
     }
 
@@ -396,10 +373,7 @@ impl Instance {
 
     /// The home shard of an atom of predicate `pred` whose first
     /// argument is `first_arg` (`None` for zero-arity atoms): the
-    /// shard that would store it and dedup it. This is the unit of the
-    /// parallel driver's conflict rule — two trigger applications
-    /// whose head atoms have disjoint home-shard sets cannot witness
-    /// each other's restriction checks.
+    /// shard that would store it and dedup it.
     #[inline]
     pub fn shard_for(&self, pred: PredId, first_arg: Option<Term>) -> usize {
         Self::storage_shard(self.shards.len(), pred, first_arg)
@@ -491,10 +465,6 @@ impl Instance {
     /// composite pair cells — untouched.
     pub fn insert(&mut self, atom: Atom) -> (usize, bool) {
         debug_assert!(atom.is_ground(), "instances hold ground atoms only");
-        debug_assert!(
-            self.scan_bound == usize::MAX,
-            "no direct inserts while a scan bound is active"
-        );
         let key = Self::atom_key(&atom);
         let n = self.shards.len();
         let home = Self::storage_shard(n, atom.pred, atom.args.first().copied());
@@ -617,32 +587,6 @@ impl Instance {
             .is_some_and(|plan| plan.contains(&(a, b)))
     }
 
-    /// Sets the logical visibility bound: reads behave as if only
-    /// slots `< bound` existed (see the field docs). The parallel
-    /// engine sets this while replaying delta discovery for a batch
-    /// member whose successors' atoms are already committed.
-    #[inline]
-    pub fn set_scan_bound(&mut self, bound: usize) {
-        self.scan_bound = bound;
-    }
-
-    /// Clears the logical visibility bound.
-    #[inline]
-    pub fn clear_scan_bound(&mut self) {
-        self.scan_bound = usize::MAX;
-    }
-
-    /// Truncates an ascending slot list to the visible prefix under
-    /// the current scan bound. The unbounded case is a branch, not a
-    /// search.
-    #[inline]
-    fn bounded<'s>(&self, slots: &'s [usize]) -> &'s [usize] {
-        if self.scan_bound == usize::MAX {
-            return slots;
-        }
-        &slots[..slots.partition_point(|&s| s < self.scan_bound)]
-    }
-
     /// Membership test.
     #[inline]
     pub fn contains(&self, atom: &Atom) -> bool {
@@ -659,13 +603,13 @@ impl Instance {
             .as_slice()
             .iter()
             .copied()
-            .find(|&s| s < self.scan_bound && self.atom(s) == *atom)
+            .find(|&s| self.atom(s) == *atom)
     }
 
     /// Number of atoms.
     #[inline]
     pub fn len(&self) -> usize {
-        self.directory.len().min(self.scan_bound)
+        self.directory.len()
     }
 
     /// Whether the instance is empty.
@@ -675,8 +619,7 @@ impl Instance {
     }
 
     /// The atom stored at `slot`, as a borrowed view into the shard
-    /// columns. Exempt from the scan bound: a slot id in hand is an
-    /// identity, not a probe result.
+    /// columns.
     #[inline]
     pub fn atom(&self, slot: usize) -> AtomRef<'_> {
         let r = self.directory[slot];
@@ -685,19 +628,17 @@ impl Instance {
 
     /// Iterates over atoms in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = AtomRef<'_>> {
-        self.directory[..self.len()]
+        self.directory
             .iter()
             .map(|r| self.shards[r.shard as usize].atom_ref(r.local))
     }
 
     /// Slots of all atoms with the given predicate, ascending.
     pub fn slots_with_pred(&self, pred: PredId) -> &[usize] {
-        self.bounded(
-            self.by_pred
-                .get(pred.index())
-                .map(SlotList::as_slice)
-                .unwrap_or(&[]),
-        )
+        self.by_pred
+            .get(pred.index())
+            .map(SlotList::as_slice)
+            .unwrap_or(&[])
     }
 
     /// Slots of all atoms with `pred` whose argument at `position`
@@ -716,13 +657,11 @@ impl Instance {
         let cell = (pred, position as u16, term);
         let cs = Self::pos_cell_shard(self.shards.len(), &cell);
         Some(
-            self.bounded(
-                self.shards[cs]
-                    .by_pos
-                    .get(&cell)
-                    .map(SlotList::as_slice)
-                    .unwrap_or(&[]),
-            ),
+            self.shards[cs]
+                .by_pos
+                .get(&cell)
+                .map(SlotList::as_slice)
+                .unwrap_or(&[]),
         )
     }
 
@@ -759,13 +698,11 @@ impl Instance {
         let cell = (pred, a, b, ta, tb);
         let cs = Self::pair_cell_shard(self.shards.len(), &cell);
         Some(
-            self.bounded(
-                self.shards[cs]
-                    .by_pair
-                    .get(&cell)
-                    .map(SlotList::as_slice)
-                    .unwrap_or(&[]),
-            ),
+            self.shards[cs]
+                .by_pair
+                .get(&cell)
+                .map(SlotList::as_slice)
+                .unwrap_or(&[]),
         )
     }
 
@@ -800,269 +737,6 @@ impl Instance {
     /// Consumes the instance, returning its atoms in insertion order.
     pub fn into_atoms(self) -> Vec<Atom> {
         (0..self.len()).map(|s| self.atom(s).to_atom()).collect()
-    }
-
-    /// Starts staging a batch of inserts against the current state.
-    ///
-    /// Staging separates slot *assignment* from the physical dedup /
-    /// storage / index work so the parallel engine can reserve the
-    /// batch's global slot-id range in sequential order up front and
-    /// then fan the per-shard work out to the pool. `stage_insert`
-    /// answers exactly what a sequence of [`Instance::insert`] calls
-    /// would have answered; [`Instance::commit_stage`] (or the
-    /// parallel committer) then makes the instance agree.
-    pub fn begin_insert_stage(&self) -> InsertStage {
-        InsertStage {
-            fresh: Vec::new(),
-            staged_keys: FxHashMap::default(),
-            next_local: self.shards.iter().map(|s| s.len() as u32).collect(),
-            base_len: self.directory.len(),
-        }
-    }
-
-    /// Stages an insert: returns `(slot, fresh)` exactly as
-    /// [`Instance::insert`] would if every previously staged fresh
-    /// atom had already been inserted, without mutating the instance.
-    pub fn stage_insert(&self, stage: &mut InsertStage, atom: Atom) -> (usize, bool) {
-        debug_assert!(atom.is_ground(), "instances hold ground atoms only");
-        debug_assert_eq!(stage.base_len, self.directory.len(), "stale stage");
-        if let Some(s) = self.slot_of(&atom) {
-            return (s, false);
-        }
-        let key = Self::atom_key(&atom);
-        if let Some(bucket) = stage.staged_keys.get(&key) {
-            for &i in bucket.as_slice() {
-                if stage.fresh[i].atom == atom {
-                    return (stage.fresh[i].slot, false);
-                }
-            }
-        }
-        let home = Self::storage_shard(self.shards.len(), atom.pred, atom.args.first().copied());
-        let local = stage.next_local[home];
-        stage.next_local[home] += 1;
-        let slot = stage.base_len + stage.fresh.len();
-        stage
-            .staged_keys
-            .entry(key)
-            .or_default()
-            .push(stage.fresh.len());
-        stage.fresh.push(StagedAtom {
-            atom,
-            key,
-            home: home as u32,
-            local,
-            slot,
-        });
-        (slot, true)
-    }
-
-    /// Commits a staged batch sequentially: directory and global
-    /// per-predicate index first, then every shard's dedup / storage /
-    /// index-cell work. Equivalent to having called
-    /// [`Instance::insert`] for each staged atom in slot order.
-    pub fn commit_stage(&mut self, stage: &InsertStage) {
-        self.commit_stage_directory(stage);
-        let n = self.shards.len();
-        for s in 0..n {
-            commit_stage_shard(
-                &mut self.shards[s],
-                s,
-                n,
-                self.mode,
-                &self.pair_plans,
-                stage,
-            );
-        }
-    }
-
-    /// Commits the sequential (directory + global index) part of a
-    /// staged batch and returns a committer that parallelises the
-    /// per-shard work: workers call [`StageCommitter::run_worker`],
-    /// then exactly one caller runs [`StageCommitter::finish`] to
-    /// repair shards left untouched by panicked or absent workers.
-    pub fn commit_stage_parallel<'a>(&'a mut self, stage: &'a InsertStage) -> StageCommitter<'a> {
-        self.commit_stage_directory(stage);
-        let n = self.shards.len();
-        let Instance {
-            shards,
-            pair_plans,
-            mode,
-            ..
-        } = self;
-        StageCommitter {
-            shards: shards.iter_mut().map(std::sync::Mutex::new).collect(),
-            pair_plans,
-            mode: *mode,
-            stage,
-            started: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            done: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    fn commit_stage_directory(&mut self, stage: &InsertStage) {
-        debug_assert_eq!(stage.base_len, self.directory.len(), "stale stage");
-        debug_assert!(
-            self.scan_bound == usize::MAX,
-            "no commits while a scan bound is active"
-        );
-        for e in &stage.fresh {
-            let pred_idx = e.atom.pred.index();
-            if pred_idx >= self.by_pred.len() {
-                self.by_pred.resize_with(pred_idx + 1, SlotList::default);
-            }
-            self.by_pred[pred_idx].push(e.slot);
-            self.directory.push(SlotRef {
-                shard: e.home,
-                local: e.local,
-            });
-        }
-    }
-}
-
-/// A batch of inserts staged against a frozen instance state: the
-/// fresh atoms in slot order with their pre-assigned `(shard, local)`
-/// placement, plus an intra-batch dedup map. Created by
-/// [`Instance::begin_insert_stage`].
-#[derive(Debug)]
-pub struct InsertStage {
-    /// Fresh atoms in global slot order.
-    fresh: Vec<StagedAtom>,
-    /// Atom hash → indices into `fresh`, for intra-stage dedup.
-    staged_keys: FxHashMap<u64, SlotList>,
-    /// Next shard-local index per shard (base lengths plus staged).
-    next_local: Vec<u32>,
-    /// Instance length when staging began; the first staged slot.
-    base_len: usize,
-}
-
-impl InsertStage {
-    /// Number of staged fresh atoms.
-    #[inline]
-    pub fn fresh_count(&self) -> usize {
-        self.fresh.len()
-    }
-
-    /// The instance length after this stage commits.
-    #[inline]
-    pub fn staged_len(&self) -> usize {
-        self.base_len + self.fresh.len()
-    }
-}
-
-#[derive(Debug)]
-struct StagedAtom {
-    atom: Atom,
-    key: u64,
-    home: u32,
-    local: u32,
-    slot: usize,
-}
-
-/// Applies a staged batch's contributions to one shard: index cells
-/// that hash here, then (for home atoms) the dedup entry and the
-/// column push. Iterating the staged atoms in slot order keeps every
-/// per-cell slot list ascending, exactly as sequential inserts would.
-/// Each worker walks the whole batch and filters by shard — redundant
-/// hashing, but it keeps all writes to a shard on a single thread with
-/// no cross-worker routing structures.
-fn commit_stage_shard(
-    shard: &mut Shard,
-    s: usize,
-    n: usize,
-    mode: IndexMode,
-    pair_plans: &[Vec<(u16, u16)>],
-    stage: &InsertStage,
-) {
-    for e in &stage.fresh {
-        let atom = &e.atom;
-        if mode == IndexMode::Full {
-            for (i, &t) in atom.args.iter().enumerate() {
-                let cell = (atom.pred, i as u16, t);
-                if Instance::pos_cell_shard(n, &cell) == s {
-                    shard.by_pos.entry(cell).or_default().push(e.slot);
-                }
-            }
-            if let Some(plan) = pair_plans.get(atom.pred.index()) {
-                for &(a, b) in plan {
-                    let cell = (
-                        atom.pred,
-                        a,
-                        b,
-                        atom.args[a as usize],
-                        atom.args[b as usize],
-                    );
-                    if Instance::pair_cell_shard(n, &cell) == s {
-                        shard.by_pair.entry(cell).or_default().push(e.slot);
-                    }
-                }
-            }
-        }
-        if e.home as usize == s {
-            shard.dedup.entry(e.key).or_default().push(e.slot);
-            let local = shard.push_atom(atom.pred, &atom.args);
-            debug_assert_eq!(local, e.local, "staged local index agrees with storage");
-        }
-    }
-}
-
-/// Parallel per-shard committer for a staged batch, returned by
-/// [`Instance::commit_stage_parallel`]. Shard ownership is modular —
-/// worker `w` of `W` commits shards `s ≡ w (mod W)` — so no two
-/// workers ever touch the same shard; the mutexes are uncontended and
-/// exist to make the aliasing safe. Per-shard `started`/`done` flags
-/// let [`StageCommitter::finish`] repair shards whose worker panicked
-/// before reaching them (fault injection fires before the job body, so
-/// a skipped shard is untouched and safely redone inline); a shard
-/// caught mid-mutation (`started` without `done`) is unrecoverable and
-/// reported as corruption.
-pub struct StageCommitter<'a> {
-    shards: Vec<std::sync::Mutex<&'a mut Shard>>,
-    pair_plans: &'a [Vec<(u16, u16)>],
-    mode: IndexMode,
-    stage: &'a InsertStage,
-    started: Vec<AtomicBool>,
-    done: Vec<AtomicBool>,
-}
-
-impl StageCommitter<'_> {
-    /// Commits worker `w`'s share of the shards (those `≡ w mod
-    /// workers`). Call from `workers` pool workers with distinct `w`.
-    pub fn run_worker(&self, w: usize, workers: usize) {
-        let mut s = w;
-        while s < self.shards.len() {
-            self.commit_shard(s);
-            s += workers;
-        }
-    }
-
-    fn commit_shard(&self, s: usize) {
-        self.started[s].store(true, Ordering::Relaxed);
-        let mut guard = self.shards[s].lock().expect("shard committer poisoned");
-        commit_stage_shard(
-            &mut guard,
-            s,
-            self.shards.len(),
-            self.mode,
-            self.pair_plans,
-            self.stage,
-        );
-        self.done[s].store(true, Ordering::Release);
-    }
-
-    /// Finishes the commit after all workers returned: repairs shards
-    /// no worker reached (inline, sequentially) and reports whether
-    /// the instance is intact. `false` means a worker panicked *inside*
-    /// a shard mutation and the instance must be abandoned.
-    pub fn finish(self) -> bool {
-        for s in 0..self.shards.len() {
-            if !self.done[s].load(Ordering::Acquire) {
-                if self.started[s].load(Ordering::Relaxed) {
-                    return false;
-                }
-                self.commit_shard(s);
-            }
-        }
-        true
     }
 }
 
@@ -1443,150 +1117,6 @@ mod tests {
         );
         // Clone preserves the shard count.
         assert_eq!(Instance::with_shards(7).clone().shard_count(), 7);
-    }
-
-    /// Staged inserts answer exactly what sequential inserts would,
-    /// and committing (sequentially or via the parallel committer)
-    /// leaves an instance indistinguishable from one built by plain
-    /// `insert` calls — slots, indexes, iteration order and all.
-    #[test]
-    fn staged_inserts_match_sequential_inserts() {
-        for shards in [1usize, 2, 4, 7] {
-            let seed: Vec<Atom> = (0..20u32).map(|i| atom(i % 3, &[c(i % 5), c(i)])).collect();
-            let batch: Vec<Atom> = (0..30u32)
-                .map(|i| atom(i % 4, &[c(i % 6), c(i % 3)]))
-                .collect();
-
-            let mut reference = Instance::with_shards(shards);
-            reference.register_pair_index(PredId(0), 0, 1);
-            for a in &seed {
-                reference.insert(a.clone());
-            }
-            let expected: Vec<(usize, bool)> =
-                batch.iter().map(|a| reference.insert(a.clone())).collect();
-
-            for parallel in [false, true] {
-                let mut inst = Instance::with_shards(shards);
-                inst.register_pair_index(PredId(0), 0, 1);
-                for a in &seed {
-                    inst.insert(a.clone());
-                }
-                let mut stage = inst.begin_insert_stage();
-                let got: Vec<(usize, bool)> = batch
-                    .iter()
-                    .map(|a| inst.stage_insert(&mut stage, a.clone()))
-                    .collect();
-                assert_eq!(got, expected, "shards={shards} parallel={parallel}");
-                if parallel {
-                    let committer = inst.commit_stage_parallel(&stage);
-                    std::thread::scope(|scope| {
-                        for w in 0..3 {
-                            let committer = &committer;
-                            scope.spawn(move || committer.run_worker(w, 3));
-                        }
-                    });
-                    assert!(committer.finish());
-                } else {
-                    inst.commit_stage(&stage);
-                }
-                assert_eq!(inst.len(), reference.len());
-                for slot in 0..reference.len() {
-                    assert_eq!(inst.atom(slot), reference.atom(slot), "shards={shards}");
-                    assert_eq!(
-                        inst.slot_of(&reference.atom(slot).to_atom()),
-                        Some(slot),
-                        "shards={shards}"
-                    );
-                }
-                for p in 0..4u32 {
-                    assert_eq!(
-                        inst.slots_with_pred(PredId(p)),
-                        reference.slots_with_pred(PredId(p))
-                    );
-                    for t in 0..6u32 {
-                        assert_eq!(
-                            inst.slots_with_pred_pos(PredId(p), 0, c(t)),
-                            reference.slots_with_pred_pos(PredId(p), 0, c(t))
-                        );
-                    }
-                }
-                for ta in 0..6u32 {
-                    for tb in 0..5u32 {
-                        assert_eq!(
-                            inst.slots_with_pred_pair(PredId(0), 0, c(ta), 1, c(tb)),
-                            reference.slots_with_pred_pair(PredId(0), 0, c(ta), 1, c(tb))
-                        );
-                    }
-                }
-                // Inserting after the commit continues the slot
-                // sequence exactly as the reference does.
-                let next = atom(0, &[c(40), c(40)]);
-                assert_eq!(
-                    inst.insert(next.clone()),
-                    reference.clone().insert(next.clone())
-                );
-            }
-        }
-    }
-
-    /// A committer abandoned by its workers repairs every shard in
-    /// `finish`.
-    #[test]
-    fn stage_committer_repairs_unvisited_shards() {
-        let mut reference = Instance::with_shards(4);
-        let mut inst = Instance::with_shards(4);
-        let batch: Vec<Atom> = (0..16u32).map(|i| atom(0, &[c(i), c(0)])).collect();
-        for a in &batch {
-            reference.insert(a.clone());
-        }
-        let mut stage = inst.begin_insert_stage();
-        for a in &batch {
-            inst.stage_insert(&mut stage, a.clone());
-        }
-        let committer = inst.commit_stage_parallel(&stage);
-        // No worker runs at all: finish does the whole job inline.
-        assert!(committer.finish());
-        assert_eq!(inst, reference);
-        assert_eq!(
-            inst.slots_with_pred(PredId(0)),
-            reference.slots_with_pred(PredId(0))
-        );
-    }
-
-    /// With a scan bound set, every read behaves as if the instance
-    /// had been frozen at that length — except `atom`, which resolves
-    /// already-issued slot ids.
-    #[test]
-    fn scan_bound_freezes_reads() {
-        let mut inst = Instance::new();
-        inst.register_pair_index(PredId(0), 0, 1);
-        for i in 0..10u32 {
-            inst.insert(atom(0, &[c(0), c(i)]));
-        }
-        inst.set_scan_bound(4);
-        assert_eq!(inst.len(), 4);
-        assert_eq!(inst.iter().count(), 4);
-        assert_eq!(inst.slots_with_pred(PredId(0)), &[0, 1, 2, 3]);
-        assert_eq!(
-            inst.slots_with_pred_pos(PredId(0), 0, c(0)).unwrap(),
-            &[0, 1, 2, 3]
-        );
-        assert_eq!(
-            inst.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(2))
-                .unwrap(),
-            &[2]
-        );
-        assert!(inst
-            .slots_with_pred_pair(PredId(0), 0, c(0), 1, c(7))
-            .unwrap()
-            .is_empty());
-        assert!(inst.contains(&atom(0, &[c(0), c(3)])));
-        assert!(!inst.contains(&atom(0, &[c(0), c(7)])));
-        // Slot ids above the bound still resolve.
-        assert_eq!(inst.atom(7), atom(0, &[c(0), c(7)]));
-        inst.clear_scan_bound();
-        assert_eq!(inst.len(), 10);
-        assert!(inst.contains(&atom(0, &[c(0), c(7)])));
     }
 
     #[test]

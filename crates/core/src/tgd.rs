@@ -136,7 +136,6 @@ pub struct Tgd {
     body_pair_plan: Vec<(PredId, u16, u16)>,
     pair_plan: Vec<(PredId, u16, u16)>,
     head_probe: Option<HeadProbe>,
-    head_shard_plan: Option<Vec<(PredId, Option<VarId>)>>,
 }
 
 impl Tgd {
@@ -263,26 +262,6 @@ impl Tgd {
             None
         };
 
-        // Shard-safety plan for parallel trigger application: `Some`
-        // iff every head atom's *first* argument is a frontier
-        // variable (zero-arity atoms qualify trivially). Instances
-        // home-shard atoms by (pred, first arg), so for such a TGD the
-        // home shards of every atom this trigger could insert — and of
-        // every atom that could witness its head at position 0 — are
-        // computable from the body binding alone, before anything is
-        // inserted. A first argument that is existential would get its
-        // shard from a null id that depends on application order, so
-        // those TGDs opt out. (Constants cannot occur: rules are
-        // constant-free by validation above.)
-        let head_shard_plan = head
-            .iter()
-            .map(|h| match h.args.first() {
-                None => Some((h.pred, None)),
-                Some(Term::Var(v)) if frontier.binary_search(v).is_ok() => Some((h.pred, Some(*v))),
-                Some(_) => None,
-            })
-            .collect::<Option<Vec<_>>>();
-
         Ok(Tgd {
             body,
             head,
@@ -295,7 +274,6 @@ impl Tgd {
             body_pair_plan,
             pair_plan,
             head_probe,
-            head_shard_plan,
         })
     }
 
@@ -394,21 +372,6 @@ impl Tgd {
         self.head_probe.as_ref()
     }
 
-    /// The shard-safety plan for parallel trigger application: one
-    /// `(pred, first frontier arg)` entry per head atom, or `None` if
-    /// any head atom's first argument is existential.
-    ///
-    /// When `Some`, binding the frontier determines the home shard of
-    /// every atom a trigger of this TGD could insert *and* of every
-    /// atom that could witness its head, so a parallel driver may run
-    /// restriction checks for triggers with pairwise-disjoint target
-    /// shard sets concurrently and still match the sequential chase
-    /// bit for bit.
-    #[inline]
-    pub fn head_shard_plan(&self) -> Option<&[(PredId, Option<VarId>)]> {
-        self.head_shard_plan.as_deref()
-    }
-
     /// Whether `v` is existentially quantified in this TGD.
     pub fn is_existential(&self, v: VarId) -> bool {
         self.existentials.binary_search(&v).is_ok()
@@ -454,7 +417,6 @@ pub struct TgdSet {
     tgds: Vec<Tgd>,
     max_arity: usize,
     preds: Vec<PredId>,
-    join_bodies: usize,
     pair_plans: Vec<(PredId, u16, u16)>,
     body_pair_plans: Vec<(PredId, u16, u16)>,
 }
@@ -488,7 +450,6 @@ impl TgdSet {
                 }
             }
         }
-        let join_bodies = tgds.iter().filter(|t| t.body.len() > 1).count();
         let mut pair_plans: Vec<(PredId, u16, u16)> = Vec::new();
         let mut body_pair_plans: Vec<(PredId, u16, u16)> = Vec::new();
         for tgd in &tgds {
@@ -507,7 +468,6 @@ impl TgdSet {
             tgds,
             max_arity,
             preds,
-            join_bodies,
             pair_plans,
             body_pair_plans,
         })
@@ -553,15 +513,6 @@ impl TgdSet {
     #[inline]
     pub fn max_arity(&self) -> usize {
         self.max_arity
-    }
-
-    /// Number of TGDs whose bodies have two or more atoms (true
-    /// joins). Used by the engines' parallel-discovery gating: narrow
-    /// (single-atom) bodies cost one index probe per delta row, while
-    /// join bodies cost roughly `rows` probes each.
-    #[inline]
-    pub fn join_bodies(&self) -> usize {
-        self.join_bodies
     }
 
     /// The union of all member TGDs' composite-index plans (see
@@ -705,35 +656,6 @@ mod tests {
         // Body-minus views drop exactly one atom, preserving order.
         assert_eq!(tgd.body_without(0), &tgd.body()[1..]);
         assert_eq!(tgd.body_without(1), &tgd.body()[..1]);
-    }
-
-    #[test]
-    fn head_shard_plan_requires_frontier_first_args() {
-        let mut vocab = Vocabulary::new();
-        // R(x,y) -> exists z . R(x,z): first head arg is frontier.
-        let tgd = intro_rule(&mut vocab);
-        let x = tgd.body()[0].args[0].as_var().unwrap();
-        let plan = tgd.head_shard_plan().expect("frontier-first head");
-        assert_eq!(plan, &[(tgd.head()[0].pred, Some(x))]);
-
-        // S(x) -> exists z . S(z): first head arg is existential.
-        let mut b = RuleBuilder::new(&mut vocab);
-        let (x, z) = (b.var("x2"), b.var("z2"));
-        b.body("S", &[x]).unwrap();
-        b.head("S", &[z]).unwrap();
-        assert!(b.build().unwrap().head_shard_plan().is_none());
-
-        // T(x,y) -> U(y,x) & V(x): full TGDs always qualify.
-        let mut b = RuleBuilder::new(&mut vocab);
-        let (x, y) = (b.var("x3"), b.var("y3"));
-        b.body("T", &[x, y]).unwrap();
-        b.head("U", &[y, x]).unwrap();
-        b.head("V", &[x]).unwrap();
-        let tgd = b.build().unwrap();
-        let plan = tgd.head_shard_plan().expect("frontier-first heads");
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].1, y.as_var());
-        assert_eq!(plan[1].1, x.as_var());
     }
 
     #[test]
@@ -923,7 +845,7 @@ mod tests {
     }
 
     #[test]
-    fn tgd_set_aggregates_plans_and_join_counts() {
+    fn tgd_set_aggregates_plans() {
         let mut vocab = Vocabulary::new();
         let t1 = intro_rule(&mut vocab); // single-atom body
         let mut b = RuleBuilder::new(&mut vocab);
@@ -933,7 +855,6 @@ mod tests {
         b.head("M", &[x, z, w]).unwrap();
         let t2 = b.build().unwrap();
         let set = TgdSet::new(vec![t1, t2], &vocab).unwrap();
-        assert_eq!(set.join_bodies(), 1);
         let m = set.tgd(TgdId(1)).head()[0].pred;
         assert!(set.pair_plans().contains(&(m, 0, 1)));
         assert!(!set.body_pair_plans().contains(&(m, 0, 1)));

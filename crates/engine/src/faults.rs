@@ -1,8 +1,7 @@
 //! Deterministic fault injection for resilience testing.
 //!
 //! A [`FaultPlan`] scripts, ahead of time, exactly which faults a run
-//! will suffer: a parallel discovery worker panicking in a chosen
-//! batch, a deadline "expiring" at a chosen step, a cancellation
+//! will suffer: a deadline "expiring" at a chosen step, a cancellation
 //! request at a chosen step, and a telemetry sink whose writes start
 //! failing after a chosen count. Plans are plain `Copy` data — no
 //! clocks, no global state — so the same plan replays the same faults
@@ -12,9 +11,8 @@
 //! poisoned state.
 //!
 //! The plan is carried by a
-//! [`ResourceGovernor`](crate::governor::ResourceGovernor); engines and
-//! the discovery driver consult it at the exact hook points named in
-//! the field docs. An empty plan (the default) is free: every check is
+//! [`ResourceGovernor`](crate::governor::ResourceGovernor); engines
+//! consult it at the exact hook points named in the field docs. An empty plan (the default) is free: every check is
 //! an `Option` test on `Copy` data.
 
 use std::io::{self, Write};
@@ -22,27 +20,9 @@ use std::sync::Once;
 
 use crate::restricted::XorShift64;
 
-/// Instruction for one parallel discovery worker to panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Which parallel discovery batch to hit: batches are numbered per
-    /// run in execution order (the seed batch first, then each delta
-    /// batch that actually fans out), starting at 0.
-    pub batch: u32,
-    /// The worker index (modulo the actual worker count) that panics.
-    pub worker: u32,
-}
-
 /// A deterministic, replayable script of faults for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Panic one worker of one parallel discovery batch.
-    pub worker_panic: Option<WorkerPanic>,
-    /// Panic one worker of one parallel *insert-commit* batch (the
-    /// per-shard commit fan-out of a staged trigger-application batch).
-    /// Insert batches are numbered per run in dispatch order starting
-    /// at 0, independently of discovery batch numbering.
-    pub insert_panic: Option<WorkerPanic>,
     /// Report the deadline as expired once `steps >= n` (checked at
     /// every governor poll).
     pub deadline_at_step: Option<usize>,
@@ -54,9 +34,8 @@ pub struct FaultPlan {
     pub sink_fail_after: Option<u64>,
     /// Panic the session task itself once `steps >= n` (checked at
     /// every governor poll): the deterministic stand-in for a poisoned
-    /// rule set blowing up mid-run. Unlike [`FaultPlan::worker_panic`]
-    /// — which the discovery driver contains *inside* the run — this
-    /// panic unwinds the whole engine call; only a task-level
+    /// rule set blowing up mid-run. The panic unwinds the whole engine
+    /// call; only a task-level
     /// `catch_unwind` boundary (see `chase_engine::task`, and the
     /// chase server's per-session containment) survives it, which is
     /// exactly what it exists to prove. Not drawn by
@@ -89,22 +68,10 @@ impl FaultPlan {
     /// same seed always produces the same plan.
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = XorShift64::new(seed);
-        let worker_panic = (rng.below(2) == 0).then(|| WorkerPanic {
-            batch: rng.below(3) as u32,
-            worker: rng.below(8) as u32,
-        });
         let deadline_at_step = (rng.below(2) == 0).then(|| rng.below(6));
         let cancel_at_step = (rng.below(2) == 0).then(|| rng.below(6));
         let sink_fail_after = (rng.below(2) == 0).then(|| rng.below(10) as u64);
-        // Drawn last so existing seeds keep their discovery-era plans
-        // for the other arms.
-        let insert_panic = (rng.below(2) == 0).then(|| WorkerPanic {
-            batch: rng.below(3) as u32,
-            worker: rng.below(8) as u32,
-        });
         FaultPlan {
-            worker_panic,
-            insert_panic,
             deadline_at_step,
             cancel_at_step,
             sink_fail_after,
@@ -130,52 +97,34 @@ impl FaultPlan {
     pub fn task_panic_due(&self, steps: usize) -> bool {
         self.task_panic_at_step.is_some_and(|n| steps >= n)
     }
-
-    /// The worker index instructed to panic in discovery batch
-    /// `batch`, if any.
-    pub fn panic_worker_in(&self, batch: u32) -> Option<u32> {
-        self.worker_panic
-            .and_then(|wp| (wp.batch == batch).then_some(wp.worker))
-    }
-
-    /// The worker index instructed to panic in insert-commit batch
-    /// `batch`, if any.
-    pub fn panic_worker_in_insert(&self, batch: u32) -> Option<u32> {
-        self.insert_panic
-            .and_then(|wp| (wp.batch == batch).then_some(wp.worker))
-    }
 }
 
-/// The panic payload used by [`inject_worker_panic`]; recognised by
-/// the quiet panic hook so injected panics do not spam test output.
+/// The panic payload used by [`inject_panic`]; recognised by the
+/// quiet panic hook so injected panics do not spam test output.
 #[derive(Debug)]
-pub struct InjectedWorkerPanic;
+pub struct InjectedPanic;
 
 /// Installs (once, process-wide) a panic hook that swallows
-/// [`InjectedWorkerPanic`] payloads and forwards every other panic to
+/// [`InjectedPanic`] payloads and forwards every other panic to
 /// the previously installed hook. Idempotent and thread-safe.
 pub fn silence_injected_panics() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info
-                .payload()
-                .downcast_ref::<InjectedWorkerPanic>()
-                .is_none()
-            {
+            if info.payload().downcast_ref::<InjectedPanic>().is_none() {
                 previous(info);
             }
         }));
     });
 }
 
-/// Panics the calling thread with an [`InjectedWorkerPanic`] payload,
+/// Panics the calling thread with an [`InjectedPanic`] payload,
 /// quietly (the silencing hook is installed first). Called by the
-/// discovery driver when a [`FaultPlan`] targets the current worker.
-pub fn inject_worker_panic() -> ! {
+/// governor when [`FaultPlan::task_panic_at_step`] is due.
+pub fn inject_panic() -> ! {
     silence_injected_panics();
-    std::panic::panic_any(InjectedWorkerPanic);
+    std::panic::panic_any(InjectedPanic);
 }
 
 /// An [`io::Write`] adapter whose writes succeed `ok_writes` times and
@@ -232,8 +181,6 @@ mod tests {
     #[test]
     fn seeds_cover_every_fault_arm() {
         let plans: Vec<FaultPlan> = (0..256).map(FaultPlan::from_seed).collect();
-        assert!(plans.iter().any(|p| p.worker_panic.is_some()));
-        assert!(plans.iter().any(|p| p.insert_panic.is_some()));
         assert!(plans.iter().any(|p| p.deadline_at_step.is_some()));
         assert!(plans.iter().any(|p| p.cancel_at_step.is_some()));
         assert!(plans.iter().any(|p| p.sink_fail_after.is_some()));
@@ -252,7 +199,6 @@ mod tests {
         assert!(plan.deadline_due(100));
         assert!(!plan.cancel_due(4));
         assert!(plan.cancel_due(5));
-        assert_eq!(plan.panic_worker_in(0), None);
         let plan = FaultPlan {
             task_panic_at_step: Some(2),
             ..FaultPlan::default()
@@ -275,32 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_worker_matches_batch_only() {
-        let plan = FaultPlan {
-            worker_panic: Some(WorkerPanic {
-                batch: 2,
-                worker: 1,
-            }),
-            ..FaultPlan::default()
-        };
-        assert_eq!(plan.panic_worker_in(0), None);
-        assert_eq!(plan.panic_worker_in(2), Some(1));
-        assert_eq!(plan.panic_worker_in(3), None);
-        // Discovery and insert-commit numbering are independent.
-        assert_eq!(plan.panic_worker_in_insert(2), None);
-        let plan = FaultPlan {
-            insert_panic: Some(WorkerPanic {
-                batch: 1,
-                worker: 3,
-            }),
-            ..FaultPlan::default()
-        };
-        assert_eq!(plan.panic_worker_in_insert(0), None);
-        assert_eq!(plan.panic_worker_in_insert(1), Some(3));
-        assert_eq!(plan.panic_worker_in(1), None);
-    }
-
-    #[test]
     fn flaky_writer_fails_after_quota() {
         let mut w = FlakyWriter::new(Vec::new(), 2);
         assert!(w.write(b"a").is_ok());
@@ -315,8 +235,8 @@ mod tests {
     #[test]
     fn injected_panics_are_quiet_and_recognisable() {
         silence_injected_panics();
-        let result = std::panic::catch_unwind(|| inject_worker_panic());
+        let result = std::panic::catch_unwind(|| inject_panic());
         let payload = result.unwrap_err();
-        assert!(payload.downcast_ref::<InjectedWorkerPanic>().is_some());
+        assert!(payload.downcast_ref::<InjectedPanic>().is_some());
     }
 }

@@ -196,7 +196,7 @@ impl ResourceGovernor {
     /// per-session containment).
     pub fn interrupted(&self, steps: usize) -> Option<Outcome> {
         if self.faults.task_panic_due(steps) {
-            crate::faults::inject_worker_panic();
+            crate::faults::inject_panic();
         }
         if self.faults.cancel_due(steps) {
             self.cancel.cancel();

@@ -15,10 +15,6 @@
 //! * [`critical`] — the critical database of the oblivious chase;
 //! * [`derivation`] — recorded derivations, replay and validation;
 //! * [`trigger`] / [`skolem`] — triggers, activeness, null invention;
-//! * [`driver`] — batched, optionally parallel, panic-safe trigger
-//!   discovery;
-//! * [`pool`] — the persistent work-stealing worker pool behind
-//!   parallel discovery and parallel restriction checks;
 //! * [`governor`] — budgets, deadlines and cooperative cancellation
 //!   for chase runs;
 //! * [`faults`] — deterministic fault injection for resilience tests;
@@ -28,21 +24,16 @@
 //!   and benchmark baseline).
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the persistent worker pool ([`pool`])
-// needs one audited lifetime-erasure site; every other module stays
-// unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod chaseable;
 pub mod critical;
 pub mod derivation;
 pub mod dot;
-pub mod driver;
 pub mod fairness;
 pub mod faults;
 pub mod governor;
 pub mod oblivious;
-pub mod pool;
 pub(crate) mod profiling;
 pub use profiling::DEFAULT_PROFILE_SAMPLE_EVERY;
 pub mod query;
@@ -63,9 +54,8 @@ pub mod prelude {
     pub use crate::critical::critical_database;
     pub use crate::derivation::{Derivation, DerivationFault, Step};
     pub use crate::dot::{derivation_to_dot, ochase_to_dot};
-    pub use crate::driver::Parallelism;
     pub use crate::fairness::{is_fair_within_horizon, persistently_active, repair, RepairOutcome};
-    pub use crate::faults::{FaultPlan, FlakyWriter, WorkerPanic};
+    pub use crate::faults::{FaultPlan, FlakyWriter};
     pub use crate::governor::ResourceGovernor;
     pub use crate::oblivious::{ObliviousChase, ObliviousRun};
     pub use crate::query::{contained_in, ConjunctiveQuery, QueryError};
@@ -75,6 +65,6 @@ pub mod prelude {
     pub use crate::seed::{SeedObliviousChase, SeedRestrictedChase};
     pub use crate::skolem::{SkolemPolicy, SkolemTable};
     pub use crate::task::{run_chase_task, ChaseTaskSpec, TaskEngine, TaskError, TaskOutput};
-    pub use crate::trigger::{active_triggers, all_triggers, Trigger, TriggerFp};
+    pub use crate::trigger::{active_triggers, all_triggers, ChaseScratch, Trigger, TriggerFp};
     pub use crate::universal::{core_of, is_core};
 }

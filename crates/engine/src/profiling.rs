@@ -1,5 +1,5 @@
 //! Shared helpers for the engines' opt-in profiling stream: periodic
-//! memory / progress samples and synthetic per-worker spans.
+//! memory / progress samples.
 //!
 //! Everything here is gated on `obs.enabled() && obs.profiling()`, so
 //! a [`NullObserver`](chase_telemetry::NullObserver) run never reads
@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use chase_core::instance::Instance;
-use chase_telemetry::{spans, ChaseObserver, EngineKind, Event};
+use chase_telemetry::{ChaseObserver, EngineKind, Event};
 
 /// How many chase steps pass between periodic memory/heartbeat
 /// samples when no explicit cadence is configured. A power of two so
@@ -22,8 +22,7 @@ pub(crate) const DEFAULT_HEARTBEAT_EVERY: u64 = 1024;
 /// (pop 0 is always sampled). Per-pop span timing costs two to four
 /// clock reads, which on sub-microsecond chase steps can double the
 /// run time; sampling whole subtrees deterministically by pop index
-/// keeps the stream well-nested and identical in shape between
-/// sequential and parallel runs while holding profiling overhead
+/// keeps the stream well-nested while holding profiling overhead
 /// inside the smoke gate's 10% budget. Trigger fire counts stay exact
 /// (they come from `trigger_applied` events, not spans). Use
 /// `profile_sample_every(1)` for exhaustive spans.
@@ -68,27 +67,4 @@ pub(crate) fn emit_profile_sample<O: ChaseObserver + ?Sized>(
         atoms_per_sec: per_sec(instance.len() as u64),
         queue_depth: depth,
     });
-}
-
-/// Replays a parallel discovery batch's per-worker wall-clock as
-/// synthetic `worker` spans, attributed to the worker index, in
-/// worker-index order — so the merged profiling stream is
-/// deterministic in shape (count and order) even though the timings
-/// and the true interleaving are not.
-pub(crate) fn emit_worker_spans<O: ChaseObserver + ?Sized>(obs: &mut O, worker_nanos: &[u64]) {
-    if !(obs.enabled() && obs.profiling()) {
-        return;
-    }
-    for (worker, &nanos) in worker_nanos.iter().enumerate() {
-        let tgd = worker as u32;
-        obs.on_event(&Event::SpanEntered {
-            span: spans::WORKER,
-            tgd,
-        });
-        obs.on_event(&Event::SpanExited {
-            span: spans::WORKER,
-            tgd,
-            nanos,
-        });
-    }
 }

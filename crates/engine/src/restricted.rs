@@ -16,37 +16,26 @@
 //!
 //! ## Hot-path architecture
 //!
-//! The run loop owns two [`HomScratch`] arenas (one driving trigger
-//! enumeration, one probing activeness), identifies triggers by packed
+//! The run loop borrows two [`HomScratch`](chase_core::hom::HomScratch)
+//! arenas from a [`ChaseScratch`] (one driving trigger enumeration, one
+//! probing activeness), identifies triggers by packed
 //! [`TriggerFp`] fingerprints, and enumerates delta triggers through
 //! the borrowing `*_with` entry points — steady-state discovery and
 //! activeness checking perform no heap allocation. Queued candidates
 //! live as `Copy` spans into a flat binding arena, so queueing a
 //! trigger allocates nothing and a [`Trigger`] value is materialised
-//! only for the triggers actually *applied*. With [`Parallelism::On`],
-//! discovery batches whose estimated work clears `parallel_threshold`
-//! fan out over scoped threads; the merged result is bit-identical to
-//! the sequential run (see [`crate::driver`]).
+//! only for the triggers actually *applied*. A caller may keep the
+//! scratch warm across runs.
 //!
-//! ## Incremental restriction checks
+//! ## Restriction checks
 //!
-//! The activeness test (Definition 3.1) is incremental: the engine
-//! registers the TGD set's composite-index plan on its working
-//! instance up front (turning most head-satisfaction searches into
-//! single index probes), and each queued trigger carries a
-//! *satisfaction watermark* — the instance length covered by the last
-//! failed head-satisfaction search for that trigger. A pop-time
-//! recheck scans only atoms inserted at or after the watermark: the
-//! instance grows monotonically, so a refuted prefix stays refuted.
-//! Triggers proved inactive are never re-probed (inactivity is
-//! monotone, cached permanently via `inactive_hint`).
+//! The engine registers the TGD set's composite-index plan on its
+//! working instance up front, turning most head-satisfaction searches
+//! (Definition 3.1's activeness test) into single index probes.
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-use chase_core::atom::Atom;
-use chase_core::hom::HomScratch;
 use chase_core::ids::{fx_set, VarId};
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
@@ -58,17 +47,14 @@ use chase_telemetry::{
 };
 
 use crate::derivation::{Derivation, Step};
-use crate::driver::{
-    collect_batch, estimated_batch_work, BatchControl, FpVars, Parallelism, MIN_PARALLEL_ROWS,
-};
 use crate::governor::ResourceGovernor;
-use crate::pool::{DiscoveryPool, WorkerScratch};
 use crate::profiling::{
-    emit_profile_sample, emit_worker_spans, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
+    emit_profile_sample, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
 };
 use crate::skolem::{SkolemPolicy, SkolemTable};
 use crate::trigger::{
-    for_each_trigger_using_with, for_each_trigger_with, head_satisfied_with, Trigger, TriggerFp,
+    for_each_trigger_using_with, for_each_trigger_with, head_satisfied_with, ChaseScratch, Trigger,
+    TriggerFp,
 };
 
 pub use crate::governor::{Budget, Outcome};
@@ -135,9 +121,8 @@ impl XorShift64 {
 }
 
 /// A queued candidate trigger: a `Copy` span into the engine's flat
-/// binding arena plus the incremental-activeness state. No [`Trigger`]
-/// (and no per-trigger `Binding` allocation) exists until the trigger
-/// is actually applied.
+/// binding arena. No [`Trigger`] (and no per-trigger `Binding`
+/// allocation) exists until the trigger is actually applied.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     /// Which TGD.
@@ -146,34 +131,18 @@ struct Queued {
     start: u32,
     /// Length of the span (one entry per body variable).
     len: u32,
-    /// Satisfaction watermark: instance length covered by the last
-    /// *failed* head-satisfaction search for this trigger. A recheck
-    /// scans only atoms at slot ≥ this. `0` = no prior refutation
-    /// (full check).
-    watermark: u32,
-    /// `true` if a discovery prescreen already proved the trigger
-    /// inactive — permanent, since inactivity is monotone.
-    inactive_hint: bool,
 }
 
 impl Queued {
     /// Copies `binding`'s entries into `arena` and returns the span
     /// handle.
-    fn store(
-        arena: &mut Vec<(VarId, Term)>,
-        tgd: TgdId,
-        binding: &Binding,
-        watermark: usize,
-        inactive_hint: bool,
-    ) -> Queued {
+    fn store(arena: &mut Vec<(VarId, Term)>, tgd: TgdId, binding: &Binding) -> Queued {
         let start = arena.len();
         arena.extend(binding.iter());
         Queued {
             tgd,
             start: start as u32,
             len: (arena.len() - start) as u32,
-            watermark: watermark as u32,
-            inactive_hint,
         }
     }
 
@@ -248,15 +217,6 @@ impl TriggerQueue {
         }
     }
 
-    /// The trigger the next `Fifo` pop would return, without popping
-    /// (used by the parallel-check batcher, which is FIFO-only).
-    fn peek_front(&self) -> Option<&Queued> {
-        match self {
-            TriggerQueue::Deque(d) => d.front(),
-            TriggerQueue::Buckets { .. } => None,
-        }
-    }
-
     fn pop(&mut self, strategy: Strategy, rng: &mut Option<XorShift64>) -> Option<Queued> {
         match self {
             TriggerQueue::Deque(queue) => {
@@ -292,328 +252,12 @@ impl TriggerQueue {
     }
 }
 
-/// Activeness verdicts carried by batched candidates: either the
-/// verdict was precomputed on the pool (against a snapshot that the
-/// shard-disjointness rule proves equivalent to the sequential check),
-/// or the step body computes it inline as before.
-const CHECK_NONE: u8 = 0;
-const CHECK_SATISFIED: u8 = 1;
-const CHECK_ACTIVE: u8 = 2;
-
-/// A batch member popped ahead of processing: the queued candidate,
-/// its (possibly precomputed) activeness verdict, and — when the
-/// apply phase ran ahead too — the member's fully staged application.
-struct PendingEntry {
-    q: Queued,
-    check: u8,
-    staged: Option<StagedApply>,
-}
-
-impl PendingEntry {
-    fn new(q: Queued) -> Self {
-        PendingEntry {
-            q,
-            check: CHECK_NONE,
-            staged: None,
-        }
-    }
-}
-
-/// The pre-applied result of one active batch member: everything the
-/// sequential step body would have computed, recorded at stage time so
-/// the replay emits a bit-identical event stream without touching the
-/// Skolem table or the instance's write path again.
-struct StagedApply {
-    /// The head instantiation, in `Trigger::result` order.
-    added: Vec<Atom>,
-    /// `(slot, fresh)` per added atom, aligned with `added`.
-    results: Vec<(usize, bool)>,
-    /// Skolem counter before/after this member's null invention.
-    nulls_before: u32,
-    nulls_after: u32,
-    /// The instance length right after this member's inserts — the
-    /// scan bound under which its delta discovery must run, since
-    /// later members' atoms are committed physically but are still
-    /// logically in this member's future.
-    end_len: usize,
-}
-
-/// The instance shards a queued trigger could touch: the home shards
-/// of every atom it may insert *and* of every atom that could witness
-/// its head. Returns `None` when the set is not computable from the
-/// binding alone (some head atom's first argument is existential, so
-/// its shard depends on a yet-uninvented null) — such a member must
-/// run strictly sequentially.
-///
-/// Hinted-inactive members return an empty mask: they skip their check
-/// and never insert, so they conflict with nothing.
-///
-/// This is the conflict rule behind parallel restriction checks
-/// (DESIGN.md §15): two triggers with disjoint masks cannot affect
-/// each other's activeness verdict, because any atom one of them
-/// inserts home-shards inside its own mask, while any witness for the
-/// other's head home-shards inside *that* member's mask.
-fn target_shard_mask(
-    set: &TgdSet,
-    instance: &Instance,
-    arena: &[(VarId, Term)],
-    q: &Queued,
-) -> Option<u128> {
-    if q.inactive_hint {
-        return Some(0);
-    }
-    let plan = set.tgd(q.tgd).head_shard_plan()?;
-    let pairs = q.pairs(arena);
-    let mut mask = 0u128;
-    for &(pred, var) in plan {
-        let first = match var {
-            // Frontier variables are always bound by the stored span.
-            Some(v) => Some(pairs.iter().find(|&&(pv, _)| pv == v)?.1),
-            None => None,
-        };
-        mask |= 1u128 << instance.shard_for(pred, first);
-    }
-    Some(mask)
-}
-
-/// Pops a run of shard-compatible FIFO candidates (starting with the
-/// already-popped `first`) into `pending` and precomputes their
-/// activeness verdicts concurrently on the pool. The caller then
-/// replays `pending` through the unchanged sequential step body, so
-/// event streams, null invention and slot assignment stay bit-identical
-/// to a sequential run. Returns the number of panicked workers; on any
-/// panic the verdicts are discarded and the replay recomputes inline.
-fn fill_check_batch(
-    set: &TgdSet,
-    instance: &Instance,
-    arena: &[(VarId, Term)],
-    queue: &mut TriggerQueue,
-    first: Queued,
-    pool: &mut DiscoveryPool,
-    pending: &mut VecDeque<PendingEntry>,
-) -> u32 {
-    pending.push_back(PendingEntry::new(first));
-    // The batch head needs a mask too: its own verdict is trivially
-    // sequential-equivalent, but its *inserts* must be provably unable
-    // to flip the verdicts precomputed for the members behind it.
-    let Some(mut used) = target_shard_mask(set, instance, arena, &first) else {
-        return 0;
-    };
-    let cap = pool.target_workers().saturating_mul(4).max(2);
-    while pending.len() < cap {
-        let Some(next) = queue.peek_front() else {
-            break;
-        };
-        let Some(mask) = target_shard_mask(set, instance, arena, next) else {
-            break;
-        };
-        if used & mask != 0 {
-            break; // first conflict ends the batch (FIFO order is sacred)
-        }
-        used |= mask;
-        let q = queue
-            .pop(Strategy::Fifo, &mut None)
-            .expect("peeked member still queued");
-        pending.push_back(PendingEntry::new(q));
-    }
-    let check_idx: Vec<usize> = pending
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| !e.q.inactive_hint)
-        .map(|(i, _)| i)
-        .collect();
-    // Dispatching to the pool costs a condvar round trip, so it only
-    // pays when the batch holds enough *expensive* checks: a
-    // single-atom head resolves with one ground probe, and a non-zero
-    // watermark means an earlier check already refuted everything below
-    // it — both are cheaper inline than the wakeup. Multi-atom heads
-    // with no covering watermark are real conjunctive queries over the
-    // instance; two or more of those amortise the dispatch.
-    let expensive = pending
-        .iter()
-        .filter(|e| !e.q.inactive_hint && e.q.watermark == 0 && set.tgd(e.q.tgd).head().len() > 1)
-        .count();
-    if expensive < 2 {
-        return 0; // nothing worth fanning out; replay computes inline
-    }
-    let members: Vec<Queued> = pending.iter().map(|e| e.q).collect();
-    let results: Vec<AtomicU8> = members.iter().map(|_| AtomicU8::new(CHECK_NONE)).collect();
-    let workers = pool.target_workers().min(check_idx.len());
-    let job = |w: usize, scratch: &mut WorkerScratch| {
-        let WorkerScratch { probe, binding, .. } = scratch;
-        let mut i = w;
-        while i < check_idx.len() {
-            let q = &members[check_idx[i]];
-            binding.clear();
-            for &(v, t) in q.pairs(arena) {
-                binding.push(v, t);
-            }
-            let sat = head_satisfied_with(probe, set.tgd(q.tgd), instance, binding, {
-                q.watermark as usize
-            });
-            results[check_idx[i]].store(
-                if sat { CHECK_SATISFIED } else { CHECK_ACTIVE },
-                Ordering::Relaxed,
-            );
-            i += workers;
-        }
-    };
-    // Not a fault-injection target: `FaultPlan` batch indices refer to
-    // discovery batches only, so injecting here would desynchronise
-    // the numbering the resilience suite pins down.
-    let panicked = pool.pool().run_batch(workers, None, &job);
-    if panicked == 0 {
-        for (i, entry) in pending.iter_mut().enumerate() {
-            entry.check = results[i].load(Ordering::Relaxed);
-        }
-    }
-    panicked
-}
-
-/// Minimum staged fresh atoms before the commit fans out to the pool
-/// under a non-zero `parallel_threshold`: below this, the per-shard
-/// dispatch round trip costs more than the sequential commit loop.
-const PARALLEL_COMMIT_MIN_FRESH: usize = 64;
-
-/// Runs the *apply* phase of a shard-disjoint batch ahead of the
-/// sequential replay (DESIGN.md §16). For each member, in FIFO order:
-/// resolve its activeness verdict (reusing the pool-precomputed one
-/// when present — both are sequential-equivalent by the conflict
-/// rule, since co-members' inserts land in shards disjoint from this
-/// member's witness shards), then, if active and within budget,
-/// invent its nulls and stage its head atoms against a private
-/// [`InsertStage`](chase_core::instance::InsertStage). Global slot
-/// ids are pre-reserved in strict sequential order at commit time, so
-/// slot numbering, iteration order and the event stream replayed from
-/// the recorded [`StagedApply`]s are bit-identical to a sequential
-/// run for every thread and shard count.
-///
-/// The per-shard dedup/storage/index work of the single commit then
-/// runs on the persistent pool (one worker per shard residue class)
-/// when it is large enough to pay for the dispatch; a worker felled
-/// by an injected panic leaves its shards untouched (injection fires
-/// before the job body), so `finish` repairs them inline.
-///
-/// Returns the number of panicked commit workers. Bails out (staging
-/// nothing) when an injected interrupt could fire during the replay
-/// horizon: interrupt polling is deferred while staged members are
-/// pending, so the batch must be provably interrupt-free to stage.
-#[allow(clippy::too_many_arguments)]
-fn stage_apply_batch(
-    set: &TgdSet,
-    instance: &mut Instance,
-    arena: &[(VarId, Term)],
-    pending: &mut VecDeque<PendingEntry>,
-    skolem: &mut SkolemTable,
-    scratch: &mut HomScratch,
-    binding: &mut Binding,
-    gov: &ResourceGovernor,
-    steps: usize,
-    pool: &mut DiscoveryPool,
-    parallel_threshold: usize,
-    apply_batch_idx: &mut u32,
-) -> u32 {
-    // Replaying the whole batch advances `steps` by at most
-    // `pending.len()`; both injected interrupts are monotone in the
-    // step count, so a clean horizon check covers every intermediate
-    // poll the sequential run would have made.
-    let horizon = steps + pending.len();
-    if gov.faults().deadline_due(horizon) || gov.faults().cancel_due(horizon) {
-        return 0;
-    }
-    let mut stage = instance.begin_insert_stage();
-    let mut virtual_steps = steps;
-    for entry in pending.iter_mut() {
-        let q = entry.q;
-        let active = match entry.check {
-            CHECK_SATISFIED => false,
-            CHECK_ACTIVE => true,
-            _ => {
-                if q.inactive_hint {
-                    false
-                } else {
-                    // Equal to the sequential verdict: atoms staged by
-                    // earlier members home-shard inside their own
-                    // masks, disjoint from this member's witness
-                    // shards, so checking the pre-batch snapshot
-                    // cannot flip the answer.
-                    binding.clear();
-                    for &(v, t) in q.pairs(arena) {
-                        binding.push(v, t);
-                    }
-                    let sat = head_satisfied_with(
-                        scratch,
-                        set.tgd(q.tgd),
-                        instance,
-                        binding,
-                        q.watermark as usize,
-                    );
-                    entry.check = if sat { CHECK_SATISFIED } else { CHECK_ACTIVE };
-                    !sat
-                }
-            }
-        };
-        if !active {
-            continue;
-        }
-        // The sequential loop checks the budget after the activeness
-        // check and before applying; mirror it on the virtual
-        // counters. The tripping member (and everything behind it)
-        // stays unstaged — its cached verdict makes the live replay
-        // check trip at identical values.
-        if gov.budget_exhausted(virtual_steps, stage.staged_len()) {
-            break;
-        }
-        let tgd = set.tgd(q.tgd);
-        let trigger = Trigger {
-            tgd: q.tgd,
-            binding: Binding::from_pairs(q.pairs(arena).iter().copied()),
-        };
-        let nulls_before = skolem.invented();
-        let added = trigger.result(tgd, skolem);
-        let nulls_after = skolem.invented();
-        let mut results = Vec::with_capacity(added.len());
-        for atom in &added {
-            results.push(instance.stage_insert(&mut stage, atom.clone()));
-        }
-        entry.staged = Some(StagedApply {
-            added,
-            results,
-            nulls_before,
-            nulls_after,
-            end_len: stage.staged_len(),
-        });
-        virtual_steps += 1;
-    }
-    if stage.fresh_count() == 0 {
-        return 0; // every staged head was already present; nothing to commit
-    }
-    let workers = pool.target_workers().min(instance.shard_count());
-    if workers > 1 && (parallel_threshold == 0 || stage.fresh_count() >= PARALLEL_COMMIT_MIN_FRESH)
-    {
-        let inject = gov.faults().panic_worker_in_insert(*apply_batch_idx);
-        *apply_batch_idx += 1;
-        let committer = instance.commit_stage_parallel(&stage);
-        let job = |w: usize, _scratch: &mut WorkerScratch| committer.run_worker(w, workers);
-        let panicked = pool.pool().run_batch(workers, inject, &job);
-        let clean = committer.finish();
-        assert!(clean, "insert-commit worker died mid-shard");
-        panicked
-    } else {
-        instance.commit_stage(&stage);
-        0
-    }
-}
-
 /// A configured restricted-chase engine.
 #[derive(Debug, Clone)]
 pub struct RestrictedChase<'a> {
     set: &'a TgdSet,
     strategy: Strategy,
     record: bool,
-    parallelism: Parallelism,
-    parallel_threshold: usize,
-    workers: Option<usize>,
     heartbeat_every: u64,
     profile_sample_every: u64,
 }
@@ -626,9 +270,6 @@ impl<'a> RestrictedChase<'a> {
             set,
             strategy: Strategy::Fifo,
             record: true,
-            parallelism: Parallelism::Off,
-            parallel_threshold: 32_768,
-            workers: None,
             heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
             profile_sample_every: DEFAULT_PROFILE_SAMPLE_EVERY,
         }
@@ -646,37 +287,6 @@ impl<'a> RestrictedChase<'a> {
         self
     }
 
-    /// Enables or disables parallel trigger discovery. Results are
-    /// bit-identical either way; see [`crate::driver`].
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Minimum estimated batch work (see
-    /// [`crate::driver::estimated_batch_work`]: delta rows weighted by
-    /// per-TGD body width, so wide join bodies count quadratically and
-    /// single-atom bodies linearly) before a discovery batch is fanned
-    /// out under [`Parallelism::On`]. Defaults to 32768 — in practice
-    /// the seed batch of a join-heavy workload over a large database
-    /// parallelises, while narrow batches (hundreds of rows against
-    /// width-1 bodies, where a sequential pass costs microseconds) and
-    /// per-step delta batches stay on the hot sequential path. Set to
-    /// 0 to force the parallel path (tests).
-    pub fn parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold;
-        self
-    }
-
-    /// Caps the number of parallel discovery workers (`None` = one per
-    /// available core, still bounded by the TGD count). Results stay
-    /// bit-identical for any cap; the bench harness sweeps this for
-    /// its thread scaling curve.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
     /// Sets the step cadence of the profiling stream's periodic
     /// memory/heartbeat samples (default 1024). Only consulted when
     /// the observer opts into profiling; a final sample is always
@@ -689,23 +299,11 @@ impl<'a> RestrictedChase<'a> {
     /// Sets the step-span sampling cadence: 1 in `pops` queue pops
     /// gets a full span subtree (default 16, pop 0 always sampled;
     /// see [`crate::profiling`]). `1` spans every pop exactly.
-    /// Sampling is deterministic in the pop index, so sequential and
-    /// parallel runs sample the same steps. Only consulted when the
-    /// observer opts into profiling.
+    /// Sampling is deterministic in the pop index. Only consulted when
+    /// the observer opts into profiling.
     pub fn profile_sample_every(mut self, pops: u64) -> Self {
         self.profile_sample_every = pops.max(1);
         self
-    }
-
-    fn go_parallel(&self, batch_rows: usize) -> bool {
-        if self.parallelism != Parallelism::On {
-            return false;
-        }
-        if self.parallel_threshold == 0 {
-            return true;
-        }
-        batch_rows >= MIN_PARALLEL_ROWS
-            && estimated_batch_work(self.set, batch_rows) >= self.parallel_threshold
     }
 
     /// Runs the restricted chase on `database` within `budget`.
@@ -742,8 +340,8 @@ impl<'a> RestrictedChase<'a> {
     /// When `obs` opts into profiling (see
     /// [`ChaseObserver::profiling`]) the run additionally streams
     /// hierarchical spans (`run → seed | step →
-    /// {restriction_check, insert, match}`, plus `index_maintain` and
-    /// per-worker spans of parallel batches), periodic memory samples
+    /// {restriction_check, insert, match}`, plus `index_maintain`),
+    /// periodic memory samples
     /// and progress heartbeats. The profiling stream never influences
     /// the derivation: profiled and unprofiled runs are bit-identical.
     pub fn run_governed_observed<O: ChaseObserver + ?Sized>(
@@ -752,37 +350,23 @@ impl<'a> RestrictedChase<'a> {
         gov: &ResourceGovernor,
         obs: &mut O,
     ) -> ChaseRun {
-        // One persistent worker pool for the whole run: spawned lazily
-        // on the first parallel batch, reused (threads and per-worker
-        // scratches) by every discovery and restriction-check batch
-        // after it. Sequential runs never spawn a thread.
-        let mut pool = DiscoveryPool::new(self.workers);
-        self.run_governed_observed_in(database, gov, obs, &mut pool)
+        self.run_governed_observed_in(database, gov, obs, &mut ChaseScratch::default())
     }
 
-    /// [`RestrictedChase::run_governed_observed`] against a
-    /// caller-provided worker pool, so a resident process (the chase
-    /// server's session runners) can keep one warm [`DiscoveryPool`]
-    /// per thread configuration and reuse its spawned workers and
-    /// scratches across many runs instead of re-parking threads per
-    /// request.
-    ///
-    /// The pool must target the same worker count this engine was
-    /// configured with ([`RestrictedChase::workers`]); parallel gating
-    /// consults `pool.target_workers()`, so a mismatched pool would
-    /// make the run's fan-out decisions differ from a fresh-pool run.
-    /// The run is bit-identical to [`RestrictedChase::run_governed_observed`]
-    /// whenever that invariant holds — the pool carries no run-scoped
-    /// state, only threads and reusable scratch arenas.
+    /// [`RestrictedChase::run_governed_observed`] borrowing the
+    /// matcher arenas from `scratch`, so a resident process (the chase
+    /// server's session runners) keeps them warm across many runs. The
+    /// scratch carries no run-scoped state; the run is bit-identical to
+    /// [`RestrictedChase::run_governed_observed`].
     pub fn run_governed_observed_in<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
-        pool: &mut DiscoveryPool,
+        scratch: &mut ChaseScratch,
     ) -> ChaseRun {
         let run_guard = span_enter(obs, spans::RUN, NO_TGD);
-        let run = self.run_inner(database, gov, obs, pool);
+        let run = self.run_inner(database, gov, obs, scratch);
         run_guard.exit(obs);
         run
     }
@@ -792,7 +376,7 @@ impl<'a> RestrictedChase<'a> {
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
-        pool: &mut DiscoveryPool,
+        scratch: &mut ChaseScratch,
     ) -> ChaseRun {
         const ENGINE: EngineKind = EngineKind::Restricted;
         // `Some` exactly when the observer opted into profiling;
@@ -815,6 +399,11 @@ impl<'a> RestrictedChase<'a> {
                 derivation: Derivation::default(),
             };
         }
+        let ChaseScratch {
+            matcher,
+            probe,
+            binding: check_binding,
+        } = scratch;
         let mut instance = database.clone();
         // Register the TGD set's composite-index plan before any
         // matching: pair cells are maintained incrementally from here
@@ -834,95 +423,26 @@ impl<'a> RestrictedChase<'a> {
         // run; bounded by the number of discovered triggers (which the
         // queue held as owned bindings before this existed).
         let mut arena: Vec<(VarId, Term)> = Vec::new();
-        let mut check_binding = Binding::new();
         let mut seen: chase_core::ids::FxHashSet<TriggerFp> = fx_set();
         let mut rng = match self.strategy {
             Strategy::Random(seed) => Some(XorShift64::new(seed)),
             _ => None,
         };
-        let mut enum_scratch = HomScratch::new();
-        let mut active_scratch = HomScratch::new();
-        // Parallel restriction checks are FIFO-only: a batch is a run
-        // of *consecutive* queue-front candidates, so replaying it in
-        // order is exactly the sequential pop order. The u128 conflict
-        // mask caps the shard counts this fast path supports.
-        let par_checks = self.parallelism == Parallelism::On
-            && self.strategy == Strategy::Fifo
-            && pool.target_workers() > 1
-            && instance.shard_count() <= 128;
-        // Popped-but-unprocessed batch members with their precomputed
-        // verdicts (and, under parallel apply, their staged
-        // applications); always drained before the queue is popped
-        // again.
-        let mut pending: VecDeque<PendingEntry> = VecDeque::new();
-
-        // Parallel discovery batches are numbered in execution order so
-        // the fault plan can target one deterministically.
-        let mut batch_idx: u32 = 0;
-        // Parallel insert-commit batches are numbered independently.
-        let mut apply_batch_idx: u32 = 0;
-
-        // A pool of one can't fan anything out: the batch path would
-        // only add per-trigger clones and a merge sort on the calling
-        // thread, so single-worker runs (the default on a single-CPU
-        // host) keep the plain sequential enumeration.
-        let fan_out = pool.target_workers() > 1;
 
         // Seed: all triggers on the database.
         let seed_guard = span_enter(obs, spans::SEED, NO_TGD);
-        if fan_out && self.go_parallel(instance.len()) {
-            let batch = collect_batch(
-                self.set,
-                &instance,
-                None,
-                FpVars::SortedBody,
-                true,
-                BatchControl {
-                    cancel: Some(gov.cancel_token()),
-                    inject_panic_worker: gov.faults().panic_worker_in(batch_idx),
-                    worker_cap: self.workers,
-                },
-                &mut *pool,
-            );
-            batch_idx += 1;
-            emit_worker_spans(obs, &batch.worker_nanos);
-            if batch.panicked_workers > 0 {
-                emit(obs, || Event::WorkerPanicked {
+        let _ = for_each_trigger_with(matcher, self.set, &instance, &mut |id, b| {
+            let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
+            if seen.insert(fp) {
+                emit_detail(obs, || Event::TriggerDiscovered {
                     engine: ENGINE,
+                    tgd: id.0,
                     step: 0,
-                    panics: batch.panicked_workers,
                 });
+                queue.push(Queued::store(&mut arena, id, b));
             }
-            for d in batch.discovered {
-                if seen.insert(d.fp) {
-                    emit_detail(obs, || Event::TriggerDiscovered {
-                        engine: ENGINE,
-                        tgd: d.trigger.tgd.0,
-                        step: 0,
-                    });
-                    queue.push(Queued::store(
-                        &mut arena,
-                        d.trigger.tgd,
-                        &d.trigger.binding,
-                        d.watermark,
-                        d.inactive_hint,
-                    ));
-                }
-            }
-        } else {
-            let _ = for_each_trigger_with(&mut enum_scratch, self.set, &instance, &mut |id, b| {
-                let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
-                if seen.insert(fp) {
-                    emit_detail(obs, || Event::TriggerDiscovered {
-                        engine: ENGINE,
-                        tgd: id.0,
-                        step: 0,
-                    });
-                    queue.push(Queued::store(&mut arena, id, b, 0, false));
-                }
-                ControlFlow::Continue(())
-            });
-        }
+            ControlFlow::Continue(())
+        });
         seed_guard.exit(obs);
         emit_detail(obs, || Event::QueueDepth {
             engine: ENGINE,
@@ -935,110 +455,35 @@ impl<'a> RestrictedChase<'a> {
         let mut derivation = Derivation::default();
         let mut new_slots: Vec<usize> = Vec::new();
         loop {
-            // Interrupt polling is deferred while staged applications
-            // are pending: their atoms are already committed, so the
-            // run may only stop once every staged member has been
-            // replayed (counted in steps, events and the derivation) —
-            // otherwise the partial result would not be truthful. The
-            // deferral window is one batch (a handful of steps), and
-            // `stage_apply_batch` refuses to stage across an injected
-            // interrupt, so deterministic runs never defer a due poll.
-            let staged_pending = pending.iter().any(|e| e.staged.is_some());
-            if !staged_pending {
-                if let Some(outcome) = gov.interrupted(steps) {
-                    emit(obs, || Event::RunInterrupted {
-                        engine: ENGINE,
-                        step: steps as u64,
-                        // Total: `interrupted` only returns interrupt outcomes.
-                        reason: outcome
-                            .interrupt_reason()
-                            .unwrap_or(chase_telemetry::InterruptReason::Deadline),
-                    });
-                    if let Some(start) = run_start {
-                        emit_profile_sample(
-                            obs,
-                            ENGINE,
-                            start,
-                            &instance,
-                            steps as u64,
-                            // Batch members popped ahead of processing are
-                            // still pending work.
-                            (queue.len() + pending.len()) as u64,
-                        );
-                    }
-                    return ChaseRun {
-                        outcome,
-                        instance,
-                        steps,
-                        derivation,
-                    };
+            if let Some(outcome) = gov.interrupted(steps) {
+                emit(obs, || Event::RunInterrupted {
+                    engine: ENGINE,
+                    step: steps as u64,
+                    // Total: `interrupted` only returns interrupt outcomes.
+                    reason: outcome
+                        .interrupt_reason()
+                        .unwrap_or(chase_telemetry::InterruptReason::Deadline),
+                });
+                if let Some(start) = run_start {
+                    emit_profile_sample(
+                        obs,
+                        ENGINE,
+                        start,
+                        &instance,
+                        steps as u64,
+                        queue.len() as u64,
+                    );
                 }
+                return ChaseRun {
+                    outcome,
+                    instance,
+                    steps,
+                    derivation,
+                };
             }
-            let entry = match pending.pop_front() {
-                Some(entry) => entry,
-                None => {
-                    let Some(first) = queue.pop(self.strategy, &mut rng) else {
-                        break;
-                    };
-                    if par_checks
-                        && (self.parallel_threshold == 0
-                            || instance.len() >= self.parallel_threshold)
-                    {
-                        let panicked = fill_check_batch(
-                            self.set,
-                            &instance,
-                            &arena,
-                            &mut queue,
-                            first,
-                            &mut *pool,
-                            &mut pending,
-                        );
-                        if panicked > 0 {
-                            emit(obs, || Event::WorkerPanicked {
-                                engine: ENGINE,
-                                step: steps as u64,
-                                panics: panicked,
-                            });
-                        }
-                        // Apply phase runs ahead over the same
-                        // mask-disjoint batch: verdicts, nulls and
-                        // slot ids are staged in FIFO order, the
-                        // per-shard commit work fans out, and the
-                        // replay below emits the sequential stream.
-                        if pending.len() > 1 {
-                            let panicked = stage_apply_batch(
-                                self.set,
-                                &mut instance,
-                                &arena,
-                                &mut pending,
-                                &mut skolem,
-                                &mut active_scratch,
-                                &mut check_binding,
-                                gov,
-                                steps,
-                                &mut *pool,
-                                self.parallel_threshold,
-                                &mut apply_batch_idx,
-                            );
-                            if panicked > 0 {
-                                emit(obs, || Event::WorkerPanicked {
-                                    engine: ENGINE,
-                                    step: steps as u64,
-                                    panics: panicked,
-                                });
-                            }
-                        }
-                        pending.pop_front().expect("batch contains its head")
-                    } else {
-                        PendingEntry::new(first)
-                    }
-                }
+            let Some(popped) = queue.pop(self.strategy, &mut rng) else {
+                break;
             };
-            let PendingEntry {
-                q: popped,
-                check: precheck,
-                staged,
-            } = entry;
             let sampled = pop_idx.is_multiple_of(self.profile_sample_every);
             pop_idx += 1;
             let step_guard = span_enter_sampled(obs, spans::STEP, popped.tgd.0, sampled, None);
@@ -1047,13 +492,9 @@ impl<'a> RestrictedChase<'a> {
             for &(v, t) in popped.pairs(&arena) {
                 check_binding.push(v, t);
             }
-            // A worker's inactive prescreen is sound to reuse
-            // (inactivity is monotone under instance growth); an
-            // unhinted trigger is rechecked incrementally — atoms
-            // below the watermark were already refuted by the search
-            // that set it. Adjacent span boundaries share one clock
-            // reading (`exit_now`/`_at`) to keep profiling overhead
-            // within the gate's budget.
+            // Adjacent span boundaries share one clock reading
+            // (`exit_now`/`_at`) to keep profiling overhead within the
+            // gate's budget.
             let check_guard = span_enter_sampled(
                 obs,
                 spans::RESTRICTION_CHECK,
@@ -1061,24 +502,7 @@ impl<'a> RestrictedChase<'a> {
                 sampled,
                 step_guard.start(),
             );
-            // A precomputed verdict (checked on the pool against the
-            // batch-formation snapshot) equals the inline answer: the
-            // shard-disjointness rule bars earlier batch members'
-            // inserts from witnessing this member's head.
-            let active = match precheck {
-                CHECK_SATISFIED => false,
-                CHECK_ACTIVE => true,
-                _ => {
-                    !popped.inactive_hint
-                        && !head_satisfied_with(
-                            &mut active_scratch,
-                            tgd,
-                            &instance,
-                            &check_binding,
-                            popped.watermark as usize,
-                        )
-                }
-            };
+            let active = !head_satisfied_with(probe, tgd, &instance, check_binding, 0);
             let check_end = check_guard.exit_now(obs);
             emit_detail(obs, || Event::TriggerChecked {
                 engine: ENGINE,
@@ -1095,30 +519,9 @@ impl<'a> RestrictedChase<'a> {
                 step_guard.exit_at(obs, check_end);
                 continue; // deactivated since discovery — monotone, stays so
             }
-            // A staged member already passed this check at stage time,
-            // on identical virtual counters; the live instance length
-            // is inflated by later batch members' committed atoms, so
-            // rechecking here would trip early and diverge from the
-            // sequential run.
-            if staged.is_none() && gov.budget_exhausted(steps, instance.len()) {
-                // Put it back so the caller can inspect pending work —
-                // along with any batch members popped ahead of time,
-                // restoring the exact sequential queue. The activeness
-                // check just refuted satisfaction (a snapshot verdict
-                // extends to the live instance: atoms inserted since
-                // can't witness this head, by shard disjointness), so
-                // the re-queued trigger's watermark advances to the
-                // full length. Staged members never land here (staging
-                // stops at the first budget trip), so nothing behind us
-                // holds committed-but-unreplayed atoms.
-                while let Some(e) = pending.pop_back() {
-                    debug_assert!(e.staged.is_none(), "staged member behind a budget trip");
-                    queue.unpop(e.q);
-                }
-                queue.unpop(Queued {
-                    watermark: instance.len() as u32,
-                    ..popped
-                });
+            if gov.budget_exhausted(steps, instance.len()) {
+                // Put it back so the caller can inspect pending work.
+                queue.unpop(popped);
                 step_guard.exit(obs);
                 if let Some(start) = run_start {
                     emit_profile_sample(
@@ -1147,49 +550,22 @@ impl<'a> RestrictedChase<'a> {
                 span_enter_sampled(obs, spans::INSERT, popped.tgd.0, sampled, check_end);
             new_slots.clear();
             let mut fresh_atoms = 0u32;
-            let (added, nulls_before, nulls_after) = match staged {
-                // Replay the staged application: nulls, slots and
-                // dedup verdicts were pre-assigned in sequential order
-                // at stage time, and the atoms are already committed.
-                // Freeze reads at this member's sequential length so
-                // later members' committed atoms stay invisible to its
-                // delta discovery.
-                Some(sa) => {
-                    for (atom, &(slot, fresh)) in sa.added.iter().zip(&sa.results) {
-                        emit_detail(obs, || Event::AtomInserted {
-                            engine: ENGINE,
-                            predicate: atom.pred.0,
-                            step: steps as u64 + 1,
-                            fresh,
-                        });
-                        if fresh {
-                            fresh_atoms += 1;
-                            new_slots.push(slot);
-                        }
-                    }
-                    instance.set_scan_bound(sa.end_len);
-                    (sa.added, sa.nulls_before, sa.nulls_after)
+            let nulls_before = skolem.invented();
+            let added = trigger.result(tgd, &mut skolem);
+            let nulls_after = skolem.invented();
+            for atom in &added {
+                let (slot, fresh) = instance.insert(atom.clone());
+                emit_detail(obs, || Event::AtomInserted {
+                    engine: ENGINE,
+                    predicate: atom.pred.0,
+                    step: steps as u64 + 1,
+                    fresh,
+                });
+                if fresh {
+                    fresh_atoms += 1;
+                    new_slots.push(slot);
                 }
-                None => {
-                    let nulls_before = skolem.invented();
-                    let added = trigger.result(tgd, &mut skolem);
-                    let nulls_after = skolem.invented();
-                    for atom in &added {
-                        let (slot, fresh) = instance.insert(atom.clone());
-                        emit_detail(obs, || Event::AtomInserted {
-                            engine: ENGINE,
-                            predicate: atom.pred.0,
-                            step: steps as u64 + 1,
-                            fresh,
-                        });
-                        if fresh {
-                            fresh_atoms += 1;
-                            new_slots.push(slot);
-                        }
-                    }
-                    (added, nulls_before, nulls_after)
-                }
-            };
+            }
             let insert_end = insert_guard.exit_now(obs);
             steps += 1;
             for null in nulls_before..nulls_after {
@@ -1215,75 +591,31 @@ impl<'a> RestrictedChase<'a> {
             // Delta discovery: only triggers using a fresh atom.
             let match_guard =
                 span_enter_sampled(obs, spans::MATCH, popped.tgd.0, sampled, insert_end);
-            if fan_out && !new_slots.is_empty() && self.go_parallel(new_slots.len()) {
-                let batch = collect_batch(
+            for &slot in &new_slots {
+                let _ = for_each_trigger_using_with(
+                    matcher,
                     self.set,
                     &instance,
-                    Some(&new_slots),
-                    FpVars::SortedBody,
-                    true,
-                    BatchControl {
-                        cancel: Some(gov.cancel_token()),
-                        inject_panic_worker: gov.faults().panic_worker_in(batch_idx),
-                        worker_cap: self.workers,
+                    slot,
+                    &mut |id, b| {
+                        let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
+                        if seen.insert(fp) {
+                            emit_detail(obs, || Event::TriggerDiscovered {
+                                engine: ENGINE,
+                                tgd: id.0,
+                                step: steps as u64,
+                            });
+                            queue.push(Queued::store(&mut arena, id, b));
+                        }
+                        ControlFlow::Continue(())
                     },
-                    &mut *pool,
                 );
-                batch_idx += 1;
-                emit_worker_spans(obs, &batch.worker_nanos);
-                if batch.panicked_workers > 0 {
-                    emit(obs, || Event::WorkerPanicked {
-                        engine: ENGINE,
-                        step: steps as u64,
-                        panics: batch.panicked_workers,
-                    });
-                }
-                for d in batch.discovered {
-                    if seen.insert(d.fp) {
-                        emit_detail(obs, || Event::TriggerDiscovered {
-                            engine: ENGINE,
-                            tgd: d.trigger.tgd.0,
-                            step: steps as u64,
-                        });
-                        queue.push(Queued::store(
-                            &mut arena,
-                            d.trigger.tgd,
-                            &d.trigger.binding,
-                            d.watermark,
-                            d.inactive_hint,
-                        ));
-                    }
-                }
-            } else {
-                for &slot in &new_slots {
-                    let _ = for_each_trigger_using_with(
-                        &mut enum_scratch,
-                        self.set,
-                        &instance,
-                        slot,
-                        &mut |id, b| {
-                            let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
-                            if seen.insert(fp) {
-                                emit_detail(obs, || Event::TriggerDiscovered {
-                                    engine: ENGINE,
-                                    tgd: id.0,
-                                    step: steps as u64,
-                                });
-                                queue.push(Queued::store(&mut arena, id, b, 0, false));
-                            }
-                            ControlFlow::Continue(())
-                        },
-                    );
-                }
             }
             let match_end = match_guard.exit_now(obs);
-            // Depth counts batch members popped ahead of processing as
-            // still queued, so batched and sequential runs report the
-            // same numbers at the same points.
             emit_detail(obs, || Event::QueueDepth {
                 engine: ENGINE,
                 step: steps as u64,
-                depth: (queue.len() + pending.len()) as u64,
+                depth: queue.len() as u64,
             });
             step_guard.exit_at(obs, match_end);
             if let Some(start) = run_start {
@@ -1294,13 +626,10 @@ impl<'a> RestrictedChase<'a> {
                         start,
                         &instance,
                         steps as u64,
-                        (queue.len() + pending.len()) as u64,
+                        queue.len() as u64,
                     );
                 }
             }
-            // Lift the replay scan bound (a no-op store for unstaged
-            // steps): the next member's sequential prefix is longer.
-            instance.clear_scan_bound();
         }
         // Final sample: a terminated run has drained its queue, even
         // when the tail of the queue was all deactivated triggers
@@ -1509,53 +838,6 @@ mod tests {
         );
         assert_eq!(run.outcome, Outcome::BudgetExhausted);
         assert!(run.instance.len() <= 10);
-    }
-
-    #[test]
-    fn parallel_run_is_bit_identical() {
-        use chase_telemetry::RecordingObserver;
-        let src = "
-            R(a,b). R(b,c). R(c,d).
-            R(x,y), R(y,z) -> exists w. R(z,w).
-            R(x,y) -> S(y).
-            S(x) -> exists u. T(x,u).
-        ";
-        let mut vocab = Vocabulary::new();
-        let p = parse_program(src, &mut vocab).unwrap();
-        let set = p.tgd_set(&vocab).unwrap();
-        for strategy in [
-            Strategy::Fifo,
-            Strategy::Lifo,
-            Strategy::Random(99),
-            Strategy::PriorityTgd,
-        ] {
-            let budget = Budget::steps(40);
-            let seq = RestrictedChase::new(&set)
-                .strategy(strategy)
-                .run(&p.database, budget);
-            let mut seq_obs = RecordingObserver::default();
-            let _ = RestrictedChase::new(&set).strategy(strategy).run_observed(
-                &p.database,
-                budget,
-                &mut seq_obs,
-            );
-            let mut par_obs = RecordingObserver::default();
-            let par = RestrictedChase::new(&set)
-                .strategy(strategy)
-                .parallelism(Parallelism::On)
-                .parallel_threshold(0)
-                .run_observed(&p.database, budget, &mut par_obs);
-            assert_eq!(seq.outcome, par.outcome, "{strategy:?}");
-            assert_eq!(seq.steps, par.steps, "{strategy:?}");
-            assert_eq!(seq.instance, par.instance, "{strategy:?}");
-            assert_eq!(
-                seq.derivation.steps.len(),
-                par.derivation.steps.len(),
-                "{strategy:?}"
-            );
-            // Even the telemetry streams coincide.
-            assert_eq!(seq_obs.events, par_obs.events, "{strategy:?}");
-        }
     }
 
     #[test]

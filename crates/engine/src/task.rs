@@ -15,13 +15,11 @@
 //! injected via [`FaultPlan::task_panic_at_step`] — into
 //! [`TaskError::Panicked`].
 //!
-//! Pool sharing: a caller that runs many tasks (the chase server's
-//! session runners) passes `Some(&mut pool)` to reuse one warm
-//! [`DiscoveryPool`] across runs. The pool must target the same worker
-//! count as the spec's `threads` (see
-//! [`RestrictedChase::run_governed_observed_in`]); results are then
-//! bit-identical to fresh-pool runs, which is what the server's
-//! isolation suite asserts.
+//! Scratch sharing: a caller that runs many tasks (the chase server's
+//! session runners) passes `Some(&mut scratch)` to reuse one warm
+//! [`ChaseScratch`] across runs. The scratch carries no run-scoped
+//! state, so results are bit-identical to fresh-scratch runs, which is
+//! what the server's isolation suite asserts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -34,12 +32,11 @@ use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
 use chase_telemetry::ChaseObserver;
 
-use crate::driver::Parallelism;
-use crate::faults::{silence_injected_panics, FaultPlan, InjectedWorkerPanic};
+use crate::faults::{silence_injected_panics, FaultPlan, InjectedPanic};
 use crate::governor::{Budget, Outcome, ResourceGovernor};
 use crate::oblivious::ObliviousChase;
-use crate::pool::DiscoveryPool;
 use crate::restricted::{RestrictedChase, Strategy};
+use crate::trigger::ChaseScratch;
 
 /// Which chase procedure a task runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,9 +87,6 @@ pub struct ChaseTaskSpec {
     /// Wall-clock deadline, measured from the moment the task starts
     /// (not from when it was enqueued).
     pub deadline: Option<Duration>,
-    /// Worker threads: `None` for sequential, `Some(n)` for parallel
-    /// discovery with `n` workers.
-    pub threads: Option<usize>,
     /// Deterministic fault plan (tests and the server's isolation
     /// suite).
     pub faults: FaultPlan,
@@ -102,7 +96,7 @@ pub struct ChaseTaskSpec {
 
 impl ChaseTaskSpec {
     /// A restricted-chase task over `source` with defaults everywhere
-    /// else (FIFO, unbounded budget, no deadline, sequential).
+    /// else (FIFO, unbounded budget, no deadline).
     pub fn restricted(source: impl Into<String>) -> Self {
         ChaseTaskSpec {
             program: ProgramInput::Source(source.into()),
@@ -111,7 +105,6 @@ impl ChaseTaskSpec {
             },
             budget: Budget::unbounded(),
             deadline: None,
-            threads: None,
             faults: FaultPlan::none(),
             cancel: CancelToken::new(),
         }
@@ -127,7 +120,6 @@ impl ChaseTaskSpec {
             },
             budget: Budget::unbounded(),
             deadline: None,
-            threads: None,
             faults: FaultPlan::none(),
             cancel: CancelToken::new(),
         }
@@ -209,7 +201,7 @@ impl TaskOutput {
 
 /// Renders a panic payload for [`TaskError::Panicked`].
 fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
-    if payload.downcast_ref::<InjectedWorkerPanic>().is_some() {
+    if payload.downcast_ref::<InjectedPanic>().is_some() {
         return "injected task panic".to_string();
     }
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -230,10 +222,8 @@ fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
 /// scheduler. The injected-panic silencing hook is installed up front
 /// so contained panics do not spam stderr.
 ///
-/// `pool`: `Some` to reuse a caller-owned [`DiscoveryPool`] (it must
-/// target `spec.threads` workers — the chase server keys its pool
-/// cache by thread count to guarantee this); `None` runs with a fresh
-/// per-run pool, identical behaviour either way.
+/// `scratch`: `Some` to reuse a caller-owned [`ChaseScratch`]; `None`
+/// runs with a fresh one, identical behaviour either way.
 ///
 /// The observer sees exactly the event stream a direct
 /// `run_governed_observed` call would produce; on panic it may have
@@ -242,10 +232,10 @@ fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
 pub fn run_chase_task<O: ChaseObserver + ?Sized>(
     spec: &ChaseTaskSpec,
     obs: &mut O,
-    pool: Option<&mut DiscoveryPool>,
+    scratch: Option<&mut ChaseScratch>,
 ) -> Result<TaskOutput, TaskError> {
     silence_injected_panics();
-    let result = catch_unwind(AssertUnwindSafe(|| run_task_inner(spec, obs, pool)));
+    let result = catch_unwind(AssertUnwindSafe(|| run_task_inner(spec, obs, scratch)));
     match result {
         Ok(inner) => inner,
         Err(payload) => Err(TaskError::Panicked(describe_panic(payload))),
@@ -255,7 +245,7 @@ pub fn run_chase_task<O: ChaseObserver + ?Sized>(
 fn run_task_inner<O: ChaseObserver + ?Sized>(
     spec: &ChaseTaskSpec,
     obs: &mut O,
-    pool: Option<&mut DiscoveryPool>,
+    scratch: Option<&mut ChaseScratch>,
 ) -> Result<TaskOutput, TaskError> {
     // Source input compiles here, inside the containment boundary;
     // compiled input is consumed by reference so a cache-hit session
@@ -263,9 +253,9 @@ fn run_task_inner<O: ChaseObserver + ?Sized>(
     match &spec.program {
         ProgramInput::Source(source) => {
             let compiled = compile(source).map_err(|e| TaskError::Parse(e.to_string()))?;
-            run_task_on(spec, &compiled, obs, pool)
+            run_task_on(spec, &compiled, obs, scratch)
         }
-        ProgramInput::Compiled(compiled) => run_task_on(spec, compiled, obs, pool),
+        ProgramInput::Compiled(compiled) => run_task_on(spec, compiled, obs, scratch),
     }
 }
 
@@ -273,37 +263,25 @@ fn run_task_on<O: ChaseObserver + ?Sized>(
     spec: &ChaseTaskSpec,
     program: &CompiledProgram,
     obs: &mut O,
-    pool: Option<&mut DiscoveryPool>,
+    scratch: Option<&mut ChaseScratch>,
 ) -> Result<TaskOutput, TaskError> {
     let set: &TgdSet = program.tgd_set();
     let gov = spec.governor();
-    // A fresh fallback pool for pool-less callers, constructed exactly
-    // as the engines' own entry points would (same `workers` argument),
-    // so pooled and pool-less runs are indistinguishable.
-    let mut fresh = DiscoveryPool::new(spec.threads);
-    let pool = match pool {
-        Some(shared) => shared,
-        None => &mut fresh,
-    };
+    let mut fresh = ChaseScratch::default();
+    let scratch = scratch.unwrap_or(&mut fresh);
     let (outcome, steps, instance) = match spec.engine {
         TaskEngine::Restricted { strategy } => {
-            let mut engine = RestrictedChase::new(set).strategy(strategy);
-            if let Some(n) = spec.threads {
-                engine = engine.parallelism(Parallelism::On).workers(n);
-            }
-            let run = engine.run_governed_observed_in(program.database(), &gov, obs, pool);
+            let engine = RestrictedChase::new(set).strategy(strategy);
+            let run = engine.run_governed_observed_in(program.database(), &gov, obs, scratch);
             (run.outcome, run.steps, run.instance)
         }
         TaskEngine::Oblivious { semi } => {
-            let mut engine = if semi {
+            let engine = if semi {
                 ObliviousChase::new(set).semi_oblivious()
             } else {
                 ObliviousChase::new(set)
             };
-            if let Some(n) = spec.threads {
-                engine = engine.parallelism(Parallelism::On).workers(n);
-            }
-            let run = engine.run_governed_observed_in(program.database(), &gov, obs, pool);
+            let run = engine.run_governed_observed_in(program.database(), &gov, obs, scratch);
             (run.outcome, run.steps, run.instance)
         }
     };
@@ -370,14 +348,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_pool_runs_are_bit_identical_to_fresh_pool_runs() {
+    fn shared_scratch_runs_are_bit_identical_to_fresh_scratch_runs() {
         let mut spec = ChaseTaskSpec::restricted(INFINITE);
         spec.budget = Budget::steps(64);
-        spec.threads = Some(2);
         let fresh = run_chase_task(&spec, &mut NullObserver, None).unwrap();
-        let mut pool = DiscoveryPool::new(Some(2));
+        let mut scratch = ChaseScratch::default();
         for _ in 0..3 {
-            let shared = run_chase_task(&spec, &mut NullObserver, Some(&mut pool)).unwrap();
+            let shared = run_chase_task(&spec, &mut NullObserver, Some(&mut scratch)).unwrap();
             assert_eq!(shared.fingerprint(), fresh.fingerprint());
         }
     }

@@ -217,17 +217,30 @@ impl Trigger {
     }
 }
 
+/// Reusable matcher arenas for one chase run. Engines borrow one per
+/// run, so a caller that runs many chases (a server session runner)
+/// keeps the arenas warm instead of reallocating them every run. The
+/// scratch carries no run-scoped state: results never depend on which
+/// scratch a run borrowed.
+#[derive(Debug, Default)]
+pub struct ChaseScratch {
+    /// Drives trigger enumeration (homomorphism search).
+    pub(crate) matcher: HomScratch,
+    /// Probes head satisfaction for restriction checks.
+    pub(crate) probe: HomScratch,
+    /// Rebuilds a queued trigger's binding before its check.
+    pub(crate) binding: Binding,
+}
+
 /// Incremental head-satisfaction check for a `(tgd, binding)` pair:
 /// whether some homomorphism of the head into `instance` extends
 /// `binding`, given that a previous search already **refuted**
 /// satisfaction on the length-`since` prefix of `instance` under the
 /// same binding. `since == 0` is an unconditional full check.
 ///
-/// This single entry point is shared by [`Trigger::is_active_with`],
-/// the restricted engine's pop-time watermark recheck, and the
-/// parallel driver's inactive prescreen, so every consumer computes
-/// the exact same answer — the bit-identity invariant between
-/// sequential, parallel and seed runs. Dispatch order: the O(1)
+/// This single entry point is shared by [`Trigger::is_active_with`]
+/// and the restricted engine's pop-time check, so every consumer
+/// computes the exact same answer. Dispatch order: the O(1)
 /// [`head_satisfied_probe`] when the TGD admits one, else the ground
 /// membership fast path (`since == 0`), else the anchored delta search
 /// [`head_satisfied_since`].
@@ -255,8 +268,7 @@ pub fn head_satisfied_with(
 /// Enumerates every trigger of the single TGD `(id, tgd)` on
 /// `instance` through a caller-owned scratch, handing out
 /// `(id, &binding)` pairs without constructing [`Trigger`] values.
-/// Building block of both the sequential enumeration and the parallel
-/// driver's per-TGD partitioning.
+/// Building block of [`for_each_trigger_with`].
 pub fn for_each_trigger_of_tgd_with(
     scratch: &mut HomScratch,
     id: TgdId,

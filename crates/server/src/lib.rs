@@ -7,10 +7,9 @@
 //!
 //! The paper's deciders ([`chase_termination`]) and engines
 //! ([`chase_engine`]) are CPU-bound batch procedures; amortising
-//! process start-up, TGD-set parsing machinery and — above all — the
-//! warm [`DiscoveryPool`](chase_engine::pool::DiscoveryPool) worker
-//! threads across many requests is what makes interactive use (a
-//! notebook, a grader, a CI fleet) practical. The server provides:
+//! process start-up and TGD-set compilation across many requests is
+//! what makes interactive use (a notebook, a grader, a CI fleet)
+//! practical. The server provides:
 //!
 //! * **Session isolation** — every request runs as a
 //!   [`chase_engine::task`] unit with its own

@@ -10,7 +10,7 @@
 //!
 //! | `op`       | fields |
 //! |------------|--------|
-//! | `chase`    | `id`, `program` and/or `program_ref`; optional `tenant`, `engine` (`restricted`\|`oblivious`\|`semi`), `strategy` (`fifo`\|`lifo`\|`random`\|`priority`), `seed`, `max_steps`, `max_atoms`, `deadline_ms`, `threads`, `telemetry` (bool), fault arms below |
+//! | `chase`    | `id`, `program` and/or `program_ref`; optional `tenant`, `engine` (`restricted`\|`oblivious`\|`semi`), `strategy` (`fifo`\|`lifo`\|`random`\|`priority`), `seed`, `max_steps`, `max_atoms`, `deadline_ms`, `telemetry` (bool), fault arms below |
 //! | `decide`   | `id`, `program` and/or `program_ref`; optional `tenant`, `deadline_ms`, `telemetry` |
 //! | `cancel`   | `id` — trips the session's [`CancelToken`] |
 //! | `ping`     | liveness probe |
@@ -102,8 +102,6 @@ pub struct SessionRequest {
     pub budget: Budget,
     /// Per-session deadline, measured from session start.
     pub deadline: Option<Duration>,
-    /// Worker threads (`None` = sequential).
-    pub threads: Option<usize>,
     /// Whether to stream telemetry events back.
     pub telemetry: bool,
     /// Injected faults (isolation tests).
@@ -243,11 +241,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 engine,
                 budget,
                 deadline: get_num(&map, "deadline_ms")?.map(Duration::from_millis),
-                // `threads:0` means "sequential", i.e. absent — it must
-                // not collide with `None` in the runner's pool cache.
-                threads: get_num(&map, "threads")?
-                    .map(|n| n as usize)
-                    .filter(|&n| n > 0),
                 telemetry: get_bool(&map, "telemetry")?.unwrap_or(false),
                 faults: parse_faults(&map)?,
                 cancel: CancelToken::new(),
@@ -399,7 +392,6 @@ mod tests {
                 assert_eq!(req.budget.max_steps, 7);
                 assert_eq!(req.budget.max_atoms, 100);
                 assert_eq!(req.deadline, Some(Duration::from_millis(250)));
-                assert_eq!(req.threads, Some(2));
                 assert!(req.telemetry);
                 assert_eq!(req.faults.task_panic_at_step, Some(3));
                 assert_eq!(req.faults.socket_fail_after, Some(5));
@@ -422,10 +414,12 @@ mod tests {
             .unwrap_err()
             .contains("unknown op"));
         assert!(
-            parse_request(r#"{"op":"chase","id":"x","program":"p","threads":"two"}"#)
+            parse_request(r#"{"op":"chase","id":"x","program":"p","max_steps":"two"}"#)
                 .unwrap_err()
                 .contains("integer")
         );
+        // Retired keys are ignored like any other unknown key.
+        assert!(parse_request(r#"{"op":"chase","id":"x","program":"p","threads":"two"}"#).is_ok());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Bounded fair-share session scheduler.
 //!
 //! Sessions are `Send` closures queued per tenant and executed by a
-//! fixed set of runner threads over the persistent chase pool
-//! machinery. Three properties matter more than raw throughput:
+//! fixed set of runner threads. Three properties matter more than raw
+//! throughput:
 //!
 //! * **Fairness** — runners pick the next job round-robin across
 //!   tenants (ordered `BTreeMap` + rotating cursor), so one tenant
@@ -12,8 +12,8 @@
 //!   carrying a retry hint instead of blocking or silently dropping.
 //! * **Containment** — every job runs behind `catch_unwind`; a
 //!   panicking session costs its runner nothing but a fresh
-//!   [`RunnerCtx`] (the warm pools are discarded in case the panic
-//!   left one mid-batch).
+//!   [`RunnerCtx`] (the warm scratch is discarded in case the panic
+//!   left it mid-search).
 //!
 //! The scheduler drains on [`Scheduler::shutdown`]: submits are
 //! refused, queued and running sessions finish, runner threads exit
@@ -26,7 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use chase_engine::pool::DiscoveryPool;
+use chase_engine::trigger::ChaseScratch;
 
 /// One queued session: a closure over its request, connection writer
 /// and registry handles.
@@ -68,24 +68,21 @@ pub enum Rejected {
     ShuttingDown,
 }
 
-/// Per-runner scratch state: a cache of warm [`DiscoveryPool`]s keyed
-/// by requested worker count, so back-to-back sessions with the same
-/// thread config reuse spawned workers. Keying by the *requested*
-/// count is what keeps shared-pool runs bit-identical to fresh-pool
-/// runs (see `chase_engine::task`).
+/// Per-runner scratch state: one warm [`ChaseScratch`] whose matcher
+/// arenas back-to-back sessions reuse. The scratch carries no
+/// run-scoped state, so shared-scratch runs are bit-identical to
+/// fresh-scratch runs (see `chase_engine::task`).
 #[derive(Default)]
 pub struct RunnerCtx {
-    pools: BTreeMap<usize, DiscoveryPool>,
+    scratch: ChaseScratch,
 }
 
 impl RunnerCtx {
-    /// The warm pool for `threads` (`None` = sequential), creating it
-    /// on first use.
-    pub fn pool_for(&mut self, threads: Option<usize>) -> &mut DiscoveryPool {
-        let key = threads.unwrap_or(0);
-        self.pools
-            .entry(key)
-            .or_insert_with(|| DiscoveryPool::new(threads))
+    /// The runner's warm scratch. The argument is ignored; it is kept
+    /// because the frozen served-request benchmark calls
+    /// `pool_for(None)`.
+    pub fn pool_for(&mut self, _threads: Option<usize>) -> &mut ChaseScratch {
+        &mut self.scratch
     }
 }
 
@@ -258,8 +255,8 @@ fn runner_loop(shared: &Shared) {
         // (run_chase_task); this boundary catches everything else —
         // decide sessions, reply plumbing — so a runner never dies.
         if catch_unwind(AssertUnwindSafe(|| job(&mut ctx))).is_err() {
-            // The panic may have left a warm pool mid-batch; start
-            // clean rather than hand the next session a wedged pool.
+            // The panic may have left the warm scratch mid-search;
+            // start clean rather than hand it to the next session.
             ctx = RunnerCtx::default();
         }
         let mut state = shared.state.lock().expect("scheduler poisoned");
@@ -398,26 +395,11 @@ mod tests {
         });
         chase_engine::faults::silence_injected_panics();
         sched
-            .submit(
-                "t",
-                Box::new(|_| chase_engine::faults::inject_worker_panic()),
-            )
+            .submit("t", Box::new(|_| chase_engine::faults::inject_panic()))
             .unwrap();
         let done = Arc::new(AtomicUsize::new(0));
         sched.submit("t", counter_job(&done)).unwrap();
         sched.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 1, "runner survived the panic");
-    }
-
-    #[test]
-    fn runner_ctx_caches_pools_by_thread_count() {
-        let mut ctx = RunnerCtx::default();
-        assert_eq!(ctx.pool_for(Some(2)).target_workers(), 2);
-        // `None` mirrors `DiscoveryPool::new(None)` (host-dependent
-        // target); it must be cached separately from explicit counts.
-        ctx.pool_for(None);
-        ctx.pool_for(Some(2));
-        ctx.pool_for(None);
-        assert_eq!(ctx.pools.len(), 2);
     }
 }

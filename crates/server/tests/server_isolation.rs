@@ -6,7 +6,7 @@
 //! serving afterwards.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use chase_engine::governor::Budget;
@@ -19,6 +19,16 @@ use chase_telemetry::NullObserver;
 
 const FINITE: &str = "R(a,b).\nR(x,y) -> S(x).\n";
 const INFINITE: &str = "R(a,b).\nR(x,y) -> exists z. R(y,z).\n";
+
+/// Serialises this file's tests: the hostile-`threads` test reads the
+/// process-wide thread count, which concurrently booted servers would
+/// otherwise inflate.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Boots a server on a fresh unix socket inside a private temp dir;
 /// returns the endpoint and the server thread's join handle.
@@ -61,6 +71,7 @@ fn baseline_fingerprint(spec: &ChaseTaskSpec) -> String {
 
 #[test]
 fn concurrent_faulty_sessions_do_not_disturb_healthy_ones() {
+    let _serial = serial();
     let (endpoint, server) = boot(
         ServerConfig {
             scheduler: SchedulerConfig {
@@ -78,7 +89,6 @@ fn concurrent_faulty_sessions_do_not_disturb_healthy_ones() {
     let finite_spec = ChaseTaskSpec::restricted(FINITE);
     let mut capped_spec = ChaseTaskSpec::restricted(INFINITE);
     capped_spec.budget = Budget::steps(64);
-    capped_spec.threads = Some(2);
     let finite_baseline = baseline_fingerprint(&finite_spec);
     let capped_baseline = baseline_fingerprint(&capped_spec);
 
@@ -86,7 +96,7 @@ fn concurrent_faulty_sessions_do_not_disturb_healthy_ones() {
     //  s-panic    — injected task panic at step 3;
     //  s-deadline — non-terminating, killed by a real 150ms deadline;
     //  s-finite   — healthy, sequential;
-    //  s-capped   — healthy, parallel (threads 2), budget-capped.
+    //  s-capped   — healthy, budget-capped.
     let requests = [
         format!(
             r#"{{"op":"chase","id":"s-panic","tenant":"chaos","program":"{}","fault_task_panic_at":3}}"#,
@@ -101,7 +111,7 @@ fn concurrent_faulty_sessions_do_not_disturb_healthy_ones() {
             escaped(FINITE)
         ),
         format!(
-            r#"{{"op":"chase","id":"s-capped","tenant":"steady","program":"{}","max_steps":64,"threads":2}}"#,
+            r#"{{"op":"chase","id":"s-capped","tenant":"steady","program":"{}","max_steps":64}}"#,
             escaped(INFINITE)
         ),
     ];
@@ -144,7 +154,7 @@ fn concurrent_faulty_sessions_do_not_disturb_healthy_ones() {
     assert_eq!(
         result_str(capped, "fingerprint"),
         capped_baseline,
-        "parallel session through the shared pool must match a standalone run"
+        "budget-capped session must match a standalone run"
     );
 
     // The server (and its runners) survived the panic: a fresh request
@@ -167,6 +177,7 @@ fn concurrent_faulty_sessions_do_not_disturb_healthy_ones() {
 
 #[test]
 fn cancel_request_stops_a_running_session() {
+    let _serial = serial();
     let (endpoint, server) = boot(ServerConfig::default(), "cancel");
     // Unbounded non-terminating session: only the cancel op can end it
     // (give it a long fallback deadline so a failed cancel cannot hang
@@ -197,6 +208,7 @@ fn cancel_request_stops_a_running_session() {
 
 #[test]
 fn telemetry_streams_per_session_and_degrades_on_socket_fault() {
+    let _serial = serial();
     let (endpoint, server) = boot(ServerConfig::default(), "telemetry");
 
     // Healthy telemetry: every event line carries the session id. The
@@ -268,6 +280,7 @@ fn telemetry_streams_per_session_and_degrades_on_socket_fault() {
 
 #[test]
 fn overload_sheds_with_retry_hint_and_backoff_recovers() {
+    let _serial = serial();
     let (endpoint, server) = boot(
         ServerConfig {
             scheduler: SchedulerConfig {
@@ -343,6 +356,7 @@ fn overload_sheds_with_retry_hint_and_backoff_recovers() {
 
 #[test]
 fn shutdown_drains_in_flight_sessions_before_exit() {
+    let _serial = serial();
     let (endpoint, server) = boot(ServerConfig::default(), "drain");
 
     // A session slow enough to still be running when shutdown lands.
@@ -389,6 +403,7 @@ fn shutdown_drains_in_flight_sessions_before_exit() {
 
 #[test]
 fn decide_sessions_run_through_the_same_scheduler() {
+    let _serial = serial();
     let (endpoint, server) = boot(ServerConfig::default(), "decide");
 
     let done = run_session(
@@ -410,6 +425,54 @@ fn decide_sessions_run_through_the_same_scheduler() {
     )
     .expect("decide session");
     assert_eq!(result_str(&done.result, "verdict"), "non_terminating");
+
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
+/// The process's OS thread count, from `/proc/self/status`.
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("Threads: line")
+}
+
+/// A `chase` request carrying a huge `threads` value is served like any
+/// other: the retired key is ignored, the result matches a direct run,
+/// and the server spawns no extra threads for it.
+#[test]
+fn hostile_threads_field_spawns_no_threads() {
+    let _serial = serial();
+    let mut program = String::new();
+    for i in 0..400 {
+        program.push_str(&format!("R(c{i},c{}).\n", i + 1));
+    }
+    program.push_str("R(x,y), R(y,z) -> S(x,z).\nR(u,v), R(v,w) -> T(u,w).\n");
+    let baseline = baseline_fingerprint(&ChaseTaskSpec::restricted(program.as_str()));
+
+    let (endpoint, server) = boot(ServerConfig::default(), "threads");
+    let before = os_threads();
+    let done = run_session(
+        &endpoint,
+        &format!(
+            r#"{{"op":"chase","id":"s-threads","program":"{}","threads":1000}}"#,
+            escaped(&program)
+        ),
+        &ClientConfig::default(),
+        |_| {},
+    )
+    .expect("hostile-threads session");
+    let after = os_threads();
+    assert_eq!(result_str(&done.result, "status"), "ok");
+    assert_eq!(result_str(&done.result, "outcome"), "terminated");
+    assert_eq!(result_str(&done.result, "fingerprint"), baseline);
+    assert!(
+        after < before + 16,
+        "a chase request grew the process from {before} to {after} threads"
+    );
 
     shutdown(&endpoint);
     server.join().expect("server thread");

@@ -71,8 +71,7 @@ pub use summary::TelemetrySummary;
 /// engines (producers) and the profiler / `chasectl stats`
 /// (consumers). The hierarchy is
 /// `run → seed | step → {restriction_check, insert, match}`, with
-/// `index_maintain` under `run` and `worker` under the discovery
-/// spans of parallel runs.
+/// `index_maintain` under `run`.
 pub mod spans {
     /// A whole engine run.
     pub const RUN: &str = "run";
@@ -88,9 +87,6 @@ pub mod spans {
     pub const RESTRICTION_CHECK: &str = "restriction_check";
     /// Head-atom insertion and null invention.
     pub const INSERT: &str = "insert";
-    /// One parallel discovery worker's share of a batch (parallel
-    /// runs only; excluded from seq-vs-par shape comparisons).
-    pub const WORKER: &str = "worker";
     /// Top-level decider dispatch in `chase-termination`.
     pub const DECIDE: &str = "decide";
 }
@@ -118,9 +114,6 @@ pub mod names {
     pub const ATOMS_FRESH: &str = "atoms.fresh";
     /// Histogram of sampled queue depths.
     pub const QUEUE_DEPTH: &str = "queue.depth";
-    /// Parallel discovery workers that panicked (each batch degrades
-    /// to the sequential path and the run continues).
-    pub const WORKER_PANICS: &str = "driver.worker_panics";
     /// Runs stopped by a resource governor (deadline or cancellation).
     pub const RUNS_INTERRUPTED: &str = "runs.interrupted";
     /// Telemetry sink write failures (events dropped, run unharmed).

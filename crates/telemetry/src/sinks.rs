@@ -25,7 +25,6 @@ pub struct CountingObserver {
     nulls: Arc<Counter>,
     inserted: Arc<Counter>,
     fresh: Arc<Counter>,
-    worker_panics: Arc<Counter>,
     interrupted: Arc<Counter>,
     queue_depth: Arc<Histogram>,
     heartbeats: Arc<Counter>,
@@ -56,7 +55,6 @@ impl CountingObserver {
         let nulls = counters.counter(names::NULLS_INVENTED);
         let inserted = counters.counter(names::ATOMS_INSERTED);
         let fresh = counters.counter(names::ATOMS_FRESH);
-        let worker_panics = counters.counter(names::WORKER_PANICS);
         let interrupted = counters.counter(names::RUNS_INTERRUPTED);
         let queue_depth = counters.histogram(names::QUEUE_DEPTH);
         let heartbeats = counters.counter(names::HEARTBEATS);
@@ -71,7 +69,6 @@ impl CountingObserver {
             nulls,
             inserted,
             fresh,
-            worker_panics,
             interrupted,
             queue_depth,
             heartbeats,
@@ -138,7 +135,6 @@ impl ChaseObserver for CountingObserver {
                 }
             }
             Event::QueueDepth { depth, .. } => self.queue_depth.record(depth),
-            Event::WorkerPanicked { panics, .. } => self.worker_panics.add(panics as u64),
             Event::RunInterrupted { .. } => self.interrupted.incr(),
             Event::CounterAdd { name, delta } => self.counters.counter(name).add(delta),
             Event::PhaseEntered { .. } => {}
@@ -682,18 +678,12 @@ mod tests {
     #[test]
     fn counting_observer_tracks_resilience_events() {
         let mut obs = CountingObserver::new();
-        obs.on_event(&Event::WorkerPanicked {
-            engine: EngineKind::Restricted,
-            step: 3,
-            panics: 2,
-        });
         obs.on_event(&Event::RunInterrupted {
             engine: EngineKind::Restricted,
             step: 5,
             reason: crate::event::InterruptReason::Deadline,
         });
         let s = obs.summary();
-        assert_eq!(s.counter(names::WORKER_PANICS), Some(2));
         assert_eq!(s.counter(names::RUNS_INTERRUPTED), Some(1));
     }
 }

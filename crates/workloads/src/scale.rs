@@ -1,5 +1,5 @@
 //! Ontology-scale workload generation: 10⁵–10⁷-fact databases under
-//! rule sets with hundreds of TGDs, for thread-scaling benchmarks.
+//! rule sets with hundreds of TGDs, for large-instance benchmarks.
 //!
 //! Unlike [`crate::families`], which emits rule-file *text* (sized for
 //! inspectability), this module builds the [`TgdSet`] and [`Instance`]
@@ -13,16 +13,11 @@
 //!
 //! * existential (probability [`ScaleParams::existential_density`]):
 //!   `Pi(x,y) → ∃z. Pj(x,z), Pk(x,z)` with `k = (j + n/2) mod n` — a
-//!   *two-atom* head sharing the invented null. The far pairing keeps
-//!   consecutive rules' head-predicate sets disjoint, so FIFO-adjacent
-//!   triggers rarely collide on target shards and the engine's parallel
-//!   check batches stay wide. Activeness is then a
+//!   *two-atom* head sharing the invented null. Activeness is then a
 //!   genuine conjunctive query (find `z'` with both `Pj(x,z')` and
 //!   `Pk(x,z')`), not a single-atom index probe: each check scans the
 //!   `Pj(x,·)` cell, whose size grows with `facts / constants`. This
-//!   is the restriction-check-heavy regime the parallel check batches
-//!   and the seed prescreen are built for. Both head atoms lead with
-//!   the frontier `x`, so the rule stays eligible for shard planning;
+//!   is the restriction-check-heavy regime;
 //! * full: `Pi(x,y) → Pj(x,y)` — pair propagation along the graph
 //!   (join-free insert throughput).
 //!
@@ -100,7 +95,7 @@ pub struct ScaleParams {
     /// full, in `0.0..=1.0`.
     pub existential_density: f64,
     /// Shard count for the generated database instance (engines
-    /// inherit it; more shards admit wider parallel check batches).
+    /// inherit it).
     pub shards: usize,
     /// PRNG seed for fact placement and the existential coin.
     pub seed: u64,
@@ -252,11 +247,8 @@ mod tests {
         let (_, set, _) = scale_workload(&p);
         assert!(set.tgds().iter().all(|t| !t.existentials().is_empty()));
         // Two-atom heads sharing the null defeat the single-atom
-        // activeness probe (checks become conjunctive queries)...
+        // activeness probe (checks become conjunctive queries).
         assert!(set.tgds().iter().all(|t| t.head().len() == 2));
-        // ...but still lead with a frontier variable, so every rule
-        // stays eligible for parallel restriction checks.
-        assert!(set.tgds().iter().all(|t| t.head_shard_plan().is_some()));
     }
 
     #[test]

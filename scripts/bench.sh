@@ -11,9 +11,8 @@
 # committed numbers. Smoke mode also acts as a perf-regression gate:
 # hotpath_report exits non-zero if any optimised engine is slower than
 # its seed baseline beyond HOTPATH_GATE_TOLERANCE (default 1.5x), or
-# if the parallel driver at the gate thread count (2 where the host
-# has >= 2 CPUs, else 1) falls below SCALING_GATE_TOLERANCE (default
-# 0.95) x sequential on either scaling workload.
+# if a warm program-cache hit is less than SERVER_WARM_GATE (default
+# 5x) faster than a cold compile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

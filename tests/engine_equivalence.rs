@@ -1,9 +1,8 @@
 //! Equivalence property suite for the hot-path engine overhaul: the
 //! optimised engines (iterative matcher, interned fingerprints,
-//! bucketed priority queue, optional parallel discovery) must be
-//! **bit-identical** to the frozen seed engines — same outcome, same
-//! step count, same final instance (nulls included) — on random
-//! programs, for every strategy and parallelism setting.
+//! bucketed priority queue) must be **bit-identical** to the frozen
+//! seed engines — same outcome, same step count, same final instance
+//! (nulls included) — on random programs, for every strategy.
 
 use proptest::prelude::*;
 use restricted_chase::prelude::*;
@@ -47,8 +46,8 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Restricted chase: every strategy, sequential and parallel,
-    /// agrees exactly with the frozen seed engine.
+    /// Restricted chase: every strategy agrees exactly with the frozen
+    /// seed engine.
     #[test]
     fn optimised_restricted_equals_seed(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
@@ -60,23 +59,13 @@ proptest! {
             Strategy::PriorityTgd,
         ] {
             let reference = SeedRestrictedChase::new(&set).strategy(strategy).run(&db, budget);
-            let sequential = RestrictedChase::new(&set)
-                .strategy(strategy)
-                .parallelism(Parallelism::Off)
-                .run(&db, budget);
-            assert_runs_equal(&reference, &sequential, &format!("{strategy:?}/Off"))?;
-            let parallel = RestrictedChase::new(&set)
-                .strategy(strategy)
-                .parallelism(Parallelism::On)
-                .parallel_threshold(0)
-                .run(&db, budget);
-            assert_runs_equal(&reference, &parallel, &format!("{strategy:?}/On"))?;
+            let run = RestrictedChase::new(&set).strategy(strategy).run(&db, budget);
+            assert_runs_equal(&reference, &run, &format!("{strategy:?}"))?;
         }
     }
 
-    /// Oblivious and semi-oblivious chase: optimised engine (both
-    /// parallelism settings) agrees exactly with the frozen seed
-    /// engine.
+    /// Oblivious and semi-oblivious chase: the optimised engine agrees
+    /// exactly with the frozen seed engine.
     #[test]
     fn optimised_oblivious_equals_seed(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
@@ -85,28 +74,20 @@ proptest! {
             let seed_engine = SeedObliviousChase::new(&set);
             let seed_engine = if semi { seed_engine.semi_oblivious() } else { seed_engine };
             let reference = seed_engine.run(&db, budget);
-            for parallelism in [Parallelism::Off, Parallelism::On] {
-                let engine = ObliviousChase::new(&set)
-                    .parallelism(parallelism)
-                    .parallel_threshold(0);
-                let engine = if semi { engine.semi_oblivious() } else { engine };
-                let run = engine.run(&db, budget);
-                prop_assert_eq!(reference.outcome, run.outcome, "semi={} {:?}", semi, parallelism);
-                prop_assert_eq!(reference.steps, run.steps, "semi={} {:?}", semi, parallelism);
-                prop_assert_eq!(&reference.instance, &run.instance, "semi={} {:?}", semi, parallelism);
-            }
+            let engine = ObliviousChase::new(&set);
+            let engine = if semi { engine.semi_oblivious() } else { engine };
+            let run = engine.run(&db, budget);
+            prop_assert_eq!(reference.outcome, run.outcome, "semi={}", semi);
+            prop_assert_eq!(reference.steps, run.steps, "semi={}", semi);
+            prop_assert_eq!(&reference.instance, &run.instance, "semi={}", semi);
         }
     }
 
-    /// Regression for the parallel driver's prescreen hints: a
-    /// terminated parallel restricted run is a model of the TGD set.
+    /// A terminated restricted run is a model of the TGD set.
     #[test]
-    fn terminated_parallel_run_satisfies_all(seed in 0u64..5_000, db_seed in 0u64..5_000) {
+    fn terminated_run_satisfies_all(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
-        let run = RestrictedChase::new(&set)
-            .parallelism(Parallelism::On)
-            .parallel_threshold(0)
-            .run(&db, Budget::new(300, 3_000));
+        let run = RestrictedChase::new(&set).run(&db, Budget::new(300, 3_000));
         if run.outcome == Outcome::Terminated {
             prop_assert!(satisfies_all(&run.instance, &set));
         }
@@ -114,28 +95,20 @@ proptest! {
 
     /// Profiling is still equivalence-preserving: the optimised engine
     /// under a profiling span observer remains bit-identical to the
-    /// frozen seed engine, every strategy, both parallelism settings.
+    /// frozen seed engine.
     #[test]
     fn profiled_restricted_equals_seed(seed in 0u64..2_500, db_seed in 0u64..2_500) {
         let (_vocab, set, db) = build(seed, db_seed);
         let budget = Budget::new(200, 2_000);
         for strategy in [Strategy::Fifo, Strategy::PriorityTgd] {
             let reference = SeedRestrictedChase::new(&set).strategy(strategy).run(&db, budget);
-            for parallelism in [Parallelism::Off, Parallelism::On] {
-                let mut obs = restricted_chase::telemetry::SpanObserver::new();
-                let profiled = RestrictedChase::new(&set)
-                    .strategy(strategy)
-                    .parallelism(parallelism)
-                    .parallel_threshold(0)
-                    .heartbeat_every(16)
-                    .run_observed(&db, budget, &mut obs);
-                assert_runs_equal(
-                    &reference,
-                    &profiled,
-                    &format!("profiled {strategy:?}/{parallelism:?}"),
-                )?;
-                prop_assert_eq!(obs.profile().unbalanced, 0, "{:?}", parallelism);
-            }
+            let mut obs = restricted_chase::telemetry::SpanObserver::new();
+            let profiled = RestrictedChase::new(&set)
+                .strategy(strategy)
+                .heartbeat_every(16)
+                .run_observed(&db, budget, &mut obs);
+            assert_runs_equal(&reference, &profiled, &format!("profiled {strategy:?}"))?;
+            prop_assert_eq!(obs.profile().unbalanced, 0);
         }
     }
 }

@@ -1,22 +1,19 @@
-//! Equivalence property suite for the incremental restriction-check
-//! machinery (PR 5): satisfaction watermarks, composite two-position
-//! indexes, and the dedup-map instance layout must leave the engines
+//! Equivalence property suite for the restriction-check machinery:
+//! composite two-position indexes, the dedup-map instance layout and
+//! the sharded storage must leave the restricted engine
 //! **bit-identical** to the frozen seed baseline — same outcome, same
-//! step count, same final instance, same recorded derivation — on
-//! random programs, and the sequential and parallel optimised engines
-//! must emit identical telemetry event streams.
+//! step count, same final instance — on random programs, and its
+//! recorded derivations must replay through [`Derivation::validate`].
+//! The telemetry event stream must not depend on the shard count.
 //!
 //! The seed engine has no observer hook, so telemetry equality is
-//! checked between the two optimised drivers (whose prescreen is where
-//! watermarks change the search anchor); derivation equality against
-//! the seed is checked structurally and by replaying the recorded
-//! derivation through [`Derivation::validate`].
+//! checked between two runs of the optimised engine over differently
+//! sharded copies of the same database.
 
 use proptest::prelude::*;
 use restricted_chase::prelude::*;
 // `proptest::prelude` exports a `Strategy` trait that shadows the
 // chase engine's `Strategy` enum in glob imports; re-import explicitly.
-use restricted_chase::engine::derivation::Derivation;
 use restricted_chase::engine::restricted::Strategy;
 use restricted_chase::telemetry::RecordingObserver;
 
@@ -31,32 +28,13 @@ fn build(seed: u64, db_seed: u64) -> (Vocabulary, TgdSet, Instance) {
     (vocab, set, program.database)
 }
 
-/// Structural derivation equality (`Derivation` does not implement
-/// `PartialEq`): same step count, and per step the same trigger (TGD +
-/// binding) and the same added atoms in the same order.
-fn assert_derivations_equal(
-    a: &Derivation,
-    b: &Derivation,
-    label: &str,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.len(), b.len(), "derivation length: {}", label);
-    for (i, (sa, sb)) in a.steps.iter().zip(&b.steps).enumerate() {
-        prop_assert_eq!(
-            &sa.trigger,
-            &sb.trigger,
-            "derivation step {} trigger: {}",
-            i,
-            label
-        );
-        prop_assert_eq!(
-            &sa.added,
-            &sb.added,
-            "derivation step {} added atoms: {}",
-            i,
-            label
-        );
+/// A copy of `db` stored in `shards` shards (same atoms, same order).
+fn resharded(db: &Instance, shards: usize) -> Instance {
+    let mut out = Instance::with_shards(shards);
+    for atom in db.iter() {
+        out.insert(atom.to_atom());
     }
-    Ok(())
+    out
 }
 
 proptest! {
@@ -65,10 +43,8 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Watermarked restricted chase (sequential and force-parallel)
-    /// agrees exactly with the frozen seed engine on outcome, step
-    /// count, and final instance; the seq and par drivers additionally
-    /// record identical derivations (the seed engine records none).
+    /// The restricted chase agrees exactly with the frozen seed engine
+    /// on outcome, step count, and final instance, for every strategy.
     #[test]
     fn watermarked_restricted_equals_seed(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
@@ -80,141 +56,76 @@ proptest! {
             Strategy::PriorityTgd,
         ] {
             let reference = SeedRestrictedChase::new(&set).strategy(strategy).run(&db, budget);
-            let mut recorded = Vec::new();
-            for (label, parallel) in [("Off", false), ("On", true)] {
-                let engine = RestrictedChase::new(&set).strategy(strategy);
-                let engine = if parallel {
-                    engine.parallelism(Parallelism::On).parallel_threshold(0)
-                } else {
-                    engine.parallelism(Parallelism::Off)
-                };
-                let run = engine.run(&db, budget);
-                let label = format!("{strategy:?}/{label}");
-                prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
-                prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
-                prop_assert_eq!(
-                    reference.instance.len(),
-                    run.instance.len(),
-                    "len: {}",
-                    &label
-                );
-                prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
-                recorded.push(run.derivation);
-            }
-            assert_derivations_equal(
-                &recorded[0],
-                &recorded[1],
-                &format!("{strategy:?} seq-vs-par"),
-            )?;
+            let run = RestrictedChase::new(&set).strategy(strategy).run(&db, budget);
+            let label = format!("{strategy:?}");
+            prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
+            prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
+            prop_assert_eq!(
+                reference.instance.len(),
+                run.instance.len(),
+                "len: {}",
+                &label
+            );
+            prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
         }
     }
 
-    /// Recorded derivations of the watermarked engine replay cleanly:
-    /// every step is an active trigger at its point in the sequence,
-    /// every added atom is `result(σ,h)`, and terminated runs leave no
-    /// active trigger. This is the soundness check for watermark-based
-    /// activeness short-cuts — a stale watermark would record a step
-    /// whose trigger was in fact already satisfied.
+    /// Recorded derivations replay cleanly: every step is an active
+    /// trigger at its point in the sequence, every added atom is
+    /// `result(σ,h)`, and terminated runs leave no active trigger. A
+    /// stale activeness short-cut would record a step whose trigger was
+    /// in fact already satisfied.
     #[test]
     fn watermarked_derivation_replays(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
         let budget = Budget::new(200, 2_000);
-        for parallelism in [Parallelism::Off, Parallelism::On] {
-            let run = RestrictedChase::new(&set)
-                .parallelism(parallelism)
-                .parallel_threshold(0)
-                .run(&db, budget);
-            let must_saturate = run.outcome == Outcome::Terminated;
-            let replayed = run.derivation.validate(&db, &set, must_saturate);
-            match replayed {
-                Ok(final_instance) => {
-                    prop_assert_eq!(&final_instance, &run.instance, "{:?}", parallelism)
-                }
-                Err(fault) => prop_assert!(false, "{:?}: replay fault: {}", parallelism, fault),
-            }
+        let run = RestrictedChase::new(&set).run(&db, budget);
+        let must_saturate = run.outcome == Outcome::Terminated;
+        match run.derivation.validate(&db, &set, must_saturate) {
+            Ok(final_instance) => prop_assert_eq!(&final_instance, &run.instance),
+            Err(fault) => prop_assert!(false, "replay fault: {}", fault),
         }
     }
 
-    /// Sequential and parallel optimised drivers emit identical
-    /// telemetry event streams (the seed engine has no observer hook).
-    /// The parallel prescreen consumes watermarks, so any divergence
-    /// in what it re-checks shows up here as an event mismatch.
+    /// One-shard and default-sharded copies of the same database emit
+    /// identical telemetry event streams.
     #[test]
     fn watermarked_event_streams_identical(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
         let budget = Budget::new(200, 2_000);
-        let mut seq_obs = RecordingObserver::default();
-        let seq = RestrictedChase::new(&set)
-            .parallelism(Parallelism::Off)
-            .run_observed(&db, budget, &mut seq_obs);
-        let mut par_obs = RecordingObserver::default();
-        let par = RestrictedChase::new(&set)
-            .parallelism(Parallelism::On)
-            .parallel_threshold(0)
-            .run_observed(&db, budget, &mut par_obs);
-        prop_assert_eq!(seq.outcome, par.outcome);
-        prop_assert_eq!(seq_obs.events, par_obs.events);
+        let mut base_obs = RecordingObserver::default();
+        let base = RestrictedChase::new(&set).run_observed(&db, budget, &mut base_obs);
+        let mut one_obs = RecordingObserver::default();
+        let one = RestrictedChase::new(&set).run_observed(&resharded(&db, 1), budget, &mut one_obs);
+        prop_assert_eq!(base.outcome, one.outcome);
+        prop_assert_eq!(base_obs.events, one_obs.events);
     }
 
-    /// Parallel trigger application against the frozen seed oracle:
-    /// with the apply phase staging verdicts, nulls and slot ids ahead
-    /// of the replay and committing per-shard on the pool, every
-    /// worker count {1, 2, 4} × shard count {1, 2, 4, 7} must still
-    /// equal the seed run (outcome, steps, instance), emit the exact
-    /// sequential telemetry stream, and record a derivation that
-    /// replays cleanly through `Derivation::validate`.
+    /// Every shard count {1, 2, 4, 7} must equal the seed run (outcome,
+    /// steps, instance), emit the default-sharded run's telemetry
+    /// stream, and record a derivation that replays cleanly through
+    /// `Derivation::validate`.
     #[test]
-    fn parallel_apply_equals_seed_across_threads_and_shards(
-        seed in 0u64..5_000,
-        db_seed in 0u64..5_000,
-    ) {
+    fn restricted_equals_seed_across_shards(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
         let budget = Budget::new(200, 2_000);
         let reference = SeedRestrictedChase::new(&set).run(&db, budget);
         let mut seq_obs = RecordingObserver::default();
         let seq = RestrictedChase::new(&set).run_observed(&db, budget, &mut seq_obs);
         for shards in [1usize, 2, 4, 7] {
-            let mut sdb = Instance::with_shards(shards);
-            for atom in db.iter() {
-                sdb.insert(atom.to_atom());
-            }
-            for threads in [1usize, 2, 4] {
-                let label = format!("{shards} shards / {threads} threads");
-                let mut obs = RecordingObserver::default();
-                let run = RestrictedChase::new(&set)
-                    .parallelism(Parallelism::On)
-                    .parallel_threshold(0)
-                    .workers(threads)
-                    .run_observed(&sdb, budget, &mut obs);
-                prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
-                prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
-                prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
-                prop_assert_eq!(&seq_obs.events, &obs.events, "telemetry: {}", &label);
-                let must_saturate = run.outcome == Outcome::Terminated;
-                let replayed = run.derivation.validate(&sdb, &set, must_saturate)
-                    .map_err(|f| TestCaseError::fail(format!("{label}: replay fault: {f}")))?;
-                prop_assert_eq!(&replayed, &run.instance, "replay: {}", &label);
-                prop_assert_eq!(&seq.instance, &run.instance, "seq instance: {}", &label);
-            }
+            let sdb = resharded(&db, shards);
+            let label = format!("{shards} shards");
+            let mut obs = RecordingObserver::default();
+            let run = RestrictedChase::new(&set).run_observed(&sdb, budget, &mut obs);
+            prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
+            prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
+            prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
+            prop_assert_eq!(&seq_obs.events, &obs.events, "telemetry: {}", &label);
+            let must_saturate = run.outcome == Outcome::Terminated;
+            let replayed = run.derivation.validate(&sdb, &set, must_saturate)
+                .map_err(|f| TestCaseError::fail(format!("{label}: replay fault: {f}")))?;
+            prop_assert_eq!(&replayed, &run.instance, "replay: {}", &label);
+            prop_assert_eq!(&seq.instance, &run.instance, "seq instance: {}", &label);
         }
-    }
-
-    /// The default parallel gating heuristic (delta size × body width)
-    /// must never change results — whichever side of the threshold a
-    /// batch lands on, the run is the same.
-    #[test]
-    fn default_gating_preserves_results(seed in 0u64..5_000, db_seed in 0u64..5_000) {
-        let (_vocab, set, db) = build(seed, db_seed);
-        let budget = Budget::new(200, 2_000);
-        let reference = RestrictedChase::new(&set)
-            .parallelism(Parallelism::Off)
-            .run(&db, budget);
-        // Default threshold: the heuristic decides per batch.
-        let gated = RestrictedChase::new(&set)
-            .parallelism(Parallelism::On)
-            .run(&db, budget);
-        prop_assert_eq!(reference.outcome, gated.outcome);
-        prop_assert_eq!(reference.steps, gated.steps);
-        prop_assert_eq!(&reference.instance, &gated.instance);
     }
 }
