@@ -427,7 +427,6 @@ fn main() {
         facts: if smoke { 40_000 } else { 150_000 },
         constants: 64,
         existential_density: 0.9,
-        shards: 64,
         seed: 7,
     };
     let (_v, chain_set, chain_db) = scale_workload(&chain_params);

@@ -24,7 +24,7 @@ impl Position {
 /// Number of argument terms an [`ArgVec`] stores inline. Also the
 /// arity threshold below which the columnar instance storage keeps an
 /// atom's arguments in its contiguous inline column (wider atoms go to
-/// the shard's spill arena) — keeping the two aligned means converting
+/// the instance's spill arena) — keeping the two aligned means converting
 /// between row and columnar form never changes which atoms allocate.
 pub const ARG_INLINE: usize = 4;
 
@@ -311,9 +311,9 @@ impl Atom {
     }
 }
 
-/// A borrowed view of an atom stored in an instance's columnar shard
+/// A borrowed view of an atom stored in an instance's columnar
 /// layout. The predicate id and the argument slice point straight into
-/// the shard's struct-of-arrays columns, so producing one is two array
+/// the instance's struct-of-arrays columns, so producing one is two array
 /// reads and no copy — reading `instance.atom(slot)` used to hand out
 /// `&Atom` rows; it now hands out one of these.
 ///
@@ -323,7 +323,7 @@ impl Atom {
 pub struct AtomRef<'a> {
     /// The predicate symbol.
     pub pred: PredId,
-    /// The argument terms, borrowed from the shard columns.
+    /// The argument terms, borrowed from the instance columns.
     pub args: &'a [Term],
 }
 

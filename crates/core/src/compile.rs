@@ -77,7 +77,7 @@ impl std::fmt::Debug for ProgramFingerprint {
 
 /// An immutable compiled program: vocabulary, initial database and the
 /// [`TgdSet`] with all per-TGD artifacts (frontier, sorted body vars,
-/// pair-index join plans, head probes, shard plans) precomputed.
+/// pair-index join plans, head probes) precomputed.
 ///
 /// Produced once by [`compile`] and shared as `Arc<CompiledProgram>`;
 /// engines, deciders and the seed oracle consume it without

@@ -20,6 +20,14 @@ pub enum CoreError {
         /// Predicate name.
         predicate: String,
     },
+    /// A predicate's arity exceeds [`crate::vocab::MAX_ARITY`], the
+    /// widest atom the columnar instance store can hold.
+    ArityTooLarge {
+        /// Predicate name.
+        predicate: String,
+        /// The rejected arity.
+        arity: usize,
+    },
     /// A syntax error in a rule/fact file.
     Parse {
         /// 1-based line of the offending token.
@@ -73,6 +81,11 @@ impl fmt::Display for CoreError {
             CoreError::ZeroArity { predicate } => {
                 write!(f, "predicate {predicate} must have arity > 0")
             }
+            CoreError::ArityTooLarge { predicate, arity } => write!(
+                f,
+                "predicate {predicate} has arity {arity}, but the maximum arity is {}",
+                crate::vocab::MAX_ARITY
+            ),
             CoreError::Parse {
                 line,
                 column,

@@ -159,13 +159,6 @@ pub struct HomScratch {
     /// [`exists_homomorphism_with`]; its argument buffer keeps its
     /// capacity across probes.
     probe: Atom,
-    /// Candidate buffer for [`head_satisfied_since`], separate from
-    /// `slots` because the delta search runs a full nested matcher per
-    /// candidate.
-    delta_slots: Vec<usize>,
-    /// Working binding for [`head_satisfied_since`]; `binding` is not
-    /// usable there because the nested existence check takes it.
-    delta_binding: Binding,
 }
 
 impl Default for HomScratch {
@@ -176,8 +169,6 @@ impl Default for HomScratch {
             remaining: Vec::new(),
             binding: Binding::new(),
             probe: Atom::new(PredId(0), Vec::new()),
-            delta_slots: Vec::new(),
-            delta_binding: Binding::new(),
         }
     }
 }
@@ -421,25 +412,15 @@ pub fn exists_homomorphism(patterns: &[Atom], instance: &Instance, binding: &Bin
 }
 
 /// Constant-time(ish) head-satisfaction check via a precomputed
-/// [`crate::tgd::HeadProbe`], scanning only atoms at slot ≥ `since`.
+/// [`crate::tgd::HeadProbe`].
 ///
 /// Returns `Some(sat)` when the TGD admits a probe and every
 /// constraint variable is bound; `None` means the caller must fall
-/// back to the general search. With `since == 0` the result equals
+/// back to the general search. The result equals
 /// `exists_homomorphism(tgd.head(), instance, binding)`: the probe's
 /// constraints are exactly what unification of the single head atom
-/// enforces (distinct existentials are free). With `since > 0` it
-/// reports whether satisfaction is witnessed by an atom inserted at or
-/// after `since` — which equals full satisfaction whenever the prefix
-/// below `since` was already refuted, the watermark invariant the
-/// engines maintain (instance growth is monotone, so a refuted prefix
-/// stays refuted).
-pub fn head_satisfied_probe(
-    tgd: &Tgd,
-    instance: &Instance,
-    binding: &Binding,
-    since: usize,
-) -> Option<bool> {
+/// enforces (distinct existentials are free).
+pub fn head_satisfied_probe(tgd: &Tgd, instance: &Instance, binding: &Binding) -> Option<bool> {
     let probe = tgd.head_probe()?;
     let constraints = &probe.constraints;
     // Every constraint variable must be resolved (frontier variables
@@ -447,17 +428,13 @@ pub fn head_satisfied_probe(
     for &(_, var) in constraints {
         binding.get(var)?;
     }
-    // All index lists are slot-ascending, so the "inserted since"
-    // suffix is a partition point away.
-    let tail_hit = |slots: &[usize], check: &[(u16, VarId)]| -> bool {
-        slots[slots.partition_point(|&s| s < since)..]
-            .iter()
-            .any(|&slot| {
-                let atom = instance.atom(slot);
-                check
-                    .iter()
-                    .all(|&(pos, var)| binding.get(var) == Some(atom.args[pos as usize]))
-            })
+    let hit = |slots: &[usize], check: &[(u16, VarId)]| -> bool {
+        slots.iter().any(|&slot| {
+            let atom = instance.atom(slot);
+            check
+                .iter()
+                .all(|&(pos, var)| binding.get(var) == Some(atom.args[pos as usize]))
+        })
     };
     // Composite probe on the first two constraints, when registered.
     if constraints.len() >= 2 {
@@ -468,7 +445,7 @@ pub fn head_satisfied_probe(
         if let Some(slots) =
             instance.slots_with_pred_pair(probe.pred, p0 as usize, t0, p1 as usize, t1)
         {
-            return Some(tail_hit(slots, &constraints[2..]));
+            return Some(hit(slots, &constraints[2..]));
         }
     }
     // Tightest single-position index, else the predicate list.
@@ -482,7 +459,7 @@ pub fn head_satisfied_probe(
                 break;
             }
             Some(slots) => {
-                // No atom matches this constraint anywhere, at any slot.
+                // No atom matches this constraint anywhere.
                 if slots.is_empty() {
                     return Some(false);
                 }
@@ -493,49 +470,7 @@ pub fn head_satisfied_probe(
         }
     }
     let slots = best.unwrap_or_else(|| instance.slots_with_pred(probe.pred));
-    Some(tail_hit(slots, constraints))
-}
-
-/// General incremental head-satisfaction search: whether some
-/// homomorphism of `tgd`'s head into `instance` extending `binding`
-/// uses at least one atom at slot ≥ `since`.
-///
-/// Under the watermark invariant — the caller previously refuted
-/// satisfaction on the length-`since` prefix with this same binding —
-/// this equals full head satisfaction: any witness must use a
-/// post-watermark atom at some head position `i`, and the search below
-/// tries every such anchor (unify head atom `i` against each new
-/// candidate, then complete `head_without(i)` over the full instance).
-/// Existence may be witnessed twice when a homomorphism uses several
-/// new atoms; that only costs probes, never correctness.
-pub fn head_satisfied_since(
-    scratch: &mut HomScratch,
-    tgd: &Tgd,
-    instance: &Instance,
-    binding: &Binding,
-    since: usize,
-) -> bool {
-    let head = tgd.head();
-    let mut slots = std::mem::take(&mut scratch.delta_slots);
-    let mut anchored = std::mem::take(&mut scratch.delta_binding);
-    let mut hit = false;
-    'anchors: for (i, pat) in head.iter().enumerate() {
-        slots.clear();
-        push_candidates(pat, binding, instance, &mut slots);
-        let start = slots.partition_point(|&s| s < since);
-        for &slot in &slots[start..] {
-            anchored.copy_from(binding);
-            if unify_atom(pat, instance.atom(slot), &mut anchored).is_some()
-                && exists_homomorphism_with(scratch, tgd.head_without(i), instance, &anchored)
-            {
-                hit = true;
-                break 'anchors;
-            }
-        }
-    }
-    scratch.delta_slots = slots;
-    scratch.delta_binding = anchored;
-    hit
+    Some(hit(slots, constraints))
 }
 
 /// Collects every homomorphism from `patterns` into `instance` as an
@@ -965,9 +900,8 @@ mod tests {
         assert_eq!(opt, refr);
     }
 
-    /// `head_satisfied_probe` with `since == 0` agrees with the
-    /// reference existence check on every binding, with and without a
-    /// registered pair index.
+    /// `head_satisfied_probe` agrees with the reference existence check
+    /// on every binding, with and without a registered pair index.
     #[test]
     fn head_probe_agrees_with_reference() {
         let mut vocab = Vocabulary::new();
@@ -992,7 +926,7 @@ mod tests {
                     binding.push(x.as_var().unwrap(), c(xv));
                     binding.push(y.as_var().unwrap(), c(yv));
                     let got =
-                        head_satisfied_probe(&tgd, &inst, &binding, 0).expect("probe-eligible TGD");
+                        head_satisfied_probe(&tgd, &inst, &binding).expect("probe-eligible TGD");
                     let want = reference::exists_homomorphism(tgd.head(), &inst, &binding);
                     assert_eq!(
                         got, want,
@@ -1001,80 +935,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The `since` parameter restricts both the probe and the general
-    /// delta search to atoms inserted at or after the watermark.
-    #[test]
-    fn since_scans_only_the_suffix() {
-        let mut vocab = Vocabulary::new();
-        let mut b = crate::tgd::RuleBuilder::new(&mut vocab);
-        let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
-        b.body("R", &[x, y]).unwrap();
-        b.head("S", &[x, z]).unwrap();
-        let tgd = b.build().unwrap();
-        let s = vocab.lookup_pred("S").unwrap();
-        let mut inst = Instance::from_atoms([Atom::new(s, vec![c(5), c(7)])]);
-        let mut binding = Binding::new();
-        binding.push(x.as_var().unwrap(), c(0));
-        // Prefix of length 1 refutes satisfaction for x=0.
-        assert_eq!(head_satisfied_probe(&tgd, &inst, &binding, 0), Some(false));
-        inst.insert(Atom::new(s, vec![c(0), c(9)]));
-        // The new atom at slot 1 is seen from watermark 1...
-        assert_eq!(head_satisfied_probe(&tgd, &inst, &binding, 1), Some(true));
-        let mut scratch = HomScratch::new();
-        assert!(head_satisfied_since(&mut scratch, &tgd, &inst, &binding, 1));
-        // ...but a watermark past it sees nothing.
-        assert_eq!(head_satisfied_probe(&tgd, &inst, &binding, 2), Some(false));
-        assert!(!head_satisfied_since(
-            &mut scratch,
-            &tgd,
-            &inst,
-            &binding,
-            2
-        ));
-    }
-
-    /// The general delta search handles multi-head TGDs (which get no
-    /// probe): the anchored atom is completed over the full instance.
-    #[test]
-    fn delta_search_completes_multi_head_over_full_instance() {
-        let mut vocab = Vocabulary::new();
-        let mut b = crate::tgd::RuleBuilder::new(&mut vocab);
-        let (x, w) = (b.var("x"), b.var("w"));
-        b.body("R", &[x]).unwrap();
-        b.head("S", &[x, w]).unwrap();
-        b.head("T", &[w]).unwrap();
-        let tgd = b.build().unwrap();
-        assert!(tgd.head_probe().is_none());
-        let s = vocab.lookup_pred("S").unwrap();
-        let t = vocab.lookup_pred("T").unwrap();
-        // T(7) sits in the prefix; the matching S(0,7) arrives after
-        // the watermark. The anchored search must still find the pair.
-        let mut inst = Instance::from_atoms([Atom::new(t, vec![c(7)])]);
-        let mut binding = Binding::new();
-        binding.push(x.as_var().unwrap(), c(0));
-        let mut scratch = HomScratch::new();
-        assert!(!head_satisfied_since(
-            &mut scratch,
-            &tgd,
-            &inst,
-            &binding,
-            0
-        ));
-        let watermark = inst.len();
-        inst.insert(Atom::new(s, vec![c(0), c(7)]));
-        assert!(head_satisfied_since(
-            &mut scratch,
-            &tgd,
-            &inst,
-            &binding,
-            watermark
-        ));
-        assert_eq!(
-            head_satisfied_since(&mut scratch, &tgd, &inst, &binding, watermark),
-            reference::exists_homomorphism(tgd.head(), &inst, &binding)
-        );
     }
 
     /// Early break leaves a pre-seeded binding exactly as it was.

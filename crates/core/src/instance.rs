@@ -1,25 +1,20 @@
 //! Instances and databases: duplicate-free, insertion-ordered sets of
 //! ground atoms with inverted indexes for homomorphism search.
 //!
-//! ## Sharded layout
+//! ## Columnar storage
 //!
-//! Storage and indexes are partitioned into `N` **shards** (default
-//! [`DEFAULT_SHARD_COUNT`]; choose with [`Instance::with_shards`]).
-//! An atom's *home shard* is `fx(pred, first_arg) mod N` — the
-//! predicate × hash-of-first-argument partition used by large-scale
-//! chase systems — and holds the atom's storage and its dedup-map
-//! entry. Index *cells* are sharded by the hash of their own key, so
-//! every `(pred, position, term)` (and composite pair) cell lives
-//! wholly inside one shard and still answers probes with a single
-//! contiguous ascending slot list.
-//!
-//! Slot identifiers stay **global and insertion-ordered** for every
-//! shard count: a slot directory maps each global slot to its
-//! `(shard, local)` storage cell, so engines, derivations and the
-//! seed oracle observe bit-identical slot assignment whether an
-//! instance has 1 shard or 64. Sharding is therefore invisible to
-//! correctness and exists for scale: per-shard dedup/index maps stay
-//! small and cache-resident on million-atom instances.
+//! Atom storage is **columnar** (struct-of-arrays): instead of a
+//! `Vec<Atom>` of rows, an instance keeps one column of predicate ids,
+//! one packed `meta` word per atom (arity + argument offset), and two
+//! argument arenas — `inline_args` for atoms of arity ≤
+//! [`ARG_INLINE`] and `spill` for wider ones. An atom's *slot* (its
+//! insertion index) is its row in every column. Rows are
+//! variable-stride (no padding): an atom's arguments are the `arity`
+//! terms starting at its offset in whichever arena its arity selects.
+//! Discovery's chunked scans and the matcher's probe loops then stream
+//! contiguous `Term` columns instead of striding over 56-byte `Atom`
+//! rows, and reading an atom ([`Instance::atom`]) hands out a borrowed
+//! [`AtomRef`] — two array reads, no clone.
 //!
 //! ## Index layout
 //!
@@ -29,8 +24,8 @@
 //! slots, so the common case clones by `memcpy` and never touches the
 //! heap):
 //!
-//! * a **per-predicate** list (dense `Vec` indexed by predicate id,
-//!   global — predicates are few and the list is probed hot);
+//! * a **per-predicate** list (dense `Vec` indexed by predicate id —
+//!   predicates are few and the list is probed hot);
 //! * a **single-position** inverted index `(pred, position, term) →
 //!   slots` — the PR-2 workhorse;
 //! * **composite two-position** indexes `(pred, posA, posB, termA,
@@ -51,7 +46,7 @@ use std::hash::{Hash, Hasher};
 use crate::atom::{Atom, AtomRef, ARG_INLINE};
 use crate::ids::{fx_set, FxHashMap, FxHasher, PredId};
 use crate::term::Term;
-use crate::vocab::Vocabulary;
+use crate::vocab::{Vocabulary, MAX_ARITY};
 
 /// Controls how much indexing an [`Instance`] maintains.
 ///
@@ -70,18 +65,6 @@ pub enum IndexMode {
     /// [`Instance::register_pair_index`] is a no-op.
     PredicateOnly,
 }
-
-/// Default number of storage/index shards (see the module docs).
-///
-/// Eight keeps per-shard maps small on large instances without much
-/// per-shard overhead on tiny ones; both extremes remain available via
-/// [`Instance::with_shards`]. Results are bit-identical for every
-/// count.
-pub const DEFAULT_SHARD_COUNT: usize = 8;
-
-/// Upper bound accepted by [`Instance::with_shards`]; beyond this the
-/// per-shard maps are so sparse that sharding only wastes memory.
-pub const MAX_SHARD_COUNT: usize = 1024;
 
 /// Number of slots a [`SlotList`] stores inline before spilling.
 const SLOT_INLINE: usize = 3;
@@ -150,12 +133,11 @@ impl SlotList {
 /// [`Instance::memory_footprint`]). All figures are bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryFootprint {
-    /// Atom storage: per-shard atom vectors plus the global slot
-    /// directory.
+    /// Atom storage: the predicate, meta and inline-argument columns.
     pub atom_bytes: u64,
-    /// Spilled `ArgVec` argument storage across all atoms.
+    /// The spill arena holding the arguments of wide atoms.
     pub arg_spill_bytes: u64,
-    /// The per-shard dedup hash maps, including spilled slot lists.
+    /// The dedup hash map, including spilled slot lists.
     pub dedup_bytes: u64,
     /// The per-predicate, single-position and composite pair indexes,
     /// including spilled slot lists.
@@ -175,40 +157,23 @@ fn map_heap_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
     map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
 }
 
-/// Where a global slot's atom lives: which shard, and at which local
-/// index within that shard's atom vector.
-#[derive(Debug, Clone, Copy)]
-struct SlotRef {
-    shard: u32,
-    local: u32,
-}
-
-/// Arity mask of a packed [`Shard::meta`] word: the low 16 bits hold
-/// the arity, the remaining high bits the column offset.
+/// Arity mask of a packed `meta` word: the low 16 bits hold the
+/// arity, the remaining high bits the column offset.
 const META_ARITY_BITS: u32 = 16;
 const META_ARITY_MASK: u64 = (1 << META_ARITY_BITS) - 1;
+const _: () = assert!(MAX_ARITY as u64 == META_ARITY_MASK);
 
-/// One storage/index shard: a slice of the atom set (home-sharded by
-/// `(pred, first_arg)`) with its dedup entries, plus the index cells
-/// whose keys hash into this shard. All slot lists store **global**
-/// slots.
+/// A (finite) instance: a duplicate-free set of ground atoms over
+/// constants and nulls, remembering insertion order.
 ///
-/// Atom storage is **columnar** (struct-of-arrays): instead of a
-/// `Vec<Atom>` of rows, a shard keeps one column of predicate ids, one
-/// packed `meta` word per atom (arity + argument offset), and two
-/// argument arenas — `inline_args` for atoms of arity ≤
-/// [`ARG_INLINE`] and `spill` for wider ones. Rows are variable-stride
-/// (no padding): an atom's arguments are the `arity` terms starting at
-/// its offset in whichever arena its arity selects. Discovery's
-/// chunked scans and the matcher's probe loops then stream contiguous
-/// `Term` columns instead of striding over 56-byte `Atom` rows, and
-/// reading an atom ([`Instance::atom`]) hands out a borrowed
-/// [`AtomRef`] — two array reads, no clone.
+/// Insertion order matters because chase derivations are sequences;
+/// the engines identify atoms by their *slot* (insertion index), which
+/// is also the atom's row in the storage columns (see the module docs).
 #[derive(Debug, Clone, Default)]
-struct Shard {
-    /// Predicate ids, one per shard-local atom.
+pub struct Instance {
+    /// Predicate ids, one per slot. Its length is the instance size.
     preds: Vec<PredId>,
-    /// Packed per-atom metadata: arity in the low 16 bits, offset into
+    /// Packed per-slot metadata: arity in the low 16 bits, offset into
     /// `inline_args` (arity ≤ [`ARG_INLINE`]) or `spill` (wider) in
     /// the high bits.
     meta: Vec<u64>,
@@ -216,89 +181,16 @@ struct Shard {
     inline_args: Vec<Term>,
     /// Argument arena for atoms of arity > [`ARG_INLINE`].
     spill: Vec<Term>,
-    /// Dedup index: atom hash → candidate global slots. Storing slots
-    /// instead of owned `Atom` keys means `Instance::clone` — the
-    /// first thing every engine run does to the caller's database —
-    /// never re-clones an atom's argument vector for the map; equality
-    /// is resolved against the stored atom on (rare) colliding
-    /// lookups.
+    /// Dedup index: atom hash → candidate slots. Storing slots instead
+    /// of owned `Atom` keys means `Instance::clone` — the first thing
+    /// every engine run does to the caller's database — never re-clones
+    /// an atom's argument vector for the map; equality is resolved
+    /// against the stored atom on (rare) colliding lookups.
     dedup: FxHashMap<u64, SlotList>,
+    /// Dense per-predicate slot lists, indexed by `PredId::index()`.
+    by_pred: Vec<SlotList>,
     by_pos: FxHashMap<(PredId, u16, Term), SlotList>,
     by_pair: FxHashMap<(PredId, u16, u16, Term, Term), SlotList>,
-}
-
-impl Shard {
-    /// Appends an atom's columns; returns its shard-local index.
-    #[inline]
-    fn push_atom(&mut self, pred: PredId, args: &[Term]) -> u32 {
-        debug_assert!((args.len() as u64) <= META_ARITY_MASK, "arity overflow");
-        let local = self.preds.len() as u32;
-        self.preds.push(pred);
-        let arena = if args.len() <= ARG_INLINE {
-            &mut self.inline_args
-        } else {
-            &mut self.spill
-        };
-        self.meta
-            .push(((arena.len() as u64) << META_ARITY_BITS) | args.len() as u64);
-        arena.extend_from_slice(args);
-        local
-    }
-
-    /// The atom at shard-local index `local`, as a borrowed view into
-    /// the columns.
-    #[inline]
-    fn atom_ref(&self, local: u32) -> AtomRef<'_> {
-        let m = self.meta[local as usize];
-        let arity = (m & META_ARITY_MASK) as usize;
-        let off = (m >> META_ARITY_BITS) as usize;
-        let arena = if arity <= ARG_INLINE {
-            &self.inline_args
-        } else {
-            &self.spill
-        };
-        AtomRef {
-            pred: self.preds[local as usize],
-            args: &arena[off..off + arity],
-        }
-    }
-
-    fn heap_bytes_dedup(&self) -> usize {
-        map_heap_bytes(&self.dedup) + self.dedup.values().map(SlotList::heap_bytes).sum::<usize>()
-    }
-
-    fn heap_bytes_index(&self) -> usize {
-        map_heap_bytes(&self.by_pos)
-            + self
-                .by_pos
-                .values()
-                .map(SlotList::heap_bytes)
-                .sum::<usize>()
-            + map_heap_bytes(&self.by_pair)
-            + self
-                .by_pair
-                .values()
-                .map(SlotList::heap_bytes)
-                .sum::<usize>()
-    }
-}
-
-/// A (finite) instance: a duplicate-free set of ground atoms over
-/// constants and nulls, remembering insertion order.
-///
-/// Insertion order matters because chase derivations are sequences;
-/// the engines identify atoms by their *slot* (insertion index), which
-/// is global and independent of the shard count (see the module docs).
-#[derive(Debug, Clone)]
-pub struct Instance {
-    shards: Vec<Shard>,
-    /// Global slot → storage cell, in insertion order. The length of
-    /// this vector is the instance size and the source of slot ids.
-    directory: Vec<SlotRef>,
-    /// Dense per-predicate slot lists, indexed by `PredId::index()`.
-    /// Global (not sharded): the list is hot, predicates are few, and
-    /// slicing it per shard would force probe-time merging.
-    by_pred: Vec<SlotList>,
     /// Registered composite position pairs per predicate (dense by
     /// predicate id; `(a, b)` normalised to `a < b`). Empty until an
     /// engine registers pairs from its join plans.
@@ -306,44 +198,17 @@ pub struct Instance {
     mode: IndexMode,
 }
 
-impl Default for Instance {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Instance {
-    /// Creates an empty, fully indexed instance with
-    /// [`DEFAULT_SHARD_COUNT`] shards.
+    /// Creates an empty, fully indexed instance.
     pub fn new() -> Self {
-        Self::with_mode(IndexMode::Full)
+        Self::default()
     }
 
-    /// Creates an empty instance with the given index mode and the
-    /// default shard count.
+    /// Creates an empty instance with the given index mode.
     pub fn with_mode(mode: IndexMode) -> Self {
-        Self::with_mode_and_shards(mode, DEFAULT_SHARD_COUNT)
-    }
-
-    /// Creates an empty, fully indexed instance partitioned into
-    /// `shards` shards (clamped to `1..=`[`MAX_SHARD_COUNT`]). Shard
-    /// count never changes observable behaviour — slot ids, iteration
-    /// order and index answers are bit-identical for every count — only
-    /// memory locality.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_mode_and_shards(IndexMode::Full, shards)
-    }
-
-    /// Creates an empty instance with the given index mode and shard
-    /// count (clamped to `1..=`[`MAX_SHARD_COUNT`]).
-    pub fn with_mode_and_shards(mode: IndexMode, shards: usize) -> Self {
-        let n = shards.clamp(1, MAX_SHARD_COUNT);
         Instance {
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            directory: Vec::new(),
-            by_pred: Vec::new(),
-            pair_plans: Vec::new(),
             mode,
+            ..Self::default()
         }
     }
 
@@ -365,88 +230,33 @@ impl Instance {
         self.mode
     }
 
-    /// The number of storage/index shards.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The home shard of an atom of predicate `pred` whose first
-    /// argument is `first_arg` (`None` for zero-arity atoms): the
-    /// shard that would store it and dedup it.
-    #[inline]
-    pub fn shard_for(&self, pred: PredId, first_arg: Option<Term>) -> usize {
-        Self::storage_shard(self.shards.len(), pred, first_arg)
-    }
-
-    /// The home shard of `atom` (see [`Instance::shard_for`]).
-    #[inline]
-    pub fn shard_of_atom(&self, atom: &Atom) -> usize {
-        self.shard_for(atom.pred, atom.args.first().copied())
-    }
-
-    #[inline]
-    fn storage_shard(n: usize, pred: PredId, first_arg: Option<Term>) -> usize {
-        if n == 1 {
-            return 0;
-        }
-        let mut h = FxHasher::default();
-        pred.hash(&mut h);
-        first_arg.hash(&mut h);
-        (h.finish() % n as u64) as usize
-    }
-
-    #[inline]
-    fn pos_cell_shard(n: usize, cell: &(PredId, u16, Term)) -> usize {
-        if n == 1 {
-            return 0;
-        }
-        let mut h = FxHasher::default();
-        cell.hash(&mut h);
-        (h.finish() % n as u64) as usize
-    }
-
-    #[inline]
-    fn pair_cell_shard(n: usize, cell: &(PredId, u16, u16, Term, Term)) -> usize {
-        if n == 1 {
-            return 0;
-        }
-        let mut h = FxHasher::default();
-        cell.hash(&mut h);
-        (h.finish() % n as u64) as usize
-    }
-
     /// Estimated heap footprint of the instance's containers, for the
     /// profiler's memory samples: exact reserved capacities for the
-    /// vectors, a capacity-based model for the hash maps (the fixed
-    /// per-shard struct scaffolding is excluded, like the `Instance`
-    /// struct itself). This walks every atom and index cell
-    /// (O(atoms + cells)), so engines only call it at heartbeat
+    /// vectors, a capacity-based model for the hash maps (the
+    /// `Instance` struct itself is excluded). This walks every index
+    /// cell (O(atoms + cells)), so engines only call it at heartbeat
     /// boundaries of profiling runs.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         use std::mem::size_of;
-        let atom_bytes = self.directory.capacity() * size_of::<SlotRef>()
-            + self
-                .shards
-                .iter()
-                .map(|s| {
-                    s.preds.capacity() * size_of::<PredId>()
-                        + s.meta.capacity() * size_of::<u64>()
-                        + s.inline_args.capacity() * size_of::<Term>()
-                })
-                .sum::<usize>();
-        let arg_spill_bytes: usize = self
-            .shards
-            .iter()
-            .map(|s| s.spill.capacity() * size_of::<Term>())
-            .sum();
-        let dedup_bytes: usize = self.shards.iter().map(Shard::heap_bytes_dedup).sum();
+        let atom_bytes = self.preds.capacity() * size_of::<PredId>()
+            + self.meta.capacity() * size_of::<u64>()
+            + self.inline_args.capacity() * size_of::<Term>();
+        let arg_spill_bytes = self.spill.capacity() * size_of::<Term>();
+        let dedup_bytes = map_heap_bytes(&self.dedup)
+            + self.dedup.values().map(SlotList::heap_bytes).sum::<usize>();
         let index_bytes = self.by_pred.capacity() * size_of::<SlotList>()
             + self.by_pred.iter().map(SlotList::heap_bytes).sum::<usize>()
+            + map_heap_bytes(&self.by_pos)
             + self
-                .shards
-                .iter()
-                .map(Shard::heap_bytes_index)
+                .by_pos
+                .values()
+                .map(SlotList::heap_bytes)
+                .sum::<usize>()
+            + map_heap_bytes(&self.by_pair)
+            + self
+                .by_pair
+                .values()
+                .map(SlotList::heap_bytes)
                 .sum::<usize>();
         MemoryFootprint {
             atom_bytes: atom_bytes as u64,
@@ -463,19 +273,23 @@ impl Instance {
     /// identify the atom they just presented. In particular a
     /// duplicate insert leaves every index — including registered
     /// composite pair cells — untouched.
+    ///
+    /// # Panics
+    ///
+    /// If the atom's arity exceeds [`MAX_ARITY`]; predicates interned
+    /// through [`Vocabulary::pred`] never do.
     pub fn insert(&mut self, atom: Atom) -> (usize, bool) {
         debug_assert!(atom.is_ground(), "instances hold ground atoms only");
+        assert!(atom.arity() <= MAX_ARITY, "atom arity exceeds MAX_ARITY");
         let key = Self::atom_key(&atom);
-        let n = self.shards.len();
-        let home = Self::storage_shard(n, atom.pred, atom.args.first().copied());
-        if let Some(bucket) = self.shards[home].dedup.get(&key) {
+        if let Some(bucket) = self.dedup.get(&key) {
             for &s in bucket.as_slice() {
                 if self.atom(s) == atom {
                     return (s, false);
                 }
             }
         }
-        let slot = self.directory.len();
+        let slot = self.len();
         let pred_idx = atom.pred.index();
         if pred_idx >= self.by_pred.len() {
             self.by_pred.resize_with(pred_idx + 1, SlotList::default);
@@ -483,9 +297,10 @@ impl Instance {
         self.by_pred[pred_idx].push(slot);
         if self.mode == IndexMode::Full {
             for (i, &t) in atom.args.iter().enumerate() {
-                let cell = (atom.pred, i as u16, t);
-                let cs = Self::pos_cell_shard(n, &cell);
-                self.shards[cs].by_pos.entry(cell).or_default().push(slot);
+                self.by_pos
+                    .entry((atom.pred, i as u16, t))
+                    .or_default()
+                    .push(slot);
             }
             if let Some(plan) = self.pair_plans.get(pred_idx) {
                 for &(a, b) in plan {
@@ -496,18 +311,20 @@ impl Instance {
                         atom.args[a as usize],
                         atom.args[b as usize],
                     );
-                    let cs = Self::pair_cell_shard(n, &cell);
-                    self.shards[cs].by_pair.entry(cell).or_default().push(slot);
+                    self.by_pair.entry(cell).or_default().push(slot);
                 }
             }
         }
-        let shard = &mut self.shards[home];
-        shard.dedup.entry(key).or_default().push(slot);
-        let local = shard.push_atom(atom.pred, &atom.args);
-        self.directory.push(SlotRef {
-            shard: home as u32,
-            local,
-        });
+        self.dedup.entry(key).or_default().push(slot);
+        self.preds.push(atom.pred);
+        let arena = if atom.arity() <= ARG_INLINE {
+            &mut self.inline_args
+        } else {
+            &mut self.spill
+        };
+        self.meta
+            .push(((arena.len() as u64) << META_ARITY_BITS) | atom.arity() as u64);
+        arena.extend_from_slice(&atom.args);
         (slot, true)
     }
 
@@ -553,7 +370,7 @@ impl Instance {
         }
         self.pair_plans[pred_idx].push((a, b));
         // Backfill from the atoms already present. The slot list is
-        // copied out so atom reads (immutable borrows of the shards)
+        // copied out so atom reads (immutable borrows of the columns)
         // and cell pushes (mutable borrows) do not overlap; this is
         // cold code, paid once per registered pair.
         let slots: Vec<usize> = self
@@ -562,15 +379,13 @@ impl Instance {
             .map(SlotList::as_slice)
             .unwrap_or(&[])
             .to_vec();
-        let n = self.shards.len();
         for slot in slots {
             let cell = {
                 let atom = self.atom(slot);
                 debug_assert!((b as usize) < atom.arity(), "pair position out of arity");
                 (pred, a, b, atom.args[a as usize], atom.args[b as usize])
             };
-            let cs = Self::pair_cell_shard(n, &cell);
-            self.shards[cs].by_pair.entry(cell).or_default().push(slot);
+            self.by_pair.entry(cell).or_default().push(slot);
         }
     }
 
@@ -593,12 +408,10 @@ impl Instance {
         self.slot_of(atom).is_some()
     }
 
-    /// Finds the slot of an atom, if present (one hash lookup in its
-    /// home shard).
+    /// Finds the slot of an atom, if present (one hash lookup).
     #[inline]
     pub fn slot_of(&self, atom: &Atom) -> Option<usize> {
-        let home = Self::storage_shard(self.shards.len(), atom.pred, atom.args.first().copied());
-        let bucket = self.shards[home].dedup.get(&Self::atom_key(atom))?;
+        let bucket = self.dedup.get(&Self::atom_key(atom))?;
         bucket
             .as_slice()
             .iter()
@@ -609,7 +422,7 @@ impl Instance {
     /// Number of atoms.
     #[inline]
     pub fn len(&self) -> usize {
-        self.directory.len()
+        self.preds.len()
     }
 
     /// Whether the instance is empty.
@@ -618,19 +431,26 @@ impl Instance {
         self.len() == 0
     }
 
-    /// The atom stored at `slot`, as a borrowed view into the shard
-    /// columns.
+    /// The atom stored at `slot`, as a borrowed view into the columns.
     #[inline]
     pub fn atom(&self, slot: usize) -> AtomRef<'_> {
-        let r = self.directory[slot];
-        self.shards[r.shard as usize].atom_ref(r.local)
+        let m = self.meta[slot];
+        let arity = (m & META_ARITY_MASK) as usize;
+        let off = (m >> META_ARITY_BITS) as usize;
+        let arena = if arity <= ARG_INLINE {
+            &self.inline_args
+        } else {
+            &self.spill
+        };
+        AtomRef {
+            pred: self.preds[slot],
+            args: &arena[off..off + arity],
+        }
     }
 
     /// Iterates over atoms in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = AtomRef<'_>> {
-        self.directory
-            .iter()
-            .map(|r| self.shards[r.shard as usize].atom_ref(r.local))
+        (0..self.len()).map(|slot| self.atom(slot))
     }
 
     /// Slots of all atoms with the given predicate, ascending.
@@ -654,12 +474,9 @@ impl Instance {
         if self.mode != IndexMode::Full {
             return None;
         }
-        let cell = (pred, position as u16, term);
-        let cs = Self::pos_cell_shard(self.shards.len(), &cell);
         Some(
-            self.shards[cs]
-                .by_pos
-                .get(&cell)
+            self.by_pos
+                .get(&(pred, position as u16, term))
                 .map(SlotList::as_slice)
                 .unwrap_or(&[]),
         )
@@ -695,12 +512,9 @@ impl Instance {
         {
             return None;
         }
-        let cell = (pred, a, b, ta, tb);
-        let cs = Self::pair_cell_shard(self.shards.len(), &cell);
         Some(
-            self.shards[cs]
-                .by_pair
-                .get(&cell)
+            self.by_pair
+                .get(&(pred, a, b, ta, tb))
                 .map(SlotList::as_slice)
                 .unwrap_or(&[]),
         )
@@ -747,8 +561,8 @@ impl FromIterator<Atom> for Instance {
 }
 
 impl PartialEq for Instance {
-    /// Set equality (insertion order, index mode, shard count and
-    /// registered pair indexes are irrelevant).
+    /// Set equality (insertion order, index mode and registered pair
+    /// indexes are irrelevant).
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().all(|a| other.contains(&a.to_atom()))
     }
@@ -995,11 +809,9 @@ mod tests {
             inst.insert(atom(0, &[c(i), c(i + 1)]));
         }
         let fp = inst.memory_footprint();
-        // 100 atoms of arity 2: a directory entry, a predicate id, a
-        // meta word and two inline column terms each (capacities only
-        // grow beyond that).
-        let per_atom = std::mem::size_of::<SlotRef>()
-            + std::mem::size_of::<PredId>()
+        // 100 atoms of arity 2: a predicate id, a meta word and two
+        // inline column terms each (capacities only grow beyond that).
+        let per_atom = std::mem::size_of::<PredId>()
             + std::mem::size_of::<u64>()
             + 2 * std::mem::size_of::<Term>();
         assert!(fp.atom_bytes >= (100 * per_atom) as u64, "{fp:?}");
@@ -1018,119 +830,21 @@ mod tests {
         assert!(wide.memory_footprint().arg_spill_bytes > 0);
     }
 
-    /// Every shard count yields the same global slot assignment, the
-    /// same index answers, and the same iteration order — sharding is
-    /// invisible to everything but memory layout.
     #[test]
-    fn shard_count_is_observationally_invisible() {
-        let build = |shards: usize| {
-            let mut inst = Instance::with_shards(shards);
-            inst.register_pair_index(PredId(0), 0, 1);
-            for i in 0..40u32 {
-                inst.insert(atom(i % 3, &[c(i % 7), c(i % 5)]));
-            }
-            // Interleave duplicates.
-            for i in 0..40u32 {
-                inst.insert(atom(i % 3, &[c(i % 7), c(i % 5)]));
-            }
-            inst
-        };
-        let reference = build(1);
-        for shards in [2usize, 4, 7, 64] {
-            let inst = build(shards);
-            assert_eq!(inst.shard_count(), shards);
-            assert_eq!(inst.len(), reference.len(), "shards={shards}");
-            for (a, b) in inst.iter().zip(reference.iter()) {
-                assert_eq!(a, b, "iteration order, shards={shards}");
-            }
-            for slot in 0..reference.len() {
-                assert_eq!(inst.atom(slot), reference.atom(slot), "shards={shards}");
-                assert_eq!(
-                    inst.slot_of(&reference.atom(slot).to_atom()),
-                    Some(slot),
-                    "shards={shards}"
-                );
-            }
-            for p in 0..3u32 {
-                assert_eq!(
-                    inst.slots_with_pred(PredId(p)),
-                    reference.slots_with_pred(PredId(p)),
-                    "shards={shards}"
-                );
-                for t in 0..7u32 {
-                    assert_eq!(
-                        inst.slots_with_pred_pos(PredId(p), 0, c(t)),
-                        reference.slots_with_pred_pos(PredId(p), 0, c(t)),
-                        "shards={shards}"
-                    );
-                }
-            }
-            for ta in 0..7u32 {
-                for tb in 0..5u32 {
-                    assert_eq!(
-                        inst.slots_with_pred_pair(PredId(0), 0, c(ta), 1, c(tb)),
-                        reference.slots_with_pred_pair(PredId(0), 0, c(ta), 1, c(tb)),
-                        "shards={shards}"
-                    );
-                }
-            }
-            assert_eq!(inst, reference, "set equality, shards={shards}");
-            assert_eq!(
-                inst.clone().into_atoms(),
-                reference.clone().into_atoms(),
-                "into_atoms order, shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_for_agrees_with_storage() {
-        let mut inst = Instance::with_shards(4);
-        for i in 0..32u32 {
-            let a = atom(i % 5, &[c(i), c(0)]);
-            let predicted = inst.shard_of_atom(&a);
-            let (slot, fresh) = inst.insert(a.clone());
-            assert!(fresh);
-            // The directory must point the slot into the predicted
-            // home shard.
-            let r = inst.directory[slot];
-            assert_eq!(r.shard as usize, predicted);
-            assert_eq!(
-                predicted,
-                inst.shard_for(a.pred, a.args.first().copied()),
-                "shard_for is a pure function of (pred, first arg)"
-            );
-            assert!(predicted < inst.shard_count());
-        }
-        // Zero-arity atoms have a home shard too.
-        let z = atom(9, &[]);
-        assert!(inst.shard_of_atom(&z) < inst.shard_count());
-    }
-
-    #[test]
-    fn shard_count_is_clamped() {
-        assert_eq!(Instance::with_shards(0).shard_count(), 1);
-        assert_eq!(Instance::with_shards(1).shard_count(), 1);
-        assert_eq!(
-            Instance::with_shards(usize::MAX).shard_count(),
-            MAX_SHARD_COUNT
-        );
-        // Clone preserves the shard count.
-        assert_eq!(Instance::with_shards(7).clone().shard_count(), 7);
-    }
-
-    #[test]
-    fn default_shard_count_spreads_atoms() {
-        // Statistical smoke: with many distinct first arguments, more
-        // than one shard must end up owning atoms.
+    fn widest_arity_round_trips() {
+        let args: Vec<Term> = (0..MAX_ARITY as u32).map(c).collect();
         let mut inst = Instance::new();
-        for i in 0..64u32 {
-            inst.insert(atom(0, &[c(i), c(0)]));
-        }
-        let mut used = fx_set();
-        for slot in 0..inst.len() {
-            used.insert(inst.directory[slot].shard);
-        }
-        assert!(used.len() > 1, "all atoms landed in one shard");
+        inst.insert(atom(0, &[c(1)]));
+        let (slot, fresh) = inst.insert(atom(1, &args));
+        assert!(fresh);
+        assert_eq!(inst.atom(slot).args, args.as_slice());
+        assert_eq!(inst.atom(0).args, &[c(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_ARITY")]
+    fn insert_rejects_atoms_wider_than_max_arity() {
+        let args: Vec<Term> = (0..=MAX_ARITY as u32).map(c).collect();
+        Instance::new().insert(atom(0, &args));
     }
 }

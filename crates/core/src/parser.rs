@@ -308,7 +308,9 @@ impl<'v> Parser<'v> {
 
     fn rewrap_arity(&self, e: CoreError, line: usize, col: usize) -> CoreError {
         match e {
-            CoreError::ArityMismatch { .. } | CoreError::ZeroArity { .. } => CoreError::Parse {
+            CoreError::ArityMismatch { .. }
+            | CoreError::ZeroArity { .. }
+            | CoreError::ArityTooLarge { .. } => CoreError::Parse {
                 line,
                 column: col,
                 message: e.to_string(),
@@ -485,6 +487,18 @@ mod tests {
         let err = parse_program("R(x,y) -> S(x). S(a,b).", &mut vocab).unwrap_err();
         assert!(matches!(err, CoreError::Parse { .. }));
         assert!(err.to_string().contains("arity"));
+    }
+
+    #[test]
+    fn fact_wider_than_u16_is_a_parse_error() {
+        let args = vec!["a"; crate::vocab::MAX_ARITY + 1].join(",");
+        let mut vocab = Vocabulary::new();
+        let err = parse_program(&format!("R(b).\nW({args})."), &mut vocab).unwrap_err();
+        match &err {
+            CoreError::Parse { line, .. } => assert_eq!(*line, 2),
+            other => panic!("unexpected error {other:?}"),
+        }
+        assert!(err.to_string().contains("arity 65536"), "{err}");
     }
 
     #[test]

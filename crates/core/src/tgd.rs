@@ -132,7 +132,6 @@ pub struct Tgd {
     body_vars: Vec<VarId>,
     sorted_body_vars: Vec<VarId>,
     body_minus: Vec<Vec<Atom>>,
-    head_minus: Vec<Vec<Atom>>,
     body_pair_plan: Vec<(PredId, u16, u16)>,
     pair_plan: Vec<(PredId, u16, u16)>,
     head_probe: Option<HeadProbe>,
@@ -185,27 +184,24 @@ impl Tgd {
         existentials.sort();
         let mut sorted_body_vars = body_vars.clone();
         sorted_body_vars.sort();
-        let minus = |atoms: &[Atom]| -> Vec<Vec<Atom>> {
-            (0..atoms.len())
-                .map(|i| {
-                    atoms
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != i)
-                        .map(|(_, a)| a.clone())
-                        .collect()
-                })
-                .collect()
-        };
-        let body_minus = minus(&body);
-        let head_minus = minus(&head);
+        let body_minus: Vec<Vec<Atom>> = (0..body.len())
+            .map(|i| {
+                body.iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != i)
+                    .map(|(_, a)| a.clone())
+                    .collect()
+            })
+            .collect();
 
         // Composite-index plan: every (pred, posA, posB) key a
         // simulated matcher descent would probe with two bound
         // positions, across all the searches the engines run — full
-        // body enumeration, per-atom delta matching, head-satisfaction
-        // seeded with the frontier, and per-head-atom delta rechecks.
-        // Full TGDs skip the head-derived searches: their activeness
+        // body enumeration, per-atom delta matching, and
+        // head-satisfaction seeded with the frontier. The descent order
+        // depends only on which variables are bound, so one simulated
+        // descent per search covers every branch of the real one.
+        // Full TGDs skip the head search: their activeness
         // check always takes the ground membership fast path (a fully
         // bound head never needs a candidate scan), so a pair index on
         // their head predicates would be maintained but never probed.
@@ -221,15 +217,6 @@ impl Tgd {
         let mut pair_plan = body_pair_plan.clone();
         if !existentials.is_empty() {
             collect_pair_keys(&head, &frontier, &mut pair_plan);
-            for (i, atom) in head.iter().enumerate() {
-                let mut seed = frontier.clone();
-                for v in atom.vars() {
-                    if !seed.contains(&v) {
-                        seed.push(v);
-                    }
-                }
-                collect_pair_keys(&head_minus[i], &seed, &mut pair_plan);
-            }
         }
 
         // O(1) activeness probe: single head atom, at least one
@@ -270,7 +257,6 @@ impl Tgd {
             body_vars,
             sorted_body_vars,
             body_minus,
-            head_minus,
             body_pair_plan,
             pair_plan,
             head_probe,
@@ -336,15 +322,6 @@ impl Tgd {
     #[inline]
     pub fn body_without(&self, i: usize) -> &[Atom] {
         &self.body_minus[i]
-    }
-
-    /// The head with the atom at position `i` removed, in original
-    /// order — the "rest of the head" completed against the instance
-    /// during incremental head-satisfaction rechecks. Precomputed at
-    /// construction.
-    #[inline]
-    pub fn head_without(&self, i: usize) -> &[Atom] {
-        &self.head_minus[i]
     }
 
     /// The composite `(pred, posA, posB)` index keys a matcher descent
@@ -820,8 +797,6 @@ mod tests {
         // head-satisfaction key.
         assert!(tgd.body_pair_plan().contains(&(e, 0, 1)));
         assert!(!tgd.body_pair_plan().contains(&(m, 0, 1)));
-        // Head-minus views mirror body-minus views.
-        assert!(tgd.head_without(0).is_empty());
         assert_eq!(
             tgd.body_without(1),
             [tgd.body()[0].clone(), tgd.body()[2].clone()]
@@ -842,6 +817,24 @@ mod tests {
         b.head("E", &[x, z]).unwrap();
         let tgd = b.build().unwrap();
         assert!(tgd.pair_plan().is_empty());
+    }
+
+    #[test]
+    fn multi_head_pair_keys_follow_the_frontier_seeded_search() {
+        // P(x,y) -> exists z. Q(x,z), S(x,z): the head search binds x,
+        // matches Q(x,z) on one bound position, then probes S with x
+        // and z bound. Q is never probed with two bound positions, so
+        // it gets no pair index.
+        let mut vocab = Vocabulary::new();
+        let mut b = RuleBuilder::new(&mut vocab);
+        let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
+        b.body("P", &[x, y]).unwrap();
+        b.head("Q", &[x, z]).unwrap();
+        b.head("S", &[x, z]).unwrap();
+        let tgd = b.build().unwrap();
+        let (q, s) = (tgd.head()[0].pred, tgd.head()[1].pred);
+        assert_eq!(tgd.pair_plan(), [(s, 0, 1)]);
+        assert!(!tgd.pair_plan().contains(&(q, 0, 1)));
     }
 
     #[test]

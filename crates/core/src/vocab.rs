@@ -9,6 +9,11 @@ use crate::error::CoreError;
 use crate::ids::{fx_map, ConstId, FxHashMap, NullId, PredId, VarId};
 use crate::term::Term;
 
+/// The widest predicate [`Vocabulary::pred`] accepts. Instances pack an
+/// atom's arity into 16 bits and key their position indexes by a `u16`
+/// position, so wider atoms could not be stored faithfully.
+pub const MAX_ARITY: usize = u16::MAX as usize;
+
 /// Metadata for an interned predicate symbol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredInfo {
@@ -43,7 +48,8 @@ impl Vocabulary {
     /// Interns a predicate with the given arity.
     ///
     /// Returns an error if the same name was previously interned with
-    /// a different arity (schemas assign a single arity per symbol).
+    /// a different arity (schemas assign a single arity per symbol), or
+    /// if the arity is 0 or exceeds [`MAX_ARITY`].
     pub fn pred(&mut self, name: &str, arity: usize) -> Result<PredId, CoreError> {
         if let Some(&id) = self.pred_by_name.get(name) {
             let known = self.preds[id.index()].arity;
@@ -59,6 +65,12 @@ impl Vocabulary {
         if arity == 0 {
             return Err(CoreError::ZeroArity {
                 predicate: name.to_string(),
+            });
+        }
+        if arity > MAX_ARITY {
+            return Err(CoreError::ArityTooLarge {
+                predicate: name.to_string(),
+                arity,
             });
         }
         let id = PredId(self.preds.len() as u32);
@@ -185,6 +197,24 @@ mod tests {
     fn zero_arity_rejected() {
         let mut v = Vocabulary::new();
         assert!(matches!(v.pred("P", 0), Err(CoreError::ZeroArity { .. })));
+    }
+
+    #[test]
+    fn arity_beyond_u16_rejected() {
+        let mut v = Vocabulary::new();
+        assert!(v.pred("W", MAX_ARITY).is_ok());
+        assert_eq!(
+            v.pred("V", MAX_ARITY + 1),
+            Err(CoreError::ArityTooLarge {
+                predicate: "V".into(),
+                arity: MAX_ARITY + 1,
+            })
+        );
+        assert_eq!(
+            v.lookup_pred("V"),
+            None,
+            "a rejected predicate is not interned"
+        );
     }
 
     #[test]

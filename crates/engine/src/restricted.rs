@@ -502,7 +502,7 @@ impl<'a> RestrictedChase<'a> {
                 sampled,
                 step_guard.start(),
             );
-            let active = !head_satisfied_with(probe, tgd, &instance, check_binding, 0);
+            let active = !head_satisfied_with(probe, tgd, &instance, check_binding);
             let check_end = check_guard.exit_now(obs);
             emit_detail(obs, || Event::TriggerChecked {
                 engine: ENGINE,

@@ -17,7 +17,7 @@ use std::ops::ControlFlow;
 use chase_core::atom::Atom;
 use chase_core::hom::{
     exists_homomorphism, exists_homomorphism_with, for_each_homomorphism_with,
-    head_satisfied_probe, head_satisfied_since, with_scratch, HomScratch,
+    head_satisfied_probe, with_scratch, HomScratch,
 };
 use chase_core::ids::VarId;
 use chase_core::instance::Instance;
@@ -162,7 +162,7 @@ impl Trigger {
     /// non-frontier entries are never consulted — same answer, no
     /// allocation.
     pub fn is_active(&self, tgd: &Tgd, instance: &Instance) -> bool {
-        if let Some(sat) = head_satisfied_probe(tgd, instance, &self.binding, 0) {
+        if let Some(sat) = head_satisfied_probe(tgd, instance, &self.binding) {
             return !sat;
         }
         !exists_homomorphism(tgd.head(), instance, &self.binding)
@@ -171,7 +171,7 @@ impl Trigger {
     /// [`Trigger::is_active`] with a caller-owned scratch arena
     /// (allocation-free once warmed).
     pub fn is_active_with(&self, tgd: &Tgd, instance: &Instance, scratch: &mut HomScratch) -> bool {
-        !head_satisfied_with(scratch, tgd, instance, &self.binding, 0)
+        !head_satisfied_with(scratch, tgd, instance, &self.binding)
     }
 
     /// Computes `result(σ, h)` — the head atoms with frontier
@@ -232,37 +232,25 @@ pub struct ChaseScratch {
     pub(crate) binding: Binding,
 }
 
-/// Incremental head-satisfaction check for a `(tgd, binding)` pair:
-/// whether some homomorphism of the head into `instance` extends
-/// `binding`, given that a previous search already **refuted**
-/// satisfaction on the length-`since` prefix of `instance` under the
-/// same binding. `since == 0` is an unconditional full check.
+/// Head-satisfaction check for a `(tgd, binding)` pair: whether some
+/// homomorphism of the head into `instance` extends `binding`.
 ///
 /// This single entry point is shared by [`Trigger::is_active_with`]
 /// and the restricted engine's pop-time check, so every consumer
 /// computes the exact same answer. Dispatch order: the O(1)
-/// [`head_satisfied_probe`] when the TGD admits one, else the ground
-/// membership fast path (`since == 0`), else the anchored delta search
-/// [`head_satisfied_since`].
+/// [`head_satisfied_probe`] when the TGD admits one, else the general
+/// search (whose ground membership fast path decides full TGDs with
+/// one probe per head atom).
 pub fn head_satisfied_with(
     scratch: &mut HomScratch,
     tgd: &Tgd,
     instance: &Instance,
     binding: &Binding,
-    since: usize,
 ) -> bool {
-    if let Some(sat) = head_satisfied_probe(tgd, instance, binding, since) {
+    if let Some(sat) = head_satisfied_probe(tgd, instance, binding) {
         return sat;
     }
-    if since == 0 || tgd.existentials().is_empty() {
-        // Full TGDs have fully-ground heads under a trigger binding,
-        // so this is one membership probe per head atom — valid at any
-        // watermark: a member sitting below `since` would contradict
-        // the caller's earlier refutation, so membership alone decides.
-        exists_homomorphism_with(scratch, tgd.head(), instance, binding)
-    } else {
-        head_satisfied_since(scratch, tgd, instance, binding, since)
-    }
+    exists_homomorphism_with(scratch, tgd.head(), instance, binding)
 }
 
 /// Enumerates every trigger of the single TGD `(id, tgd)` on
@@ -591,5 +579,32 @@ mod tests {
                 !chase_core::hom::exists_homomorphism(tgd.head(), &p.database, &restricted);
             assert_eq!(t.is_active(tgd, &p.database), by_definition);
         }
+    }
+
+    /// Multi-head TGDs get no probe: `head_satisfied_with` must run the
+    /// general search and join the head atoms over the whole instance.
+    #[test]
+    fn head_satisfied_with_completes_multi_head_over_full_instance() {
+        let mut vocab = Vocabulary::new();
+        let p = parse_program("T(c7). R(x) -> exists w. S(x,w), T(w).", &mut vocab).unwrap();
+        let set = p.tgd_set(&vocab).unwrap();
+        let tgd = set.tgd(TgdId(0));
+        assert!(tgd.head_probe().is_none());
+        let x = tgd.frontier()[0];
+        let s = vocab.lookup_pred("S").unwrap();
+        let (c0, c7) = (vocab.constant("c0"), vocab.constant("c7"));
+        let mut binding = Binding::new();
+        binding.push(x, Term::Const(c0));
+        // T(c7) alone does not satisfy the head for x = c0...
+        let mut inst = p.database.clone();
+        let mut scratch = HomScratch::new();
+        assert!(!head_satisfied_with(&mut scratch, tgd, &inst, &binding));
+        // ...but S(c0,c7), inserted after it, completes the join.
+        inst.insert(Atom::new(s, vec![Term::Const(c0), Term::Const(c7)]));
+        assert!(head_satisfied_with(&mut scratch, tgd, &inst, &binding));
+        assert_eq!(
+            head_satisfied_with(&mut scratch, tgd, &inst, &binding),
+            chase_core::hom::reference::exists_homomorphism(tgd.head(), &inst, &binding)
+        );
     }
 }

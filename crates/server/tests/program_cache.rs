@@ -280,6 +280,29 @@ fn malformed_programs_are_rejected_at_admission() {
 }
 
 #[test]
+fn facts_wider_than_u16_get_a_typed_parse_error() {
+    let (endpoint, server) = boot("wide");
+    let args = vec!["a"; usize::from(u16::MAX) + 1].join(",");
+    for op in ["chase", "decide"] {
+        let done = run_session(
+            &endpoint,
+            &format!(r#"{{"op":"{op}","id":"wide-{op}","program":"W({args})."}}"#),
+            &ClientConfig::default(),
+            |_| {},
+        )
+        .expect("an over-wide fact is a typed result, not a dropped connection");
+        assert_eq!(result_str(&done.result, "status"), "parse_error", "{op}");
+        assert!(
+            result_str(&done.result, "error").contains("arity 65536"),
+            "{op}: {:?}",
+            done.result
+        );
+    }
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
+#[test]
 fn abortive_shutdown_cancels_running_sessions() {
     let (endpoint, server) = boot("abort");
 

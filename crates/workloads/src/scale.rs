@@ -49,7 +49,7 @@ pub enum Shape {
     Chain,
     /// Spokes through a hub: `Pi → P0` and `P0 → Pi` for `i ≥ 1`
     /// (`2(n-1)` rules). The hub concentrates both discovery and
-    /// restriction checks on one predicate's shards.
+    /// restriction checks on one predicate.
     Star,
     /// Every ordered pair `(i, j)`, `i ≠ j`: `n(n-1)` rules — the
     /// "hundreds of TGDs" regime at modest `n`.
@@ -94,25 +94,21 @@ pub struct ScaleParams {
     /// Probability that an edge's rule is existential rather than
     /// full, in `0.0..=1.0`.
     pub existential_density: f64,
-    /// Shard count for the generated database instance (engines
-    /// inherit it).
-    pub shards: usize,
     /// PRNG seed for fact placement and the existential coin.
     pub seed: u64,
 }
 
 impl ScaleParams {
     /// A compact, reproducibility-sufficient label for reports:
-    /// `clique16_f100000_c64_d80_s8`.
+    /// `clique16_f100000_c64_d80`.
     pub fn name(&self) -> String {
         format!(
-            "{}{}_f{}_c{}_d{}_s{}",
+            "{}{}_f{}_c{}_d{}",
             self.shape.label(),
             self.predicates,
             self.facts,
             self.constants,
             (self.existential_density * 100.0).round() as u64,
-            self.shards,
         )
     }
 }
@@ -146,9 +142,9 @@ impl Rng {
 
 /// Builds the rule set and database described by `params`.
 ///
-/// The returned instance has exactly `params.facts` atoms stored under
-/// `params.shards` shards; the rule set has one TGD per predicate-graph
-/// edge, in edge order (deterministic TGD ids).
+/// The returned instance has exactly `params.facts` atoms; the rule set
+/// has one TGD per predicate-graph edge, in edge order (deterministic
+/// TGD ids).
 pub fn scale_workload(params: &ScaleParams) -> (Vocabulary, TgdSet, Instance) {
     assert!(params.predicates >= 2, "need at least two predicates");
     assert!(params.constants >= 1, "need a non-empty constant pool");
@@ -174,7 +170,7 @@ pub fn scale_workload(params: &ScaleParams) -> (Vocabulary, TgdSet, Instance) {
     }
     let set = TgdSet::new(tgds, &vocab).expect("scale rules are variable-disjoint");
 
-    let mut db = Instance::with_shards(params.shards);
+    let mut db = Instance::new();
     let preds: Vec<_> = (0..params.predicates)
         .map(|i| vocab.pred(&pred_name(i), 2).expect("arity is consistent"))
         .collect();
@@ -196,6 +192,7 @@ pub fn scale_workload(params: &ScaleParams) -> (Vocabulary, TgdSet, Instance) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chase_core::instance::IndexMode;
 
     fn small(shape: Shape) -> ScaleParams {
         ScaleParams {
@@ -204,7 +201,6 @@ mod tests {
             facts: 300,
             constants: 8,
             existential_density: 0.8,
-            shards: 16,
             seed: 11,
         }
     }
@@ -220,11 +216,11 @@ mod tests {
     }
 
     #[test]
-    fn database_is_exact_and_sharded() {
+    fn database_is_exact_and_fully_indexed() {
         let p = small(Shape::Clique);
         let (_, _, db) = scale_workload(&p);
         assert_eq!(db.len(), p.facts, "unique second args forbid dedup");
-        assert_eq!(db.shard_count(), p.shards);
+        assert_eq!(db.index_mode(), IndexMode::Full);
         assert!(db.is_database());
     }
 
@@ -263,7 +259,7 @@ mod tests {
     fn names_are_reproducibility_labels() {
         assert_eq!(
             small(Shape::Clique).name(),
-            "clique6_f300_c8_d80_s16".to_string()
+            "clique6_f300_c8_d80".to_string()
         );
     }
 }

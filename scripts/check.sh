@@ -26,7 +26,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo test -q (root package: tier-1) =="
 cargo test --offline -q
 
-echo "== incremental-equivalence property suite (watermarks vs seed) =="
+echo "== incremental-equivalence property suite (restricted vs seed, derivation replay) =="
 cargo test --offline -q --test incremental_equivalence
 
 echo "== cargo test -q --workspace =="

@@ -166,35 +166,6 @@ proptest! {
         prop_assert_eq!(run_spans, 1, "exactly one run span per run");
     }
 
-    /// The span tree is a function of the derivation, not of the
-    /// storage layout: a one-shard and an eight-shard copy of the same
-    /// database emit the same spans in the same order with the same
-    /// TGD attribution. Timings differ; shape may not.
-    #[test]
-    fn profiling_span_shape_is_shard_invariant(seed in 0u64..2_500, db_seed in 0u64..2_500) {
-        let (_vocab, set, db) = build(seed, db_seed);
-        let shape = |shards: usize| {
-            let mut sdb = Instance::with_shards(shards);
-            for atom in db.iter() {
-                sdb.insert(atom.to_atom());
-            }
-            let mut rec = Profiled(RecordingObserver::default());
-            RestrictedChase::new(&set)
-                .strategy(Strategy::Fifo)
-                .run_observed(&sdb, Budget::new(200, 2_000), &mut rec);
-            rec.0
-                .events
-                .iter()
-                .filter_map(|event| match event {
-                    Event::SpanEntered { span, tgd } => Some(("enter", *span, *tgd)),
-                    Event::SpanExited { span, tgd, .. } => Some(("exit", *span, *tgd)),
-                    _ => None,
-                })
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(shape(1), shape(8));
-    }
-
     /// Profiling is pure: a run under a profiling observer returns
     /// exactly what the plain run returns.
     #[test]
