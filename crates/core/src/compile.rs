@@ -1,7 +1,7 @@
 //! One-shot program compilation: parse → vocabulary → [`TgdSet`] with
 //! every per-TGD plan precomputed, bundled into an immutable,
-//! [`Arc`]-shared [`CompiledProgram`] addressed by a canonical content
-//! fingerprint.
+//! [`Arc`]-shared [`CompiledProgram`] addressed by an order-preserving
+//! program id (its canonical fingerprint).
 //!
 //! Every consumer that used to hand-roll the
 //! `Vocabulary::new` → `parse_program` → `tgd_set` pipeline (the CLI
@@ -12,20 +12,24 @@
 //!
 //! ## Canonical fingerprint
 //!
-//! The fingerprint is content-addressed, not text-addressed: it hashes
-//! a *normalized* rendering of the program, so it is stable under
+//! The fingerprint hashes a *normalized* rendering of the program, so
+//! it is stable under
 //!
-//! - rule reordering (rule renderings are sorted before hashing),
 //! - whitespace and comment formatting (the renderer works from the
 //!   parsed structure, not the source text),
 //! - rule-local variable names (variables are renumbered positionally,
-//!   in first-occurrence order, body before head).
+//!   in first-occurrence order, body before head — the order the
+//!   parser allocates [`VarId`]s in).
 //!
-//! Interned ids ([`PredId`], [`VarId`]) depend on parse order, so the
-//! renderer resolves everything back to predicate/constant *names*.
-//! Two programs get the same fingerprint iff they normalize to the
-//! same rule multiset and fact set — semantically different programs
-//! render differently and (modulo 128-bit collisions) hash apart.
+//! It is **not** stable under reordering. Rule order and fact order
+//! decide the FIFO trigger order, and the restricted chase result
+//! depends on that order, so rules are rendered in [`TgdSet`] order and
+//! facts in insertion order. The predicate table is rendered in
+//! [`PredId`] order too: interleaving facts and rules differently can
+//! intern the same predicates in a different order. Two sources with
+//! the same fingerprint therefore compile to the same program up to
+//! variable display names, and a cache keyed on it can never change a
+//! result — only its latency.
 //!
 //! [`PredId`]: crate::ids::PredId
 //! [`VarId`]: crate::ids::VarId
@@ -33,7 +37,7 @@
 use std::hash::Hasher;
 use std::sync::Arc;
 
-use crate::atom::Atom;
+use crate::atom::AtomRef;
 use crate::error::CoreError;
 use crate::ids::{fx_map, FxHasher};
 use crate::instance::Instance;
@@ -42,8 +46,8 @@ use crate::term::Term;
 use crate::tgd::{Tgd, TgdSet};
 use crate::vocab::Vocabulary;
 
-/// A 128-bit canonical content fingerprint of a compiled program,
-/// rendered as 32 lowercase hex digits on the wire.
+/// A 128-bit order-preserving fingerprint of a compiled program (see
+/// the module docs), rendered as 32 lowercase hex digits on the wire.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProgramFingerprint(pub u128);
 
@@ -109,7 +113,7 @@ impl CompiledProgram {
         &self.set
     }
 
-    /// The canonical content fingerprint.
+    /// The order-preserving program fingerprint (see the module docs).
     pub fn fingerprint(&self) -> ProgramFingerprint {
         self.fingerprint
     }
@@ -147,7 +151,7 @@ pub fn compile(source: &str) -> Result<Arc<CompiledProgram>, CoreError> {
 /// numbering (`v0`, `v1`, … in first-occurrence order).
 fn render_atom(
     out: &mut String,
-    atom: &Atom,
+    atom: AtomRef<'_>,
     vocab: &Vocabulary,
     numbering: &mut crate::ids::FxHashMap<crate::ids::VarId, usize>,
 ) {
@@ -183,44 +187,48 @@ fn render_atom(
 
 /// Renders one rule canonically: body atoms, `->`, head atoms, with
 /// variables renumbered positionally (body first).
-fn render_rule(tgd: &Tgd, vocab: &Vocabulary) -> String {
+fn render_rule(out: &mut String, tgd: &Tgd, vocab: &Vocabulary) {
     let mut numbering = fx_map();
-    let mut out = String::with_capacity(64);
     for (i, atom) in tgd.body().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        render_atom(&mut out, atom, vocab, &mut numbering);
+        render_atom(out, atom.into(), vocab, &mut numbering);
     }
     out.push_str("->");
     for (i, atom) in tgd.head().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        render_atom(&mut out, atom, vocab, &mut numbering);
+        render_atom(out, atom.into(), vocab, &mut numbering);
     }
-    out
 }
 
-/// Computes the canonical fingerprint of a parsed program: sorted
-/// canonical rule renderings, then the (already name-sorted) database
-/// display, hashed twice with domain-separated seeds into 128 bits.
+/// Computes the order-preserving fingerprint of a parsed program: the
+/// predicate table in id order, the canonical rule renderings in rule
+/// order, then the facts in insertion order, hashed twice with
+/// domain-separated seeds into 128 bits.
 pub fn canonical_fingerprint(
     set: &TgdSet,
     database: &Instance,
     vocab: &Vocabulary,
 ) -> ProgramFingerprint {
-    let mut rules: Vec<String> = set.tgds().iter().map(|t| render_rule(t, vocab)).collect();
-    rules.sort_unstable();
-    let mut text = String::with_capacity(rules.iter().map(|r| r.len() + 1).sum::<usize>() + 64);
-    for rule in &rules {
-        text.push_str(rule);
+    let mut text = String::with_capacity(64 * (set.len() + database.len()) + 64);
+    for (_, info) in vocab.preds() {
+        text.push_str(&info.name);
+        text.push(',');
+    }
+    text.push_str("\n=rules=\n");
+    for tgd in set.tgds() {
+        render_rule(&mut text, tgd, vocab);
         text.push('\n');
     }
     text.push_str("=facts=\n");
-    // `Instance::display` renders atoms by name and sorts them, which
-    // is exactly the canonical fact-set rendering we need.
-    text.push_str(&database.display(vocab));
+    let mut no_vars = fx_map();
+    for atom in database.iter() {
+        render_atom(&mut text, atom, vocab, &mut no_vars);
+        text.push('\n');
+    }
 
     let mut lo = FxHasher::default();
     lo.write(b"chase-program-fp/lo");
@@ -279,10 +287,16 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_stable_under_rule_reordering() {
+    fn fingerprint_separates_rule_and_fact_orders() {
+        // Rule order and fact order decide the restricted chase result,
+        // so a reorder must change the program id.
         let a = compile("R(a,b).\nR(x,y) -> S(x).\nS(x) -> exists z. R(x,z).\n").unwrap();
-        let b = compile("S(x) -> exists z. R(x,z).\nR(x,y) -> S(x).\nR(a,b).\n").unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        let rules_swapped =
+            compile("R(a,b).\nS(x) -> exists z. R(x,z).\nR(x,y) -> S(x).\n").unwrap();
+        assert_ne!(a.fingerprint(), rules_swapped.fingerprint());
+        let f = compile("R(a,b).\nR(b,c).\nR(x,y) -> S(x).\n").unwrap();
+        let facts_swapped = compile("R(b,c).\nR(a,b).\nR(x,y) -> S(x).\n").unwrap();
+        assert_ne!(f.fingerprint(), facts_swapped.fingerprint());
     }
 
     #[test]

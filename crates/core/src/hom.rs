@@ -103,14 +103,12 @@ fn push_candidates(pattern: &Atom, binding: &Binding, instance: &Instance, out: 
             },
             t => t,
         };
-        if let Some(slots) = instance.slots_with_pred_pos(pattern.pred, i, ground) {
-            match best {
-                Some(b) if b.len() <= slots.len() => {}
-                _ => best = Some(slots),
-            }
-            if slots.is_empty() {
-                return;
-            }
+        let slots = instance.slots_with_pred_pos(pattern.pred, i, ground);
+        if slots.is_empty() {
+            return;
+        }
+        if best.is_none_or(|b| slots.len() < b.len()) {
+            best = Some(slots);
         }
         match first_ground {
             None => first_ground = Some((i, ground)),
@@ -452,21 +450,13 @@ pub fn head_satisfied_probe(tgd: &Tgd, instance: &Instance, binding: &Binding) -
     let mut best: Option<&[usize]> = None;
     for &(pos, var) in constraints {
         let t = binding.get(var)?;
-        match instance.slots_with_pred_pos(probe.pred, pos as usize, t) {
-            // Predicate-only mode: scan the predicate list below.
-            None => {
-                best = None;
-                break;
-            }
-            Some(slots) => {
-                // No atom matches this constraint anywhere.
-                if slots.is_empty() {
-                    return Some(false);
-                }
-                if best.is_none_or(|b| slots.len() < b.len()) {
-                    best = Some(slots);
-                }
-            }
+        let slots = instance.slots_with_pred_pos(probe.pred, pos as usize, t);
+        // No atom matches this constraint anywhere.
+        if slots.is_empty() {
+            return Some(false);
+        }
+        if best.is_none_or(|b| slots.len() < b.len()) {
+            best = Some(slots);
         }
     }
     let slots = best.unwrap_or_else(|| instance.slots_with_pred(probe.pred));
@@ -578,14 +568,12 @@ pub mod reference {
                 },
                 t => t,
             };
-            if let Some(slots) = instance.slots_with_pred_pos(pattern.pred, i, ground) {
-                match best {
-                    Some(b) if b.len() <= slots.len() => {}
-                    _ => best = Some(slots),
-                }
-                if slots.is_empty() {
-                    return slots;
-                }
+            let slots = instance.slots_with_pred_pos(pattern.pred, i, ground);
+            if slots.is_empty() {
+                return slots;
+            }
+            if best.is_none_or(|b| slots.len() < b.len()) {
+                best = Some(slots);
             }
         }
         best.unwrap_or_else(|| instance.slots_with_pred(pattern.pred))
@@ -738,16 +726,6 @@ mod tests {
             ControlFlow::Continue(())
         });
         assert_eq!(count, 1);
-    }
-
-    #[test]
-    fn works_without_position_index() {
-        let mut inst = Instance::with_mode(crate::instance::IndexMode::PredicateOnly);
-        for a in triangle().iter() {
-            inst.insert(a.to_atom());
-        }
-        let homs = all_homomorphisms(&[atom(0, &[v(0), v(1)]), atom(0, &[v(1), v(2)])], &inst);
-        assert_eq!(homs.len(), 3);
     }
 
     #[test]

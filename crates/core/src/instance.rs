@@ -48,24 +48,6 @@ use crate::ids::{fx_set, FxHashMap, FxHasher, PredId};
 use crate::term::Term;
 use crate::vocab::{Vocabulary, MAX_ARITY};
 
-/// Controls how much indexing an [`Instance`] maintains.
-///
-/// `Full` maintains, in addition to the per-predicate lists, an
-/// inverted index from `(predicate, position, term)` to atom slots
-/// (plus any registered composite pair indexes); this is what makes
-/// body matching sub-linear. `PredicateOnly` exists for the
-/// index-ablation experiment (E9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexMode {
-    /// Per-predicate lists plus a `(pred, position, term)` inverted
-    /// index and registered composite pair indexes.
-    #[default]
-    Full,
-    /// Per-predicate lists only; matching falls back to scans and
-    /// [`Instance::register_pair_index`] is a no-op.
-    PredicateOnly,
-}
-
 /// Number of slots a [`SlotList`] stores inline before spilling.
 const SLOT_INLINE: usize = 3;
 
@@ -195,21 +177,12 @@ pub struct Instance {
     /// predicate id; `(a, b)` normalised to `a < b`). Empty until an
     /// engine registers pairs from its join plans.
     pair_plans: Vec<Vec<(u16, u16)>>,
-    mode: IndexMode,
 }
 
 impl Instance {
     /// Creates an empty, fully indexed instance.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty instance with the given index mode.
-    pub fn with_mode(mode: IndexMode) -> Self {
-        Instance {
-            mode,
-            ..Self::default()
-        }
     }
 
     /// Builds an instance from ground atoms, ignoring duplicates.
@@ -223,11 +196,6 @@ impl Instance {
             inst.insert(atom);
         }
         inst
-    }
-
-    /// The index mode this instance maintains.
-    pub fn index_mode(&self) -> IndexMode {
-        self.mode
     }
 
     /// Estimated heap footprint of the instance's containers, for the
@@ -295,24 +263,22 @@ impl Instance {
             self.by_pred.resize_with(pred_idx + 1, SlotList::default);
         }
         self.by_pred[pred_idx].push(slot);
-        if self.mode == IndexMode::Full {
-            for (i, &t) in atom.args.iter().enumerate() {
-                self.by_pos
-                    .entry((atom.pred, i as u16, t))
-                    .or_default()
-                    .push(slot);
-            }
-            if let Some(plan) = self.pair_plans.get(pred_idx) {
-                for &(a, b) in plan {
-                    let cell = (
-                        atom.pred,
-                        a,
-                        b,
-                        atom.args[a as usize],
-                        atom.args[b as usize],
-                    );
-                    self.by_pair.entry(cell).or_default().push(slot);
-                }
+        for (i, &t) in atom.args.iter().enumerate() {
+            self.by_pos
+                .entry((atom.pred, i as u16, t))
+                .or_default()
+                .push(slot);
+        }
+        if let Some(plan) = self.pair_plans.get(pred_idx) {
+            for &(a, b) in plan {
+                let cell = (
+                    atom.pred,
+                    a,
+                    b,
+                    atom.args[a as usize],
+                    atom.args[b as usize],
+                );
+                self.by_pair.entry(cell).or_default().push(slot);
             }
         }
         self.dedup.entry(key).or_default().push(slot);
@@ -345,15 +311,13 @@ impl Instance {
     /// argument positions `a` and `b` (order-insensitive; normalised
     /// internally). The index is built from the atoms already present
     /// and maintained by subsequent inserts; registering the same pair
-    /// again is a no-op. In [`IndexMode::PredicateOnly`] this does
-    /// nothing — [`Instance::slots_with_pred_pair`] then reports the
-    /// pair as unavailable and matching falls back to scans.
+    /// again is a no-op.
     ///
     /// Engines call this once per pair of their precomputed TGD join
     /// plans before a run, so the cost of the backfill scan is paid
     /// once and only for pairs the matcher will actually probe.
     pub fn register_pair_index(&mut self, pred: PredId, a: usize, b: usize) {
-        if self.mode != IndexMode::Full || a == b {
+        if a == b {
             return;
         }
         let (a, b) = if a < b {
@@ -462,33 +426,20 @@ impl Instance {
     }
 
     /// Slots of all atoms with `pred` whose argument at `position`
-    /// equals `term`, ascending. Only available in [`IndexMode::Full`];
-    /// in predicate-only mode returns `None` so callers fall back to a
-    /// scan.
-    pub fn slots_with_pred_pos(
-        &self,
-        pred: PredId,
-        position: usize,
-        term: Term,
-    ) -> Option<&[usize]> {
-        if self.mode != IndexMode::Full {
-            return None;
-        }
-        Some(
-            self.by_pos
-                .get(&(pred, position as u16, term))
-                .map(SlotList::as_slice)
-                .unwrap_or(&[]),
-        )
+    /// equals `term`, ascending.
+    pub fn slots_with_pred_pos(&self, pred: PredId, position: usize, term: Term) -> &[usize] {
+        self.by_pos
+            .get(&(pred, position as u16, term))
+            .map(SlotList::as_slice)
+            .unwrap_or(&[])
     }
 
     /// Slots of all atoms with `pred` whose arguments at positions
     /// `pos_a`/`pos_b` equal `term_a`/`term_b` respectively, ascending.
     /// Returns `None` unless the pair `(pred, pos_a, pos_b)` has been
-    /// registered via [`Instance::register_pair_index`] and the index
-    /// mode is [`IndexMode::Full`] — callers then fall back to the
-    /// single-position index or a scan. The positions may be given in
-    /// either order.
+    /// registered via [`Instance::register_pair_index`] — callers then
+    /// fall back to the single-position index. The positions may be
+    /// given in either order.
     pub fn slots_with_pred_pair(
         &self,
         pred: PredId,
@@ -497,9 +448,6 @@ impl Instance {
         pos_b: usize,
         term_b: Term,
     ) -> Option<&[usize]> {
-        if self.mode != IndexMode::Full {
-            return None;
-        }
         let (a, ta, b, tb) = if pos_a < pos_b {
             (pos_a as u16, term_a, pos_b as u16, term_b)
         } else {
@@ -561,8 +509,8 @@ impl FromIterator<Atom> for Instance {
 }
 
 impl PartialEq for Instance {
-    /// Set equality (insertion order, index mode and registered pair
-    /// indexes are irrelevant).
+    /// Set equality (insertion order and registered pair indexes are
+    /// irrelevant).
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().all(|a| other.contains(&a.to_atom()))
     }
@@ -613,15 +561,9 @@ mod tests {
         inst.insert(atom(1, &[c(0)]));
         assert_eq!(inst.slots_with_pred(PredId(0)), &[0, 1]);
         assert_eq!(inst.slots_with_pred(PredId(1)), &[2]);
-        assert_eq!(
-            inst.slots_with_pred_pos(PredId(0), 0, c(0)).unwrap(),
-            &[0, 1]
-        );
-        assert_eq!(inst.slots_with_pred_pos(PredId(0), 1, c(2)).unwrap(), &[1]);
-        assert!(inst
-            .slots_with_pred_pos(PredId(0), 1, c(9))
-            .unwrap()
-            .is_empty());
+        assert_eq!(inst.slots_with_pred_pos(PredId(0), 0, c(0)), &[0, 1]);
+        assert_eq!(inst.slots_with_pred_pos(PredId(0), 1, c(2)), &[1]);
+        assert!(inst.slots_with_pred_pos(PredId(0), 1, c(9)).is_empty());
     }
 
     #[test]
@@ -635,17 +577,9 @@ mod tests {
         let expect: Vec<usize> = (0..SLOT_INLINE + 2).collect();
         assert_eq!(inst.slots_with_pred(PredId(0)), expect.as_slice());
         assert_eq!(
-            inst.slots_with_pred_pos(PredId(0), 1, c(0)).unwrap(),
+            inst.slots_with_pred_pos(PredId(0), 1, c(0)),
             expect.as_slice()
         );
-    }
-
-    #[test]
-    fn predicate_only_mode_disables_position_index() {
-        let mut inst = Instance::with_mode(IndexMode::PredicateOnly);
-        inst.insert(atom(0, &[c(0), c(1)]));
-        assert!(inst.slots_with_pred_pos(PredId(0), 0, c(0)).is_none());
-        assert_eq!(inst.slots_with_pred(PredId(0)), &[0]);
     }
 
     #[test]
@@ -742,17 +676,6 @@ mod tests {
                 .unwrap(),
             &[sb]
         );
-    }
-
-    #[test]
-    fn pair_index_noop_in_predicate_only_mode() {
-        let mut inst = Instance::with_mode(IndexMode::PredicateOnly);
-        inst.insert(atom(0, &[c(0), c(1)]));
-        inst.register_pair_index(PredId(0), 0, 1);
-        assert!(!inst.pair_index_registered(PredId(0), 0, 1));
-        assert!(inst
-            .slots_with_pred_pair(PredId(0), 0, c(0), 1, c(1))
-            .is_none());
     }
 
     #[test]

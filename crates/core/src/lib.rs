@@ -55,7 +55,7 @@ pub mod prelude {
         satisfies, satisfies_all,
     };
     pub use crate::ids::{ConstId, NullId, PredId, VarId};
-    pub use crate::instance::{Database, IndexMode, Instance, MemoryFootprint};
+    pub use crate::instance::{Database, Instance, MemoryFootprint};
     pub use crate::parser::{parse_program, parse_tgds, Program};
     pub use crate::subst::Binding;
     pub use crate::term::{NullFactory, Term};

@@ -1,11 +1,11 @@
-//! Property tests for the canonical program fingerprint
-//! ([`chase_core::compile`]): the address must be invariant under
-//! every semantics-preserving rewrite a client could plausibly apply
-//! (rule reordering, whitespace/comment formatting, rule-local
-//! variable renaming) and must separate programs that differ in rules
-//! or facts — otherwise the server's content-addressed program cache
-//! would either miss warm entries or, far worse, serve the wrong
-//! compiled program.
+//! Property tests for the order-preserving program fingerprint
+//! ([`chase_core::compile`]): the address must be invariant under the
+//! rewrites that cannot change any result (whitespace/comment
+//! formatting, rule-local variable renaming) and must separate
+//! programs that differ in rules, facts, or their order — rule and
+//! fact order decide the restricted chase result, so otherwise the
+//! server's program cache would serve one variant's result for
+//! another.
 
 use chase_core::compile::compile;
 use proptest::prelude::*;
@@ -159,17 +159,44 @@ fn render(program: &GenProgram, var: &dyn Fn(usize) -> String) -> Vec<String> {
     lines
 }
 
+/// What the program id must preserve of a statement sequence: the rule
+/// sequence, the fact sequence without repeats (a repeated fact is a
+/// no-op insert), and the order in which predicates first occur (the
+/// order they are interned in).
+fn order_key(lines: &[String]) -> (Vec<&String>, Vec<&String>, Vec<&str>) {
+    let rules = lines.iter().filter(|l| l.contains("->")).collect();
+    let mut facts: Vec<&String> = Vec::new();
+    for l in lines.iter().filter(|l| !l.contains("->")) {
+        if !facts.contains(&l) {
+            facts.push(l);
+        }
+    }
+    let mut preds: Vec<&str> = Vec::new();
+    for l in lines {
+        for (i, _) in l.match_indices('P') {
+            let len = l[i + 1..].find('(').unwrap();
+            let pred = &l[i..i + 1 + len];
+            if !preds.contains(&pred) {
+                preds.push(pred);
+            }
+        }
+    }
+    (rules, facts, preds)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64,
         .. ProptestConfig::default()
     })]
 
-    /// Reordering rules and facts, reformatting whitespace, adding
-    /// comments, and renaming rule-local variables all preserve the
-    /// fingerprint: every such variant is the same cache entry.
+    /// Reformatting whitespace, adding comments, and renaming
+    /// rule-local variables preserve the fingerprint: every such
+    /// variant is the same cache entry. A reorder changes it exactly
+    /// when it changes the rule sequence, the fact sequence or the
+    /// predicate interning order.
     #[test]
-    fn fingerprint_is_invariant_under_reorder_whitespace_and_renaming(seed in 0u64..5_000) {
+    fn fingerprint_tracks_order_but_not_whitespace_or_renaming(seed in 0u64..5_000) {
         let program = generate(seed);
         let lines = render(&program, &plain_names);
         let base = compile(&lines.join("\n"))
@@ -184,8 +211,12 @@ proptest! {
             let j = (seed as usize / 7) % reordered.len();
             reordered.swap(i, j);
         }
-        let reordered = compile(&reordered.join("\n")).unwrap().fingerprint();
-        prop_assert_eq!(reordered, base, "rule/fact order must not matter");
+        let reordered_fp = compile(&reordered.join("\n")).unwrap().fingerprint();
+        if order_key(&reordered) == order_key(&lines) {
+            prop_assert_eq!(reordered_fp, base, "an order-preserving permutation is the same program");
+        } else {
+            prop_assert!(reordered_fp != base, "a reorder must change the program id");
+        }
 
         let noisy = lines
             .iter()

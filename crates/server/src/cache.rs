@@ -4,15 +4,19 @@
 //!
 //! ## Keys
 //!
-//! Both caches key on the canonical [`ProgramFingerprint`] — stable
-//! under rule reordering, whitespace and rule-local variable renaming
-//! (see [`chase_core::compile`]). The program cache additionally keeps
-//! a *source alias* index (FxHash of the raw source bytes →
-//! fingerprint) so a byte-identical resubmission hits without any
-//! parse work at all; a reformatted-but-equivalent submission pays one
-//! compile, lands on the same fingerprint, and reuses the cached
-//! bundle from then on (the fresh compile is dropped, the alias is
-//! recorded).
+//! Both caches key on the order-preserving [`ProgramFingerprint`] —
+//! stable under whitespace, comments and rule-local variable renaming,
+//! but not under reordering rules or facts, because order decides the
+//! restricted chase result (see [`chase_core::compile`]). Two sources
+//! with one fingerprint compile to the same program, so a hit can
+//! change a reply's latency, never its content.
+//!
+//! The program cache additionally keeps a *source alias* index (FxHash
+//! of the raw source bytes → fingerprint) so a byte-identical
+//! resubmission hits without any parse work at all; a reformatted
+//! submission pays one compile, lands on the same fingerprint, and
+//! reuses the cached bundle from then on (the fresh compile is
+//! dropped, the alias is recorded).
 //!
 //! The decide cache keys on fingerprint × decider class
 //! ([`chase_termination::decider_class`]): verdicts are pure functions
@@ -256,8 +260,7 @@ impl ProgramCache {
     /// Resolves program source to a compiled bundle: byte-identical
     /// resubmissions hit via the source alias with zero parse work;
     /// otherwise one compile runs and the result is cached (deduped by
-    /// canonical fingerprint, so reformatted equivalents share one
-    /// entry).
+    /// fingerprint, so reformatted equivalents share one entry).
     pub fn resolve_source(&self, source: &str, tenant: &str) -> Result<Resolved, CoreError> {
         let key = source_key(source);
         {

@@ -16,11 +16,13 @@
 //! | `ping`     | liveness probe |
 //! | `shutdown` | optional `mode` (`graceful` default \| `abort`): stop admitting; graceful finishes queued + running sessions, abort additionally trips every live session's cancel token so they wind down with `outcome:"cancelled"` |
 //!
-//! `program_ref` is the canonical 32-hex-digit content fingerprint of
-//! a previously compiled program
-//! ([`chase_core::compile::ProgramFingerprint`]): the server answers
-//! from its program cache, or replies `unknown_program` so the client
-//! falls back to resubmitting full source. When both `program` and
+//! `program_ref` is the 32-hex-digit order-preserving program id of a
+//! previously compiled program
+//! ([`chase_core::compile::ProgramFingerprint`]; reformatting and
+//! variable renaming keep it, reordering rules or facts changes it):
+//! the server answers from its program cache, or replies
+//! `unknown_program` so the client falls back to resubmitting full
+//! source. When both `program` and
 //! `program_ref` are present the reference is tried first and the
 //! source is the in-line fallback (one round trip instead of two).
 //!

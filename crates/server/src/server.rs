@@ -295,7 +295,7 @@ impl Server {
     /// connection gets its own handler thread; sessions run on the
     /// scheduler regardless of which connection submitted them.
     pub fn run(self) -> std::io::Result<()> {
-        let mut handlers = Vec::new();
+        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
             let stream = match &self.listener {
                 Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
@@ -318,6 +318,9 @@ impl Server {
                 shutting_down: Arc::clone(&self.shutting_down),
                 endpoint: self.endpoint.clone(),
             };
+            // Drop the handles of finished handlers so their thread
+            // stacks are unmapped now, not at shutdown.
+            handlers.retain(|h| !h.is_finished());
             handlers.push(std::thread::spawn(move || handle_connection(stream, &ctx)));
         }
         // Drain: finish queued + running sessions, join runners, then

@@ -147,6 +147,65 @@ fn repeated_submission_hits_the_cache_and_stays_bit_identical() {
     server.join().expect("server thread");
 }
 
+/// Submits each program in turn to one server and requires every
+/// served chase result to equal a direct run of that exact text. Any
+/// two programs whose direct runs differ must get different program
+/// ids, so the cache can never hand one the other's result.
+fn assert_served_like_direct(tag: &str, programs: &[&str]) {
+    let (endpoint, server) = boot(tag);
+    let mut seen: Vec<(String, String)> = Vec::new();
+    for (i, &source) in programs.iter().enumerate() {
+        let direct = run_chase_task(&ChaseTaskSpec::restricted(source), &mut NullObserver, None)
+            .expect("direct run");
+        let direct = format!("{:016x}", direct.fingerprint());
+        let served = run_traced(
+            &endpoint,
+            &format!(
+                r#"{{"op":"chase","id":"{tag}-{i}","program":"{}"}}"#,
+                escaped(source)
+            ),
+        );
+        assert_eq!(
+            result_str(&served.result, "fingerprint"),
+            direct,
+            "served result of program {i} differs from its direct run:\n{source}"
+        );
+        let id = served.accepted_program.expect("accepted carries the id");
+        for (other_id, other_direct) in &seen {
+            if *other_direct != direct {
+                assert_ne!(*other_id, id, "programs with different results share an id");
+            }
+        }
+        seen.push((id, direct));
+    }
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
+#[test]
+fn reordered_programs_get_their_own_chase_results() {
+    // B swaps A's rules and renames their variables. A chases to 2
+    // steps and 3 atoms, B to 1 step and 2 atoms: rule order decides
+    // whether the existential rule fires before the full one
+    // satisfies it.
+    let a = "R(a,b).\nR(x,y) -> exists z. S(x,z).\nR(x,y) -> S(x,y).\n";
+    let b = "R(a,b).\nR(u,v) -> S(u,v).\nR(u,v) -> exists w. S(u,w).\n";
+    let spec = |src| ChaseTaskSpec::restricted(src);
+    let run_a = run_chase_task(&spec(a), &mut NullObserver, None).unwrap();
+    let run_b = run_chase_task(&spec(b), &mut NullObserver, None).unwrap();
+    assert_eq!((run_a.steps, run_a.atoms()), (2, 3));
+    assert_eq!((run_b.steps, run_b.atoms()), (1, 2));
+    assert_served_like_direct("reorder", &[a, b]);
+
+    // Facts before rules vs rules before facts, once where the
+    // interleaving keeps the predicate order and once where it does
+    // not.
+    let rules_first = "R(x,y) -> exists z. S(x,z).\nR(x,y) -> S(x,y).\nR(a,b).\n";
+    let s_fact_first = "S(c,d).\nR(a,b).\nR(x,y) -> exists z. S(x,z).\nR(x,y) -> S(x,y).\n";
+    let s_fact_last = "R(x,y) -> exists z. S(x,z).\nR(x,y) -> S(x,y).\nS(c,d).\nR(a,b).\n";
+    assert_served_like_direct("interleave", &[a, rules_first, s_fact_first, s_fact_last]);
+}
+
 #[test]
 fn decide_verdicts_are_memoized_per_fingerprint() {
     let (endpoint, server) = boot("decide");

@@ -477,3 +477,35 @@ fn hostile_threads_field_spawns_no_threads() {
     shutdown(&endpoint);
     server.join().expect("server thread");
 }
+
+/// Mappings in this process's address space, from `/proc/self/maps`.
+#[cfg(target_os = "linux")]
+fn mapped_regions() -> usize {
+    std::fs::read_to_string("/proc/self/maps")
+        .expect("read /proc/self/maps")
+        .lines()
+        .count()
+}
+
+/// Finished connection handlers are reaped while the server runs: a
+/// long-lived server that has served many short connections keeps no
+/// thread stack of a closed connection mapped.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_connection_handlers_are_reaped() {
+    let _serial = serial();
+    let (endpoint, server) = boot(ServerConfig::default(), "reap");
+    let before = mapped_regions();
+    for _ in 0..1_000 {
+        let pong = request_once(&endpoint, r#"{"op":"ping"}"#).expect("ping");
+        assert_eq!(pong.get("type").and_then(Scalar::as_str), Some("pong"));
+    }
+    let after = mapped_regions();
+    assert!(
+        after < before + 200,
+        "1,000 closed connections grew the mappings from {before} to {after}"
+    );
+
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}

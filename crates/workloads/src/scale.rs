@@ -192,7 +192,6 @@ pub fn scale_workload(params: &ScaleParams) -> (Vocabulary, TgdSet, Instance) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chase_core::instance::IndexMode;
 
     fn small(shape: Shape) -> ScaleParams {
         ScaleParams {
@@ -220,7 +219,8 @@ mod tests {
         let p = small(Shape::Clique);
         let (_, _, db) = scale_workload(&p);
         assert_eq!(db.len(), p.facts, "unique second args forbid dedup");
-        assert_eq!(db.index_mode(), IndexMode::Full);
+        let first = db.atom(0);
+        assert_eq!(db.slots_with_pred_pos(first.pred, 0, first.args[0])[0], 0);
         assert!(db.is_database());
     }
 

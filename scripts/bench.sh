@@ -2,7 +2,7 @@
 # Hot-path benchmark runner. Offline-friendly (path dependencies only).
 #
 # Usage:
-#   scripts/bench.sh          # criterion benches + full BENCH_hotpath.json
+#   scripts/bench.sh          # full workloads; regenerates BENCH_hotpath.json
 #   scripts/bench.sh smoke    # quick non-timing sanity pass (CI / check.sh)
 #
 # The full mode regenerates BENCH_hotpath.json in the repo root (the
@@ -24,7 +24,6 @@ smoke | --smoke)
         --mode smoke --out target/BENCH_hotpath.smoke.json
     ;;
 full)
-    cargo bench --offline -p chase-bench --bench hotpath
     cargo run --offline --release -p chase-bench --bin hotpath_report -- \
         --out BENCH_hotpath.json
     ;;

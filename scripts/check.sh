@@ -53,9 +53,13 @@ echo "== program cache suite (repeated rule sets hit, decide memoized, abort shu
 # result fingerprint; decide verdicts must be served from the
 # memoization cache (cached:true + server.decide_cache.hits); and
 # {"op":"shutdown","mode":"abort"} must cancel in-flight sessions.
+# A reordered-and-renamed variant of a cached program must not be
+# served the incumbent's chase result: its fingerprint must equal a
+# direct run of its own text (rule and fact order decide restricted
+# chase results).
 cargo test --offline -q -p chase-server --test program_cache
 
-echo "== fingerprint canonicalization property suite (compile cache addressing) =="
+echo "== fingerprint canonicalization property suite (order-preserving program id) =="
 cargo test --offline -q -p chase-core --test compile_fingerprint
 
 echo "== hot-path smoke report (bit-identity + timing sanity) =="

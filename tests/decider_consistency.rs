@@ -9,10 +9,10 @@ use restricted_chase::engine::restricted::Strategy;
 use restricted_chase::prelude::*;
 use restricted_chase::termination::linear::decide_linear;
 
-/// Generates a random *linear* rule set (single body atom per rule).
-/// Linear sets without repeated body variables are sticky, so on most
-/// seeds both deciders apply.
-fn random_linear_set(seed: u64, rules: usize) -> (Vocabulary, TgdSet) {
+/// Generates the source of a random *linear* rule set (single body
+/// atom per rule), one rule per line. Linear sets without repeated
+/// body variables are sticky, so on most seeds both deciders apply.
+fn random_linear_source(seed: u64, rules: usize) -> String {
     let params = RandomTgdParams {
         predicates: 3,
         max_arity: 3,
@@ -20,10 +20,59 @@ fn random_linear_set(seed: u64, rules: usize) -> (Vocabulary, TgdSet) {
         max_body: 1,
         existential_pct: 45,
     };
-    let src = random_tgds(&params, seed);
+    random_tgds(&params, seed)
+}
+
+fn parse_set(src: &str) -> (Vocabulary, TgdSet) {
     let mut vocab = Vocabulary::new();
-    let set = parse_tgds(&src, &mut vocab).expect("generated linear rules");
+    let set = parse_tgds(src, &mut vocab).expect("generated linear rules");
     (vocab, set)
+}
+
+fn random_linear_set(seed: u64, rules: usize) -> (Vocabulary, TgdSet) {
+    parse_set(&random_linear_source(seed, rules))
+}
+
+/// The same rule set presented differently: the lines of `src` (one
+/// rule each) shuffled by `seed`, and every variable renamed so that
+/// names sort in the reverse of their first-occurrence order.
+/// `random_tgds` names variables `r{rule}b{atom}a{pos}` and
+/// `r{rule}e{pos}`; no other token starts with `r`.
+fn permute_and_rename(src: &str, seed: u64) -> String {
+    let mut rules: Vec<&str> = src.lines().collect();
+    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    for i in (1..rules.len()).rev() {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        rules.swap(i, (s % (i as u64 + 1)) as usize);
+    }
+    let mut out = String::new();
+    for rule in rules {
+        let mut names: Vec<String> = Vec::new();
+        let mut token = String::new();
+        for ch in rule.chars().chain(['\n']) {
+            if ch.is_ascii_alphanumeric() {
+                token.push(ch);
+                continue;
+            }
+            if token.starts_with('r') {
+                let k = match names.iter().position(|n| *n == token) {
+                    Some(k) => k,
+                    None => {
+                        names.push(token.clone());
+                        names.len() - 1
+                    }
+                };
+                out.push_str(&format!("v{}", 99 - k));
+            } else {
+                out.push_str(&token);
+            }
+            token.clear();
+            out.push(ch);
+        }
+    }
+    out
 }
 
 proptest! {
@@ -49,6 +98,31 @@ proptest! {
             "disagreement on seed {} ({} rules): linear={:?} sticky={:?}\n{}",
             seed, rules, lin, sticky, set.display(&vocab)
         );
+    }
+
+    /// Metamorphic check: the decider class and a definitive verdict
+    /// are properties of the rule *set*, so permuting the rules and
+    /// renaming their variables must not change either.
+    #[test]
+    fn decide_is_invariant_under_rule_permutation_and_renaming(
+        seed in 0u64..100_000, rules in 1usize..4
+    ) {
+        let src = random_linear_source(seed, rules);
+        let variant = permute_and_rename(&src, seed);
+        let (vocab_a, a) = parse_set(&src);
+        let (vocab_b, b) = parse_set(&variant);
+        prop_assert_eq!(decider_class(&a), decider_class(&b));
+        let config = DeciderConfig::default();
+        let va = decide(&a, &vocab_a, &config);
+        let vb = decide(&b, &vocab_b, &config);
+        if !va.is_unknown() && !vb.is_unknown() {
+            prop_assert_eq!(
+                va.is_terminating(),
+                vb.is_terminating(),
+                "seed {} ({} rules): {:?} vs {:?}\n{}\nvs\n{}",
+                seed, rules, va, vb, src, variant
+            );
+        }
     }
 
     /// Soundness spot-check of Terminating verdicts: when the sticky
