@@ -10,16 +10,18 @@
 //! * termination of the **oblivious** chase on the critical database
 //!   (a still stronger requirement).
 //!
-//! Both chase-based checks are budget-bounded: `Some(true)` proves the
-//! criterion, `Some(false)` is impossible by construction, and `None`
-//! means the budget ran out (the criterion very likely fails; on all
-//! suite workloads the budget is decisive).
+//! Both chase-based checks are budget-bounded: `Holds` proves the
+//! criterion, and `BudgetExhausted` means the budget ran out (the
+//! criterion very likely fails; on all suite workloads the budget is
+//! decisive). Under a governor with a deadline or cancellation token,
+//! `Interrupted` reports that the check was stopped before either.
 
 use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
 use chase_engine::critical::critical_database;
+use chase_engine::governor::ResourceGovernor;
 use chase_engine::oblivious::ObliviousChase;
-use chase_engine::restricted::{Budget, Outcome};
+use chase_engine::restricted::{Budget, ChaseRun, Outcome};
 
 /// Outcome of a budget-bounded termination criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +35,9 @@ pub enum CriterionOutcome {
     /// The budget was exhausted; the criterion is not established
     /// (and, for the workloads in this repository, fails).
     BudgetExhausted,
+    /// A deadline or cancellation (the carried outcome) stopped the
+    /// chase first; nothing is established either way.
+    Interrupted(Outcome),
 }
 
 impl CriterionOutcome {
@@ -50,16 +55,7 @@ pub fn oblivious_critical(
     budget: Budget,
 ) -> CriterionOutcome {
     let db = critical_database(set, vocab);
-    let run = ObliviousChase::new(set).run(&db, budget);
-    match run.outcome {
-        Outcome::Terminated => CriterionOutcome::Holds { steps: run.steps },
-        // Interrupted runs are unreachable under a plain `Budget`
-        // governor, but they carry the same meaning here: the chase
-        // was stopped before reaching a fixpoint, so nothing holds.
-        Outcome::BudgetExhausted | Outcome::DeadlineExceeded | Outcome::Cancelled => {
-            CriterionOutcome::BudgetExhausted
-        }
-    }
+    criterion(ObliviousChase::new(set).run(&db, budget))
 }
 
 /// Checks whether the *semi-oblivious* chase terminates on the
@@ -69,15 +65,31 @@ pub fn semi_oblivious_critical(
     vocab: &mut Vocabulary,
     budget: Budget,
 ) -> CriterionOutcome {
+    semi_oblivious_critical_governed(set, vocab, &ResourceGovernor::from_budget(budget))
+}
+
+/// [`semi_oblivious_critical`] under a full governor, so a deadline or
+/// cancellation stops the check with [`CriterionOutcome::Interrupted`].
+pub fn semi_oblivious_critical_governed(
+    set: &TgdSet,
+    vocab: &mut Vocabulary,
+    gov: &ResourceGovernor,
+) -> CriterionOutcome {
     let db = critical_database(set, vocab);
-    let run = ObliviousChase::new(set).semi_oblivious().run(&db, budget);
+    criterion(
+        ObliviousChase::new(set)
+            .semi_oblivious()
+            .run_governed(&db, gov),
+    )
+}
+
+/// Reads a critical-database run as a criterion outcome.
+fn criterion(run: ChaseRun) -> CriterionOutcome {
     match run.outcome {
         Outcome::Terminated => CriterionOutcome::Holds { steps: run.steps },
-        // Interrupted runs are unreachable under a plain `Budget`
-        // governor, but they carry the same meaning here: the chase
-        // was stopped before reaching a fixpoint, so nothing holds.
-        Outcome::BudgetExhausted | Outcome::DeadlineExceeded | Outcome::Cancelled => {
-            CriterionOutcome::BudgetExhausted
+        Outcome::BudgetExhausted => CriterionOutcome::BudgetExhausted,
+        interrupted @ (Outcome::DeadlineExceeded | Outcome::Cancelled) => {
+            CriterionOutcome::Interrupted(interrupted)
         }
     }
 }

@@ -5,8 +5,10 @@
 //! Termination* (Gogacz, Marcinkowski & Pieris, PODS 2020):
 //!
 //! * [`restricted`] — the restricted (standard) chase with pluggable,
-//!   fairness-relevant strategies;
-//! * [`oblivious`] — the oblivious and semi-oblivious chase;
+//!   fairness-relevant strategies, and the one chase loop every
+//!   optimised engine runs;
+//! * [`oblivious`] — the oblivious and semi-oblivious chase, a builder
+//!   selecting those variants of that loop;
 //! * [`real_oblivious`] — the real oblivious chase `ochase(D,T)` as a
 //!   labelled graph with an unambiguous parent relation (Def 3.3);
 //! * [`relations`] — the stop (`≺s`) and before (`≺b`) relations;
@@ -57,7 +59,7 @@ pub mod prelude {
     pub use crate::fairness::{is_fair_within_horizon, persistently_active, repair, RepairOutcome};
     pub use crate::faults::{FaultPlan, FlakyWriter};
     pub use crate::governor::ResourceGovernor;
-    pub use crate::oblivious::{ObliviousChase, ObliviousRun};
+    pub use crate::oblivious::ObliviousChase;
     pub use crate::query::{contained_in, ConjunctiveQuery, QueryError};
     pub use crate::real_oblivious::{NodeId, OchaseLimits, OchaseNode, RealOchase};
     pub use crate::relations::{stops, OchaseRelations};

@@ -7,404 +7,109 @@
 //! used as baselines (E1, E8, E9) and as the substrate of the
 //! MFA-style termination check in `tgd-classes`.
 //!
-//! Like [`crate::restricted`], the loop identifies triggers by packed
-//! [`TriggerFp`] fingerprints (keyed on the frontier image under the
-//! semi-oblivious policy) and enumerates deltas through a reused
-//! [`HomScratch`](chase_core::hom::HomScratch).
+//! [`ObliviousChase`] is a builder over the one chase loop in
+//! [`crate::restricted`]: it selects the oblivious or semi-oblivious
+//! variant there, which skips the pop-time activeness check, keys
+//! trigger fingerprints and nulls on the sorted body variables or on
+//! the frontier, queues FIFO and records no derivation.
 
-use std::collections::VecDeque;
-use std::ops::ControlFlow;
-
-use chase_core::ids::{fx_set, VarId};
 use chase_core::instance::Instance;
-use chase_core::tgd::{Tgd, TgdSet};
-use chase_telemetry::{
-    emit, emit_detail, span_enter, span_enter_sampled, spans, ChaseObserver, EngineKind, Event,
-    NullObserver, NO_TGD,
-};
+use chase_core::tgd::TgdSet;
+use chase_telemetry::ChaseObserver;
 
-use crate::governor::{Budget, Outcome, ResourceGovernor};
-use crate::profiling::{
-    emit_profile_sample, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
-};
-use crate::skolem::{SkolemPolicy, SkolemTable};
-use crate::trigger::{
-    for_each_trigger_using_with, for_each_trigger_with, ChaseScratch, Trigger, TriggerFp,
-};
-
-/// Which variable layout identifies a trigger fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FpVars {
-    /// All body variables in sorted order (oblivious).
-    SortedBody,
-    /// Frontier variables only (semi-oblivious identification).
-    Frontier,
-}
-
-impl FpVars {
-    /// The identifying variable slice of `tgd` under this layout.
-    #[inline]
-    fn of(self, tgd: &Tgd) -> &[VarId] {
-        match self {
-            FpVars::SortedBody => tgd.sorted_body_vars(),
-            FpVars::Frontier => tgd.frontier(),
-        }
-    }
-}
-
-/// The result of an oblivious chase run.
-#[derive(Debug, Clone)]
-pub struct ObliviousRun {
-    /// Terminated (fixpoint) or out of budget.
-    pub outcome: Outcome,
-    /// The final instance.
-    pub instance: Instance,
-    /// Trigger applications performed (including ones that re-derived
-    /// an existing atom).
-    pub steps: usize,
-}
+use crate::governor::{Budget, ResourceGovernor};
+use crate::restricted::{ChaseRun, RestrictedChase, Variant};
+use crate::trigger::ChaseScratch;
 
 /// A configured oblivious-chase engine.
 #[derive(Debug, Clone)]
-pub struct ObliviousChase<'a> {
-    set: &'a TgdSet,
-    policy: SkolemPolicy,
-    heartbeat_every: u64,
-    profile_sample_every: u64,
-}
+pub struct ObliviousChase<'a>(RestrictedChase<'a>);
 
 impl<'a> ObliviousChase<'a> {
     /// Creates an engine running the (fully) oblivious chase.
     pub fn new(set: &'a TgdSet) -> Self {
-        ObliviousChase {
-            set,
-            policy: SkolemPolicy::PerTrigger,
-            heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
-            profile_sample_every: DEFAULT_PROFILE_SAMPLE_EVERY,
-        }
+        ObliviousChase(
+            RestrictedChase::new(set)
+                .variant(Variant::Oblivious)
+                .record_derivation(false),
+        )
     }
 
-    /// Switches to the semi-oblivious chase (nulls keyed by frontier).
-    pub fn semi_oblivious(mut self) -> Self {
-        self.policy = SkolemPolicy::PerFrontier;
-        self
+    /// Switches to the semi-oblivious chase (triggers and nulls keyed
+    /// by the frontier).
+    pub fn semi_oblivious(self) -> Self {
+        ObliviousChase(self.0.variant(Variant::SemiOblivious))
     }
 
     /// Sets the step cadence of the profiling stream's periodic
-    /// memory/heartbeat samples (default 1024; see
-    /// [`crate::restricted::RestrictedChase::heartbeat_every`]).
-    pub fn heartbeat_every(mut self, steps: u64) -> Self {
-        self.heartbeat_every = steps.max(1);
-        self
+    /// memory/heartbeat samples (see
+    /// [`RestrictedChase::heartbeat_every`]).
+    pub fn heartbeat_every(self, steps: u64) -> Self {
+        ObliviousChase(self.0.heartbeat_every(steps))
     }
 
-    /// Sets the step-span sampling cadence (default 16, step 0 always
-    /// sampled; `1` spans every step — see
-    /// [`crate::restricted::RestrictedChase::profile_sample_every`]).
-    pub fn profile_sample_every(mut self, steps: u64) -> Self {
-        self.profile_sample_every = steps.max(1);
-        self
+    /// Sets the step-span sampling cadence (see
+    /// [`RestrictedChase::profile_sample_every`]).
+    pub fn profile_sample_every(self, steps: u64) -> Self {
+        ObliviousChase(self.0.profile_sample_every(steps))
     }
 
-    /// The fingerprint layout identifying triggers under the policy.
-    fn fp_vars(&self) -> FpVars {
-        match self.policy {
-            SkolemPolicy::PerTrigger => FpVars::SortedBody,
-            SkolemPolicy::PerFrontier => FpVars::Frontier,
-        }
+    /// Runs the chase on `database` within `budget`. A trigger
+    /// `(σ, h)` is applied at most once; under the semi-oblivious
+    /// policy triggers agreeing on `h|fr(σ)` are identified. The
+    /// returned derivation is always empty.
+    pub fn run(&self, database: &Instance, budget: Budget) -> ChaseRun {
+        self.0.run(database, budget)
     }
 
-    /// Runs the chase on `database` within `budget`.
-    ///
-    /// Trigger identity follows the paper: a trigger `(σ, h)` is
-    /// applied at most once; under the semi-oblivious policy triggers
-    /// agreeing on `h|fr(σ)` are identified.
-    pub fn run(&self, database: &Instance, budget: Budget) -> ObliviousRun {
-        self.run_observed(database, budget, &mut NullObserver)
-    }
-
-    /// Runs the chase, streaming telemetry [`Event`]s to `obs`. The
-    /// oblivious chase performs no activeness checks, so the event
-    /// stream never contains `trigger_checked`/`trigger_deactivated`.
+    /// [`ObliviousChase::run`] streaming telemetry to `obs`; the stream
+    /// never contains `trigger_checked`/`trigger_deactivated`.
     pub fn run_observed<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         budget: Budget,
         obs: &mut O,
-    ) -> ObliviousRun {
-        self.run_governed_observed(database, &ResourceGovernor::from_budget(budget), obs)
+    ) -> ChaseRun {
+        self.0.run_observed(database, budget, obs)
     }
 
-    /// Runs the chase under a full [`ResourceGovernor`] (budget +
-    /// deadline + cancellation + fault plan).
-    pub fn run_governed(&self, database: &Instance, gov: &ResourceGovernor) -> ObliviousRun {
-        self.run_governed_observed(database, gov, &mut NullObserver)
+    /// Runs the chase under a full [`ResourceGovernor`].
+    pub fn run_governed(&self, database: &Instance, gov: &ResourceGovernor) -> ChaseRun {
+        self.0.run_governed(database, gov)
     }
 
-    /// [`ObliviousChase::run_governed`] with telemetry. The governor is
-    /// polled before seed discovery and at the top of every queue
-    /// iteration; an interrupted run emits one
-    /// [`Event::RunInterrupted`] and returns the truthful partial
-    /// result.
-    ///
-    /// A profiling observer additionally receives the span / memory /
-    /// heartbeat stream (as in
-    /// [`crate::restricted::RestrictedChase::run_governed_observed`],
-    /// minus `restriction_check` — the oblivious chase performs no
-    /// activeness checks).
+    /// See [`RestrictedChase::run_governed_observed`] (minus the
+    /// `restriction_check` span).
     pub fn run_governed_observed<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
-    ) -> ObliviousRun {
-        self.run_governed_observed_in(database, gov, obs, &mut ChaseScratch::default())
+    ) -> ChaseRun {
+        self.0.run_governed_observed(database, gov, obs)
     }
 
-    /// [`ObliviousChase::run_governed_observed`] borrowing the matcher
-    /// arena from `scratch` (see
-    /// [`crate::restricted::RestrictedChase::run_governed_observed_in`];
-    /// the run is bit-identical either way).
+    /// See [`RestrictedChase::run_governed_observed_in`].
     pub fn run_governed_observed_in<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
         scratch: &mut ChaseScratch,
-    ) -> ObliviousRun {
-        let run_guard = span_enter(obs, spans::RUN, NO_TGD);
-        let run = self.run_inner(database, gov, obs, scratch);
-        run_guard.exit(obs);
-        run
-    }
-
-    fn run_inner<O: ChaseObserver + ?Sized>(
-        &self,
-        database: &Instance,
-        gov: &ResourceGovernor,
-        obs: &mut O,
-        scratch: &mut ChaseScratch,
-    ) -> ObliviousRun {
-        let run_start = (obs.enabled() && obs.profiling()).then(std::time::Instant::now);
-        let engine_kind = match self.policy {
-            SkolemPolicy::PerTrigger => EngineKind::Oblivious,
-            SkolemPolicy::PerFrontier => EngineKind::SemiOblivious,
-        };
-        if let Some(outcome) = gov.interrupted(0) {
-            emit(obs, || Event::RunInterrupted {
-                engine: engine_kind,
-                step: 0,
-                // Total: `interrupted` only returns interrupt outcomes.
-                reason: outcome
-                    .interrupt_reason()
-                    .unwrap_or(chase_telemetry::InterruptReason::Deadline),
-            });
-            return ObliviousRun {
-                outcome,
-                instance: database.clone(),
-                steps: 0,
-            };
-        }
-        let vars = self.fp_vars();
-        let mut instance = database.clone();
-        // Body joins only: the oblivious chase never runs restriction
-        // checks, so head-satisfaction keys would be dead weight.
-        let index_guard = span_enter(obs, spans::INDEX_MAINTAIN, NO_TGD);
-        for &(pred, a, b) in self.set.body_pair_plans() {
-            instance.register_pair_index(pred, a as usize, b as usize);
-        }
-        index_guard.exit(obs);
-        let mut skolem = SkolemTable::above(
-            self.policy,
-            instance.iter().flat_map(|a| a.args.iter().copied()),
-        );
-        let mut queue: VecDeque<Trigger> = VecDeque::new();
-        let mut applied: chase_core::ids::FxHashSet<TriggerFp> = fx_set();
-        let matcher = &mut scratch.matcher;
-
-        let seed_guard = span_enter(obs, spans::SEED, NO_TGD);
-        let _ = for_each_trigger_with(matcher, self.set, &instance, &mut |id, b| {
-            let fp = TriggerFp::of(id, b, vars.of(self.set.tgd(id)));
-            if applied.insert(fp) {
-                emit_detail(obs, || Event::TriggerDiscovered {
-                    engine: engine_kind,
-                    tgd: id.0,
-                    step: 0,
-                });
-                queue.push_back(Trigger {
-                    tgd: id,
-                    binding: b.clone(),
-                });
-            }
-            ControlFlow::Continue(())
-        });
-        seed_guard.exit(obs);
-        emit_detail(obs, || Event::QueueDepth {
-            engine: engine_kind,
-            step: 0,
-            depth: queue.len() as u64,
-        });
-
-        let mut steps = 0usize;
-        let mut new_slots: Vec<usize> = Vec::new();
-        loop {
-            if let Some(outcome) = gov.interrupted(steps) {
-                emit(obs, || Event::RunInterrupted {
-                    engine: engine_kind,
-                    step: steps as u64,
-                    // Total: `interrupted` only returns interrupt outcomes.
-                    reason: outcome
-                        .interrupt_reason()
-                        .unwrap_or(chase_telemetry::InterruptReason::Deadline),
-                });
-                if let Some(start) = run_start {
-                    emit_profile_sample(
-                        obs,
-                        engine_kind,
-                        start,
-                        &instance,
-                        steps as u64,
-                        queue.len() as u64,
-                    );
-                }
-                return ObliviousRun {
-                    outcome,
-                    instance,
-                    steps,
-                };
-            }
-            let Some(trigger) = queue.pop_front() else {
-                break;
-            };
-            if gov.budget_exhausted(steps, instance.len()) {
-                queue.push_front(trigger);
-                if let Some(start) = run_start {
-                    emit_profile_sample(
-                        obs,
-                        engine_kind,
-                        start,
-                        &instance,
-                        steps as u64,
-                        queue.len() as u64,
-                    );
-                }
-                return ObliviousRun {
-                    outcome: Outcome::BudgetExhausted,
-                    instance,
-                    steps,
-                };
-            }
-            // 1-in-K sampled spans with shared boundary clock reads
-            // keep profiling overhead low (see `crate::profiling`).
-            let sampled = (steps as u64).is_multiple_of(self.profile_sample_every);
-            let step_guard = span_enter_sampled(obs, spans::STEP, trigger.tgd.0, sampled, None);
-            let tgd = self.set.tgd(trigger.tgd);
-            let insert_guard = span_enter_sampled(
-                obs,
-                spans::INSERT,
-                trigger.tgd.0,
-                sampled,
-                step_guard.start(),
-            );
-            let nulls_before = skolem.invented();
-            let added = trigger.result(tgd, &mut skolem);
-            let nulls_after = skolem.invented();
-            steps += 1;
-            new_slots.clear();
-            let mut fresh_atoms = 0u32;
-            for atom in added {
-                let pred = atom.pred.0;
-                let (slot, fresh) = instance.insert(atom);
-                emit_detail(obs, || Event::AtomInserted {
-                    engine: engine_kind,
-                    predicate: pred,
-                    step: steps as u64,
-                    fresh,
-                });
-                if fresh {
-                    fresh_atoms += 1;
-                    new_slots.push(slot);
-                }
-            }
-            let insert_end = insert_guard.exit_now(obs);
-            for null in nulls_before..nulls_after {
-                emit_detail(obs, || Event::NullInvented {
-                    engine: engine_kind,
-                    null,
-                    step: steps as u64,
-                });
-            }
-            emit(obs, || Event::TriggerApplied {
-                engine: engine_kind,
-                tgd: trigger.tgd.0,
-                step: steps as u64,
-                new_atoms: fresh_atoms,
-                new_nulls: nulls_after - nulls_before,
-            });
-            let match_guard =
-                span_enter_sampled(obs, spans::MATCH, trigger.tgd.0, sampled, insert_end);
-            for &slot in &new_slots {
-                let _ = for_each_trigger_using_with(
-                    matcher,
-                    self.set,
-                    &instance,
-                    slot,
-                    &mut |id, b| {
-                        let fp = TriggerFp::of(id, b, vars.of(self.set.tgd(id)));
-                        if applied.insert(fp) {
-                            emit_detail(obs, || Event::TriggerDiscovered {
-                                engine: engine_kind,
-                                tgd: id.0,
-                                step: steps as u64,
-                            });
-                            queue.push_back(Trigger {
-                                tgd: id,
-                                binding: b.clone(),
-                            });
-                        }
-                        ControlFlow::Continue(())
-                    },
-                );
-            }
-            let match_end = match_guard.exit_now(obs);
-            emit_detail(obs, || Event::QueueDepth {
-                engine: engine_kind,
-                step: steps as u64,
-                depth: queue.len() as u64,
-            });
-            step_guard.exit_at(obs, match_end);
-            if let Some(start) = run_start {
-                if (steps as u64).is_multiple_of(self.heartbeat_every) {
-                    emit_profile_sample(
-                        obs,
-                        engine_kind,
-                        start,
-                        &instance,
-                        steps as u64,
-                        queue.len() as u64,
-                    );
-                }
-            }
-        }
-        if let Some(start) = run_start {
-            emit_profile_sample(obs, engine_kind, start, &instance, steps as u64, 0);
-        }
-        ObliviousRun {
-            outcome: Outcome::Terminated,
-            instance,
-            steps,
-        }
+    ) -> ChaseRun {
+        self.0.run_governed_observed_in(database, gov, obs, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::Outcome;
     use chase_core::hom::satisfies_all;
     use chase_core::parser::parse_program;
     use chase_core::vocab::Vocabulary;
 
-    fn run_oblivious(src: &str, budget: Budget, semi: bool) -> (ObliviousRun, TgdSet) {
+    fn run_oblivious(src: &str, budget: Budget, semi: bool) -> (ChaseRun, TgdSet) {
         let mut vocab = Vocabulary::new();
         let p = parse_program(src, &mut vocab).unwrap();
         let set = p.tgd_set(&vocab).unwrap();

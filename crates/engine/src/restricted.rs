@@ -1,4 +1,18 @@
-//! The restricted (a.k.a. standard) chase, Section 3.2 of the paper.
+//! The restricted (a.k.a. standard) chase, Section 3.2 of the paper,
+//! and the one chase loop behind every optimised engine.
+//!
+//! ## One loop, three variants
+//!
+//! The oblivious, semi-oblivious and restricted chase are one
+//! procedure (§3) that differs only in how a trigger is identified,
+//! how nulls are named, and whether a trigger must still be active
+//! when it is applied. A crate-private `Variant` supplies exactly
+//! those choices to [`RestrictedChase`]'s loop;
+//! [`crate::oblivious::ObliviousChase`] is a builder over it that
+//! selects the oblivious or semi-oblivious variant, always queues
+//! FIFO and never records a derivation.
+//!
+//! ## Restricted chase
 //!
 //! The engine maintains a queue of *candidate triggers*, discovered
 //! semi-naively: when an atom is inserted, only triggers whose body
@@ -36,11 +50,11 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use chase_core::ids::{fx_set, VarId};
+use chase_core::ids::{fx_set, PredId, VarId};
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
 use chase_core::term::Term;
-use chase_core::tgd::{TgdId, TgdSet};
+use chase_core::tgd::{Tgd, TgdId, TgdSet};
 use chase_telemetry::{
     emit, emit_detail, span_enter, span_enter_sampled, spans, ChaseObserver, EngineKind, Event,
     NullObserver, NO_TGD,
@@ -75,6 +89,55 @@ pub enum Strategy {
     /// with per-TGD buckets and a min-bucket cursor, so popping is
     /// O(1) amortised instead of a full queue scan.
     PriorityTgd,
+}
+
+/// Which chase variant the loop runs (§3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Variant {
+    /// Applies a popped trigger only while it is still active; nulls
+    /// per trigger.
+    Restricted,
+    /// Applies every trigger once; nulls per trigger.
+    Oblivious,
+    /// Applies one trigger per frontier image; nulls per frontier.
+    SemiOblivious,
+}
+
+impl Variant {
+    /// The telemetry label of the variant's events.
+    fn engine(self) -> EngineKind {
+        match self {
+            Variant::Restricted => EngineKind::Restricted,
+            Variant::Oblivious => EngineKind::Oblivious,
+            Variant::SemiOblivious => EngineKind::SemiOblivious,
+        }
+    }
+
+    /// The variables whose images identify a trigger of `tgd`.
+    #[inline]
+    fn fp_vars(self, tgd: &Tgd) -> &[VarId] {
+        match self {
+            Variant::SemiOblivious => tgd.frontier(),
+            Variant::Restricted | Variant::Oblivious => tgd.sorted_body_vars(),
+        }
+    }
+
+    /// How invented nulls are named.
+    fn skolem(self) -> SkolemPolicy {
+        match self {
+            Variant::SemiOblivious => SkolemPolicy::PerFrontier,
+            Variant::Restricted | Variant::Oblivious => SkolemPolicy::PerTrigger,
+        }
+    }
+
+    /// The composite-index keys to register: body joins, plus the
+    /// head-satisfaction keys when the variant runs restriction checks.
+    fn pair_plans(self, set: &TgdSet) -> &[(PredId, u16, u16)] {
+        match self {
+            Variant::Restricted => set.pair_plans(),
+            Variant::Oblivious | Variant::SemiOblivious => set.body_pair_plans(),
+        }
+    }
 }
 
 /// The result of a chase run.
@@ -256,6 +319,7 @@ impl TriggerQueue {
 #[derive(Debug, Clone)]
 pub struct RestrictedChase<'a> {
     set: &'a TgdSet,
+    variant: Variant,
     strategy: Strategy,
     record: bool,
     heartbeat_every: u64,
@@ -268,11 +332,18 @@ impl<'a> RestrictedChase<'a> {
     pub fn new(set: &'a TgdSet) -> Self {
         RestrictedChase {
             set,
+            variant: Variant::Restricted,
             strategy: Strategy::Fifo,
             record: true,
             heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
             profile_sample_every: DEFAULT_PROFILE_SAMPLE_EVERY,
         }
+    }
+
+    /// Selects the chase variant the loop runs.
+    pub(crate) fn variant(mut self, variant: Variant) -> Self {
+        self.variant = variant;
+        self
     }
 
     /// Selects the queue discipline.
@@ -378,14 +449,14 @@ impl<'a> RestrictedChase<'a> {
         obs: &mut O,
         scratch: &mut ChaseScratch,
     ) -> ChaseRun {
-        const ENGINE: EngineKind = EngineKind::Restricted;
+        let engine = self.variant.engine();
         // `Some` exactly when the observer opted into profiling;
         // doubles as the heartbeat reference clock, so unprofiled runs
         // never read the clock or walk the instance for samples.
         let run_start = (obs.enabled() && obs.profiling()).then(std::time::Instant::now);
         if let Some(outcome) = gov.interrupted(0) {
             emit(obs, || Event::RunInterrupted {
-                engine: ENGINE,
+                engine,
                 step: 0,
                 // Total: `interrupted` only returns interrupt outcomes.
                 reason: outcome
@@ -410,12 +481,12 @@ impl<'a> RestrictedChase<'a> {
         // on, and candidate pruning through them is order-preserving
         // (see `chase_core::hom`), so seed-engine bit-identity holds.
         let index_guard = span_enter(obs, spans::INDEX_MAINTAIN, NO_TGD);
-        for &(pred, a, b) in self.set.pair_plans() {
+        for &(pred, a, b) in self.variant.pair_plans(self.set) {
             instance.register_pair_index(pred, a as usize, b as usize);
         }
         index_guard.exit(obs);
         let mut skolem = SkolemTable::above(
-            SkolemPolicy::PerTrigger,
+            self.variant.skolem(),
             instance.iter().flat_map(|a| a.args.iter().copied()),
         );
         let mut queue = TriggerQueue::new(self.strategy, self.set.len());
@@ -432,10 +503,10 @@ impl<'a> RestrictedChase<'a> {
         // Seed: all triggers on the database.
         let seed_guard = span_enter(obs, spans::SEED, NO_TGD);
         let _ = for_each_trigger_with(matcher, self.set, &instance, &mut |id, b| {
-            let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
+            let fp = TriggerFp::of(id, b, self.variant.fp_vars(self.set.tgd(id)));
             if seen.insert(fp) {
                 emit_detail(obs, || Event::TriggerDiscovered {
-                    engine: ENGINE,
+                    engine,
                     tgd: id.0,
                     step: 0,
                 });
@@ -445,7 +516,7 @@ impl<'a> RestrictedChase<'a> {
         });
         seed_guard.exit(obs);
         emit_detail(obs, || Event::QueueDepth {
-            engine: ENGINE,
+            engine,
             step: 0,
             depth: queue.len() as u64,
         });
@@ -457,7 +528,7 @@ impl<'a> RestrictedChase<'a> {
         loop {
             if let Some(outcome) = gov.interrupted(steps) {
                 emit(obs, || Event::RunInterrupted {
-                    engine: ENGINE,
+                    engine,
                     step: steps as u64,
                     // Total: `interrupted` only returns interrupt outcomes.
                     reason: outcome
@@ -467,7 +538,7 @@ impl<'a> RestrictedChase<'a> {
                 if let Some(start) = run_start {
                     emit_profile_sample(
                         obs,
-                        ENGINE,
+                        engine,
                         start,
                         &instance,
                         steps as u64,
@@ -488,36 +559,39 @@ impl<'a> RestrictedChase<'a> {
             pop_idx += 1;
             let step_guard = span_enter_sampled(obs, spans::STEP, popped.tgd.0, sampled, None);
             let tgd = self.set.tgd(popped.tgd);
-            check_binding.clear();
-            for &(v, t) in popped.pairs(&arena) {
-                check_binding.push(v, t);
-            }
             // Adjacent span boundaries share one clock reading
             // (`exit_now`/`_at`) to keep profiling overhead within the
             // gate's budget.
-            let check_guard = span_enter_sampled(
-                obs,
-                spans::RESTRICTION_CHECK,
-                popped.tgd.0,
-                sampled,
-                step_guard.start(),
-            );
-            let active = !head_satisfied_with(probe, tgd, &instance, check_binding);
-            let check_end = check_guard.exit_now(obs);
-            emit_detail(obs, || Event::TriggerChecked {
-                engine: ENGINE,
-                tgd: popped.tgd.0,
-                step: steps as u64,
-                active,
-            });
-            if !active {
-                emit_detail(obs, || Event::TriggerDeactivated {
-                    engine: ENGINE,
+            let mut check_end = step_guard.start();
+            if self.variant == Variant::Restricted {
+                check_binding.clear();
+                for &(v, t) in popped.pairs(&arena) {
+                    check_binding.push(v, t);
+                }
+                let check_guard = span_enter_sampled(
+                    obs,
+                    spans::RESTRICTION_CHECK,
+                    popped.tgd.0,
+                    sampled,
+                    check_end,
+                );
+                let active = !head_satisfied_with(probe, tgd, &instance, check_binding);
+                check_end = check_guard.exit_now(obs);
+                emit_detail(obs, || Event::TriggerChecked {
+                    engine,
                     tgd: popped.tgd.0,
                     step: steps as u64,
+                    active,
                 });
-                step_guard.exit_at(obs, check_end);
-                continue; // deactivated since discovery — monotone, stays so
+                if !active {
+                    emit_detail(obs, || Event::TriggerDeactivated {
+                        engine,
+                        tgd: popped.tgd.0,
+                        step: steps as u64,
+                    });
+                    step_guard.exit_at(obs, check_end);
+                    continue; // deactivated since discovery — monotone, stays so
+                }
             }
             if gov.budget_exhausted(steps, instance.len()) {
                 // Put it back so the caller can inspect pending work.
@@ -526,7 +600,7 @@ impl<'a> RestrictedChase<'a> {
                 if let Some(start) = run_start {
                     emit_profile_sample(
                         obs,
-                        ENGINE,
+                        engine,
                         start,
                         &instance,
                         steps as u64,
@@ -556,7 +630,7 @@ impl<'a> RestrictedChase<'a> {
             for atom in &added {
                 let (slot, fresh) = instance.insert(atom.clone());
                 emit_detail(obs, || Event::AtomInserted {
-                    engine: ENGINE,
+                    engine,
                     predicate: atom.pred.0,
                     step: steps as u64 + 1,
                     fresh,
@@ -570,23 +644,20 @@ impl<'a> RestrictedChase<'a> {
             steps += 1;
             for null in nulls_before..nulls_after {
                 emit_detail(obs, || Event::NullInvented {
-                    engine: ENGINE,
+                    engine,
                     null,
                     step: steps as u64,
                 });
             }
             emit(obs, || Event::TriggerApplied {
-                engine: ENGINE,
-                tgd: trigger.tgd.0,
+                engine,
+                tgd: popped.tgd.0,
                 step: steps as u64,
                 new_atoms: fresh_atoms,
                 new_nulls: nulls_after - nulls_before,
             });
             if self.record {
-                derivation.steps.push(Step {
-                    trigger: trigger.clone(),
-                    added: added.clone(),
-                });
+                derivation.steps.push(Step { trigger, added });
             }
             // Delta discovery: only triggers using a fresh atom.
             let match_guard =
@@ -598,10 +669,10 @@ impl<'a> RestrictedChase<'a> {
                     &instance,
                     slot,
                     &mut |id, b| {
-                        let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
+                        let fp = TriggerFp::of(id, b, self.variant.fp_vars(self.set.tgd(id)));
                         if seen.insert(fp) {
                             emit_detail(obs, || Event::TriggerDiscovered {
-                                engine: ENGINE,
+                                engine,
                                 tgd: id.0,
                                 step: steps as u64,
                             });
@@ -613,7 +684,7 @@ impl<'a> RestrictedChase<'a> {
             }
             let match_end = match_guard.exit_now(obs);
             emit_detail(obs, || Event::QueueDepth {
-                engine: ENGINE,
+                engine,
                 step: steps as u64,
                 depth: queue.len() as u64,
             });
@@ -622,7 +693,7 @@ impl<'a> RestrictedChase<'a> {
                 if (steps as u64).is_multiple_of(self.heartbeat_every) {
                     emit_profile_sample(
                         obs,
-                        ENGINE,
+                        engine,
                         start,
                         &instance,
                         steps as u64,
@@ -635,12 +706,12 @@ impl<'a> RestrictedChase<'a> {
         // when the tail of the queue was all deactivated triggers
         // (which emit no per-step sample).
         emit_detail(obs, || Event::QueueDepth {
-            engine: ENGINE,
+            engine,
             step: steps as u64,
             depth: queue.len() as u64,
         });
         if let Some(start) = run_start {
-            emit_profile_sample(obs, ENGINE, start, &instance, steps as u64, 0);
+            emit_profile_sample(obs, engine, start, &instance, steps as u64, 0);
         }
         ChaseRun {
             outcome: Outcome::Terminated,

@@ -32,7 +32,6 @@ use chase_core::term::Term;
 use chase_core::tgd::TgdSet;
 
 use crate::derivation::Derivation;
-use crate::oblivious::ObliviousRun;
 use crate::restricted::{Budget, ChaseRun, Outcome, Strategy};
 use crate::skolem::{SkolemPolicy, SkolemTable};
 use crate::trigger::Trigger;
@@ -269,7 +268,7 @@ impl<'a> SeedObliviousChase<'a> {
     }
 
     /// Runs the frozen oblivious chase on `database` within `budget`.
-    pub fn run(&self, database: &Instance, budget: Budget) -> ObliviousRun {
+    pub fn run(&self, database: &Instance, budget: Budget) -> ChaseRun {
         let mut instance = database.clone();
         let mut skolem = SkolemTable::above(
             self.policy,
@@ -304,10 +303,11 @@ impl<'a> SeedObliviousChase<'a> {
         let mut steps = 0usize;
         while let Some(trigger) = queue.pop_front() {
             if steps >= budget.max_steps || instance.len() >= budget.max_atoms {
-                return ObliviousRun {
+                return ChaseRun {
                     outcome: Outcome::BudgetExhausted,
                     instance,
                     steps,
+                    derivation: Derivation::default(),
                 };
             }
             let tgd = self.set.tgd(trigger.tgd);
@@ -329,10 +329,11 @@ impl<'a> SeedObliviousChase<'a> {
                 });
             }
         }
-        ObliviousRun {
+        ChaseRun {
             outcome: Outcome::Terminated,
             instance,
             steps,
+            derivation: Derivation::default(),
         }
     }
 }

@@ -168,12 +168,6 @@ impl Trigger {
         !exists_homomorphism(tgd.head(), instance, &self.binding)
     }
 
-    /// [`Trigger::is_active`] with a caller-owned scratch arena
-    /// (allocation-free once warmed).
-    pub fn is_active_with(&self, tgd: &Tgd, instance: &Instance, scratch: &mut HomScratch) -> bool {
-        !head_satisfied_with(scratch, tgd, instance, &self.binding)
-    }
-
     /// Computes `result(σ, h)` — the head atoms with frontier
     /// variables instantiated by `h` and existential variables
     /// witnessed by nulls from `skolem` (Definition 3.1). Single-head
@@ -235,9 +229,8 @@ pub struct ChaseScratch {
 /// Head-satisfaction check for a `(tgd, binding)` pair: whether some
 /// homomorphism of the head into `instance` extends `binding`.
 ///
-/// This single entry point is shared by [`Trigger::is_active_with`]
-/// and the restricted engine's pop-time check, so every consumer
-/// computes the exact same answer. Dispatch order: the O(1)
+/// This is the chase loop's pop-time restriction check; it answers
+/// exactly as [`Trigger::is_active`] (negated). Dispatch order: the O(1)
 /// [`head_satisfied_probe`] when the TGD admits one, else the general
 /// search (whose ground membership fast path decides full TGDs with
 /// one probe per head atom).
@@ -253,26 +246,6 @@ pub fn head_satisfied_with(
     exists_homomorphism_with(scratch, tgd.head(), instance, binding)
 }
 
-/// Enumerates every trigger of the single TGD `(id, tgd)` on
-/// `instance` through a caller-owned scratch, handing out
-/// `(id, &binding)` pairs without constructing [`Trigger`] values.
-/// Building block of [`for_each_trigger_with`].
-pub fn for_each_trigger_of_tgd_with(
-    scratch: &mut HomScratch,
-    id: TgdId,
-    tgd: &Tgd,
-    instance: &Instance,
-    f: &mut dyn FnMut(TgdId, &Binding) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let mut binding = scratch.take_binding();
-    binding.clear();
-    let flow = for_each_homomorphism_with(scratch, tgd.body(), instance, &mut binding, &mut |b| {
-        f(id, b)
-    });
-    scratch.put_binding(binding);
-    flow
-}
-
 /// Enumerates every trigger for `set` on `instance` through a
 /// caller-owned scratch, handing out `(tgd, &binding)` pairs without
 /// constructing [`Trigger`] values — the caller clones the binding
@@ -284,7 +257,14 @@ pub fn for_each_trigger_with(
     f: &mut dyn FnMut(TgdId, &Binding) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     for (id, tgd) in set.iter() {
-        for_each_trigger_of_tgd_with(scratch, id, tgd, instance, f)?;
+        let mut binding = scratch.take_binding();
+        binding.clear();
+        let flow =
+            for_each_homomorphism_with(scratch, tgd.body(), instance, &mut binding, &mut |b| {
+                f(id, b)
+            });
+        scratch.put_binding(binding);
+        flow?;
     }
     ControlFlow::Continue(())
 }
@@ -303,64 +283,48 @@ pub fn for_each_trigger_using_with(
     new_slot: usize,
     f: &mut dyn FnMut(TgdId, &Binding) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    for (id, tgd) in set.iter() {
-        for_each_trigger_of_tgd_using_with(scratch, id, tgd, instance, new_slot, f)?;
-    }
-    ControlFlow::Continue(())
-}
-
-/// The single-TGD slice of [`for_each_trigger_using_with`]: delta
-/// triggers of `(id, tgd)` whose body uses the atom at `new_slot`.
-pub fn for_each_trigger_of_tgd_using_with(
-    scratch: &mut HomScratch,
-    id: TgdId,
-    tgd: &Tgd,
-    instance: &Instance,
-    new_slot: usize,
-    f: &mut dyn FnMut(TgdId, &Binding) -> ControlFlow<()>,
-) -> ControlFlow<()> {
     let new_atom = instance.atom(new_slot);
-    for (i, body_atom) in tgd.body().iter().enumerate() {
-        if body_atom.pred != new_atom.pred {
-            continue;
-        }
-        // Seed the binding by unifying body_atom with the new atom.
-        let mut binding = scratch.take_binding();
-        binding.clear();
-        let mut ok = true;
-        for (p, &t) in body_atom.args.iter().zip(new_atom.args.iter()) {
-            match *p {
-                Term::Var(v) => match binding.get(v) {
-                    Some(bound) if bound != t => {
-                        ok = false;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => binding.push(v, t),
-                },
-                ground => {
-                    if ground != t {
-                        ok = false;
-                        break;
+    for (id, tgd) in set.iter() {
+        for (i, body_atom) in tgd.body().iter().enumerate() {
+            if body_atom.pred != new_atom.pred {
+                continue;
+            }
+            // Seed the binding by unifying body_atom with the new atom.
+            let mut binding = scratch.take_binding();
+            binding.clear();
+            let mut ok = true;
+            for (p, &t) in body_atom.args.iter().zip(new_atom.args.iter()) {
+                match *p {
+                    Term::Var(v) => match binding.get(v) {
+                        Some(bound) if bound != t => {
+                            ok = false;
+                            break;
+                        }
+                        Some(_) => {}
+                        None => binding.push(v, t),
+                    },
+                    ground => {
+                        if ground != t {
+                            ok = false;
+                            break;
+                        }
                     }
                 }
             }
-        }
-        if !ok {
+            if !ok {
+                scratch.put_binding(binding);
+                continue;
+            }
+            // Complete the rest of the body against the instance.
+            let flow = for_each_homomorphism_with(
+                scratch,
+                tgd.body_without(i),
+                instance,
+                &mut binding,
+                &mut |b| f(id, b),
+            );
             scratch.put_binding(binding);
-            continue;
-        }
-        // Complete the rest of the body against the instance.
-        let flow = for_each_homomorphism_with(
-            scratch,
-            tgd.body_without(i),
-            instance,
-            &mut binding,
-            &mut |b| f(id, b),
-        );
-        scratch.put_binding(binding);
-        if flow.is_break() {
-            return ControlFlow::Break(());
+            flow?;
         }
     }
     ControlFlow::Continue(())
@@ -376,26 +340,6 @@ pub fn for_each_trigger(
 ) -> ControlFlow<()> {
     with_scratch(|scratch| {
         for_each_trigger_with(scratch, set, instance, &mut |id, b| {
-            f(Trigger {
-                tgd: id,
-                binding: b.clone(),
-            })
-        })
-    })
-}
-
-/// Enumerates the triggers for `set` on `instance` in which the body
-/// atom at some position is matched to the atom stored at
-/// `new_slot` — the semi-naive delta used after inserting that atom.
-/// Triggers not involving the new atom are *not* reported.
-pub fn for_each_trigger_using(
-    set: &TgdSet,
-    instance: &Instance,
-    new_slot: usize,
-    f: &mut dyn FnMut(Trigger) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    with_scratch(|scratch| {
-        for_each_trigger_using_with(scratch, set, instance, new_slot, &mut |id, b| {
             f(Trigger {
                 tgd: id,
                 binding: b.clone(),
@@ -487,8 +431,9 @@ mod tests {
         let (slot, fresh) = inst.insert(Atom::new(r, vec![Term::Const(c), Term::Const(d)]));
         assert!(fresh);
         let mut delta = Vec::new();
-        let _ = for_each_trigger_using(&set, &inst, slot, &mut |t| {
-            delta.push(t);
+        let mut scratch = HomScratch::new();
+        let _ = for_each_trigger_using_with(&mut scratch, &set, &inst, slot, &mut |id, b| {
+            delta.push((id, b.clone()));
             ControlFlow::Continue(())
         });
         // New triggers: (R(b,c),R(c,d)) and (R(c,d),?) — only the former completes.

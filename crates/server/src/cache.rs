@@ -28,10 +28,9 @@
 //!
 //! LRU by a monotone use-stamp, evicting while over either cap
 //! (`max_entries`, `max_bytes` of [`CompiledProgram::approx_bytes`]).
-//! Per-tenant accounting (lookups/hits/bytes compiled) is kept for the
-//! fleet's fairness dashboards; hit/miss/eviction totals feed the
-//! telemetry counters surfaced through session event streams and
-//! `chasectl stats`.
+//! Hit/miss/eviction totals feed the telemetry counters surfaced
+//! through session event streams and `chasectl stats`; nothing is
+//! accounted per tenant.
 
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -99,18 +98,6 @@ impl CacheCounters {
     }
 }
 
-/// Per-tenant accounting row (fairness dashboards, future per-tenant
-/// quotas).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantUsage {
-    /// Program lookups attributed to the tenant.
-    pub lookups: u64,
-    /// Of those, answered from cache.
-    pub hits: u64,
-    /// Bytes of compiled program the tenant caused to be built.
-    pub compiled_bytes: u64,
-}
-
 struct Entry {
     program: Arc<CompiledProgram>,
     bytes: usize,
@@ -123,7 +110,6 @@ struct ProgramCacheInner {
     /// FxHash of raw source bytes → fingerprint, for zero-parse hits
     /// on byte-identical resubmission.
     source_alias: HashMap<u64, ProgramFingerprint>,
-    tenants: HashMap<String, TenantUsage>,
     total_bytes: usize,
     tick: u64,
 }
@@ -211,14 +197,6 @@ impl ProgramCache {
         &self.counters
     }
 
-    /// Per-tenant accounting snapshot, sorted by tenant name.
-    pub fn tenant_usage(&self) -> Vec<(String, TenantUsage)> {
-        let inner = self.inner.lock().expect("program cache poisoned");
-        let mut rows: Vec<_> = inner.tenants.iter().map(|(t, u)| (t.clone(), *u)).collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
-
     /// Resident entries.
     pub fn len(&self) -> usize {
         self.inner
@@ -245,13 +223,9 @@ impl ProgramCache {
     /// submission). A miss means the client must fall back to full
     /// source; it is *not* counted as a cache miss — no compile was
     /// avoidable.
-    pub fn lookup_ref(&self, fp: ProgramFingerprint, tenant: &str) -> Option<Arc<CompiledProgram>> {
-        let mut inner = self.inner.lock().expect("program cache poisoned");
-        let hit = inner.touch(fp);
-        let usage = inner.tenants.entry(tenant.to_string()).or_default();
-        usage.lookups += 1;
+    pub fn lookup_ref(&self, fp: ProgramFingerprint) -> Option<Arc<CompiledProgram>> {
+        let hit = self.inner.lock().expect("program cache poisoned").touch(fp);
         if hit.is_some() {
-            usage.hits += 1;
             CacheCounters::bump(&self.counters.hits);
         }
         hit
@@ -261,15 +235,15 @@ impl ProgramCache {
     /// resubmissions hit via the source alias with zero parse work;
     /// otherwise one compile runs and the result is cached (deduped by
     /// fingerprint, so reformatted equivalents share one entry).
-    pub fn resolve_source(&self, source: &str, tenant: &str) -> Result<Resolved, CoreError> {
+    ///
+    /// The tenant argument is ignored; it is kept because the frozen
+    /// served-request benchmark calls `resolve_source(src, TENANT)`.
+    pub fn resolve_source(&self, source: &str, _tenant: &str) -> Result<Resolved, CoreError> {
         let key = source_key(source);
         {
             let mut inner = self.inner.lock().expect("program cache poisoned");
-            let usage = inner.tenants.entry(tenant.to_string()).or_default();
-            usage.lookups += 1;
             if let Some(fp) = inner.source_alias.get(&key).copied() {
                 if let Some(program) = inner.touch(fp) {
-                    inner.tenants.entry(tenant.to_string()).or_default().hits += 1;
                     CacheCounters::bump(&self.counters.hits);
                     return Ok(Resolved {
                         program,
@@ -313,8 +287,6 @@ impl ProgramCache {
             }
         };
         inner.source_alias.insert(key, fp);
-        let usage = inner.tenants.entry(tenant.to_string()).or_default();
-        usage.compiled_bytes += bytes as u64;
         let evicted = inner.evict_over_caps(&self.config);
         self.counters
             .evictions
@@ -462,10 +434,8 @@ mod tests {
         let cache = ProgramCache::new(ProgramCacheConfig::default());
         let a = cache.resolve_source(FINITE, "t").unwrap();
         let fp = a.program.fingerprint();
-        assert!(cache.lookup_ref(fp, "t").is_some());
-        assert!(cache
-            .lookup_ref(ProgramFingerprint(0xDEAD_BEEF), "t")
-            .is_none());
+        assert!(cache.lookup_ref(fp).is_some());
+        assert!(cache.lookup_ref(ProgramFingerprint(0xDEAD_BEEF)).is_none());
     }
 
     #[test]
@@ -478,13 +448,13 @@ mod tests {
         let fp_a = a.program.fingerprint();
         cache.resolve_source("C(c).\nC(x) -> D(x).", "t").unwrap();
         // Touch `a` so the C program is the LRU victim.
-        assert!(cache.lookup_ref(fp_a, "t").is_some());
+        assert!(cache.lookup_ref(fp_a).is_some());
         let c = cache.resolve_source("E(e).\nE(x) -> F(x).", "t").unwrap();
         assert_eq!(c.evicted, 1);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.counters().snapshot()[2], 1);
         // `a` survived (and this lookup re-touches it).
-        assert!(cache.lookup_ref(fp_a, "t").is_some());
+        assert!(cache.lookup_ref(fp_a).is_some());
         // The evicted program's source alias is gone too: resubmitting
         // it compiles again.
         let again = cache.resolve_source("C(c).\nC(x) -> D(x).", "t").unwrap();
@@ -501,25 +471,6 @@ mod tests {
         cache.resolve_source("C(c).\nC(x) -> D(x).", "t").unwrap();
         // Over-cap, but the most recent entry is always kept.
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn tenant_accounting_attributes_lookups_and_hits() {
-        let cache = ProgramCache::new(ProgramCacheConfig::default());
-        cache.resolve_source(FINITE, "alice").unwrap();
-        cache.resolve_source(FINITE, "bob").unwrap();
-        cache.resolve_source(FINITE, "bob").unwrap();
-        let rows = cache.tenant_usage();
-        assert_eq!(rows.len(), 2);
-        let alice = &rows[0];
-        let bob = &rows[1];
-        assert_eq!(
-            (alice.0.as_str(), alice.1.lookups, alice.1.hits),
-            ("alice", 1, 0)
-        );
-        assert_eq!((bob.0.as_str(), bob.1.lookups, bob.1.hits), ("bob", 2, 2));
-        assert!(alice.1.compiled_bytes > 0);
-        assert_eq!(bob.1.compiled_bytes, 0);
     }
 
     #[test]

@@ -493,7 +493,7 @@ fn resolve_program(
         return None;
     }
     if let Some(fp) = program_ref {
-        if let Some(program) = ctx.caches.programs.lookup_ref(fp, tenant) {
+        if let Some(program) = ctx.caches.programs.lookup_ref(fp) {
             emit_counter(conn, id, telemetry, names::PROGRAM_CACHE_HITS, 1);
             return Some(program);
         }

@@ -178,13 +178,8 @@ impl ChaseObserver for CountingObserver {
 /// writer buffers internally per event only; wrap the target in a
 /// [`std::io::BufWriter`] for file output.
 ///
-/// Degradation is reported **once**: with
-/// [`JsonlWriter::warn_on_degrade`] set, the writer prints a single
-/// stderr warning the first time a write fails, then counts every
-/// further drop silently — a resident server tailing a broken sink
-/// must not emit one warning line per dropped event. The final
-/// dropped-event count is the caller's to report at flush time (see
-/// `chasectl`'s trace summary).
+/// Drops are silent: the dropped-event count is the caller's to
+/// report at flush time (see `chasectl`'s trace summary).
 ///
 /// Dropping the writer flushes it (errors ignored — `Drop` cannot
 /// report them), so a trace wrapped in a `BufWriter` does not lose
@@ -199,12 +194,6 @@ pub struct JsonlWriter<W: Write> {
     written: u64,
     io_errors: u64,
     first_error: Option<io::Error>,
-    /// Label prepended to the one-time degrade warning; `None`
-    /// disables the warning entirely (tests, in-memory sinks).
-    warn_label: Option<String>,
-    /// Degrade warnings actually emitted (0 or 1; observable so tests
-    /// can assert the dedupe).
-    warnings_emitted: u32,
 }
 
 impl<W: Write> JsonlWriter<W> {
@@ -216,18 +205,7 @@ impl<W: Write> JsonlWriter<W> {
             written: 0,
             io_errors: 0,
             first_error: None,
-            warn_label: None,
-            warnings_emitted: 0,
         }
-    }
-
-    /// Enables the one-time stderr warning on the first failed write,
-    /// prefixed with `label` (typically the sink's file name). Later
-    /// failures are counted silently; report
-    /// [`JsonlWriter::io_errors`] at flush time for the total.
-    pub fn warn_on_degrade(mut self, label: impl Into<String>) -> Self {
-        self.warn_label = Some(label.into());
-        self
     }
 
     /// Number of events successfully written.
@@ -246,17 +224,11 @@ impl<W: Write> JsonlWriter<W> {
         self.first_error.as_ref()
     }
 
-    /// Degrade warnings emitted so far — 0 before the first failed
-    /// write, 1 ever after (the warning is deduplicated).
-    pub fn degrade_warnings_emitted(&self) -> u32 {
-        self.warnings_emitted
-    }
-
     /// Flushes and returns the underlying writer. Dropped events are
     /// *not* an error here — check [`JsonlWriter::io_errors`]; only a
     /// failing flush is reported, and only for a sink that had not
     /// already degraded (a degraded sink's flush failure is part of
-    /// the same breakage, already counted and warned about once).
+    /// the same breakage, already counted).
     pub fn finish(mut self) -> io::Result<W> {
         let mut out = self.out.take().expect("writer present until finish");
         match out.flush() {
@@ -289,16 +261,6 @@ impl<W: Write> ChaseObserver for JsonlWriter<W> {
             Err(err) => {
                 self.io_errors += 1;
                 if self.first_error.is_none() {
-                    // First failure: warn once (if asked to), then
-                    // degrade quietly — one warning per *sink*, never
-                    // one per dropped event.
-                    if let Some(label) = &self.warn_label {
-                        self.warnings_emitted += 1;
-                        eprintln!(
-                            "{label}: warning: trace sink degraded ({err}); further dropped \
-                             events are counted silently and reported at flush"
-                        );
-                    }
                     self.first_error = Some(err);
                 }
             }
@@ -313,13 +275,11 @@ impl<W: Write> ChaseObserver for JsonlWriter<W> {
 /// over the connection).
 ///
 /// The closure receives the bare event object (no trailing newline);
-/// framing and routing are the callback's business. `profiling`
-/// controls whether the engines emit their span/memory/heartbeat
-/// stream into this sink.
+/// framing and routing are the callback's business. The observer
+/// never opts into the profiling stream.
 pub struct LineObserver<F: FnMut(&str)> {
     sink: F,
     buf: String,
-    profiling: bool,
 }
 
 impl<F: FnMut(&str)> LineObserver<F> {
@@ -328,31 +288,17 @@ impl<F: FnMut(&str)> LineObserver<F> {
         LineObserver {
             sink,
             buf: String::with_capacity(128),
-            profiling: false,
         }
-    }
-
-    /// Opts the observer into the profiling stream (spans, memory
-    /// samples, heartbeats).
-    pub fn with_profiling(mut self, profiling: bool) -> Self {
-        self.profiling = profiling;
-        self
     }
 }
 
 impl<F: FnMut(&str)> std::fmt::Debug for LineObserver<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LineObserver")
-            .field("profiling", &self.profiling)
-            .finish()
+        f.debug_struct("LineObserver").finish_non_exhaustive()
     }
 }
 
 impl<F: FnMut(&str)> ChaseObserver for LineObserver<F> {
-    fn profiling(&self) -> bool {
-        self.profiling
-    }
-
     fn on_event(&mut self, event: &Event) {
         self.buf.clear();
         event.write_json(&mut self.buf);
@@ -504,24 +450,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn jsonl_writer_warns_exactly_once_on_degrade() {
-        let mut writer = JsonlWriter::new(FailingWriter).warn_on_degrade("test-sink");
-        assert_eq!(writer.degrade_warnings_emitted(), 0);
-        for _ in 0..5 {
-            writer.on_event(&Event::PhaseEntered { phase: "x" });
-        }
-        assert_eq!(writer.io_errors(), 5);
-        assert_eq!(
-            writer.degrade_warnings_emitted(),
-            1,
-            "one warning per sink, not one per dropped event"
-        );
-        // A degraded sink's flush failure is part of the same
-        // breakage: already counted, not a fresh error.
-        assert!(writer.finish().is_ok());
-    }
-
     /// A writer whose writes succeed but whose flush fails.
     struct FlushFailWriter;
 
@@ -561,13 +489,6 @@ mod tests {
             assert!(line.ends_with('}'), "no newline framing: {line}");
             assert!(crate::json::parse_line(line).is_ok());
         }
-    }
-
-    #[test]
-    fn line_observer_profiling_gate() {
-        let mut obs = LineObserver::new(|_line: &str| {}).with_profiling(true);
-        assert!(obs.profiling());
-        obs.on_event(&Event::PhaseEntered { phase: "x" });
     }
 
     #[test]

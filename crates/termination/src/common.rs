@@ -6,7 +6,7 @@ use std::time::Duration;
 use chase_core::cancel::CancelToken;
 use chase_core::instance::Instance;
 use chase_engine::derivation::Derivation;
-use chase_engine::governor::ResourceGovernor;
+use chase_engine::governor::{Outcome, ResourceGovernor};
 
 /// How a positive (terminating) verdict was established.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,6 +92,19 @@ impl TerminationVerdict {
     pub fn is_unknown(&self) -> bool {
         matches!(self, TerminationVerdict::Unknown { .. })
     }
+
+    /// The `Unknown` verdict of a decision that a deadline or a
+    /// cancellation (`outcome`) stopped; `at` names where, e.g.
+    /// `"before classification"`.
+    pub(crate) fn interrupted(outcome: Outcome, at: &str) -> TerminationVerdict {
+        let cause = match outcome {
+            Outcome::Cancelled => "cancelled",
+            _ => "deadline exceeded",
+        };
+        TerminationVerdict::Unknown {
+            reason: format!("{cause} {at}"),
+        }
+    }
 }
 
 /// Resource configuration for the deciders.
@@ -107,14 +120,15 @@ pub struct DeciderConfig {
     /// Maximum seed databases for the guarded detector.
     pub max_seeds: usize,
     /// Optional wall-clock deadline for the whole decision, measured
-    /// from the `decide` call. Expiry yields a truthful
+    /// from the `decide` call and enforced inside the guarded
+    /// decider's chases too. Expiry yields a truthful
     /// [`TerminationVerdict::Unknown`] whose reason starts with
     /// `"deadline exceeded"`.
     pub deadline: Option<Duration>,
     /// Cooperative cancellation for the whole decision: cancel any
     /// clone of this token and `decide` returns
     /// [`TerminationVerdict::Unknown`] (reason prefix `"cancelled"`)
-    /// at its next phase boundary.
+    /// at its next phase boundary or guarded-decider chase step.
     pub cancel: CancelToken,
 }
 

@@ -32,9 +32,10 @@ use chase_core::subst::Binding;
 use chase_core::tgd::{TgdId, TgdSet};
 use chase_core::vocab::Vocabulary;
 use chase_engine::critical::critical_database;
+use chase_engine::governor::ResourceGovernor;
 use chase_engine::restricted::{Budget, Outcome, RestrictedChase, Strategy};
 use chase_telemetry::{emit, names, time_phase, ChaseObserver, Event, NullObserver};
-use tgd_classes::baselines::{semi_oblivious_critical, CriterionOutcome};
+use tgd_classes::baselines::{semi_oblivious_critical_governed, CriterionOutcome};
 use tgd_classes::guarded::guard_index;
 use tgd_classes::weakly_acyclic::is_weakly_acyclic;
 
@@ -278,12 +279,30 @@ pub fn decide_guarded(
 /// (whose internal restricted-chase runs stream their own trigger and
 /// queue events), and the number of seeds actually chased on the
 /// `guarded.seeds_tried` counter.
+///
+/// Every internal chase runs under the config's deadline and
+/// cancellation; an interrupted chase yields an `Unknown` whose reason
+/// starts with `"deadline exceeded"` or `"cancelled"`, never a verdict.
 pub fn decide_guarded_observed<O: ChaseObserver + ?Sized>(
     set: &TgdSet,
     vocab: &Vocabulary,
     config: &DeciderConfig,
     obs: &mut O,
 ) -> TerminationVerdict {
+    decide_guarded_governed(set, vocab, config, &config.governor(), obs)
+}
+
+/// [`decide_guarded_observed`] under `gov`, the deadline and
+/// cancellation of an enclosing `decide` (its budget is ignored: each
+/// chase gets its own from `config`).
+pub(crate) fn decide_guarded_governed<O: ChaseObserver + ?Sized>(
+    set: &TgdSet,
+    vocab: &Vocabulary,
+    config: &DeciderConfig,
+    gov: &ResourceGovernor,
+    obs: &mut O,
+) -> TerminationVerdict {
+    let budgeted = |n: usize| gov.clone().with_budget(Budget::steps(n));
     if let Err(e) = set.require_single_head() {
         return TerminationVerdict::Unknown {
             reason: format!("not single-head: {e}"),
@@ -314,16 +333,20 @@ pub fn decide_guarded_observed<O: ChaseObserver + ?Sized>(
                 TerminationCertificate::JointlyAcyclic,
             ));
         }
-        if let CriterionOutcome::Holds { steps } = semi_oblivious_critical(
+        match semi_oblivious_critical_governed(
             &simplified,
             &mut scratch,
-            Budget::steps(config.chase_budget),
+            &budgeted(config.chase_budget),
         ) {
-            return Some(TerminationVerdict::AllInstancesTerminating(
+            CriterionOutcome::Holds { steps } => Some(TerminationVerdict::AllInstancesTerminating(
                 TerminationCertificate::SemiObliviousCritical { steps },
-            ));
+            )),
+            CriterionOutcome::Interrupted(outcome) => Some(TerminationVerdict::interrupted(
+                outcome,
+                "during the guarded provers",
+            )),
+            CriterionOutcome::BudgetExhausted => None,
         }
-        None
     });
     if let Some(verdict) = proved {
         return verdict;
@@ -333,17 +356,30 @@ pub fn decide_guarded_observed<O: ChaseObserver + ?Sized>(
     time_phase(obs, "guarded.seed_search", |obs| {
         let seeds = acyclic_seeds(set, &mut scratch, config.max_seeds);
         let engine = RestrictedChase::new(set).strategy(Strategy::Fifo);
+        let b = config.chase_budget / 4;
+        let (short_gov, long_gov) = (budgeted(b), budgeted(2 * b));
+        let witness_gov = budgeted(config.witness_steps);
+        let stopped = |outcome: Outcome| {
+            outcome
+                .is_interrupted()
+                .then(|| TerminationVerdict::interrupted(outcome, "during the guarded seed search"))
+        };
         for seed in &seeds {
             emit(obs, || Event::CounterAdd {
                 name: names::GUARDED_SEEDS,
                 delta: 1,
             });
-            let b = config.chase_budget / 4;
-            let short = engine.run_observed(seed, Budget::steps(b), obs);
+            let short = engine.run_governed_observed(seed, &short_gov, obs);
+            if let Some(v) = stopped(short.outcome) {
+                return v;
+            }
             if short.outcome == Outcome::Terminated {
                 continue;
             }
-            let long = engine.run_observed(seed, Budget::steps(2 * b), obs);
+            let long = engine.run_governed_observed(seed, &long_gov, obs);
+            if let Some(v) = stopped(long.outcome) {
+                return v;
+            }
             if long.outcome == Outcome::Terminated {
                 continue;
             }
@@ -351,7 +387,10 @@ pub fn decide_guarded_observed<O: ChaseObserver + ?Sized>(
             let growing = long.steps >= short.steps + b / 2;
             if growing && has_repeating_guard_path(set, &long) {
                 // Re-run with the witness horizon and validate.
-                let evidence = engine.run_observed(seed, Budget::steps(config.witness_steps), obs);
+                let evidence = engine.run_governed_observed(seed, &witness_gov, obs);
+                if let Some(v) = stopped(evidence.outcome) {
+                    return v;
+                }
                 if evidence.derivation.validate(seed, set, false).is_ok() {
                     return TerminationVerdict::NonTerminating(Box::new(NonTerminationWitness {
                         database: seed.clone(),

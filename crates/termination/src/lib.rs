@@ -69,22 +69,16 @@ fn decide_inner<O: ChaseObserver + ?Sized>(
     config: &DeciderConfig,
     obs: &mut O,
 ) -> TerminationVerdict {
-    // Deadline clock starts here; polled at every phase boundary so a
-    // deadline or cancellation yields a truthful `Unknown` instead of
-    // a half-finished phase masquerading as a verdict.
+    // Deadline clock starts here; polled at every phase boundary (and
+    // inside the guarded decider's chases) so a deadline or
+    // cancellation yields a truthful `Unknown` instead of a
+    // half-finished phase masquerading as a verdict.
     let gov = config.governor();
     let interrupted_before = |gov: &chase_engine::governor::ResourceGovernor,
                               phase: &str|
      -> Option<TerminationVerdict> {
         gov.interrupted(0)
-            .map(|outcome| TerminationVerdict::Unknown {
-                reason: match outcome {
-                    chase_engine::governor::Outcome::Cancelled => {
-                        format!("cancelled before {phase}")
-                    }
-                    _ => format!("deadline exceeded before {phase}"),
-                },
-            })
+            .map(|outcome| TerminationVerdict::interrupted(outcome, &format!("before {phase}")))
     };
     if set.require_single_head().is_err() {
         return TerminationVerdict::Unknown {
@@ -109,7 +103,7 @@ fn decide_inner<O: ChaseObserver + ?Sized>(
     if let Some(v) = interrupted_before(&gov, "the guarded decision") {
         return v;
     }
-    guarded::decide_guarded_observed(set, vocab, config, obs)
+    guarded::decide_guarded_governed(set, vocab, config, &gov, obs)
 }
 
 /// The decider class [`decide`] would dispatch `set` to: `"sticky"`,

@@ -5,12 +5,12 @@
 //! [`TerminationVerdict`] — never a panic, and never a confident
 //! verdict the decider did not actually earn.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use chase_core::cancel::CancelToken;
 use chase_core::parser::parse_program;
 use chase_core::vocab::Vocabulary;
-use chase_termination::{decide, DeciderConfig, TerminationVerdict};
+use chase_termination::{decide, decider_class, DeciderConfig, TerminationVerdict};
 
 /// Sticky and non-terminating: `R(a,b)` chases forever.
 const INFINITE: &str = "R(x,y) -> exists z. R(y,z).";
@@ -125,4 +125,35 @@ fn pre_cancelled_decider_is_typed_for_both_portfolio_routes() {
         let reason = unknown_reason(decide(&set, &vocab, &config));
         assert!(reason.starts_with("cancelled"), "{src:?}: {reason}");
     }
+}
+
+/// Guarded, not sticky, and non-terminating: with a large budget the
+/// semi-oblivious prover and every seed-search chase run long.
+const GUARDED_LOOP: &str = "S(x1,y1) -> T(x1).
+    R(x2,y2), T(y2) -> P(x2,y2).
+    P(x3,y3) -> exists z3. P(y3,z3).";
+
+/// The decide deadline reaches inside the guarded decider's own
+/// chases (the semi-oblivious prover and the seed search): with a
+/// chase budget that runs for seconds, decide stops within a few polls
+/// of the deadline and answers a typed `Unknown`, never a verdict read
+/// off an interrupted run.
+#[test]
+fn deadline_stops_the_guarded_decider_inside_its_chases() {
+    let mut vocab = Vocabulary::new();
+    let set = tgd_set(GUARDED_LOOP, &mut vocab);
+    assert_eq!(decider_class(&set), "guarded");
+    let config = DeciderConfig {
+        chase_budget: 400_000,
+        deadline: Some(Duration::from_millis(20)),
+        ..DeciderConfig::default()
+    };
+    let start = Instant::now();
+    let reason = unknown_reason(decide(&set, &vocab, &config));
+    let elapsed = start.elapsed();
+    assert!(
+        reason.starts_with("deadline exceeded"),
+        "reason should name the deadline, got: {reason}"
+    );
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
 }

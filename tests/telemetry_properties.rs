@@ -111,59 +111,60 @@ proptest! {
         }
     }
 
-    /// Observation is pure: the observed run returns exactly what the
-    /// unobserved run returns, event stream or not.
+    /// Observation is pure: for each chase variant (restricted,
+    /// oblivious, semi-oblivious) the observed run returns exactly what
+    /// the unobserved run returns, event stream or not.
     #[test]
     fn observation_never_changes_the_run(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
-        let engine = RestrictedChase::new(&set).strategy(Strategy::Fifo);
-        let plain = engine.run(&db, Budget::new(200, 2_000));
-        let mut obs = CountingObserver::new();
-        let observed = engine.run_observed(&db, Budget::new(200, 2_000), &mut obs);
-        prop_assert_eq!(plain.outcome, observed.outcome);
-        prop_assert_eq!(plain.steps, observed.steps);
-        prop_assert_eq!(plain.instance, observed.instance);
+        let budget = Budget::new(200, 2_000);
+        let restricted = RestrictedChase::new(&set).strategy(Strategy::Fifo);
+        let oblivious = ObliviousChase::new(&set);
+        let semi = ObliviousChase::new(&set).semi_oblivious();
+        let runs = [
+            (
+                restricted.run(&db, budget),
+                restricted.run_observed(&db, budget, &mut CountingObserver::new()),
+            ),
+            (
+                oblivious.run(&db, budget),
+                oblivious.run_observed(&db, budget, &mut CountingObserver::new()),
+            ),
+            (
+                semi.run(&db, budget),
+                semi.run_observed(&db, budget, &mut CountingObserver::new()),
+            ),
+        ];
+        for (plain, observed) in runs {
+            prop_assert_eq!(plain.outcome, observed.outcome);
+            prop_assert_eq!(plain.steps, observed.steps);
+            prop_assert_eq!(plain.instance, observed.instance);
+        }
     }
 
-    /// The profiling span stream is a well-nested word: every exit
-    /// matches the innermost open span, the stream closes everything
-    /// it opens, and no child interval outlasts its parent.
+    /// Each chase variant's profiling span stream is a well-nested
+    /// word (see [`assert_well_nested`]).
     #[test]
     fn profiled_span_stream_is_well_nested(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
-        let mut rec = Profiled(RecordingObserver::default());
+        let budget = Budget::new(300, 3_000);
+        let mut restricted = Profiled(RecordingObserver::default());
         RestrictedChase::new(&set)
             .strategy(Strategy::Fifo)
             .heartbeat_every(7)
-            .run_observed(&db, Budget::new(300, 3_000), &mut rec);
-        // Stack frames: (span, tgd, longest child duration seen).
-        let mut stack: Vec<(&'static str, u32, u64)> = Vec::new();
-        let mut run_spans = 0u64;
-        for event in &rec.0.events {
-            match event {
-                Event::SpanEntered { span, tgd } => stack.push((span, *tgd, 0)),
-                Event::SpanExited { span, tgd, nanos } => {
-                    let (open_span, open_tgd, max_child) = stack
-                        .pop()
-                        .ok_or_else(|| TestCaseError::fail("span exit with no open span"))?;
-                    prop_assert_eq!(open_span, *span, "exit must match the innermost span");
-                    prop_assert_eq!(open_tgd, *tgd, "exit must match the innermost tgd");
-                    prop_assert!(
-                        max_child <= *nanos,
-                        "child span ({max_child} ns) outlasted parent {span} ({nanos} ns)"
-                    );
-                    if *span == spans::RUN {
-                        run_spans += 1;
-                    }
-                    if let Some(parent) = stack.last_mut() {
-                        parent.2 = parent.2.max(*nanos);
-                    }
-                }
-                _ => {}
-            }
+            .run_observed(&db, budget, &mut restricted);
+        let mut oblivious = Profiled(RecordingObserver::default());
+        ObliviousChase::new(&set)
+            .heartbeat_every(7)
+            .run_observed(&db, budget, &mut oblivious);
+        let mut semi = Profiled(RecordingObserver::default());
+        ObliviousChase::new(&set)
+            .semi_oblivious()
+            .heartbeat_every(7)
+            .run_observed(&db, budget, &mut semi);
+        for rec in [restricted, oblivious, semi] {
+            assert_well_nested(&rec.0.events)?;
         }
-        prop_assert!(stack.is_empty(), "unclosed spans: {stack:?}");
-        prop_assert_eq!(run_spans, 1, "exactly one run span per run");
     }
 
     /// Profiling is pure: a run under a profiling observer returns
@@ -179,4 +180,40 @@ proptest! {
         prop_assert_eq!(plain.steps, profiled.steps);
         prop_assert_eq!(plain.instance, profiled.instance);
     }
+}
+
+/// Checks that a profiling span stream is a well-nested word: every
+/// exit matches the innermost open span, the stream closes everything
+/// it opens, no child interval outlasts its parent, and it holds
+/// exactly one run span.
+fn assert_well_nested(events: &[Event]) -> Result<(), TestCaseError> {
+    // Stack frames: (span, tgd, longest child duration seen).
+    let mut stack: Vec<(&'static str, u32, u64)> = Vec::new();
+    let mut run_spans = 0u64;
+    for event in events {
+        match event {
+            Event::SpanEntered { span, tgd } => stack.push((span, *tgd, 0)),
+            Event::SpanExited { span, tgd, nanos } => {
+                let (open_span, open_tgd, max_child) = stack
+                    .pop()
+                    .ok_or_else(|| TestCaseError::fail("span exit with no open span"))?;
+                prop_assert_eq!(open_span, *span, "exit must match the innermost span");
+                prop_assert_eq!(open_tgd, *tgd, "exit must match the innermost tgd");
+                prop_assert!(
+                    max_child <= *nanos,
+                    "child span ({max_child} ns) outlasted parent {span} ({nanos} ns)"
+                );
+                if *span == spans::RUN {
+                    run_spans += 1;
+                }
+                if let Some(parent) = stack.last_mut() {
+                    parent.2 = parent.2.max(*nanos);
+                }
+            }
+            _ => {}
+        }
+    }
+    prop_assert!(stack.is_empty(), "unclosed spans: {stack:?}");
+    prop_assert_eq!(run_spans, 1, "exactly one run span per run");
+    Ok(())
 }
