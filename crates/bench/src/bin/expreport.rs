@@ -6,9 +6,8 @@
 
 use chase_bench::{closure_workload, setup};
 use chase_engine::fairness::{persistently_active, unfairness_age};
-use chase_engine::oblivious::ObliviousChase;
 use chase_engine::real_oblivious::{OchaseLimits, RealOchase};
-use chase_engine::restricted::{Budget, Outcome, RestrictedChase, Strategy};
+use chase_engine::restricted::{Budget, ChaseVariant, Outcome, RestrictedChase, Strategy};
 use chase_engine::skolem::{SkolemPolicy, SkolemTable};
 use chase_telemetry::summary::format_nanos;
 use chase_termination::{DeciderConfig, TerminationCertificate, TerminationVerdict};
@@ -41,7 +40,9 @@ fn e1() {
     );
     print!("oblivious atoms by step budget:");
     for budget in [25usize, 50, 100, 200] {
-        let o = ObliviousChase::new(&set).run(&db, Budget::steps(budget));
+        let o = RestrictedChase::new(&set)
+            .variant(ChaseVariant::Oblivious)
+            .run(&db, Budget::steps(budget));
         print!("  {budget}→{}", o.instance.len());
     }
     println!("\n");
@@ -104,7 +105,9 @@ fn e3() {
          R(x3,y3) -> S(x3).
          S(x4) -> exists y4. R(x4,y4).",
     );
-    let oblivious = ObliviousChase::new(&set).run(&db, Budget::steps(10_000));
+    let oblivious = RestrictedChase::new(&set)
+        .variant(ChaseVariant::Oblivious)
+        .run(&db, Budget::steps(10_000));
     println!(
         "oblivious chase: {} atoms (finite set)",
         oblivious.instance.len()
@@ -262,10 +265,12 @@ fn e9() {
          {facts}"
     ));
     let r = RestrictedChase::new(&set).run(&db, Budget::steps(100_000));
-    let s = ObliviousChase::new(&set)
-        .semi_oblivious()
+    let s = RestrictedChase::new(&set)
+        .variant(ChaseVariant::SemiOblivious)
         .run(&db, Budget::steps(100_000));
-    let o = ObliviousChase::new(&set).run(&db, Budget::steps(100_000));
+    let o = RestrictedChase::new(&set)
+        .variant(ChaseVariant::Oblivious)
+        .run(&db, Budget::steps(100_000));
     println!(
         "Emp workload (40 facts, 4 depts): restricted={} semi-oblivious={} oblivious={} atoms",
         r.instance.len(),
@@ -274,7 +279,9 @@ fn e9() {
     );
     let (_, cset, cdb) = closure_workload(24, 48);
     let rc = RestrictedChase::new(&cset).run(&cdb, Budget::steps(100_000));
-    let oc = ObliviousChase::new(&cset).run(&cdb, Budget::steps(100_000));
+    let oc = RestrictedChase::new(&cset)
+        .variant(ChaseVariant::Oblivious)
+        .run(&cdb, Budget::steps(100_000));
     assert_eq!(rc.outcome, Outcome::Terminated);
     println!(
         "closure workload: restricted={} oblivious={} atoms (full TGDs: identical closure)",

@@ -34,8 +34,7 @@ use chase_bench::{
 };
 use chase_core::instance::Instance;
 use chase_core::tgd::TgdSet;
-use chase_engine::oblivious::ObliviousChase;
-use chase_engine::restricted::{Budget, RestrictedChase};
+use chase_engine::restricted::{Budget, ChaseVariant, RestrictedChase};
 use chase_engine::seed::{SeedObliviousChase, SeedRestrictedChase};
 use chase_server::cache::{ProgramCache, ProgramCacheConfig};
 use chase_telemetry::{spans, SpanObserver};
@@ -238,7 +237,7 @@ fn oblivious_row(
     runs: usize,
 ) -> Row {
     let seed_engine = SeedObliviousChase::new(set);
-    let opt_engine = ObliviousChase::new(set);
+    let opt_engine = RestrictedChase::new(set).variant(ChaseVariant::Oblivious);
 
     let reference = seed_engine.run(db, budget);
     let run = opt_engine.run(db, budget);

@@ -20,8 +20,9 @@ use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
 use chase_engine::critical::critical_database;
 use chase_engine::governor::ResourceGovernor;
-use chase_engine::oblivious::ObliviousChase;
-use chase_engine::restricted::{Budget, ChaseRun, Outcome};
+use chase_engine::restricted::{
+    Budget, ChaseRun, ChaseVariant, NullObserver, Outcome, RestrictedChase,
+};
 
 /// Outcome of a budget-bounded termination criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +56,11 @@ pub fn oblivious_critical(
     budget: Budget,
 ) -> CriterionOutcome {
     let db = critical_database(set, vocab);
-    criterion(ObliviousChase::new(set).run(&db, budget))
+    criterion(
+        RestrictedChase::new(set)
+            .variant(ChaseVariant::Oblivious)
+            .run(&db, budget),
+    )
 }
 
 /// Checks whether the *semi-oblivious* chase terminates on the
@@ -77,9 +82,9 @@ pub fn semi_oblivious_critical_governed(
 ) -> CriterionOutcome {
     let db = critical_database(set, vocab);
     criterion(
-        ObliviousChase::new(set)
-            .semi_oblivious()
-            .run_governed(&db, gov),
+        RestrictedChase::new(set)
+            .variant(ChaseVariant::SemiOblivious)
+            .run_governed(&db, gov, &mut NullObserver, None),
     )
 }
 

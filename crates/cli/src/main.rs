@@ -25,6 +25,11 @@
 //! `--cancel-after <N>` (cooperative cancellation after N steps,
 //! exercising the same path a signal handler would).
 //!
+//! `chase`, `oblivious`, `profile` and `client chase` resolve the
+//! chase they run through `ChaseVariant::parse`, the parser the server
+//! uses for its requests: the same `--strategy`/`--seed` names and the
+//! same default seed give the same run served or direct.
+//!
 //! `stats` merges any number of trace files (a directory expands to
 //! its `*.jsonl` children) and understands the profiling events;
 //! `stats --follow <file>` tails a growing trace live, with
@@ -59,8 +64,9 @@ use chase_core::compile::compile;
 use chase_core::vocab::Vocabulary;
 use chase_engine::faults::FaultPlan;
 use chase_engine::governor::ResourceGovernor;
-use chase_engine::oblivious::ObliviousChase;
-use chase_engine::restricted::{Budget, Outcome, RestrictedChase, Strategy};
+use chase_engine::restricted::{
+    Budget, ChaseVariant, Outcome, RestrictedChase, Strategy, DEFAULT_RANDOM_SEED, STRATEGY_NAMES,
+};
 use chase_telemetry::summary::format_nanos;
 use chase_telemetry::{
     time_phase, ChaseObserver, CountingObserver, Event, JsonlWriter, TelemetrySummary,
@@ -106,9 +112,6 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Default RNG seed for `--strategy random` (overridable via `--seed`).
-const DEFAULT_RANDOM_SEED: u64 = 0xC0FFEE;
 
 /// Step cap applied to `chasectl dot` when no `--steps` is given; an
 /// explicit `--steps` is always honoured verbatim.
@@ -161,10 +164,11 @@ fn usage_hint() -> String {
 }
 
 fn usage() -> String {
-    "usage: chasectl <classify|chase|oblivious|decide|profile|dot|suite|stats|serve|client> \
+    format!(
+        "usage: chasectl <classify|chase|oblivious|decide|profile|dot|suite|stats|serve|client> \
      [<file>] [options]\n\
-     options: --steps N     --strategy fifo|lifo|random|priority   --semi\n\
-     \u{20}        --seed N      RNG seed for --strategy random (default 0xC0FFEE)\n\
+     options: --steps N     --strategy {STRATEGY_NAMES}   --semi\n\
+     \u{20}        --seed N      RNG seed for --strategy random (default {DEFAULT_RANDOM_SEED:#X})\n\
      \u{20}        --trace F     write one JSON event per line to F (chase|oblivious|decide|profile)\n\
      \u{20}        --metrics     print counter/phase table (chase|oblivious|decide|suite)\n\
      \u{20}        --profile     include the span/memory profiling stream (chase|oblivious|decide)\n\
@@ -172,7 +176,8 @@ fn usage() -> String {
      \u{20}        --cancel-after N cancel after N chase steps (chase|oblivious)\n\
      profile: --runs N --heartbeat-every N --sample-every N --json F --folded F\n\
      \u{20}        --max-overhead PCT (spans are 1-in-64 sampled by default; --sample-every 1 = exhaustive)\n\
-     \u{20}        (plus --steps/--strategy/--seed/--trace; --oblivious [--semi] switches engine)\n\
+     \u{20}        (plus --steps/--strategy/--seed/--trace; --oblivious [--semi] switches engine,\n\
+     \u{20}        which checks but ignores --strategy)\n\
      stats:   <path>... (files or directories of .jsonl traces, merged)\n\
      \u{20}        --follow      tail one growing trace live, printing heartbeats\n\
      \u{20}        --idle-exit-ms N  with --follow: exit after N ms without new events\n\
@@ -181,10 +186,11 @@ fn usage() -> String {
      client:  <endpoint> ping|shutdown|cancel|chase|decide [<file>]\n\
      \u{20}        cancel: --id S;  chase/decide: --id S --tenant S --deadline-ms N\n\
      \u{20}        --telemetry (relay event lines) --retries N (overload backoff)\n\
-     \u{20}        chase also: --strategy --seed --steps --max-atoms\n\
+     \u{20}        chase also: --strategy --seed --steps --max-atoms (the server resolves\n\
+     \u{20}        --strategy/--seed like chase: same names, same default seed)\n\
      exit codes: 0 ok, 1 runtime error, 2 usage error, 3 budget exhausted,\n\
      \u{20}           4 deadline exceeded, 5 cancelled, 6 server overloaded"
-        .to_string()
+    )
 }
 
 /// Rejects any `--flag` not in the command's vocabulary, so a typo
@@ -342,21 +348,12 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     cmd_classify(set, vocab)?;
                     Ok(ExitCode::SUCCESS)
                 }
-                "chase" => {
-                    let seed = match flag_value(args, "--seed")? {
-                        Some(s) => Some(parse_seed(&s)?),
-                        None => None,
-                    };
-                    let strategy = match flag_value(args, "--strategy")?.as_deref() {
-                        None | Some("fifo") => Strategy::Fifo,
-                        Some("lifo") => Strategy::Lifo,
-                        Some("random") => Strategy::Random(seed.unwrap_or(DEFAULT_RANDOM_SEED)),
-                        Some("priority") => Strategy::PriorityTgd,
-                        Some(other) => {
-                            return Err(CliError::Usage(format!("unknown strategy '{other}'")))
-                        }
-                    };
-                    if seed.is_some() && !matches!(strategy, Strategy::Random(_)) {
+                "chase" | "oblivious" => {
+                    let engine = (command == "oblivious").then(|| oblivious_engine(args));
+                    let variant = variant_from_flags(args, engine)?;
+                    if flag_value(args, "--seed")?.is_some()
+                        && !matches!(variant, ChaseVariant::Restricted(Strategy::Random(_)))
+                    {
                         eprintln!("chasectl: note: --seed only affects --strategy random");
                     }
                     let gov = governor_from_flags(args, steps)?;
@@ -365,21 +362,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                         compiled.database(),
                         set,
                         vocab,
-                        strategy,
-                        &gov,
-                        &mut telemetry,
-                    )?;
-                    telemetry.finish(true)?;
-                    Ok(ExitCode::from(outcome_exit(outcome)))
-                }
-                "oblivious" => {
-                    let gov = governor_from_flags(args, steps)?;
-                    let mut telemetry = CliTelemetry::from_args(args)?;
-                    let outcome = cmd_oblivious(
-                        compiled.database(),
-                        set,
-                        vocab,
-                        args.iter().any(|a| a == "--semi"),
+                        variant,
                         &gov,
                         &mut telemetry,
                     )?;
@@ -398,19 +381,16 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     Ok(ExitCode::from(verdict_exit(&verdict)))
                 }
                 "profile" => {
-                    let seed = match flag_value(args, "--seed")? {
-                        Some(s) => Some(parse_seed(&s)?),
-                        None => None,
-                    };
-                    let strategy = match flag_value(args, "--strategy")?.as_deref() {
-                        None | Some("fifo") => Strategy::Fifo,
-                        Some("lifo") => Strategy::Lifo,
-                        Some("random") => Strategy::Random(seed.unwrap_or(DEFAULT_RANDOM_SEED)),
-                        Some("priority") => Strategy::PriorityTgd,
-                        Some(other) => {
-                            return Err(CliError::Usage(format!("unknown strategy '{other}'")))
-                        }
-                    };
+                    let oblivious = args.iter().any(|a| a == "--oblivious");
+                    if args.iter().any(|a| a == "--semi") && !oblivious {
+                        return Err(CliError::Usage(
+                            "--semi requires --oblivious (the restricted chase has no \
+                             semi-oblivious variant)"
+                                .into(),
+                        ));
+                    }
+                    let variant =
+                        variant_from_flags(args, oblivious.then(|| oblivious_engine(args)))?;
                     let parse_u64 = |flag: &str| -> Result<Option<u64>, CliError> {
                         flag_value(args, flag)?
                             .map(|s| {
@@ -423,9 +403,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     let defaults = profile::ProfileOptions::default();
                     let opts = profile::ProfileOptions {
                         steps,
-                        strategy,
-                        oblivious: args.iter().any(|a| a == "--oblivious"),
-                        semi: args.iter().any(|a| a == "--semi"),
+                        variant,
                         runs: parse_u64("--runs")?
                             .map(|n| n as usize)
                             .unwrap_or(defaults.runs),
@@ -437,13 +415,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                         trace: flag_value(args, "--trace")?,
                         max_overhead_pct: parse_u64("--max-overhead")?,
                     };
-                    if opts.semi && !opts.oblivious {
-                        return Err(CliError::Usage(
-                            "--semi requires --oblivious (the restricted chase has no \
-                             semi-oblivious variant)"
-                                .into(),
-                        ));
-                    }
                     profile::cmd_profile(compiled.database(), set, vocab, &opts)?;
                     Ok(ExitCode::SUCCESS)
                 }
@@ -468,6 +439,27 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, CliError> {
             None => Err(CliError::Usage(format!("{flag} requires a value"))),
         },
     }
+}
+
+/// The engine `chasectl oblivious` and `profile --oblivious` name:
+/// the semi-oblivious chase with `--semi`.
+fn oblivious_engine(args: &[String]) -> &'static str {
+    if args.iter().any(|a| a == "--semi") {
+        "semi"
+    } else {
+        "oblivious"
+    }
+}
+
+/// Resolves `engine` plus the `--strategy`/`--seed` flags through
+/// [`ChaseVariant::parse`], the parser the server uses too.
+fn variant_from_flags(args: &[String], engine: Option<&str>) -> Result<ChaseVariant, CliError> {
+    let seed = match flag_value(args, "--seed")? {
+        Some(s) => Some(parse_seed(&s)?),
+        None => None,
+    };
+    ChaseVariant::parse(engine, flag_value(args, "--strategy")?.as_deref(), seed)
+        .map_err(CliError::Usage)
 }
 
 /// Parses a `--seed` value, accepting decimal or `0x`-prefixed hex.
@@ -658,46 +650,22 @@ fn cmd_chase(
     db: &chase_core::instance::Instance,
     set: &chase_core::tgd::TgdSet,
     vocab: &Vocabulary,
-    strategy: Strategy,
+    variant: ChaseVariant,
     gov: &ResourceGovernor,
     telemetry: &mut CliTelemetry,
 ) -> Result<Outcome, String> {
     let run = time_phase(telemetry, "chase", |obs| {
         RestrictedChase::new(set)
-            .strategy(strategy)
-            .run_governed_observed(db, gov, obs)
+            .variant(variant)
+            .run_governed(db, gov, obs, None)
     });
-    println!(
-        "restricted chase ({strategy:?}): {} after {} steps, {} atoms",
-        outcome_label(run.outcome),
-        run.steps,
-        run.instance.len()
-    );
-    if run.instance.len() <= 50 {
-        println!("{}", run.instance.display(vocab));
-    }
-    Ok(run.outcome)
-}
-
-fn cmd_oblivious(
-    db: &chase_core::instance::Instance,
-    set: &chase_core::tgd::TgdSet,
-    vocab: &Vocabulary,
-    semi: bool,
-    gov: &ResourceGovernor,
-    telemetry: &mut CliTelemetry,
-) -> Result<Outcome, String> {
-    let engine = if semi {
-        ObliviousChase::new(set).semi_oblivious()
-    } else {
-        ObliviousChase::new(set)
+    let name = match variant {
+        ChaseVariant::Restricted(strategy) => format!("restricted chase ({strategy:?})"),
+        ChaseVariant::Oblivious => "oblivious chase".to_string(),
+        ChaseVariant::SemiOblivious => "semi-oblivious chase".to_string(),
     };
-    let run = time_phase(telemetry, "chase", |obs| {
-        engine.run_governed_observed(db, gov, obs)
-    });
     println!(
-        "{} chase: {} after {} steps, {} atoms",
-        if semi { "semi-oblivious" } else { "oblivious" },
+        "{name}: {} after {} steps, {} atoms",
         outcome_label(run.outcome),
         run.steps,
         run.instance.len()

@@ -35,8 +35,7 @@ use std::time::Instant;
 use chase_core::instance::Instance;
 use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
-use chase_engine::oblivious::ObliviousChase;
-use chase_engine::restricted::{Budget, Outcome, RestrictedChase, Strategy};
+use chase_engine::restricted::{Budget, ChaseVariant, Outcome, RestrictedChase};
 use chase_engine::DEFAULT_PROFILE_SAMPLE_EVERY;
 use chase_telemetry::{
     ChaseObserver, EngineKind, JsonlWriter, SpanObserver, SpanProfile, Tee, SCHEMA_VERSION,
@@ -46,12 +45,8 @@ use chase_telemetry::{
 pub struct ProfileOptions {
     /// Step budget per run.
     pub steps: usize,
-    /// Queue discipline (restricted engine only).
-    pub strategy: Strategy,
-    /// Profile the oblivious chase instead of the restricted one.
-    pub oblivious: bool,
-    /// With `oblivious`: the semi-oblivious variant.
-    pub semi: bool,
+    /// Which chase to profile.
+    pub variant: ChaseVariant,
     /// Timing repetitions; the minimum is reported (default 3).
     pub runs: usize,
     /// Periodic sample cadence in steps. Each sample walks the whole
@@ -78,9 +73,7 @@ impl Default for ProfileOptions {
     fn default() -> Self {
         ProfileOptions {
             steps: 10_000,
-            strategy: Strategy::Fifo,
-            oblivious: false,
-            semi: false,
+            variant: ChaseVariant::default(),
             runs: 3,
             heartbeat_every: 8192,
             sample_every: None,
@@ -109,29 +102,17 @@ fn run_once<O: ChaseObserver + ?Sized>(
     let budget = Budget::steps(opts.steps);
     let start = Instant::now();
     let sample_every = opts.sample_every.unwrap_or(DEFAULT_PROFILE_SAMPLE_EVERY);
-    let (outcome, steps, instance) = if opts.oblivious {
-        let mut engine = ObliviousChase::new(set)
-            .heartbeat_every(opts.heartbeat_every)
-            .profile_sample_every(sample_every);
-        if opts.semi {
-            engine = engine.semi_oblivious();
-        }
-        let run = engine.run_observed(db, budget, obs);
-        (run.outcome, run.steps, run.instance)
-    } else {
-        let engine = RestrictedChase::new(set)
-            .strategy(opts.strategy)
-            .record_derivation(false)
-            .heartbeat_every(opts.heartbeat_every)
-            .profile_sample_every(sample_every);
-        let run = engine.run_observed(db, budget, obs);
-        (run.outcome, run.steps, run.instance)
-    };
+    let run = RestrictedChase::new(set)
+        .variant(opts.variant)
+        .record_derivation(false)
+        .heartbeat_every(opts.heartbeat_every)
+        .profile_sample_every(sample_every)
+        .run_observed(db, budget, obs);
     let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     Measured {
-        outcome,
-        steps,
-        instance,
+        outcome: run.outcome,
+        steps: run.steps,
+        instance: run.instance,
         nanos,
     }
 }
@@ -186,11 +167,7 @@ pub fn cmd_profile(
     opts: &ProfileOptions,
 ) -> Result<(), String> {
     let runs = opts.runs.max(1);
-    let engine_kind = match (opts.oblivious, opts.semi) {
-        (false, _) => EngineKind::Restricted,
-        (true, false) => EngineKind::Oblivious,
-        (true, true) => EngineKind::SemiOblivious,
-    };
+    let engine_kind = opts.variant.kind();
 
     // Warm caches, the allocator and the CPU governor before any
     // timed rep; the result is discarded.

@@ -187,6 +187,9 @@ fn cmd_client_chase(endpoint: &Endpoint, args: &[String]) -> Result<ExitCode, Cl
         }
         None => None,
     };
+    // Checked here so a typo is a usage error; the server resolves the
+    // same names with the same parser and defaults.
+    crate::variant_from_flags(args, None)?;
     let id = flag_value(args, "--id")?.unwrap_or_else(default_session_id);
     let build = |program_key: &str, program_value: &str| -> Result<String, CliError> {
         let mut line = Reply::request("chase")
@@ -196,9 +199,6 @@ fn cmd_client_chase(endpoint: &Endpoint, args: &[String]) -> Result<ExitCode, Cl
             line = line.str("tenant", &tenant);
         }
         if let Some(strategy) = flag_value(args, "--strategy")? {
-            if !matches!(strategy.as_str(), "fifo" | "lifo" | "random" | "priority") {
-                return Err(CliError::Usage(format!("unknown strategy '{strategy}'")));
-            }
             line = line.str("strategy", &strategy);
         }
         if let Some(seed) = flag_value(args, "--seed")? {

@@ -443,6 +443,45 @@ fn serve_round_trips_chase_decide_and_control_ops() {
     assert!(status.success(), "server exited {status:?}");
 }
 
+/// The `after N steps, M atoms` part of a chase summary line, which
+/// `chasectl chase` and `chasectl client chase` both print.
+fn steps_and_atoms(stdout: &[u8]) -> String {
+    let stdout = String::from_utf8_lossy(stdout);
+    let start = stdout.find("after ").expect("summary line") + "after ".len();
+    let end = start + stdout[start..].find(" atoms").expect("atom count");
+    stdout[start..end].to_string()
+}
+
+#[test]
+fn serve_random_strategy_defaults_to_the_cli_seed() {
+    // Trigger order decides this program's restricted chase result, so
+    // the served run only matches the direct one if both default to
+    // the same random seed.
+    let rules = rule_file(
+        "srv-random",
+        "P(a,b). P(c,d).\nP(x,y) -> P(y,x).\nP(x,y) -> exists z. P(z,x).\n",
+    );
+    let path = rules.to_str().unwrap();
+    let args = ["--strategy", "random", "--steps", "40"];
+    let direct = run(&[&["chase", path][..], &args].concat());
+    assert_eq!(code(&direct), 0, "{}", stderr(&direct));
+
+    let (mut server, endpoint) = boot_server("random");
+    let served = run(&[&["client", &endpoint, "chase", path][..], &args].concat());
+    // Shut the server down before asserting, so a failure leaves no
+    // server process behind.
+    let out = run(&["client", &endpoint, "shutdown"]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    assert!(server.wait().expect("server exit").success());
+
+    assert_eq!(code(&served), 0, "{}", stderr(&served));
+    assert_eq!(
+        steps_and_atoms(&served.stdout),
+        steps_and_atoms(&direct.stdout)
+    );
+    assert_eq!(steps_and_atoms(&direct.stdout), "4 steps, 6");
+}
+
 #[test]
 fn serve_and_client_usage_errors() {
     assert_usage_error(&run(&["serve"]), "serve without --socket");

@@ -495,11 +495,6 @@ impl Instance {
         parts.sort();
         format!("{{{}}}", parts.join(", "))
     }
-
-    /// Consumes the instance, returning its atoms in insertion order.
-    pub fn into_atoms(self) -> Vec<Atom> {
-        (0..self.len()).map(|s| self.atom(s).to_atom()).collect()
-    }
 }
 
 impl FromIterator<Atom> for Instance {

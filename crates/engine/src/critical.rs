@@ -27,8 +27,7 @@ pub fn critical_database(set: &TgdSet, vocab: &mut Vocabulary) -> Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oblivious::ObliviousChase;
-    use crate::restricted::{Budget, Outcome, RestrictedChase, Strategy};
+    use crate::restricted::{Budget, ChaseVariant, Outcome, RestrictedChase, Strategy};
     use chase_core::parser::parse_program;
 
     #[test]
@@ -51,7 +50,9 @@ mod tests {
         let p = parse_program("R(x,y) -> exists z. R(x,z).", &mut vocab).unwrap();
         let set = p.tgd_set(&vocab).unwrap();
         let db = critical_database(&set, &mut vocab);
-        let run = ObliviousChase::new(&set).run(&db, Budget::steps(100));
+        let run = RestrictedChase::new(&set)
+            .variant(ChaseVariant::Oblivious)
+            .run(&db, Budget::steps(100));
         assert_eq!(run.outcome, Outcome::BudgetExhausted);
     }
 

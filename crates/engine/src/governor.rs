@@ -173,11 +173,6 @@ impl ResourceGovernor {
         &self.cancel
     }
 
-    /// The installed fault plan.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Polled by engines at safe points: returns the outcome the run
     /// must stop with, or `None` to continue. `steps` is the number of
     /// trigger applications performed so far (it drives the fault

@@ -4,11 +4,11 @@
 //! Section 3 and Section 4 of *All-Instances Restricted Chase
 //! Termination* (Gogacz, Marcinkowski & Pieris, PODS 2020):
 //!
-//! * [`restricted`] — the restricted (standard) chase with pluggable,
-//!   fairness-relevant strategies, and the one chase loop every
-//!   optimised engine runs;
-//! * [`oblivious`] — the oblivious and semi-oblivious chase, a builder
-//!   selecting those variants of that loop;
+//! * [`restricted`] — the one chase loop every optimised engine runs:
+//!   the restricted (standard) chase with pluggable, fairness-relevant
+//!   strategies, and the oblivious and semi-oblivious chase, selected
+//!   by a [`restricted::ChaseVariant`] (which also parses the
+//!   `engine`/`strategy`/`seed` names the CLI and the server accept);
 //! * [`real_oblivious`] — the real oblivious chase `ochase(D,T)` as a
 //!   labelled graph with an unambiguous parent relation (Def 3.3);
 //! * [`relations`] — the stop (`≺s`) and before (`≺b`) relations;
@@ -35,7 +35,6 @@ pub mod dot;
 pub mod fairness;
 pub mod faults;
 pub mod governor;
-pub mod oblivious;
 pub(crate) mod profiling;
 pub use profiling::DEFAULT_PROFILE_SAMPLE_EVERY;
 pub mod query;
@@ -59,14 +58,15 @@ pub mod prelude {
     pub use crate::fairness::{is_fair_within_horizon, persistently_active, repair, RepairOutcome};
     pub use crate::faults::{FaultPlan, FlakyWriter};
     pub use crate::governor::ResourceGovernor;
-    pub use crate::oblivious::ObliviousChase;
     pub use crate::query::{contained_in, ConjunctiveQuery, QueryError};
     pub use crate::real_oblivious::{NodeId, OchaseLimits, OchaseNode, RealOchase};
     pub use crate::relations::{stops, OchaseRelations};
-    pub use crate::restricted::{Budget, ChaseRun, Outcome, RestrictedChase, Strategy};
+    pub use crate::restricted::{
+        Budget, ChaseRun, ChaseVariant, Outcome, RestrictedChase, Strategy,
+    };
     pub use crate::seed::{SeedObliviousChase, SeedRestrictedChase};
     pub use crate::skolem::{SkolemPolicy, SkolemTable};
-    pub use crate::task::{run_chase_task, ChaseTaskSpec, TaskEngine, TaskError, TaskOutput};
+    pub use crate::task::{run_chase_task, ChaseTaskSpec, TaskError, TaskOutput};
     pub use crate::trigger::{active_triggers, all_triggers, ChaseScratch, Trigger, TriggerFp};
     pub use crate::universal::{core_of, is_core};
 }

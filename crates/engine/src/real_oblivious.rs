@@ -388,7 +388,8 @@ mod tests {
                 max_depth: 4,
             },
         );
-        let oblivious = crate::oblivious::ObliviousChase::new(&set)
+        let oblivious = crate::restricted::RestrictedChase::new(&set)
+            .variant(crate::restricted::ChaseVariant::Oblivious)
             .run(&db, crate::restricted::Budget::steps(100_000));
         // Example 3.2's oblivious chase is finite: {P,R,S,R(a,c)}.
         assert_eq!(oblivious.instance.len(), 4);

@@ -6,11 +6,12 @@
 //! The oblivious, semi-oblivious and restricted chase are one
 //! procedure (§3) that differs only in how a trigger is identified,
 //! how nulls are named, and whether a trigger must still be active
-//! when it is applied. A crate-private `Variant` supplies exactly
-//! those choices to [`RestrictedChase`]'s loop;
-//! [`crate::oblivious::ObliviousChase`] is a builder over it that
-//! selects the oblivious or semi-oblivious variant, always queues
-//! FIFO and never records a derivation.
+//! when it is applied. A [`ChaseVariant`] supplies exactly those
+//! choices to [`RestrictedChase`]'s loop; the restricted variant also
+//! carries its queue [`Strategy`], the oblivious ones always queue
+//! FIFO and never record a derivation. [`ChaseVariant::parse`] is the
+//! one place that turns `engine`/`strategy`/`seed` names into a
+//! variant, for the CLI and the server alike.
 //!
 //! ## Restricted chase
 //!
@@ -57,7 +58,7 @@ use chase_core::term::Term;
 use chase_core::tgd::{Tgd, TgdId, TgdSet};
 use chase_telemetry::{
     emit, emit_detail, span_enter, span_enter_sampled, spans, ChaseObserver, EngineKind, Event,
-    NullObserver, NO_TGD,
+    NO_TGD,
 };
 
 use crate::derivation::{Derivation, Step};
@@ -72,6 +73,8 @@ use crate::trigger::{
 };
 
 pub use crate::governor::{Budget, Outcome};
+/// The observer of an unobserved [`RestrictedChase::run_governed`].
+pub use chase_telemetry::NullObserver;
 
 /// Queue discipline for candidate triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,25 +94,85 @@ pub enum Strategy {
     PriorityTgd,
 }
 
-/// Which chase variant the loop runs (§3).
+/// Which chase the loop runs (§3), and for the restricted chase its
+/// queue discipline.
+///
+/// The three variants are one procedure that differs only in how a
+/// trigger is identified, how nulls are named, and whether a popped
+/// trigger must still be active. The oblivious variants always queue
+/// FIFO (the queue order does not change a terminating oblivious
+/// run's result), so a strategy is only expressible for
+/// [`ChaseVariant::Restricted`], and only that variant records a
+/// derivation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Variant {
-    /// Applies a popped trigger only while it is still active; nulls
-    /// per trigger.
-    Restricted,
-    /// Applies every trigger once; nulls per trigger.
+pub enum ChaseVariant {
+    /// The restricted chase: applies a popped trigger only while it is
+    /// still active; nulls per trigger.
+    Restricted(Strategy),
+    /// The oblivious chase: applies every trigger once; nulls per
+    /// trigger.
     Oblivious,
-    /// Applies one trigger per frontier image; nulls per frontier.
+    /// The semi-oblivious chase: applies one trigger per frontier
+    /// image; nulls per frontier.
     SemiOblivious,
 }
 
-impl Variant {
+/// The seed of the `random` strategy when the caller names none. The
+/// CLI and the server both resolve names through
+/// [`ChaseVariant::parse`], so the same request gets the same run.
+pub const DEFAULT_RANDOM_SEED: u64 = 0xC0FFEE;
+
+/// The strategy names [`ChaseVariant::parse`] accepts, for help texts.
+pub const STRATEGY_NAMES: &str = "fifo|lifo|random|priority";
+
+impl Default for ChaseVariant {
+    /// The restricted chase under FIFO, the fair strategy.
+    fn default() -> Self {
+        ChaseVariant::Restricted(Strategy::Fifo)
+    }
+}
+
+impl ChaseVariant {
+    /// Resolves the `engine` (`restricted`|`oblivious`|`semi`),
+    /// `strategy` ([`STRATEGY_NAMES`]) and `seed` names of a request or
+    /// command line. Absent names mean `restricted`, `fifo` and
+    /// [`DEFAULT_RANDOM_SEED`]. A strategy given with an oblivious
+    /// engine is checked but ignored, and a seed only affects `random`.
+    pub fn parse(
+        engine: Option<&str>,
+        strategy: Option<&str>,
+        seed: Option<u64>,
+    ) -> Result<ChaseVariant, String> {
+        let strategy = match strategy {
+            None | Some("fifo") => Strategy::Fifo,
+            Some("lifo") => Strategy::Lifo,
+            Some("random") => Strategy::Random(seed.unwrap_or(DEFAULT_RANDOM_SEED)),
+            Some("priority") => Strategy::PriorityTgd,
+            Some(other) => return Err(format!("unknown strategy '{other}'")),
+        };
+        match engine {
+            None | Some("restricted") => Ok(ChaseVariant::Restricted(strategy)),
+            Some("oblivious") => Ok(ChaseVariant::Oblivious),
+            Some("semi") => Ok(ChaseVariant::SemiOblivious),
+            Some(other) => Err(format!("unknown engine '{other}'")),
+        }
+    }
+
     /// The telemetry label of the variant's events.
-    fn engine(self) -> EngineKind {
+    pub fn kind(self) -> EngineKind {
         match self {
-            Variant::Restricted => EngineKind::Restricted,
-            Variant::Oblivious => EngineKind::Oblivious,
-            Variant::SemiOblivious => EngineKind::SemiOblivious,
+            ChaseVariant::Restricted(_) => EngineKind::Restricted,
+            ChaseVariant::Oblivious => EngineKind::Oblivious,
+            ChaseVariant::SemiOblivious => EngineKind::SemiOblivious,
+        }
+    }
+
+    /// The queue discipline: the restricted chase's strategy, FIFO for
+    /// the oblivious variants.
+    fn queue_strategy(self) -> Strategy {
+        match self {
+            ChaseVariant::Restricted(strategy) => strategy,
+            ChaseVariant::Oblivious | ChaseVariant::SemiOblivious => Strategy::Fifo,
         }
     }
 
@@ -117,16 +180,16 @@ impl Variant {
     #[inline]
     fn fp_vars(self, tgd: &Tgd) -> &[VarId] {
         match self {
-            Variant::SemiOblivious => tgd.frontier(),
-            Variant::Restricted | Variant::Oblivious => tgd.sorted_body_vars(),
+            ChaseVariant::SemiOblivious => tgd.frontier(),
+            ChaseVariant::Restricted(_) | ChaseVariant::Oblivious => tgd.sorted_body_vars(),
         }
     }
 
     /// How invented nulls are named.
     fn skolem(self) -> SkolemPolicy {
         match self {
-            Variant::SemiOblivious => SkolemPolicy::PerFrontier,
-            Variant::Restricted | Variant::Oblivious => SkolemPolicy::PerTrigger,
+            ChaseVariant::SemiOblivious => SkolemPolicy::PerFrontier,
+            ChaseVariant::Restricted(_) | ChaseVariant::Oblivious => SkolemPolicy::PerTrigger,
         }
     }
 
@@ -134,8 +197,8 @@ impl Variant {
     /// head-satisfaction keys when the variant runs restriction checks.
     fn pair_plans(self, set: &TgdSet) -> &[(PredId, u16, u16)] {
         match self {
-            Variant::Restricted => set.pair_plans(),
-            Variant::Oblivious | Variant::SemiOblivious => set.body_pair_plans(),
+            ChaseVariant::Restricted(_) => set.pair_plans(),
+            ChaseVariant::Oblivious | ChaseVariant::SemiOblivious => set.body_pair_plans(),
         }
     }
 }
@@ -315,12 +378,12 @@ impl TriggerQueue {
     }
 }
 
-/// A configured restricted-chase engine.
+/// A configured chase engine: the restricted chase under FIFO by
+/// default, any [`ChaseVariant`] via [`RestrictedChase::variant`].
 #[derive(Debug, Clone)]
 pub struct RestrictedChase<'a> {
     set: &'a TgdSet,
-    variant: Variant,
-    strategy: Strategy,
+    variant: ChaseVariant,
     record: bool,
     heartbeat_every: u64,
     profile_sample_every: u64,
@@ -332,8 +395,7 @@ impl<'a> RestrictedChase<'a> {
     pub fn new(set: &'a TgdSet) -> Self {
         RestrictedChase {
             set,
-            variant: Variant::Restricted,
-            strategy: Strategy::Fifo,
+            variant: ChaseVariant::default(),
             record: true,
             heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
             profile_sample_every: DEFAULT_PROFILE_SAMPLE_EVERY,
@@ -341,18 +403,20 @@ impl<'a> RestrictedChase<'a> {
     }
 
     /// Selects the chase variant the loop runs.
-    pub(crate) fn variant(mut self, variant: Variant) -> Self {
+    pub fn variant(mut self, variant: ChaseVariant) -> Self {
         self.variant = variant;
         self
     }
 
-    /// Selects the queue discipline.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
+    /// Selects the restricted chase under `strategy`; short for
+    /// `variant(ChaseVariant::Restricted(strategy))`.
+    pub fn strategy(self, strategy: Strategy) -> Self {
+        self.variant(ChaseVariant::Restricted(strategy))
     }
 
     /// Enables or disables derivation recording (disable in benches).
+    /// Only the restricted chase records one; the oblivious variants'
+    /// derivation is always empty.
     pub fn record_derivation(mut self, record: bool) -> Self {
         self.record = record;
         self
@@ -377,36 +441,36 @@ impl<'a> RestrictedChase<'a> {
         self
     }
 
-    /// Runs the restricted chase on `database` within `budget`.
+    /// Runs the chase on `database` within `budget`.
     pub fn run(&self, database: &Instance, budget: Budget) -> ChaseRun {
         self.run_observed(database, budget, &mut NullObserver)
     }
 
-    /// Runs the restricted chase, streaming telemetry [`Event`]s to
-    /// `obs`. With [`NullObserver`] this monomorphises to exactly the
-    /// unobserved loop — `enabled()` is a constant `false` and every
-    /// emission site folds away.
+    /// Runs the chase, streaming telemetry [`Event`]s to `obs`. With
+    /// [`NullObserver`] this monomorphises to exactly the unobserved
+    /// loop — `enabled()` is a constant `false` and every emission site
+    /// folds away.
     pub fn run_observed<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         budget: Budget,
         obs: &mut O,
     ) -> ChaseRun {
-        self.run_governed_observed(database, &ResourceGovernor::from_budget(budget), obs)
+        self.run_governed(database, &ResourceGovernor::from_budget(budget), obs, None)
     }
 
-    /// Runs the restricted chase under a full [`ResourceGovernor`]
-    /// (budget + deadline + cancellation + fault plan).
-    pub fn run_governed(&self, database: &Instance, gov: &ResourceGovernor) -> ChaseRun {
-        self.run_governed_observed(database, gov, &mut NullObserver)
-    }
-
-    /// [`RestrictedChase::run_governed`] with telemetry. The governor
-    /// is polled before seed discovery and at the top of every queue
-    /// iteration; an interrupted run emits one
-    /// [`Event::RunInterrupted`] and returns the truthful partial
-    /// result (valid instance, step count and derivation for the work
-    /// actually performed).
+    /// Runs the chase under a full [`ResourceGovernor`] (budget +
+    /// deadline + cancellation + fault plan). The governor is polled
+    /// before seed discovery and at the top of every queue iteration;
+    /// an interrupted run emits one [`Event::RunInterrupted`] and
+    /// returns the truthful partial result (valid instance, step count
+    /// and derivation for the work actually performed).
+    ///
+    /// `scratch`: `Some` borrows the matcher arenas from a caller's
+    /// [`ChaseScratch`], so a resident process (the chase server's
+    /// session runners) keeps them warm across many runs; `None` runs
+    /// with a fresh one. The scratch carries no run-scoped state, so
+    /// the run is bit-identical either way.
     ///
     /// When `obs` opts into profiling (see
     /// [`ChaseObserver::profiling`]) the run additionally streams
@@ -415,27 +479,15 @@ impl<'a> RestrictedChase<'a> {
     /// periodic memory samples
     /// and progress heartbeats. The profiling stream never influences
     /// the derivation: profiled and unprofiled runs are bit-identical.
-    pub fn run_governed_observed<O: ChaseObserver + ?Sized>(
+    pub fn run_governed<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
+        scratch: Option<&mut ChaseScratch>,
     ) -> ChaseRun {
-        self.run_governed_observed_in(database, gov, obs, &mut ChaseScratch::default())
-    }
-
-    /// [`RestrictedChase::run_governed_observed`] borrowing the
-    /// matcher arenas from `scratch`, so a resident process (the chase
-    /// server's session runners) keeps them warm across many runs. The
-    /// scratch carries no run-scoped state; the run is bit-identical to
-    /// [`RestrictedChase::run_governed_observed`].
-    pub fn run_governed_observed_in<O: ChaseObserver + ?Sized>(
-        &self,
-        database: &Instance,
-        gov: &ResourceGovernor,
-        obs: &mut O,
-        scratch: &mut ChaseScratch,
-    ) -> ChaseRun {
+        let mut fresh = ChaseScratch::default();
+        let scratch = scratch.unwrap_or(&mut fresh);
         let run_guard = span_enter(obs, spans::RUN, NO_TGD);
         let run = self.run_inner(database, gov, obs, scratch);
         run_guard.exit(obs);
@@ -449,7 +501,10 @@ impl<'a> RestrictedChase<'a> {
         obs: &mut O,
         scratch: &mut ChaseScratch,
     ) -> ChaseRun {
-        let engine = self.variant.engine();
+        let engine = self.variant.kind();
+        let restricted = matches!(self.variant, ChaseVariant::Restricted(_));
+        let record = self.record && restricted;
+        let strategy = self.variant.queue_strategy();
         // `Some` exactly when the observer opted into profiling;
         // doubles as the heartbeat reference clock, so unprofiled runs
         // never read the clock or walk the instance for samples.
@@ -489,13 +544,13 @@ impl<'a> RestrictedChase<'a> {
             self.variant.skolem(),
             instance.iter().flat_map(|a| a.args.iter().copied()),
         );
-        let mut queue = TriggerQueue::new(self.strategy, self.set.len());
+        let mut queue = TriggerQueue::new(strategy, self.set.len());
         // Flat binding arena backing all queued spans for the whole
         // run; bounded by the number of discovered triggers (which the
         // queue held as owned bindings before this existed).
         let mut arena: Vec<(VarId, Term)> = Vec::new();
         let mut seen: chase_core::ids::FxHashSet<TriggerFp> = fx_set();
-        let mut rng = match self.strategy {
+        let mut rng = match strategy {
             Strategy::Random(seed) => Some(XorShift64::new(seed)),
             _ => None,
         };
@@ -552,7 +607,7 @@ impl<'a> RestrictedChase<'a> {
                     derivation,
                 };
             }
-            let Some(popped) = queue.pop(self.strategy, &mut rng) else {
+            let Some(popped) = queue.pop(strategy, &mut rng) else {
                 break;
             };
             let sampled = pop_idx.is_multiple_of(self.profile_sample_every);
@@ -563,7 +618,7 @@ impl<'a> RestrictedChase<'a> {
             // (`exit_now`/`_at`) to keep profiling overhead within the
             // gate's budget.
             let mut check_end = step_guard.start();
-            if self.variant == Variant::Restricted {
+            if restricted {
                 check_binding.clear();
                 for &(v, t) in popped.pairs(&arena) {
                     check_binding.push(v, t);
@@ -656,7 +711,7 @@ impl<'a> RestrictedChase<'a> {
                 new_atoms: fresh_atoms,
                 new_nulls: nulls_after - nulls_before,
             });
-            if self.record {
+            if record {
                 derivation.steps.push(Step { trigger, added });
             }
             // Delta discovery: only triggers using a fresh atom.
@@ -731,11 +786,19 @@ mod tests {
     use chase_core::vocab::Vocabulary;
 
     fn run(src: &str, strategy: Strategy, budget: Budget) -> (ChaseRun, TgdSet, Instance) {
+        run_variant(src, ChaseVariant::Restricted(strategy), budget)
+    }
+
+    fn run_variant(
+        src: &str,
+        variant: ChaseVariant,
+        budget: Budget,
+    ) -> (ChaseRun, TgdSet, Instance) {
         let mut vocab = Vocabulary::new();
         let p = parse_program(src, &mut vocab).unwrap();
         let set = p.tgd_set(&vocab).unwrap();
         let run = RestrictedChase::new(&set)
-            .strategy(strategy)
+            .variant(variant)
             .run(&p.database, budget);
         (run, set, p.database)
     }
@@ -961,5 +1024,90 @@ mod tests {
             .steps
             .iter()
             .all(|s| s.trigger.tgd == TgdId(0)));
+    }
+
+    #[test]
+    fn intro_example_diverges_obliviously() {
+        // The restricted chase performs 0 steps here; the oblivious
+        // chase builds R(a,ν0), R(a,ν1), ... without bound (§1).
+        let (run, _, _) = run_variant(
+            "R(a,b). R(x,y) -> exists z. R(x,z).",
+            ChaseVariant::Oblivious,
+            Budget::steps(50),
+        );
+        assert_eq!(run.outcome, Outcome::BudgetExhausted);
+        assert_eq!(run.instance.len(), 51);
+        assert!(run.derivation.steps.is_empty());
+    }
+
+    #[test]
+    fn full_tgds_reach_fixpoint() {
+        let (run, set, _) = run_variant(
+            "E(a,b). E(b,c). E(x,y), E(y,z) -> E(x,z).",
+            ChaseVariant::Oblivious,
+            Budget::steps(1000),
+        );
+        assert_eq!(run.outcome, Outcome::Terminated);
+        assert!(satisfies_all(&run.instance, &set));
+        // transitive closure of a 2-path: E(a,b), E(b,c), E(a,c)
+        assert_eq!(run.instance.len(), 3);
+    }
+
+    #[test]
+    fn oblivious_result_is_a_model_when_terminating() {
+        let (run, set, _) = run_variant(
+            "R(a,b). R(x,y) -> exists z. S(y,z). S(u,v) -> T(u).",
+            ChaseVariant::Oblivious,
+            Budget::steps(1000),
+        );
+        assert_eq!(run.outcome, Outcome::Terminated);
+        assert!(satisfies_all(&run.instance, &set));
+    }
+
+    #[test]
+    fn semi_oblivious_is_coarser() {
+        // σ: R(x,y) -> exists z. S(x,z). Two triggers share frontier x=a:
+        // the oblivious chase invents two nulls, the semi-oblivious one.
+        let src = "R(a,b). R(a,c). R(x,y) -> exists z. S(x,z).";
+        let (full, _, _) = run_variant(src, ChaseVariant::Oblivious, Budget::steps(100));
+        let (semi, _, _) = run_variant(src, ChaseVariant::SemiOblivious, Budget::steps(100));
+        assert_eq!(full.outcome, Outcome::Terminated);
+        assert_eq!(semi.outcome, Outcome::Terminated);
+        assert_eq!(full.instance.len(), 4); // 2 db + 2 S-atoms
+        assert_eq!(semi.instance.len(), 3); // 2 db + 1 S-atom
+    }
+
+    #[test]
+    fn oblivious_chase_is_deterministic() {
+        // The oblivious chase result I_{D,T} is unique (Section 3.1):
+        // two runs must produce identical instances, nulls included,
+        // because null names are determined by the trigger (Def 3.1).
+        let src = "
+            R(a,b). R(b,c).
+            R(x,y) -> exists z. S(y,z).
+            S(u,v) -> exists w. R(v,w).
+        ";
+        let (a, _, _) = run_variant(src, ChaseVariant::Oblivious, Budget::steps(200));
+        let (b, _, _) = run_variant(src, ChaseVariant::Oblivious, Budget::steps(200));
+        assert_eq!(a.instance, b.instance);
+        assert_eq!(a.steps, b.steps);
+    }
+
+    #[test]
+    fn oblivious_contains_restricted_result() {
+        let src = "
+            R(a,b).
+            R(x,y) -> exists z. S(y,z).
+            S(x,y) -> T(x).
+        ";
+        let (r, _, _) = run(src, Strategy::Fifo, Budget::steps(1000));
+        let (o, _, _) = run_variant(src, ChaseVariant::Oblivious, Budget::steps(1000));
+        // The restricted result maps homomorphically into the oblivious
+        // chase (both are universal models here), and is no larger.
+        assert!(r.instance.len() <= o.instance.len());
+        assert!(chase_core::hom::ground_homomorphism_exists(
+            &r.instance,
+            &o.instance
+        ));
     }
 }

@@ -341,8 +341,7 @@ impl<'a> SeedObliviousChase<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oblivious::ObliviousChase;
-    use crate::restricted::RestrictedChase;
+    use crate::restricted::{ChaseVariant, RestrictedChase};
     use chase_core::parser::parse_program;
     use chase_core::vocab::Vocabulary;
 
@@ -394,12 +393,11 @@ mod tests {
             } else {
                 seed_engine
             };
-            let opt_engine = ObliviousChase::new(&set);
-            let opt_engine = if semi {
-                opt_engine.semi_oblivious()
+            let opt_engine = RestrictedChase::new(&set).variant(if semi {
+                ChaseVariant::SemiOblivious
             } else {
-                opt_engine
-            };
+                ChaseVariant::Oblivious
+            });
             let seed = seed_engine.run(&p.database, budget);
             let opt = opt_engine.run(&p.database, budget);
             assert_eq!(seed.outcome, opt.outcome, "semi={semi}");

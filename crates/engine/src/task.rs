@@ -1,14 +1,14 @@
 //! Task-ified chase runs: one self-contained, panic-contained unit of
 //! work per request.
 //!
-//! The interactive entry points ([`RestrictedChase::run_governed_observed`],
-//! [`ObliviousChase::run_governed_observed`]) borrow a pre-parsed TGD
-//! set and let panics unwind to the caller — the right shape for a CLI
-//! process that dies with the run. A resident server needs the
-//! opposite: an **owned** description of the whole job
-//! ([`ChaseTaskSpec`], `Send` by construction, so it can hop onto a
-//! scheduler thread), compilation included, and a hard containment
-//! boundary so one poisoned session cannot take the process down.
+//! The interactive entry point ([`RestrictedChase::run_governed`])
+//! borrows a pre-parsed TGD set and lets panics unwind to the caller —
+//! the right shape for a CLI process that dies with the run. A
+//! resident server needs the opposite: an **owned** description of
+//! the whole job ([`ChaseTaskSpec`], `Send` by construction, so it can
+//! hop onto a scheduler thread), compilation included, and a hard
+//! containment boundary so one poisoned session cannot take the
+//! process down.
 //! [`run_chase_task`] is that boundary: it compiles (unless handed a
 //! pre-compiled [`ProgramInput::Compiled`] bundle), builds the engine,
 //! runs it under the spec's governor, and converts any panic — real or
@@ -28,30 +28,13 @@ use std::time::Duration;
 use chase_core::cancel::CancelToken;
 use chase_core::compile::{compile, CompiledProgram};
 use chase_core::instance::Instance;
-use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
 use chase_telemetry::ChaseObserver;
 
 use crate::faults::{silence_injected_panics, FaultPlan, InjectedPanic};
 use crate::governor::{Budget, Outcome, ResourceGovernor};
-use crate::oblivious::ObliviousChase;
-use crate::restricted::{RestrictedChase, Strategy};
+use crate::restricted::{ChaseVariant, RestrictedChase};
 use crate::trigger::ChaseScratch;
-
-/// Which chase procedure a task runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskEngine {
-    /// The restricted (standard) chase under `strategy`.
-    Restricted {
-        /// Trigger-selection strategy for the run.
-        strategy: Strategy,
-    },
-    /// The (semi-)oblivious chase.
-    Oblivious {
-        /// `true` for per-frontier Skolemisation (semi-oblivious).
-        semi: bool,
-    },
-}
 
 /// What a task runs: raw source (compiled inside the containment
 /// boundary) or an already-compiled, `Arc`-shared program.
@@ -80,8 +63,8 @@ pub enum ProgramInput {
 pub struct ChaseTaskSpec {
     /// The program to run.
     pub program: ProgramInput,
-    /// Which engine to run.
-    pub engine: TaskEngine,
+    /// Which chase to run.
+    pub engine: ChaseVariant,
     /// Step/atom budget.
     pub budget: Budget,
     /// Wall-clock deadline, measured from the moment the task starts
@@ -100,9 +83,7 @@ impl ChaseTaskSpec {
     pub fn restricted(source: impl Into<String>) -> Self {
         ChaseTaskSpec {
             program: ProgramInput::Source(source.into()),
-            engine: TaskEngine::Restricted {
-                strategy: Strategy::Fifo,
-            },
+            engine: ChaseVariant::default(),
             budget: Budget::unbounded(),
             deadline: None,
             faults: FaultPlan::none(),
@@ -115,9 +96,7 @@ impl ChaseTaskSpec {
     pub fn compiled(program: Arc<CompiledProgram>) -> Self {
         ChaseTaskSpec {
             program: ProgramInput::Compiled(program),
-            engine: TaskEngine::Restricted {
-                strategy: Strategy::Fifo,
-            },
+            engine: ChaseVariant::default(),
             budget: Budget::unbounded(),
             deadline: None,
             faults: FaultPlan::none(),
@@ -226,7 +205,7 @@ fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
 /// runs with a fresh one, identical behaviour either way.
 ///
 /// The observer sees exactly the event stream a direct
-/// `run_governed_observed` call would produce; on panic it may have
+/// [`RestrictedChase::run_governed`] call would produce; on panic it may have
 /// seen a prefix of that stream, which is truthful — those events did
 /// happen.
 pub fn run_chase_task<O: ChaseObserver + ?Sized>(
@@ -265,30 +244,13 @@ fn run_task_on<O: ChaseObserver + ?Sized>(
     obs: &mut O,
     scratch: Option<&mut ChaseScratch>,
 ) -> Result<TaskOutput, TaskError> {
-    let set: &TgdSet = program.tgd_set();
-    let gov = spec.governor();
-    let mut fresh = ChaseScratch::default();
-    let scratch = scratch.unwrap_or(&mut fresh);
-    let (outcome, steps, instance) = match spec.engine {
-        TaskEngine::Restricted { strategy } => {
-            let engine = RestrictedChase::new(set).strategy(strategy);
-            let run = engine.run_governed_observed_in(program.database(), &gov, obs, scratch);
-            (run.outcome, run.steps, run.instance)
-        }
-        TaskEngine::Oblivious { semi } => {
-            let engine = if semi {
-                ObliviousChase::new(set).semi_oblivious()
-            } else {
-                ObliviousChase::new(set)
-            };
-            let run = engine.run_governed_observed_in(program.database(), &gov, obs, scratch);
-            (run.outcome, run.steps, run.instance)
-        }
-    };
+    let run = RestrictedChase::new(program.tgd_set())
+        .variant(spec.engine)
+        .run_governed(program.database(), &spec.governor(), obs, scratch);
     Ok(TaskOutput {
-        outcome,
-        steps,
-        instance,
+        outcome: run.outcome,
+        steps: run.steps,
+        instance: run.instance,
         vocab: program.vocab().clone(),
     })
 }
@@ -382,7 +344,7 @@ mod tests {
     #[test]
     fn oblivious_task_runs() {
         let mut spec = ChaseTaskSpec::restricted(FINITE);
-        spec.engine = TaskEngine::Oblivious { semi: true };
+        spec.engine = ChaseVariant::SemiOblivious;
         let out = run_chase_task(&spec, &mut NullObserver, None).unwrap();
         assert_eq!(out.outcome, Outcome::Terminated);
     }

@@ -119,8 +119,7 @@ pub fn is_core(instance: &Instance) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oblivious::ObliviousChase;
-    use crate::restricted::{Budget, Outcome, RestrictedChase, Strategy};
+    use crate::restricted::{Budget, ChaseVariant, Outcome, RestrictedChase, Strategy};
     use chase_core::hom::ground_homomorphism_exists;
     use chase_core::ids::{ConstId, PredId};
     use chase_core::parser::parse_program;
@@ -186,7 +185,9 @@ mod tests {
         let restricted = RestrictedChase::new(&set)
             .strategy(Strategy::Fifo)
             .run(&p.database, Budget::steps(1_000));
-        let oblivious = ObliviousChase::new(&set).run(&p.database, Budget::steps(1_000));
+        let oblivious = RestrictedChase::new(&set)
+            .variant(ChaseVariant::Oblivious)
+            .run(&p.database, Budget::steps(1_000));
         assert_eq!(restricted.outcome, Outcome::Terminated);
         assert_eq!(oblivious.outcome, Outcome::Terminated);
         assert_eq!(restricted.instance.len(), 4); // 3 Emp + 1 Mgr

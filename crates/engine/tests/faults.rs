@@ -12,7 +12,7 @@ use chase_core::vocab::Vocabulary;
 use chase_engine::faults::{FaultPlan, FlakyWriter};
 use chase_engine::governor::{Budget, Outcome, ResourceGovernor};
 use chase_engine::restricted::{ChaseRun, RestrictedChase};
-use chase_telemetry::{Event, JsonlWriter, RecordingObserver};
+use chase_telemetry::{Event, JsonlWriter, NullObserver, RecordingObserver};
 
 /// A non-terminating multi-TGD program: an infinite chase so injected
 /// step-indexed faults always get a chance to fire.
@@ -36,7 +36,7 @@ fn run_recorded(
     gov: &ResourceGovernor,
 ) -> (ChaseRun, Vec<Event>) {
     let mut rec = RecordingObserver::default();
-    let run = RestrictedChase::new(set).run_governed_observed(db, gov, &mut rec);
+    let run = RestrictedChase::new(set).run_governed(db, gov, &mut rec, None);
     (run, rec.events)
 }
 
@@ -63,7 +63,7 @@ proptest! {
             deadline_at_step: Some(n),
             ..FaultPlan::default()
         });
-        let run = RestrictedChase::new(&set).run_governed(&db, &gov);
+        let run = RestrictedChase::new(&set).run_governed(&db, &gov, &mut NullObserver, None);
         prop_assert_eq!(run.outcome, Outcome::DeadlineExceeded);
         prop_assert_eq!(run.steps, n);
         let replayed = run.derivation.validate(&db, &set, false)
@@ -83,7 +83,7 @@ proptest! {
             ..FaultPlan::default()
         });
         let handle = gov.cancel_token().clone();
-        let run = RestrictedChase::new(&set).run_governed(&db, &gov);
+        let run = RestrictedChase::new(&set).run_governed(&db, &gov, &mut NullObserver, None);
         prop_assert_eq!(run.outcome, Outcome::Cancelled);
         prop_assert_eq!(run.steps, n);
         prop_assert!(handle.is_cancelled());

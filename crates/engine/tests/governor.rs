@@ -7,8 +7,8 @@
 use chase_core::parser::parse_program;
 use chase_core::vocab::Vocabulary;
 use chase_engine::governor::{Budget, Outcome, ResourceGovernor};
-use chase_engine::oblivious::ObliviousChase;
-use chase_engine::restricted::{ChaseRun, RestrictedChase};
+use chase_engine::restricted::{ChaseRun, ChaseVariant, RestrictedChase};
+use chase_telemetry::NullObserver;
 use std::time::{Duration, Instant};
 
 /// A program with work to do: the chase from `R(a,b)` is infinite, so
@@ -43,7 +43,7 @@ fn zero_step_budget_stops_before_any_application() {
     let mut vocab = Vocabulary::new();
     let (db, set) = build(&mut vocab);
     let gov = ResourceGovernor::from_budget(Budget::new(0, usize::MAX));
-    let run = RestrictedChase::new(&set).run_governed(&db, &gov);
+    let run = RestrictedChase::new(&set).run_governed(&db, &gov, &mut NullObserver, None);
     assert_eq!(run.outcome, Outcome::BudgetExhausted);
     assert_untouched(&run, &db, &set);
 }
@@ -53,7 +53,7 @@ fn zero_atom_budget_stops_before_any_application() {
     let mut vocab = Vocabulary::new();
     let (db, set) = build(&mut vocab);
     let gov = ResourceGovernor::from_budget(Budget::new(usize::MAX, 0));
-    let run = RestrictedChase::new(&set).run_governed(&db, &gov);
+    let run = RestrictedChase::new(&set).run_governed(&db, &gov, &mut NullObserver, None);
     assert_eq!(run.outcome, Outcome::BudgetExhausted);
     assert_untouched(&run, &db, &set);
 }
@@ -63,7 +63,7 @@ fn deadline_expired_at_start_stops_with_deadline_outcome() {
     let mut vocab = Vocabulary::new();
     let (db, set) = build(&mut vocab);
     let gov = ResourceGovernor::new().with_deadline(Instant::now() - Duration::from_secs(1));
-    let run = RestrictedChase::new(&set).run_governed(&db, &gov);
+    let run = RestrictedChase::new(&set).run_governed(&db, &gov, &mut NullObserver, None);
     assert_eq!(run.outcome, Outcome::DeadlineExceeded);
     assert_untouched(&run, &db, &set);
 }
@@ -74,7 +74,7 @@ fn cancel_before_first_step_stops_with_cancelled_outcome() {
     let (db, set) = build(&mut vocab);
     let gov = ResourceGovernor::new();
     gov.cancel_token().cancel();
-    let run = RestrictedChase::new(&set).run_governed(&db, &gov);
+    let run = RestrictedChase::new(&set).run_governed(&db, &gov, &mut NullObserver, None);
     assert_eq!(run.outcome, Outcome::Cancelled);
     assert_untouched(&run, &db, &set);
 }
@@ -85,20 +85,21 @@ fn oblivious_engine_honours_the_same_edge_cases() {
     let (db, set) = build(&mut vocab);
 
     let zero_steps = ResourceGovernor::from_budget(Budget::new(0, usize::MAX));
-    let run = ObliviousChase::new(&set).run_governed(&db, &zero_steps);
+    let oblivious = RestrictedChase::new(&set).variant(ChaseVariant::Oblivious);
+    let run = oblivious.run_governed(&db, &zero_steps, &mut NullObserver, None);
     assert_eq!(run.outcome, Outcome::BudgetExhausted);
     assert_eq!((run.steps, &run.instance), (0, &db));
 
     let expired = ResourceGovernor::new().with_deadline(Instant::now() - Duration::from_secs(1));
-    let run = ObliviousChase::new(&set).run_governed(&db, &expired);
+    let run = oblivious.run_governed(&db, &expired, &mut NullObserver, None);
     assert_eq!(run.outcome, Outcome::DeadlineExceeded);
     assert_eq!((run.steps, &run.instance), (0, &db));
 
     let cancelled = ResourceGovernor::new();
     cancelled.cancel_token().cancel();
-    let run = ObliviousChase::new(&set)
-        .semi_oblivious()
-        .run_governed(&db, &cancelled);
+    let run = RestrictedChase::new(&set)
+        .variant(ChaseVariant::SemiOblivious)
+        .run_governed(&db, &cancelled, &mut NullObserver, None);
     assert_eq!(run.outcome, Outcome::Cancelled);
     assert_eq!((run.steps, &run.instance), (0, &db));
 }
@@ -114,7 +115,7 @@ fn cancelling_mid_run_from_a_cloned_token_stops_the_run() {
         ..chase_engine::faults::FaultPlan::default()
     });
     let external_handle = gov.cancel_token().clone();
-    let run = RestrictedChase::new(&set).run_governed(&db, &gov);
+    let run = RestrictedChase::new(&set).run_governed(&db, &gov, &mut NullObserver, None);
     assert_eq!(run.outcome, Outcome::Cancelled);
     assert_eq!(run.steps, 5);
     assert!(external_handle.is_cancelled(), "clones share the flag");

@@ -211,14 +211,6 @@ impl ProgramCache {
         self.len() == 0
     }
 
-    /// Total approximate bytes of the resident entries.
-    pub fn resident_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("program cache poisoned")
-            .total_bytes
-    }
-
     /// Looks up a client-supplied fingerprint (`program_ref`
     /// submission). A miss means the client must fall back to full
     /// source; it is *not* counted as a cache miss — no compile was

@@ -10,7 +10,7 @@
 //!
 //! | `op`       | fields |
 //! |------------|--------|
-//! | `chase`    | `id`, `program` and/or `program_ref`; optional `tenant`, `engine` (`restricted`\|`oblivious`\|`semi`), `strategy` (`fifo`\|`lifo`\|`random`\|`priority`), `seed`, `max_steps`, `max_atoms`, `deadline_ms`, `telemetry` (bool), fault arms below |
+//! | `chase`    | `id`, `program` and/or `program_ref`; optional `tenant`, `engine` (`restricted`\|`oblivious`\|`semi`), `strategy` (`fifo`\|`lifo`\|`random`\|`priority`), `seed` (resolved by [`ChaseVariant::parse`], the CLI's parser too), `max_steps`, `max_atoms`, `deadline_ms`, `telemetry` (bool), fault arms below |
 //! | `decide`   | `id`, `program` and/or `program_ref`; optional `tenant`, `deadline_ms`, `telemetry` |
 //! | `cancel`   | `id` — trips the session's [`CancelToken`] |
 //! | `ping`     | liveness probe |
@@ -51,14 +51,9 @@ use chase_core::cancel::CancelToken;
 use chase_core::compile::ProgramFingerprint;
 use chase_engine::faults::FaultPlan;
 use chase_engine::governor::Budget;
-use chase_engine::restricted::Strategy;
-use chase_engine::task::TaskEngine;
+use chase_engine::restricted::ChaseVariant;
 use chase_telemetry::event::escape_json;
 use chase_telemetry::json::{parse_line, Scalar};
-
-/// Fallback seed for `strategy=random` without an explicit `seed`,
-/// mirroring the CLI default.
-pub const DEFAULT_RANDOM_SEED: u64 = 0x9E3779B97F4A7C15;
 
 /// One parsed client request.
 #[derive(Debug)]
@@ -98,8 +93,8 @@ pub struct SessionRequest {
     /// Canonical fingerprint of a previously compiled program; the
     /// server resolves it against its program cache first.
     pub program_ref: Option<ProgramFingerprint>,
-    /// Engine selection.
-    pub engine: TaskEngine,
+    /// Which chase to run.
+    pub engine: ChaseVariant,
     /// Step/atom budget.
     pub budget: Budget,
     /// Per-session deadline, measured from session start.
@@ -213,20 +208,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "chase" => {
             let id = require_id(&map)?;
             let (program, program_ref) = parse_program_fields(&map)?;
-            let seed = get_num(&map, "seed")?;
-            let strategy = match get_str(&map, "strategy")?.as_deref() {
-                None | Some("fifo") => Strategy::Fifo,
-                Some("lifo") => Strategy::Lifo,
-                Some("random") => Strategy::Random(seed.unwrap_or(DEFAULT_RANDOM_SEED)),
-                Some("priority") => Strategy::PriorityTgd,
-                Some(other) => return Err(format!("unknown strategy \"{other}\"")),
-            };
-            let engine = match get_str(&map, "engine")?.as_deref() {
-                None | Some("restricted") => TaskEngine::Restricted { strategy },
-                Some("oblivious") => TaskEngine::Oblivious { semi: false },
-                Some("semi") => TaskEngine::Oblivious { semi: true },
-                Some(other) => return Err(format!("unknown engine \"{other}\"")),
-            };
+            let engine = ChaseVariant::parse(
+                get_str(&map, "engine")?.as_deref(),
+                get_str(&map, "strategy")?.as_deref(),
+                get_num(&map, "seed")?,
+            )?;
             let budget = Budget {
                 max_steps: get_num(&map, "max_steps")?
                     .map(|n| n as usize)
@@ -366,12 +352,7 @@ mod tests {
             Request::Chase(req) => {
                 assert_eq!(req.id, "s1");
                 assert_eq!(req.tenant, "default");
-                assert_eq!(
-                    req.engine,
-                    TaskEngine::Restricted {
-                        strategy: Strategy::Fifo
-                    }
-                );
+                assert_eq!(req.engine, ChaseVariant::default());
                 assert_eq!(req.budget.max_steps, usize::MAX);
                 assert!(req.deadline.is_none());
                 assert!(!req.telemetry);
@@ -390,7 +371,7 @@ mod tests {
         );
         match parse_request(line).unwrap() {
             Request::Chase(req) => {
-                assert_eq!(req.engine, TaskEngine::Oblivious { semi: true });
+                assert_eq!(req.engine, ChaseVariant::SemiOblivious);
                 assert_eq!(req.budget.max_steps, 7);
                 assert_eq!(req.budget.max_atoms, 100);
                 assert_eq!(req.deadline, Some(Duration::from_millis(250)));

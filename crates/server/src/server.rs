@@ -142,7 +142,6 @@ struct WriterInner {
     stream: Box<dyn Write + Send>,
     degraded: bool,
     warned: bool,
-    dropped: u64,
 }
 
 impl ConnWriter {
@@ -152,7 +151,6 @@ impl ConnWriter {
                 stream,
                 degraded: false,
                 warned: false,
-                dropped: 0,
             }),
         }
     }
@@ -164,7 +162,6 @@ impl ConnWriter {
     pub fn send_line(&self, line: &str) -> bool {
         let mut inner = self.inner.lock().expect("connection writer poisoned");
         if inner.degraded {
-            inner.dropped += 1;
             return false;
         }
         let wrote = inner
@@ -174,7 +171,6 @@ impl ConnWriter {
             .and_then(|()| inner.stream.flush());
         if let Err(e) = wrote {
             inner.degraded = true;
-            inner.dropped += 1;
             if !inner.warned {
                 inner.warned = true;
                 eprintln!("chase-server: connection write failed ({e}); dropping further replies");
@@ -187,14 +183,6 @@ impl ConnWriter {
     /// Sends one spliced telemetry event line for session `id`.
     pub fn send_event(&self, id: &str, event_json: &str) -> bool {
         self.send_line(&event_reply(id, event_json))
-    }
-
-    /// Lines dropped since the connection degraded.
-    pub fn dropped(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("connection writer poisoned")
-            .dropped
     }
 }
 
@@ -676,6 +664,5 @@ mod tests {
         let conn = ConnWriter::new(Box::new(Broken));
         assert!(!conn.send_line("{\"type\":\"pong\"}"));
         assert!(!conn.send_event("s1", "{\"event\":\"x\"}"));
-        assert_eq!(conn.dropped(), 2);
     }
 }

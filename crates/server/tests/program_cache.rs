@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use chase_core::compile::compile;
+use chase_engine::restricted::ChaseVariant;
 use chase_engine::task::{run_chase_task, ChaseTaskSpec};
 use chase_server::client::{
     request_once, run_session, run_session_with_fallback, ClientConfig, ClientError,
@@ -147,36 +148,40 @@ fn repeated_submission_hits_the_cache_and_stays_bit_identical() {
     server.join().expect("server thread");
 }
 
-/// Submits each program in turn to one server and requires every
-/// served chase result to equal a direct run of that exact text. Any
-/// two programs whose direct runs differ must get different program
-/// ids, so the cache can never hand one the other's result.
-fn assert_served_like_direct(tag: &str, programs: &[&str]) {
+/// Submits each `(engine, program)` in turn to one server and requires
+/// every served chase result to equal a direct run of that exact text
+/// with the same [`ChaseVariant`]. Any two programs whose direct runs
+/// under one engine differ must get different program ids, so the
+/// cache can never hand one the other's result.
+fn assert_served_like_direct(tag: &str, programs: &[(&str, &str)]) {
     let (endpoint, server) = boot(tag);
-    let mut seen: Vec<(String, String)> = Vec::new();
-    for (i, &source) in programs.iter().enumerate() {
-        let direct = run_chase_task(&ChaseTaskSpec::restricted(source), &mut NullObserver, None)
-            .expect("direct run");
+    let mut seen: Vec<(&str, String, String)> = Vec::new();
+    for (i, &(engine, source)) in programs.iter().enumerate() {
+        let spec = ChaseTaskSpec {
+            engine: ChaseVariant::parse(Some(engine), None, None).expect("engine name"),
+            ..ChaseTaskSpec::restricted(source)
+        };
+        let direct = run_chase_task(&spec, &mut NullObserver, None).expect("direct run");
         let direct = format!("{:016x}", direct.fingerprint());
         let served = run_traced(
             &endpoint,
             &format!(
-                r#"{{"op":"chase","id":"{tag}-{i}","program":"{}"}}"#,
+                r#"{{"op":"chase","id":"{tag}-{i}","engine":"{engine}","program":"{}"}}"#,
                 escaped(source)
             ),
         );
         assert_eq!(
             result_str(&served.result, "fingerprint"),
             direct,
-            "served result of program {i} differs from its direct run:\n{source}"
+            "served {engine} result of program {i} differs from its direct run:\n{source}"
         );
         let id = served.accepted_program.expect("accepted carries the id");
-        for (other_id, other_direct) in &seen {
-            if *other_direct != direct {
+        for (other_engine, other_id, other_direct) in &seen {
+            if *other_engine == engine && *other_direct != direct {
                 assert_ne!(*other_id, id, "programs with different results share an id");
             }
         }
-        seen.push((id, direct));
+        seen.push((engine, id, direct));
     }
     shutdown(&endpoint);
     server.join().expect("server thread");
@@ -195,7 +200,7 @@ fn reordered_programs_get_their_own_chase_results() {
     let run_b = run_chase_task(&spec(b), &mut NullObserver, None).unwrap();
     assert_eq!((run_a.steps, run_a.atoms()), (2, 3));
     assert_eq!((run_b.steps, run_b.atoms()), (1, 2));
-    assert_served_like_direct("reorder", &[a, b]);
+    assert_served_like_direct("reorder", &[("restricted", a), ("restricted", b)]);
 
     // Facts before rules vs rules before facts, once where the
     // interleaving keeps the predicate order and once where it does
@@ -203,7 +208,38 @@ fn reordered_programs_get_their_own_chase_results() {
     let rules_first = "R(x,y) -> exists z. S(x,z).\nR(x,y) -> S(x,y).\nR(a,b).\n";
     let s_fact_first = "S(c,d).\nR(a,b).\nR(x,y) -> exists z. S(x,z).\nR(x,y) -> S(x,y).\n";
     let s_fact_last = "R(x,y) -> exists z. S(x,z).\nR(x,y) -> S(x,y).\nS(c,d).\nR(a,b).\n";
-    assert_served_like_direct("interleave", &[a, rules_first, s_fact_first, s_fact_last]);
+    let interleavings = [a, rules_first, s_fact_first, s_fact_last];
+    let cases: Vec<_> = interleavings.iter().map(|&p| ("restricted", p)).collect();
+    assert_served_like_direct("interleave", &cases);
+}
+
+#[test]
+fn oblivious_chases_are_served_like_direct_runs() {
+    // Two triggers share the frontier x=a: the oblivious chase applies
+    // both (4 atoms), the semi-oblivious chase one (3 atoms), and the
+    // restricted chase one, the other being satisfied by then.
+    let shared_frontier = "R(a,b).\nR(a,c).\nR(x,y) -> exists z. S(x,z).\n";
+    let direct = |engine| {
+        let spec = ChaseTaskSpec {
+            engine,
+            ..ChaseTaskSpec::restricted(shared_frontier)
+        };
+        let run = run_chase_task(&spec, &mut NullObserver, None).unwrap();
+        (run.steps, run.atoms())
+    };
+    assert_eq!(direct(ChaseVariant::Oblivious), (2, 4));
+    assert_eq!(direct(ChaseVariant::SemiOblivious), (1, 3));
+    let chain = "R(a,b).\nR(x,y) -> exists z. S(y,z).\nS(u,v) -> T(u).\n";
+    assert_served_like_direct(
+        "oblivious",
+        &[
+            ("oblivious", shared_frontier),
+            ("semi", shared_frontier),
+            ("restricted", shared_frontier),
+            ("oblivious", chain),
+            ("semi", chain),
+        ],
+    );
 }
 
 #[test]

@@ -369,14 +369,14 @@ pub(crate) fn decide_guarded_governed<O: ChaseObserver + ?Sized>(
                 name: names::GUARDED_SEEDS,
                 delta: 1,
             });
-            let short = engine.run_governed_observed(seed, &short_gov, obs);
+            let short = engine.run_governed(seed, &short_gov, obs, None);
             if let Some(v) = stopped(short.outcome) {
                 return v;
             }
             if short.outcome == Outcome::Terminated {
                 continue;
             }
-            let long = engine.run_governed_observed(seed, &long_gov, obs);
+            let long = engine.run_governed(seed, &long_gov, obs, None);
             if let Some(v) = stopped(long.outcome) {
                 return v;
             }
@@ -387,7 +387,7 @@ pub(crate) fn decide_guarded_governed<O: ChaseObserver + ?Sized>(
             let growing = long.steps >= short.steps + b / 2;
             if growing && has_repeating_guard_path(set, &long) {
                 // Re-run with the witness horizon and validate.
-                let evidence = engine.run_governed_observed(seed, &witness_gov, obs);
+                let evidence = engine.run_governed(seed, &witness_gov, obs, None);
                 if let Some(v) = stopped(evidence.outcome) {
                     return v;
                 }

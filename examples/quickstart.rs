@@ -36,7 +36,9 @@ fn main() {
     );
 
     // ...while the oblivious chase blows any budget.
-    let oblivious = ObliviousChase::new(&set).run(&program.database, Budget::steps(10));
+    let oblivious = RestrictedChase::new(&set)
+        .variant(ChaseVariant::Oblivious)
+        .run(&program.database, Budget::steps(10));
     println!(
         "oblivious chase:  {:?} after {} steps ({} atoms)\n",
         oblivious.outcome,

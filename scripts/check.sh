@@ -23,6 +23,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== frozen benchmark builds (perfbench against the current engine and server API) =="
+# perfbench is its own workspace with its own lock file; --locked keeps
+# that lock file from being rewritten.
+cargo build --offline --locked --release --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q (root package: tier-1) =="
 cargo test --offline -q
 

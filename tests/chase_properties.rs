@@ -51,7 +51,9 @@ proptest! {
         let r = RestrictedChase::new(&set)
             .strategy(Strategy::Fifo)
             .run(&db, Budget::new(300, 3_000));
-        let o = ObliviousChase::new(&set).run(&db, Budget::new(1_500, 15_000));
+        let o = RestrictedChase::new(&set)
+            .variant(ChaseVariant::Oblivious)
+            .run(&db, Budget::new(1_500, 15_000));
         if r.outcome == Outcome::Terminated && o.outcome == Outcome::Terminated {
             prop_assert!(r.instance.len() <= o.instance.len());
             prop_assert!(ground_homomorphism_exists(&r.instance, &o.instance));
@@ -63,8 +65,9 @@ proptest! {
     #[test]
     fn semi_oblivious_is_coarser(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
-        let semi = ObliviousChase::new(&set).semi_oblivious().run(&db, Budget::new(800, 8_000));
-        let full = ObliviousChase::new(&set).run(&db, Budget::new(800, 8_000));
+        let budget = Budget::new(800, 8_000);
+        let semi = RestrictedChase::new(&set).variant(ChaseVariant::SemiOblivious).run(&db, budget);
+        let full = RestrictedChase::new(&set).variant(ChaseVariant::Oblivious).run(&db, budget);
         if semi.outcome == Outcome::Terminated && full.outcome == Outcome::Terminated {
             prop_assert!(semi.instance.len() <= full.instance.len());
         }

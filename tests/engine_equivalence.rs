@@ -74,9 +74,8 @@ proptest! {
             let seed_engine = SeedObliviousChase::new(&set);
             let seed_engine = if semi { seed_engine.semi_oblivious() } else { seed_engine };
             let reference = seed_engine.run(&db, budget);
-            let engine = ObliviousChase::new(&set);
-            let engine = if semi { engine.semi_oblivious() } else { engine };
-            let run = engine.run(&db, budget);
+            let variant = if semi { ChaseVariant::SemiOblivious } else { ChaseVariant::Oblivious };
+            let run = RestrictedChase::new(&set).variant(variant).run(&db, budget);
             prop_assert_eq!(reference.outcome, run.outcome, "semi={}", semi);
             prop_assert_eq!(reference.steps, run.steps, "semi={}", semi);
             prop_assert_eq!(&reference.instance, &run.instance, "semi={}", semi);

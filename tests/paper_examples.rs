@@ -20,7 +20,9 @@ fn intro_example_restricted_vs_oblivious() {
     assert_eq!(restricted.steps, 0);
     assert_eq!(restricted.instance, program.database);
 
-    let oblivious = ObliviousChase::new(&set).run(&program.database, Budget::steps(100));
+    let oblivious = RestrictedChase::new(&set)
+        .variant(ChaseVariant::Oblivious)
+        .run(&program.database, Budget::steps(100));
     assert_eq!(oblivious.outcome, Outcome::BudgetExhausted);
     assert_eq!(oblivious.instance.len(), 101); // R(a,b), R(a,ν1), R(a,ν2), ...
 }
@@ -42,7 +44,9 @@ fn example_3_2_and_3_4_real_oblivious_chase() {
     .unwrap();
     let set = program.tgd_set(&vocab).unwrap();
 
-    let oblivious = ObliviousChase::new(&set).run(&program.database, Budget::steps(10_000));
+    let oblivious = RestrictedChase::new(&set)
+        .variant(ChaseVariant::Oblivious)
+        .run(&program.database, Budget::steps(10_000));
     assert_eq!(oblivious.outcome, Outcome::Terminated);
     assert_eq!(oblivious.instance.len(), 4);
 

@@ -1,9 +1,14 @@
 //! Parser robustness: arbitrary input must never panic — every byte
 //! soup either parses or yields a positioned error — and pretty-printed
-//! rule sets survive structural round-trips.
+//! rule sets survive structural round-trips. The same holds for the
+//! server's request parser and the flat-JSON decoder under it, and
+//! every engine/strategy name resolves through the one
+//! `ChaseVariant::parse`.
 
 use proptest::prelude::*;
 use restricted_chase::prelude::*;
+use restricted_chase::server::protocol::parse_request;
+use restricted_chase::telemetry::json::parse_line;
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -62,6 +67,159 @@ proptest! {
             for head in tgd.head() {
                 for v in head.vars() {
                     prop_assert!(tgd.is_frontier(v) || tgd.is_existential(v));
+                }
+            }
+        }
+    }
+}
+
+/// Valid request lines whose prefixes the truncation property feeds to
+/// the parsers.
+const REQUESTS: &[&str] = &[
+    r#"{"op":"chase","id":"s1","program":"R(a,b).\nR(x,y) -> S(x).","engine":"semi","strategy":"random","seed":7,"max_steps":40,"telemetry":true}"#,
+    r#"{"op":"decide","id":"dé","program_ref":"0123456789abcdef0123456789abcdef","deadline_ms":5}"#,
+    r#"{"op":"shutdown","mode":"abort"}"#,
+    r#"{"op":"cancel","id":"s\"1"}"#,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        .. ProptestConfig::default()
+    })]
+
+    /// No input string panics the request parser or the flat-JSON
+    /// decoder under it.
+    #[test]
+    fn arbitrary_request_lines_never_panic(line in ".{0,200}") {
+        let _ = parse_request(&line);
+        let _ = parse_line(&line);
+    }
+
+    /// JSON-token soup — braces, quotes, escapes, the request keys and
+    /// engine/strategy names, numbers out of range — never panics
+    /// either.
+    #[test]
+    fn json_token_soup_never_panics(tokens in proptest::collection::vec(0u8..20, 0..40)) {
+        let line: String = tokens.iter().map(|t| match t {
+            0 => "{",
+            1 => "}",
+            2 => ":",
+            3 => ",",
+            4 => "\"op\"",
+            5 => "\"chase\"",
+            6 => "\"id\"",
+            7 => "\"engine\"",
+            8 => "\"semi\"",
+            9 => "\"strategy\"",
+            10 => "\"random\"",
+            11 => "\"seed\"",
+            12 => "18446744073709551616",
+            13 => "-1",
+            14 => "true",
+            15 => "\"\\u12",
+            16 => "\"\\",
+            17 => "\"program\"",
+            18 => "1.5",
+            19 => "null",
+            _ => unreachable!(),
+        }).collect();
+        let _ = parse_request(&line);
+        let _ = parse_line(&line);
+    }
+
+    /// Every prefix of a valid request (a client cut off mid-line) is
+    /// answered with a diagnostic or a request, never a panic; only the
+    /// whole line parses as a request.
+    #[test]
+    fn truncated_requests_never_panic(which in 0usize..4, cut in 0usize..400) {
+        let line = REQUESTS[which];
+        let mut end = cut.min(line.len());
+        while !line.is_char_boundary(end) {
+            end -= 1;
+        }
+        let prefix = &line[..end];
+        let _ = parse_line(prefix);
+        let parsed = parse_request(prefix);
+        if end < line.len() {
+            prop_assert!(parsed.is_err(), "prefix {:?} parsed", prefix);
+        } else {
+            prop_assert!(parsed.is_ok(), "{:?}", parsed.err());
+        }
+    }
+}
+
+/// Every engine × strategy name, known and unknown, with and without a
+/// seed, through the one name parser: the CLI calls
+/// `ChaseVariant::parse` directly and the server through
+/// `parse_request`, and both must resolve a name the same way.
+#[test]
+fn every_engine_and_strategy_name_resolves_through_one_parser() {
+    use restricted_chase::engine::restricted::{Strategy, DEFAULT_RANDOM_SEED};
+    use restricted_chase::server::protocol::Request;
+
+    assert_eq!(DEFAULT_RANDOM_SEED, 0xC0FFEE, "the documented CLI default");
+    // What an engine name resolves to, given the strategy; `None` for
+    // an unknown name.
+    type Resolves = Option<fn(Strategy) -> ChaseVariant>;
+    let engines: [(Option<&str>, Resolves); 6] = [
+        (None, Some(ChaseVariant::Restricted)),
+        (Some("restricted"), Some(ChaseVariant::Restricted)),
+        (Some("oblivious"), Some(|_| ChaseVariant::Oblivious)),
+        (Some("semi"), Some(|_| ChaseVariant::SemiOblivious)),
+        (Some("Oblivious"), None),
+        (Some("semi-oblivious"), None),
+    ];
+    for seed in [None, Some(7)] {
+        let strategies: [(Option<&str>, Option<Strategy>); 7] = [
+            (None, Some(Strategy::Fifo)),
+            (Some("fifo"), Some(Strategy::Fifo)),
+            (Some("lifo"), Some(Strategy::Lifo)),
+            (
+                Some("random"),
+                Some(Strategy::Random(seed.unwrap_or(0xC0FFEE))),
+            ),
+            (Some("priority"), Some(Strategy::PriorityTgd)),
+            (Some("FIFO"), None),
+            (Some(""), None),
+        ];
+        for (engine, make) in engines {
+            for (strategy, resolved) in strategies {
+                let got = ChaseVariant::parse(engine, strategy, seed);
+                let case = format!("engine {engine:?}, strategy {strategy:?}, seed {seed:?}");
+                match (resolved, make) {
+                    // A strategy is checked even when the engine ignores it.
+                    (None, _) => {
+                        let err = got.expect_err(&case);
+                        assert!(err.contains("unknown strategy"), "{case}: {err}");
+                    }
+                    (Some(_), None) => {
+                        let err = got.expect_err(&case);
+                        assert!(err.contains("unknown engine"), "{case}: {err}");
+                    }
+                    (Some(s), Some(make)) => assert_eq!(got, Ok(make(s)), "{case}"),
+                }
+
+                let mut line = String::from(r#"{"op":"chase","id":"t","program":"R(a,b).""#);
+                if let Some(e) = engine {
+                    line.push_str(&format!(r#","engine":"{e}""#));
+                }
+                if let Some(s) = strategy {
+                    line.push_str(&format!(r#","strategy":"{s}""#));
+                }
+                if let Some(n) = seed {
+                    line.push_str(&format!(r#","seed":{n}"#));
+                }
+                line.push('}');
+                match (
+                    parse_request(&line),
+                    ChaseVariant::parse(engine, strategy, seed),
+                ) {
+                    (Ok(Request::Chase(req)), Ok(variant)) => {
+                        assert_eq!(req.engine, variant, "{case}")
+                    }
+                    (Err(served), Err(direct)) => assert_eq!(served, direct, "{case}"),
+                    (served, direct) => panic!("{case}: served {served:?}, direct {direct:?}"),
                 }
             }
         }

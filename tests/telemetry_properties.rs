@@ -119,8 +119,8 @@ proptest! {
         let (_vocab, set, db) = build(seed, db_seed);
         let budget = Budget::new(200, 2_000);
         let restricted = RestrictedChase::new(&set).strategy(Strategy::Fifo);
-        let oblivious = ObliviousChase::new(&set);
-        let semi = ObliviousChase::new(&set).semi_oblivious();
+        let oblivious = RestrictedChase::new(&set).variant(ChaseVariant::Oblivious);
+        let semi = RestrictedChase::new(&set).variant(ChaseVariant::SemiOblivious);
         let runs = [
             (
                 restricted.run(&db, budget),
@@ -154,12 +154,13 @@ proptest! {
             .heartbeat_every(7)
             .run_observed(&db, budget, &mut restricted);
         let mut oblivious = Profiled(RecordingObserver::default());
-        ObliviousChase::new(&set)
+        RestrictedChase::new(&set)
+            .variant(ChaseVariant::Oblivious)
             .heartbeat_every(7)
             .run_observed(&db, budget, &mut oblivious);
         let mut semi = Profiled(RecordingObserver::default());
-        ObliviousChase::new(&set)
-            .semi_oblivious()
+        RestrictedChase::new(&set)
+            .variant(ChaseVariant::SemiOblivious)
             .heartbeat_every(7)
             .run_observed(&db, budget, &mut semi);
         for rec in [restricted, oblivious, semi] {

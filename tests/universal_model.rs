@@ -34,7 +34,9 @@ fn chase_variants_produce_homomorphically_equivalent_universal_models() {
         // The semi-oblivious chase may or may not terminate on the
         // probe even for CT sets (it is stricter); when it does, the
         // results must be hom-equivalent universal models.
-        let semi = ObliviousChase::new(&set).semi_oblivious().run(&db, budget);
+        let semi = RestrictedChase::new(&set)
+            .variant(ChaseVariant::SemiOblivious)
+            .run(&db, budget);
         if semi.outcome == Outcome::Terminated {
             assert!(satisfies_all(&semi.instance, &set), "{}", entry.name);
             assert!(
@@ -97,7 +99,9 @@ fn cores_of_chase_results_are_minimal_universal_models() {
         }
         // Oblivious results, where they terminate, can be non-core;
         // their core is never larger than the restricted result.
-        let oblivious = ObliviousChase::new(&set).run(&db, Budget::steps(20_000));
+        let oblivious = RestrictedChase::new(&set)
+            .variant(ChaseVariant::Oblivious)
+            .run(&db, Budget::steps(20_000));
         if oblivious.outcome == Outcome::Terminated && oblivious.instance.len() <= 60 {
             let ocore = core_of(&oblivious.instance);
             assert!(ocore.len() <= oblivious.instance.len());
