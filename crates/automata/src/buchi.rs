@@ -8,6 +8,8 @@
 //! alphabet and a transition function; states are interned on the fly
 //! and only the reachable fragment is ever built.
 
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
 /// An implicitly represented Büchi automaton, deterministic per input
@@ -34,10 +36,16 @@ pub trait BuchiAutomaton {
     fn is_accepting(&self, state: &Self::State) -> bool;
 }
 
-/// An ultimately periodic word `prefix · cycleᵚ` witnessing
-/// non-emptiness.
+/// How many states the emptiness search interns between two calls of
+/// its `interrupted` callback.
+pub const POLL_INTERVAL: usize = 256;
+
+/// An ultimately periodic word `prefix · cycleᵚ` accepted from the
+/// initial state `start`: a witness of non-emptiness.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lasso<Sym> {
+pub struct Lasso<S, Sym> {
+    /// The initial state the accepting run starts from.
+    pub start: S,
     /// The finite prefix.
     pub prefix: Vec<Sym>,
     /// The repeated cycle (non-empty; visits an accepting state).
@@ -46,8 +54,8 @@ pub struct Lasso<Sym> {
 
 /// Outcome of an emptiness check.
 #[derive(Debug, Clone)]
-pub enum Emptiness<Sym> {
-    /// `L(A) = ∅` within the explored fragment, which is exhaustive.
+pub enum Emptiness<S, Sym> {
+    /// `L(A) = ∅`: the search explored every reachable state.
     Empty {
         /// Number of reachable states.
         states: usize,
@@ -55,7 +63,7 @@ pub enum Emptiness<Sym> {
     /// A witness lasso was found.
     NonEmpty {
         /// The accepting lasso.
-        lasso: Lasso<Sym>,
+        lasso: Lasso<S, Sym>,
         /// Number of states explored before the witness was returned.
         states: usize,
     },
@@ -65,312 +73,274 @@ pub enum Emptiness<Sym> {
         /// The cap that was hit.
         cap: usize,
     },
+    /// The `interrupted` callback stopped the search; the result is
+    /// unknown.
+    Interrupted {
+        /// Number of states explored before the stop.
+        states: usize,
+    },
 }
 
-impl<Sym> Emptiness<Sym> {
-    /// `true` iff the language was proven empty.
-    pub fn is_empty_language(&self) -> bool {
-        matches!(self, Emptiness::Empty { .. })
-    }
-
-    /// The witness lasso, if any.
-    pub fn lasso(&self) -> Option<&Lasso<Sym>> {
-        match self {
-            Emptiness::NonEmpty { lasso, .. } => Some(lasso),
-            _ => None,
-        }
-    }
-}
-
-/// Explores an implicit Büchi automaton and decides emptiness.
-pub struct Explorer<A: BuchiAutomaton> {
-    automaton: A,
+/// Explores an implicit Büchi automaton and decides emptiness on the
+/// fly: states are interned as the search first reaches them, and a
+/// non-empty language stops the search at its first accepting SCC.
+pub struct Explorer<'a, A: BuchiAutomaton> {
+    automaton: &'a A,
     cap: usize,
 }
 
-struct ReachableGraph<S, Sym> {
-    states: Vec<S>,
-    /// Edges `(from, symbol index, to)`.
-    edges: Vec<(usize, usize, usize)>,
-    accepting: Vec<bool>,
-    initial: Vec<usize>,
-    symbols: Vec<Sym>,
-}
-
-impl<A: BuchiAutomaton> Explorer<A> {
-    /// Creates an explorer with a state cap (resource guard).
-    pub fn new(automaton: A, cap: usize) -> Self {
+impl<'a, A: BuchiAutomaton> Explorer<'a, A> {
+    /// Creates an explorer of `automaton` with a state cap (resource
+    /// guard).
+    pub fn new(automaton: &'a A, cap: usize) -> Self {
         Explorer { automaton, cap }
     }
 
-    /// Access to the wrapped automaton.
-    pub fn automaton(&self) -> &A {
-        &self.automaton
-    }
-
-    fn build_graph(&self) -> Result<ReachableGraph<A::State, A::Symbol>, usize> {
-        use std::collections::hash_map::Entry;
-        use std::collections::HashMap;
+    /// Decides emptiness with Couvreur's (1999) on-the-fly SCC search:
+    /// one iterative DFS from each initial state in turn, whose roots
+    /// stack records for every partial SCC whether it holds an
+    /// accepting state. The language is non-empty iff an edge into a
+    /// live state merges partial SCCs into one that does, and the
+    /// search returns right there; an empty language is explored in
+    /// full.
+    ///
+    /// The lasso is read off the explored part: the prefix follows
+    /// DFS-tree edges from the DFS root (the lasso's `start`) to an
+    /// accepting state `q` of that SCC, and the cycle is a shortest
+    /// cycle through `q` over explored edges inside the SCC.
+    ///
+    /// Interning more than the cap's number of states returns
+    /// [`Emptiness::Capped`]. Every [`POLL_INTERVAL`] interned states
+    /// the search calls `interrupted` and returns
+    /// [`Emptiness::Interrupted`] if it answers `true`.
+    pub fn emptiness(
+        &self,
+        mut interrupted: impl FnMut() -> bool,
+    ) -> Emptiness<A::State, A::Symbol> {
         let symbols = self.automaton.alphabet();
-        let mut states: Vec<A::State> = Vec::new();
-        let mut index: HashMap<A::State, usize> = HashMap::new();
-        let mut edges = Vec::new();
-        let mut initial = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        for s in self.automaton.initial_states() {
-            match index.entry(s.clone()) {
-                Entry::Occupied(e) => initial.push(*e.get()),
-                Entry::Vacant(e) => {
-                    let id = states.len();
-                    e.insert(id);
-                    states.push(s);
-                    initial.push(id);
-                    queue.push_back(id);
-                }
+        let mut dfs = Dfs {
+            nodes: Vec::new(),
+            index: HashMap::new(),
+            roots: Vec::new(),
+            live: Vec::new(),
+            path: Vec::new(),
+        };
+        for init in self.automaton.initial_states() {
+            let Ok(root) = dfs.intern(init, None) else {
+                continue; // explored from an earlier root
+            };
+            if let Some(stop) = self.open(&mut dfs, root, &mut interrupted) {
+                return stop;
             }
-        }
-        while let Some(u) = queue.pop_front() {
-            for (si, sym) in symbols.iter().enumerate() {
-                let Some(next) = self.automaton.next(&states[u], sym) else {
+            while let Some(top) = dfs.path.last_mut() {
+                let (u, si) = *top;
+                top.1 += 1;
+                let Some(sym) = symbols.get(si) else {
+                    dfs.path.pop();
+                    dfs.close(u);
                     continue;
                 };
-                let v = match index.entry(next.clone()) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        if states.len() >= self.cap {
-                            return Err(self.cap);
-                        }
-                        let id = states.len();
-                        e.insert(id);
-                        states.push(next);
-                        queue.push_back(id);
-                        id
-                    }
+                let Some(next) = self.automaton.next(&dfs.nodes[u].state, sym) else {
+                    continue;
                 };
-                edges.push((u, si, v));
-            }
-        }
-        let accepting = states
-            .iter()
-            .map(|s| self.automaton.is_accepting(s))
-            .collect();
-        Ok(ReachableGraph {
-            states,
-            edges,
-            accepting,
-            initial,
-            symbols,
-        })
-    }
-
-    /// Decides emptiness by SCC analysis of the reachable graph: the
-    /// language is non-empty iff some accepting state lies in a
-    /// non-trivial SCC (or has a self-loop). Returns a witness lasso
-    /// in that case.
-    pub fn emptiness(&self) -> Emptiness<A::Symbol> {
-        let graph = match self.build_graph() {
-            Ok(g) => g,
-            Err(cap) => return Emptiness::Capped { cap },
-        };
-        let n = graph.states.len();
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (symbol, to)
-        for &(f, s, t) in &graph.edges {
-            adj[f].push((s, t));
-        }
-        let comp = sccs(n, &adj);
-        // Size of each component and self-loops.
-        let mut comp_size = vec![0usize; n];
-        for &c in &comp {
-            comp_size[c] += 1;
-        }
-        let mut target = None;
-        'outer: for q in 0..n {
-            if !graph.accepting[q] {
-                continue;
-            }
-            let nontrivial = comp_size[comp[q]] > 1 || adj[q].iter().any(|&(_, t)| t == q);
-            if nontrivial {
-                target = Some(q);
-                break 'outer;
-            }
-        }
-        let Some(q) = target else {
-            return Emptiness::Empty { states: n };
-        };
-        // Witness: shortest prefix init → q, then shortest non-empty
-        // cycle q → q inside the component.
-        let prefix = bfs_path(&adj, &graph.initial, |v| v == q).expect("q reachable");
-        let cycle = bfs_cycle(&adj, q, &comp).expect("q on a cycle");
-        let to_syms = |path: Vec<usize>| {
-            path.into_iter()
-                .map(|si| graph.symbols[si].clone())
-                .collect::<Vec<_>>()
-        };
-        Emptiness::NonEmpty {
-            lasso: Lasso {
-                prefix: to_syms(prefix),
-                cycle: to_syms(cycle),
-            },
-            states: n,
-        }
-    }
-
-    /// The number of reachable states (diagnostics / benchmarks), or
-    /// `None` if the cap is hit.
-    pub fn reachable_states(&self) -> Option<usize> {
-        self.build_graph().ok().map(|g| g.states.len())
-    }
-}
-
-/// Iterative Tarjan SCC; returns component id per node.
-fn sccs(n: usize, adj: &[Vec<(usize, usize)>]) -> Vec<usize> {
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut comp = vec![usize::MAX; n];
-    let mut next_index = 0usize;
-    let mut next_comp = 0usize;
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&(v, child)) = call.last() {
-            if child < adj[v].len() {
-                let (_, w) = adj[v][child];
-                call.last_mut().expect("nonempty").1 += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(p, _)) = call.last() {
-                    low[p] = low[p].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    loop {
-                        let w = stack.pop().expect("stack nonempty");
-                        on_stack[w] = false;
-                        comp[w] = next_comp;
-                        if w == v {
-                            break;
+                match dfs.intern(next, Some((u, si))) {
+                    Ok(v) => {
+                        dfs.nodes[u].edges.push((si, v));
+                        if let Some(stop) = self.open(&mut dfs, v, &mut interrupted) {
+                            return stop;
                         }
                     }
-                    next_comp += 1;
+                    Err(v) if !dfs.nodes[v].done => {
+                        dfs.nodes[u].edges.push((si, v));
+                        if dfs.merge(v) {
+                            return Emptiness::NonEmpty {
+                                lasso: dfs.lasso(self.automaton, &symbols),
+                                states: dfs.nodes.len(),
+                            };
+                        }
+                    }
+                    Err(_) => {} // into a complete SCC: no new cycle
                 }
             }
         }
-    }
-    comp
-}
-
-/// BFS from `starts` until `goal` holds; returns the symbol sequence.
-fn bfs_path(
-    adj: &[Vec<(usize, usize)>],
-    starts: &[usize],
-    goal: impl Fn(usize) -> bool,
-) -> Option<Vec<usize>> {
-    let n = adj.len();
-    let mut prev: Vec<Option<(usize, usize)>> = vec![None; n]; // (from, symbol)
-    let mut visited = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    for &s in starts {
-        if !visited[s] {
-            visited[s] = true;
-            queue.push_back(s);
+        Emptiness::Empty {
+            states: dfs.nodes.len(),
         }
     }
-    let mut found = starts.iter().copied().find(|&s| goal(s));
-    while found.is_none() {
-        let u = queue.pop_front()?;
-        for &(sym, v) in &adj[u] {
-            if !visited[v] {
-                visited[v] = true;
-                prev[v] = Some((u, sym));
-                if goal(v) {
-                    found = Some(v);
+
+    /// Opens the newly interned state `v` on the DFS path, enforcing
+    /// the cap and polling `interrupted`.
+    fn open(
+        &self,
+        dfs: &mut Dfs<A::State>,
+        v: usize,
+        interrupted: &mut impl FnMut() -> bool,
+    ) -> Option<Emptiness<A::State, A::Symbol>> {
+        let states = dfs.nodes.len();
+        if states > self.cap {
+            return Some(Emptiness::Capped { cap: self.cap });
+        }
+        let accepting = self.automaton.is_accepting(&dfs.nodes[v].state);
+        dfs.roots.push((v, accepting));
+        dfs.live.push(v);
+        dfs.path.push((v, 0));
+        (states % POLL_INTERVAL == 0 && interrupted()).then_some(Emptiness::Interrupted { states })
+    }
+}
+
+/// An interned state and what the search keeps about it.
+struct Node<S> {
+    state: S,
+    /// The DFS-tree edge `(parent, symbol index)` that first reached
+    /// the state; `None` for a DFS root.
+    parent: Option<(usize, usize)>,
+    /// Explored edges `(symbol index, successor)` into live states.
+    edges: Vec<(usize, usize)>,
+    /// Whether the state's SCC is complete (it left the live stack).
+    done: bool,
+}
+
+/// The state of one emptiness search. State ids are DFS preorder
+/// numbers.
+struct Dfs<S> {
+    nodes: Vec<Node<S>>,
+    index: HashMap<S, usize>,
+    /// The first state of each partial SCC, and whether that SCC holds
+    /// an accepting state.
+    roots: Vec<(usize, bool)>,
+    /// The states of the partial SCCs, in increasing id order.
+    live: Vec<usize>,
+    /// The DFS path: each state with the index of its next symbol.
+    path: Vec<(usize, usize)>,
+}
+
+impl<S: Clone + Eq + Hash> Dfs<S> {
+    /// Interns `state`, reached over the DFS-tree edge `parent`:
+    /// `Ok(id)` if it is new, `Err(id)` if known.
+    fn intern(&mut self, state: S, parent: Option<(usize, usize)>) -> Result<usize, usize> {
+        match self.index.entry(state) {
+            Entry::Occupied(e) => Err(*e.get()),
+            Entry::Vacant(e) => {
+                let id = self.nodes.len();
+                self.nodes.push(Node {
+                    state: e.key().clone(),
+                    parent,
+                    edges: Vec::new(),
+                    done: false,
+                });
+                e.insert(id);
+                Ok(id)
+            }
+        }
+    }
+
+    /// Closes `u`, whose successors are all explored: if `u` roots a
+    /// partial SCC, that SCC is complete and leaves the live stack.
+    fn close(&mut self, u: usize) {
+        if self.roots.last().is_some_and(|&(r, _)| r == u) {
+            self.roots.pop();
+            while let Some(w) = self.live.pop() {
+                self.nodes[w].done = true;
+                if w == u {
                     break;
                 }
+            }
+        }
+    }
+
+    /// An edge into the live state `v` closes a cycle through every
+    /// partial SCC rooted after `v`'s: merges them into `v`'s and
+    /// returns whether the merged SCC holds an accepting state.
+    fn merge(&mut self, v: usize) -> bool {
+        let mut accepting = false;
+        while let Some(&(r, acc)) = self.roots.last() {
+            if r <= v {
+                break;
+            }
+            accepting |= acc;
+            self.roots.pop();
+        }
+        let top = self.roots.last_mut().expect("a live state has a root");
+        top.1 |= accepting;
+        top.1
+    }
+
+    /// The lasso through the top partial SCC, which holds an accepting
+    /// state.
+    fn lasso<A: BuchiAutomaton<State = S>>(
+        &self,
+        automaton: &A,
+        symbols: &[A::Symbol],
+    ) -> Lasso<S, A::Symbol> {
+        let (root, _) = *self.roots.last().expect("an accepting SCC");
+        let in_scc = |w: usize| w >= root && !self.nodes[w].done;
+        let q = (root..self.nodes.len())
+            .find(|&w| in_scc(w) && automaton.is_accepting(&self.nodes[w].state))
+            .expect("the SCC holds an accepting state");
+        let mut prefix = Vec::new();
+        let mut start = q;
+        while let Some((from, si)) = self.nodes[start].parent {
+            prefix.push(symbols[si].clone());
+            start = from;
+        }
+        prefix.reverse();
+        let cycle = shortest_cycle(&self.nodes, q, in_scc)
+            .into_iter()
+            .map(|si| symbols[si].clone())
+            .collect();
+        Lasso {
+            start: self.nodes[start].state.clone(),
+            prefix,
+            cycle,
+        }
+    }
+}
+
+/// BFS for a shortest non-empty cycle through `q` over explored edges
+/// between states `in_scc` accepts; returns its symbol indices.
+fn shortest_cycle<S>(nodes: &[Node<S>], q: usize, in_scc: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut prev: Vec<Option<(usize, usize)>> = vec![None; nodes.len()]; // (from, symbol)
+    let mut queue = VecDeque::from([q]);
+    while let Some(u) = queue.pop_front() {
+        for &(si, v) in &nodes[u].edges {
+            if v == q {
+                let mut cycle = vec![si];
+                let mut cur = u;
+                while let Some((from, s)) = prev[cur] {
+                    cycle.push(s);
+                    cur = from;
+                }
+                cycle.reverse();
+                return cycle;
+            }
+            if in_scc(v) && prev[v].is_none() {
+                prev[v] = Some((u, si));
                 queue.push_back(v);
             }
         }
     }
-    let mut path = Vec::new();
-    let mut cur = found?;
-    while let Some((from, sym)) = prev[cur] {
-        path.push(sym);
-        cur = from;
-    }
-    path.reverse();
-    Some(path)
-}
-
-/// Shortest non-empty cycle through `q` staying inside `q`'s SCC.
-fn bfs_cycle(adj: &[Vec<(usize, usize)>], q: usize, comp: &[usize]) -> Option<Vec<usize>> {
-    // One step out of q (within the SCC), then BFS back to q.
-    let cq = comp[q];
-    for &(sym, first) in &adj[q] {
-        if comp[first] != cq {
-            continue;
-        }
-        if first == q {
-            return Some(vec![sym]);
-        }
-        let restricted: Vec<Vec<(usize, usize)>> = adj
-            .iter()
-            .enumerate()
-            .map(|(u, outs)| {
-                if comp[u] == cq {
-                    outs.iter()
-                        .copied()
-                        .filter(|&(_, t)| comp[t] == cq)
-                        .collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        if let Some(back) = bfs_path(&restricted, &[first], |v| v == q) {
-            let mut cycle = vec![sym];
-            cycle.extend(back);
-            return Some(cycle);
-        }
-    }
-    None
+    unreachable!("q lies on a cycle inside its SCC")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A toy automaton over the alphabet {0, 1}: states are `u8`
-    /// counters mod `modulus`; symbol 0 increments, symbol 1 resets;
-    /// accepting iff the counter equals `accept`. Transitions out of
-    /// `dead` states (counter == modulus-1 when `trap` is set) reject.
+    /// A toy automaton over the alphabet {0, 1}: states are counters
+    /// mod `modulus`; symbol 0 increments, symbol 1 resets; accepting
+    /// iff the counter equals `accept`. Transitions out of the last
+    /// counter value reject when `trap` is set.
     struct Toy {
-        modulus: u8,
-        accept: u8,
+        modulus: u16,
+        accept: u16,
         trap: bool,
     }
 
     impl BuchiAutomaton for Toy {
-        type State = u8;
+        type State = u16;
         type Symbol = u8;
 
-        fn initial_states(&self) -> Vec<u8> {
+        fn initial_states(&self) -> Vec<u16> {
             vec![0]
         }
 
@@ -378,7 +348,7 @@ mod tests {
             vec![0, 1]
         }
 
-        fn next(&self, state: &u8, symbol: &u8) -> Option<u8> {
+        fn next(&self, state: &u16, symbol: &u8) -> Option<u16> {
             if self.trap && *state == self.modulus - 1 {
                 return None;
             }
@@ -388,40 +358,40 @@ mod tests {
             })
         }
 
-        fn is_accepting(&self, state: &u8) -> bool {
+        fn is_accepting(&self, state: &u16) -> bool {
             *state == self.accept
         }
     }
 
+    fn toy(modulus: u16, accept: u16, trap: bool) -> Toy {
+        Toy {
+            modulus,
+            accept,
+            trap,
+        }
+    }
+
+    fn emptiness<A: BuchiAutomaton>(automaton: A, cap: usize) -> Emptiness<A::State, A::Symbol> {
+        Explorer::new(&automaton, cap).emptiness(|| false)
+    }
+
     #[test]
     fn nonempty_with_reachable_accepting_cycle() {
-        let e = Explorer::new(
-            Toy {
-                modulus: 5,
-                accept: 3,
-                trap: false,
-            },
-            1000,
-        );
-        match e.emptiness() {
+        let t = toy(5, 3, false);
+        match emptiness(toy(5, 3, false), 1000) {
             Emptiness::NonEmpty { lasso, states } => {
-                assert_eq!(states, 5);
-                assert!(!lasso.cycle.is_empty());
+                assert_eq!(lasso.start, 0);
+                assert!(states <= 5);
                 // Replay the lasso and check it visits state 3 in the cycle.
-                let toy = Toy {
-                    modulus: 5,
-                    accept: 3,
-                    trap: false,
-                };
-                let mut s = 0u8;
+                let mut s = lasso.start;
                 for sym in &lasso.prefix {
-                    s = toy.next(&s, sym).unwrap();
+                    s = t.next(&s, sym).unwrap();
                 }
-                let mut hit = s == 3;
+                let mut hit = t.is_accepting(&s);
                 let entry = s;
                 for sym in &lasso.cycle {
-                    s = toy.next(&s, sym).unwrap();
-                    hit |= s == 3;
+                    s = t.next(&s, sym).unwrap();
+                    hit |= t.is_accepting(&s);
                 }
                 assert_eq!(s, entry, "cycle must return to its entry state");
                 assert!(hit, "cycle must visit an accepting state");
@@ -430,46 +400,71 @@ mod tests {
         }
     }
 
+    /// Counter values 0..1000 where symbol 1 increments and symbol 0
+    /// loops on the accepting state 0 (and rejects elsewhere).
+    struct LoopAtZero;
+
+    impl BuchiAutomaton for LoopAtZero {
+        type State = u16;
+        type Symbol = u8;
+
+        fn initial_states(&self) -> Vec<u16> {
+            vec![0]
+        }
+
+        fn alphabet(&self) -> Vec<u8> {
+            vec![0, 1]
+        }
+
+        fn next(&self, state: &u16, symbol: &u8) -> Option<u16> {
+            match symbol {
+                0 => (*state == 0).then_some(0),
+                _ => Some((state + 1) % 1000),
+            }
+        }
+
+        fn is_accepting(&self, state: &u16) -> bool {
+            *state == 0
+        }
+    }
+
+    #[test]
+    fn nonempty_stops_at_the_first_accepting_cycle() {
+        // The first edge explored closes the accepting self-loop; the
+        // other 999 states are never interned.
+        match emptiness(LoopAtZero, 10) {
+            Emptiness::NonEmpty { lasso, states } => {
+                assert_eq!(states, 1);
+                assert_eq!((lasso.prefix, lasso.cycle), (vec![], vec![0]));
+            }
+            other => panic!("expected NonEmpty, got {other:?}"),
+        }
+    }
+
     #[test]
     fn empty_when_accepting_state_unreachable() {
-        let e = Explorer::new(
-            Toy {
-                modulus: 5,
-                accept: 7, // never reached (counter < 5)
-                trap: false,
-            },
-            1000,
-        );
-        assert!(e.emptiness().is_empty_language());
+        // Counter values stay below 5, so 7 is never reached; every
+        // reachable state is explored.
+        assert!(matches!(
+            emptiness(toy(5, 7, false), 1000),
+            Emptiness::Empty { states: 5 }
+        ));
     }
 
     #[test]
     fn empty_when_accepting_state_not_on_cycle() {
         // With trap=true, state 4 has no outgoing edges. Accepting
         // state 4 is reachable but on no cycle.
-        let e = Explorer::new(
-            Toy {
-                modulus: 5,
-                accept: 4,
-                trap: true,
-            },
-            1000,
-        );
-        assert!(e.emptiness().is_empty_language());
+        assert!(matches!(
+            emptiness(toy(5, 4, true), 1000),
+            Emptiness::Empty { states: 5 }
+        ));
     }
 
     #[test]
     fn self_loop_accepted() {
         // modulus 1: single state 0, symbol 0 self-loops.
-        let e = Explorer::new(
-            Toy {
-                modulus: 1,
-                accept: 0,
-                trap: false,
-            },
-            10,
-        );
-        match e.emptiness() {
+        match emptiness(toy(1, 0, false), 10) {
             Emptiness::NonEmpty { lasso, .. } => {
                 assert!(lasso.prefix.is_empty());
                 assert_eq!(lasso.cycle.len(), 1);
@@ -480,27 +475,71 @@ mod tests {
 
     #[test]
     fn cap_reported() {
-        let e = Explorer::new(
-            Toy {
-                modulus: 200,
-                accept: 199,
-                trap: false,
-            },
-            10,
-        );
-        assert!(matches!(e.emptiness(), Emptiness::Capped { cap: 10 }));
+        assert!(matches!(
+            emptiness(toy(200, 300, false), 10),
+            Emptiness::Capped { cap: 10 }
+        ));
     }
 
     #[test]
-    fn reachable_state_count() {
-        let e = Explorer::new(
-            Toy {
-                modulus: 7,
-                accept: 0,
-                trap: false,
-            },
-            1000,
-        );
-        assert_eq!(e.reachable_states(), Some(7));
+    fn interrupted_every_poll_interval() {
+        // 1,000 states, empty language: three polls, at 256, 512 and
+        // 768 states.
+        let mut polls = 0;
+        let e = Explorer::new(&toy(1000, 2000, false), usize::MAX).emptiness(|| {
+            polls += 1;
+            false
+        });
+        assert!(matches!(e, Emptiness::Empty { states: 1000 }));
+        assert_eq!(polls, 1000 / POLL_INTERVAL);
+        let e = Explorer::new(&toy(1000, 2000, false), usize::MAX).emptiness(|| true);
+        assert!(matches!(
+            e,
+            Emptiness::Interrupted {
+                states: POLL_INTERVAL
+            }
+        ));
+    }
+
+    /// Two disjoint components: a dead end from initial state 0 and an
+    /// accepting self-loop from initial state 10.
+    struct TwoStarts;
+
+    impl BuchiAutomaton for TwoStarts {
+        type State = u8;
+        type Symbol = u8;
+
+        fn initial_states(&self) -> Vec<u8> {
+            vec![0, 10]
+        }
+
+        fn alphabet(&self) -> Vec<u8> {
+            vec![0]
+        }
+
+        fn next(&self, state: &u8, _: &u8) -> Option<u8> {
+            match state {
+                0 => Some(1),
+                10 | 11 => Some(11),
+                _ => None,
+            }
+        }
+
+        fn is_accepting(&self, state: &u8) -> bool {
+            *state == 11
+        }
+    }
+
+    #[test]
+    fn lasso_names_its_initial_state() {
+        match emptiness(TwoStarts, 100) {
+            Emptiness::NonEmpty { lasso, states } => {
+                assert_eq!(lasso.start, 10);
+                assert_eq!(lasso.prefix, vec![0]);
+                assert_eq!(lasso.cycle, vec![0]);
+                assert_eq!(states, 4);
+            }
+            other => panic!("expected NonEmpty, got {other:?}"),
+        }
     }
 }

@@ -120,15 +120,16 @@ pub struct DeciderConfig {
     /// Maximum seed databases for the guarded detector.
     pub max_seeds: usize,
     /// Optional wall-clock deadline for the whole decision, measured
-    /// from the `decide` call and enforced inside the guarded
-    /// decider's chases too. Expiry yields a truthful
+    /// from the `decide` call and enforced inside the sticky emptiness
+    /// search and the guarded decider's chases too. Expiry yields a truthful
     /// [`TerminationVerdict::Unknown`] whose reason starts with
     /// `"deadline exceeded"`.
     pub deadline: Option<Duration>,
     /// Cooperative cancellation for the whole decision: cancel any
     /// clone of this token and `decide` returns
     /// [`TerminationVerdict::Unknown`] (reason prefix `"cancelled"`)
-    /// at its next phase boundary or guarded-decider chase step.
+    /// at its next phase boundary, sticky emptiness poll or
+    /// guarded-decider chase step.
     pub cancel: CancelToken,
 }
 

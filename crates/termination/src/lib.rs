@@ -70,9 +70,10 @@ fn decide_inner<O: ChaseObserver + ?Sized>(
     obs: &mut O,
 ) -> TerminationVerdict {
     // Deadline clock starts here; polled at every phase boundary (and
-    // inside the guarded decider's chases) so a deadline or
-    // cancellation yields a truthful `Unknown` instead of a
-    // half-finished phase masquerading as a verdict.
+    // inside the sticky emptiness search and the guarded decider's
+    // chases) so a deadline or cancellation yields a truthful
+    // `Unknown` instead of a half-finished phase masquerading as a
+    // verdict.
     let gov = config.governor();
     let interrupted_before = |gov: &chase_engine::governor::ResourceGovernor,
                               phase: &str|
@@ -95,8 +96,9 @@ fn decide_inner<O: ChaseObserver + ?Sized>(
         if let Some(v) = interrupted_before(&gov, "the sticky decision") {
             return v;
         }
-        let v = sticky::decide_sticky_observed(set, vocab, config, obs);
-        if !v.is_unknown() {
+        let v = sticky::decide_sticky_governed(set, vocab, config, &gov, obs);
+        // The guarded decider does not retry an interrupted search.
+        if !v.is_unknown() || gov.interrupted(0).is_some() {
             return v;
         }
     }

@@ -43,6 +43,7 @@ use chase_core::ids::{PredId, VarId};
 use chase_core::term::Term;
 use chase_core::tgd::{TgdId, TgdSet};
 use chase_core::vocab::Vocabulary;
+use chase_engine::governor::ResourceGovernor;
 use chase_telemetry::{emit, names, time_phase, ChaseObserver, Event, NullObserver};
 use tgd_classes::sticky::Marking;
 
@@ -124,11 +125,6 @@ impl<'a> StickyAutomaton<'a> {
             marking,
             alphabet,
         }
-    }
-
-    /// The variable marking (shared with the witness realiser).
-    pub fn marking(&self) -> &Marking {
-        &self.marking
     }
 
     /// `δpos` (Appendix D.2): the head positions reached by the terms
@@ -429,12 +425,26 @@ pub fn decide_sticky(
 
 /// [`decide_sticky`], streaming telemetry to `obs`: a
 /// `sticky.emptiness` phase span around the Büchi emptiness search
-/// (with the explored state count on the `sticky.automaton_states`
-/// counter) and a `sticky.witness` span around lasso realisation.
+/// (with the number of states it explored on the
+/// `sticky.automaton_states` counter) and a `sticky.witness` span
+/// around lasso realisation. The search polls the config's deadline
+/// and cancellation, and answers `Unknown` when they stop it.
 pub fn decide_sticky_observed<O: ChaseObserver + ?Sized>(
     set: &TgdSet,
     vocab: &Vocabulary,
     config: &DeciderConfig,
+    obs: &mut O,
+) -> TerminationVerdict {
+    decide_sticky_governed(set, vocab, config, &config.governor(), obs)
+}
+
+/// [`decide_sticky_observed`] under `gov`, the deadline and
+/// cancellation of an enclosing `decide`.
+pub(crate) fn decide_sticky_governed<O: ChaseObserver + ?Sized>(
+    set: &TgdSet,
+    vocab: &Vocabulary,
+    config: &DeciderConfig,
+    gov: &ResourceGovernor,
     obs: &mut O,
 ) -> TerminationVerdict {
     if let Err(e) = set.require_single_head() {
@@ -448,10 +458,18 @@ pub fn decide_sticky_observed<O: ChaseObserver + ?Sized>(
         };
     }
     let automaton = StickyAutomaton::new(set, vocab);
-    let explorer = Explorer::new(automaton, config.max_automaton_states);
-    let emptiness = time_phase(obs, "sticky.emptiness", |_| explorer.emptiness());
+    let explorer = Explorer::new(&automaton, config.max_automaton_states);
+    let mut stopped = None;
+    let emptiness = time_phase(obs, "sticky.emptiness", |_| {
+        explorer.emptiness(|| {
+            stopped = gov.interrupted(0);
+            stopped.is_some()
+        })
+    });
     let explored = match &emptiness {
-        Emptiness::Empty { states } | Emptiness::NonEmpty { states, .. } => *states as u64,
+        Emptiness::Empty { states }
+        | Emptiness::NonEmpty { states, .. }
+        | Emptiness::Interrupted { states } => *states as u64,
         Emptiness::Capped { cap } => *cap as u64,
     };
     emit(obs, || Event::CounterAdd {
@@ -465,18 +483,18 @@ pub fn decide_sticky_observed<O: ChaseObserver + ?Sized>(
         Emptiness::Capped { cap } => TerminationVerdict::Unknown {
             reason: format!("automaton state cap {cap} reached"),
         },
+        Emptiness::Interrupted { .. } => TerminationVerdict::interrupted(
+            stopped.expect("the search stops only when interrupted"),
+            "during the sticky emptiness search",
+        ),
+        // The lasso names the initial state its run starts from, so
+        // the witness is realised from that state alone.
         Emptiness::NonEmpty { lasso, .. } => time_phase(obs, "sticky.witness", |_| {
-            // Re-derive the initial state the lasso starts from. The
-            // explorer starts BFS from all initial states; to realise
-            // the witness we must know which one. We simply try each.
-            let automaton = StickyAutomaton::new(set, vocab);
-            for init in automaton.initial_states() {
-                if let Some(w) = witness::realise(set, vocab, &automaton, &init, &lasso, config) {
-                    return TerminationVerdict::NonTerminating(Box::new(w));
-                }
-            }
-            TerminationVerdict::Unknown {
-                reason: "accepting lasso found but witness realisation failed (bug?)".into(),
+            match witness::realise(set, vocab, &automaton, &lasso, config) {
+                Some(w) => TerminationVerdict::NonTerminating(Box::new(w)),
+                None => TerminationVerdict::Unknown {
+                    reason: "accepting lasso found but witness realisation failed (bug?)".into(),
+                },
             }
         }),
     }

@@ -39,19 +39,17 @@ enum LegNaming {
     FreshEachIteration,
 }
 
-/// Tries to realise `lasso` starting from `init`; returns a validated
-/// witness or `None` if this initial state does not carry the lasso.
+/// Tries to realise `lasso` from its start state; returns a validated
+/// witness or `None` if the lasso does not run or does not replay.
 pub fn realise(
     set: &TgdSet,
     vocab: &Vocabulary,
     automaton: &StickyAutomaton<'_>,
-    init: &CatState,
-    lasso: &Lasso<CatSymbol>,
+    lasso: &Lasso<CatState, CatSymbol>,
     config: &DeciderConfig,
 ) -> Option<NonTerminationWitness> {
-    // 1. Check symbolically that the lasso runs from this initial
-    //    state (the explorer guarantees it for *some* initial state).
-    let mut state = init.clone();
+    // 1. Check symbolically that the lasso runs from its start state.
+    let mut state = lasso.start.clone();
     for sym in lasso.prefix.iter().chain(lasso.cycle.iter()) {
         state = automaton.next(&state, sym)?;
     }
@@ -64,7 +62,7 @@ pub fn realise(
         (config.witness_steps.saturating_sub(lasso.prefix.len()) / lasso.cycle.len().max(1)).max(2);
     for naming in [LegNaming::ParityPools, LegNaming::FreshEachIteration] {
         if let Some((database, derivation)) =
-            instantiate(set, init, lasso, iterations, naming, const_base)
+            instantiate(set, lasso, iterations, naming, const_base)
         {
             if derivation.validate(&database, set, false).is_ok() {
                 let description = describe(lasso, set, vocab);
@@ -84,8 +82,7 @@ pub fn realise(
 /// iterations·|cycle|` steps of the canonical free caterpillar.
 fn instantiate(
     set: &TgdSet,
-    init: &CatState,
-    lasso: &Lasso<CatSymbol>,
+    lasso: &Lasso<CatState, CatSymbol>,
     iterations: usize,
     naming: LegNaming,
     const_base: u32,
@@ -101,6 +98,7 @@ fn instantiate(
     let mut nulls = NullFactory::new();
 
     // α₀: one constant per class of the initial equality type.
+    let init = &lasso.start;
     let class_count = init.is_const.len();
     let class_terms: Vec<Term> = (0..class_count).map(|_| fresh_const()).collect();
     let alpha0 = Atom::new(
@@ -210,7 +208,7 @@ fn instantiate(
 }
 
 /// Renders the lasso as `u · (v)ᵚ` with readable symbols.
-fn describe(lasso: &Lasso<CatSymbol>, set: &TgdSet, vocab: &Vocabulary) -> String {
+fn describe(lasso: &Lasso<CatState, CatSymbol>, set: &TgdSet, vocab: &Vocabulary) -> String {
     let fmt = |sym: &CatSymbol| {
         let tgd = set.tgd(sym.tgd);
         let gamma = tgd.body()[sym.gamma].display(vocab);

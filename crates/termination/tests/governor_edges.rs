@@ -10,7 +10,10 @@ use std::time::{Duration, Instant};
 use chase_core::cancel::CancelToken;
 use chase_core::parser::parse_program;
 use chase_core::vocab::Vocabulary;
-use chase_termination::{decide, decider_class, DeciderConfig, TerminationVerdict};
+use chase_telemetry::{ChaseObserver, Event};
+use chase_termination::{
+    decide, decide_observed, decider_class, DeciderConfig, TerminationVerdict,
+};
 
 /// Sticky and non-terminating: `R(a,b)` chases forever.
 const INFINITE: &str = "R(x,y) -> exists z. R(y,z).";
@@ -154,6 +157,64 @@ fn deadline_stops_the_guarded_decider_inside_its_chases() {
     assert!(
         reason.starts_with("deadline exceeded"),
         "reason should name the deadline, got: {reason}"
+    );
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
+/// Sticky and terminating, with an empty caterpillar language of
+/// 94,828 automaton states (the `arity_keep(9)` workload family): the
+/// emptiness search explores every one of them.
+const ARITY_KEEP_9: &str =
+    "R(x1,x2,x3,x4,x5,x6,x7,x8,x9) -> exists z. R(x1,x2,x3,x4,x5,x6,x7,x8,z).";
+
+/// The decide deadline reaches inside the sticky emptiness search: a
+/// search that runs for hundreds of milliseconds stops within a poll
+/// of the deadline and answers a typed `Unknown`, not the verdict of
+/// a search it did not finish.
+#[test]
+fn deadline_stops_the_sticky_decider_inside_emptiness() {
+    let mut vocab = Vocabulary::new();
+    let set = tgd_set(ARITY_KEEP_9, &mut vocab);
+    assert_eq!(decider_class(&set), "sticky");
+    let config = DeciderConfig {
+        deadline: Some(Duration::from_millis(20)),
+        ..DeciderConfig::default()
+    };
+    let start = Instant::now();
+    let reason = unknown_reason(decide(&set, &vocab, &config));
+    let elapsed = start.elapsed();
+    assert_eq!(
+        reason, "deadline exceeded during the sticky emptiness search",
+        "reason should name the deadline"
+    );
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
+/// Cancels its token as the sticky emptiness search starts.
+struct CancelAtEmptiness(CancelToken);
+
+impl ChaseObserver for CancelAtEmptiness {
+    fn on_event(&mut self, event: &Event) {
+        if matches!(event, Event::PhaseEntered { phase } if *phase == "sticky.emptiness") {
+            self.0.cancel();
+        }
+    }
+}
+
+/// The cancellation twin: a token cancelled once the emptiness search
+/// has started stops it within a poll.
+#[test]
+fn cancellation_stops_the_sticky_decider_inside_emptiness() {
+    let mut vocab = Vocabulary::new();
+    let set = tgd_set(ARITY_KEEP_9, &mut vocab);
+    let config = DeciderConfig::default();
+    let mut observer = CancelAtEmptiness(config.cancel.clone());
+    let start = Instant::now();
+    let reason = unknown_reason(decide_observed(&set, &vocab, &config, &mut observer));
+    let elapsed = start.elapsed();
+    assert_eq!(
+        reason, "cancelled during the sticky emptiness search",
+        "reason should name the cancellation"
     );
     assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
 }

@@ -37,6 +37,12 @@ cargo test --offline -q --test incremental_equivalence
 echo "== cargo test -q --workspace =="
 cargo test --offline -q --workspace
 
+echo "== sticky-vs-linear decider sweep (1,500 random linear sets) =="
+# The ignored exhaustive sweep of tests/decider_consistency.rs: the
+# sticky Büchi decider and the independent linear decider must agree
+# on every random linear set.
+cargo test --offline -q --release --test decider_consistency -- --ignored
+
 echo "== fault-injection suite (chase-engine faults) =="
 cargo test --offline -q -p chase-engine faults
 

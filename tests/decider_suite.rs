@@ -5,7 +5,12 @@
 //! hand-derived label, and every non-termination verdict must carry a
 //! replay-valid witness whose database really blows a chase budget.
 
+use std::collections::{HashSet, VecDeque};
+
 use restricted_chase::prelude::*;
+use restricted_chase::telemetry::names::AUTOMATON_STATES;
+use restricted_chase::telemetry::CountingObserver;
+use restricted_chase::termination::sticky::{CatState, StickyAutomaton};
 
 #[test]
 fn deciders_agree_with_ground_truth_on_the_entire_suite() {
@@ -81,6 +86,97 @@ fn sticky_entries_get_automaton_certificates() {
             }
             other => panic!("{}: sticky decider mismatch: {other:?}", entry.name),
         }
+    }
+}
+
+/// The number of reachable states of the sticky automaton of `set`,
+/// by a plain BFS independent of the emptiness search.
+fn reachable_sticky_states(set: &TgdSet, vocab: &Vocabulary) -> usize {
+    let automaton = StickyAutomaton::new(set, vocab);
+    let symbols = automaton.alphabet();
+    let mut seen: HashSet<CatState> = automaton.initial_states().into_iter().collect();
+    let mut queue: VecDeque<CatState> = seen.iter().cloned().collect();
+    while let Some(state) = queue.pop_front() {
+        for sym in &symbols {
+            if let Some(next) = automaton.next(&state, sym) {
+                if seen.insert(next.clone()) {
+                    queue.push_back(next);
+                }
+            }
+        }
+    }
+    seen.len()
+}
+
+/// The emptiness search explores every reachable state of an empty
+/// language, so a terminating verdict's certificate counts exactly
+/// those; a non-empty language stops early, so its explored-state
+/// counter never exceeds them.
+#[test]
+fn sticky_state_counts_match_a_reachability_count() {
+    let config = DeciderConfig::default();
+    let mut sources: Vec<(String, String)> = labelled_suite()
+        .into_iter()
+        .map(|entry| (entry.name.to_string(), entry.source))
+        .collect();
+    for a in 2..=4 {
+        sources.push((format!("arity_keep({a})"), families::arity_keep(a)));
+    }
+    for n in 1..=8 {
+        sources.push((format!("linear_chain({n})"), families::linear_chain(n)));
+        sources.push((
+            format!("left_recursion_family({n})"),
+            families::left_recursion_family(n),
+        ));
+    }
+    for n in 1..=16 {
+        sources.push((format!("data_exchange({n})"), families::data_exchange(n)));
+    }
+    let mut checked = 0;
+    for (name, source) in &sources {
+        let mut vocab = Vocabulary::new();
+        let set = parse_tgds(source, &mut vocab).expect("suite and family sources parse");
+        if !is_sticky(&set) || set.require_single_head().is_err() {
+            continue;
+        }
+        let reachable = reachable_sticky_states(&set, &vocab);
+        let mut counting = CountingObserver::new();
+        let verdict = decide_sticky_observed(&set, &vocab, &config, &mut counting);
+        let explored = counting
+            .summary()
+            .counter(AUTOMATON_STATES)
+            .expect("the search reports its state count") as usize;
+        match verdict {
+            TerminationVerdict::AllInstancesTerminating(
+                TerminationCertificate::StickyAutomatonEmpty { states },
+            ) => {
+                assert_eq!(states, reachable, "{name}: certificate state count");
+                assert_eq!(explored, reachable, "{name}: explored-state counter");
+            }
+            TerminationVerdict::NonTerminating(_) => {
+                assert!(
+                    explored <= reachable,
+                    "{name}: explored {explored} > {reachable}"
+                )
+            }
+            other => panic!("{name}: unexpected verdict {other:?}"),
+        }
+        checked += 1;
+    }
+    assert!(checked >= 60, "only {checked} sticky sets checked");
+    // The states-by-arity figures of EXPERIMENTS.md (E6).
+    for (a, states) in [(2, 3), (3, 10), (4, 37)] {
+        let mut vocab = Vocabulary::new();
+        let set = parse_tgds(&families::arity_keep(a), &mut vocab).expect("family parses");
+        assert!(
+            matches!(
+                decide_sticky(&set, &vocab, &config),
+                TerminationVerdict::AllInstancesTerminating(
+                    TerminationCertificate::StickyAutomatonEmpty { states: s },
+                ) if s == states
+            ),
+            "arity_keep({a}) must have {states} states"
+        );
     }
 }
 
