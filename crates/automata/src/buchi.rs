@@ -124,6 +124,7 @@ impl<'a, A: BuchiAutomaton> Explorer<'a, A> {
             roots: Vec::new(),
             live: Vec::new(),
             path: Vec::new(),
+            edges: Vec::new(),
         };
         for init in self.automaton.initial_states() {
             let Ok(root) = dfs.intern(init, None) else {
@@ -145,13 +146,13 @@ impl<'a, A: BuchiAutomaton> Explorer<'a, A> {
                 };
                 match dfs.intern(next, Some((u, si))) {
                     Ok(v) => {
-                        dfs.nodes[u].edges.push((si, v));
+                        dfs.edges.push((u, si, v));
                         if let Some(stop) = self.open(&mut dfs, v, &mut interrupted) {
                             return stop;
                         }
                     }
                     Err(v) if !dfs.nodes[v].done => {
-                        dfs.nodes[u].edges.push((si, v));
+                        dfs.edges.push((u, si, v));
                         if dfs.merge(v) {
                             return Emptiness::NonEmpty {
                                 lasso: dfs.lasso(self.automaton, &symbols),
@@ -194,8 +195,6 @@ struct Node<S> {
     /// The DFS-tree edge `(parent, symbol index)` that first reached
     /// the state; `None` for a DFS root.
     parent: Option<(usize, usize)>,
-    /// Explored edges `(symbol index, successor)` into live states.
-    edges: Vec<(usize, usize)>,
     /// Whether the state's SCC is complete (it left the live stack).
     done: bool,
 }
@@ -212,6 +211,8 @@ struct Dfs<S> {
     live: Vec<usize>,
     /// The DFS path: each state with the index of its next symbol.
     path: Vec<(usize, usize)>,
+    /// Explored edges `(from, symbol index, to)` into live states.
+    edges: Vec<(usize, usize, usize)>,
 }
 
 impl<S: Clone + Eq + Hash> Dfs<S> {
@@ -225,7 +226,6 @@ impl<S: Clone + Eq + Hash> Dfs<S> {
                 self.nodes.push(Node {
                     state: e.key().clone(),
                     parent,
-                    edges: Vec::new(),
                     done: false,
                 });
                 e.insert(id);
@@ -284,7 +284,8 @@ impl<S: Clone + Eq + Hash> Dfs<S> {
             start = from;
         }
         prefix.reverse();
-        let cycle = shortest_cycle(&self.nodes, q, in_scc)
+        let cycle = self
+            .shortest_cycle(q, in_scc)
             .into_iter()
             .map(|si| symbols[si].clone())
             .collect();
@@ -294,32 +295,39 @@ impl<S: Clone + Eq + Hash> Dfs<S> {
             cycle,
         }
     }
-}
 
-/// BFS for a shortest non-empty cycle through `q` over explored edges
-/// between states `in_scc` accepts; returns its symbol indices.
-fn shortest_cycle<S>(nodes: &[Node<S>], q: usize, in_scc: impl Fn(usize) -> bool) -> Vec<usize> {
-    let mut prev: Vec<Option<(usize, usize)>> = vec![None; nodes.len()]; // (from, symbol)
-    let mut queue = VecDeque::from([q]);
-    while let Some(u) = queue.pop_front() {
-        for &(si, v) in &nodes[u].edges {
-            if v == q {
-                let mut cycle = vec![si];
-                let mut cur = u;
-                while let Some((from, s)) = prev[cur] {
-                    cycle.push(s);
-                    cur = from;
-                }
-                cycle.reverse();
-                return cycle;
-            }
-            if in_scc(v) && prev[v].is_none() {
-                prev[v] = Some((u, si));
-                queue.push_back(v);
+    /// BFS for a shortest non-empty cycle through `q` over explored
+    /// edges between states `in_scc` accepts; returns its symbol
+    /// indices.
+    fn shortest_cycle(&self, q: usize, in_scc: impl Fn(usize) -> bool) -> Vec<usize> {
+        let mut succ = vec![Vec::new(); self.nodes.len()];
+        for &(u, si, v) in &self.edges {
+            if in_scc(u) && in_scc(v) {
+                succ[u].push((si, v));
             }
         }
+        let mut prev: Vec<Option<(usize, usize)>> = vec![None; self.nodes.len()]; // (from, symbol)
+        let mut queue = VecDeque::from([q]);
+        while let Some(u) = queue.pop_front() {
+            for &(si, v) in &succ[u] {
+                if v == q {
+                    let mut cycle = vec![si];
+                    let mut cur = u;
+                    while let Some((from, s)) = prev[cur] {
+                        cycle.push(s);
+                        cur = from;
+                    }
+                    cycle.reverse();
+                    return cycle;
+                }
+                if prev[v].is_none() {
+                    prev[v] = Some((u, si));
+                    queue.push_back(v);
+                }
+            }
+        }
+        unreachable!("q lies on a cycle inside its SCC")
     }
-    unreachable!("q lies on a cycle inside its SCC")
 }
 
 #[cfg(test)]
@@ -381,13 +389,14 @@ mod tests {
         match emptiness(toy(5, 3, false), 1000) {
             Emptiness::NonEmpty { lasso, states } => {
                 assert_eq!(lasso.start, 0);
-                assert!(states <= 5);
+                assert_eq!(states, 5);
+                assert!(!lasso.cycle.is_empty());
                 // Replay the lasso and check it visits state 3 in the cycle.
                 let mut s = lasso.start;
                 for sym in &lasso.prefix {
                     s = t.next(&s, sym).unwrap();
                 }
-                let mut hit = t.is_accepting(&s);
+                let mut hit = false;
                 let entry = s;
                 for sym in &lasso.cycle {
                     s = t.next(&s, sym).unwrap();
@@ -476,7 +485,7 @@ mod tests {
     #[test]
     fn cap_reported() {
         assert!(matches!(
-            emptiness(toy(200, 300, false), 10),
+            emptiness(toy(200, 199, false), 10),
             Emptiness::Capped { cap: 10 }
         ));
     }

@@ -96,9 +96,9 @@ fn decide_inner<O: ChaseObserver + ?Sized>(
         if let Some(v) = interrupted_before(&gov, "the sticky decision") {
             return v;
         }
-        let v = sticky::decide_sticky_governed(set, vocab, config, &gov, obs);
+        let (v, interrupted) = sticky::decide_sticky_governed(set, vocab, config, &gov, obs);
         // The guarded decider does not retry an interrupted search.
-        if !v.is_unknown() || gov.interrupted(0).is_some() {
+        if !v.is_unknown() || interrupted {
             return v;
         }
     }

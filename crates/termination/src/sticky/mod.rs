@@ -435,27 +435,26 @@ pub fn decide_sticky_observed<O: ChaseObserver + ?Sized>(
     config: &DeciderConfig,
     obs: &mut O,
 ) -> TerminationVerdict {
-    decide_sticky_governed(set, vocab, config, &config.governor(), obs)
+    decide_sticky_governed(set, vocab, config, &config.governor(), obs).0
 }
 
 /// [`decide_sticky_observed`] under `gov`, the deadline and
-/// cancellation of an enclosing `decide`.
+/// cancellation of an enclosing `decide`. The flag is `true` iff `gov`
+/// stopped the emptiness search.
 pub(crate) fn decide_sticky_governed<O: ChaseObserver + ?Sized>(
     set: &TgdSet,
     vocab: &Vocabulary,
     config: &DeciderConfig,
     gov: &ResourceGovernor,
     obs: &mut O,
-) -> TerminationVerdict {
+) -> (TerminationVerdict, bool) {
     if let Err(e) = set.require_single_head() {
-        return TerminationVerdict::Unknown {
-            reason: format!("not single-head: {e}"),
-        };
+        let reason = format!("not single-head: {e}");
+        return (TerminationVerdict::Unknown { reason }, false);
     }
     if !tgd_classes::sticky::is_sticky(set) {
-        return TerminationVerdict::Unknown {
-            reason: "input is not sticky; use the guarded/portfolio decider".into(),
-        };
+        let reason = "input is not sticky; use the guarded/portfolio decider".into();
+        return (TerminationVerdict::Unknown { reason }, false);
     }
     let automaton = StickyAutomaton::new(set, vocab);
     let explorer = Explorer::new(&automaton, config.max_automaton_states);
@@ -476,7 +475,7 @@ pub(crate) fn decide_sticky_governed<O: ChaseObserver + ?Sized>(
         name: names::AUTOMATON_STATES,
         delta: explored,
     });
-    match emptiness {
+    let verdict = match emptiness {
         Emptiness::Empty { states } => TerminationVerdict::AllInstancesTerminating(
             TerminationCertificate::StickyAutomatonEmpty { states },
         ),
@@ -497,7 +496,8 @@ pub(crate) fn decide_sticky_governed<O: ChaseObserver + ?Sized>(
                 },
             }
         }),
-    }
+    };
+    (verdict, stopped.is_some())
 }
 
 #[cfg(test)]
