@@ -512,3 +512,39 @@ fn client_against_no_server_is_a_runtime_error() {
     assert_eq!(code(&out), 1, "{}", stderr(&out));
     assert!(stderr(&out).contains("i/o error"), "{}", stderr(&out));
 }
+
+#[test]
+fn client_decide_usage_errors() {
+    let rules = rule_file("client-decide-usage", FINITE);
+    let path = rules.to_str().unwrap();
+    assert_usage_error(
+        &run(&["client", "unix:/tmp/x.sock", "decide"]),
+        "client decide without file",
+    );
+    assert_usage_error(
+        &run(&["client", "unix:/tmp/x.sock", "decide", path, "--steps", "5"]),
+        "chase-only flag on client decide",
+    );
+}
+
+#[test]
+fn serve_decide_with_expired_deadline_exits_four() {
+    let (mut server, endpoint) = boot_server("decide-deadline");
+    // A fresh server: neither cache answers it.
+    let rules = rule_file("srv-decide-deadline", INFINITE);
+    let out = run(&[
+        "client",
+        &endpoint,
+        "decide",
+        rules.to_str().unwrap(),
+        "--deadline-ms",
+        "0",
+    ]);
+    let shut = run(&["client", &endpoint, "shutdown"]);
+    assert_eq!(code(&shut), 0, "{}", stderr(&shut));
+    assert!(server.wait().expect("server exit").success());
+
+    assert_eq!(code(&out), 4, "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("deadline exceeded"), "{stdout}");
+}

@@ -509,3 +509,106 @@ fn finished_connection_handlers_are_reaped() {
     shutdown(&endpoint);
     server.join().expect("server thread");
 }
+
+/// Opens one raw connection to a unix-socket server: a writer and a
+/// line reader over the same stream.
+fn connect(
+    endpoint: &Endpoint,
+) -> (
+    std::os::unix::net::UnixStream,
+    std::io::BufReader<std::os::unix::net::UnixStream>,
+) {
+    let Endpoint::Unix(path) = endpoint else {
+        panic!("tests bind unix sockets")
+    };
+    let stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
+    (stream, reader)
+}
+
+fn read_reply(reader: &mut impl std::io::BufRead) -> BTreeMap<String, Scalar> {
+    let mut line = String::new();
+    assert!(
+        reader.read_line(&mut line).expect("read reply") > 0,
+        "server closed the connection"
+    );
+    chase_telemetry::json::parse_line(line.trim_end()).expect("reply is flat JSON")
+}
+
+/// `accepted` is the first line of every session that a runner writes
+/// to: with 64 sessions pipelined on one connection against a warm
+/// cache, runners start at once, yet no `result` line and no runner
+/// event (anything but the admission-time `server.*` counters) of a
+/// session arrives before its `accepted`.
+#[test]
+fn accepted_precedes_every_runner_line() {
+    use std::io::Write;
+    let _serial = serial();
+    let (endpoint, server) = boot(
+        ServerConfig {
+            scheduler: SchedulerConfig {
+                runners: 4,
+                tenant_queue_cap: 128,
+                global_queue_cap: 128,
+                retry_after_ms: 10,
+            },
+            ..ServerConfig::default()
+        },
+        "accepted",
+    );
+    let chase = |id: &str| {
+        format!(
+            r#"{{"op":"chase","id":"{id}","program":"{}","max_steps":20,"telemetry":true}}"#,
+            escaped(INFINITE)
+        )
+    };
+    let decide = |id: &str| {
+        format!(
+            r#"{{"op":"decide","id":"{id}","program":"{}","telemetry":true}}"#,
+            escaped(FINITE)
+        )
+    };
+    // Warm both caches so admission resolves at once and decide
+    // sessions are a lookup.
+    for request in [chase("warm-c"), decide("warm-d")] {
+        run_session(&endpoint, &request, &ClientConfig::default(), |_| {}).expect("warm-up");
+    }
+
+    let (mut stream, mut reader) = connect(&endpoint);
+    let mut batch = String::new();
+    for i in 0..64 {
+        let id = format!("p-{i}");
+        batch.push_str(&if i % 2 == 0 { chase(&id) } else { decide(&id) });
+        batch.push('\n');
+    }
+    stream.write_all(batch.as_bytes()).expect("send batch");
+    let mut accepted = std::collections::BTreeSet::new();
+    let mut results = 0;
+    while results < 64 {
+        let reply = read_reply(&mut reader);
+        let id = result_str(&reply, "id").to_string();
+        match reply.get("type").and_then(Scalar::as_str) {
+            Some("accepted") => assert!(accepted.insert(id.clone()), "{id} accepted twice"),
+            Some("event") => {
+                let admission = reply
+                    .get("name")
+                    .and_then(Scalar::as_str)
+                    .is_some_and(|n| n.starts_with("server."));
+                assert!(
+                    admission || accepted.contains(&id),
+                    "runner event of {id} before its accepted: {reply:?}"
+                );
+            }
+            Some("result") => {
+                assert!(accepted.contains(&id), "result of {id} before its accepted");
+                assert_eq!(result_str(&reply, "status"), "ok");
+                results += 1;
+            }
+            other => panic!("unexpected reply {other:?}: {reply:?}"),
+        }
+    }
+    assert_eq!(accepted.len(), 64);
+    drop((stream, reader));
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}

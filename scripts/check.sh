@@ -56,6 +56,10 @@ cargo test --offline -q -p chase-server --test server_isolation
 
 echo "== serve/client round trip (chasectl golden tests, real processes) =="
 cargo test --offline -q -p chase-cli --test cli_golden serve
+# One fixed script of sequential requests over one connection to a
+# fresh server; every reply line (keys sorted, timings zeroed) must
+# match crates/server/tests/golden/served_transcript.jsonl.
+cargo test --offline -q -p chase-server --test served_golden
 
 echo "== program cache suite (repeated rule sets hit, decide memoized, abort shutdown) =="
 # Boots a real server and submits the same rule set twice: the second
