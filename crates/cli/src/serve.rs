@@ -144,8 +144,7 @@ pub fn cmd_client(args: &[String]) -> Result<ExitCode, CliError> {
                 Ok(ExitCode::from(EXIT_FAILURE))
             }
         }
-        "chase" => cmd_client_chase(&endpoint, args),
-        "decide" => cmd_client_decide(&endpoint, args),
+        "chase" | "decide" => cmd_client_session(&endpoint, args, op),
         other => Err(CliError::Usage(format!(
             "unknown client operation '{other}'"
         ))),
@@ -157,178 +156,126 @@ fn control(endpoint: &Endpoint, line: &str) -> Result<BTreeMap<String, Scalar>, 
     request_once(endpoint, line).map_err(|e| CliError::Runtime(e.to_string()))
 }
 
-fn cmd_client_chase(endpoint: &Endpoint, args: &[String]) -> Result<ExitCode, CliError> {
+/// `client chase|decide [<file>]`: one session, its reply mapped onto
+/// the exit code the direct command would give.
+fn cmd_client_session(
+    endpoint: &Endpoint,
+    args: &[String],
+    op: &str,
+) -> Result<ExitCode, CliError> {
+    let chase = op == "chase";
     let path = args.get(2).filter(|a| !a.starts_with("--"));
     let flags_from = if path.is_some() { 3 } else { 2 };
-    check_flags(
-        &args[flags_from..],
-        &[
-            "--id",
-            "--tenant",
-            "--strategy",
-            "--seed",
-            "--steps",
-            "--max-atoms",
-            "--deadline-ms",
-            "--retries",
-            "--program-ref",
-        ],
-        &["--telemetry"],
-    )?;
+    let mut value_flags = vec![
+        "--id",
+        "--tenant",
+        "--deadline-ms",
+        "--retries",
+        "--program-ref",
+    ];
+    if chase {
+        value_flags.extend(["--strategy", "--seed", "--steps", "--max-atoms"]);
+    }
+    check_flags(&args[flags_from..], &value_flags, &["--telemetry"])?;
     let program_ref = flag_value(args, "--program-ref")?;
     let source = match path {
         Some(path) => {
             Some(std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?)
         }
         None if program_ref.is_none() => {
-            return Err(CliError::Usage(
-                "client chase requires a rule <file> (or --program-ref <fingerprint>)".into(),
-            ))
+            return Err(CliError::Usage(format!(
+                "client {op} requires a rule <file> (or --program-ref <fingerprint>)"
+            )))
         }
         None => None,
     };
-    // Checked here so a typo is a usage error; the server resolves the
-    // same names with the same parser and defaults.
-    crate::variant_from_flags(args, None)?;
+    if chase {
+        // Checked here so a typo is a usage error; the server resolves
+        // the same names with the same parser and defaults.
+        crate::variant_from_flags(args, None)?;
+    }
     let id = flag_value(args, "--id")?.unwrap_or_else(default_session_id);
+    let telemetry = args.iter().any(|a| a == "--telemetry");
     let build = |program_key: &str, program_value: &str| -> Result<String, CliError> {
-        let mut line = Reply::request("chase")
+        let mut line = Reply::request(op)
             .str("id", &id)
             .str(program_key, program_value);
         if let Some(tenant) = flag_value(args, "--tenant")? {
             line = line.str("tenant", &tenant);
         }
-        if let Some(strategy) = flag_value(args, "--strategy")? {
-            line = line.str("strategy", &strategy);
-        }
-        if let Some(seed) = flag_value(args, "--seed")? {
-            line = line.num("seed", crate::parse_seed(&seed)?);
-        }
-        // The server-side default budget is unbounded; mirror the direct
-        // `chasectl chase` default so a non-terminating program submitted
-        // without --steps cannot occupy a runner forever.
-        line = line.num("max_steps", num_flag(args, "--steps")?.unwrap_or(10_000));
-        if let Some(atoms) = num_flag(args, "--max-atoms")? {
-            line = line.num("max_atoms", atoms);
+        if chase {
+            if let Some(strategy) = flag_value(args, "--strategy")? {
+                line = line.str("strategy", &strategy);
+            }
+            if let Some(seed) = flag_value(args, "--seed")? {
+                line = line.num("seed", crate::parse_seed(&seed)?);
+            }
+            // The server-side default budget is unbounded; mirror the
+            // direct `chasectl chase` default so a non-terminating
+            // program submitted without --steps cannot occupy a runner
+            // forever.
+            line = line.num("max_steps", num_flag(args, "--steps")?.unwrap_or(10_000));
+            if let Some(atoms) = num_flag(args, "--max-atoms")? {
+                line = line.num("max_atoms", atoms);
+            }
         }
         if let Some(ms) = num_flag(args, "--deadline-ms")? {
             line = line.num("deadline_ms", ms);
         }
-        if args.iter().any(|a| a == "--telemetry") {
+        if telemetry {
             line = line.bool("telemetry", true);
         }
         Ok(line.finish())
     };
-    let telemetry = args.iter().any(|a| a == "--telemetry");
     let (primary, fallback) = program_lines(&build, program_ref.as_deref(), source.as_deref())?;
     let result = submit(endpoint, &primary, fallback.as_deref(), args, telemetry)?;
     let Some(result) = result else {
         return Ok(ExitCode::from(EXIT_OVERLOADED));
     };
-    match result.get("status").and_then(Scalar::as_str).unwrap_or("") {
-        "ok" => {
+    let get_str = |key: &str| result.get(key).and_then(Scalar::as_str);
+    let code = match get_str("status").unwrap_or("") {
+        "ok" if chase => {
             let get_num = |key: &str| result.get(key).and_then(Scalar::as_num).unwrap_or(0);
-            let outcome = result
-                .get("outcome")
-                .and_then(Scalar::as_str)
-                .unwrap_or("?")
-                .to_string();
+            let outcome = get_str("outcome").unwrap_or("?");
             println!(
                 "session {id}: {} after {} steps, {} atoms (fingerprint {}, {} event(s) sent, {} dropped)",
                 outcome.replace('_', " "),
                 get_num("steps"),
                 get_num("atoms"),
-                result
-                    .get("fingerprint")
-                    .and_then(Scalar::as_str)
-                    .unwrap_or("?"),
+                get_str("fingerprint").unwrap_or("?"),
                 get_num("events_sent"),
                 get_num("events_dropped"),
             );
-            let code = match outcome.as_str() {
+            match outcome {
                 "terminated" => 0,
                 "budget_exhausted" => EXIT_BUDGET,
                 "deadline_exceeded" => EXIT_DEADLINE,
                 "cancelled" => EXIT_CANCELLED,
                 _ => EXIT_FAILURE,
-            };
-            Ok(ExitCode::from(code))
+            }
         }
-        status => session_failure(&id, status, &result),
-    }
-}
-
-fn cmd_client_decide(endpoint: &Endpoint, args: &[String]) -> Result<ExitCode, CliError> {
-    let path = args.get(2).filter(|a| !a.starts_with("--"));
-    let flags_from = if path.is_some() { 3 } else { 2 };
-    check_flags(
-        &args[flags_from..],
-        &[
-            "--id",
-            "--tenant",
-            "--deadline-ms",
-            "--retries",
-            "--program-ref",
-        ],
-        &["--telemetry"],
-    )?;
-    let program_ref = flag_value(args, "--program-ref")?;
-    let source = match path {
-        Some(path) => {
-            Some(std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?)
-        }
-        None if program_ref.is_none() => {
-            return Err(CliError::Usage(
-                "client decide requires a rule <file> (or --program-ref <fingerprint>)".into(),
-            ))
-        }
-        None => None,
-    };
-    let id = flag_value(args, "--id")?.unwrap_or_else(default_session_id);
-    let build = |program_key: &str, program_value: &str| -> Result<String, CliError> {
-        let mut line = Reply::request("decide")
-            .str("id", &id)
-            .str(program_key, program_value);
-        if let Some(tenant) = flag_value(args, "--tenant")? {
-            line = line.str("tenant", &tenant);
-        }
-        if let Some(ms) = num_flag(args, "--deadline-ms")? {
-            line = line.num("deadline_ms", ms);
-        }
-        if args.iter().any(|a| a == "--telemetry") {
-            line = line.bool("telemetry", true);
-        }
-        Ok(line.finish())
-    };
-    let telemetry = args.iter().any(|a| a == "--telemetry");
-    let (primary, fallback) = program_lines(&build, program_ref.as_deref(), source.as_deref())?;
-    let result = submit(endpoint, &primary, fallback.as_deref(), args, telemetry)?;
-    let Some(result) = result else {
-        return Ok(ExitCode::from(EXIT_OVERLOADED));
-    };
-    match result.get("status").and_then(Scalar::as_str).unwrap_or("") {
         "ok" => {
-            let verdict = result
-                .get("verdict")
-                .and_then(Scalar::as_str)
-                .unwrap_or("?")
-                .to_string();
-            let reason = result.get("reason").and_then(Scalar::as_str);
+            let verdict = get_str("verdict").unwrap_or("?");
+            let reason = get_str("reason");
             match reason {
                 Some(reason) => println!("session {id}: verdict {verdict} ({reason})"),
                 None => println!("session {id}: verdict {verdict}"),
             }
             // Mirror `chasectl decide`: interrupted Unknowns get the
             // deadline/cancel codes; honest verdicts are success.
-            let code = match reason {
+            match reason {
                 Some(r) if r.starts_with("deadline exceeded") => EXIT_DEADLINE,
                 Some(r) if r.starts_with("cancelled") => EXIT_CANCELLED,
                 _ => 0,
-            };
-            Ok(ExitCode::from(code))
+            }
         }
-        status => session_failure(&id, status, &result),
-    }
+        status => {
+            let error = get_str("error").unwrap_or("no detail");
+            eprintln!("chasectl: session {id}: {status}: {error}");
+            EXIT_FAILURE
+        }
+    };
+    Ok(ExitCode::from(code))
 }
 
 /// Chooses the primary request line (and a full-source fallback, when
@@ -379,20 +326,6 @@ fn submit(
         }
         Err(e) => Err(CliError::Runtime(e.to_string())),
     }
-}
-
-/// Renders a `parse_error`/`panicked`/unknown result and exits 1.
-fn session_failure(
-    id: &str,
-    status: &str,
-    result: &BTreeMap<String, Scalar>,
-) -> Result<ExitCode, CliError> {
-    let error = result
-        .get("error")
-        .and_then(Scalar::as_str)
-        .unwrap_or("no detail");
-    eprintln!("chasectl: session {id}: {status}: {error}");
-    Ok(ExitCode::from(EXIT_FAILURE))
 }
 
 /// A collision-resistant default session id: pid + sub-second clock.

@@ -11,7 +11,7 @@
 //! | `op`       | fields |
 //! |------------|--------|
 //! | `chase`    | `id`, `program` and/or `program_ref`; optional `tenant`, `engine` (`restricted`\|`oblivious`\|`semi`), `strategy` (`fifo`\|`lifo`\|`random`\|`priority`), `seed` (resolved by [`ChaseVariant::parse`], the CLI's parser too), `max_steps`, `max_atoms`, `deadline_ms`, `telemetry` (bool), fault arms below |
-//! | `decide`   | `id`, `program` and/or `program_ref`; optional `tenant`, `deadline_ms`, `telemetry` |
+//! | `decide`   | `id`, `program` and/or `program_ref`; optional `tenant`, `deadline_ms`, `telemetry`; the chase-only keys are ignored |
 //! | `cancel`   | `id` — trips the session's [`CancelToken`] |
 //! | `ping`     | liveness probe |
 //! | `shutdown` | optional `mode` (`graceful` default \| `abort`): stop admitting; graceful finishes queued + running sessions, abort additionally trips every live session's cancel token so they wind down with `outcome:"cancelled"` |
@@ -37,7 +37,7 @@
 //! |----------------|---------|
 //! | `accepted`     | session admitted; carries `program` (the canonical fingerprint, usable as `program_ref` later); events/result follow (any interleaving with other sessions on the same connection) |
 //! | `event`        | one telemetry event of session `id`, spliced verbatim |
-//! | `result`       | terminal: `status` is `ok`, `parse_error` or `panicked`; `ok` chase results carry `outcome`, `steps`, `atoms`, `fingerprint` (hex), `events_dropped`; `ok` decide results carry `verdict` (+ `reason` when unknown) and `cached` (memoized verdict, no decider ran). `parse_error` is produced at admission — malformed programs never occupy a scheduler slot |
+//! | `result`       | terminal: `status` is `ok`, `parse_error` or `panicked`. Every `ok` result, chase or decide, carries `events_sent`, `events_dropped` and `elapsed_ms`; a chase adds `outcome`, `steps`, `atoms` and `fingerprint` (hex); a decide adds `verdict`, `cached` (memoized verdict, no decider ran) and, when the verdict is `unknown`, `reason`. `parse_error` and `panicked` results carry `error` and `elapsed_ms`. `parse_error` is produced at admission — malformed programs never occupy a scheduler slot |
 //! | `unknown_program` | the `program_ref` fingerprint is not cached and no in-line `program` fallback was supplied; resubmit with full source |
 //! | `overloaded`   | load-shed: not admitted, retry after `retry_after_ms` |
 //! | `shutting_down`| not admitted: the server is draining |
@@ -73,13 +73,28 @@ pub enum Request {
         /// The session to cancel.
         id: String,
     },
-    /// Run a chase session.
-    Chase(Box<SessionRequest>),
-    /// Run a termination-decision session.
-    Decide(Box<DecideRequest>),
+    /// Run a chase or termination-decision session.
+    Session(Box<SessionRequest>),
 }
 
-/// A fully resolved chase session request.
+/// What a session runs: the restricted chase (Def. 3.1) or the
+/// `CT^res_∀∀` decision.
+#[derive(Debug)]
+pub enum SessionOp {
+    /// Run a chase.
+    Chase {
+        /// Which chase to run.
+        engine: ChaseVariant,
+        /// Step/atom budget.
+        budget: Budget,
+        /// Injected faults (isolation tests).
+        faults: FaultPlan,
+    },
+    /// Decide all-instances restricted chase termination.
+    Decide,
+}
+
+/// A fully resolved session request (`chase` or `decide`).
 #[derive(Debug)]
 pub struct SessionRequest {
     /// Client-chosen session id, echoed on every reply line.
@@ -87,45 +102,21 @@ pub struct SessionRequest {
     /// Fair-share tenant; sessions of one tenant queue behind each
     /// other, not behind other tenants'.
     pub tenant: String,
-    /// Program source (database + TGDs); `None` for a pure
-    /// `program_ref` submission.
+    /// Program source (database + TGDs; a decide's database part may
+    /// be empty); `None` for a pure `program_ref` submission.
     pub program: Option<String>,
     /// Canonical fingerprint of a previously compiled program; the
     /// server resolves it against its program cache first.
     pub program_ref: Option<ProgramFingerprint>,
-    /// Which chase to run.
-    pub engine: ChaseVariant,
-    /// Step/atom budget.
-    pub budget: Budget,
     /// Per-session deadline, measured from session start.
     pub deadline: Option<Duration>,
     /// Whether to stream telemetry events back.
     pub telemetry: bool,
-    /// Injected faults (isolation tests).
-    pub faults: FaultPlan,
     /// The session's cancellation token; the server registers a clone
     /// so `cancel` requests and shutdown can reach the running task.
     pub cancel: CancelToken,
-}
-
-/// A termination-decision session request.
-#[derive(Debug)]
-pub struct DecideRequest {
-    /// Client-chosen session id.
-    pub id: String,
-    /// Fair-share tenant.
-    pub tenant: String,
-    /// Program source (the database part may be empty); `None` for a
-    /// pure `program_ref` submission.
-    pub program: Option<String>,
-    /// Canonical fingerprint of a previously compiled program.
-    pub program_ref: Option<ProgramFingerprint>,
-    /// Per-session deadline.
-    pub deadline: Option<Duration>,
-    /// Whether to stream telemetry events back.
-    pub telemetry: bool,
-    /// The session's cancellation token.
-    pub cancel: CancelToken,
+    /// The chase or decision to run.
+    pub op: SessionOp,
 }
 
 fn get_str(map: &BTreeMap<String, Scalar>, key: &str) -> Result<Option<String>, String> {
@@ -205,45 +196,44 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "cancel" => Ok(Request::Cancel {
             id: require_id(&map)?,
         }),
-        "chase" => {
+        "chase" | "decide" => {
             let id = require_id(&map)?;
             let (program, program_ref) = parse_program_fields(&map)?;
-            let engine = ChaseVariant::parse(
-                get_str(&map, "engine")?.as_deref(),
-                get_str(&map, "strategy")?.as_deref(),
-                get_num(&map, "seed")?,
-            )?;
-            let budget = Budget {
-                max_steps: get_num(&map, "max_steps")?
-                    .map(|n| n as usize)
-                    .unwrap_or(usize::MAX),
-                max_atoms: get_num(&map, "max_atoms")?
-                    .map(|n| n as usize)
-                    .unwrap_or(usize::MAX),
+            // Chase-only keys; a decide ignores them like any unknown key.
+            let chase = if op == "chase" {
+                let engine = ChaseVariant::parse(
+                    get_str(&map, "engine")?.as_deref(),
+                    get_str(&map, "strategy")?.as_deref(),
+                    get_num(&map, "seed")?,
+                )?;
+                let budget = Budget {
+                    max_steps: get_num(&map, "max_steps")?
+                        .map(|n| n as usize)
+                        .unwrap_or(usize::MAX),
+                    max_atoms: get_num(&map, "max_atoms")?
+                        .map(|n| n as usize)
+                        .unwrap_or(usize::MAX),
+                };
+                Some((engine, budget))
+            } else {
+                None
             };
-            Ok(Request::Chase(Box::new(SessionRequest {
+            Ok(Request::Session(Box::new(SessionRequest {
                 id,
                 tenant: get_str(&map, "tenant")?.unwrap_or_else(|| "default".into()),
                 program,
                 program_ref,
-                engine,
-                budget,
-                deadline: get_num(&map, "deadline_ms")?.map(Duration::from_millis),
-                telemetry: get_bool(&map, "telemetry")?.unwrap_or(false),
-                faults: parse_faults(&map)?,
-                cancel: CancelToken::new(),
-            })))
-        }
-        "decide" => {
-            let (program, program_ref) = parse_program_fields(&map)?;
-            Ok(Request::Decide(Box::new(DecideRequest {
-                id: require_id(&map)?,
-                tenant: get_str(&map, "tenant")?.unwrap_or_else(|| "default".into()),
-                program,
-                program_ref,
                 deadline: get_num(&map, "deadline_ms")?.map(Duration::from_millis),
                 telemetry: get_bool(&map, "telemetry")?.unwrap_or(false),
                 cancel: CancelToken::new(),
+                op: match chase {
+                    Some((engine, budget)) => SessionOp::Chase {
+                        engine,
+                        budget,
+                        faults: parse_faults(&map)?,
+                    },
+                    None => SessionOp::Decide,
+                },
             })))
         }
         other => Err(format!("unknown op \"{other}\"")),
@@ -345,21 +335,32 @@ pub fn outcome_name(outcome: chase_engine::governor::Outcome) -> &'static str {
 mod tests {
     use super::*;
 
+    /// Parses a `chase`/`decide` line, panicking on anything else.
+    fn session(line: &str) -> SessionRequest {
+        match parse_request(line).unwrap() {
+            Request::Session(req) => *req,
+            other => panic!("expected a session, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_a_minimal_chase_request() {
-        let req = parse_request(r#"{"op":"chase","id":"s1","program":"R(a,b)."}"#).unwrap();
-        match req {
-            Request::Chase(req) => {
-                assert_eq!(req.id, "s1");
-                assert_eq!(req.tenant, "default");
-                assert_eq!(req.engine, ChaseVariant::default());
-                assert_eq!(req.budget.max_steps, usize::MAX);
-                assert!(req.deadline.is_none());
-                assert!(!req.telemetry);
-                assert!(req.faults.is_empty());
-            }
-            other => panic!("expected chase, got {other:?}"),
-        }
+        let req = session(r#"{"op":"chase","id":"s1","program":"R(a,b)."}"#);
+        assert_eq!(req.id, "s1");
+        assert_eq!(req.tenant, "default");
+        assert!(req.deadline.is_none());
+        assert!(!req.telemetry);
+        let SessionOp::Chase {
+            engine,
+            budget,
+            faults,
+        } = req.op
+        else {
+            panic!("expected chase, got {:?}", req.op)
+        };
+        assert_eq!(engine, ChaseVariant::default());
+        assert_eq!(budget.max_steps, usize::MAX);
+        assert!(faults.is_empty());
     }
 
     #[test]
@@ -369,18 +370,36 @@ mod tests {
             r#""max_steps":7,"max_atoms":100,"deadline_ms":250,"threads":2,"telemetry":true,"#,
             r#""fault_task_panic_at":3,"fault_socket_fail_after":5}"#
         );
-        match parse_request(line).unwrap() {
-            Request::Chase(req) => {
-                assert_eq!(req.engine, ChaseVariant::SemiOblivious);
-                assert_eq!(req.budget.max_steps, 7);
-                assert_eq!(req.budget.max_atoms, 100);
-                assert_eq!(req.deadline, Some(Duration::from_millis(250)));
-                assert!(req.telemetry);
-                assert_eq!(req.faults.task_panic_at_step, Some(3));
-                assert_eq!(req.faults.socket_fail_after, Some(5));
-            }
-            other => panic!("expected chase, got {other:?}"),
-        }
+        let req = session(line);
+        assert_eq!(req.deadline, Some(Duration::from_millis(250)));
+        assert!(req.telemetry);
+        let SessionOp::Chase {
+            engine,
+            budget,
+            faults,
+        } = req.op
+        else {
+            panic!("expected chase, got {:?}", req.op)
+        };
+        assert_eq!(engine, ChaseVariant::SemiOblivious);
+        assert_eq!(budget.max_steps, 7);
+        assert_eq!(budget.max_atoms, 100);
+        assert_eq!(faults.task_panic_at_step, Some(3));
+        assert_eq!(faults.socket_fail_after, Some(5));
+    }
+
+    #[test]
+    fn decide_ignores_chase_only_keys() {
+        let line = concat!(
+            r#"{"op":"decide","id":"d1","tenant":"t","program":"R(x,y) -> S(x).","#,
+            r#""engine":"nope","strategy":"nope","seed":"x","max_steps":"two","#,
+            r#""fault_task_panic_at":"x","deadline_ms":5,"telemetry":true}"#
+        );
+        let req = session(line);
+        assert!(matches!(req.op, SessionOp::Decide));
+        assert_eq!(req.tenant, "t");
+        assert_eq!(req.deadline, Some(Duration::from_millis(5)));
+        assert!(req.telemetry);
     }
 
     #[test]
@@ -408,28 +427,18 @@ mod tests {
     #[test]
     fn parses_program_refs_and_shutdown_modes() {
         let fp = "0123456789abcdef0123456789abcdef";
-        match parse_request(&format!(
+        let req = session(&format!(
             r#"{{"op":"chase","id":"s1","program_ref":"{fp}"}}"#
-        ))
-        .unwrap()
-        {
-            Request::Chase(req) => {
-                assert!(req.program.is_none());
-                assert_eq!(req.program_ref.unwrap().to_hex(), fp);
-            }
-            other => panic!("expected chase, got {other:?}"),
-        }
-        match parse_request(&format!(
+        ));
+        assert!(matches!(req.op, SessionOp::Chase { .. }));
+        assert!(req.program.is_none());
+        assert_eq!(req.program_ref.unwrap().to_hex(), fp);
+        let req = session(&format!(
             r#"{{"op":"decide","id":"d1","program":"R(x,y) -> S(x).","program_ref":"{fp}"}}"#
-        ))
-        .unwrap()
-        {
-            Request::Decide(req) => {
-                assert!(req.program.is_some());
-                assert!(req.program_ref.is_some());
-            }
-            other => panic!("expected decide, got {other:?}"),
-        }
+        ));
+        assert!(matches!(req.op, SessionOp::Decide));
+        assert!(req.program.is_some());
+        assert!(req.program_ref.is_some());
         assert!(
             parse_request(r#"{"op":"chase","id":"s1","program_ref":"zz"}"#)
                 .unwrap_err()
@@ -469,15 +478,14 @@ mod tests {
             .num("max_steps", 100)
             .bool("telemetry", true)
             .finish();
-        match parse_request(&line).unwrap() {
-            Request::Chase(req) => {
-                assert_eq!(req.id, "s1");
-                assert_eq!(req.budget.max_steps, 100);
-                assert!(req.telemetry);
-                assert!(req.program.as_deref().unwrap().contains('\n'));
-            }
-            other => panic!("expected chase, got {other:?}"),
-        }
+        let req = session(&line);
+        assert_eq!(req.id, "s1");
+        assert!(req.telemetry);
+        assert!(req.program.as_deref().unwrap().contains('\n'));
+        let SessionOp::Chase { budget, .. } = req.op else {
+            panic!("expected chase, got {:?}", req.op)
+        };
+        assert_eq!(budget.max_steps, 100);
     }
 
     #[test]

@@ -33,16 +33,16 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use chase_core::cancel::{CancelGroup, CancelToken};
-use chase_core::compile::{CompiledProgram, ProgramFingerprint};
-use chase_telemetry::{names, Event};
+use chase_core::compile::CompiledProgram;
+use chase_telemetry::names;
 
 use crate::cache::{Caches, DecideCache, ProgramCache, ProgramCacheConfig, Resolution};
-use crate::protocol::{event_reply, parse_request, Reply, Request};
+use crate::protocol::{event_reply, parse_request, Reply, Request, SessionRequest};
 use crate::scheduler::{Rejected, RunnerCtx, Scheduler, SchedulerConfig};
-use crate::session::{run_chase_session, run_decide_session};
+use crate::session::{counter_event, run_session};
 
 /// Where the server listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,6 +144,28 @@ struct WriterInner {
     warned: bool,
 }
 
+impl WriterInner {
+    fn write_line(&mut self, line: &str) -> bool {
+        if self.degraded {
+            return false;
+        }
+        let wrote = self
+            .stream
+            .write_all(line.as_bytes())
+            .and_then(|()| self.stream.write_all(b"\n"))
+            .and_then(|()| self.stream.flush());
+        if let Err(e) = wrote {
+            self.degraded = true;
+            if !self.warned {
+                self.warned = true;
+                eprintln!("chase-server: connection write failed ({e}); dropping further replies");
+            }
+            return false;
+        }
+        true
+    }
+}
+
 impl ConnWriter {
     fn new(stream: Box<dyn Write + Send>) -> Self {
         ConnWriter {
@@ -160,24 +182,11 @@ impl ConnWriter {
     /// line means (sessions count dropped events, results are
     /// best-effort).
     pub fn send_line(&self, line: &str) -> bool {
-        let mut inner = self.inner.lock().expect("connection writer poisoned");
-        if inner.degraded {
-            return false;
-        }
-        let wrote = inner
-            .stream
-            .write_all(line.as_bytes())
-            .and_then(|()| inner.stream.write_all(b"\n"))
-            .and_then(|()| inner.stream.flush());
-        if let Err(e) = wrote {
-            inner.degraded = true;
-            if !inner.warned {
-                inner.warned = true;
-                eprintln!("chase-server: connection write failed ({e}); dropping further replies");
-            }
-            return false;
-        }
-        true
+        self.lock().write_line(line)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, WriterInner> {
+        self.inner.lock().expect("connection writer poisoned")
     }
 
     /// Sends one spliced telemetry event line for session `id`.
@@ -393,69 +402,13 @@ fn handle_connection(stream: Stream, ctx: &HandlerCtx) {
                 // connection until the client hangs up; admission is
                 // already closed.
             }
-            Ok(Request::Chase(req)) => {
-                let program = match resolve_program(
-                    ctx,
-                    &conn,
-                    &req.id,
-                    &req.tenant,
-                    req.telemetry,
-                    req.program.as_deref(),
-                    req.program_ref,
-                ) {
-                    Some(program) => program,
-                    None => continue,
-                };
-                let fp_hex = program.fingerprint().to_hex();
-                let (id, tenant, token) = (req.id.clone(), req.tenant.clone(), req.cancel.clone());
-                submit_session(ctx, &conn, id, tenant, token, &fp_hex, {
-                    let conn = Arc::clone(&conn);
-                    let registry = Arc::clone(&ctx.registry);
-                    move |runner: &mut RunnerCtx| {
-                        run_chase_session(&req, &program, &conn, runner);
-                        registry.remove(&req.id);
-                    }
-                });
-            }
-            Ok(Request::Decide(req)) => {
-                let program = match resolve_program(
-                    ctx,
-                    &conn,
-                    &req.id,
-                    &req.tenant,
-                    req.telemetry,
-                    req.program.as_deref(),
-                    req.program_ref,
-                ) {
-                    Some(program) => program,
-                    None => continue,
-                };
-                let fp_hex = program.fingerprint().to_hex();
-                let (id, tenant, token) = (req.id.clone(), req.tenant.clone(), req.cancel.clone());
-                submit_session(ctx, &conn, id, tenant, token, &fp_hex, {
-                    let conn = Arc::clone(&conn);
-                    let registry = Arc::clone(&ctx.registry);
-                    let caches = Arc::clone(&ctx.caches);
-                    move |_runner: &mut RunnerCtx| {
-                        run_decide_session(&req, &program, &conn, &caches);
-                        registry.remove(&req.id);
-                    }
-                });
+            Ok(Request::Session(req)) => {
+                if let Some(program) = resolve_program(ctx, &conn, &req) {
+                    submit_session(ctx, &conn, req, program);
+                }
             }
         }
     }
-}
-
-/// Splices one cache counter into the session's telemetry stream (a
-/// regular `event` line carrying a `counter_add`, so `chasectl stats`
-/// aggregates it with the engine's own counters).
-fn emit_counter(conn: &ConnWriter, id: &str, telemetry: bool, name: &'static str, delta: u64) {
-    if !telemetry || delta == 0 {
-        return;
-    }
-    let mut buf = String::with_capacity(64);
-    Event::CounterAdd { name, delta }.write_json(&mut buf);
-    conn.send_event(id, &buf);
 }
 
 /// Admission-time program resolution: `program_ref` against the cache
@@ -467,25 +420,28 @@ fn emit_counter(conn: &ConnWriter, id: &str, telemetry: bool, name: &'static str
 /// sessions.
 fn resolve_program(
     ctx: &HandlerCtx,
-    conn: &Arc<ConnWriter>,
-    id: &str,
-    tenant: &str,
-    telemetry: bool,
-    source: Option<&str>,
-    program_ref: Option<ProgramFingerprint>,
+    conn: &ConnWriter,
+    req: &SessionRequest,
 ) -> Option<Arc<CompiledProgram>> {
+    let id = req.id.as_str();
+    // Splices one cache counter into the session's telemetry stream.
+    let emit = |name: &'static str, delta: u64| {
+        if req.telemetry && delta > 0 {
+            conn.send_event(id, &counter_event(name, delta));
+        }
+    };
     // Gate before compiling: a draining server should not burn CPU on
     // admission work it will refuse anyway.
     if ctx.shutting_down.load(Ordering::SeqCst) {
         conn.send_line(&Reply::new("shutting_down").str("id", id).finish());
         return None;
     }
-    if let Some(fp) = program_ref {
+    if let Some(fp) = req.program_ref {
         if let Some(program) = ctx.caches.programs.lookup_ref(fp) {
-            emit_counter(conn, id, telemetry, names::PROGRAM_CACHE_HITS, 1);
+            emit(names::PROGRAM_CACHE_HITS, 1);
             return Some(program);
         }
-        if source.is_none() {
+        if req.program.is_none() {
             conn.send_line(
                 &Reply::new("unknown_program")
                     .str("id", id)
@@ -497,9 +453,12 @@ fn resolve_program(
         // A source fallback rode along: resolve it below (one round
         // trip saved versus replying `unknown_program`).
     }
-    let source = source.expect("protocol guarantees program or program_ref");
+    let source = req
+        .program
+        .as_deref()
+        .expect("protocol guarantees program or program_ref");
     let resolved = catch_unwind(AssertUnwindSafe(|| {
-        ctx.caches.programs.resolve_source(source, tenant)
+        ctx.caches.programs.resolve_source(source, &req.tenant)
     }));
     match resolved {
         Err(_) => {
@@ -529,46 +488,34 @@ fn resolve_program(
         }
         Ok(Ok(resolved)) => {
             match resolved.resolution {
-                Resolution::Hit => {
-                    emit_counter(conn, id, telemetry, names::PROGRAM_CACHE_HITS, 1);
-                }
+                Resolution::Hit => emit(names::PROGRAM_CACHE_HITS, 1),
                 Resolution::Compiled => {
-                    emit_counter(conn, id, telemetry, names::PROGRAM_CACHE_MISSES, 1);
-                    emit_counter(conn, id, telemetry, names::PROGRAM_COMPILES, 1);
+                    emit(names::PROGRAM_CACHE_MISSES, 1);
+                    emit(names::PROGRAM_COMPILES, 1);
                 }
             }
-            emit_counter(
-                conn,
-                id,
-                telemetry,
-                names::PROGRAM_CACHE_EVICTIONS,
-                resolved.evicted,
-            );
+            emit(names::PROGRAM_CACHE_EVICTIONS, resolved.evicted);
             Some(resolved.program)
         }
     }
 }
 
-/// Admission control for one session: duplicate-id check, shutdown
-/// gate, scheduler submit with typed shed replies. `token` is a clone
-/// of the token the session will actually poll — registering anything
-/// else would make `cancel` requests no-ops.
-fn submit_session<F>(
+/// Admission control for one session: shutdown gate, duplicate-id
+/// check, scheduler submit with typed shed replies. The registry holds
+/// a clone of the token the session will actually poll, so `cancel`
+/// requests reach it.
+fn submit_session(
     ctx: &HandlerCtx,
     conn: &Arc<ConnWriter>,
-    id: String,
-    tenant: String,
-    token: CancelToken,
-    program_fp: &str,
-    job: F,
-) where
-    F: FnOnce(&mut RunnerCtx) + Send + 'static,
-{
+    req: Box<SessionRequest>,
+    program: Arc<CompiledProgram>,
+) {
+    let id = req.id.clone();
     if ctx.shutting_down.load(Ordering::SeqCst) {
         conn.send_line(&Reply::new("shutting_down").str("id", &id).finish());
         return;
     }
-    if !ctx.registry.insert(&id, token) {
+    if !ctx.registry.insert(&id, req.cancel.clone()) {
         conn.send_line(
             &Reply::new("error")
                 .str("id", &id)
@@ -577,41 +524,40 @@ fn submit_session<F>(
         );
         return;
     }
-    // A runner can pick the job up and reach its `result` line before
-    // this thread writes `accepted` — and `accepted` now carries the
-    // program fingerprint clients feed back as `program_ref`, so the
-    // ordering is part of the protocol. Gate the job on the accepted
-    // line being out first.
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    // `program` is the canonical fingerprint: clients may resubmit the
+    // same rule set by `program_ref` from now on.
+    let accepted = Reply::new("accepted")
+        .str("id", &id)
+        .str("program", &program.fingerprint().to_hex())
+        .finish();
+    let tenant = req.tenant.clone();
     let job = {
-        let gate = Arc::clone(&gate);
+        let conn = Arc::clone(conn);
+        let registry = Arc::clone(&ctx.registry);
+        let caches = Arc::clone(&ctx.caches);
         move |runner: &mut RunnerCtx| {
-            let (lock, cvar) = &*gate;
-            let mut admitted = lock.lock().expect("admission gate poisoned");
-            while !*admitted {
-                admitted = cvar.wait(admitted).expect("admission gate poisoned");
-            }
-            drop(admitted);
-            job(runner);
+            let line = run_session(&req, &program, &conn, &caches, runner);
+            // Free the id before the client can read the result: only
+            // live ids clash.
+            registry.remove(&req.id);
+            // Best effort: a fully dead connection can't carry the
+            // result, but the session still completed server-side.
+            conn.send_line(&line);
         }
     };
+    // `accepted` must precede every line a runner writes for this
+    // session. Holding the writer lock across the submit makes a
+    // runner that picks the job up at once wait for it. Runners never
+    // hold the scheduler lock while writing, so this lock order
+    // (writer, then scheduler) cannot deadlock.
+    let mut writer = conn.lock();
     match ctx.scheduler.submit(&tenant, Box::new(job)) {
         Ok(()) => {
-            // `program` is the canonical fingerprint: clients may
-            // resubmit the same rule set by `program_ref` from now on.
-            conn.send_line(
-                &Reply::new("accepted")
-                    .str("id", &id)
-                    .str("program", program_fp)
-                    .finish(),
-            );
-            let (lock, cvar) = &*gate;
-            *lock.lock().expect("admission gate poisoned") = true;
-            cvar.notify_all();
+            writer.write_line(&accepted);
         }
         Err(Rejected::Overloaded { retry_after_ms }) => {
             ctx.registry.remove(&id);
-            conn.send_line(
+            writer.write_line(
                 &Reply::new("overloaded")
                     .str("id", &id)
                     .num("retry_after_ms", retry_after_ms)
@@ -620,7 +566,7 @@ fn submit_session<F>(
         }
         Err(Rejected::ShuttingDown) => {
             ctx.registry.remove(&id);
-            conn.send_line(&Reply::new("shutting_down").str("id", &id).finish());
+            writer.write_line(&Reply::new("shutting_down").str("id", &id).finish());
         }
     }
 }

@@ -1,6 +1,6 @@
-//! Session execution: one admitted request running on a scheduler
-//! runner, streaming telemetry back through its connection and ending
-//! in exactly one `result` line.
+//! Session execution: one admitted `chase` or `decide` request running
+//! on a scheduler runner, streaming telemetry back through its
+//! connection and ending in exactly one `result` line.
 //!
 //! Degradation contract: telemetry is best-effort, results are not. A
 //! session whose connection writes start failing (client gone, or an
@@ -14,6 +14,7 @@
 //! [`TaskError::Panicked`]: chase_engine::task::TaskError::Panicked
 
 use std::cell::Cell;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,9 +24,18 @@ use chase_telemetry::{names, Event, LineObserver, NullObserver};
 use chase_termination::{decide_observed, decider_class, DeciderConfig, TerminationVerdict};
 
 use crate::cache::Caches;
-use crate::protocol::{outcome_name, DecideRequest, Reply, SessionRequest};
+use crate::protocol::{outcome_name, Reply, SessionOp, SessionRequest};
 use crate::scheduler::RunnerCtx;
 use crate::server::ConnWriter;
+
+/// One `counter_add` event object, the form in which both admission
+/// (cache counters) and sessions splice counters into a telemetry
+/// stream, so `chasectl stats` aggregates them with the engine's own.
+pub(crate) fn counter_event(name: &'static str, delta: u64) -> String {
+    let mut buf = String::with_capacity(64);
+    Event::CounterAdd { name, delta }.write_json(&mut buf);
+    buf
+}
 
 /// Event-streaming state shared between a session and its observer
 /// closure: how many telemetry lines went out, how many were dropped
@@ -60,82 +70,103 @@ impl EventStream<'_> {
             self.dropped.set(self.dropped.get() + 1);
         }
     }
-
-    /// Splices a named counter into the stream (if telemetry is on for
-    /// this session, which the caller gates).
-    fn send_counter(&self, name: &'static str, delta: u64) {
-        let mut buf = String::with_capacity(64);
-        Event::CounterAdd { name, delta }.write_json(&mut buf);
-        self.send(&buf);
-    }
 }
 
-/// Runs one chase session to its terminal `result` line. The program
-/// was compiled (or cache-resolved) at admission; the session shares
-/// the `Arc` and does zero parse/plan work of its own.
-pub fn run_chase_session(
+/// Runs one admitted session, streaming its telemetry through `conn`,
+/// and returns its terminal `result` line for the caller to write once
+/// the session id is deregistered. The program was compiled (or
+/// cache-resolved) at admission; the session shares the `Arc` and does
+/// zero parse/plan work of its own.
+pub fn run_session(
     req: &SessionRequest,
     program: &Arc<CompiledProgram>,
     conn: &Arc<ConnWriter>,
+    caches: &Caches,
     ctx: &mut RunnerCtx,
-) {
+) -> String {
     let started = Instant::now();
-    let spec = ChaseTaskSpec {
-        program: ProgramInput::Compiled(Arc::clone(program)),
-        engine: req.engine,
-        budget: req.budget,
-        deadline: req.deadline,
-        faults: req.faults,
-        cancel: req.cancel.clone(),
-    };
     let stream = EventStream {
         conn,
         id: &req.id,
-        fail_after: req.faults.socket_fail_after,
+        fail_after: match &req.op {
+            SessionOp::Chase { faults, .. } => faults.socket_fail_after,
+            SessionOp::Decide => None,
+        },
         sent: Cell::new(0),
         dropped: Cell::new(0),
         degraded: Cell::new(false),
     };
-    let scratch = Some(ctx.pool_for(None));
-    let result = if req.telemetry {
-        let mut obs = LineObserver::new(|line: &str| stream.send(line));
-        run_chase_task(&spec, &mut obs, scratch)
-    } else {
-        run_chase_task(&spec, &mut NullObserver, scratch)
+    let head = Reply::new("result").str("id", &req.id);
+    let mut reason = None;
+    let reply = match &req.op {
+        SessionOp::Chase {
+            engine,
+            budget,
+            faults,
+        } => {
+            let spec = ChaseTaskSpec {
+                program: ProgramInput::Compiled(Arc::clone(program)),
+                engine: *engine,
+                budget: *budget,
+                deadline: req.deadline,
+                faults: *faults,
+                cancel: req.cancel.clone(),
+            };
+            let scratch = Some(ctx.pool_for(None));
+            let result = if req.telemetry {
+                let mut obs = LineObserver::new(|line: &str| stream.send(line));
+                run_chase_task(&spec, &mut obs, scratch)
+            } else {
+                run_chase_task(&spec, &mut NullObserver, scratch)
+            };
+            match result {
+                Ok(out) => head
+                    .str("status", "ok")
+                    .str("outcome", outcome_name(out.outcome))
+                    .num("steps", out.steps as u64)
+                    .num("atoms", out.atoms() as u64)
+                    .str("fingerprint", &format!("{:016x}", out.fingerprint())),
+                Err(e) => {
+                    let (status, msg) = match e {
+                        TaskError::Parse(msg) => ("parse_error", msg),
+                        TaskError::Panicked(msg) => ("panicked", msg),
+                    };
+                    return head
+                        .str("status", status)
+                        .str("error", &msg)
+                        .num("elapsed_ms", started.elapsed().as_millis() as u64)
+                        .finish();
+                }
+            }
+        }
+        SessionOp::Decide => {
+            let (verdict, cached) = decide_memoized(req, program, caches, &stream);
+            let name = match verdict {
+                TerminationVerdict::AllInstancesTerminating(_) => "terminating",
+                TerminationVerdict::NonTerminating(_) => "non_terminating",
+                TerminationVerdict::Unknown { reason: why } => {
+                    reason = Some(why);
+                    "unknown"
+                }
+            };
+            head.str("status", "ok")
+                .str("verdict", name)
+                .bool("cached", cached)
+        }
     };
-    let elapsed_ms = started.elapsed().as_millis() as u64;
-    let line = match result {
-        Ok(out) => Reply::new("result")
-            .str("id", &req.id)
-            .str("status", "ok")
-            .str("outcome", outcome_name(out.outcome))
-            .num("steps", out.steps as u64)
-            .num("atoms", out.atoms() as u64)
-            .str("fingerprint", &format!("{:016x}", out.fingerprint()))
-            .num("events_sent", stream.sent.get())
-            .num("events_dropped", stream.dropped.get())
-            .num("elapsed_ms", elapsed_ms)
-            .finish(),
-        Err(TaskError::Parse(msg)) => Reply::new("result")
-            .str("id", &req.id)
-            .str("status", "parse_error")
-            .str("error", &msg)
-            .num("elapsed_ms", elapsed_ms)
-            .finish(),
-        Err(TaskError::Panicked(msg)) => Reply::new("result")
-            .str("id", &req.id)
-            .str("status", "panicked")
-            .str("error", &msg)
-            .num("elapsed_ms", elapsed_ms)
-            .finish(),
-    };
-    // Best effort: a fully dead connection can't carry the result
-    // either, but the session still completed server-side.
-    conn.send_line(&line);
+    let reply = reply
+        .num("events_sent", stream.sent.get())
+        .num("events_dropped", stream.dropped.get())
+        .num("elapsed_ms", started.elapsed().as_millis() as u64);
+    match reason {
+        Some(reason) => reply.str("reason", &reason),
+        None => reply,
+    }
+    .finish()
 }
 
-/// Runs one decide session to its terminal `result` line, consulting
-/// the decide-memoization cache first.
+/// Answers a decide from the memoization cache, or runs the deciders
+/// and memoizes the verdict; the flag says whether it was cached.
 ///
 /// Verdicts are pure functions of the rule set given a dispatch
 /// policy, so the cache keys by program fingerprint × decider class; a
@@ -143,77 +174,39 @@ pub fn run_chase_session(
 /// `cached:true` and the telemetry stream a `decide_cache.hits`
 /// counter). Only definitive verdicts are memoized — `Unknown`
 /// reflects the request's deadline/cancel budget, not the program.
-pub fn run_decide_session(
-    req: &DecideRequest,
-    program: &Arc<CompiledProgram>,
-    conn: &Arc<ConnWriter>,
+fn decide_memoized(
+    req: &SessionRequest,
+    program: &CompiledProgram,
     caches: &Caches,
-) {
-    let started = Instant::now();
+    stream: &EventStream,
+) -> (TerminationVerdict, bool) {
+    let set = program.tgd_set();
+    let fp = program.fingerprint();
+    let class = decider_class(set);
+    let counters = caches.programs.counters();
+    if let Some(verdict) = caches.decide.get(fp, class) {
+        counters.decide_hits.fetch_add(1, Ordering::Relaxed);
+        if req.telemetry {
+            stream.send(&counter_event(names::DECIDE_CACHE_HITS, 1));
+        }
+        return (verdict, true);
+    }
+    counters.decide_misses.fetch_add(1, Ordering::Relaxed);
+    if req.telemetry {
+        stream.send(&counter_event(names::DECIDE_CACHE_MISSES, 1));
+    }
     let config = DeciderConfig {
         deadline: req.deadline,
         cancel: req.cancel.clone(),
         ..DeciderConfig::default()
     };
-    let stream = EventStream {
-        conn,
-        id: &req.id,
-        fail_after: None,
-        sent: Cell::new(0),
-        dropped: Cell::new(0),
-        degraded: Cell::new(false),
-    };
-    let set = program.tgd_set();
     let vocab = program.vocab();
-    let fp = program.fingerprint();
-    let class = decider_class(set);
-    let counters = caches.programs.counters();
-    let (verdict, cached) = match caches.decide.get(fp, class) {
-        Some(verdict) => {
-            counters
-                .decide_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if req.telemetry {
-                stream.send_counter(names::DECIDE_CACHE_HITS, 1);
-            }
-            (verdict, true)
-        }
-        None => {
-            counters
-                .decide_misses
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if req.telemetry {
-                stream.send_counter(names::DECIDE_CACHE_MISSES, 1);
-            }
-            let verdict = if req.telemetry {
-                let mut obs = LineObserver::new(|line: &str| stream.send(line));
-                decide_observed(set, vocab, &config, &mut obs)
-            } else {
-                decide_observed(set, vocab, &config, &mut NullObserver)
-            };
-            caches.decide.insert(fp, class, &verdict);
-            (verdict, false)
-        }
+    let verdict = if req.telemetry {
+        let mut obs = LineObserver::new(|line: &str| stream.send(line));
+        decide_observed(set, vocab, &config, &mut obs)
+    } else {
+        decide_observed(set, vocab, &config, &mut NullObserver)
     };
-    let elapsed_ms = started.elapsed().as_millis() as u64;
-    let reply = Reply::new("result")
-        .str("id", &req.id)
-        .str("status", "ok")
-        .str(
-            "verdict",
-            match &verdict {
-                TerminationVerdict::AllInstancesTerminating(_) => "terminating",
-                TerminationVerdict::NonTerminating(_) => "non_terminating",
-                TerminationVerdict::Unknown { .. } => "unknown",
-            },
-        )
-        .bool("cached", cached)
-        .num("events_sent", stream.sent.get())
-        .num("events_dropped", stream.dropped.get())
-        .num("elapsed_ms", elapsed_ms);
-    let line = match verdict {
-        TerminationVerdict::Unknown { reason } => reply.str("reason", &reason).finish(),
-        _ => reply.finish(),
-    };
-    conn.send_line(&line);
+    caches.decide.insert(fp, class, &verdict);
+    (verdict, false)
 }

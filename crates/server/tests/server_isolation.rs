@@ -535,6 +535,42 @@ fn read_reply(reader: &mut impl std::io::BufRead) -> BTreeMap<String, Scalar> {
     chase_telemetry::json::parse_line(line.trim_end()).expect("reply is flat JSON")
 }
 
+/// A session id is free again as soon as its `result` line arrives:
+/// only live ids clash, so a client that reuses one id for back-to-back
+/// sessions on one connection never sees "session id already in use".
+#[test]
+fn session_id_is_reusable_once_its_result_arrives() {
+    use std::io::Write;
+    let _serial = serial();
+    let (endpoint, server) = boot(ServerConfig::default(), "reuse");
+    let (mut stream, mut reader) = connect(&endpoint);
+    let request = r#"{"op":"decide","id":"same","program":"R(x,y) -> S(x)."}"#;
+    let mut clashes = 0u32;
+    for _ in 0..20_000 {
+        writeln!(stream, "{request}").expect("send request");
+        loop {
+            let reply = read_reply(&mut reader);
+            match reply.get("type").and_then(Scalar::as_str) {
+                Some("accepted") | Some("event") => {}
+                Some("result") => {
+                    assert_eq!(result_str(&reply, "verdict"), "terminating");
+                    break;
+                }
+                Some("error") => {
+                    assert_eq!(result_str(&reply, "message"), "session id already in use");
+                    clashes += 1;
+                    break;
+                }
+                other => panic!("unexpected reply {other:?}: {reply:?}"),
+            }
+        }
+    }
+    assert_eq!(clashes, 0, "a finished session's id was still in use");
+    drop((stream, reader));
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
 /// `accepted` is the first line of every session that a runner writes
 /// to: with 64 sessions pipelined on one connection against a warm
 /// cache, runners start at once, yet no `result` line and no runner

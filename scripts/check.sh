@@ -52,6 +52,10 @@ echo "== server isolation suite (concurrent faulty sessions vs direct runs) =="
 # one cancelled mid-run, one panicking via FaultPlan — and asserts the
 # healthy sessions' result fingerprints are bit-identical to direct
 # engine runs, with the server surviving to serve a follow-up request.
+# Chase and decide share one session path, and the suite also pins its
+# ordering: `accepted` precedes every line a runner writes for its
+# session (64 pipelined sessions, warm cache), and a session id is free
+# again once its result arrives (20,000 back-to-back reuses).
 cargo test --offline -q -p chase-server --test server_isolation
 
 echo "== serve/client round trip (chasectl golden tests, real processes) =="

@@ -156,7 +156,7 @@ proptest! {
 #[test]
 fn every_engine_and_strategy_name_resolves_through_one_parser() {
     use restricted_chase::engine::restricted::{Strategy, DEFAULT_RANDOM_SEED};
-    use restricted_chase::server::protocol::Request;
+    use restricted_chase::server::protocol::{Request, SessionOp};
 
     assert_eq!(DEFAULT_RANDOM_SEED, 0xC0FFEE, "the documented CLI default");
     // What an engine name resolves to, given the strategy; `None` for
@@ -215,9 +215,10 @@ fn every_engine_and_strategy_name_resolves_through_one_parser() {
                     parse_request(&line),
                     ChaseVariant::parse(engine, strategy, seed),
                 ) {
-                    (Ok(Request::Chase(req)), Ok(variant)) => {
-                        assert_eq!(req.engine, variant, "{case}")
-                    }
+                    (Ok(Request::Session(req)), Ok(variant)) => match req.op {
+                        SessionOp::Chase { engine, .. } => assert_eq!(engine, variant, "{case}"),
+                        SessionOp::Decide => panic!("{case}: a chase line parsed as a decide"),
+                    },
                     (Err(served), Err(direct)) => assert_eq!(served, direct, "{case}"),
                     (served, direct) => panic!("{case}: served {served:?}, direct {direct:?}"),
                 }
