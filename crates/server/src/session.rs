@@ -97,8 +97,7 @@ pub fn run_session(
         degraded: Cell::new(false),
     };
     let head = Reply::new("result").str("id", &req.id);
-    let mut reason = None;
-    let reply = match &req.op {
+    let (reply, reason) = match &req.op {
         SessionOp::Chase {
             engine,
             budget,
@@ -120,12 +119,14 @@ pub fn run_session(
                 run_chase_task(&spec, &mut NullObserver, scratch)
             };
             match result {
-                Ok(out) => head
-                    .str("status", "ok")
-                    .str("outcome", outcome_name(out.outcome))
-                    .num("steps", out.steps as u64)
-                    .num("atoms", out.atoms() as u64)
-                    .str("fingerprint", &format!("{:016x}", out.fingerprint())),
+                Ok(out) => (
+                    head.str("status", "ok")
+                        .str("outcome", outcome_name(out.outcome))
+                        .num("steps", out.steps as u64)
+                        .num("atoms", out.atoms() as u64)
+                        .str("fingerprint", &format!("{:016x}", out.fingerprint())),
+                    None,
+                ),
                 Err(e) => {
                     let (status, msg) = match e {
                         TaskError::Parse(msg) => ("parse_error", msg),
@@ -141,17 +142,16 @@ pub fn run_session(
         }
         SessionOp::Decide => {
             let (verdict, cached) = decide_memoized(req, program, caches, &stream);
-            let name = match verdict {
-                TerminationVerdict::AllInstancesTerminating(_) => "terminating",
-                TerminationVerdict::NonTerminating(_) => "non_terminating",
-                TerminationVerdict::Unknown { reason: why } => {
-                    reason = Some(why);
-                    "unknown"
-                }
+            let (name, reason) = match verdict {
+                TerminationVerdict::AllInstancesTerminating(_) => ("terminating", None),
+                TerminationVerdict::NonTerminating(_) => ("non_terminating", None),
+                TerminationVerdict::Unknown { reason } => ("unknown", Some(reason)),
             };
-            head.str("status", "ok")
+            let reply = head
+                .str("status", "ok")
                 .str("verdict", name)
-                .bool("cached", cached)
+                .bool("cached", cached);
+            (reply, reason)
         }
     };
     let reply = reply
