@@ -85,27 +85,10 @@ impl Marking {
         }
     }
 
-    /// Computes the marking restricted to the paper's literal
-    /// statement (frontier variables only); used by tests to confirm
-    /// the extension to existential variables changes nothing for the
-    /// stickiness test itself.
-    pub fn frontier_marked(&self, tgd: &Tgd) -> Vec<VarId> {
-        tgd.frontier()
-            .iter()
-            .copied()
-            .filter(|v| self.is_marked(*v))
-            .collect()
-    }
-
     /// Whether variable `v` is marked in the set.
     #[inline]
     pub fn is_marked(&self, v: VarId) -> bool {
         self.marked.contains(&v)
-    }
-
-    /// Number of marked variables (diagnostics).
-    pub fn marked_count(&self) -> usize {
-        self.marked.len()
     }
 
     /// The 0-based head positions of a single-head TGD whose variable

@@ -18,151 +18,33 @@
 use std::collections::BTreeMap;
 
 use chase_telemetry::summary::format_nanos;
-use chase_telemetry::{names, HistogramSnapshot, TelemetrySummary};
+use chase_telemetry::CountingObserver;
 
 pub use chase_telemetry::json::{parse_line, Scalar};
 
-/// The aggregation of one whole trace file.
+/// The aggregation of one or more trace files.
 #[derive(Debug, Default)]
 pub struct TraceStats {
     /// Lines (= events) seen.
     pub events: u64,
     /// Event kind → occurrence count.
     pub kinds: BTreeMap<String, u64>,
-    /// Counter name → value, in the `chase-telemetry` vocabulary.
-    pub counters: BTreeMap<String, u64>,
-    /// `(phase, total nanos)` in completion order.
-    pub phases: Vec<(String, u64)>,
-    /// Aggregated `queue_depth` samples.
-    pub queue_depth: Option<HistogramSnapshot>,
-    /// Per-span-name latency histograms (`span.<name>`) from the
-    /// profiling stream's `span_exited` events.
-    pub spans: BTreeMap<String, HistogramSnapshot>,
-    /// Total-instance-bytes samples from `memory_sampled` events.
-    pub memory: Option<HistogramSnapshot>,
+    /// Counters, histograms and phases, folded exactly as `--metrics`
+    /// folds the live run.
+    pub counting: CountingObserver,
 }
 
-impl TraceStats {
-    fn bump(&mut self, counter: &str, delta: u64) {
-        *self.counters.entry(counter.to_string()).or_insert(0) += delta;
+/// Parses one trace line and folds it into `stats`, returning the
+/// parsed event.
+fn fold_line(stats: &mut TraceStats, line: &str) -> Result<BTreeMap<String, Scalar>, String> {
+    let event = parse_line(line)?;
+    stats.counting.record_line(&event)?;
+    stats.events += 1;
+    // `record_line` has checked the `"event"` key.
+    if let Some(kind) = event.get("event").and_then(Scalar::as_str) {
+        *stats.kinds.entry(kind.to_string()).or_insert(0) += 1;
     }
-
-    /// Folds one parsed event into the statistics.
-    pub fn record(&mut self, event: &BTreeMap<String, Scalar>) -> Result<(), String> {
-        let kind = event
-            .get("event")
-            .and_then(Scalar::as_str)
-            .ok_or("missing string \"event\" key")?
-            .to_string();
-        self.events += 1;
-        *self.kinds.entry(kind.clone()).or_insert(0) += 1;
-        let num = |key: &str| -> Result<u64, String> {
-            event
-                .get(key)
-                .and_then(Scalar::as_num)
-                .ok_or_else(|| format!("{kind}: missing integer \"{key}\""))
-        };
-        match kind.as_str() {
-            "trigger_discovered" => self.bump(names::TRIGGERS_DISCOVERED, 1),
-            "trigger_checked" => {
-                self.bump(names::TRIGGERS_CHECKED, 1);
-                let active = event
-                    .get("active")
-                    .and_then(Scalar::as_bool)
-                    .ok_or("trigger_checked: missing boolean \"active\"")?;
-                if active {
-                    self.bump(names::TRIGGERS_ACTIVE, 1);
-                }
-            }
-            "trigger_applied" => self.bump(names::TRIGGERS_APPLIED, 1),
-            "trigger_deactivated" => self.bump(names::TRIGGERS_DEACTIVATED, 1),
-            "null_invented" => self.bump(names::NULLS_INVENTED, 1),
-            "atom_inserted" => {
-                self.bump(names::ATOMS_INSERTED, 1);
-                if event.get("fresh").and_then(Scalar::as_bool) == Some(true) {
-                    self.bump(names::ATOMS_FRESH, 1);
-                }
-            }
-            "queue_depth" => {
-                let depth = num("depth")?;
-                self.queue_depth
-                    .get_or_insert_with(HistogramSnapshot::empty)
-                    .record(depth);
-            }
-            "span_entered" => {}
-            "span_exited" => {
-                let span = event
-                    .get("span")
-                    .and_then(Scalar::as_str)
-                    .ok_or("span_exited: missing string \"span\"")?;
-                let nanos = num("nanos")?;
-                self.spans
-                    .entry(format!("span.{span}"))
-                    .or_insert_with(HistogramSnapshot::empty)
-                    .record(nanos);
-            }
-            "memory_sampled" => {
-                let total = num("atom_bytes")?
-                    + num("arg_spill_bytes")?
-                    + num("dedup_bytes")?
-                    + num("index_bytes")?;
-                self.memory
-                    .get_or_insert_with(HistogramSnapshot::empty)
-                    .record(total);
-            }
-            "heartbeat" => self.bump(names::HEARTBEATS, 1),
-            "counter_add" => {
-                let name = event
-                    .get("name")
-                    .and_then(Scalar::as_str)
-                    .ok_or("counter_add: missing string \"name\"")?
-                    .to_string();
-                let delta = num("delta")?;
-                self.bump(&name, delta);
-            }
-            "run_interrupted" => self.bump(names::RUNS_INTERRUPTED, 1),
-            "phase_entered" => {}
-            "phase_exited" => {
-                let phase = event
-                    .get("phase")
-                    .and_then(Scalar::as_str)
-                    .ok_or("phase_exited: missing string \"phase\"")?;
-                let nanos = num("nanos")?;
-                match self.phases.iter_mut().find(|(p, _)| p == phase) {
-                    Some((_, total)) => *total += nanos,
-                    None => self.phases.push((phase.to_string(), nanos)),
-                }
-            }
-            // Unknown kinds are tolerated (newer traces, and retired
-            // kinds such as `worker_panicked` in older ones) but still
-            // counted in the per-kind table.
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// The stats as a [`TelemetrySummary`], for table rendering.
-    pub fn summary(&self) -> TelemetrySummary {
-        let mut histograms: Vec<(String, HistogramSnapshot)> = Vec::new();
-        if let Some(h) = &self.queue_depth {
-            histograms.push((names::QUEUE_DEPTH.to_string(), h.clone()));
-        }
-        if let Some(h) = &self.memory {
-            histograms.push((names::MEMORY_BYTES.to_string(), h.clone()));
-        }
-        for (name, h) in &self.spans {
-            histograms.push((name.clone(), h.clone()));
-        }
-        TelemetrySummary {
-            phases: self.phases.clone(),
-            counters: self
-                .counters
-                .iter()
-                .map(|(name, value)| (name.clone(), *value))
-                .collect(),
-            histograms,
-        }
-    }
+    Ok(event)
 }
 
 /// Folds a whole trace into `stats`, one event per non-empty line.
@@ -171,20 +53,9 @@ fn fold_text(stats: &mut TraceStats, text: &str) -> Result<(), String> {
         if line.trim().is_empty() {
             continue;
         }
-        let event = parse_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        stats
-            .record(&event)
-            .map_err(|e| format!("line {}: {e}", idx + 1))?;
+        fold_line(stats, line).map_err(|e| format!("line {}: {e}", idx + 1))?;
     }
     Ok(())
-}
-
-/// Parses a whole trace, one event per non-empty line.
-#[cfg(test)]
-pub fn aggregate(text: &str) -> Result<TraceStats, String> {
-    let mut stats = TraceStats::default();
-    fold_text(&mut stats, text)?;
-    Ok(stats)
 }
 
 /// Expands `path` into the trace files it denotes: itself for a file,
@@ -218,8 +89,12 @@ fn render(stats: &TraceStats) {
     for (kind, count) in &stats.kinds {
         println!("  {kind:<32} {count:>12}");
     }
-    print!("{}", stats.summary().render_table());
-    let total_phase_nanos: u64 = stats.phases.iter().map(|&(_, n)| n).sum();
+    let summary = stats.counting.summary();
+    print!("{}", summary.render_table());
+    let total_phase_nanos = summary
+        .phases
+        .iter()
+        .fold(0u64, |total, &(_, nanos)| total.saturating_add(nanos));
     if total_phase_nanos > 0 {
         println!(
             "  {:<32} {:>12}",
@@ -272,13 +147,28 @@ fn heartbeat_line(event: &BTreeMap<String, Scalar>) -> String {
 const FOLLOW_MIN_SLEEP_MS: u64 = 10;
 const FOLLOW_MAX_SLEEP_MS: u64 = 250;
 
+/// Folds one line of a followed trace (blank lines are skipped) and
+/// prints it if it is a heartbeat.
+fn follow_line(stats: &mut TraceStats, line: &str) -> Result<(), String> {
+    if line.trim().is_empty() {
+        return Ok(());
+    }
+    let event = fold_line(stats, line)?;
+    if event.get("event").and_then(Scalar::as_str) == Some("heartbeat") {
+        println!("{}", heartbeat_line(&event));
+    }
+    Ok(())
+}
+
 /// The `chasectl stats --follow <file>` entry point: tails a growing
 /// trace, printing a progress line per heartbeat, and the merged table
 /// once the producer goes quiet for `idle_exit_ms` (forever if
-/// `None`). Only complete (newline-terminated) lines are consumed, so
-/// a line caught mid-write is never misparsed. Polling backs off
-/// exponentially while the file is quiet (10ms doubling to a 250ms
-/// cap) and snaps back on new data.
+/// `None`). While following, only complete (newline-terminated) lines
+/// are consumed, so a line caught mid-write is never misparsed; at the
+/// idle exit an unterminated last line is folded too, as `chasectl
+/// stats` without `--follow` folds it. Polling backs off exponentially
+/// while the file is quiet (10ms doubling to a 250ms cap) and snaps
+/// back on new data.
 pub fn cmd_stats_follow(path: &str, idle_exit_ms: Option<u64>) -> Result<(), String> {
     use std::io::Read;
     let mut file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
@@ -311,19 +201,15 @@ pub fn cmd_stats_follow(path: &str, idle_exit_ms: Option<u64>) -> Result<(), Str
         pending.push_str(&chunk);
         while let Some(nl) = pending.find('\n') {
             let line: String = pending.drain(..=nl).collect();
-            let line = line.trim_end();
             lines += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let event = parse_line(line).map_err(|e| format!("{path}: line {lines}: {e}"))?;
-            stats
-                .record(&event)
+            follow_line(&mut stats, line.trim_end())
                 .map_err(|e| format!("{path}: line {lines}: {e}"))?;
-            if event.get("event").and_then(Scalar::as_str) == Some("heartbeat") {
-                println!("{}", heartbeat_line(&event));
-            }
         }
+    }
+    if !pending.is_empty() {
+        lines += 1;
+        follow_line(&mut stats, pending.trim_end())
+            .map_err(|e| format!("{path}: line {lines}: {e}"))?;
     }
     println!("trace: {path}: {} event(s)", stats.events);
     render(&stats);
@@ -333,7 +219,14 @@ pub fn cmd_stats_follow(path: &str, idle_exit_ms: Option<u64>) -> Result<(), Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chase_telemetry::{EngineKind, Event};
+    use chase_telemetry::{names, EngineKind, Event};
+
+    /// Parses a whole trace, one event per non-empty line.
+    fn aggregate(text: &str) -> Result<TraceStats, String> {
+        let mut stats = TraceStats::default();
+        fold_text(&mut stats, text)?;
+        Ok(stats)
+    }
 
     #[test]
     fn parses_every_event_kind_the_writer_emits() {
@@ -440,17 +333,17 @@ mod tests {
 ";
         let stats = aggregate(trace).unwrap();
         assert_eq!(stats.events, 11);
+        let summary = stats.counting.summary();
         // A retired event kind from an older trace is counted but
         // feeds no counter.
         assert_eq!(stats.kinds["worker_panicked"], 1);
-        assert!(!stats.counters.contains_key("driver.worker_panics"));
-        assert_eq!(stats.counters[names::RUNS_INTERRUPTED], 1);
-        assert_eq!(stats.counters[names::TRIGGERS_CHECKED], 2);
-        assert_eq!(stats.counters[names::TRIGGERS_ACTIVE], 1);
-        assert_eq!(stats.counters[names::TRIGGERS_APPLIED], 1);
-        assert_eq!(stats.counters[names::TRIGGERS_DEACTIVATED], 1);
-        assert_eq!(stats.counters["guarded.seeds_tried"], 2);
-        let summary = stats.summary();
+        assert_eq!(summary.counter("driver.worker_panics"), None);
+        assert_eq!(summary.counter(names::RUNS_INTERRUPTED), Some(1));
+        assert_eq!(summary.counter(names::TRIGGERS_CHECKED), Some(2));
+        assert_eq!(summary.counter(names::TRIGGERS_ACTIVE), Some(1));
+        assert_eq!(summary.counter(names::TRIGGERS_APPLIED), Some(1));
+        assert_eq!(summary.counter(names::TRIGGERS_DEACTIVATED), Some(1));
+        assert_eq!(summary.counter("guarded.seeds_tried"), Some(2));
         assert_eq!(summary.phase_nanos("classify"), Some(150));
         let depth = summary.histogram(names::QUEUE_DEPTH).unwrap();
         assert_eq!(depth.count, 1);
@@ -469,8 +362,8 @@ mod tests {
 ";
         let stats = aggregate(trace).unwrap();
         assert_eq!(stats.events, 6);
-        assert_eq!(stats.counters[names::HEARTBEATS], 1);
-        let summary = stats.summary();
+        let summary = stats.counting.summary();
+        assert_eq!(summary.counter(names::HEARTBEATS), Some(1));
         let run = summary.histogram("span.run").unwrap();
         assert_eq!(run.count, 1);
         assert_eq!(run.max, 500);
@@ -485,5 +378,30 @@ mod tests {
         let err =
             aggregate("{\"event\":\"phase_entered\",\"phase\":\"x\"}\nnot json\n").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
+    fn aggregate_saturates_overflowing_values() {
+        let max = u64::MAX;
+        let trace = format!(
+            "\
+{{\"event\":\"counter_add\",\"name\":\"sticky.automaton_states\",\"delta\":{max}}}
+{{\"event\":\"counter_add\",\"name\":\"sticky.automaton_states\",\"delta\":1}}
+{{\"event\":\"memory_sampled\",\"engine\":\"restricted\",\"step\":1,\"atoms\":3,\"atom_bytes\":{max},\"arg_spill_bytes\":1,\"dedup_bytes\":0,\"index_bytes\":0,\"queue_depth\":1,\"allocations\":10}}
+{{\"event\":\"phase_exited\",\"phase\":\"classify\",\"nanos\":{max}}}
+{{\"event\":\"phase_exited\",\"phase\":\"classify\",\"nanos\":1}}
+{{\"event\":\"counter_add\",\"name\":\"queue.depth\",\"delta\":5}}
+{{\"event\":\"queue_depth\",\"engine\":\"restricted\",\"step\":1,\"depth\":3}}
+"
+        );
+        let stats = aggregate(&trace).unwrap();
+        assert_eq!(stats.events, 7);
+        let summary = stats.counting.summary();
+        assert_eq!(summary.counter(names::AUTOMATON_STATES), Some(max));
+        assert_eq!(summary.histogram(names::MEMORY_BYTES).unwrap().max, max);
+        assert_eq!(summary.phase_nanos("classify"), Some(max));
+        // A counter may share a histogram's name: separate namespaces.
+        assert_eq!(summary.counter(names::QUEUE_DEPTH), Some(5));
+        assert_eq!(summary.histogram(names::QUEUE_DEPTH).unwrap().max, 3);
     }
 }

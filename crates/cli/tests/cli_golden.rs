@@ -330,6 +330,30 @@ fn stats_follow_tails_a_trace_and_prints_heartbeats() {
 }
 
 #[test]
+fn stats_follow_folds_an_unterminated_last_line() {
+    let trace = std::env::temp_dir().join(format!(
+        "chasectl-golden-{}-unterminated.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(
+        &trace,
+        "{\"event\":\"phase_entered\",\"phase\":\"x\"}\n\
+         {\"event\":\"phase_exited\",\"phase\":\"x\",\"nanos\":5}",
+    )
+    .expect("write trace");
+    let path = trace.to_str().unwrap();
+    let whole = run(&["stats", path]);
+    let followed = run(&["stats", "--follow", path, "--idle-exit-ms", "50"]);
+    let _ = std::fs::remove_file(&trace);
+    let expected = format!("trace: {path}: 2 event(s)");
+    for out in [whole, followed] {
+        assert_eq!(code(&out), 0, "{}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(&expected), "{stdout}");
+    }
+}
+
+#[test]
 fn stats_usage_errors() {
     assert_usage_error(&run(&["stats"]), "no operands");
     assert_usage_error(

@@ -254,12 +254,6 @@ impl Atom {
         self.args.heap_bytes()
     }
 
-    /// The term at position `i` (0-based), the paper's `R(t̄)[i]`.
-    #[inline]
-    pub fn term_at(&self, i: usize) -> Term {
-        self.args[i]
-    }
-
     /// Returns `true` if no argument is a variable, i.e. the atom may
     /// be a member of an instance.
     pub fn is_ground(&self) -> bool {
@@ -334,12 +328,6 @@ impl<'a> AtomRef<'a> {
         self.args.len()
     }
 
-    /// The term at position `i` (0-based).
-    #[inline]
-    pub fn term_at(&self, i: usize) -> Term {
-        self.args[i]
-    }
-
     /// Returns `true` if every argument is a constant (a *fact*).
     pub fn is_fact(&self) -> bool {
         self.args.iter().all(|t| t.is_const())
@@ -384,13 +372,6 @@ impl PartialEq<AtomRef<'_>> for Atom {
     fn eq(&self, other: &AtomRef<'_>) -> bool {
         other == self
     }
-}
-
-/// Renders a set of atoms as `{A, B, ...}` for diagnostics.
-pub fn display_atoms<'a>(atoms: impl IntoIterator<Item = &'a Atom>, vocab: &Vocabulary) -> String {
-    let mut parts: Vec<String> = atoms.into_iter().map(|a| a.display(vocab)).collect();
-    parts.sort();
-    format!("{{{}}}", parts.join(", "))
 }
 
 #[cfg(test)]

@@ -86,13 +86,6 @@ impl NullFactory {
         NullFactory { next: 0 }
     }
 
-    /// Creates a factory that will only produce nulls with identifiers
-    /// at least `start`; useful when extending an instance that
-    /// already contains nulls.
-    pub fn starting_at(start: u32) -> Self {
-        NullFactory { next: start }
-    }
-
     /// Creates a factory that will not collide with any null already
     /// occurring in `terms`.
     pub fn above(terms: impl IntoIterator<Item = Term>) -> Self {

@@ -1,89 +1,12 @@
-//! A lock-free-enough metrics registry: registration takes a mutex
-//! once per name, every subsequent increment is a relaxed atomic.
-
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// A monotonically increasing named counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
+//! Log₂-bucket histograms over `u64` observations, as plain data.
 
 /// Number of log₂ buckets: values land in bucket
 /// `⌈log₂(v + 1)⌉ ∈ 0..=64`.
 const BUCKETS: usize = 65;
 
 /// A histogram over `u64` values with power-of-two buckets, plus
-/// exact count / sum / max. All updates are relaxed atomics.
-#[derive(Debug)]
-pub struct Histogram {
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl Histogram {
-    /// Index of the bucket for `value`: 0 for 0, otherwise the number
-    /// of significant bits (so bucket `i` covers `2^(i-1) .. 2^i - 1`).
-    #[inline]
-    fn bucket(value: u64) -> usize {
-        (u64::BITS - value.leading_zeros()) as usize
-    }
-
-    /// Records one observation.
-    pub fn record(&self, value: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-        self.buckets[Self::bucket(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough point-in-time copy (individual fields are
-    /// read independently; histograms are not sampled mid-`record`
-    /// in the single-writer engines).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// A plain-data copy of a [`Histogram`].
+/// exact count / sum / max. Every add saturates, so no input — live
+/// or read back from a trace — can overflow it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of observations.
@@ -113,15 +36,32 @@ impl HistogramSnapshot {
         Self::default()
     }
 
-    /// Records one observation directly into the plain-data snapshot —
-    /// the single-threaded counterpart of [`Histogram::record`], for
-    /// aggregators (the span profiler, `chasectl stats`) that own
-    /// their histogram outright.
+    /// Index of the bucket for `value`: 0 for 0, otherwise the number
+    /// of significant bits (so bucket `i` covers `2^(i-1) .. 2^i - 1`).
+    #[inline]
+    fn bucket(value: u64) -> usize {
+        (u64::BITS - value.leading_zeros()) as usize
+    }
+
+    /// Records one observation.
+    #[inline]
     pub fn record(&mut self, value: u64) {
-        self.count += 1;
+        self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
-        self.buckets[Histogram::bucket(value)] += 1;
+        let bucket = &mut self.buckets[Self::bucket(value)];
+        *bucket = bucket.saturating_add(1);
+    }
+
+    /// Folds `other` into `self`: counts, sums and buckets add
+    /// (saturating), maxima take the larger.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine = mine.saturating_add(*theirs);
+        }
     }
 
     /// Mean observed value (0 when empty).
@@ -160,7 +100,7 @@ impl HistogramSnapshot {
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= target {
                 return Self::bucket_upper(i).min(self.max);
             }
@@ -184,120 +124,23 @@ impl HistogramSnapshot {
     }
 }
 
-/// A point-in-time value of one registered metric.
-///
-/// The `Histogram` variant is much larger than `Counter`, but
-/// snapshots are taken once per run on the reporting path, never in
-/// the chase loop, so an indirection would buy nothing.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(clippy::large_enum_variant)]
-pub enum MetricSnapshot {
-    /// A counter's value.
-    Counter(u64),
-    /// A histogram's summary.
-    Histogram(HistogramSnapshot),
-}
-
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Histogram(Arc<Histogram>),
-}
-
-/// A named-metric registry. `counter`/`histogram` hand out shared
-/// handles; hot-path updates go through the handles and never touch
-/// the registry lock again.
-#[derive(Debug, Default)]
-pub struct Counters {
-    entries: Mutex<BTreeMap<String, Metric>>,
-}
-
-impl Counters {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
-    /// Returns the counter registered under `name`, creating it on
-    /// first use.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a histogram.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut entries = self.entries.lock().expect("counters lock");
-        match entries
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            Metric::Histogram(_) => panic!("metric `{name}` is a histogram, not a counter"),
-        }
-    }
-
-    /// Returns the histogram registered under `name`, creating it on
-    /// first use.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a counter.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut entries = self.entries.lock().expect("counters lock");
-        match entries
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::default())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            Metric::Counter(_) => panic!("metric `{name}` is a counter, not a histogram"),
-        }
-    }
-
-    /// All registered metrics, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, MetricSnapshot)> {
-        let entries = self.entries.lock().expect("counters lock");
-        entries
-            .iter()
-            .map(|(name, metric)| {
-                let value = match metric {
-                    Metric::Counter(c) => MetricSnapshot::Counter(c.get()),
-                    Metric::Histogram(h) => MetricSnapshot::Histogram(h.snapshot()),
-                };
-                (name.clone(), value)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_register_once_and_share() {
-        let reg = Counters::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
-        a.incr();
-        b.add(2);
-        assert_eq!(a.get(), 3);
-        match &reg.snapshot()[..] {
-            [(name, MetricSnapshot::Counter(3))] => assert_eq!(name, "x"),
-            other => panic!("unexpected snapshot {other:?}"),
-        }
-    }
-
-    #[test]
     fn histogram_buckets_are_log2() {
-        assert_eq!(Histogram::bucket(0), 0);
-        assert_eq!(Histogram::bucket(1), 1);
-        assert_eq!(Histogram::bucket(2), 2);
-        assert_eq!(Histogram::bucket(3), 2);
-        assert_eq!(Histogram::bucket(4), 3);
-        assert_eq!(Histogram::bucket(u64::MAX), 64);
+        assert_eq!(HistogramSnapshot::bucket(0), 0);
+        assert_eq!(HistogramSnapshot::bucket(1), 1);
+        assert_eq!(HistogramSnapshot::bucket(2), 2);
+        assert_eq!(HistogramSnapshot::bucket(3), 2);
+        assert_eq!(HistogramSnapshot::bucket(4), 3);
+        assert_eq!(HistogramSnapshot::bucket(u64::MAX), 64);
 
-        let h = Histogram::default();
+        let mut snap = HistogramSnapshot::empty();
         for v in [0, 1, 2, 3, 7, 8] {
-            h.record(v);
+            snap.record(v);
         }
-        let snap = h.snapshot();
         assert_eq!(snap.count, 6);
         assert_eq!(snap.sum, 21);
         assert_eq!(snap.max, 8);
@@ -307,34 +150,6 @@ mod tests {
         assert_eq!(snap.buckets[3], 1); // {7}
         assert_eq!(snap.buckets[4], 1); // {8}
         assert!((snap.mean() - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn increments_race_free_across_threads() {
-        let reg = Arc::new(Counters::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let reg = Arc::clone(&reg);
-                std::thread::spawn(move || {
-                    let c = reg.counter("shared");
-                    for _ in 0..1000 {
-                        c.incr();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(reg.counter("shared").get(), 4000);
-    }
-
-    #[test]
-    #[should_panic(expected = "is a histogram")]
-    fn kind_mismatch_panics() {
-        let reg = Counters::new();
-        let _ = reg.histogram("m");
-        let _ = reg.counter("m");
     }
 
     #[test]
@@ -386,13 +201,39 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_record_matches_atomic_record() {
-        let atomic = Histogram::default();
-        let mut plain = HistogramSnapshot::empty();
-        for v in [0, 1, 2, 3, 7, 8, 1000, 1 << 40] {
-            atomic.record(v);
-            plain.record(v);
+    fn merge_equals_recording_both_streams() {
+        let (mut left, mut right, mut both) = (
+            HistogramSnapshot::empty(),
+            HistogramSnapshot::empty(),
+            HistogramSnapshot::empty(),
+        );
+        for v in [0, 1, 2, 3, 7] {
+            left.record(v);
+            both.record(v);
         }
-        assert_eq!(atomic.snapshot(), plain);
+        for v in [8, 1000, 1 << 40] {
+            right.record(v);
+            both.record(v);
+        }
+        left.merge(&right);
+        assert_eq!(left, both);
+    }
+
+    #[test]
+    fn adds_saturate_instead_of_overflowing() {
+        let mut h = HistogramSnapshot::empty();
+        h.record(u64::MAX);
+        h.record(1);
+        assert_eq!(h.sum, u64::MAX);
+        let copy = h.clone();
+        h.merge(&copy);
+        assert_eq!((h.count, h.sum, h.max), (4, u64::MAX, u64::MAX));
+        h.count = u64::MAX;
+        h.buckets[1] = u64::MAX;
+        h.merge(&copy);
+        h.record(1);
+        assert_eq!((h.count, h.buckets[1]), (u64::MAX, u64::MAX));
+        // The quantile walk over saturated buckets does not overflow.
+        assert_eq!(h.quantile(1.0), 1);
     }
 }

@@ -2,15 +2,16 @@
 //!
 //! Structured observability for the restricted-chase toolkit: a
 //! [`ChaseObserver`] trait fed a stream of typed [`Event`]s by the
-//! engines (`chase-engine`) and deciders (`chase-termination`), an
-//! atomics-based [`Counters`] registry, and built-in sinks:
+//! engines (`chase-engine`) and deciders (`chase-termination`), and
+//! built-in sinks:
 //!
 //! * [`NullObserver`] — the default; reports `enabled() == false`, so
 //!   monomorphised call sites fold event construction away entirely
 //!   and an unobserved chase pays nothing;
 //! * [`CountingObserver`] — aggregates events into named counters,
-//!   queue-depth histograms and per-phase wall-clock, and produces a
-//!   [`TelemetrySummary`];
+//!   log₂ [`HistogramSnapshot`]s and per-phase wall-clock, all plain
+//!   data, and produces a [`TelemetrySummary`]; it folds parsed trace
+//!   lines the same way (`chasectl stats`);
 //! * [`JsonlWriter`] — serialises every event as one JSON object per
 //!   line (JSON Lines), with a hand-rolled zero-dependency encoder,
 //!   flushing on drop so buffered traces keep their tail;
@@ -56,7 +57,7 @@ pub mod profiler;
 pub mod sinks;
 pub mod summary;
 
-pub use counters::{Counter, Counters, Histogram, HistogramSnapshot, MetricSnapshot};
+pub use counters::HistogramSnapshot;
 pub use event::{EngineKind, Event, InterruptReason, NO_TGD, SCHEMA_VERSION};
 pub use json::{parse_line, Scalar};
 pub use observer::{

@@ -531,12 +531,7 @@ impl SpanObserver {
             let acc = by_key.entry(*key).or_default();
             acc.count += p.count;
             acc.total += p.total_nanos;
-            acc.hist.count += p.hist.count;
-            acc.hist.sum += p.hist.sum;
-            acc.hist.max = acc.hist.max.max(p.hist.max);
-            for (m, o) in acc.hist.buckets.iter_mut().zip(p.hist.buckets.iter()) {
-                *m += o;
-            }
+            acc.hist.merge(&p.hist);
         }
         let mut by_name: BTreeMap<&'static str, SpanStat> = BTreeMap::new();
         let mut tgd_spans = Vec::new();
@@ -549,12 +544,7 @@ impl SpanObserver {
             });
             stat.count += acc.count;
             stat.total_nanos += acc.total;
-            stat.hist.count += acc.hist.count;
-            stat.hist.sum += acc.hist.sum;
-            stat.hist.max = stat.hist.max.max(acc.hist.max);
-            for (m, o) in stat.hist.buckets.iter_mut().zip(acc.hist.buckets.iter()) {
-                *m += o;
-            }
+            stat.hist.merge(&acc.hist);
             if key.tgd != NO_TGD {
                 tgd_spans.push(TgdSpanStat {
                     name: key.name.to_string(),

@@ -2,103 +2,184 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::sync::Arc;
 
-use crate::counters::{Counter, Counters, Histogram};
+use crate::counters::HistogramSnapshot;
 use crate::event::Event;
+use crate::json::Scalar;
 use crate::names;
 use crate::observer::ChaseObserver;
 use crate::summary::TelemetrySummary;
 
-/// Aggregates the event stream into the [`Counters`] registry plus
-/// per-phase wall-clock, and renders a [`TelemetrySummary`].
-#[derive(Debug)]
+/// Aggregates the event stream into named counters, histograms and
+/// per-phase wall-clock, and renders a [`TelemetrySummary`]. It folds
+/// live [`Event`]s ([`ChaseObserver::on_event`]) and parsed trace lines
+/// ([`CountingObserver::record_line`]) alike; both folds are here, so
+/// the kind → metric mapping lives in one place.
+///
+/// Plain data: once a `CounterAdd` name, span or phase has been seen,
+/// folding another event of it allocates nothing. Every add saturates.
+/// Counters and histograms are separate namespaces.
+#[derive(Debug, Default)]
 pub struct CountingObserver {
-    counters: Counters,
-    // Cached handles for the hot counters, registered eagerly so the
-    // registry lock is never taken on the event path.
-    discovered: Arc<Counter>,
-    checked: Arc<Counter>,
-    active: Arc<Counter>,
-    applied: Arc<Counter>,
-    deactivated: Arc<Counter>,
-    nulls: Arc<Counter>,
-    inserted: Arc<Counter>,
-    fresh: Arc<Counter>,
-    interrupted: Arc<Counter>,
-    queue_depth: Arc<Histogram>,
-    heartbeats: Arc<Counter>,
-    memory_bytes: Arc<Histogram>,
-    /// Lazily registered `span.<name>` histograms, cached by the
-    /// span's static name so the registry lock is taken once per
-    /// distinct span, not once per event.
-    span_hists: BTreeMap<&'static str, Arc<Histogram>>,
+    discovered: u64,
+    checked: u64,
+    active: u64,
+    applied: u64,
+    deactivated: u64,
+    nulls: u64,
+    inserted: u64,
+    fresh: u64,
+    interrupted: u64,
+    heartbeats: u64,
+    queue_depth: HistogramSnapshot,
+    memory_bytes: HistogramSnapshot,
+    /// `CounterAdd` totals by counter name.
+    named: BTreeMap<String, u64>,
+    /// Span latency histograms by bare span name; [`Self::summary`]
+    /// reports them as `span.<name>`.
+    spans: BTreeMap<String, HistogramSnapshot>,
     /// `(phase, total nanos)` in completion order.
     phases: Vec<(String, u64)>,
 }
 
-impl Default for CountingObserver {
-    fn default() -> Self {
-        Self::new()
-    }
+fn incr(counter: &mut u64) {
+    *counter = counter.saturating_add(1);
 }
 
 impl CountingObserver {
-    /// An observer with all well-known metrics pre-registered at zero.
+    /// An observer with every well-known metric at zero.
     pub fn new() -> Self {
-        let counters = Counters::new();
-        let discovered = counters.counter(names::TRIGGERS_DISCOVERED);
-        let checked = counters.counter(names::TRIGGERS_CHECKED);
-        let active = counters.counter(names::TRIGGERS_ACTIVE);
-        let applied = counters.counter(names::TRIGGERS_APPLIED);
-        let deactivated = counters.counter(names::TRIGGERS_DEACTIVATED);
-        let nulls = counters.counter(names::NULLS_INVENTED);
-        let inserted = counters.counter(names::ATOMS_INSERTED);
-        let fresh = counters.counter(names::ATOMS_FRESH);
-        let interrupted = counters.counter(names::RUNS_INTERRUPTED);
-        let queue_depth = counters.histogram(names::QUEUE_DEPTH);
-        let heartbeats = counters.counter(names::HEARTBEATS);
-        let memory_bytes = counters.histogram(names::MEMORY_BYTES);
-        CountingObserver {
-            counters,
-            discovered,
-            checked,
-            active,
-            applied,
-            deactivated,
-            nulls,
-            inserted,
-            fresh,
-            interrupted,
-            queue_depth,
-            heartbeats,
-            memory_bytes,
-            span_hists: BTreeMap::new(),
-            phases: Vec::new(),
+        Self::default()
+    }
+
+    fn add_named(&mut self, name: &str, delta: u64) {
+        match self.named.get_mut(name) {
+            Some(total) => *total = total.saturating_add(delta),
+            None => {
+                self.named.insert(name.to_string(), delta);
+            }
         }
     }
 
-    /// The underlying registry, for registering decider-specific
-    /// counters (e.g. automaton states explored).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    fn add_span(&mut self, span: &str, nanos: u64) {
+        match self.spans.get_mut(span) {
+            Some(hist) => hist.record(nanos),
+            None => {
+                let mut hist = HistogramSnapshot::empty();
+                hist.record(nanos);
+                self.spans.insert(span.to_string(), hist);
+            }
+        }
+    }
+
+    fn add_phase(&mut self, phase: &str, nanos: u64) {
+        match self.phases.iter_mut().find(|(p, _)| p == phase) {
+            Some((_, total)) => *total = total.saturating_add(nanos),
+            None => self.phases.push((phase.to_string(), nanos)),
+        }
+    }
+
+    fn add_memory_sample(&mut self, parts: [u64; 4]) {
+        let total = parts.into_iter().fold(0, u64::saturating_add);
+        self.memory_bytes.record(total);
+    }
+
+    /// Folds one parsed trace line (see [`crate::json::parse_line`])
+    /// exactly as [`ChaseObserver::on_event`] folds the event it was
+    /// written from. Unknown kinds — newer traces, or retired ones
+    /// such as `worker_panicked` in older traces — are ignored; a
+    /// known kind missing a field it needs is an error.
+    pub fn record_line(&mut self, event: &BTreeMap<String, Scalar>) -> Result<(), String> {
+        let kind = event
+            .get("event")
+            .and_then(Scalar::as_str)
+            .ok_or("missing string \"event\" key")?;
+        let num = |key: &str| -> Result<u64, String> {
+            event
+                .get(key)
+                .and_then(Scalar::as_num)
+                .ok_or_else(|| format!("{kind}: missing integer \"{key}\""))
+        };
+        let string = |key: &str| -> Result<&str, String> {
+            event
+                .get(key)
+                .and_then(Scalar::as_str)
+                .ok_or_else(|| format!("{kind}: missing string \"{key}\""))
+        };
+        match kind {
+            "trigger_discovered" => incr(&mut self.discovered),
+            "trigger_checked" => {
+                let active = event
+                    .get("active")
+                    .and_then(Scalar::as_bool)
+                    .ok_or("trigger_checked: missing boolean \"active\"")?;
+                incr(&mut self.checked);
+                if active {
+                    incr(&mut self.active);
+                }
+            }
+            "trigger_applied" => incr(&mut self.applied),
+            "trigger_deactivated" => incr(&mut self.deactivated),
+            "null_invented" => incr(&mut self.nulls),
+            "atom_inserted" => {
+                incr(&mut self.inserted);
+                if event.get("fresh").and_then(Scalar::as_bool) == Some(true) {
+                    incr(&mut self.fresh);
+                }
+            }
+            "queue_depth" => self.queue_depth.record(num("depth")?),
+            "run_interrupted" => incr(&mut self.interrupted),
+            "counter_add" => self.add_named(string("name")?, num("delta")?),
+            "phase_exited" => self.add_phase(string("phase")?, num("nanos")?),
+            "span_exited" => self.add_span(string("span")?, num("nanos")?),
+            "memory_sampled" => self.add_memory_sample([
+                num("atom_bytes")?,
+                num("arg_spill_bytes")?,
+                num("dedup_bytes")?,
+                num("index_bytes")?,
+            ]),
+            "heartbeat" => incr(&mut self.heartbeats),
+            _ => {}
+        }
+        Ok(())
     }
 
     /// The aggregated summary so far. Histograms with zero
     /// observations and counters still at zero are kept, so the
     /// summary's shape is stable across runs.
     pub fn summary(&self) -> TelemetrySummary {
-        let mut counters = Vec::new();
-        let mut histograms = Vec::new();
-        for (name, snapshot) in self.counters.snapshot() {
-            match snapshot {
-                crate::counters::MetricSnapshot::Counter(v) => counters.push((name, v)),
-                crate::counters::MetricSnapshot::Histogram(h) => histograms.push((name, h)),
-            }
+        let mut counters: BTreeMap<&str, u64> = BTreeMap::from([
+            (names::TRIGGERS_DISCOVERED, self.discovered),
+            (names::TRIGGERS_CHECKED, self.checked),
+            (names::TRIGGERS_ACTIVE, self.active),
+            (names::TRIGGERS_APPLIED, self.applied),
+            (names::TRIGGERS_DEACTIVATED, self.deactivated),
+            (names::NULLS_INVENTED, self.nulls),
+            (names::ATOMS_INSERTED, self.inserted),
+            (names::ATOMS_FRESH, self.fresh),
+            (names::RUNS_INTERRUPTED, self.interrupted),
+            (names::HEARTBEATS, self.heartbeats),
+        ]);
+        for (name, delta) in &self.named {
+            let total = counters.entry(name).or_insert(0);
+            *total = total.saturating_add(*delta);
         }
+        let mut histograms = vec![
+            (names::QUEUE_DEPTH.to_string(), self.queue_depth.clone()),
+            (names::MEMORY_BYTES.to_string(), self.memory_bytes.clone()),
+        ];
+        histograms.extend(
+            self.spans
+                .iter()
+                .map(|(span, hist)| (format!("span.{span}"), hist.clone())),
+        );
+        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         TelemetrySummary {
             phases: self.phases.clone(),
-            counters,
+            counters: counters
+                .into_iter()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
             histograms,
         }
     }
@@ -107,61 +188,39 @@ impl CountingObserver {
 impl ChaseObserver for CountingObserver {
     fn on_event(&mut self, event: &Event) {
         match *event {
-            Event::TriggerDiscovered { .. } => self.discovered.incr(),
+            Event::TriggerDiscovered { .. } => incr(&mut self.discovered),
             Event::TriggerChecked { active, .. } => {
-                self.checked.incr();
+                incr(&mut self.checked);
                 if active {
-                    self.active.incr();
+                    incr(&mut self.active);
                 }
             }
-            Event::TriggerApplied {
-                new_atoms,
-                new_nulls,
-                ..
-            } => {
-                self.applied.incr();
-                // `NullInvented`/`AtomInserted` events carry the same
-                // information; the per-application totals here are
-                // deliberately *not* double counted into those
-                // counters.
-                let _ = (new_atoms, new_nulls);
-            }
-            Event::TriggerDeactivated { .. } => self.deactivated.incr(),
-            Event::NullInvented { .. } => self.nulls.incr(),
+            // `NullInvented`/`AtomInserted` events carry the same
+            // information as the per-application totals here, which
+            // are deliberately *not* double counted.
+            Event::TriggerApplied { .. } => incr(&mut self.applied),
+            Event::TriggerDeactivated { .. } => incr(&mut self.deactivated),
+            Event::NullInvented { .. } => incr(&mut self.nulls),
             Event::AtomInserted { fresh, .. } => {
-                self.inserted.incr();
+                incr(&mut self.inserted);
                 if fresh {
-                    self.fresh.incr();
+                    incr(&mut self.fresh);
                 }
             }
             Event::QueueDepth { depth, .. } => self.queue_depth.record(depth),
-            Event::RunInterrupted { .. } => self.interrupted.incr(),
-            Event::CounterAdd { name, delta } => self.counters.counter(name).add(delta),
-            Event::PhaseEntered { .. } => {}
-            Event::PhaseExited { phase, nanos } => {
-                match self.phases.iter_mut().find(|(p, _)| p == phase) {
-                    Some((_, total)) => *total += nanos,
-                    None => self.phases.push((phase.to_string(), nanos)),
-                }
-            }
-            Event::SpanEntered { .. } => {}
-            Event::SpanExited { span, nanos, .. } => {
-                let counters = &self.counters;
-                self.span_hists
-                    .entry(span)
-                    .or_insert_with(|| counters.histogram(&format!("span.{span}")))
-                    .record(nanos);
-            }
+            Event::RunInterrupted { .. } => incr(&mut self.interrupted),
+            Event::CounterAdd { name, delta } => self.add_named(name, delta),
+            Event::PhaseEntered { .. } | Event::SpanEntered { .. } => {}
+            Event::PhaseExited { phase, nanos } => self.add_phase(phase, nanos),
+            Event::SpanExited { span, nanos, .. } => self.add_span(span, nanos),
             Event::MemorySampled {
                 atom_bytes,
                 arg_spill_bytes,
                 dedup_bytes,
                 index_bytes,
                 ..
-            } => self
-                .memory_bytes
-                .record(atom_bytes + arg_spill_bytes + dedup_bytes + index_bytes),
-            Event::Heartbeat { .. } => self.heartbeats.incr(),
+            } => self.add_memory_sample([atom_bytes, arg_spill_bytes, dedup_bytes, index_bytes]),
+            Event::Heartbeat { .. } => incr(&mut self.heartbeats),
         }
     }
 }
@@ -323,6 +382,7 @@ impl ChaseObserver for RecordingObserver {
 mod tests {
     use super::*;
     use crate::event::EngineKind;
+    use std::sync::Arc;
 
     fn sample_events() -> Vec<Event> {
         let engine = EngineKind::Restricted;
@@ -387,6 +447,57 @@ mod tests {
         let depth = s.histogram(names::QUEUE_DEPTH).unwrap();
         assert_eq!(depth.count, 1);
         assert_eq!(depth.max, 0);
+    }
+
+    #[test]
+    fn record_line_reports_missing_fields() {
+        let mut obs = CountingObserver::new();
+        let line = |text: &str| crate::json::parse_line(text).unwrap();
+        assert_eq!(
+            obs.record_line(&line("{\"v\":2}")).unwrap_err(),
+            "missing string \"event\" key"
+        );
+        assert_eq!(
+            obs.record_line(&line("{\"event\":\"queue_depth\"}"))
+                .unwrap_err(),
+            "queue_depth: missing integer \"depth\""
+        );
+        assert_eq!(
+            obs.record_line(&line("{\"event\":\"span_exited\",\"nanos\":1}"))
+                .unwrap_err(),
+            "span_exited: missing string \"span\""
+        );
+        assert_eq!(
+            obs.record_line(&line("{\"event\":\"trigger_checked\"}"))
+                .unwrap_err(),
+            "trigger_checked: missing boolean \"active\""
+        );
+        // A rejected line folds nothing.
+        assert_eq!(obs.summary(), CountingObserver::new().summary());
+    }
+
+    #[test]
+    fn counter_names_never_collide_with_histograms() {
+        let mut obs = CountingObserver::new();
+        obs.on_event(&Event::CounterAdd {
+            name: names::QUEUE_DEPTH,
+            delta: 2,
+        });
+        obs.on_event(&Event::CounterAdd {
+            name: "span.step",
+            delta: 1,
+        });
+        obs.on_event(&Event::CounterAdd {
+            name: names::TRIGGERS_APPLIED,
+            delta: 3,
+        });
+        let s = obs.summary();
+        assert_eq!(s.counter(names::QUEUE_DEPTH), Some(2));
+        assert_eq!(s.counter("span.step"), Some(1));
+        assert_eq!(s.counter(names::TRIGGERS_APPLIED), Some(3));
+        assert_eq!(s.histogram(names::QUEUE_DEPTH).unwrap().count, 0);
+        assert!(s.histogram("span.step").is_none());
+        assert!(s.counters.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

@@ -52,32 +52,25 @@ impl TelemetrySummary {
 
     /// Folds another summary into this one (used when a decider runs
     /// several sub-deciders): phase times and counters are summed,
-    /// histograms are appended name-wise by summing count/sum/buckets
-    /// and taking the max of maxes.
+    /// histograms merged name-wise (see [`HistogramSnapshot::merge`]).
+    /// Every add saturates.
     pub fn absorb(&mut self, other: &TelemetrySummary) {
         for (phase, nanos) in &other.phases {
             match self.phases.iter_mut().find(|(p, _)| p == phase) {
-                Some((_, total)) => *total += nanos,
+                Some((_, total)) => *total = total.saturating_add(*nanos),
                 None => self.phases.push((phase.clone(), *nanos)),
             }
         }
         for (name, value) in &other.counters {
             match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, total)) => *total += value,
+                Some((_, total)) => *total = total.saturating_add(*value),
                 None => self.counters.push((name.clone(), *value)),
             }
         }
         self.counters.sort_by(|a, b| a.0.cmp(&b.0));
         for (name, snap) in &other.histograms {
             match self.histograms.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => {
-                    mine.count += snap.count;
-                    mine.sum += snap.sum;
-                    mine.max = mine.max.max(snap.max);
-                    for (m, o) in mine.buckets.iter_mut().zip(snap.buckets.iter()) {
-                        *m += o;
-                    }
-                }
+                Some((_, mine)) => mine.merge(snap),
                 None => self.histograms.push((name.clone(), snap.clone())),
             }
         }
@@ -174,6 +167,21 @@ mod tests {
         assert_eq!(a.phase_nanos("q"), Some(2));
         assert_eq!(a.counter("c"), Some(3));
         assert_eq!(a.counter("d"), Some(3));
+
+        // Adds saturate instead of overflowing.
+        let mut hist = HistogramSnapshot::empty();
+        hist.record(u64::MAX);
+        let huge = TelemetrySummary {
+            phases: vec![("p".into(), u64::MAX)],
+            counters: vec![("c".into(), u64::MAX)],
+            histograms: vec![("h".into(), hist)],
+        };
+        a.absorb(&huge);
+        a.absorb(&huge);
+        assert_eq!(a.phase_nanos("p"), Some(u64::MAX));
+        assert_eq!(a.counter("c"), Some(u64::MAX));
+        let h = a.histogram("h").unwrap();
+        assert_eq!((h.count, h.sum, h.max), (2, u64::MAX, u64::MAX));
     }
 
     #[test]

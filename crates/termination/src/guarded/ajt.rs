@@ -234,18 +234,6 @@ impl AbstractJoinTree {
         Instance::from_atoms(self.node_atoms(vocab))
     }
 
-    /// The restriction `Δ(T|F)`: atoms of the fact nodes.
-    pub fn decode_facts(&self, vocab: &Vocabulary) -> Instance {
-        let atoms = self.node_atoms(vocab);
-        Instance::from_atoms(
-            self.nodes
-                .iter()
-                .zip(atoms)
-                .filter(|(n, _)| n.origin == Origin::Fact)
-                .map(|(_, a)| a),
-        )
-    }
-
     /// The atom `δ(x)` of every node, in node order: terms are the
     /// equivalence classes of `Eq_T` (rendered as nulls).
     pub fn node_atoms(&self, vocab: &Vocabulary) -> Vec<Atom> {

@@ -107,17 +107,6 @@ pub fn guarded_side_bounded(n: usize) -> String {
     out
 }
 
-/// A transitive-closure style full-TGD family (terminating; used for
-/// chase-throughput benchmarks): `E(x,y), E(y,z) → E(x,z)` plus `n`
-/// projection rules.
-pub fn full_closure(n: usize) -> String {
-    let mut out = String::from("E(x,y), E(y,z) -> E(x,z).\n");
-    for i in 0..n {
-        out.push_str(&format!("E(u{i},v{i}) -> P{i}(u{i}).\n"));
-    }
-    out
-}
-
 /// A weakly-acyclic data-exchange style mapping of width `n`:
 /// `S_i(x,y) → ∃z T_i(y,z)`, `T_i(u,v) → W_i(u)`.
 pub fn data_exchange(n: usize) -> String {

@@ -114,7 +114,7 @@ done
 echo "== zero-alloc proof (NullObserver hot path) =="
 cargo test --offline -q -p chase-bench --test hotpath_alloc
 
-echo "== profiler smoke gate (overhead <= ${PROFILE_GATE_OVERHEAD:-10}% + report round-trip) =="
+echo "== profiler smoke gate (overhead <= ${PROFILE_GATE_OVERHEAD:-10}% + report round-trip + full-trace fold) =="
 # The overhead estimate (median of interleaved paired ratios) is
 # robust to short interference, but a noise burst outlasting a whole
 # invocation can still poison it on a busy host — so the gate allows
@@ -135,5 +135,11 @@ for attempt in $(seq 1 "${PROFILE_GATE_ATTEMPTS:-3}"); do
     fi
 done
 target/release/chasectl stats target/profile_smoke.json
+# Fold a full release-mode trace (~126k lines) through `chasectl stats`:
+# the offline fold must take every value of a real run, and release
+# builds are where an unchecked add would wrap instead of panicking.
+target/release/chasectl chase examples/rules/closure.chase \
+    --trace target/closure_trace.jsonl --profile
+target/release/chasectl stats target/closure_trace.jsonl
 
 echo "All checks passed."

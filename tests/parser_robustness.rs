@@ -1,14 +1,15 @@
 //! Parser robustness: arbitrary input must never panic — every byte
 //! soup either parses or yields a positioned error — and pretty-printed
 //! rule sets survive structural round-trips. The same holds for the
-//! server's request parser and the flat-JSON decoder under it, and
-//! every engine/strategy name resolves through the one
-//! `ChaseVariant::parse`.
+//! server's request parser and the flat-JSON decoder under it, and for
+//! the offline trace fold behind `chasectl stats`. Every engine/strategy
+//! name resolves through the one `ChaseVariant::parse`.
 
 use proptest::prelude::*;
 use restricted_chase::prelude::*;
 use restricted_chase::server::protocol::parse_request;
 use restricted_chase::telemetry::json::parse_line;
+use restricted_chase::telemetry::CountingObserver;
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -146,6 +147,118 @@ proptest! {
         } else {
             prop_assert!(parsed.is_ok(), "{:?}", parsed.err());
         }
+    }
+}
+
+/// Trace event kinds and their fields, as `JsonlWriter` writes them,
+/// plus a retired and an unknown kind. `engine`, `reason`, `name`,
+/// `phase` and `span` are strings, `active` and `fresh` booleans, the
+/// rest integers.
+const TRACE_KINDS: &[(&str, &[&str])] = &[
+    ("trigger_discovered", &["engine", "tgd", "step"]),
+    ("trigger_checked", &["engine", "tgd", "step", "active"]),
+    (
+        "trigger_applied",
+        &["engine", "tgd", "step", "new_atoms", "new_nulls"],
+    ),
+    ("trigger_deactivated", &["engine", "tgd", "step"]),
+    ("null_invented", &["engine", "null", "step"]),
+    ("atom_inserted", &["engine", "predicate", "step", "fresh"]),
+    ("queue_depth", &["engine", "step", "depth"]),
+    ("run_interrupted", &["engine", "step", "reason"]),
+    ("counter_add", &["name", "delta"]),
+    ("phase_entered", &["phase"]),
+    ("phase_exited", &["phase", "nanos"]),
+    ("span_entered", &["span", "tgd"]),
+    ("span_exited", &["span", "tgd", "nanos"]),
+    (
+        "memory_sampled",
+        &[
+            "engine",
+            "step",
+            "atoms",
+            "atom_bytes",
+            "arg_spill_bytes",
+            "dedup_bytes",
+            "index_bytes",
+            "queue_depth",
+            "allocations",
+        ],
+    ),
+    (
+        "heartbeat",
+        &[
+            "engine",
+            "step",
+            "elapsed_ns",
+            "steps_per_sec",
+            "atoms",
+            "atoms_per_sec",
+            "queue_depth",
+        ],
+    ),
+    ("worker_panicked", &["engine", "step", "panics"]),
+    ("from_the_future", &["step"]),
+];
+
+/// One generated trace line: a kind, one `(shape, random)` draw per
+/// field, and the index of a field to leave out (none when out of
+/// range).
+type LineSpec = (usize, Vec<(u8, u64)>, usize);
+
+fn trace_line((kind, draws, omit): &LineSpec) -> String {
+    // Counter names include a histogram's and a span histogram's name.
+    const NAMES: [&str; 4] = ["queue.depth", "span.step", "x", "memory.instance_bytes"];
+    let (event, fields) = TRACE_KINDS[*kind];
+    let mut line = format!("{{\"event\":\"{event}\"");
+    for (i, field) in fields.iter().enumerate() {
+        if i == *omit {
+            continue;
+        }
+        let (shape, random) = draws[i];
+        let value = match *field {
+            "engine" => "\"restricted\"".to_string(),
+            "reason" => "\"deadline\"".to_string(),
+            "name" | "phase" | "span" => format!("\"{}\"", NAMES[random as usize % 4]),
+            "active" | "fresh" => (random % 2 == 0).to_string(),
+            _ => [0, 1, u64::MAX, random][shape as usize].to_string(),
+        };
+        line.push_str(&format!(",\"{field}\":{value}"));
+    }
+    line.push('}');
+    line
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        .. ProptestConfig::default()
+    })]
+
+    /// The offline trace fold (`CountingObserver::record_line`, which
+    /// `chasectl stats` runs) never panics: lines of every kind, with
+    /// values drawn from {0, 1, `u64::MAX`, random} and sometimes a
+    /// missing field, each folded twice into one observer, return —
+    /// `Ok` or an error — and so does the summary.
+    #[test]
+    fn trace_fold_never_panics(
+        specs in proptest::collection::vec(
+            (
+                0..TRACE_KINDS.len(),
+                proptest::collection::vec((0u8..4, 0u64..=u64::MAX), 9..10),
+                0usize..16,
+            ),
+            1..8,
+        )
+    ) {
+        let mut obs = CountingObserver::new();
+        for spec in &specs {
+            let line = trace_line(spec);
+            let event = parse_line(&line).expect("generated lines are flat JSON");
+            let _ = obs.record_line(&event);
+            let _ = obs.record_line(&event);
+        }
+        let _ = obs.summary().render_table();
     }
 }
 

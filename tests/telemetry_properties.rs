@@ -2,7 +2,8 @@
 //! randomly generated workload, the counters aggregated by a
 //! [`CountingObserver`] must agree with the chase run's own account of
 //! what happened — the counters are derived data and may never drift
-//! from the run.
+//! from the run. The same counters read back from the run's JSONL
+//! trace (`chasectl stats`) must equal the live ones.
 
 use proptest::prelude::*;
 use restricted_chase::prelude::*;
@@ -10,8 +11,10 @@ use restricted_chase::prelude::*;
 // chase engine's `Strategy` enum in glob imports; re-import explicitly.
 use restricted_chase::engine::restricted::Strategy;
 use restricted_chase::telemetry::{
-    names, spans, CountingObserver, Event, Profiled, RecordingObserver,
+    names, parse_line, spans, ChaseObserver, CountingObserver, Event, JsonlWriter, Profiled,
+    RecordingObserver, Tee,
 };
+use restricted_chase::termination::{decide_observed, decider_class};
 
 /// Parses a generated (rules, database) pair.
 fn build(seed: u64, db_seed: u64) -> (Vocabulary, TgdSet, Instance) {
@@ -168,6 +171,17 @@ proptest! {
         }
     }
 
+    /// The live and offline folds agree on the restricted chase's full
+    /// profiled stream (see [`assert_live_and_offline_folds_agree`]).
+    #[test]
+    fn live_and_offline_folds_agree(seed in 0u64..5_000, db_seed in 0u64..5_000) {
+        let (_vocab, set, db) = build(seed, db_seed);
+        let engine = RestrictedChase::new(&set).strategy(Strategy::Fifo).heartbeat_every(7);
+        assert_live_and_offline_folds_agree(|obs| {
+            engine.run_observed(&db, Budget::new(300, 3_000), obs);
+        })?;
+    }
+
     /// Profiling is pure: a run under a profiling observer returns
     /// exactly what the plain run returns.
     #[test]
@@ -180,6 +194,52 @@ proptest! {
         prop_assert_eq!(plain.outcome, profiled.outcome);
         prop_assert_eq!(plain.steps, profiled.steps);
         prop_assert_eq!(plain.instance, profiled.instance);
+    }
+}
+
+/// Runs `run` under `Profiled(Tee(JsonlWriter, CountingObserver))`,
+/// then folds the written trace through `parse_line` and
+/// `CountingObserver::record_line` into a fresh observer: the two
+/// summaries — counters, histograms including `span.*`, and phases
+/// with their nanos — must be equal.
+fn assert_live_and_offline_folds_agree(
+    run: impl FnOnce(&mut dyn ChaseObserver),
+) -> Result<(), TestCaseError> {
+    let mut writer = JsonlWriter::new(Vec::new());
+    let mut live = CountingObserver::new();
+    run(&mut Profiled(Tee::new(&mut writer, &mut live)));
+    let trace = String::from_utf8(writer.finish().expect("in-memory trace")).expect("utf-8");
+    let mut offline = CountingObserver::new();
+    for line in trace.lines() {
+        let event = parse_line(line).map_err(TestCaseError::fail)?;
+        offline.record_line(&event).map_err(TestCaseError::fail)?;
+    }
+    let live = live.summary();
+    prop_assert!(live
+        .histograms
+        .iter()
+        .any(|(name, h)| name.starts_with("span.") && h.count > 0));
+    prop_assert_eq!(live, offline.summary());
+    Ok(())
+}
+
+/// The live and offline folds agree on a decider's stream too —
+/// phases, `counter_add`s and the internal chases — for one sticky
+/// and one guarded set of the labelled suite.
+#[test]
+fn live_and_offline_folds_agree_on_decide() {
+    let config = DeciderConfig::default();
+    for (name, class) in [("sticky-join-loop-1", "sticky"), ("example-5-6", "guarded")] {
+        let entry = labelled_suite()
+            .into_iter()
+            .find(|e| e.name == name)
+            .expect("suite entry");
+        let (vocab, set) = entry.build();
+        assert_eq!(decider_class(&set), class, "{name}");
+        assert_live_and_offline_folds_agree(|obs| {
+            decide_observed(&set, &vocab, &config, obs);
+        })
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
