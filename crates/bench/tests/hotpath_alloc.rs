@@ -1,6 +1,7 @@
 //! Proof of the hot path's zero-allocation claim: once the scratch
 //! arenas are warmed, trigger enumeration, fingerprint interning and
-//! activeness checking perform **no heap allocation**.
+//! activeness checking perform **no heap allocation**, and neither
+//! does a warmed JSON Lines sink encoding an event.
 //!
 //! The test installs a counting global allocator and must therefore be
 //! the only test in this binary (other tests' allocations on sibling
@@ -14,6 +15,7 @@ use chase_bench::closure_workload;
 use chase_core::hom::{exists_homomorphism_with, HomScratch};
 use chase_core::ids::fx_set;
 use chase_engine::trigger::{for_each_trigger_using_with, for_each_trigger_with, TriggerFp};
+use chase_telemetry::{ChaseObserver, EngineKind, Event, JsonlWriter};
 
 /// Delegates to the system allocator, counting allocation events while
 /// the `COUNTING` gate is up.
@@ -123,5 +125,43 @@ fn warmed_trigger_hot_path_allocates_nothing() {
         ALLOCATIONS.load(Ordering::SeqCst),
         0,
         "steady-state trigger enumeration and activeness checks must be allocation-free"
+    );
+
+    // The flat-JSON encoder writes integers and escaped strings into
+    // the sink's reused line buffer, so an observed run pays no
+    // allocation per event either.
+    let events = [
+        Event::TriggerApplied {
+            engine: EngineKind::Restricted,
+            tgd: 3,
+            step: u64::MAX,
+            new_atoms: 2,
+            new_nulls: 1,
+        },
+        Event::CounterAdd {
+            name: "needs \"escaping\"\n",
+            delta: 17,
+        },
+        Event::SpanExited {
+            span: "step",
+            tgd: 1,
+            nanos: 123_456_789,
+        },
+    ];
+    let mut sink = JsonlWriter::new(std::io::sink());
+    for event in &events {
+        sink.on_event(event);
+    }
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    for event in events.iter().cycle().take(3_000) {
+        sink.on_event(event);
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+    assert_eq!(sink.events_written(), 3_003);
+    assert_eq!(
+        ALLOCATIONS.load(Ordering::SeqCst),
+        0,
+        "a warmed JsonlWriter must encode events without allocating"
     );
 }

@@ -195,8 +195,8 @@ fn usage() -> String {
 
 /// Rejects any `--flag` not in the command's vocabulary, so a typo
 /// fails fast (exit code 2) instead of being silently ignored.
-/// `value_flags` consume the following argument; `switch_flags` stand
-/// alone.
+/// `value_flags` consume the following argument, which must be there
+/// and must not be another flag; `switch_flags` stand alone.
 fn check_flags(
     args: &[String],
     value_flags: &[&str],
@@ -207,7 +207,8 @@ fn check_flags(
         let arg = args[i].as_str();
         if arg.starts_with("--") {
             if value_flags.contains(&arg) {
-                i += 2; // skip the value ("flag without value" is caught by flag_value
+                value_at(args, i, arg)?;
+                i += 2;
                 continue;
             }
             if switch_flags.contains(&arg) {
@@ -430,15 +431,20 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 /// Looks up `flag`'s value. A flag present without a following value
-/// is an error, not a silent fallback to the default.
+/// is an error, not a silent fallback to the default; so is one
+/// followed by another flag (`--trace --metrics` names no file).
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, CliError> {
     match args.iter().position(|a| a == flag) {
         None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v.clone())),
-            None => Err(CliError::Usage(format!("{flag} requires a value"))),
-        },
+        Some(i) => value_at(args, i, flag).map(|v| Some(v.clone())),
     }
+}
+
+/// The value following the flag at `args[i]`.
+fn value_at<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a String, CliError> {
+    args.get(i + 1)
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))
 }
 
 /// The engine `chasectl oblivious` and `profile --oblivious` name:

@@ -37,6 +37,7 @@ use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
 use chase_engine::restricted::{Budget, ChaseVariant, Outcome, RestrictedChase};
 use chase_engine::DEFAULT_PROFILE_SAMPLE_EVERY;
+use chase_telemetry::json::Object;
 use chase_telemetry::{
     ChaseObserver, EngineKind, JsonlWriter, SpanObserver, SpanProfile, Tee, SCHEMA_VERSION,
 };
@@ -139,24 +140,19 @@ fn report_json(
     overhead_x100: u64,
     profile: &SpanProfile,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\"event\":\"profile_report\"");
-    out.push_str(&format!(",\"v\":{SCHEMA_VERSION}"));
-    out.push_str(&format!(",\"engine\":\"{}\"", engine.as_str()));
-    out.push_str(&format!(
-        ",\"outcome\":\"{}\"",
-        crate::outcome_label(baseline.outcome)
-    ));
-    out.push_str(&format!(",\"steps\":{}", baseline.steps));
-    out.push_str(&format!(",\"atoms\":{}", baseline.instance.len()));
-    out.push_str(&format!(",\"runs\":{runs}"));
-    out.push_str(&format!(",\"sample_every\":{sample_every}"));
-    out.push_str(&format!(",\"baseline_ns\":{}", baseline.nanos));
-    out.push_str(&format!(",\"profiled_ns\":{best_profiled_ns}"));
-    out.push_str(&format!(",\"overhead_pct_x100\":{overhead_x100}"));
-    profile.append_flat_json(&mut out);
-    out.push('}');
-    out
+    let report = Object::new()
+        .str("event", "profile_report")
+        .num("v", SCHEMA_VERSION)
+        .str("engine", engine.as_str())
+        .str("outcome", crate::outcome_label(baseline.outcome))
+        .num("steps", baseline.steps as u64)
+        .num("atoms", baseline.instance.len() as u64)
+        .num("runs", runs as u64)
+        .num("sample_every", sample_every)
+        .num("baseline_ns", baseline.nanos)
+        .num("profiled_ns", best_profiled_ns)
+        .num("overhead_pct_x100", overhead_x100);
+    profile.append_flat_json(report).finish()
 }
 
 /// The `chasectl profile <file>` entry point.

@@ -27,8 +27,7 @@ use chase_server::client::{request_once, run_session_with_fallback, ClientConfig
 use chase_server::protocol::Reply;
 use chase_server::scheduler::SchedulerConfig;
 use chase_server::server::{Endpoint, Server, ServerConfig};
-use chase_telemetry::event::escape_json;
-use chase_telemetry::json::Scalar;
+use chase_telemetry::json::{encode_line, Scalar};
 
 use crate::{
     check_flags, flag_value, CliError, EXIT_BUDGET, EXIT_CANCELLED, EXIT_DEADLINE, EXIT_FAILURE,
@@ -117,7 +116,7 @@ pub fn cmd_client(args: &[String]) -> Result<ExitCode, CliError> {
         "ping" => {
             check_flags(&args[2..], &[], &[])?;
             let reply = control(&endpoint, &Reply::request("ping").finish())?;
-            println!("{}", render_flat(&reply));
+            println!("{}", encode_line(&reply));
             Ok(ExitCode::SUCCESS)
         }
         "shutdown" => {
@@ -127,7 +126,7 @@ pub fn cmd_client(args: &[String]) -> Result<ExitCode, CliError> {
                 line = line.str("mode", "abort");
             }
             let reply = control(&endpoint, &line.finish())?;
-            println!("{}", render_flat(&reply));
+            println!("{}", encode_line(&reply));
             Ok(ExitCode::SUCCESS)
         }
         "cancel" => {
@@ -135,7 +134,7 @@ pub fn cmd_client(args: &[String]) -> Result<ExitCode, CliError> {
             let id = flag_value(args, "--id")?
                 .ok_or_else(|| CliError::Usage("client cancel requires --id <session>".into()))?;
             let reply = control(&endpoint, &Reply::request("cancel").str("id", &id).finish())?;
-            println!("{}", render_flat(&reply));
+            println!("{}", encode_line(&reply));
             let known = reply.get("known").and_then(Scalar::as_str) == Some("true");
             if known {
                 Ok(ExitCode::SUCCESS)
@@ -315,7 +314,7 @@ fn submit(
     let outcome =
         run_session_with_fallback(endpoint, request_line, fallback_line, &config, |line| {
             if relay_events && line.get("type").and_then(Scalar::as_str) == Some("event") {
-                println!("{}", render_flat(line));
+                println!("{}", encode_line(line));
             }
         });
     match outcome {
@@ -335,46 +334,4 @@ fn default_session_id() -> String {
         .map(|d| d.subsec_nanos())
         .unwrap_or(0);
     format!("cli-{}-{nanos:08x}", std::process::id())
-}
-
-/// Re-encodes a parsed reply line as flat JSON (keys in `BTreeMap`
-/// order — stable, though not necessarily the wire order).
-fn render_flat(map: &BTreeMap<String, Scalar>) -> String {
-    let mut out = String::with_capacity(64);
-    out.push('{');
-    for (i, (key, value)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_json(&mut out, key);
-        out.push_str("\":");
-        match value {
-            Scalar::Str(s) => {
-                out.push('"');
-                escape_json(&mut out, s);
-                out.push('"');
-            }
-            Scalar::Num(n) => out.push_str(&n.to_string()),
-            Scalar::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        }
-    }
-    out.push('}');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn render_flat_round_trips_through_the_shared_parser() {
-        let mut map = BTreeMap::new();
-        map.insert("type".to_string(), Scalar::Str("result\"x".into()));
-        map.insert("steps".to_string(), Scalar::Num(9));
-        map.insert("ok".to_string(), Scalar::Bool(true));
-        let line = render_flat(&map);
-        let parsed = chase_telemetry::json::parse_line(&line).unwrap();
-        assert_eq!(parsed, map);
-    }
 }

@@ -166,6 +166,20 @@ fn malformed_flag_values_are_usage_errors() {
         &run(&["chase", path, "--cancel-after"]),
         "flag without value",
     );
+    // A value flag followed by another flag has no value: the next
+    // flag is not taken as a file name.
+    let cwd = std::env::temp_dir().join(format!("chasectl-golden-{}-cwd", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("create working dir");
+    let out = Command::new(BIN)
+        .args(["chase", path, "--trace", "--metrics"])
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn chasectl");
+    assert_usage_error(&out, "--trace followed by a flag");
+    assert!(
+        !cwd.join("--metrics").exists(),
+        "a trace file named --metrics was written"
+    );
 }
 
 /// `--threads` is gone: every command that used to take it rejects
@@ -369,13 +383,18 @@ fn stats_usage_errors() {
 /// Boots `chasectl serve` on a throwaway unix socket and blocks until
 /// it prints its listening line, so clients cannot race the bind.
 fn boot_server(tag: &str) -> (std::process::Child, String) {
-    use std::io::BufRead;
     let socket =
         std::env::temp_dir().join(format!("chasectl-golden-{}-{tag}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
-    let endpoint = format!("unix:{}", socket.display());
+    serve_on(&format!("unix:{}", socket.display()))
+}
+
+/// Spawns `chasectl serve --socket <socket>` and returns it with the
+/// endpoint its listening line reports.
+fn serve_on(socket: &str) -> (std::process::Child, String) {
+    use std::io::BufRead;
     let mut child = Command::new(BIN)
-        .args(["serve", "--socket", &endpoint])
+        .args(["serve", "--socket", socket])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawn chasectl serve");
@@ -384,8 +403,42 @@ fn boot_server(tag: &str) -> (std::process::Child, String) {
     std::io::BufReader::new(stdout)
         .read_line(&mut line)
         .expect("read listening line");
-    assert!(line.contains("listening on"), "{line}");
+    let endpoint = line
+        .trim_end()
+        .strip_prefix("chase-server: listening on ")
+        .unwrap_or_else(|| panic!("no listening line: {line:?}"))
+        .to_string();
     (child, endpoint)
+}
+
+#[test]
+fn serve_over_tcp_reports_the_bound_port_and_round_trips() {
+    let (mut server, endpoint) = serve_on("tcp:127.0.0.1:0");
+    let port = endpoint
+        .strip_prefix("tcp:127.0.0.1:")
+        .unwrap_or_else(|| panic!("not a TCP endpoint: {endpoint}"));
+    assert_ne!(port.parse::<u16>().expect("numeric port"), 0, "{endpoint}");
+    let finite = rule_file("srv-tcp-finite", FINITE);
+
+    let ping = run(&["client", &endpoint, "ping"]);
+    let chase = run(&["client", &endpoint, "chase", finite.to_str().unwrap()]);
+    let shutdown = run(&["client", &endpoint, "shutdown"]);
+    let status = server.wait().expect("server exit");
+
+    assert_eq!(code(&ping), 0, "{}", stderr(&ping));
+    assert_eq!(
+        String::from_utf8_lossy(&ping.stdout),
+        "{\"type\":\"pong\"}\n"
+    );
+    assert_eq!(code(&chase), 0, "{}", stderr(&chase));
+    let stdout = String::from_utf8_lossy(&chase.stdout);
+    assert!(
+        stdout.contains("terminated after 1 steps, 2 atoms"),
+        "{stdout}"
+    );
+    assert_eq!(code(&shutdown), 0, "{}", stderr(&shutdown));
+    assert!(String::from_utf8_lossy(&shutdown.stdout).contains("shutdown_ack"));
+    assert!(status.success(), "server exited {status:?}");
 }
 
 #[test]

@@ -11,9 +11,7 @@
 //! made.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::io::{BufRead, BufReader, Write};
 use std::time::Duration;
 
 use chase_telemetry::json::{parse_line, Scalar};
@@ -111,17 +109,17 @@ impl Jitter {
     }
 }
 
-fn connect(endpoint: &Endpoint) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
-    match endpoint {
-        Endpoint::Tcp(addr) => {
-            let stream = TcpStream::connect(addr.as_str())?;
-            Ok((Box::new(stream.try_clone()?), Box::new(stream)))
-        }
-        Endpoint::Unix(path) => {
-            let stream = UnixStream::connect(path)?;
-            Ok((Box::new(stream.try_clone()?), Box::new(stream)))
-        }
-    }
+/// Connects, sends one request line and returns a reader for the
+/// replies.
+fn send(endpoint: &Endpoint, request_line: &str) -> Result<impl BufRead, ClientError> {
+    let io = |e: std::io::Error| ClientError::Io(e.to_string());
+    let (read, mut write) = endpoint.connect().map_err(io)?;
+    write
+        .write_all(request_line.as_bytes())
+        .and_then(|()| write.write_all(b"\n"))
+        .and_then(|()| write.flush())
+        .map_err(io)?;
+    Ok(BufReader::new(read))
 }
 
 /// Sends one already-encoded request line and returns the parsed reply
@@ -132,13 +130,7 @@ pub fn request_once(
     endpoint: &Endpoint,
     request_line: &str,
 ) -> Result<BTreeMap<String, Scalar>, ClientError> {
-    let (read, mut write) = connect(endpoint).map_err(|e| ClientError::Io(e.to_string()))?;
-    write
-        .write_all(request_line.as_bytes())
-        .and_then(|()| write.write_all(b"\n"))
-        .and_then(|()| write.flush())
-        .map_err(|e| ClientError::Io(e.to_string()))?;
-    let mut reader = BufReader::new(read);
+    let mut reader = send(endpoint, request_line)?;
     let mut line = String::new();
     match reader.read_line(&mut line) {
         Ok(0) => Err(ClientError::Protocol("server closed the connection".into())),
@@ -242,14 +234,8 @@ fn drive_once<F>(
 where
     F: FnMut(&BTreeMap<String, Scalar>),
 {
-    let (read, mut write) = connect(endpoint).map_err(|e| ClientError::Io(e.to_string()))?;
-    write
-        .write_all(request_line.as_bytes())
-        .and_then(|()| write.write_all(b"\n"))
-        .and_then(|()| write.flush())
-        .map_err(|e| ClientError::Io(e.to_string()))?;
     let mut events = 0u64;
-    for line in BufReader::new(read).lines() {
+    for line in send(endpoint, request_line)?.lines() {
         let line = line.map_err(|e| ClientError::Io(e.to_string()))?;
         if line.trim().is_empty() {
             continue;

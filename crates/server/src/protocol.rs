@@ -1,7 +1,8 @@
 //! The chase-server wire protocol: line-delimited **flat JSON**
 //! objects in both directions, the same grammar as the telemetry JSONL
-//! stream ([`chase_telemetry::json`] is the shared decoder,
-//! [`chase_telemetry::event::escape_json`] the shared string encoder).
+//! stream ([`chase_telemetry::json`] is the shared codec: requests are
+//! decoded by its parser, every line is encoded by its [`Object`]
+//! builder).
 //! No nesting, no floats, no nulls — every message is one line of
 //! string/integer/boolean pairs, so a `chasectl stats` pipeline can
 //! chew on a raw session transcript unchanged.
@@ -36,7 +37,7 @@
 //! | `type`         | meaning |
 //! |----------------|---------|
 //! | `accepted`     | session admitted; carries `program` (the canonical fingerprint, usable as `program_ref` later); events/result follow (any interleaving with other sessions on the same connection) |
-//! | `event`        | one telemetry event of session `id`, spliced verbatim |
+//! | `event`        | one telemetry event of session `id`: `type` and `id`, then the event's own fields (`event`, `v`, ...) as in a trace line |
 //! | `result`       | terminal: `status` is `ok`, `parse_error` or `panicked`. Every `ok` result, chase or decide, carries `events_sent`, `events_dropped` and `elapsed_ms`; a chase adds `outcome`, `steps`, `atoms` and `fingerprint` (hex); a decide adds `verdict`, `cached` (memoized verdict, no decider ran) and, when the verdict is `unknown`, `reason`. `parse_error` and `panicked` results carry `error` and `elapsed_ms`. `parse_error` is produced at admission — malformed programs never occupy a scheduler slot |
 //! | `unknown_program` | the `program_ref` fingerprint is not cached and no in-line `program` fallback was supplied; resubmit with full source |
 //! | `overloaded`   | load-shed: not admitted, retry after `retry_after_ms` |
@@ -52,8 +53,7 @@ use chase_core::compile::ProgramFingerprint;
 use chase_engine::faults::FaultPlan;
 use chase_engine::governor::Budget;
 use chase_engine::restricted::ChaseVariant;
-use chase_telemetry::event::escape_json;
-use chase_telemetry::json::{parse_line, Scalar};
+use chase_telemetry::json::{parse_line, Object, Scalar};
 
 /// One parsed client request.
 #[derive(Debug)]
@@ -240,84 +240,27 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Incremental builder for one flat-JSON reply line (no trailing
-/// newline; the connection writer appends it).
+/// Opens protocol lines. A reply (or request) is a flat-JSON [`Object`]
+/// whose first field is its `type` (or `op`); chain the other fields
+/// with `.str`, `.num` and `.bool`, then `.finish()` returns the line
+/// (no trailing newline; the connection writer appends it).
 #[derive(Debug)]
-pub struct Reply {
-    buf: String,
-}
+pub struct Reply;
 
+// `new` names the reply constructor of the protocol; it returns the
+// shared builder rather than a wrapper around it.
+#[allow(clippy::new_ret_no_self)]
 impl Reply {
     /// Starts a reply of the given `type`.
-    pub fn new(kind: &str) -> Self {
-        let mut buf = String::with_capacity(64);
-        buf.push_str("{\"type\":\"");
-        buf.push_str(kind);
-        buf.push('"');
-        Reply { buf }
+    pub fn new(kind: &str) -> Object {
+        Object::new().str("type", kind)
     }
 
     /// Starts a request line of the given `op` — the client side of the
     /// protocol uses the same builder, keyed by `op` instead of `type`.
-    pub fn request(op: &str) -> Self {
-        let mut buf = String::with_capacity(64);
-        buf.push_str("{\"op\":\"");
-        buf.push_str(op);
-        buf.push('"');
-        Reply { buf }
+    pub fn request(op: &str) -> Object {
+        Object::new().str("op", op)
     }
-
-    /// Appends a string field (JSON-escaped).
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.buf.push_str(",\"");
-        self.buf.push_str(key);
-        self.buf.push_str("\":\"");
-        escape_json(&mut self.buf, value);
-        self.buf.push('"');
-        self
-    }
-
-    /// Appends an integer field.
-    pub fn num(mut self, key: &str, value: u64) -> Self {
-        self.buf.push_str(",\"");
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    /// Appends a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.buf.push_str(",\"");
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Closes the object and returns the line.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-/// Splices one telemetry event line into an `event` reply for session
-/// `id`: `{"type":"event","id":"<id>",` + the event object's own
-/// fields. The result is still one flat JSON object, so the combined
-/// transcript stays `chasectl stats`-parseable.
-pub fn event_reply(id: &str, event_json: &str) -> String {
-    debug_assert!(event_json.starts_with('{') && event_json.ends_with('}'));
-    let mut buf = String::with_capacity(event_json.len() + id.len() + 24);
-    buf.push_str("{\"type\":\"event\",\"id\":\"");
-    escape_json(&mut buf, id);
-    buf.push('"');
-    if event_json.len() > 2 {
-        buf.push(',');
-        buf.push_str(&event_json[1..event_json.len() - 1]);
-    }
-    buf.push('}');
-    buf
 }
 
 /// The wire name of a chase outcome.
@@ -486,27 +429,5 @@ mod tests {
             panic!("expected chase, got {:?}", req.op)
         };
         assert_eq!(budget.max_steps, 100);
-    }
-
-    #[test]
-    fn event_splicing_keeps_lines_parseable() {
-        let mut event = String::new();
-        chase_telemetry::Event::PhaseExited {
-            phase: "chase",
-            nanos: 9,
-        }
-        .write_json(&mut event);
-        let line = event_reply("sess-1", &event);
-        let parsed = parse_line(&line).unwrap();
-        assert_eq!(parsed.get("type").and_then(Scalar::as_str), Some("event"));
-        assert_eq!(parsed.get("id").and_then(Scalar::as_str), Some("sess-1"));
-        assert_eq!(
-            parsed.get("event").and_then(Scalar::as_str),
-            Some("phase_exited")
-        );
-        assert_eq!(parsed.get("nanos").and_then(Scalar::as_num), Some(9));
-        // Degenerate but legal: an empty event object.
-        let parsed = parse_line(&event_reply("x", "{}")).unwrap();
-        assert_eq!(parsed.len(), 2);
     }
 }

@@ -37,12 +37,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use chase_core::cancel::{CancelGroup, CancelToken};
 use chase_core::compile::CompiledProgram;
-use chase_telemetry::names;
+use chase_telemetry::{names, Event};
 
 use crate::cache::{Caches, DecideCache, ProgramCache, ProgramCacheConfig, Resolution};
-use crate::protocol::{event_reply, parse_request, Reply, Request, SessionRequest};
+use crate::protocol::{parse_request, Reply, Request, SessionRequest};
 use crate::scheduler::{Rejected, RunnerCtx, Scheduler, SchedulerConfig};
-use crate::session::{counter_event, run_session};
+use crate::session::{event_line, run_session};
 
 /// Where the server listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +72,16 @@ impl Endpoint {
         Err(format!(
             "cannot interpret endpoint '{s}': use unix:PATH or tcp:HOST:PORT"
         ))
+    }
+
+    /// Connects to the endpoint and returns the connection's read and
+    /// write halves.
+    pub(crate) fn connect(&self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+        match self {
+            Endpoint::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr.as_str())?),
+            Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+        }
+        .split()
     }
 }
 
@@ -122,6 +132,7 @@ enum Stream {
 }
 
 impl Stream {
+    /// The stream's read and write halves.
     fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
         match self {
             Stream::Tcp(s) => Ok((Box::new(s.try_clone()?), Box::new(s))),
@@ -187,11 +198,6 @@ impl ConnWriter {
 
     fn lock(&self) -> MutexGuard<'_, WriterInner> {
         self.inner.lock().expect("connection writer poisoned")
-    }
-
-    /// Sends one spliced telemetry event line for session `id`.
-    pub fn send_event(&self, id: &str, event_json: &str) -> bool {
-        self.send_line(&event_reply(id, event_json))
     }
 }
 
@@ -344,10 +350,7 @@ struct HandlerCtx {
 impl HandlerCtx {
     /// Wakes the blocking accept loop after shutdown was flagged.
     fn poke_acceptor(&self) {
-        let _ = match &self.endpoint {
-            Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(drop),
-            Endpoint::Unix(path) => UnixStream::connect(path).map(drop),
-        };
+        let _ = self.endpoint.connect();
     }
 }
 
@@ -424,10 +427,11 @@ fn resolve_program(
     req: &SessionRequest,
 ) -> Option<Arc<CompiledProgram>> {
     let id = req.id.as_str();
-    // Splices one cache counter into the session's telemetry stream.
+    // Sends one cache counter on the session's telemetry stream.
     let emit = |name: &'static str, delta: u64| {
         if req.telemetry && delta > 0 {
-            conn.send_event(id, &counter_event(name, delta));
+            let event = Event::CounterAdd { name, delta };
+            conn.send_line(event_line(&mut String::new(), id, &event));
         }
     };
     // Gate before compiling: a draining server should not burn CPU on
@@ -609,6 +613,6 @@ mod tests {
         }
         let conn = ConnWriter::new(Box::new(Broken));
         assert!(!conn.send_line("{\"type\":\"pong\"}"));
-        assert!(!conn.send_event("s1", "{\"event\":\"x\"}"));
+        assert!(!conn.send_line("{\"type\":\"event\"}"));
     }
 }

@@ -13,14 +13,14 @@
 //! [`FaultPlan::socket_fail_after`]: chase_engine::faults::FaultPlan::socket_fail_after
 //! [`TaskError::Panicked`]: chase_engine::task::TaskError::Panicked
 
-use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use chase_core::compile::CompiledProgram;
 use chase_engine::task::{run_chase_task, ChaseTaskSpec, ProgramInput, TaskError};
-use chase_telemetry::{names, Event, LineObserver, NullObserver};
+use chase_telemetry::json::Object;
+use chase_telemetry::{names, ChaseObserver, Event, NullObserver};
 use chase_termination::{decide_observed, decider_class, DeciderConfig, TerminationVerdict};
 
 use crate::cache::Caches;
@@ -28,47 +28,50 @@ use crate::protocol::{outcome_name, Reply, SessionOp, SessionRequest};
 use crate::scheduler::RunnerCtx;
 use crate::server::ConnWriter;
 
-/// One `counter_add` event object, the form in which both admission
-/// (cache counters) and sessions splice counters into a telemetry
-/// stream, so `chasectl stats` aggregates them with the engine's own.
-pub(crate) fn counter_event(name: &'static str, delta: u64) -> String {
-    let mut buf = String::with_capacity(64);
-    Event::CounterAdd { name, delta }.write_json(&mut buf);
-    buf
+/// Writes `event` into `buf` as session `id`'s `event` reply line and
+/// returns it: `{"type":"event","id":"<id>",` followed by the event's
+/// own fields, so the line is the event's trace line behind a session
+/// prefix. Admission (cache counters) and [`EventStream`] both send
+/// events this way.
+pub(crate) fn event_line<'a>(buf: &'a mut String, id: &str, event: &Event) -> &'a str {
+    buf.clear();
+    let head = Object::open(buf).str("type", "event").str("id", id);
+    event.write_fields(head).finish()
 }
 
-/// Event-streaming state shared between a session and its observer
-/// closure: how many telemetry lines went out, how many were dropped
-/// after the connection degraded (for real or by injection).
+/// The session's telemetry observer: encodes each event once, straight
+/// into its `event` reply line, and sends it through the connection.
+/// It counts how many lines went out and how many were dropped after
+/// the connection degraded (for real or by injection).
 struct EventStream<'a> {
-    conn: &'a Arc<ConnWriter>,
+    conn: &'a ConnWriter,
     id: &'a str,
     fail_after: Option<u64>,
-    sent: Cell<u64>,
-    dropped: Cell<u64>,
-    degraded: Cell<bool>,
+    buf: String,
+    sent: u64,
+    dropped: u64,
+    degraded: bool,
 }
 
-impl EventStream<'_> {
-    fn send(&self, event_json: &str) {
-        if self.degraded.get() {
-            self.dropped.set(self.dropped.get() + 1);
-            return;
-        }
+impl ChaseObserver for EventStream<'_> {
+    fn on_event(&mut self, event: &Event) {
         // The injected socket fault mirrors a real mid-stream write
         // failure: after `n` successful event writes, the "socket"
         // breaks and stays broken for this session.
-        if self.fail_after.is_some_and(|n| self.sent.get() >= n) {
-            self.degraded.set(true);
-            self.dropped.set(self.dropped.get() + 1);
-            return;
+        if self.fail_after.is_some_and(|n| self.sent >= n) {
+            self.degraded = true;
         }
-        if self.conn.send_event(self.id, event_json) {
-            self.sent.set(self.sent.get() + 1);
-        } else {
-            self.degraded.set(true);
-            self.dropped.set(self.dropped.get() + 1);
+        if !self.degraded {
+            if self
+                .conn
+                .send_line(event_line(&mut self.buf, self.id, event))
+            {
+                self.sent += 1;
+                return;
+            }
+            self.degraded = true;
         }
+        self.dropped += 1;
     }
 }
 
@@ -85,16 +88,17 @@ pub fn run_session(
     ctx: &mut RunnerCtx,
 ) -> String {
     let started = Instant::now();
-    let stream = EventStream {
+    let mut stream = EventStream {
         conn,
         id: &req.id,
         fail_after: match &req.op {
             SessionOp::Chase { faults, .. } => faults.socket_fail_after,
             SessionOp::Decide => None,
         },
-        sent: Cell::new(0),
-        dropped: Cell::new(0),
-        degraded: Cell::new(false),
+        buf: String::new(),
+        sent: 0,
+        dropped: 0,
+        degraded: false,
     };
     let head = Reply::new("result").str("id", &req.id);
     let (reply, reason) = match &req.op {
@@ -113,8 +117,7 @@ pub fn run_session(
             };
             let scratch = Some(ctx.pool_for(None));
             let result = if req.telemetry {
-                let mut obs = LineObserver::new(|line: &str| stream.send(line));
-                run_chase_task(&spec, &mut obs, scratch)
+                run_chase_task(&spec, &mut stream, scratch)
             } else {
                 run_chase_task(&spec, &mut NullObserver, scratch)
             };
@@ -141,7 +144,7 @@ pub fn run_session(
             }
         }
         SessionOp::Decide => {
-            let (verdict, cached) = decide_memoized(req, program, caches, &stream);
+            let (verdict, cached) = decide_memoized(req, program, caches, &mut stream);
             let (name, reason) = match verdict {
                 TerminationVerdict::AllInstancesTerminating(_) => ("terminating", None),
                 TerminationVerdict::NonTerminating(_) => ("non_terminating", None),
@@ -155,8 +158,8 @@ pub fn run_session(
         }
     };
     let reply = reply
-        .num("events_sent", stream.sent.get())
-        .num("events_dropped", stream.dropped.get())
+        .num("events_sent", stream.sent)
+        .num("events_dropped", stream.dropped)
         .num("elapsed_ms", started.elapsed().as_millis() as u64);
     match reason {
         Some(reason) => reply.str("reason", &reason),
@@ -178,22 +181,23 @@ fn decide_memoized(
     req: &SessionRequest,
     program: &CompiledProgram,
     caches: &Caches,
-    stream: &EventStream,
+    stream: &mut EventStream,
 ) -> (TerminationVerdict, bool) {
     let set = program.tgd_set();
     let fp = program.fingerprint();
     let class = decider_class(set);
     let counters = caches.programs.counters();
-    if let Some(verdict) = caches.decide.get(fp, class) {
-        counters.decide_hits.fetch_add(1, Ordering::Relaxed);
-        if req.telemetry {
-            stream.send(&counter_event(names::DECIDE_CACHE_HITS, 1));
-        }
-        return (verdict, true);
-    }
-    counters.decide_misses.fetch_add(1, Ordering::Relaxed);
+    let cached = caches.decide.get(fp, class);
+    let (counter, name) = match cached {
+        Some(_) => (&counters.decide_hits, names::DECIDE_CACHE_HITS),
+        None => (&counters.decide_misses, names::DECIDE_CACHE_MISSES),
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
     if req.telemetry {
-        stream.send(&counter_event(names::DECIDE_CACHE_MISSES, 1));
+        stream.on_event(&Event::CounterAdd { name, delta: 1 });
+    }
+    if let Some(verdict) = cached {
+        return (verdict, true);
     }
     let config = DeciderConfig {
         deadline: req.deadline,
@@ -202,8 +206,7 @@ fn decide_memoized(
     };
     let vocab = program.vocab();
     let verdict = if req.telemetry {
-        let mut obs = LineObserver::new(|line: &str| stream.send(line));
-        decide_observed(set, vocab, &config, &mut obs)
+        decide_observed(set, vocab, &config, stream)
     } else {
         decide_observed(set, vocab, &config, &mut NullObserver)
     };

@@ -52,7 +52,7 @@ fn shutdown(endpoint: &Endpoint) {
 
 fn escaped(program: &str) -> String {
     let mut out = String::new();
-    chase_telemetry::event::escape_json(&mut out, program);
+    chase_telemetry::json::escape_json(&mut out, program);
     out
 }
 

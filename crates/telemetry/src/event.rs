@@ -1,6 +1,9 @@
 //! The structured event vocabulary emitted by engines and deciders.
 
+use std::borrow::BorrowMut;
 use std::fmt;
+
+use crate::json::Object;
 
 /// Version of the JSONL event schema, emitted as the `"v"` key of
 /// every serialised line so downstream consumers can detect drift.
@@ -278,102 +281,79 @@ impl Event {
     /// newline) into `out`. Every line carries the schema version as
     /// its `"v"` key.
     pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"event\":\"");
-        out.push_str(self.kind());
-        out.push('"');
-        json_u64(out, "v", SCHEMA_VERSION);
+        self.write_fields(Object::open(out)).finish();
+    }
+
+    /// Writes the event's fields into an open object: `event` (the
+    /// [`Event::kind`]), `v` ([`SCHEMA_VERSION`]), then the variant's
+    /// own fields in declaration order. The server uses this to put an
+    /// event behind its session prefix without encoding it twice.
+    pub fn write_fields<S: BorrowMut<String>>(&self, obj: Object<S>) -> Object<S> {
+        let obj = obj.str("event", self.kind()).num("v", SCHEMA_VERSION);
         match *self {
-            Event::TriggerDiscovered { engine, tgd, step } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "tgd", tgd as u64);
-                json_u64(out, "step", step);
-            }
+            Event::TriggerDiscovered { engine, tgd, step }
+            | Event::TriggerDeactivated { engine, tgd, step } => obj
+                .str("engine", engine.as_str())
+                .num("tgd", tgd.into())
+                .num("step", step),
             Event::TriggerChecked {
                 engine,
                 tgd,
                 step,
                 active,
-            } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "tgd", tgd as u64);
-                json_u64(out, "step", step);
-                json_bool(out, "active", active);
-            }
+            } => obj
+                .str("engine", engine.as_str())
+                .num("tgd", tgd.into())
+                .num("step", step)
+                .bool("active", active),
             Event::TriggerApplied {
                 engine,
                 tgd,
                 step,
                 new_atoms,
                 new_nulls,
-            } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "tgd", tgd as u64);
-                json_u64(out, "step", step);
-                json_u64(out, "new_atoms", new_atoms as u64);
-                json_u64(out, "new_nulls", new_nulls as u64);
-            }
-            Event::TriggerDeactivated { engine, tgd, step } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "tgd", tgd as u64);
-                json_u64(out, "step", step);
-            }
-            Event::NullInvented { engine, null, step } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "null", null as u64);
-                json_u64(out, "step", step);
-            }
+            } => obj
+                .str("engine", engine.as_str())
+                .num("tgd", tgd.into())
+                .num("step", step)
+                .num("new_atoms", new_atoms.into())
+                .num("new_nulls", new_nulls.into()),
+            Event::NullInvented { engine, null, step } => obj
+                .str("engine", engine.as_str())
+                .num("null", null.into())
+                .num("step", step),
             Event::AtomInserted {
                 engine,
                 predicate,
                 step,
                 fresh,
-            } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "predicate", predicate as u64);
-                json_u64(out, "step", step);
-                json_bool(out, "fresh", fresh);
-            }
+            } => obj
+                .str("engine", engine.as_str())
+                .num("predicate", predicate.into())
+                .num("step", step)
+                .bool("fresh", fresh),
             Event::QueueDepth {
                 engine,
                 step,
                 depth,
-            } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "step", step);
-                json_u64(out, "depth", depth);
-            }
+            } => obj
+                .str("engine", engine.as_str())
+                .num("step", step)
+                .num("depth", depth),
             Event::RunInterrupted {
                 engine,
                 step,
                 reason,
-            } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "step", step);
-                json_str(out, "reason", reason.as_str());
-            }
-            Event::CounterAdd { name, delta } => {
-                json_str(out, "name", name);
-                json_u64(out, "delta", delta);
-            }
-            Event::PhaseEntered { phase } => {
-                json_str(out, "phase", phase);
-            }
-            Event::PhaseExited { phase, nanos } => {
-                json_str(out, "phase", phase);
-                json_u64(out, "nanos", nanos);
-            }
-            Event::SpanEntered { span, tgd } => {
-                json_str(out, "span", span);
-                if tgd != NO_TGD {
-                    json_u64(out, "tgd", tgd as u64);
-                }
-            }
+            } => obj
+                .str("engine", engine.as_str())
+                .num("step", step)
+                .str("reason", reason.as_str()),
+            Event::CounterAdd { name, delta } => obj.str("name", name).num("delta", delta),
+            Event::PhaseEntered { phase } => obj.str("phase", phase),
+            Event::PhaseExited { phase, nanos } => obj.str("phase", phase).num("nanos", nanos),
+            Event::SpanEntered { span, tgd } => with_tgd(obj.str("span", span), tgd),
             Event::SpanExited { span, tgd, nanos } => {
-                json_str(out, "span", span);
-                if tgd != NO_TGD {
-                    json_u64(out, "tgd", tgd as u64);
-                }
-                json_u64(out, "nanos", nanos);
+                with_tgd(obj.str("span", span), tgd).num("nanos", nanos)
             }
             Event::MemorySampled {
                 engine,
@@ -385,17 +365,16 @@ impl Event {
                 index_bytes,
                 queue_depth,
                 allocations,
-            } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "step", step);
-                json_u64(out, "atoms", atoms);
-                json_u64(out, "atom_bytes", atom_bytes);
-                json_u64(out, "arg_spill_bytes", arg_spill_bytes);
-                json_u64(out, "dedup_bytes", dedup_bytes);
-                json_u64(out, "index_bytes", index_bytes);
-                json_u64(out, "queue_depth", queue_depth);
-                json_u64(out, "allocations", allocations);
-            }
+            } => obj
+                .str("engine", engine.as_str())
+                .num("step", step)
+                .num("atoms", atoms)
+                .num("atom_bytes", atom_bytes)
+                .num("arg_spill_bytes", arg_spill_bytes)
+                .num("dedup_bytes", dedup_bytes)
+                .num("index_bytes", index_bytes)
+                .num("queue_depth", queue_depth)
+                .num("allocations", allocations),
             Event::Heartbeat {
                 engine,
                 step,
@@ -404,17 +383,15 @@ impl Event {
                 atoms,
                 atoms_per_sec,
                 queue_depth,
-            } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "step", step);
-                json_u64(out, "elapsed_ns", elapsed_ns);
-                json_u64(out, "steps_per_sec", steps_per_sec);
-                json_u64(out, "atoms", atoms);
-                json_u64(out, "atoms_per_sec", atoms_per_sec);
-                json_u64(out, "queue_depth", queue_depth);
-            }
+            } => obj
+                .str("engine", engine.as_str())
+                .num("step", step)
+                .num("elapsed_ns", elapsed_ns)
+                .num("steps_per_sec", steps_per_sec)
+                .num("atoms", atoms)
+                .num("atoms_per_sec", atoms_per_sec)
+                .num("queue_depth", queue_depth),
         }
-        out.push('}');
     }
 
     /// The serialised form as an owned string (convenience for tests
@@ -426,57 +403,13 @@ impl Event {
     }
 }
 
-fn json_key(out: &mut String, key: &str) {
-    out.push(',');
-    out.push('"');
-    out.push_str(key); // keys are static identifiers, never escaped
-    out.push_str("\":");
-}
-
-fn json_u64(out: &mut String, key: &str, value: u64) {
-    json_key(out, key);
-    out.push_str(&itoa(value));
-}
-
-fn json_bool(out: &mut String, key: &str, value: bool) {
-    json_key(out, key);
-    out.push_str(if value { "true" } else { "false" });
-}
-
-fn json_str(out: &mut String, key: &str, value: &str) {
-    json_key(out, key);
-    out.push('"');
-    escape_json(out, value);
-    out.push('"');
-}
-
-/// Escapes `value` per RFC 8259 into `out` (quotes not included).
-pub fn escape_json(out: &mut String, value: &str) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u");
-                let code = c as u32;
-                for shift in [12u32, 8, 4, 0] {
-                    let digit = (code >> shift) & 0xF;
-                    out.push(char::from_digit(digit, 16).expect("hex digit"));
-                }
-            }
-            c => out.push(c),
-        }
+/// A span's `tgd` field; omitted for [`NO_TGD`].
+fn with_tgd<S: BorrowMut<String>>(obj: Object<S>, tgd: u32) -> Object<S> {
+    if tgd == NO_TGD {
+        obj
+    } else {
+        obj.num("tgd", tgd.into())
     }
-}
-
-fn itoa(value: u64) -> String {
-    // `u64::to_string` allocates too, but routing through one helper
-    // keeps the encoder self-contained and easy to swap for a
-    // stack-buffer version if it ever shows up in profiles.
-    value.to_string()
 }
 
 #[cfg(test)]
@@ -580,12 +513,5 @@ mod tests {
         );
         assert!(json.contains("\"steps_per_sec\":50000"), "{json}");
         assert!(!json.contains('['), "flat schema only: {json}");
-    }
-
-    #[test]
-    fn escape_handles_controls_and_quotes() {
-        let mut out = String::new();
-        escape_json(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
     }
 }

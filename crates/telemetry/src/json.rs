@@ -1,19 +1,21 @@
-//! A tiny parser for **flat JSON objects** — the shape every trace
-//! event and every `chase-server` protocol message uses: one object
-//! per line, string/integer/boolean values, no nesting.
+//! The **flat JSON** codec — the shape every trace event and every
+//! `chase-server` protocol message uses: one object per line,
+//! string/integer/boolean values, no nesting.
 //!
-//! The encoder side lives in [`crate::event`] ([`Event::write_json`]
-//! emits exactly this shape and [`escape_json`] escapes string
-//! values); this module is the matching decoder, shared by
-//! `chasectl stats` (trace aggregation) and the `chase-server` wire
-//! protocol so both ends of the system agree on one grammar. A
-//! malformed line is a hard error naming the offending byte, so the
-//! parser doubles as a validator.
+//! Both directions live here, so every producer and consumer agrees on
+//! one grammar. [`Object`] is the only encoder: [`Event::write_json`],
+//! the server's replies, `chasectl`'s reports and [`encode_line`] all
+//! build their lines with it, and [`escape_json`] is its string
+//! escaper. [`parse_line`] is the decoder, shared by `chasectl stats`
+//! (trace aggregation) and the wire protocol. A malformed line is a
+//! hard error naming the offending byte, so the parser doubles as a
+//! validator.
 //!
 //! [`Event::write_json`]: crate::event::Event::write_json
-//! [`escape_json`]: crate::event::escape_json
 
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// One scalar value of a flat JSON object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +52,117 @@ impl Scalar {
             _ => None,
         }
     }
+}
+
+/// Builder for one flat JSON object: `{`, one `"key":value` field per
+/// call in call order, then `}` from [`Object::finish`]. Keys and string
+/// values are escaped with [`escape_json`]. The object is written into
+/// a `String` the builder owns ([`Object::new`]) or at the end of a
+/// caller's buffer ([`Object::open`]), so a sink can reuse one buffer
+/// for every line; no field allocates.
+#[derive(Debug)]
+#[must_use = "an object is closed by `finish`"]
+pub struct Object<S: BorrowMut<String> = String> {
+    out: S,
+}
+
+impl Object {
+    /// An empty object in a fresh `String`.
+    pub fn new() -> Self {
+        Object::open(String::with_capacity(64))
+    }
+}
+
+impl Default for Object {
+    fn default() -> Self {
+        Object::new()
+    }
+}
+
+impl<S: BorrowMut<String>> Object<S> {
+    /// Opens an object at the end of `out`.
+    pub fn open(mut out: S) -> Self {
+        out.borrow_mut().push('{');
+        Object { out }
+    }
+
+    fn key(&mut self, key: &str) -> &mut String {
+        let out = self.out.borrow_mut();
+        // No field ends in `{`, so only an empty object does.
+        if !out.ends_with('{') {
+            out.push(',');
+        }
+        out.push('"');
+        escape_json(out, key);
+        out.push_str("\":");
+        out
+    }
+
+    /// Appends a string field.
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        let out = self.key(key);
+        out.push('"');
+        escape_json(out, value);
+        out.push('"');
+        self
+    }
+
+    /// Appends an integer field.
+    pub fn num(mut self, key: &str, value: u64) -> Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// Appends a boolean field.
+    pub fn bool(mut self, key: &str, value: bool) -> Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Closes the object and returns its buffer.
+    pub fn finish(mut self) -> S {
+        self.out.borrow_mut().push('}');
+        self.out
+    }
+}
+
+/// Encodes a parsed line back into flat JSON, keys in map order; the
+/// inverse of [`parse_line`].
+pub fn encode_line(map: &BTreeMap<String, Scalar>) -> String {
+    let mut obj = Object::new();
+    for (key, value) in map {
+        obj = match value {
+            Scalar::Str(s) => obj.str(key, s),
+            Scalar::Num(n) => obj.num(key, *n),
+            Scalar::Bool(b) => obj.bool(key, *b),
+        };
+    }
+    obj.finish()
+}
+
+/// Escapes `value` per RFC 8259 into `out` (quotes not included):
+/// `"`, `\` and control characters; everything else is copied as is.
+pub fn escape_json(out: &mut String, value: &str) {
+    let mut clean = 0;
+    for (i, byte) in value.bytes().enumerate() {
+        let escaped = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&value[clean..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escaped);
+        }
+        clean = i + 1;
+    }
+    out.push_str(&value[clean..]);
 }
 
 /// Parses one line: a flat JSON object with scalar values. Duplicate
@@ -143,17 +256,7 @@ impl Parser<'_> {
                     Some(b'r') => out.push('\r'),
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .next()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
+                    Some(b'u') => out.push(self.unicode_escape()?),
                     Some(c) => return Err(format!("bad escape '\\{}'", c as char)),
                     None => return Err("unterminated string".into()),
                 },
@@ -179,6 +282,45 @@ impl Parser<'_> {
                 None => return Err("unterminated string".into()),
             }
         }
+    }
+
+    /// The four hex digits after `\u`.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let d = self
+                .next()
+                .and_then(|b| (b as char).to_digit(16))
+                .ok_or("bad \\u escape")?;
+            code = code * 16 + d;
+        }
+        Ok(code)
+    }
+
+    /// The character of a `\uXXXX` escape whose `\u` was consumed. A
+    /// high surrogate must be followed by a `\u` low surrogate, and the
+    /// pair is one character; a lone or reversed surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        const HIGH: std::ops::Range<u32> = 0xD800..0xDC00;
+        const LOW: std::ops::Range<u32> = 0xDC00..0xE000;
+        let code = self.hex4()?;
+        if LOW.contains(&code) {
+            return Err("bad \\u code point: unpaired low surrogate".into());
+        }
+        if !HIGH.contains(&code) {
+            return Ok(char::from_u32(code).expect("not a surrogate"));
+        }
+        let low = if self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            self.hex4()?
+        } else {
+            0
+        };
+        if !LOW.contains(&low) {
+            return Err("bad \\u code point: unpaired high surrogate".into());
+        }
+        let pair = 0x10000 + ((code - HIGH.start) << 10) + (low - LOW.start);
+        Ok(char::from_u32(pair).expect("a surrogate pair is a scalar value"))
     }
 
     fn scalar(&mut self) -> Result<Scalar, String> {
@@ -264,12 +406,86 @@ mod tests {
     #[test]
     fn round_trips_escaped_payloads() {
         let mut value = String::from("{\"rules\":\"");
-        crate::event::escape_json(&mut value, "R(a,b).\nR(x,y) -> \"S\"(x).\t\\end");
+        escape_json(&mut value, "R(a,b).\nR(x,y) -> \"S\"(x).\t\\end");
         value.push_str("\"}");
         let parsed = parse_line(&value).unwrap();
         assert_eq!(
             parsed.get("rules").and_then(Scalar::as_str),
             Some("R(a,b).\nR(x,y) -> \"S\"(x).\t\\end")
         );
+    }
+
+    #[test]
+    fn decodes_surrogate_pairs() {
+        let parsed = parse_line(r#"{"s":"x\ud83d\ude00y","t":"\u00e9"}"#).unwrap();
+        assert_eq!(
+            parsed.get("s").and_then(Scalar::as_str),
+            Some("x\u{1F600}y")
+        );
+        assert_eq!(parsed.get("t").and_then(Scalar::as_str), Some("\u{e9}"));
+    }
+
+    #[test]
+    fn rejects_a_lone_high_surrogate() {
+        for line in [
+            r#"{"s":"\ud83d"}"#,
+            r#"{"s":"\ud83dx"}"#,
+            r#"{"s":"\ud83d\n"}"#,
+            r#"{"s":"\ud83d\ud83d"}"#,
+            r#"{"s":"\ud83d\u0041"}"#,
+        ] {
+            let err = parse_line(line).unwrap_err();
+            assert_eq!(err, "bad \\u code point: unpaired high surrogate", "{line}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_lone_low_surrogate() {
+        for line in [r#"{"s":"\ude00"}"#, r#"{"s":"\ude00\ud83d"}"#] {
+            let err = parse_line(line).unwrap_err();
+            assert_eq!(err, "bad \\u code point: unpaired low surrogate", "{line}");
+        }
+    }
+
+    #[test]
+    fn object_builder_writes_fields_in_call_order() {
+        let line = Object::new()
+            .str("type", "result")
+            .str("id", "s\"1")
+            .num("steps", 42)
+            .num("max", u64::MAX)
+            .bool("cached", false)
+            .finish();
+        assert_eq!(
+            line,
+            r#"{"type":"result","id":"s\"1","steps":42,"max":18446744073709551615,"cached":false}"#
+        );
+        assert_eq!(Object::new().finish(), "{}");
+        assert_eq!(Object::new().num("zero", 0).finish(), r#"{"zero":0}"#);
+    }
+
+    #[test]
+    fn object_builder_appends_to_a_callers_buffer() {
+        let mut buf = String::from("prefix ");
+        Object::open(&mut buf)
+            .str("a", "x")
+            .bool("b", true)
+            .finish();
+        assert_eq!(buf, r#"prefix {"a":"x","b":true}"#);
+    }
+
+    #[test]
+    fn encode_line_is_the_inverse_of_parse_line() {
+        let line = r#"{"a\"k":"v\\\n\u0001","n":7,"t":true}"#;
+        let map = parse_line(line).unwrap();
+        assert_eq!(encode_line(&map), line);
+        assert_eq!(parse_line(&encode_line(&map)).unwrap(), map);
+    }
+
+    #[test]
+    fn escape_handles_controls_and_quotes() {
+        let mut out = String::new();
+        escape_json(&mut out, "a\"b\\c\nd\u{1}\u{1f}\r\t\u{e9}\u{1F600}");
+        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001\\u001f\\r\\t\u{e9}\u{1F600}");
     }
 }

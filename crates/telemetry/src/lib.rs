@@ -13,7 +13,7 @@
 //!   data, and produces a [`TelemetrySummary`]; it folds parsed trace
 //!   lines the same way (`chasectl stats`);
 //! * [`JsonlWriter`] — serialises every event as one JSON object per
-//!   line (JSON Lines), with a hand-rolled zero-dependency encoder,
+//!   line (JSON Lines) with the [`json`] module's flat-object encoder,
 //!   flushing on drop so buffered traces keep their tail;
 //! * [`RecordingObserver`] — buffers events in memory, for tests;
 //! * [`SpanObserver`] — the profiler: aggregates the opt-in span /
@@ -65,7 +65,7 @@ pub use observer::{
     ChaseObserver, NullObserver, Profiled, SpanGuard, Tee,
 };
 pub use profiler::{HeartbeatSample, MemorySample, PathStat, SpanObserver, SpanProfile, SpanStat};
-pub use sinks::{CountingObserver, JsonlWriter, LineObserver, RecordingObserver};
+pub use sinks::{CountingObserver, JsonlWriter, RecordingObserver};
 pub use summary::TelemetrySummary;
 
 /// Well-known span names of the profiling stream, shared by the

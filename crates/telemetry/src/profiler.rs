@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 
 use crate::counters::HistogramSnapshot;
 use crate::event::{Event, NO_TGD};
+use crate::json::Object;
 use crate::observer::ChaseObserver;
 use crate::summary::format_nanos;
 
@@ -326,66 +327,51 @@ impl SpanProfile {
         out
     }
 
-    /// Appends the profile's numbers as flat-JSON key/value pairs
-    /// (each prefixed with a comma), for embedding in a larger flat
-    /// object such as the `chasectl profile --json` report. All
-    /// values are unsigned integers.
-    pub fn append_flat_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, ",\"unbalanced\":{}", self.unbalanced);
-        let _ = write!(out, ",\"fires_total\":{}", self.fires_total());
+    /// Appends the profile's numbers as fields of a flat-JSON object,
+    /// such as the `chasectl profile --json` report. All values are
+    /// unsigned integers.
+    pub fn append_flat_json(&self, obj: Object) -> Object {
+        let mut obj = obj
+            .num("unbalanced", self.unbalanced)
+            .num("fires_total", self.fires_total());
         for s in &self.spans {
-            let _ = write!(
-                out,
-                ",\"span.{n}.count\":{},\"span.{n}.total_ns\":{},\"span.{n}.p50_ns\":{},\
-                 \"span.{n}.p95_ns\":{},\"span.{n}.p99_ns\":{},\"span.{n}.max_ns\":{}",
-                s.count,
-                s.total_nanos,
-                s.hist.p50(),
-                s.hist.p95(),
-                s.hist.p99(),
-                s.hist.max,
-                n = s.name,
-            );
+            let n = &s.name;
+            obj = obj
+                .num(&format!("span.{n}.count"), s.count)
+                .num(&format!("span.{n}.total_ns"), s.total_nanos)
+                .num(&format!("span.{n}.p50_ns"), s.hist.p50())
+                .num(&format!("span.{n}.p95_ns"), s.hist.p95())
+                .num(&format!("span.{n}.p99_ns"), s.hist.p99())
+                .num(&format!("span.{n}.max_ns"), s.hist.max);
         }
         for t in &self.tgd_spans {
-            let _ = write!(
-                out,
-                ",\"tgd.{}.{}.total_ns\":{}",
-                t.tgd, t.name, t.total_nanos
-            );
+            obj = obj.num(&format!("tgd.{}.{}.total_ns", t.tgd, t.name), t.total_nanos);
         }
         for &(tgd, fires) in &self.fires {
-            let _ = write!(out, ",\"tgd.{tgd}.fires\":{fires}");
+            obj = obj.num(&format!("tgd.{tgd}.fires"), fires);
         }
         if let Some(m) = &self.memory {
-            let _ = write!(
-                out,
-                ",\"memory.step\":{},\"memory.atoms\":{},\"memory.total_bytes\":{},\
-                 \"memory.atom_bytes\":{},\"memory.arg_spill_bytes\":{},\
-                 \"memory.dedup_bytes\":{},\"memory.index_bytes\":{},\
-                 \"memory.queue_depth\":{},\"memory.allocations\":{},\
-                 \"memory.peak_bytes\":{}",
-                m.step,
-                m.atoms,
-                m.total_bytes(),
-                m.atom_bytes,
-                m.arg_spill_bytes,
-                m.dedup_bytes,
-                m.index_bytes,
-                m.queue_depth,
-                m.allocations,
-                self.peak_bytes,
-            );
+            obj = obj
+                .num("memory.step", m.step)
+                .num("memory.atoms", m.atoms)
+                .num("memory.total_bytes", m.total_bytes())
+                .num("memory.atom_bytes", m.atom_bytes)
+                .num("memory.arg_spill_bytes", m.arg_spill_bytes)
+                .num("memory.dedup_bytes", m.dedup_bytes)
+                .num("memory.index_bytes", m.index_bytes)
+                .num("memory.queue_depth", m.queue_depth)
+                .num("memory.allocations", m.allocations)
+                .num("memory.peak_bytes", self.peak_bytes);
         }
         if let Some(h) = &self.last_heartbeat {
-            let _ = write!(
-                out,
-                ",\"heartbeats\":{},\"heartbeat.step\":{},\"heartbeat.elapsed_ns\":{},\
-                 \"heartbeat.steps_per_sec\":{},\"heartbeat.atoms_per_sec\":{}",
-                self.heartbeats, h.step, h.elapsed_ns, h.steps_per_sec, h.atoms_per_sec,
-            );
+            obj = obj
+                .num("heartbeats", self.heartbeats)
+                .num("heartbeat.step", h.step)
+                .num("heartbeat.elapsed_ns", h.elapsed_ns)
+                .num("heartbeat.steps_per_sec", h.steps_per_sec)
+                .num("heartbeat.atoms_per_sec", h.atoms_per_sec);
         }
+        obj
     }
 }
 
@@ -802,9 +788,9 @@ mod tests {
         assert_eq!(p.peak_bytes, 190);
         assert_eq!(p.heartbeats, 1);
         assert_eq!(p.last_heartbeat.unwrap().steps_per_sec, 3_000_000);
-        let mut json = String::from("{\"event\":\"profile_report\",\"v\":2");
-        p.append_flat_json(&mut json);
-        json.push('}');
+        let json = p
+            .append_flat_json(Object::new().str("event", "profile_report").num("v", 2))
+            .finish();
         assert!(json.contains("\"tgd.1.fires\":3"), "{json}");
         assert!(json.contains("\"memory.total_bytes\":190"), "{json}");
         assert!(!json.contains('['), "flat JSON only: {json}");

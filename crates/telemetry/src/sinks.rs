@@ -327,44 +327,6 @@ impl<W: Write> ChaseObserver for JsonlWriter<W> {
     }
 }
 
-/// Serialises every event to its JSON line and hands the line to a
-/// callback — the building block for routing one engine run's
-/// telemetry into a larger multiplexed stream (the `chase-server`
-/// wire protocol tags each line with its session id and forwards it
-/// over the connection).
-///
-/// The closure receives the bare event object (no trailing newline);
-/// framing and routing are the callback's business. The observer
-/// never opts into the profiling stream.
-pub struct LineObserver<F: FnMut(&str)> {
-    sink: F,
-    buf: String,
-}
-
-impl<F: FnMut(&str)> LineObserver<F> {
-    /// An observer handing each event line to `sink`.
-    pub fn new(sink: F) -> Self {
-        LineObserver {
-            sink,
-            buf: String::with_capacity(128),
-        }
-    }
-}
-
-impl<F: FnMut(&str)> std::fmt::Debug for LineObserver<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LineObserver").finish_non_exhaustive()
-    }
-}
-
-impl<F: FnMut(&str)> ChaseObserver for LineObserver<F> {
-    fn on_event(&mut self, event: &Event) {
-        self.buf.clear();
-        event.write_json(&mut self.buf);
-        (self.sink)(&self.buf);
-    }
-}
-
 /// Buffers every event in memory; intended for tests and small traces.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingObserver {
@@ -579,27 +541,6 @@ mod tests {
         writer.on_event(&Event::PhaseEntered { phase: "x" });
         assert_eq!(writer.io_errors(), 0);
         assert!(writer.finish().is_err(), "healthy sink, failing flush");
-    }
-
-    #[test]
-    fn line_observer_routes_each_event_line() {
-        let mut lines: Vec<String> = Vec::new();
-        {
-            let mut obs = LineObserver::new(|line: &str| lines.push(line.to_string()));
-            assert!(obs.enabled());
-            assert!(!obs.profiling());
-            obs.on_event(&Event::PhaseEntered { phase: "x" });
-            obs.on_event(&Event::PhaseExited {
-                phase: "x",
-                nanos: 7,
-            });
-        }
-        assert_eq!(lines.len(), 2);
-        for line in &lines {
-            assert!(line.starts_with("{\"event\":\""), "line: {line}");
-            assert!(line.ends_with('}'), "no newline framing: {line}");
-            assert!(crate::json::parse_line(line).is_ok());
-        }
     }
 
     #[test]

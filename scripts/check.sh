@@ -28,6 +28,13 @@ echo "== frozen benchmark builds (perfbench against the current engine and serve
 # that lock file from being rewritten.
 cargo build --offline --locked --release --manifest-path perfbench/Cargo.toml
 
+echo "== frozen benchmark's own tests (workload generators and their labels) =="
+# perfbench's tests check its workload generators against the deciders
+# and the direct engine (e.g. decide_cold_labels_agree_with_decide), so
+# a decider or workload change that breaks a label fails here, not only
+# when the benchmark runs.
+cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q (root package: tier-1) =="
 cargo test --offline -q
 

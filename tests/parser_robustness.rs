@@ -2,13 +2,14 @@
 //! soup either parses or yields a positioned error — and pretty-printed
 //! rule sets survive structural round-trips. The same holds for the
 //! server's request parser and the flat-JSON decoder under it, and for
-//! the offline trace fold behind `chasectl stats`. Every engine/strategy
-//! name resolves through the one `ChaseVariant::parse`.
+//! the offline trace fold behind `chasectl stats`. The flat-JSON codec
+//! round-trips: what the encoder writes, the decoder reads back. Every
+//! engine/strategy name resolves through the one `ChaseVariant::parse`.
 
 use proptest::prelude::*;
 use restricted_chase::prelude::*;
 use restricted_chase::server::protocol::parse_request;
-use restricted_chase::telemetry::json::parse_line;
+use restricted_chase::telemetry::json::{encode_line, parse_line, Scalar};
 use restricted_chase::telemetry::CountingObserver;
 
 proptest! {
@@ -259,6 +260,86 @@ proptest! {
             let _ = obs.record_line(&event);
         }
         let _ = obs.summary().render_table();
+    }
+}
+
+/// Pieces that keys and string values are built from: quotes,
+/// backslashes, control characters, non-ASCII and astral characters.
+const PIECES: [&str; 16] = [
+    "a", "key", "\"", "\\", "\n", "\t", "\r", "\u{0}", "\u{1f}", "\u{7f}", "/", "é", "漢",
+    "\u{FFFF}", "😀", "𝄞",
+];
+
+/// One generated field: key pieces, then `(kind, shape, random)` for
+/// the value, then the pieces of a string value.
+type FieldSpec = (Vec<usize>, (u8, u8, u64), Vec<usize>);
+
+fn flat_map(fields: &[FieldSpec]) -> std::collections::BTreeMap<String, Scalar> {
+    let text = |pieces: &[usize]| pieces.iter().map(|&i| PIECES[i]).collect::<String>();
+    fields
+        .iter()
+        .map(|(key, (kind, shape, random), value)| {
+            let value = match kind {
+                0 => Scalar::Str(text(value)),
+                1 => Scalar::Num([0, 1, u64::MAX, *random][usize::from(*shape)]),
+                _ => Scalar::Bool(random % 2 == 0),
+            };
+            (text(key), value)
+        })
+        .collect()
+}
+
+/// Renders `s` with every character as a `\uXXXX` escape (astral
+/// characters as UTF-16 surrogate pairs), quotes included.
+fn u_escaped(s: &str) -> String {
+    let mut units = [0u16; 2];
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        for unit in c.encode_utf16(&mut units) {
+            out.push_str(&format!("\\u{unit:04x}"));
+        }
+    }
+    out.push('"');
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        .. ProptestConfig::default()
+    })]
+
+    /// `parse_line(encode_line(map)) == map` for random flat maps, and
+    /// a rendering that writes every key and string as `\uXXXX`
+    /// escapes decodes to the same map.
+    #[test]
+    fn flat_json_codec_round_trips(
+        fields in proptest::collection::vec(
+            (
+                proptest::collection::vec(0..PIECES.len(), 0..5),
+                (0u8..3, 0u8..4, 0u64..=u64::MAX),
+                proptest::collection::vec(0..PIECES.len(), 0..5),
+            ),
+            0..8,
+        )
+    ) {
+        let map = flat_map(&fields);
+        let line = encode_line(&map);
+        prop_assert_eq!(parse_line(&line), Ok(map.clone()));
+
+        let rendered: Vec<String> = map
+            .iter()
+            .map(|(key, value)| {
+                let value = match value {
+                    Scalar::Str(s) => u_escaped(s),
+                    Scalar::Num(n) => n.to_string(),
+                    Scalar::Bool(b) => b.to_string(),
+                };
+                format!("{}:{value}", u_escaped(key))
+            })
+            .collect();
+        let escaped = format!("{{{}}}", rendered.join(","));
+        prop_assert_eq!(parse_line(&escaped), Ok(map));
     }
 }
 
