@@ -193,33 +193,51 @@ fn usage() -> String {
     )
 }
 
-/// Rejects any `--flag` not in the command's vocabulary, so a typo
-/// fails fast (exit code 2) instead of being silently ignored.
-/// `value_flags` consume the following argument, which must be there
-/// and must not be another flag; `switch_flags` stand alone.
-fn check_flags(
-    args: &[String],
+/// Rejects any `--flag` not in the command's vocabulary, and any flag
+/// given twice, so a typo fails fast (exit code 2) instead of being
+/// silently ignored or overridden. `value_flags` consume the following
+/// argument, which must be there and must not be another flag;
+/// `switch_flags` stand alone. Returns every other argument, in order:
+/// the operands, for the command to count (see [`at_most`]).
+fn check_flags<'a>(
+    args: &'a [String],
     value_flags: &[&str],
     switch_flags: &[&str],
-) -> Result<(), CliError> {
+) -> Result<Vec<&'a str>, CliError> {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut operands = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
-        if arg.starts_with("--") {
-            if value_flags.contains(&arg) {
-                value_at(args, i, arg)?;
-                i += 2;
-                continue;
-            }
-            if switch_flags.contains(&arg) {
-                i += 1;
-                continue;
-            }
+        if !arg.starts_with("--") {
+            operands.push(arg);
+            i += 1;
+            continue;
+        }
+        if value_flags.contains(&arg) {
+            value_at(args, i, arg)?;
+            i += 2;
+        } else if switch_flags.contains(&arg) {
+            i += 1;
+        } else {
             return Err(CliError::Usage(format!("unknown option '{arg}'")));
         }
-        i += 1;
+        if seen.contains(&arg) {
+            return Err(CliError::Usage(format!("option '{arg}' given twice")));
+        }
+        seen.push(arg);
     }
-    Ok(())
+    Ok(operands)
+}
+
+/// Rejects the operands past the first `max` of `command`'s.
+fn at_most(operands: &[&str], max: usize, command: &str) -> Result<(), CliError> {
+    match operands.get(max) {
+        Some(extra) => Err(CliError::Usage(format!(
+            "{command}: unexpected operand '{extra}'"
+        ))),
+        None => Ok(()),
+    }
 }
 
 fn run(args: &[String]) -> Result<ExitCode, CliError> {
@@ -232,14 +250,15 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         "suite" => {
-            check_flags(&args[1..], &[], &["--metrics"])?;
+            let operands = check_flags(&args[1..], &[], &["--metrics"])?;
+            at_most(&operands, 0, command)?;
             cmd_suite(args.iter().any(|a| a == "--metrics"))?;
             Ok(ExitCode::SUCCESS)
         }
         "serve" => serve::cmd_serve(&args[1..]),
         "client" => serve::cmd_client(&args[1..]),
         "stats" => {
-            check_flags(&args[1..], &["--idle-exit-ms"], &["--follow"])?;
+            let paths = check_flags(&args[1..], &["--idle-exit-ms"], &["--follow"])?;
             let follow = args.iter().any(|a| a == "--follow");
             let idle_exit_ms = flag_value(args, "--idle-exit-ms")?
                 .map(|s| {
@@ -251,20 +270,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 return Err(CliError::Usage(
                     "--idle-exit-ms only makes sense with --follow".into(),
                 ));
-            }
-            // Positional operands: every non-flag argument that is not
-            // the value of --idle-exit-ms.
-            let mut paths = Vec::new();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--idle-exit-ms" => i += 2,
-                    "--follow" => i += 1,
-                    p => {
-                        paths.push(p.to_string());
-                        i += 1;
-                    }
-                }
             }
             if paths.is_empty() {
                 return Err(CliError::Usage(
@@ -284,11 +289,8 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         "classify" | "chase" | "oblivious" | "decide" | "profile" | "dot" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| CliError::Usage(format!("{command} requires a rule <file>")))?;
-            let rest = &args[2..];
-            match command.as_str() {
+            let rest = &args[1..];
+            let operands = match command.as_str() {
                 "classify" => check_flags(rest, &[], &[])?,
                 "chase" => check_flags(
                     rest,
@@ -330,7 +332,11 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 )?,
                 "dot" => check_flags(rest, &["--steps"], &[])?,
                 _ => unreachable!(),
-            }
+            };
+            at_most(&operands, 1, command)?;
+            let path = operands
+                .first()
+                .ok_or_else(|| CliError::Usage(format!("{command} requires a rule <file>")))?;
             let src =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             // One compile() call replaces the parse → vocab → tgd_set

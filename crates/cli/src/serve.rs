@@ -30,8 +30,8 @@ use chase_server::server::{Endpoint, Server, ServerConfig};
 use chase_telemetry::json::{encode_line, Scalar};
 
 use crate::{
-    check_flags, flag_value, CliError, EXIT_BUDGET, EXIT_CANCELLED, EXIT_DEADLINE, EXIT_FAILURE,
-    EXIT_OVERLOADED,
+    at_most, check_flags, flag_value, CliError, EXIT_BUDGET, EXIT_CANCELLED, EXIT_DEADLINE,
+    EXIT_FAILURE, EXIT_OVERLOADED,
 };
 
 /// Parses an integer-valued flag, if present.
@@ -46,7 +46,7 @@ fn num_flag(args: &[String], flag: &str) -> Result<Option<u64>, CliError> {
 
 /// `chasectl serve --socket <endpoint>` plus scheduler knobs.
 pub fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
-    check_flags(
+    let operands = check_flags(
         args,
         &[
             "--socket",
@@ -57,6 +57,7 @@ pub fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
         ],
         &[],
     )?;
+    at_most(&operands, 0, "serve")?;
     let socket = flag_value(args, "--socket")?.ok_or_else(|| {
         CliError::Usage("serve requires --socket <unix:PATH|tcp:HOST:PORT>".into())
     })?;
@@ -114,13 +115,15 @@ pub fn cmd_client(args: &[String]) -> Result<ExitCode, CliError> {
         })?;
     match op.as_str() {
         "ping" => {
-            check_flags(&args[2..], &[], &[])?;
+            let operands = check_flags(&args[2..], &[], &[])?;
+            at_most(&operands, 0, "client ping")?;
             let reply = control(&endpoint, &Reply::request("ping").finish())?;
             println!("{}", encode_line(&reply));
             Ok(ExitCode::SUCCESS)
         }
         "shutdown" => {
-            check_flags(&args[2..], &[], &["--abort"])?;
+            let operands = check_flags(&args[2..], &[], &["--abort"])?;
+            at_most(&operands, 0, "client shutdown")?;
             let mut line = Reply::request("shutdown");
             if args.iter().any(|a| a == "--abort") {
                 line = line.str("mode", "abort");
@@ -130,7 +133,8 @@ pub fn cmd_client(args: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         "cancel" => {
-            check_flags(&args[2..], &["--id"], &[])?;
+            let operands = check_flags(&args[2..], &["--id"], &[])?;
+            at_most(&operands, 0, "client cancel")?;
             let id = flag_value(args, "--id")?
                 .ok_or_else(|| CliError::Usage("client cancel requires --id <session>".into()))?;
             let reply = control(&endpoint, &Reply::request("cancel").str("id", &id).finish())?;
@@ -163,8 +167,6 @@ fn cmd_client_session(
     op: &str,
 ) -> Result<ExitCode, CliError> {
     let chase = op == "chase";
-    let path = args.get(2).filter(|a| !a.starts_with("--"));
-    let flags_from = if path.is_some() { 3 } else { 2 };
     let mut value_flags = vec![
         "--id",
         "--tenant",
@@ -175,7 +177,9 @@ fn cmd_client_session(
     if chase {
         value_flags.extend(["--strategy", "--seed", "--steps", "--max-atoms"]);
     }
-    check_flags(&args[flags_from..], &value_flags, &["--telemetry"])?;
+    let operands = check_flags(&args[2..], &value_flags, &["--telemetry"])?;
+    at_most(&operands, 1, &format!("client {op}"))?;
+    let path = operands.first();
     let program_ref = flag_value(args, "--program-ref")?;
     let source = match path {
         Some(path) => {

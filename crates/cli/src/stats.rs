@@ -107,7 +107,7 @@ fn render(stats: &TraceStats) {
 /// The `chasectl stats <path>...` entry point: merges every given
 /// trace file (directories expand to their `*.jsonl` children) into
 /// one table.
-pub fn cmd_stats(paths: &[String]) -> Result<(), String> {
+pub fn cmd_stats(paths: &[&str]) -> Result<(), String> {
     let mut stats = TraceStats::default();
     let mut files = Vec::new();
     for path in paths {

@@ -143,6 +143,17 @@ fn unknown_flag_is_a_usage_error() {
         &run(&["classify", path, "--metrics"]),
         "flag classify lacks",
     );
+    // Stray operands and repeated flags are not silently dropped.
+    let other = rule_file("flags-other", FINITE);
+    assert_usage_error(
+        &run(&["chase", path, other.to_str().unwrap()]),
+        "second rule file",
+    );
+    assert_usage_error(&run(&["classify", path, "extra"]), "stray operand");
+    assert_usage_error(
+        &run(&["chase", path, "--steps", "5", "--steps", "7"]),
+        "repeated flag",
+    );
 }
 
 #[test]

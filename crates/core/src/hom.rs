@@ -19,7 +19,7 @@
 //! unchanged.
 //!
 //! The original recursive matcher is preserved verbatim in
-//! [`reference`] as the executable specification: the iterative
+//! [`reference`](mod@reference) as the executable specification: the iterative
 //! matcher enumerates homomorphisms in *exactly* the same order (same
 //! dynamic selection, same tie-breaks, same candidate ordering), which
 //! the equivalence test suite checks end-to-end through the engines.

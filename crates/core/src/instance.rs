@@ -19,7 +19,7 @@
 //! ## Index layout
 //!
 //! Three index families back the matcher, all storing ascending slot
-//! lists in a [`SlotList`] (inline up to three slots, spilling to a
+//! lists in a `SlotList` (inline up to three slots, spilling to a
 //! `Vec` beyond — most `(pred, position, term)` cells hold one or two
 //! slots, so the common case clones by `memcpy` and never touches the
 //! heap):

@@ -433,7 +433,7 @@ impl<'a> RestrictedChase<'a> {
 
     /// Sets the step-span sampling cadence: 1 in `pops` queue pops
     /// gets a full span subtree (default 16, pop 0 always sampled;
-    /// see [`crate::profiling`]). `1` spans every pop exactly.
+    /// see the `profiling` module). `1` spans every pop exactly.
     /// Sampling is deterministic in the pop index. Only consulted when
     /// the observer opts into profiling.
     pub fn profile_sample_every(mut self, pops: u64) -> Self {

@@ -21,10 +21,10 @@
 //!
 //! Admission also owns program resolution: the request's `program` /
 //! `program_ref` is resolved against the content-addressed
-//! [`ProgramCache`](crate::cache::ProgramCache) *before* a scheduler
-//! slot is taken, so repeated rule sets share one compiled bundle and
-//! malformed programs are rejected with a typed `parse_error` result
-//! without ever occupying a runner.
+//! [`ProgramCache`] *before* a scheduler slot is taken, so repeated
+//! rule sets share one compiled bundle and malformed programs are
+//! rejected with a typed `parse_error` result without ever occupying
+//! a runner.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};

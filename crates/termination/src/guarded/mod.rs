@@ -11,14 +11,14 @@
 //! certificate-producing portfolio ([`decide_guarded`]):
 //!
 //! * **Termination provers** (each sound): never-active-TGD
-//!   elimination, full-TGD sets, weak acyclicity, semi-oblivious
-//!   termination on the critical database.
-//! * **Non-termination detector** (sound): restricted chase runs from
-//!   a family of *acyclic seed databases* (Theorem 5.5 justifies
-//!   acyclic seeds) — canonical bodies, longs-for-glued canonical
-//!   bodies, and the critical database — with growth analysis and
-//!   guard-path signature repetition; every positive answer ships a
-//!   replay-validated derivation.
+//!   elimination, full-TGD sets, weak acyclicity, joint acyclicity,
+//!   semi-oblivious termination on the critical database.
+//! * **Non-termination detector** (sound): one FIFO restricted chase
+//!   per seed of a family of *acyclic seed databases* (Theorem 5.5
+//!   justifies acyclic seeds) — canonical bodies, longs-for-glued
+//!   canonical bodies, and the critical database — looking for a
+//!   repeating guard-path signature; every positive answer ships a
+//!   prefix of that run, replay-validated by `Derivation::validate`.
 //! * Otherwise: an honest `Unknown`.
 
 pub mod ajt;
@@ -32,6 +32,7 @@ use chase_core::subst::Binding;
 use chase_core::tgd::{TgdId, TgdSet};
 use chase_core::vocab::Vocabulary;
 use chase_engine::critical::critical_database;
+use chase_engine::derivation::Step;
 use chase_engine::governor::ResourceGovernor;
 use chase_engine::restricted::{Budget, Outcome, RestrictedChase, Strategy};
 use chase_telemetry::{emit, names, time_phase, ChaseObserver, Event, NullObserver};
@@ -91,38 +92,43 @@ fn head_subsumed_by_body(tgd: &chase_core::tgd::Tgd) -> bool {
 /// Builds the acyclic seed family for the non-termination search:
 /// canonical bodies of every TGD, longs-for-glued pairs of canonical
 /// bodies (Section 5.2's remote-side-parent idea), and the critical
-/// database.
+/// database. At most `max_seeds` seeds; the critical database is
+/// always the last one (when `max_seeds >= 1`).
 pub fn acyclic_seeds(set: &TgdSet, vocab: &mut Vocabulary, max_seeds: usize) -> Vec<Instance> {
-    let mut seeds = Vec::new();
-    // Canonical body of each TGD: freeze each body variable to a
-    // fresh constant.
-    let canonical: Vec<Instance> = set
+    use chase_core::term::Term;
+    // Canonical binding and body of each TGD: freeze each body
+    // variable to a fresh constant.
+    let (bindings, canonical): (Vec<Binding>, Vec<Instance>) = set
         .tgds()
         .iter()
         .enumerate()
         .map(|(i, tgd)| {
             let mut binding = Binding::new();
             for (k, &v) in tgd.body_vars().iter().enumerate() {
-                let c = vocab.constant(&format!("⋆s{i}_{k}"));
-                binding.push(v, chase_core::term::Term::Const(c));
+                binding.push(v, Term::Const(vocab.constant(&format!("⋆s{i}_{k}"))));
             }
-            Instance::from_atoms(tgd.body().iter().map(|a| binding.apply_atom(a)))
+            let body = Instance::from_atoms(tgd.body().iter().map(|a| binding.apply_atom(a)));
+            (binding, body)
         })
-        .collect();
-    seeds.extend(canonical.iter().cloned());
+        .unzip();
+    let cap = max_seeds.saturating_sub(1);
+    let mut seeds = canonical.clone();
     // Longs-for gluing: if a side atom of σ has the predicate of
     // σ''s head, σ's offspring may need σ''s offspring as a remote
     // side-parent; seed with the union of both canonical bodies, the
     // side atom unified with σ''s produced head pattern where
     // possible (frontier positions only; existential positions keep
     // σ's constants).
-    for (i, tgd) in set.tgds().iter().enumerate() {
+    'glue: for (i, tgd) in set.tgds().iter().enumerate() {
         let Some(gi) = guard_index(tgd) else { continue };
         for (k, side) in tgd.body().iter().enumerate() {
             if k == gi {
                 continue;
             }
             for (j, producer) in set.tgds().iter().enumerate() {
+                if seeds.len() >= cap {
+                    break 'glue;
+                }
                 let Some(head) = producer.single_head() else {
                     continue;
                 };
@@ -141,36 +147,18 @@ pub fn acyclic_seeds(set: &TgdSet, vocab: &mut Vocabulary, max_seeds: usize) -> 
                 // Positionwise unification side ↔ head: where the
                 // head has a frontier variable, rename the side's
                 // constant to the producer's constant for it.
-                let side_ground = {
-                    let mut b = Binding::new();
-                    for (kk, &v) in tgd.body_vars().iter().enumerate() {
-                        b.push(
-                            v,
-                            chase_core::term::Term::Const(vocab.constant(&format!("⋆s{i}_{kk}"))),
-                        );
-                    }
-                    b.apply_atom(side)
-                };
-                let producer_binding = {
-                    let mut b = Binding::new();
-                    for (kk, &v) in producer.body_vars().iter().enumerate() {
-                        b.push(
-                            v,
-                            chase_core::term::Term::Const(vocab.constant(&format!("⋆s{j}_{kk}"))),
-                        );
-                    }
-                    b
-                };
-                let mut renames: Vec<(chase_core::term::Term, chase_core::term::Term)> = Vec::new();
-                for (p, ht) in head.args.iter().enumerate() {
-                    if let chase_core::term::Term::Var(v) = ht {
-                        if producer.is_frontier(*v) {
-                            if let Some(image) = producer_binding.get(*v) {
-                                renames.push((side_ground.args[p], image));
-                            }
+                let side_ground = bindings[i].apply_atom(side);
+                let renames: Vec<(Term, Term)> = head
+                    .args
+                    .iter()
+                    .zip(&side_ground.args)
+                    .filter_map(|(&ht, &st)| match ht {
+                        Term::Var(v) if producer.is_frontier(v) => {
+                            bindings[j].get(v).map(|image| (st, image))
                         }
-                    }
-                }
+                        _ => None,
+                    })
+                    .collect();
                 for atom in &mut merged {
                     for t in &mut atom.args {
                         if let Some(&(_, to)) = renames.iter().find(|&&(from, _)| from == *t) {
@@ -179,12 +167,10 @@ pub fn acyclic_seeds(set: &TgdSet, vocab: &mut Vocabulary, max_seeds: usize) -> 
                     }
                 }
                 seeds.push(Instance::from_atoms(merged));
-                if seeds.len() >= max_seeds.saturating_sub(1) {
-                    break;
-                }
             }
         }
     }
+    seeds.truncate(cap);
     seeds.push(critical_database(set, vocab));
     seeds.truncate(max_seeds);
     seeds
@@ -200,12 +186,11 @@ struct PathSignature {
 }
 
 /// Looks for a repeated signature window along a guard-parent chain of
-/// the recorded derivation — evidence that the derivation is entering
+/// the derivation `steps` — evidence that the derivation is entering
 /// a self-similar regime rather than merely being slow.
-fn has_repeating_guard_path(set: &TgdSet, run: &chase_engine::restricted::ChaseRun) -> bool {
+fn has_repeating_guard_path(set: &TgdSet, steps: &[Step]) -> bool {
     // For each step, its produced atom and the step producing its
     // guard-parent (or none if the guard-parent is a database atom).
-    let steps = &run.derivation.steps;
     let mut producer: chase_core::ids::FxHashMap<chase_core::atom::Atom, usize> =
         chase_core::ids::fx_map();
     for (i, s) in steps.iter().enumerate() {
@@ -221,7 +206,8 @@ fn has_repeating_guard_path(set: &TgdSet, run: &chase_engine::restricted::ChaseR
         producer.get(&guard_atom).copied().filter(|&j| j < i)
     };
     // Follow chains backwards from the last steps; look for a
-    // signature repeated at least 3 times along one chain.
+    // signature period, up to 2·window, repeated 3 times along one
+    // chain.
     let window = 1.max(set.len());
     for start in (steps.len().saturating_sub(8)..steps.len()).rev() {
         let mut chain = Vec::new();
@@ -240,22 +226,12 @@ fn has_repeating_guard_path(set: &TgdSet, run: &chase_engine::restricted::ChaseR
         if chain.len() < 3 * window {
             continue;
         }
-        // Compare consecutive windows along the chain.
-        let w0 = &chain[0..window];
-        let w1 = &chain[window..2 * window];
-        let w2 = &chain[2 * window..3 * window];
-        if w0 == w1 && w1 == w2 {
-            return true;
-        }
-        // Also try to find any period up to 2·window.
         for period in 1..=(2 * window).min(chain.len() / 3) {
-            if chain.len() >= 3 * period {
-                let a = &chain[0..period];
-                let b = &chain[period..2 * period];
-                let c = &chain[2 * period..3 * period];
-                if a == b && b == c {
-                    return true;
-                }
+            let a = &chain[0..period];
+            let b = &chain[period..2 * period];
+            let c = &chain[2 * period..3 * period];
+            if a == b && b == c {
+                return true;
             }
         }
     }
@@ -356,45 +332,34 @@ pub(crate) fn decide_guarded_governed<O: ChaseObserver + ?Sized>(
     time_phase(obs, "guarded.seed_search", |obs| {
         let seeds = acyclic_seeds(set, &mut scratch, config.max_seeds);
         let engine = RestrictedChase::new(set).strategy(Strategy::Fifo);
-        let b = config.chase_budget / 4;
-        let (short_gov, long_gov) = (budgeted(b), budgeted(2 * b));
-        let witness_gov = budgeted(config.witness_steps);
-        let stopped = |outcome: Outcome| {
-            outcome
-                .is_interrupted()
-                .then(|| TerminationVerdict::interrupted(outcome, "during the guarded seed search"))
-        };
+        // One FIFO run per seed. FIFO is deterministic and a run stops
+        // on budget only at exactly its step cap, so a shorter run from
+        // the same seed is a prefix of this one: the repetition search
+        // reads the first `horizon` steps, and the witness is the first
+        // `witness_steps`.
+        let horizon = 2 * (config.chase_budget / 4);
+        let run_gov = budgeted(horizon.max(config.witness_steps));
         for seed in &seeds {
             emit(obs, || Event::CounterAdd {
                 name: names::GUARDED_SEEDS,
                 delta: 1,
             });
-            let short = engine.run_governed(seed, &short_gov, obs, None);
-            if let Some(v) = stopped(short.outcome) {
-                return v;
+            let mut run = engine.run_governed(seed, &run_gov, obs, None);
+            if run.outcome.is_interrupted() {
+                return TerminationVerdict::interrupted(
+                    run.outcome,
+                    "during the guarded seed search",
+                );
             }
-            if short.outcome == Outcome::Terminated {
+            if run.outcome == Outcome::Terminated && run.steps <= horizon {
                 continue;
             }
-            let long = engine.run_governed(seed, &long_gov, obs, None);
-            if let Some(v) = stopped(long.outcome) {
-                return v;
-            }
-            if long.outcome == Outcome::Terminated {
-                continue;
-            }
-            // Linear growth plus a repeating guard-path signature.
-            let growing = long.steps >= short.steps + b / 2;
-            if growing && has_repeating_guard_path(set, &long) {
-                // Re-run with the witness horizon and validate.
-                let evidence = engine.run_governed(seed, &witness_gov, obs, None);
-                if let Some(v) = stopped(evidence.outcome) {
-                    return v;
-                }
-                if evidence.derivation.validate(seed, set, false).is_ok() {
+            if has_repeating_guard_path(set, &run.derivation.steps[..horizon]) {
+                run.derivation.steps.truncate(config.witness_steps);
+                if run.derivation.validate(seed, set, false).is_ok() {
                     return TerminationVerdict::NonTerminating(Box::new(NonTerminationWitness {
                         database: seed.clone(),
-                        derivation: evidence.derivation,
+                        derivation: run.derivation,
                         description: "guarded seed chase with repeating guard-path signature"
                             .to_string(),
                         finitary: true,
@@ -489,6 +454,24 @@ mod tests {
     fn multi_head_refused() {
         let v = verdict("R(x,y) -> S(x), T(y).");
         assert!(v.is_unknown());
+    }
+
+    #[test]
+    fn critical_database_is_the_last_seed_of_an_overflowing_family() {
+        // Eleven canonical bodies plus ten glued pairs (each side atom
+        // T(y) is produced by the last rule) overflow 16 seeds.
+        let mut src: String = (0..10)
+            .map(|i| format!("R{i}(x,y), T(y) -> exists z. R{i}(y,z).\n"))
+            .collect();
+        src.push_str("S(x,y) -> T(x).");
+        let mut vocab = Vocabulary::new();
+        let set = parse_tgds(&src, &mut vocab).unwrap();
+        for max_seeds in [1, 11, 16, 64] {
+            let seeds = acyclic_seeds(&set, &mut vocab, max_seeds);
+            assert_eq!(seeds.len(), max_seeds.min(22), "max_seeds {max_seeds}");
+            let critical = critical_database(&set, &mut vocab);
+            assert!(seeds.last() == Some(&critical), "max_seeds {max_seeds}");
+        }
     }
 
     #[test]

@@ -23,6 +23,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --workspace (rustdoc warnings are errors: broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== frozen benchmark builds (perfbench against the current engine and server API) =="
 # perfbench is its own workspace with its own lock file; --locked keeps
 # that lock file from being rewritten.

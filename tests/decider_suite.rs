@@ -8,9 +8,10 @@
 use std::collections::{HashSet, VecDeque};
 
 use restricted_chase::prelude::*;
-use restricted_chase::telemetry::names::AUTOMATON_STATES;
+use restricted_chase::telemetry::names::{AUTOMATON_STATES, GUARDED_SEEDS, TRIGGERS_APPLIED};
 use restricted_chase::telemetry::CountingObserver;
 use restricted_chase::termination::sticky::{CatState, StickyAutomaton};
+use restricted_chase::termination::{decide_with_telemetry, decider_class};
 
 #[test]
 fn deciders_agree_with_ground_truth_on_the_entire_suite() {
@@ -61,7 +62,86 @@ fn non_termination_witnesses_replay_and_diverge() {
             "{}: witness database saturated unexpectedly",
             entry.name
         );
+        // (c) a guarded-portfolio witness is exactly the first
+        // `witness_steps` steps of the FIFO chase from its database.
+        if decider_class(&set) == "guarded" {
+            let evidence = RestrictedChase::new(&set)
+                .strategy(Strategy::Fifo)
+                .run(&witness.database, Budget::steps(config.witness_steps));
+            let (got, want) = (&witness.derivation.steps, &evidence.derivation.steps);
+            assert_eq!(got.len(), want.len(), "{}: witness length", entry.name);
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    g.trigger == w.trigger && g.added == w.added,
+                    "{}: witness step {i} differs from the FIFO chase",
+                    entry.name
+                );
+            }
+        }
     }
+}
+
+/// The guarded seed search chases each seed once: on Example 5.6 the
+/// first seed (σ0's canonical body) saturates after one step and the
+/// second diverges to the `2 * (chase_budget / 4)` horizon, whose
+/// prefix is the witness. Re-running a seed shows up as extra
+/// applied triggers.
+#[test]
+fn guarded_seed_search_chases_each_seed_once() {
+    let mut vocab = Vocabulary::new();
+    let src = std::fs::read_to_string("examples/rules/example_5_6.chase").unwrap();
+    let program = parse_program(&src, &mut vocab).unwrap();
+    let set = program.tgd_set(&vocab).unwrap();
+    let (verdict, summary) = decide_with_telemetry(&set, &vocab, &DeciderConfig::default());
+    assert!(verdict.is_non_terminating(), "{verdict:?}");
+    assert_eq!(summary.counter(TRIGGERS_APPLIED), Some(10_001));
+    assert_eq!(summary.counter(GUARDED_SEEDS), Some(2));
+}
+
+const GUARDED_GOLDEN_PATH: &str = "tests/golden/guarded_suite.txt";
+
+/// Every guarded-class suite entry's decision, rendered by `explain`
+/// (no telemetry), followed by the full witness derivation of a
+/// non-terminating verdict.
+fn guarded_suite_answers() -> String {
+    let config = DeciderConfig::default();
+    let mut out = String::new();
+    for entry in labelled_suite() {
+        let (vocab, set) = entry.build();
+        if decider_class(&set) != "guarded" {
+            continue;
+        }
+        let verdict = decide(&set, &vocab, &config);
+        out.push_str(&format!("== {}\n", entry.name));
+        out.push_str(&explain(&verdict, &set, &vocab, None, None));
+        if let TerminationVerdict::NonTerminating(w) = &verdict {
+            out.push_str("derivation:\n");
+            out.push_str(&w.derivation.display(&set, &vocab));
+        }
+    }
+    out
+}
+
+/// Guarded verdicts, certificates and witnesses are pinned byte for
+/// byte: a change to the guarded decider that moves an answer fails
+/// here. Regenerate deliberately with
+/// `cargo test --test decider_suite regenerate_guarded_golden -- --ignored`.
+#[test]
+fn guarded_answers_match_golden_file() {
+    let text = guarded_suite_answers();
+    let golden = std::fs::read_to_string(GUARDED_GOLDEN_PATH).expect("golden file present");
+    assert!(
+        text == golden,
+        "guarded answers drifted from {GUARDED_GOLDEN_PATH}; if the change is intentional, \
+         regenerate with `cargo test --test decider_suite regenerate_guarded_golden -- --ignored`"
+    );
+}
+
+/// Regenerates the guarded golden file.
+#[test]
+#[ignore]
+fn regenerate_guarded_golden() {
+    std::fs::write(GUARDED_GOLDEN_PATH, guarded_suite_answers()).unwrap();
 }
 
 #[test]
