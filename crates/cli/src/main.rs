@@ -669,6 +669,7 @@ fn cmd_chase(
     let run = time_phase(telemetry, "chase", |obs| {
         RestrictedChase::new(set)
             .variant(variant)
+            .record_derivation(false)
             .run_governed(db, gov, obs, None)
     });
     let name = match variant {

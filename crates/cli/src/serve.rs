@@ -44,6 +44,16 @@ fn num_flag(args: &[String], flag: &str) -> Result<Option<u64>, CliError> {
         .transpose()
 }
 
+/// Parses a count flag that must be at least 1, if present. A zero
+/// queue cap would shed every request: the scheduler queues a job
+/// before any runner takes it.
+fn count_flag(args: &[String], flag: &str) -> Result<Option<usize>, CliError> {
+    match num_flag(args, flag)? {
+        Some(0) => Err(CliError::Usage(format!("{flag} must be at least 1"))),
+        n => Ok(n.map(|n| n as usize)),
+    }
+}
+
 /// `chasectl serve --socket <endpoint>` plus scheduler knobs.
 pub fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
     let operands = check_flags(
@@ -63,17 +73,14 @@ pub fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
     })?;
     let endpoint = Endpoint::parse(&socket).map_err(CliError::Usage)?;
     let mut scheduler = SchedulerConfig::default();
-    if let Some(n) = num_flag(args, "--runners")? {
-        if n == 0 {
-            return Err(CliError::Usage("--runners must be at least 1".into()));
-        }
-        scheduler.runners = n as usize;
+    if let Some(n) = count_flag(args, "--runners")? {
+        scheduler.runners = n;
     }
-    if let Some(n) = num_flag(args, "--tenant-queue-cap")? {
-        scheduler.tenant_queue_cap = n as usize;
+    if let Some(n) = count_flag(args, "--tenant-queue-cap")? {
+        scheduler.tenant_queue_cap = n;
     }
-    if let Some(n) = num_flag(args, "--global-queue-cap")? {
-        scheduler.global_queue_cap = n as usize;
+    if let Some(n) = count_flag(args, "--global-queue-cap")? {
+        scheduler.global_queue_cap = n;
     }
     if let Some(n) = num_flag(args, "--retry-after-ms")? {
         scheduler.retry_after_ms = n;

@@ -592,6 +592,42 @@ fn serve_and_client_usage_errors() {
         "cancel without --id",
     );
     assert_usage_error(&run(&["client", "nonsense", "ping"]), "bad endpoint");
+    // A zero queue cap would shed every request, so it is refused
+    // before binding. Run with a timeout: a server that does bind
+    // fails the test instead of hanging it.
+    for flag in ["--tenant-queue-cap", "--global-queue-cap"] {
+        let socket = std::env::temp_dir().join(format!(
+            "chasectl-golden-{}-zero-cap.sock",
+            std::process::id()
+        ));
+        let socket = format!("unix:{}", socket.display());
+        assert_usage_error(
+            &run_with_timeout(&["serve", "--socket", &socket, flag, "0"]),
+            flag,
+        );
+    }
+}
+
+/// Runs `chasectl` like [`run`], but kills it if it has not exited
+/// within ten seconds and then panics.
+fn run_with_timeout(args: &[&str]) -> Output {
+    use std::process::Stdio;
+    let mut child = Command::new(BIN)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn chasectl");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("poll chasectl").is_none() {
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("chasectl {args:?} did not exit within 10 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect chasectl output")
 }
 
 #[test]

@@ -13,6 +13,11 @@
 //! cloning it costs one reference-count bump. Relaxed ordering is
 //! sufficient: the flag carries no payload and observers only need to
 //! see it *eventually* (each poll point re-reads it).
+//!
+//! A supervisor that stops many runs at once keeps their tokens itself
+//! and cancels each: the chase server's session registry maps every
+//! live session id to its token, and an abortive shutdown walks that
+//! map.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,73 +64,6 @@ impl fmt::Debug for CancelToken {
     }
 }
 
-/// A set of [`CancelToken`]s cancellable as one unit.
-///
-/// A supervisor (the chase server's shutdown path, a test harness
-/// tearing down a fleet of runs) registers the token of every run it
-/// is responsible for and later stops them all with a single
-/// [`CancelGroup::cancel_all`]. Registration hands back a clone, so
-/// the usual pattern is `gov.with_cancel(group.register())`.
-///
-/// The group is internally synchronised: registration and cancellation
-/// may race from different threads. Tokens whose runs have finished
-/// are cheap to keep (one `Arc` each); [`CancelGroup::prune`] drops
-/// the ones nobody else references any more.
-#[derive(Debug, Default)]
-pub struct CancelGroup {
-    members: std::sync::Mutex<Vec<CancelToken>>,
-}
-
-impl CancelGroup {
-    /// An empty group.
-    pub fn new() -> Self {
-        CancelGroup::default()
-    }
-
-    /// Creates, registers and returns a fresh token.
-    pub fn register(&self) -> CancelToken {
-        let token = CancelToken::new();
-        self.adopt(token.clone());
-        token
-    }
-
-    /// Registers an existing token (a clone is kept).
-    pub fn adopt(&self, token: CancelToken) {
-        self.members
-            .lock()
-            .expect("cancel group poisoned")
-            .push(token);
-    }
-
-    /// Cancels every registered token. Idempotent; tokens registered
-    /// *after* this call are not affected.
-    pub fn cancel_all(&self) {
-        for token in self.members.lock().expect("cancel group poisoned").iter() {
-            token.cancel();
-        }
-    }
-
-    /// Number of registered tokens (including finished runs until
-    /// [`CancelGroup::prune`]).
-    pub fn len(&self) -> usize {
-        self.members.lock().expect("cancel group poisoned").len()
-    }
-
-    /// `true` if no token is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops tokens whose flag nobody else holds any more (the
-    /// governed run has finished and released its clones).
-    pub fn prune(&self) {
-        self.members
-            .lock()
-            .expect("cancel group poisoned")
-            .retain(|t| Arc::strong_count(&t.flag) > 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,41 +101,5 @@ mod tests {
         let c = t.clone();
         std::thread::spawn(move || c.cancel()).join().unwrap();
         assert!(t.is_cancelled());
-    }
-
-    #[test]
-    fn group_cancels_all_registered_tokens() {
-        let group = CancelGroup::new();
-        let a = group.register();
-        let b = group.register();
-        let adopted = CancelToken::new();
-        group.adopt(adopted.clone());
-        assert_eq!(group.len(), 3);
-        group.cancel_all();
-        assert!(a.is_cancelled());
-        assert!(b.is_cancelled());
-        assert!(adopted.is_cancelled());
-    }
-
-    #[test]
-    fn late_registrations_survive_an_earlier_cancel_all() {
-        let group = CancelGroup::new();
-        group.register();
-        group.cancel_all();
-        let late = group.register();
-        assert!(!late.is_cancelled());
-    }
-
-    #[test]
-    fn prune_drops_released_tokens() {
-        let group = CancelGroup::new();
-        let keep = group.register();
-        drop(group.register()); // run finished, clone released
-        assert_eq!(group.len(), 2);
-        group.prune();
-        assert_eq!(group.len(), 1);
-        assert!(!keep.is_cancelled());
-        group.cancel_all();
-        assert!(keep.is_cancelled());
     }
 }

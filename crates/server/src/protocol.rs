@@ -36,7 +36,7 @@
 //!
 //! | `type`         | meaning |
 //! |----------------|---------|
-//! | `accepted`     | session admitted; carries `program` (the canonical fingerprint, usable as `program_ref` later); events/result follow (any interleaving with other sessions on the same connection) |
+//! | `accepted`     | session admitted; carries `program` (the canonical fingerprint, usable as `program_ref` later). Admission's program-cache counter events (`server.program_cache.*`, telemetry sessions only) come before it; every line a runner writes for the session — its events and the result — follows it (any interleaving with other sessions on the same connection) |
 //! | `event`        | one telemetry event of session `id`: `type` and `id`, then the event's own fields (`event`, `v`, ...) as in a trace line |
 //! | `result`       | terminal: `status` is `ok`, `parse_error` or `panicked`. Every `ok` result, chase or decide, carries `events_sent`, `events_dropped` and `elapsed_ms`; a chase adds `outcome`, `steps`, `atoms` and `fingerprint` (hex); a decide adds `verdict`, `cached` (memoized verdict, no decider ran) and, when the verdict is `unknown`, `reason`. `parse_error` and `panicked` results carry `error` and `elapsed_ms`. `parse_error` is produced at admission — malformed programs never occupy a scheduler slot |
 //! | `unknown_program` | the `program_ref` fingerprint is not cached and no in-line `program` fallback was supplied; resubmit with full source |
@@ -62,10 +62,10 @@ pub enum Request {
     Ping,
     /// Drain + exit; `abort` additionally cancels every live session.
     Shutdown {
-        /// `true` for `mode:"abort"`: trip the registry's
-        /// [`CancelGroup`](chase_core::cancel::CancelGroup) so running
-        /// sessions wind down with `outcome:"cancelled"` instead of
-        /// finishing their work.
+        /// `true` for `mode:"abort"`: trip the cancel token of every
+        /// session in the server's live-session registry, so queued
+        /// and running sessions wind down with `outcome:"cancelled"`
+        /// instead of finishing their work.
         abort: bool,
     },
     /// Cancel the named session.

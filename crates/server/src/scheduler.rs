@@ -4,9 +4,11 @@
 //! fixed set of runner threads. Three properties matter more than raw
 //! throughput:
 //!
-//! * **Fairness** — runners pick the next job round-robin across
-//!   tenants (ordered `BTreeMap` + rotating cursor), so one tenant
-//!   queueing a hundred sessions cannot starve another's first.
+//! * **Fairness** — tenants with queued work form a ring in arrival
+//!   order; a runner takes the first job of the front tenant and moves
+//!   that tenant to the back if it has more, so one tenant queueing a
+//!   hundred sessions cannot starve another's first, and a tenant that
+//!   arrives mid-round waits its turn behind the ones already waiting.
 //! * **Admission control** — a per-tenant queue cap and a global cap
 //!   bound memory; a rejected submit returns a typed [`Rejected`]
 //!   carrying a retry hint instead of blocking or silently dropping.
@@ -15,21 +17,23 @@
 //!   [`RunnerCtx`] (the warm scratch is discarded in case the panic
 //!   left it mid-search).
 //!
-//! The scheduler drains on [`Scheduler::shutdown`]: submits are
-//! refused, queued and running sessions finish, runner threads exit
-//! and are joined. Drain is also what the server's `shutdown` request
-//! triggers, so "graceful" is a scheduler property, not server-loop
-//! heroics.
+//! [`Scheduler::close`] closes admission: submits are refused, and a
+//! runner that finds the queue empty exits. Joining the runners is
+//! therefore the drain — it returns once every queued and running
+//! session has finished. [`Scheduler::shutdown`] is close plus join;
+//! the server's `shutdown` request closes, and its accept loop joins,
+//! so "graceful" is a scheduler property, not server-loop heroics.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use chase_engine::trigger::ChaseScratch;
 
 /// One queued session: a closure over its request, connection writer
-/// and registry handles.
+/// and the server's shared state.
 pub type Job = Box<dyn FnOnce(&mut RunnerCtx) + Send>;
 
 /// Scheduler tuning knobs.
@@ -87,47 +91,42 @@ impl RunnerCtx {
 }
 
 struct State {
-    queues: BTreeMap<String, VecDeque<Job>>,
-    /// Round-robin position: index into the sorted tenant keys.
-    cursor: usize,
+    /// Tenants with queued work, in turn order; every queue is
+    /// non-empty.
+    ring: VecDeque<(String, VecDeque<Job>)>,
     queued: usize,
     running: usize,
-    draining: bool,
+}
+
+impl State {
+    /// Pops the front tenant's first job and moves that tenant to the
+    /// back of the ring if it has more.
+    fn take_next(&mut self) -> Option<Job> {
+        let (tenant, mut queue) = self.ring.pop_front()?;
+        let job = queue.pop_front().expect("ring queues are non-empty");
+        if !queue.is_empty() {
+            self.ring.push_back((tenant, queue));
+        }
+        self.queued -= 1;
+        Some(job)
+    }
 }
 
 struct Shared {
     state: Mutex<State>,
-    /// Signalled when a job is queued or drain begins (runners wait).
+    /// Admission is closed. Written once, under the state lock, so
+    /// readers holding the lock see it in order; the server's
+    /// lock-free reads are an early-out that `submit` re-checks.
+    closed: AtomicBool,
+    /// Signalled when a job is queued or admission closes (runners
+    /// wait).
     available: Condvar,
-    /// Signalled when the scheduler may have gone idle (drain waits).
-    idle: Condvar,
     cfg: SchedulerConfig,
 }
 
 impl Shared {
-    /// Pops the next job round-robin across tenants. Caller holds the
-    /// lock via `state`.
-    fn take_next(state: &mut State) -> Option<Job> {
-        if state.queued == 0 {
-            return None;
-        }
-        let tenants: Vec<String> = state.queues.keys().cloned().collect();
-        let n = tenants.len();
-        for offset in 0..n {
-            let tenant = &tenants[(state.cursor + offset) % n];
-            if let Some(queue) = state.queues.get_mut(tenant) {
-                if let Some(job) = queue.pop_front() {
-                    if queue.is_empty() {
-                        state.queues.remove(tenant);
-                    }
-                    state.queued -= 1;
-                    // Advance past the tenant we just served.
-                    state.cursor = (state.cursor + offset + 1) % n.max(1);
-                    return Some(job);
-                }
-            }
-        }
-        None
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("scheduler poisoned")
     }
 }
 
@@ -142,14 +141,12 @@ impl Scheduler {
     pub fn new(cfg: SchedulerConfig) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                queues: BTreeMap::new(),
-                cursor: 0,
+                ring: VecDeque::new(),
                 queued: 0,
                 running: 0,
-                draining: false,
             }),
+            closed: AtomicBool::new(false),
             available: Condvar::new(),
-            idle: Condvar::new(),
             cfg,
         });
         let mut runners = Vec::new();
@@ -170,12 +167,13 @@ impl Scheduler {
 
     /// Queues `job` under `tenant`, or sheds it with a typed reason.
     pub fn submit(&self, tenant: &str, job: Job) -> Result<(), Rejected> {
-        let mut state = self.shared.state.lock().expect("scheduler poisoned");
-        if state.draining {
+        let mut state = self.shared.lock();
+        if self.is_closed() {
             return Err(Rejected::ShuttingDown);
         }
         let cfg = &self.shared.cfg;
-        let tenant_depth = state.queues.get(tenant).map_or(0, VecDeque::len);
+        let slot = state.ring.iter().position(|(t, _)| t == tenant);
+        let tenant_depth = slot.map_or(0, |i| state.ring[i].1.len());
         if state.queued >= cfg.global_queue_cap || tenant_depth >= cfg.tenant_queue_cap {
             // Deeper queues ⇒ longer hint, so a retry storm spreads out
             // instead of stampeding the moment one slot frees up.
@@ -184,11 +182,12 @@ impl Scheduler {
                 retry_after_ms: cfg.retry_after_ms * (depth as u64 + 1),
             });
         }
-        state
-            .queues
-            .entry(tenant.to_string())
-            .or_default()
-            .push_back(job);
+        match slot {
+            Some(i) => state.ring[i].1.push_back(job),
+            None => state
+                .ring
+                .push_back((tenant.to_string(), VecDeque::from([job]))),
+        }
         state.queued += 1;
         drop(state);
         self.shared.available.notify_one();
@@ -197,34 +196,34 @@ impl Scheduler {
 
     /// Queued (not yet running) sessions.
     pub fn queued(&self) -> usize {
-        self.shared.state.lock().expect("scheduler poisoned").queued
+        self.shared.lock().queued
     }
 
     /// Currently running sessions.
     pub fn running(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("scheduler poisoned")
-            .running
+        self.shared.lock().running
     }
 
-    /// Drains and stops: refuses new submits, waits for queued and
-    /// running sessions to finish, then joins the runner threads.
-    /// Idempotent.
+    /// Closes admission: later submits are refused, and runners exit
+    /// once the queue is empty. Returns `true` only for the call that
+    /// closed it.
+    pub fn close(&self) -> bool {
+        let _state = self.shared.lock();
+        let first = !self.shared.closed.swap(true, Ordering::SeqCst);
+        self.shared.available.notify_all();
+        first
+    }
+
+    /// Whether admission is closed. Takes no lock.
+    pub fn is_closed(&self) -> bool {
+        self.shared.closed.load(Ordering::SeqCst)
+    }
+
+    /// Drains and stops: closes admission, then joins the runner
+    /// threads, which return only once every queued and running
+    /// session has finished. Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut state = self.shared.state.lock().expect("scheduler poisoned");
-            state.draining = true;
-            self.shared.available.notify_all();
-            while state.queued > 0 || state.running > 0 {
-                state = self
-                    .shared
-                    .idle
-                    .wait(state)
-                    .expect("scheduler poisoned while draining");
-            }
-        }
+        self.close();
         let handles = std::mem::take(&mut *self.runners.lock().expect("scheduler poisoned"));
         for handle in handles {
             let _ = handle.join();
@@ -236,13 +235,13 @@ fn runner_loop(shared: &Shared) {
     let mut ctx = RunnerCtx::default();
     loop {
         let job = {
-            let mut state = shared.state.lock().expect("scheduler poisoned");
+            let mut state = shared.lock();
             loop {
-                if let Some(job) = Shared::take_next(&mut state) {
+                if let Some(job) = state.take_next() {
                     state.running += 1;
                     break job;
                 }
-                if state.draining {
+                if shared.closed.load(Ordering::SeqCst) {
                     return;
                 }
                 state = shared
@@ -259,11 +258,7 @@ fn runner_loop(shared: &Shared) {
             // start clean rather than hand it to the next session.
             ctx = RunnerCtx::default();
         }
-        let mut state = shared.state.lock().expect("scheduler poisoned");
-        state.running -= 1;
-        if state.queued == 0 && state.running == 0 {
-            shared.idle.notify_all();
-        }
+        shared.lock().running -= 1;
     }
 }
 
@@ -384,6 +379,57 @@ mod tests {
         assert!(
             first_b <= 2,
             "tenant b's first job should run early despite a's flood: {order:?}"
+        );
+    }
+
+    #[test]
+    fn a_tenant_arriving_mid_round_costs_no_one_a_turn() {
+        // Single runner held while "b" and "c" queue three jobs each;
+        // "a" arrives while b1 runs. Every waiting tenant gets one turn
+        // before any tenant gets a second.
+        let sched = Scheduler::new(SchedulerConfig {
+            runners: 1,
+            tenant_queue_cap: 16,
+            global_queue_cap: 64,
+            retry_after_ms: 10,
+        });
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let gated = |tag: &'static str| -> (Job, mpsc::Sender<()>, mpsc::Receiver<()>) {
+            let (gate_tx, gate_rx) = mpsc::channel::<()>();
+            let (started_tx, started_rx) = mpsc::channel::<()>();
+            let order = Arc::clone(&order);
+            let job: Job = Box::new(move |_| {
+                order.lock().unwrap().push(tag);
+                started_tx.send(()).unwrap();
+                gate_rx.recv().unwrap();
+            });
+            (job, gate_tx, started_rx)
+        };
+        let tag_job = |tag: &'static str| -> Job {
+            let order = Arc::clone(&order);
+            Box::new(move |_| order.lock().unwrap().push(tag))
+        };
+        let (hold, hold_gate, hold_started) = gated("hold");
+        sched.submit("hold", hold).unwrap();
+        hold_started.recv().unwrap();
+        let (b1, b1_gate, b1_started) = gated("b1");
+        sched.submit("b", b1).unwrap();
+        for tag in ["b2", "b3"] {
+            sched.submit("b", tag_job(tag)).unwrap();
+        }
+        for tag in ["c1", "c2", "c3"] {
+            sched.submit("c", tag_job(tag)).unwrap();
+        }
+        hold_gate.send(()).unwrap();
+        b1_started.recv().unwrap();
+        sched.submit("a", tag_job("a1")).unwrap();
+        b1_gate.send(()).unwrap();
+        sched.shutdown();
+        let order = order.lock().unwrap().clone();
+        assert_eq!(
+            order,
+            ["hold", "b1", "c1", "b2", "a1", "c2", "b3", "c3"],
+            "tenants take turns in arrival order"
         );
     }
 

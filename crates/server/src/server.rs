@@ -10,14 +10,16 @@
 //! Shutdown is an in-band `{"op":"shutdown"}` request (any connection
 //! may send it — the server fleet's supervisor owns the socket, so
 //! in-band is the honest interface in a `std`-only process with no
-//! signal-handler access): admission stops immediately with typed
-//! `shutting_down` replies, queued and running sessions finish and
-//! deliver their results, runner threads exit, the accept loop wakes
-//! and returns. Every session's [`CancelToken`] is registered in a
-//! [`CancelGroup`], so the *abortive* variant
-//! (`{"op":"shutdown","mode":"abort"}`) is exactly one `cancel_all`
-//! call on top of the graceful path: every live session winds down
-//! with `outcome:"cancelled"`, results still delivered.
+//! signal-handler access). It closes the scheduler, whose flag is the
+//! one "admission is closed" fact: admission answers typed
+//! `shutting_down` replies from then on, and the accept loop wakes,
+//! joins the runners (the drain: queued and running sessions finish
+//! and deliver their results) and returns. The registry holds every
+//! live session's [`CancelToken`] from admission to result, so the
+//! *abortive* variant (`{"op":"shutdown","mode":"abort"}`) cancels
+//! those tokens on top of the graceful path: every queued and running
+//! session winds down with `outcome:"cancelled"`, results still
+//! delivered.
 //!
 //! Admission also owns program resolution: the request's `program` /
 //! `program_ref` is resolved against the content-addressed
@@ -32,10 +34,9 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use chase_core::cancel::{CancelGroup, CancelToken};
+use chase_core::cancel::CancelToken;
 use chase_core::compile::CompiledProgram;
 use chase_telemetry::{names, Event};
 
@@ -152,7 +153,6 @@ pub struct ConnWriter {
 struct WriterInner {
     stream: Box<dyn Write + Send>,
     degraded: bool,
-    warned: bool,
 }
 
 impl WriterInner {
@@ -167,10 +167,7 @@ impl WriterInner {
             .and_then(|()| self.stream.flush());
         if let Err(e) = wrote {
             self.degraded = true;
-            if !self.warned {
-                self.warned = true;
-                eprintln!("chase-server: connection write failed ({e}); dropping further replies");
-            }
+            eprintln!("chase-server: connection write failed ({e}); dropping further replies");
             return false;
         }
         true
@@ -183,7 +180,6 @@ impl ConnWriter {
             inner: Mutex::new(WriterInner {
                 stream,
                 degraded: false,
-                warned: false,
             }),
         }
     }
@@ -201,48 +197,44 @@ impl ConnWriter {
     }
 }
 
-/// Live-session registry: session id → cancel token, plus the group
-/// that lets shutdown reach everything at once.
+/// Live sessions: id → the cancel token the session polls. A session
+/// is registered at admission, before it is queued, and removed once
+/// its result is written, so `cancel` and abort reach queued and
+/// running sessions alike.
 #[derive(Default)]
 struct Registry {
     live: Mutex<HashMap<String, CancelToken>>,
-    group: CancelGroup,
 }
 
 impl Registry {
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, CancelToken>> {
+        self.live.lock().expect("registry poisoned")
+    }
+
     /// Registers a session's token; `false` if the id is already live
     /// (duplicate ids are a protocol error — sessions are keyed by id).
     fn insert(&self, id: &str, token: CancelToken) -> bool {
-        let mut live = self.live.lock().expect("registry poisoned");
+        let mut live = self.lock();
         if live.contains_key(id) {
             return false;
         }
-        self.group.adopt(token.clone());
         live.insert(id.to_string(), token);
         true
     }
 
     fn cancel(&self, id: &str) -> bool {
-        match self.live.lock().expect("registry poisoned").get(id) {
-            Some(token) => {
-                token.cancel();
-                true
-            }
-            None => false,
-        }
+        self.lock().get(id).map(CancelToken::cancel).is_some()
     }
 
     fn remove(&self, id: &str) {
-        self.live.lock().expect("registry poisoned").remove(id);
-        self.group.prune();
+        self.lock().remove(id);
     }
 
-    /// Abortive shutdown: one call trips every live session's token
-    /// (queued sessions registered at admission included), so each
+    /// Abortive shutdown: trips every live session's token, so each
     /// winds down with `outcome:"cancelled"` and still delivers its
     /// result line.
     fn abort_all(&self) {
-        self.group.cancel_all();
+        self.lock().values().for_each(CancelToken::cancel);
     }
 }
 
@@ -250,11 +242,22 @@ impl Registry {
 /// `run` returns after a graceful drain.
 pub struct Server {
     listener: Listener,
+    shared: Arc<Shared>,
+}
+
+/// The state every connection handler and queued session shares.
+struct Shared {
     endpoint: Endpoint,
-    scheduler: Arc<Scheduler>,
-    registry: Arc<Registry>,
-    caches: Arc<Caches>,
-    shutting_down: Arc<AtomicBool>,
+    scheduler: Scheduler,
+    registry: Registry,
+    caches: Caches,
+}
+
+impl Shared {
+    /// Wakes the blocking accept loop after admission closed.
+    fn poke_acceptor(&self) {
+        let _ = self.endpoint.connect();
+    }
 }
 
 impl Server {
@@ -278,20 +281,21 @@ impl Server {
         };
         Ok(Server {
             listener,
-            endpoint,
-            scheduler: Arc::new(Scheduler::new(config.scheduler)),
-            registry: Arc::new(Registry::default()),
-            caches: Arc::new(Caches {
-                programs: ProgramCache::new(config.cache.programs),
-                decide: DecideCache::new(config.cache.decide_entries),
+            shared: Arc::new(Shared {
+                endpoint,
+                scheduler: Scheduler::new(config.scheduler),
+                registry: Registry::default(),
+                caches: Caches {
+                    programs: ProgramCache::new(config.cache.programs),
+                    decide: DecideCache::new(config.cache.decide_entries),
+                },
             }),
-            shutting_down: Arc::new(AtomicBool::new(false)),
         })
     }
 
     /// The bound endpoint (with the real port for `:0` TCP binds).
     pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
+        &self.shared.endpoint
     }
 
     /// Serves until a `shutdown` request completes its drain. Each
@@ -304,7 +308,7 @@ impl Server {
                 Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
                 Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
             };
-            if self.shutting_down.load(Ordering::SeqCst) {
+            if self.shared.scheduler.is_closed() {
                 break;
             }
             let stream = match stream {
@@ -314,22 +318,19 @@ impl Server {
                     continue;
                 }
             };
-            let ctx = HandlerCtx {
-                scheduler: Arc::clone(&self.scheduler),
-                registry: Arc::clone(&self.registry),
-                caches: Arc::clone(&self.caches),
-                shutting_down: Arc::clone(&self.shutting_down),
-                endpoint: self.endpoint.clone(),
-            };
+            let shared = Arc::clone(&self.shared);
             // Drop the handles of finished handlers so their thread
             // stacks are unmapped now, not at shutdown.
             handlers.retain(|h| !h.is_finished());
-            handlers.push(std::thread::spawn(move || handle_connection(stream, &ctx)));
+            handlers.push(std::thread::spawn(move || {
+                handle_connection(stream, &shared)
+            }));
         }
-        // Drain: finish queued + running sessions, join runners, then
-        // the handler threads (their clients have their results).
-        self.scheduler.shutdown();
-        if let Endpoint::Unix(path) = &self.endpoint {
+        // Drain: joining the runners finishes queued + running
+        // sessions; then join the handler threads (their clients have
+        // their results).
+        self.shared.scheduler.shutdown();
+        if let Endpoint::Unix(path) = &self.shared.endpoint {
             let _ = std::fs::remove_file(path);
         }
         for handler in handlers {
@@ -339,22 +340,7 @@ impl Server {
     }
 }
 
-struct HandlerCtx {
-    scheduler: Arc<Scheduler>,
-    registry: Arc<Registry>,
-    caches: Arc<Caches>,
-    shutting_down: Arc<AtomicBool>,
-    endpoint: Endpoint,
-}
-
-impl HandlerCtx {
-    /// Wakes the blocking accept loop after shutdown was flagged.
-    fn poke_acceptor(&self) {
-        let _ = self.endpoint.connect();
-    }
-}
-
-fn handle_connection(stream: Stream, ctx: &HandlerCtx) {
+fn handle_connection(stream: Stream, shared: &Arc<Shared>) {
     let (read, write) = match stream.split() {
         Ok(pair) => pair,
         Err(e) => {
@@ -379,7 +365,7 @@ fn handle_connection(stream: Stream, ctx: &HandlerCtx) {
                 conn.send_line(&Reply::new("pong").finish());
             }
             Ok(Request::Cancel { id }) => {
-                let hit = ctx.registry.cancel(&id);
+                let hit = shared.registry.cancel(&id);
                 conn.send_line(
                     &Reply::new("cancel_ack")
                         .str("id", &id)
@@ -391,23 +377,23 @@ fn handle_connection(stream: Stream, ctx: &HandlerCtx) {
                 conn.send_line(
                     &Reply::new("shutdown_ack")
                         .str("mode", if abort { "abort" } else { "graceful" })
-                        .num("queued", ctx.scheduler.queued() as u64)
-                        .num("running", ctx.scheduler.running() as u64)
+                        .num("queued", shared.scheduler.queued() as u64)
+                        .num("running", shared.scheduler.running() as u64)
                         .finish(),
                 );
-                if !ctx.shutting_down.swap(true, Ordering::SeqCst) {
-                    ctx.poke_acceptor();
+                if shared.scheduler.close() {
+                    shared.poke_acceptor();
                 }
                 if abort {
-                    ctx.registry.abort_all();
+                    shared.registry.abort_all();
                 }
                 // The reader keeps serving pings/cancels for this
                 // connection until the client hangs up; admission is
                 // already closed.
             }
             Ok(Request::Session(req)) => {
-                if let Some(program) = resolve_program(ctx, &conn, &req) {
-                    submit_session(ctx, &conn, req, program);
+                if let Some(program) = resolve_program(shared, &conn, &req) {
+                    submit_session(shared, &conn, req, program);
                 }
             }
         }
@@ -422,7 +408,7 @@ fn handle_connection(stream: Stream, ctx: &HandlerCtx) {
 /// scheduler: a tenant spamming bad input cannot crowd out healthy
 /// sessions.
 fn resolve_program(
-    ctx: &HandlerCtx,
+    shared: &Shared,
     conn: &ConnWriter,
     req: &SessionRequest,
 ) -> Option<Arc<CompiledProgram>> {
@@ -436,12 +422,12 @@ fn resolve_program(
     };
     // Gate before compiling: a draining server should not burn CPU on
     // admission work it will refuse anyway.
-    if ctx.shutting_down.load(Ordering::SeqCst) {
+    if shared.scheduler.is_closed() {
         conn.send_line(&Reply::new("shutting_down").str("id", id).finish());
         return None;
     }
     if let Some(fp) = req.program_ref {
-        if let Some(program) = ctx.caches.programs.lookup_ref(fp) {
+        if let Some(program) = shared.caches.programs.lookup_ref(fp) {
             emit(names::PROGRAM_CACHE_HITS, 1);
             return Some(program);
         }
@@ -462,7 +448,7 @@ fn resolve_program(
         .as_deref()
         .expect("protocol guarantees program or program_ref");
     let resolved = catch_unwind(AssertUnwindSafe(|| {
-        ctx.caches.programs.resolve_source(source, &req.tenant)
+        shared.caches.programs.resolve_source(source, &req.tenant)
     }));
     match resolved {
         Err(_) => {
@@ -509,17 +495,17 @@ fn resolve_program(
 /// a clone of the token the session will actually poll, so `cancel`
 /// requests reach it.
 fn submit_session(
-    ctx: &HandlerCtx,
+    shared: &Arc<Shared>,
     conn: &Arc<ConnWriter>,
     req: Box<SessionRequest>,
     program: Arc<CompiledProgram>,
 ) {
     let id = req.id.clone();
-    if ctx.shutting_down.load(Ordering::SeqCst) {
+    if shared.scheduler.is_closed() {
         conn.send_line(&Reply::new("shutting_down").str("id", &id).finish());
         return;
     }
-    if !ctx.registry.insert(&id, req.cancel.clone()) {
+    if !shared.registry.insert(&id, req.cancel.clone()) {
         conn.send_line(
             &Reply::new("error")
                 .str("id", &id)
@@ -537,13 +523,12 @@ fn submit_session(
     let tenant = req.tenant.clone();
     let job = {
         let conn = Arc::clone(conn);
-        let registry = Arc::clone(&ctx.registry);
-        let caches = Arc::clone(&ctx.caches);
+        let shared = Arc::clone(shared);
         move |runner: &mut RunnerCtx| {
-            let line = run_session(&req, &program, &conn, &caches, runner);
+            let line = run_session(&req, &program, &conn, &shared.caches, runner);
             // Free the id before the client can read the result: only
             // live ids clash.
-            registry.remove(&req.id);
+            shared.registry.remove(&req.id);
             // Best effort: a fully dead connection can't carry the
             // result, but the session still completed server-side.
             conn.send_line(&line);
@@ -555,12 +540,12 @@ fn submit_session(
     // hold the scheduler lock while writing, so this lock order
     // (writer, then scheduler) cannot deadlock.
     let mut writer = conn.lock();
-    match ctx.scheduler.submit(&tenant, Box::new(job)) {
+    match shared.scheduler.submit(&tenant, Box::new(job)) {
         Ok(()) => {
             writer.write_line(&accepted);
         }
         Err(Rejected::Overloaded { retry_after_ms }) => {
-            ctx.registry.remove(&id);
+            shared.registry.remove(&id);
             writer.write_line(
                 &Reply::new("overloaded")
                     .str("id", &id)
@@ -569,7 +554,7 @@ fn submit_session(
             );
         }
         Err(Rejected::ShuttingDown) => {
-            ctx.registry.remove(&id);
+            shared.registry.remove(&id);
             writer.write_line(&Reply::new("shutting_down").str("id", &id).finish());
         }
     }

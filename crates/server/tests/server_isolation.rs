@@ -648,3 +648,158 @@ fn accepted_precedes_every_runner_line() {
     shutdown(&endpoint);
     server.join().expect("server thread");
 }
+
+/// A one-runner server, so a second admitted session must queue.
+fn one_runner() -> ServerConfig {
+    ServerConfig {
+        scheduler: SchedulerConfig {
+            runners: 1,
+            ..SchedulerConfig::default()
+        },
+        ..ServerConfig::default()
+    }
+}
+
+/// A non-terminating chase that only a cancellation ends promptly (the
+/// 30 s deadline is a suite-safety net, not the expected exit).
+fn endless_chase(id: &str, telemetry: bool) -> String {
+    format!(
+        r#"{{"op":"chase","id":"{id}","program":"{}","deadline_ms":30000,"telemetry":{telemetry}}}"#,
+        escaped(INFINITE)
+    )
+}
+
+/// Reads replies until `id`'s first line of the given kind: `accepted`,
+/// or `runner` for its first event written by a runner (anything but
+/// the admission-time `server.*` counters).
+fn await_line(reader: &mut impl std::io::BufRead, id: &str, kind: &str) {
+    loop {
+        let reply = read_reply(reader);
+        if reply.get("id").and_then(Scalar::as_str) != Some(id) {
+            continue;
+        }
+        let matched = match reply.get("type").and_then(Scalar::as_str) {
+            Some("accepted") => kind == "accepted",
+            Some("event") => {
+                kind == "runner"
+                    && !reply
+                        .get("name")
+                        .and_then(Scalar::as_str)
+                        .is_some_and(|n| n.starts_with("server."))
+            }
+            other => panic!("unexpected reply {other:?} while awaiting {id}'s {kind}: {reply:?}"),
+        };
+        if matched {
+            return;
+        }
+    }
+}
+
+/// Reads replies until `n` `result` lines arrived; returns them by id.
+fn await_results(
+    reader: &mut impl std::io::BufRead,
+    n: usize,
+) -> BTreeMap<String, BTreeMap<String, Scalar>> {
+    let mut results = BTreeMap::new();
+    while results.len() < n {
+        let reply = read_reply(reader);
+        if reply.get("type").and_then(Scalar::as_str) == Some("result") {
+            results.insert(result_str(&reply, "id").to_string(), reply);
+        }
+    }
+    results
+}
+
+/// Graceful shutdown with one session running and two queued: the ack
+/// counts both kinds, admission is closed even to a connection opened
+/// before the shutdown, and every admitted session still delivers an
+/// `ok` result.
+#[test]
+fn graceful_shutdown_drains_queued_sessions() {
+    use std::io::Write;
+    let _serial = serial();
+    let (endpoint, server) = boot(one_runner(), "drain-queued");
+    // A second connection, served before the shutdown lands.
+    let (mut other, mut other_reader) = connect(&endpoint);
+    writeln!(other, r#"{{"op":"ping"}}"#).expect("send ping");
+    assert_eq!(result_str(&read_reply(&mut other_reader), "type"), "pong");
+
+    let (mut stream, mut reader) = connect(&endpoint);
+    writeln!(stream, "{}", endless_chase("q-run", true)).expect("send q-run");
+    await_line(&mut reader, "q-run", "runner");
+    for id in ["q-1", "q-2"] {
+        writeln!(
+            stream,
+            r#"{{"op":"chase","id":"{id}","program":"{}"}}"#,
+            escaped(FINITE)
+        )
+        .expect("send queued session");
+        await_line(&mut reader, id, "accepted");
+    }
+
+    let ack = request_once(&endpoint, r#"{"op":"shutdown"}"#).expect("shutdown ack");
+    assert_eq!(result_str(&ack, "type"), "shutdown_ack");
+    assert_eq!(ack.get("running").and_then(Scalar::as_num), Some(1));
+    assert_eq!(ack.get("queued").and_then(Scalar::as_num), Some(2));
+
+    // Admission is closed: a session on the other open connection is
+    // refused with the typed reply, while the drain is still waiting
+    // on q-run.
+    writeln!(
+        other,
+        r#"{{"op":"chase","id":"q-late","program":"{}"}}"#,
+        escaped(FINITE)
+    )
+    .expect("send late session");
+    let refused = read_reply(&mut other_reader);
+    assert_eq!(result_str(&refused, "type"), "shutting_down");
+    assert_eq!(result_str(&refused, "id"), "q-late");
+
+    // End the running session; the drain then runs both queued ones.
+    writeln!(other, r#"{{"op":"cancel","id":"q-run"}}"#).expect("send cancel");
+    let ack = read_reply(&mut other_reader);
+    assert_eq!(result_str(&ack, "type"), "cancel_ack");
+    assert_eq!(result_str(&ack, "known"), "true");
+
+    let results = await_results(&mut reader, 3);
+    assert_eq!(result_str(&results["q-run"], "status"), "ok");
+    assert_eq!(result_str(&results["q-run"], "outcome"), "cancelled");
+    for id in ["q-1", "q-2"] {
+        assert_eq!(result_str(&results[id], "status"), "ok", "{id}");
+        assert_eq!(result_str(&results[id], "outcome"), "terminated", "{id}");
+    }
+    drop((stream, reader, other, other_reader));
+    server.join().expect("server thread");
+}
+
+/// Abortive shutdown reaches queued sessions too: with one session
+/// running and one queued, both end `cancelled` long before their 30 s
+/// deadlines.
+#[test]
+fn abortive_shutdown_cancels_queued_sessions() {
+    use std::io::Write;
+    let _serial = serial();
+    let (endpoint, server) = boot(one_runner(), "abort-queued");
+    let (mut stream, mut reader) = connect(&endpoint);
+    writeln!(stream, "{}", endless_chase("a-run", true)).expect("send a-run");
+    await_line(&mut reader, "a-run", "runner");
+    writeln!(stream, "{}", endless_chase("a-queued", false)).expect("send a-queued");
+    await_line(&mut reader, "a-queued", "accepted");
+
+    let started = std::time::Instant::now();
+    let ack = request_once(&endpoint, r#"{"op":"shutdown","mode":"abort"}"#).expect("abort ack");
+    assert_eq!(result_str(&ack, "type"), "shutdown_ack");
+    assert_eq!(result_str(&ack, "mode"), "abort");
+
+    let results = await_results(&mut reader, 2);
+    for id in ["a-run", "a-queued"] {
+        assert_eq!(result_str(&results[id], "status"), "ok", "{id}");
+        assert_eq!(result_str(&results[id], "outcome"), "cancelled", "{id}");
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "abort must not wait out the 30 s deadlines"
+    );
+    drop((stream, reader));
+    server.join().expect("server thread");
+}

@@ -65,8 +65,15 @@ echo "== server isolation suite (concurrent faulty sessions vs direct runs) =="
 # Chase and decide share one session path, and the suite also pins its
 # ordering: `accepted` precedes every line a runner writes for its
 # session (64 pipelined sessions, warm cache), and a session id is free
-# again once its result arrives (20,000 back-to-back reuses).
+# again once its result arrives (20,000 back-to-back reuses). With one
+# runner busy and sessions queued behind it, a graceful shutdown still
+# delivers every admitted session's result and an abortive one cancels
+# the queued sessions too.
 cargo test --offline -q -p chase-server --test server_isolation
+# The served benchmark runs a release build, and the drain, abort and
+# tenant-ring paths depend on timing, so run every server suite in
+# release too.
+cargo test --offline -q --release -p chase-server
 
 echo "== serve/client round trip (chasectl golden tests, real processes) =="
 cargo test --offline -q -p chase-cli --test cli_golden serve
