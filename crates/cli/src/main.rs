@@ -515,14 +515,9 @@ fn governor_from_flags(args: &[String], steps: usize) -> Result<ResourceGovernor
     Ok(gov)
 }
 
-/// Human-readable label for a chase outcome.
-fn outcome_label(outcome: Outcome) -> &'static str {
-    match outcome {
-        Outcome::Terminated => "terminated",
-        Outcome::BudgetExhausted => "budget exhausted",
-        Outcome::DeadlineExceeded => "deadline exceeded",
-        Outcome::Cancelled => "cancelled",
-    }
+/// Human-readable label for a chase outcome: its name, with spaces.
+fn outcome_label(outcome: Outcome) -> String {
+    outcome.name().replace('_', " ")
 }
 
 /// The exit code a chase outcome maps to (module-header table).
@@ -535,16 +530,24 @@ fn outcome_exit(outcome: Outcome) -> u8 {
     }
 }
 
-/// The exit code a decider verdict maps to: deadline/cancellation
-/// `Unknown`s get the same distinct codes as interrupted chases; every
-/// genuine verdict (including other honest `Unknown`s) is success.
+/// The exit code a decider verdict maps to (see [`unknown_exit`]).
 fn verdict_exit(verdict: &TerminationVerdict) -> u8 {
     match verdict {
-        TerminationVerdict::Unknown { reason } if reason.starts_with("deadline exceeded") => {
-            EXIT_DEADLINE
-        }
-        TerminationVerdict::Unknown { reason } if reason.starts_with("cancelled") => EXIT_CANCELLED,
+        TerminationVerdict::Unknown { reason } => unknown_exit(reason),
         _ => 0,
+    }
+}
+
+/// The exit code of an `Unknown` verdict with this reason, direct or
+/// served: a deadline or a cancellation gets the same code as an
+/// interrupted chase; any other honest `Unknown` is success.
+fn unknown_exit(reason: &str) -> u8 {
+    if reason.starts_with("deadline exceeded") {
+        EXIT_DEADLINE
+    } else if reason.starts_with("cancelled") {
+        EXIT_CANCELLED
+    } else {
+        0
     }
 }
 

@@ -144,7 +144,7 @@ fn report_json(
         .str("event", "profile_report")
         .num("v", SCHEMA_VERSION)
         .str("engine", engine.as_str())
-        .str("outcome", crate::outcome_label(baseline.outcome))
+        .str("outcome", &crate::outcome_label(baseline.outcome))
         .num("steps", baseline.steps as u64)
         .num("atoms", baseline.instance.len() as u64)
         .num("runs", runs as u64)

@@ -23,6 +23,7 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use chase_engine::governor::Outcome;
 use chase_server::client::{request_once, run_session_with_fallback, ClientConfig, ClientError};
 use chase_server::protocol::Reply;
 use chase_server::scheduler::SchedulerConfig;
@@ -30,8 +31,8 @@ use chase_server::server::{Endpoint, Server, ServerConfig};
 use chase_telemetry::json::{encode_line, Scalar};
 
 use crate::{
-    at_most, check_flags, flag_value, CliError, EXIT_BUDGET, EXIT_CANCELLED, EXIT_DEADLINE,
-    EXIT_FAILURE, EXIT_OVERLOADED,
+    at_most, check_flags, flag_value, outcome_exit, unknown_exit, CliError, EXIT_FAILURE,
+    EXIT_OVERLOADED,
 };
 
 /// Parses an integer-valued flag, if present.
@@ -256,13 +257,7 @@ fn cmd_client_session(
                 get_num("events_sent"),
                 get_num("events_dropped"),
             );
-            match outcome {
-                "terminated" => 0,
-                "budget_exhausted" => EXIT_BUDGET,
-                "deadline_exceeded" => EXIT_DEADLINE,
-                "cancelled" => EXIT_CANCELLED,
-                _ => EXIT_FAILURE,
-            }
+            Outcome::from_name(outcome).map_or(EXIT_FAILURE, outcome_exit)
         }
         "ok" => {
             let verdict = get_str("verdict").unwrap_or("?");
@@ -273,11 +268,7 @@ fn cmd_client_session(
             }
             // Mirror `chasectl decide`: interrupted Unknowns get the
             // deadline/cancel codes; honest verdicts are success.
-            match reason {
-                Some(r) if r.starts_with("deadline exceeded") => EXIT_DEADLINE,
-                Some(r) if r.starts_with("cancelled") => EXIT_CANCELLED,
-                _ => 0,
-            }
+            reason.map_or(0, unknown_exit)
         }
         status => {
             let error = get_str("error").unwrap_or("no detail");

@@ -89,6 +89,29 @@ pub enum Outcome {
 }
 
 impl Outcome {
+    /// The outcome's one name: server replies carry it as is, and
+    /// `chasectl` prints it with spaces for underscores.
+    pub fn name(self) -> &'static str {
+        match self {
+            Outcome::Terminated => "terminated",
+            Outcome::BudgetExhausted => "budget_exhausted",
+            Outcome::DeadlineExceeded => "deadline_exceeded",
+            Outcome::Cancelled => "cancelled",
+        }
+    }
+
+    /// The outcome called `name` (the inverse of [`Outcome::name`]).
+    pub fn from_name(name: &str) -> Option<Outcome> {
+        [
+            Outcome::Terminated,
+            Outcome::BudgetExhausted,
+            Outcome::DeadlineExceeded,
+            Outcome::Cancelled,
+        ]
+        .into_iter()
+        .find(|o| o.name() == name)
+    }
+
     /// `true` for the externally imposed stops ([`Outcome::DeadlineExceeded`],
     /// [`Outcome::Cancelled`]) as opposed to the chase-internal ones.
     pub fn is_interrupted(self) -> bool {
@@ -302,5 +325,19 @@ mod tests {
         );
         assert!(Outcome::Cancelled.is_interrupted());
         assert!(!Outcome::Terminated.is_interrupted());
+    }
+
+    #[test]
+    fn outcome_names_round_trip() {
+        for outcome in [
+            Outcome::Terminated,
+            Outcome::BudgetExhausted,
+            Outcome::DeadlineExceeded,
+            Outcome::Cancelled,
+        ] {
+            assert_eq!(Outcome::from_name(outcome.name()), Some(outcome));
+        }
+        assert_eq!(Outcome::DeadlineExceeded.name(), "deadline_exceeded");
+        assert_eq!(Outcome::from_name("deadline exceeded"), None);
     }
 }

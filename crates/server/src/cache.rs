@@ -1,22 +1,25 @@
 //! Content-addressed caches consulted at admission: the
-//! [`ProgramCache`] (compiled rule sets, LRU, entry- and byte-capped)
-//! and the [`DecideCache`] (memoized termination verdicts).
+//! [`ProgramCache`] (compiled rule sets and their source aliases) and
+//! the [`DecideCache`] (memoized termination verdicts). All three
+//! tables are one private bounded LRU, `Lru`.
 //!
 //! ## Keys
 //!
-//! Both caches key on the order-preserving [`ProgramFingerprint`] —
-//! stable under whitespace, comments and rule-local variable renaming,
-//! but not under reordering rules or facts, because order decides the
-//! restricted chase result (see [`chase_core::compile`]). Two sources
-//! with one fingerprint compile to the same program, so a hit can
-//! change a reply's latency, never its content.
+//! Compiled programs key on the order-preserving [`ProgramFingerprint`]
+//! — stable under whitespace, comments and rule-local variable
+//! renaming, but not under reordering rules or facts, because order
+//! decides the restricted chase result (see [`chase_core::compile`]).
+//! Two sources with one fingerprint compile to the same program, so a
+//! hit can change a reply's latency, never its content.
 //!
-//! The program cache additionally keeps a *source alias* index (FxHash
-//! of the raw source bytes → fingerprint) so a byte-identical
-//! resubmission hits without any parse work at all; a reformatted
-//! submission pays one compile, lands on the same fingerprint, and
-//! reuses the cached bundle from then on (the fresh compile is
-//! dropped, the alias is recorded).
+//! The program cache additionally keeps a *source alias* table (FxHash
+//! of the raw source bytes → the source text and its fingerprint) so a
+//! byte-identical resubmission hits without any parse work at all. An
+//! alias hits only when the request's text equals the stored text, so
+//! two texts that share a hash are a plain miss, never each other's
+//! program. A reformatted submission pays one compile, lands on the
+//! same fingerprint, and reuses the cached bundle from then on (the
+//! fresh compile is dropped, the alias is recorded).
 //!
 //! The decide cache keys on fingerprint × decider class
 //! ([`chase_termination::decider_class`]): verdicts are pure functions
@@ -26,16 +29,20 @@
 //!
 //! ## Eviction and accounting
 //!
-//! LRU by a monotone use-stamp, evicting while over either cap
-//! (`max_entries`, `max_bytes` of [`CompiledProgram::approx_bytes`]).
-//! Hit/miss/eviction totals feed the telemetry counters surfaced
-//! through session event streams and `chasectl stats`; nothing is
-//! accounted per tenant.
+//! Each table is capped by entries and by bytes, never evicts its
+//! newest entry, and evicts by popping its oldest use-stamp. Compiled
+//! programs are capped at `max_entries` and `max_bytes` of
+//! [`CompiledProgram::approx_bytes`]; aliases at the same `max_entries`
+//! and `max_bytes` of source text, so a hot program's aliases age out
+//! like anything else; verdicts at their entry count. An alias whose
+//! program was evicted is a miss. Evicted values are dropped after the
+//! cache mutex is released. Each cache counts its own hits, misses and
+//! evictions; nothing is accounted per tenant.
 
-use std::collections::HashMap;
-use std::hash::Hasher;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use chase_core::compile::{compile, CompiledProgram, ProgramFingerprint};
 use chase_core::error::CoreError;
@@ -45,9 +52,10 @@ use chase_termination::TerminationVerdict;
 /// Capacity knobs for the [`ProgramCache`].
 #[derive(Debug, Clone, Copy)]
 pub struct ProgramCacheConfig {
-    /// Maximum resident compiled programs.
+    /// Maximum resident compiled programs (and source aliases).
     pub max_entries: usize,
-    /// Maximum total [`CompiledProgram::approx_bytes`] across entries.
+    /// Maximum total [`CompiledProgram::approx_bytes`] across entries
+    /// (and maximum total source text across aliases).
     pub max_bytes: usize,
 }
 
@@ -60,91 +68,96 @@ impl Default for ProgramCacheConfig {
     }
 }
 
-/// Monotonic counters shared by both caches; snapshot cheaply, read
-/// from any thread. These are the numbers the server splices into
-/// session telemetry streams.
+/// One cache's monotonic counters; snapshot cheaply, read from any
+/// thread.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
-    /// Program-cache lookups answered without compiling.
+    /// Lookups answered from the cache.
     pub hits: AtomicU64,
-    /// Program-cache lookups that required a compile.
+    /// Lookups that had to do the work: a compile in the program
+    /// cache, a decider run in the decide cache.
     pub misses: AtomicU64,
     /// Entries evicted over a cap.
     pub evictions: AtomicU64,
-    /// Full `compile()` runs performed.
-    pub compiles: AtomicU64,
-    /// Decide verdicts answered from memoization.
-    pub decide_hits: AtomicU64,
-    /// Decide requests that ran a decider.
-    pub decide_misses: AtomicU64,
 }
 
 impl CacheCounters {
-    fn bump(field: &AtomicU64) -> u64 {
-        field.fetch_add(1, Ordering::Relaxed) + 1
+    fn add(field: &AtomicU64, n: u64) {
+        field.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy (hits, misses, evictions, compiles,
-    /// decide_hits, decide_misses).
-    pub fn snapshot(&self) -> [u64; 6] {
+    /// A point-in-time copy (hits, misses, evictions, runs). Every miss
+    /// runs one compile or decide, so runs equals misses.
+    pub fn snapshot(&self) -> [u64; 4] {
+        let misses = self.misses.load(Ordering::Relaxed);
         [
             self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
+            misses,
             self.evictions.load(Ordering::Relaxed),
-            self.compiles.load(Ordering::Relaxed),
-            self.decide_hits.load(Ordering::Relaxed),
-            self.decide_misses.load(Ordering::Relaxed),
+            misses,
         ]
     }
 }
 
-struct Entry {
-    program: Arc<CompiledProgram>,
+/// A bounded LRU map: values with their byte weight and use-stamp, and
+/// a recency index from stamp to key. Capped by entries and by bytes,
+/// it never evicts its newest entry.
+struct Lru<K, V> {
+    map: HashMap<K, (V, u64, usize)>,
+    by_stamp: BTreeMap<u64, K>,
+    stamp: u64,
     bytes: usize,
-    last_used: u64,
+    max_entries: usize,
+    max_bytes: usize,
 }
 
-#[derive(Default)]
-struct ProgramCacheInner {
-    by_fp: HashMap<ProgramFingerprint, Entry>,
-    /// FxHash of raw source bytes → fingerprint, for zero-parse hits
-    /// on byte-identical resubmission.
-    source_alias: HashMap<u64, ProgramFingerprint>,
-    total_bytes: usize,
-    tick: u64,
-}
-
-impl ProgramCacheInner {
-    fn touch(&mut self, fp: ProgramFingerprint) -> Option<Arc<CompiledProgram>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.by_fp.get_mut(&fp).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.program)
-        })
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    fn new(max_entries: usize, max_bytes: usize) -> Self {
+        Lru {
+            map: HashMap::new(),
+            by_stamp: BTreeMap::new(),
+            stamp: 0,
+            bytes: 0,
+            max_entries,
+            max_bytes,
+        }
     }
 
-    /// Evicts least-recently-used entries while over either cap,
-    /// always keeping at least the most recent entry so one oversized
-    /// program cannot render the cache unusable. Returns evictions.
-    fn evict_over_caps(&mut self, config: &ProgramCacheConfig) -> u64 {
-        let mut evicted = 0;
-        while self.by_fp.len() > 1
-            && (self.by_fp.len() > config.max_entries || self.total_bytes > config.max_bytes)
+    /// The value under `key`, now the most recently used.
+    fn get(&mut self, key: &K) -> Option<&V> {
+        let (value, stamp, _) = self.map.get_mut(key)?;
+        self.by_stamp.remove(stamp);
+        self.stamp += 1;
+        *stamp = self.stamp;
+        self.by_stamp.insert(self.stamp, *key);
+        Some(value)
+    }
+
+    /// Stores `value`, weighing `bytes`, as the most recently used
+    /// entry, then evicts the oldest entries while over a cap. Returns
+    /// the evicted values for the caller to drop outside its lock.
+    fn insert(&mut self, key: K, value: V, bytes: usize) -> Vec<V> {
+        self.stamp += 1;
+        if let Some((_, stamp, old)) = self.map.insert(key, (value, self.stamp, bytes)) {
+            self.by_stamp.remove(&stamp);
+            self.bytes -= old;
+        }
+        self.by_stamp.insert(self.stamp, key);
+        self.bytes += bytes;
+        let mut evicted = Vec::new();
+        while self.map.len() > 1
+            && (self.map.len() > self.max_entries || self.bytes > self.max_bytes)
         {
-            let victim = self
-                .by_fp
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(fp, _)| *fp)
-                .expect("non-empty cache has an LRU entry");
-            if let Some(entry) = self.by_fp.remove(&victim) {
-                self.total_bytes -= entry.bytes;
-            }
-            self.source_alias.retain(|_, fp| *fp != victim);
-            evicted += 1;
+            let (_, oldest) = self.by_stamp.pop_first().expect("more than one entry");
+            let (value, _, bytes) = self.map.remove(&oldest).expect("indexed keys are live");
+            self.bytes -= bytes;
+            evicted.push(value);
         }
         evicted
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
     }
 }
 
@@ -168,10 +181,16 @@ pub struct Resolved {
     pub evicted: u64,
 }
 
+/// The program cache's two tables, under one mutex.
+struct ProgramTables {
+    programs: Lru<ProgramFingerprint, Arc<CompiledProgram>>,
+    /// Source hash → (source text, fingerprint).
+    aliases: Lru<u64, (Box<str>, ProgramFingerprint)>,
+}
+
 /// The admission-time compiled-program cache.
 pub struct ProgramCache {
-    config: ProgramCacheConfig,
-    inner: Mutex<ProgramCacheInner>,
+    tables: Mutex<ProgramTables>,
     counters: CacheCounters,
 }
 
@@ -186,24 +205,26 @@ impl ProgramCache {
     /// An empty cache with the given caps.
     pub fn new(config: ProgramCacheConfig) -> Self {
         ProgramCache {
-            config,
-            inner: Mutex::new(ProgramCacheInner::default()),
+            tables: Mutex::new(ProgramTables {
+                programs: Lru::new(config.max_entries, config.max_bytes),
+                aliases: Lru::new(config.max_entries, config.max_bytes),
+            }),
             counters: CacheCounters::default(),
         }
     }
 
-    /// The shared counters (telemetry splicing, tests).
+    fn lock(&self) -> MutexGuard<'_, ProgramTables> {
+        self.tables.lock().expect("program cache poisoned")
+    }
+
+    /// The cache's counters (tests).
     pub fn counters(&self) -> &CacheCounters {
         &self.counters
     }
 
-    /// Resident entries.
+    /// Resident compiled programs.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("program cache poisoned")
-            .by_fp
-            .len()
+        self.lock().programs.len()
     }
 
     /// `true` when nothing is cached.
@@ -216,15 +237,15 @@ impl ProgramCache {
     /// source; it is *not* counted as a cache miss — no compile was
     /// avoidable.
     pub fn lookup_ref(&self, fp: ProgramFingerprint) -> Option<Arc<CompiledProgram>> {
-        let hit = self.inner.lock().expect("program cache poisoned").touch(fp);
+        let hit = self.lock().programs.get(&fp).cloned();
         if hit.is_some() {
-            CacheCounters::bump(&self.counters.hits);
+            CacheCounters::add(&self.counters.hits, 1);
         }
         hit
     }
 
-    /// Resolves program source to a compiled bundle: byte-identical
-    /// resubmissions hit via the source alias with zero parse work;
+    /// Resolves program source to a compiled bundle: a byte-identical
+    /// resubmission hits via its source alias with zero parse work;
     /// otherwise one compile runs and the result is cached (deduped by
     /// fingerprint, so reformatted equivalents share one entry).
     ///
@@ -233,96 +254,89 @@ impl ProgramCache {
     pub fn resolve_source(&self, source: &str, _tenant: &str) -> Result<Resolved, CoreError> {
         let key = source_key(source);
         {
-            let mut inner = self.inner.lock().expect("program cache poisoned");
-            if let Some(fp) = inner.source_alias.get(&key).copied() {
-                if let Some(program) = inner.touch(fp) {
-                    CacheCounters::bump(&self.counters.hits);
-                    return Ok(Resolved {
-                        program,
-                        resolution: Resolution::Hit,
-                        evicted: 0,
-                    });
-                }
-                // Alias survived its entry's eviction window — treat
-                // as a plain miss below.
+            let mut tables = self.lock();
+            let aliased = match tables.aliases.get(&key) {
+                Some((text, fp)) if **text == *source => Some(*fp),
+                _ => None,
+            };
+            if let Some(program) = aliased.and_then(|fp| tables.programs.get(&fp).cloned()) {
+                CacheCounters::add(&self.counters.hits, 1);
+                return Ok(Resolved {
+                    program,
+                    resolution: Resolution::Hit,
+                    evicted: 0,
+                });
             }
         }
         // Compile outside the lock: admission threads of other
         // connections keep hitting while we build.
-        CacheCounters::bump(&self.counters.misses);
-        CacheCounters::bump(&self.counters.compiles);
+        CacheCounters::add(&self.counters.misses, 1);
         let compiled = compile(source)?;
         let fp = compiled.fingerprint();
-        let bytes = compiled.approx_bytes();
-        let mut inner = self.inner.lock().expect("program cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let program = match inner.by_fp.get_mut(&fp) {
-            // A reformatted equivalent (or a racing compile) already
-            // landed: keep the incumbent so every session shares one
-            // allocation, just record the new alias.
-            Some(entry) => {
-                entry.last_used = tick;
-                Arc::clone(&entry.program)
-            }
+        let mut tables = self.lock();
+        // A reformatted equivalent (or a racing compile) may already have
+        // landed: keep the incumbent so every session shares one
+        // allocation, and just record the new alias.
+        let (program, evicted) = match tables.programs.get(&fp).cloned() {
+            Some(incumbent) => (incumbent, Vec::new()),
             None => {
-                inner.total_bytes += bytes;
-                inner.by_fp.insert(
-                    fp,
-                    Entry {
-                        program: Arc::clone(&compiled),
-                        bytes,
-                        last_used: tick,
-                    },
-                );
-                compiled
+                let bytes = compiled.approx_bytes();
+                let evicted = tables.programs.insert(fp, Arc::clone(&compiled), bytes);
+                (compiled, evicted)
             }
         };
-        inner.source_alias.insert(key, fp);
-        let evicted = inner.evict_over_caps(&self.config);
-        self.counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
+        let _stale_aliases = tables
+            .aliases
+            .insert(key, (source.into(), fp), source.len());
+        // The victims (an evicted program can hold a large database) are
+        // freed after the lock is released, when they go out of scope.
+        drop(tables);
+        let evicted_count = evicted.len() as u64;
+        CacheCounters::add(&self.counters.evictions, evicted_count);
         Ok(Resolved {
             program,
             resolution: Resolution::Compiled,
-            evicted,
+            evicted: evicted_count,
         })
     }
 }
 
 /// Memoized termination verdicts: fingerprint × decider class →
-/// definitive verdict. Bounded FIFO-ish (LRU by use-stamp) at
-/// `max_entries`; `Unknown` is never stored.
+/// definitive verdict, LRU-bounded at `max_entries`; `Unknown` is
+/// never stored.
 pub struct DecideCache {
-    max_entries: usize,
-    inner: Mutex<DecideCacheInner>,
-}
-
-#[derive(Default)]
-struct DecideCacheInner {
-    verdicts: HashMap<(ProgramFingerprint, &'static str), (TerminationVerdict, u64)>,
-    tick: u64,
+    verdicts: Mutex<Lru<(ProgramFingerprint, &'static str), TerminationVerdict>>,
+    counters: CacheCounters,
 }
 
 impl DecideCache {
     /// An empty cache bounded at `max_entries` verdicts.
     pub fn new(max_entries: usize) -> Self {
         DecideCache {
-            max_entries: max_entries.max(1),
-            inner: Mutex::new(DecideCacheInner::default()),
+            verdicts: Mutex::new(Lru::new(max_entries, usize::MAX)),
+            counters: CacheCounters::default(),
         }
     }
 
-    /// The memoized verdict for `fp` under `class`, if any.
+    fn lock(&self) -> MutexGuard<'_, Lru<(ProgramFingerprint, &'static str), TerminationVerdict>> {
+        self.verdicts.lock().expect("decide cache poisoned")
+    }
+
+    /// The cache's counters (tests).
+    pub fn counters(&self) -> &CacheCounters {
+        &self.counters
+    }
+
+    /// The memoized verdict for `fp` under `class`, if any; counts a
+    /// hit or a miss.
     pub fn get(&self, fp: ProgramFingerprint, class: &'static str) -> Option<TerminationVerdict> {
-        let mut inner = self.inner.lock().expect("decide cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.verdicts.get_mut(&(fp, class)).map(|slot| {
-            slot.1 = tick;
-            slot.0.clone()
-        })
+        let hit = self.lock().get(&(fp, class)).cloned();
+        let counter = match hit {
+            Some(_) => &self.counters.hits,
+            None => &self.counters.misses,
+        };
+        CacheCounters::add(counter, 1);
+        hit
     }
 
     /// Memoizes a definitive verdict; `Unknown` is dropped on the
@@ -336,28 +350,13 @@ impl DecideCache {
         if verdict.is_unknown() {
             return;
         }
-        let mut inner = self.inner.lock().expect("decide cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.verdicts.insert((fp, class), (verdict.clone(), tick));
-        while inner.verdicts.len() > self.max_entries {
-            let victim = inner
-                .verdicts
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| *k)
-                .expect("non-empty cache has an LRU entry");
-            inner.verdicts.remove(&victim);
-        }
+        let evicted = self.lock().insert((fp, class), verdict.clone(), 0);
+        CacheCounters::add(&self.counters.evictions, evicted.len() as u64);
     }
 
     /// Memoized verdicts currently resident.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("decide cache poisoned")
-            .verdicts
-            .len()
+        self.lock().len()
     }
 
     /// `true` when nothing is memoized.
@@ -373,15 +372,6 @@ pub struct Caches {
     pub programs: ProgramCache,
     /// Memoized decide verdicts.
     pub decide: DecideCache,
-}
-
-impl Default for Caches {
-    fn default() -> Self {
-        Caches {
-            programs: ProgramCache::new(ProgramCacheConfig::default()),
-            decide: DecideCache::new(1024),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -513,5 +503,102 @@ mod tests {
             cache.insert(ProgramFingerprint(i), "sticky", &verdict);
         }
         assert_eq!(cache.len(), 2);
+    }
+
+    /// Two sources with different rules and one alias key. Each is a
+    /// fixed prefix ending in a `%` comment, then 8 letters, then 8
+    /// printable bytes. A's tail is fixed; B's letters come from a
+    /// seeded search and its last 8 bytes are solved from the FxHash
+    /// state so that B's key lands on A's (FxHash maps state `s` and a
+    /// last 8-byte word `w` to `(s.rotl(5) ^ w) * SEED`, and `SEED` is
+    /// odd, so `w` has one solution; about 1 in 2,800 is printable).
+    fn colliding_sources() -> (String, String) {
+        const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        // FX_SEED⁻¹ mod 2⁶⁴ by Newton's iteration.
+        let mut inverse = FX_SEED;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(FX_SEED.wrapping_mul(inverse)));
+        }
+        let a = "R(a,b).\nR(x,y) -> S(x).\n%       abcdefghijklmnop".to_string();
+        let target = source_key(&a).wrapping_mul(inverse);
+        let prefix = "R(a,b).\nR(x,y) -> T(y).\n%       ";
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        loop {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let letters: String = (0..8)
+                .map(|i| char::from(b'a' + ((rng >> (8 * i)) % 26) as u8))
+                .collect();
+            let mut h = FxHasher::default();
+            h.write(b"chase-source-alias");
+            h.write(prefix.as_bytes());
+            h.write(letters.as_bytes());
+            let last = (target ^ h.finish().rotate_left(5)).to_le_bytes();
+            if last.iter().all(|b| (b' '..=b'~').contains(b)) {
+                let tail = std::str::from_utf8(&last).unwrap();
+                return (a, format!("{prefix}{letters}{tail}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_colliding_alias_key_is_a_miss_not_another_program() {
+        let (a, b) = colliding_sources();
+        assert_eq!(
+            a.len() % 8,
+            0,
+            "the solved bytes must be the last FxHash word"
+        );
+        assert_eq!(b.len(), a.len());
+        // A real collision under the alias key.
+        assert_eq!(source_key(&a), source_key(&b));
+        let fp_b = compile(&b).unwrap().fingerprint();
+        assert_ne!(compile(&a).unwrap().fingerprint(), fp_b);
+
+        let cache = ProgramCache::new(ProgramCacheConfig::default());
+        cache.resolve_source(&a, "tenant-a").unwrap();
+        let served = cache.resolve_source(&b, "tenant-b").unwrap();
+        assert_eq!(served.program.fingerprint(), fp_b);
+        assert_eq!(served.resolution, Resolution::Compiled);
+        // Both texts hit from now on, each with its own program.
+        let again = cache.resolve_source(&b, "tenant-b").unwrap();
+        assert_eq!(again.program.fingerprint(), fp_b);
+    }
+
+    #[test]
+    fn aliases_of_a_hot_program_are_bounded() {
+        let cache = ProgramCache::new(ProgramCacheConfig {
+            max_entries: 8,
+            max_bytes: usize::MAX,
+        });
+        for i in 0..1000 {
+            let variant = format!("{FINITE}{}", " ".repeat(i));
+            cache.resolve_source(&variant, "t").unwrap();
+        }
+        assert_eq!(cache.len(), 1);
+        assert!(alias_count(&cache) <= 8, "{} aliases", alias_count(&cache));
+    }
+
+    #[test]
+    fn each_cache_counts_its_own_lookups() {
+        let caches = Caches {
+            programs: ProgramCache::new(ProgramCacheConfig::default()),
+            decide: DecideCache::new(1),
+        };
+        let program = caches.programs.resolve_source(FINITE, "t").unwrap().program;
+        let fp = program.fingerprint();
+        let config = chase_termination::DeciderConfig::default();
+        let verdict = chase_termination::decide(program.tgd_set(), program.vocab(), &config);
+        assert!(caches.decide.get(fp, "sticky").is_none());
+        caches.decide.insert(fp, "sticky", &verdict);
+        assert!(caches.decide.get(fp, "sticky").is_some());
+        caches.decide.insert(fp, "guarded", &verdict);
+        assert_eq!(caches.decide.counters().snapshot()[..3], [1, 1, 1]);
+        assert_eq!(caches.programs.counters().snapshot()[..3], [0, 1, 0]);
+    }
+
+    fn alias_count(cache: &ProgramCache) -> usize {
+        cache.lock().aliases.len()
     }
 }

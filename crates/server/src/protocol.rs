@@ -263,17 +263,6 @@ impl Reply {
     }
 }
 
-/// The wire name of a chase outcome.
-pub fn outcome_name(outcome: chase_engine::governor::Outcome) -> &'static str {
-    use chase_engine::governor::Outcome;
-    match outcome {
-        Outcome::Terminated => "terminated",
-        Outcome::BudgetExhausted => "budget_exhausted",
-        Outcome::DeadlineExceeded => "deadline_exceeded",
-        Outcome::Cancelled => "cancelled",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

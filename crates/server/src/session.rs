@@ -13,7 +13,6 @@
 //! [`FaultPlan::socket_fail_after`]: chase_engine::faults::FaultPlan::socket_fail_after
 //! [`TaskError::Panicked`]: chase_engine::task::TaskError::Panicked
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -24,7 +23,7 @@ use chase_telemetry::{names, ChaseObserver, Event, NullObserver};
 use chase_termination::{decide_observed, decider_class, DeciderConfig, TerminationVerdict};
 
 use crate::cache::Caches;
-use crate::protocol::{outcome_name, Reply, SessionOp, SessionRequest};
+use crate::protocol::{Reply, SessionOp, SessionRequest};
 use crate::scheduler::RunnerCtx;
 use crate::server::ConnWriter;
 
@@ -124,7 +123,7 @@ pub fn run_session(
             match result {
                 Ok(out) => (
                     head.str("status", "ok")
-                        .str("outcome", outcome_name(out.outcome))
+                        .str("outcome", out.outcome.name())
                         .num("steps", out.steps as u64)
                         .num("atoms", out.atoms() as u64)
                         .str("fingerprint", &format!("{:016x}", out.fingerprint())),
@@ -186,14 +185,12 @@ fn decide_memoized(
     let set = program.tgd_set();
     let fp = program.fingerprint();
     let class = decider_class(set);
-    let counters = caches.programs.counters();
     let cached = caches.decide.get(fp, class);
-    let (counter, name) = match cached {
-        Some(_) => (&counters.decide_hits, names::DECIDE_CACHE_HITS),
-        None => (&counters.decide_misses, names::DECIDE_CACHE_MISSES),
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
     if req.telemetry {
+        let name = match cached {
+            Some(_) => names::DECIDE_CACHE_HITS,
+            None => names::DECIDE_CACHE_MISSES,
+        };
         stream.on_event(&Event::CounterAdd { name, delta: 1 });
     }
     if let Some(verdict) = cached {

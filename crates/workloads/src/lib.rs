@@ -22,5 +22,5 @@ pub mod prelude {
     pub use crate::random::{random_database, random_tgds, RandomTgdParams};
     pub use crate::runner::{run_labelled_suite, run_suite_entries, SuiteRun, SuiteRunEntry};
     pub use crate::scale::{scale_workload, ScaleParams, Shape};
-    pub use crate::suite::{decider_suite, labelled_suite, Expected, SuiteEntry};
+    pub use crate::suite::{labelled_suite, Expected, SuiteEntry};
 }

@@ -351,11 +351,6 @@ pub fn labelled_suite() -> Vec<SuiteEntry> {
     ]
 }
 
-/// Convenience: the entries whose deciders should run (single-head).
-pub fn decider_suite() -> Vec<SuiteEntry> {
-    labelled_suite()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,6 +47,14 @@ cargo test --offline -q --test incremental_equivalence
 echo "== cargo test -q --workspace =="
 cargo test --offline -q --workspace
 
+echo "== examples (each runnable scenario once; a non-zero exit fails) =="
+# `cargo test` and clippy only build examples/*.rs; this runs them.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "-- $name"
+    cargo run --offline -q --example "$name" >/dev/null
+done
+
 echo "== sticky-vs-linear decider sweep (1,500 random linear sets) =="
 # The ignored exhaustive sweep of tests/decider_consistency.rs: the
 # sticky Büchi decider and the independent linear decider must agree
