@@ -3,8 +3,9 @@
 //! binary, and every malformed command line fails with code 2 plus a
 //! one-line usage hint on stderr.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_chasectl");
 
@@ -13,6 +14,10 @@ const INFINITE: &str = "R(a,b).\nR(x,y) -> exists z. R(y,z).\n";
 
 /// A terminating program: one application saturates it.
 const FINITE: &str = "R(a,b).\nR(x,y) -> S(x).\n";
+
+/// The committed `classify` and `decide` stdout of every example
+/// program.
+const EXAMPLES_GOLDEN: &str = "tests/golden/examples_stdout.txt";
 
 /// Writes a throwaway rule file; `name` keeps concurrent tests apart.
 fn rule_file(name: &str, contents: &str) -> PathBuf {
@@ -104,6 +109,50 @@ fn decide_with_expired_deadline_exits_four_with_honest_unknown() {
     assert_eq!(code(&out), 4, "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("deadline exceeded"), "{stdout}");
+}
+
+/// `classify` then `decide` on every `examples/rules/*.chase`, sorted
+/// by name, each block headed by its command line.
+fn examples_stdout() -> String {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/rules");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("examples/rules")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "chase"))
+        .collect();
+    files.sort();
+    let mut text = String::new();
+    for file in &files {
+        let name = file.file_name().unwrap().to_string_lossy();
+        for command in ["classify", "decide"] {
+            let out = run(&[command, file.to_str().unwrap()]);
+            assert_eq!(code(&out), 0, "{command} {name}: {}", stderr(&out));
+            text.push_str(&format!("== {command} {name}\n"));
+            text.push_str(&String::from_utf8_lossy(&out.stdout));
+        }
+    }
+    text
+}
+
+#[test]
+fn examples_stdout_matches_golden_file() {
+    let golden = std::fs::read_to_string(EXAMPLES_GOLDEN).expect("golden file present");
+    assert_eq!(
+        examples_stdout(),
+        golden,
+        "classify/decide output drifted from {EXAMPLES_GOLDEN}; if the change is intentional, \
+         regenerate with `cargo test -p chase-cli --test cli_golden regenerate -- --ignored`"
+    );
+}
+
+/// Regenerates the examples golden file. Run explicitly after a
+/// deliberate output change:
+/// `cargo test -p chase-cli --test cli_golden regenerate -- --ignored`.
+#[test]
+#[ignore]
+fn regenerate_examples_golden() {
+    std::fs::create_dir_all("tests/golden").unwrap();
+    std::fs::write(EXAMPLES_GOLDEN, examples_stdout()).unwrap();
 }
 
 #[test]
@@ -602,15 +651,18 @@ fn serve_and_client_usage_errors() {
         ));
         let socket = format!("unix:{}", socket.display());
         assert_usage_error(
-            &run_with_timeout(&["serve", "--socket", &socket, flag, "0"]),
+            &run_with_timeout(
+                &["serve", "--socket", &socket, flag, "0"],
+                Duration::from_secs(10),
+            ),
             flag,
         );
     }
 }
 
 /// Runs `chasectl` like [`run`], but kills it if it has not exited
-/// within ten seconds and then panics.
-fn run_with_timeout(args: &[&str]) -> Output {
+/// within `limit` and then panics.
+fn run_with_timeout(args: &[&str], limit: Duration) -> Output {
     use std::process::Stdio;
     let mut child = Command::new(BIN)
         .args(args)
@@ -618,14 +670,14 @@ fn run_with_timeout(args: &[&str]) -> Output {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn chasectl");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let deadline = Instant::now() + limit;
     while child.try_wait().expect("poll chasectl").is_none() {
-        if std::time::Instant::now() >= deadline {
+        if Instant::now() >= deadline {
             let _ = child.kill();
             let _ = child.wait();
-            panic!("chasectl {args:?} did not exit within 10 s");
+            panic!("chasectl {args:?} did not exit within {limit:?}");
         }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
     }
     child.wait_with_output().expect("collect chasectl output")
 }
