@@ -1,17 +1,18 @@
-//! A one-call structural profile of a TGD set: which syntactic classes
-//! it belongs to and which baseline criteria it satisfies.
+//! A one-call syntactic profile of a TGD set: which recognised classes
+//! it belongs to. It runs no chase. Marnette's semi-oblivious check on
+//! the critical database belongs to the deciders; when it proves
+//! termination, the verdict's certificate says so
+//! (`SemiObliviousCritical` in `chase-termination`).
 
 use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
-use chase_engine::restricted::Budget;
 
-use crate::baselines::{semi_oblivious_critical, CriterionOutcome};
 use crate::guarded::{all_guarded, all_linear};
 use crate::jointly_acyclic::is_jointly_acyclic;
 use crate::sticky::is_sticky;
 use crate::weakly_acyclic::is_weakly_acyclic;
 
-/// Structural class membership and baseline results for a TGD set.
+/// Syntactic class membership of a TGD set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassProfile {
     /// Every TGD single-head (precondition of the paper's theorems).
@@ -26,21 +27,11 @@ pub struct ClassProfile {
     pub weakly_acyclic: bool,
     /// Jointly acyclic (implies `CT^res_∀∀`; strictly weaker than WA).
     pub jointly_acyclic: bool,
-    /// Marnette's criterion: semi-oblivious chase terminates on the
-    /// critical database within the analysis budget.
-    pub semi_oblivious_critical_terminates: bool,
 }
 
 impl ClassProfile {
-    /// Analyses the set. The semi-oblivious criterion uses the given
-    /// budget (pass [`Budget::steps`] with a few thousand steps for
-    /// interactive use).
-    pub fn analyse(set: &TgdSet, vocab: &Vocabulary, budget: Budget) -> Self {
-        let mut scratch = vocab.clone();
-        let so = matches!(
-            semi_oblivious_critical(set, &mut scratch, budget),
-            CriterionOutcome::Holds { .. }
-        );
+    /// Analyses the set.
+    pub fn analyse(set: &TgdSet, vocab: &Vocabulary) -> Self {
         ClassProfile {
             single_head: set.all_single_head(),
             guarded: all_guarded(set),
@@ -48,7 +39,6 @@ impl ClassProfile {
             sticky: is_sticky(set),
             weakly_acyclic: is_weakly_acyclic(set, vocab),
             jointly_acyclic: is_jointly_acyclic(set),
-            semi_oblivious_critical_terminates: so,
         }
     }
 
@@ -58,8 +48,8 @@ impl ClassProfile {
         self.single_head && (self.guarded || self.sticky)
     }
 
-    /// Renders the profile as a compact single line.
-    pub fn summary(&self) -> String {
+    /// The names of the classes the set belongs to.
+    pub fn tags(&self) -> Vec<&'static str> {
         let mut tags = Vec::new();
         if self.single_head {
             tags.push("single-head");
@@ -77,14 +67,21 @@ impl ClassProfile {
         } else if self.jointly_acyclic {
             tags.push("jointly-acyclic");
         }
-        if self.semi_oblivious_critical_terminates {
-            tags.push("so-critical-terminating");
-        }
-        if tags.is_empty() {
-            "(no recognised class)".to_string()
-        } else {
-            tags.join(", ")
-        }
+        tags
+    }
+
+    /// Renders the profile as a compact single line.
+    pub fn summary(&self) -> String {
+        render_tags(&self.tags())
+    }
+}
+
+/// Joins class tags into one line, or names the absence of any.
+pub fn render_tags(tags: &[&str]) -> String {
+    if tags.is_empty() {
+        "(no recognised class)".to_string()
+    } else {
+        tags.join(", ")
     }
 }
 
@@ -96,14 +93,13 @@ mod tests {
     fn profile(src: &str) -> ClassProfile {
         let mut vocab = Vocabulary::new();
         let set = parse_tgds(src, &mut vocab).unwrap();
-        ClassProfile::analyse(&set, &vocab, Budget::steps(2_000))
+        ClassProfile::analyse(&set, &vocab)
     }
 
     #[test]
     fn linear_rule_profile() {
         let p = profile("R(x,y) -> exists z. R(x,z).");
         assert!(p.single_head && p.linear && p.guarded && p.sticky && p.weakly_acyclic);
-        assert!(p.semi_oblivious_critical_terminates);
         assert!(p.in_decidable_fragment());
         assert!(p.summary().contains("linear"));
     }

@@ -2,10 +2,10 @@
 //! toolkit.
 //!
 //! ```text
-//! chasectl classify <file>          structural class profile
+//! chasectl classify <file>          syntactic classes + semi-oblivious critical check
 //! chasectl chase <file> [--steps N] [--strategy fifo|lifo|random|priority] [--seed N]
 //! chasectl oblivious <file> [--steps N] [--semi]
-//! chasectl decide <file>            all-instances termination verdict
+//! chasectl decide <file>            all-instances termination verdict (one governed run)
 //! chasectl profile <file>           profiled run: span/memory report + overhead gate
 //! chasectl dot <file> [--steps N]   chase, then emit the derivation as graphviz
 //! chasectl suite [--metrics]        run the deciders over the labelled suite
@@ -24,6 +24,11 @@
 //! (wall-clock deadline) and — for the chase commands —
 //! `--cancel-after <N>` (cooperative cancellation after N steps,
 //! exercising the same path a signal handler would).
+//!
+//! `decide` runs the decider once, under `--deadline-ms`; its
+//! `classes:` line is the syntactic profile, and the certificate names
+//! the semi-oblivious check when that check proved termination.
+//! `classify` runs the check itself, under the decider's step budget.
 //!
 //! `chase`, `oblivious`, `profile` and `client chase` resolve the
 //! chase they run through `ChaseVariant::parse`, the parser the server
@@ -55,9 +60,11 @@
 //!
 //! Rule files contain TGDs and facts in the syntax of DESIGN.md §5.
 
+use std::fmt::Display;
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use chase_core::compile::compile;
@@ -71,9 +78,11 @@ use chase_telemetry::summary::format_nanos;
 use chase_telemetry::{
     time_phase, ChaseObserver, CountingObserver, Event, JsonlWriter, TelemetrySummary,
 };
+use chase_termination::report::explain;
 use chase_termination::{decide_observed, DeciderConfig, TerminationVerdict};
 use chase_workloads::runner::run_labelled_suite;
-use tgd_classes::profile::ClassProfile;
+use tgd_classes::baselines::{semi_oblivious_critical, CriterionOutcome};
+use tgd_classes::profile::{render_tags, ClassProfile};
 
 mod profile;
 mod serve;
@@ -260,12 +269,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         "stats" => {
             let paths = check_flags(&args[1..], &["--idle-exit-ms"], &["--follow"])?;
             let follow = args.iter().any(|a| a == "--follow");
-            let idle_exit_ms = flag_value(args, "--idle-exit-ms")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|e| CliError::Usage(format!("invalid --idle-exit-ms '{s}': {e}")))
-                })
-                .transpose()?;
+            let idle_exit_ms = num_flag(args, "--idle-exit-ms")?;
             if idle_exit_ms.is_some() && !follow {
                 return Err(CliError::Usage(
                     "--idle-exit-ms only makes sense with --follow".into(),
@@ -343,16 +347,11 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             // boilerplate; the same bundle the server caches.
             let compiled = compile(&src).map_err(|e| e.to_string())?;
             let (set, vocab) = (compiled.tgd_set(), compiled.vocab());
-            let steps_flag = flag_value(args, "--steps")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|e| CliError::Usage(format!("invalid --steps '{s}': {e}")))
-                })
-                .transpose()?;
+            let steps_flag = num_flag(args, "--steps")?;
             let steps = steps_flag.unwrap_or(10_000);
             match command.as_str() {
                 "classify" => {
-                    cmd_classify(set, vocab)?;
+                    cmd_classify(set, vocab);
                     Ok(ExitCode::SUCCESS)
                 }
                 "chase" | "oblivious" => {
@@ -382,7 +381,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                         ..DeciderConfig::default()
                     };
                     let mut telemetry = CliTelemetry::from_args(args)?;
-                    let verdict = cmd_decide(set, vocab, &config, &mut telemetry)?;
+                    let verdict = cmd_decide(set, vocab, &config, &mut telemetry);
                     // `explain` already embedded the metrics table.
                     telemetry.finish(false)?;
                     Ok(ExitCode::from(verdict_exit(&verdict)))
@@ -398,29 +397,18 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     }
                     let variant =
                         variant_from_flags(args, oblivious.then(|| oblivious_engine(args)))?;
-                    let parse_u64 = |flag: &str| -> Result<Option<u64>, CliError> {
-                        flag_value(args, flag)?
-                            .map(|s| {
-                                s.parse::<u64>().map_err(|e| {
-                                    CliError::Usage(format!("invalid {flag} '{s}': {e}"))
-                                })
-                            })
-                            .transpose()
-                    };
                     let defaults = profile::ProfileOptions::default();
                     let opts = profile::ProfileOptions {
                         steps,
                         variant,
-                        runs: parse_u64("--runs")?
-                            .map(|n| n as usize)
-                            .unwrap_or(defaults.runs),
-                        heartbeat_every: parse_u64("--heartbeat-every")?
+                        runs: num_flag(args, "--runs")?.unwrap_or(defaults.runs),
+                        heartbeat_every: num_flag(args, "--heartbeat-every")?
                             .unwrap_or(defaults.heartbeat_every),
-                        sample_every: parse_u64("--sample-every")?,
+                        sample_every: num_flag(args, "--sample-every")?,
                         json: flag_value(args, "--json")?,
                         folded: flag_value(args, "--folded")?,
                         trace: flag_value(args, "--trace")?,
-                        max_overhead_pct: parse_u64("--max-overhead")?,
+                        max_overhead_pct: num_flag(args, "--max-overhead")?,
                     };
                     profile::cmd_profile(compiled.database(), set, vocab, &opts)?;
                     Ok(ExitCode::SUCCESS)
@@ -444,6 +432,19 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, CliError> {
         None => Ok(None),
         Some(i) => value_at(args, i, flag).map(|v| Some(v.clone())),
     }
+}
+
+/// Parses `flag`'s numeric value, if the flag is present.
+fn num_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, CliError>
+where
+    T::Err: Display,
+{
+    flag_value(args, flag)?
+        .map(|s| {
+            s.parse::<T>()
+                .map_err(|e| CliError::Usage(format!("invalid {flag} '{s}': {e}")))
+        })
+        .transpose()
 }
 
 /// The value following the flag at `args[i]`.
@@ -485,13 +486,7 @@ fn parse_seed(s: &str) -> Result<u64, CliError> {
 
 /// Parses `--deadline-ms` into a [`Duration`], if present.
 fn deadline_from_flags(args: &[String]) -> Result<Option<Duration>, CliError> {
-    flag_value(args, "--deadline-ms")?
-        .map(|s| {
-            s.parse::<u64>()
-                .map(Duration::from_millis)
-                .map_err(|e| CliError::Usage(format!("invalid --deadline-ms '{s}': {e}")))
-        })
-        .transpose()
+    Ok(num_flag(args, "--deadline-ms")?.map(Duration::from_millis))
 }
 
 /// Builds the chase governor from `--deadline-ms` / `--cancel-after`
@@ -503,10 +498,7 @@ fn governor_from_flags(args: &[String], steps: usize) -> Result<ResourceGovernor
     if let Some(deadline) = deadline_from_flags(args)? {
         gov = gov.with_deadline_in(deadline);
     }
-    if let Some(s) = flag_value(args, "--cancel-after")? {
-        let after = s
-            .parse::<usize>()
-            .map_err(|e| CliError::Usage(format!("invalid --cancel-after '{s}': {e}")))?;
+    if let Some(after) = num_flag(args, "--cancel-after")? {
         gov = gov.with_faults(FaultPlan {
             cancel_at_step: Some(after),
             ..FaultPlan::default()
@@ -645,20 +637,25 @@ impl ChaseObserver for CliTelemetry {
     }
 }
 
-fn cmd_classify(set: &chase_core::tgd::TgdSet, vocab: &Vocabulary) -> Result<(), String> {
-    let profile = ClassProfile::analyse(set, vocab, Budget::steps(20_000));
+fn cmd_classify(set: &chase_core::tgd::TgdSet, vocab: &Vocabulary) {
+    let profile = ClassProfile::analyse(set, vocab);
+    let mut tags = profile.tags();
+    let budget = Budget::steps(DeciderConfig::default().chase_budget);
+    let so = semi_oblivious_critical(set, &mut vocab.clone(), budget);
+    if let CriterionOutcome::Holds { .. } = so {
+        tags.push("so-critical-terminating");
+    }
     println!("rules: {}", set.len());
     println!(
         "schema: {} predicates, max arity {}",
         set.schema_preds().len(),
         set.max_arity()
     );
-    println!("profile: {}", profile.summary());
+    println!("profile: {}", render_tags(&tags));
     println!(
         "decidable fragment (single-head guarded or sticky): {}",
         profile.in_decidable_fragment()
     );
-    Ok(())
 }
 
 fn cmd_chase(
@@ -697,15 +694,15 @@ fn cmd_decide(
     vocab: &Vocabulary,
     config: &DeciderConfig,
     telemetry: &mut CliTelemetry,
-) -> Result<TerminationVerdict, String> {
+) -> TerminationVerdict {
     let verdict = decide_observed(set, vocab, config, telemetry);
-    let profile = ClassProfile::analyse(set, vocab, Budget::steps(20_000));
+    let profile = ClassProfile::analyse(set, vocab);
     let summary = telemetry.summary();
     print!(
         "{}",
-        chase_termination::report::explain(&verdict, set, vocab, Some(&profile), summary.as_ref())
+        explain(&verdict, set, vocab, Some(&profile), summary.as_ref())
     );
-    Ok(verdict)
+    verdict
 }
 
 fn cmd_dot(

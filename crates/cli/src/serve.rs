@@ -31,19 +31,9 @@ use chase_server::server::{Endpoint, Server, ServerConfig};
 use chase_telemetry::json::{encode_line, Scalar};
 
 use crate::{
-    at_most, check_flags, flag_value, outcome_exit, unknown_exit, CliError, EXIT_FAILURE,
+    at_most, check_flags, flag_value, num_flag, outcome_exit, unknown_exit, CliError, EXIT_FAILURE,
     EXIT_OVERLOADED,
 };
-
-/// Parses an integer-valued flag, if present.
-fn num_flag(args: &[String], flag: &str) -> Result<Option<u64>, CliError> {
-    flag_value(args, flag)?
-        .map(|s| {
-            s.parse::<u64>()
-                .map_err(|e| CliError::Usage(format!("invalid {flag} '{s}': {e}")))
-        })
-        .transpose()
-}
 
 /// Parses a count flag that must be at least 1, if present. A zero
 /// queue cap would shed every request: the scheduler queues a job
@@ -51,7 +41,7 @@ fn num_flag(args: &[String], flag: &str) -> Result<Option<u64>, CliError> {
 fn count_flag(args: &[String], flag: &str) -> Result<Option<usize>, CliError> {
     match num_flag(args, flag)? {
         Some(0) => Err(CliError::Usage(format!("{flag} must be at least 1"))),
-        n => Ok(n.map(|n| n as usize)),
+        n => Ok(n),
     }
 }
 
@@ -308,7 +298,7 @@ fn submit(
     relay_events: bool,
 ) -> Result<Option<BTreeMap<String, Scalar>>, CliError> {
     let config = ClientConfig {
-        retries: num_flag(args, "--retries")?
+        retries: num_flag::<u64>(args, "--retries")?
             .map(|n| n as u32)
             .unwrap_or(ClientConfig::default().retries),
         ..ClientConfig::default()

@@ -15,6 +15,17 @@ const INFINITE: &str = "R(a,b).\nR(x,y) -> exists z. R(y,z).\n";
 /// A terminating program: one application saturates it.
 const FINITE: &str = "R(a,b).\nR(x,y) -> S(x).\n";
 
+/// Seed 120 of the random guarded sweep (`random_tgds`: 3 predicates,
+/// arity 3, 4 rules, bodies of up to 3 atoms, 35% existentials). Its
+/// semi-oblivious critical chase runs for many seconds, so a decide
+/// deadline holds only if nothing after the decider chases again.
+const SEED_120: &str = "\
+P1(r0b0a0), P2(r0b0a0,r0b0a0,r0b1a2), P0(r0b2a0,r0b2a1) -> exists r0e0. P1(r0e0).
+P2(r1b0a0,r1b0a1,r1b0a1), P1(r1b0a1), P0(r1b2a0,r1b2a1) -> exists r1e0,r1e1. P0(r1e0,r1e1).
+P2(r2b0a0,r2b0a1,r2b0a2), P2(r2b1a0,r2b1a1,r2b1a2), P2(r2b1a2,r2b2a1,r2b2a2) -> exists r2e0,r2e2. P2(r2e0,r2b0a2,r2e2).
+P2(r3b0a0,r3b0a1,r3b0a0) -> exists r3e1,r3e2. P2(r3b0a0,r3e1,r3e2).
+";
+
 /// The committed `classify` and `decide` stdout of every example
 /// program.
 const EXAMPLES_GOLDEN: &str = "tests/golden/examples_stdout.txt";
@@ -106,6 +117,18 @@ fn oblivious_honours_the_resilience_flags_too() {
 fn decide_with_expired_deadline_exits_four_with_honest_unknown() {
     let rules = rule_file("decide-dl", INFINITE);
     let out = run(&["decide", rules.to_str().unwrap(), "--deadline-ms", "0"]);
+    assert_eq!(code(&out), 4, "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("deadline exceeded"), "{stdout}");
+}
+
+#[test]
+fn decide_deadline_holds_end_to_end() {
+    let rules = rule_file("decide-seed-120", SEED_120);
+    let out = run_with_timeout(
+        &["decide", rules.to_str().unwrap(), "--deadline-ms", "1000"],
+        Duration::from_secs(2),
+    );
     assert_eq!(code(&out), 4, "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("deadline exceeded"), "{stdout}");

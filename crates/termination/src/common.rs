@@ -18,6 +18,11 @@ pub enum TerminationCertificate {
         /// Reachable product-automaton states explored.
         states: usize,
     },
+    /// No TGD that can fire has an existential variable (the guarded
+    /// provers first drop the never-active TGDs): no null is ever
+    /// invented, so every derivation stays within the active domain of
+    /// its database.
+    FullTgds,
     /// The set is weakly acyclic.
     WeaklyAcyclic,
     /// The set is jointly acyclic (Krötzsch & Rudolph), which implies

@@ -294,9 +294,8 @@ pub(crate) fn decide_guarded_governed<O: ChaseObserver + ?Sized>(
             .iter()
             .all(|t| t.existentials().is_empty())
         {
-            // Full TGDs only: the chase stays inside the active domain.
             return Some(TerminationVerdict::AllInstancesTerminating(
-                TerminationCertificate::ExhaustedSearch { seeds: 0 },
+                TerminationCertificate::FullTgds,
             ));
         }
         if is_weakly_acyclic(&simplified, vocab) {

@@ -86,6 +86,11 @@ fn explain_certificate(cert: &TerminationCertificate) -> String {
             "  certificate: the caterpillar Büchi automaton (paper Thm 6.1, App D.2) is empty\n  \
              ({states} reachable product states; no finitary caterpillar exists)\n"
         ),
+        TerminationCertificate::FullTgds => {
+            "  certificate: no TGD that can fire has an existential variable, so no null is \
+             ever invented and every derivation stays within the active domain\n"
+                .to_string()
+        }
         TerminationCertificate::WeaklyAcyclic => {
             "  certificate: weak acyclicity (no special-edge cycle in the position graph)\n"
                 .to_string()
@@ -111,13 +116,12 @@ mod tests {
     use crate::common::DeciderConfig;
     use crate::decide;
     use chase_core::parser::parse_tgds;
-    use chase_engine::restricted::Budget;
 
     fn explained(src: &str) -> String {
         let mut vocab = Vocabulary::new();
         let set = parse_tgds(src, &mut vocab).unwrap();
         let verdict = decide(&set, &vocab, &DeciderConfig::default());
-        let profile = ClassProfile::analyse(&set, &vocab, Budget::steps(5_000));
+        let profile = ClassProfile::analyse(&set, &vocab);
         explain(&verdict, &set, &vocab, Some(&profile), None)
     }
 

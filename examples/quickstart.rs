@@ -20,8 +20,8 @@ fn main() {
     println!("== rules ==");
     println!("{}\n", set.display(&vocab));
 
-    // 1. Structural classification.
-    let profile = ClassProfile::analyse(&set, &vocab, Budget::steps(10_000));
+    // 1. Syntactic classification.
+    let profile = ClassProfile::analyse(&set, &vocab);
     println!("classes: {}\n", profile.summary());
 
     // 2. The restricted chase terminates immediately...

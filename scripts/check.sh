@@ -125,6 +125,12 @@ for attempt in $(seq 1 "${BENCH_GATE_ATTEMPTS:-3}"); do
     fi
 done
 
+echo "== experiment report (expreport regenerates the EXPERIMENTS.md figures) =="
+# README and EXPERIMENTS.md point at this binary; running it keeps it
+# working. The hot-path smoke stage above already built chase-bench in
+# release. A non-zero exit fails the stage.
+cargo run --offline --release -q -p chase-bench --bin expreport >/dev/null
+
 echo "== BENCH_hotpath.json schema gate (host-honesty fields) =="
 # The committed report must record the host it was measured on
 # ("host_cpus") and carry the program-cache cold/warm comparison
