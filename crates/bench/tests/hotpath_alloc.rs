@@ -1,7 +1,8 @@
 //! Proof of the hot path's zero-allocation claim: once the scratch
-//! arenas are warmed, trigger enumeration, fingerprint interning and
-//! activeness checking perform **no heap allocation**, and neither
-//! does a warmed JSON Lines sink encoding an event.
+//! arenas are warmed, trigger enumeration, fingerprint interning,
+//! the discovery-time ground-head probe and activeness checking
+//! perform **no heap allocation**, and neither does a warmed JSON
+//! Lines sink encoding an event.
 //!
 //! The test installs a counting global allocator and must therefore be
 //! the only test in this binary (other tests' allocations on sibling
@@ -12,9 +13,12 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use chase_bench::closure_workload;
+use chase_core::atom::Atom;
 use chase_core::hom::{exists_homomorphism_with, HomScratch};
 use chase_core::ids::fx_set;
-use chase_engine::trigger::{for_each_trigger_using_with, for_each_trigger_with, TriggerFp};
+use chase_engine::trigger::{
+    for_each_trigger_using_with, for_each_trigger_with, ground_head_into, TriggerFp,
+};
 use chase_telemetry::{ChaseObserver, EngineKind, Event, JsonlWriter};
 
 /// Delegates to the system allocator, counting allocation events while
@@ -63,6 +67,7 @@ fn warmed_trigger_hot_path_allocates_nothing() {
 
     let mut enum_scratch = HomScratch::new();
     let mut probe_scratch = HomScratch::new();
+    let mut head = Atom::new(chase_core::ids::PredId(0), Vec::new());
     let mut seen = fx_set();
 
     // Warm-up pass: drive every buffer to its capacity high-water mark
@@ -71,17 +76,30 @@ fn warmed_trigger_hot_path_allocates_nothing() {
     let mut pass = |count: bool,
                     hits: &mut usize,
                     seen: &mut chase_core::ids::FxHashSet<TriggerFp>| {
+        // What the restricted chase does per discovered trigger of a
+        // single-head full TGD: build the ground head, probe the
+        // instance for it, and key the trigger by it.
+        let mut discover = |fp: TriggerFp, head: &Atom, hits: &mut usize| {
+            let _ = instance.contains(head);
+            let head_fp = TriggerFp::of_ground_head(head);
+            assert!(
+                fp.is_inline() && head_fp.is_inline(),
+                "closure keys stay inline"
+            );
+            for fp in [fp, head_fp] {
+                if count {
+                    if seen.contains(&fp) {
+                        *hits += 1;
+                    }
+                } else {
+                    seen.insert(fp);
+                }
+            }
+        };
         let _ = for_each_trigger_with(&mut enum_scratch, &set, &instance, &mut |id, b| {
             let tgd = set.tgd(id);
-            let fp = TriggerFp::of(id, b, tgd.sorted_body_vars());
-            assert!(fp.is_inline(), "closure workload stays inline");
-            if count {
-                if seen.contains(&fp) {
-                    *hits += 1;
-                }
-            } else {
-                seen.insert(fp);
-            }
+            ground_head_into(tgd, b, &mut head);
+            discover(TriggerFp::of(id, b, tgd.sorted_body_vars()), &head, hits);
             // Activeness probe seeded with the full body binding.
             let active = !exists_homomorphism_with(&mut probe_scratch, tgd.head(), &instance, b);
             let _ = active;
@@ -94,14 +112,8 @@ fn warmed_trigger_hot_path_allocates_nothing() {
             delta_slot,
             &mut |id, b| {
                 let tgd = set.tgd(id);
-                let fp = TriggerFp::of(id, b, tgd.sorted_body_vars());
-                if count {
-                    if seen.contains(&fp) {
-                        *hits += 1;
-                    }
-                } else {
-                    seen.insert(fp);
-                }
+                ground_head_into(tgd, b, &mut head);
+                discover(TriggerFp::of(id, b, tgd.sorted_body_vars()), &head, hits);
                 ControlFlow::Continue(())
             },
         );
@@ -112,8 +124,8 @@ fn warmed_trigger_hot_path_allocates_nothing() {
     let total = seen.len();
     assert!(total > 0, "workload must produce triggers");
 
-    // Measured pass: identical enumeration + fingerprints + activeness
-    // + membership probes, zero allocations.
+    // Measured pass: identical enumeration + fingerprints + ground
+    // heads + activeness + membership probes, zero allocations.
     let mut hits = 0usize;
     ALLOCATIONS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);

@@ -300,8 +300,7 @@ impl Atom {
 
     /// Renders the atom using the vocabulary.
     pub fn display(&self, vocab: &Vocabulary) -> String {
-        let args: Vec<String> = self.args.iter().map(|&t| vocab.term_to_string(t)).collect();
-        format!("{}({})", vocab.pred_name(self.pred), args.join(","))
+        AtomRef::from(self).display(vocab)
     }
 }
 
@@ -345,8 +344,22 @@ impl<'a> AtomRef<'a> {
 
     /// Renders the atom using the vocabulary.
     pub fn display(&self, vocab: &Vocabulary) -> String {
-        let args: Vec<String> = self.args.iter().map(|&t| vocab.term_to_string(t)).collect();
-        format!("{}({})", vocab.pred_name(self.pred), args.join(","))
+        let mut out = String::new();
+        self.write_to(vocab, &mut out);
+        out
+    }
+
+    /// Appends [`AtomRef::display`]'s rendering to `out`.
+    pub fn write_to(&self, vocab: &Vocabulary, out: &mut String) {
+        out.push_str(vocab.pred_name(self.pred));
+        out.push('(');
+        for (i, &t) in self.args.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            vocab.write_term(out, t);
+        }
+        out.push(')');
     }
 }
 

@@ -490,10 +490,31 @@ impl Instance {
     }
 
     /// Renders the instance for diagnostics, atoms sorted textually.
+    ///
+    /// Every atom is rendered into one buffer; sorting the atoms' byte
+    /// spans there orders them exactly as sorting their own strings
+    /// would, and the result is joined once.
     pub fn display(&self, vocab: &Vocabulary) -> String {
-        let mut parts: Vec<String> = self.iter().map(|a| a.display(vocab)).collect();
-        parts.sort();
-        format!("{{{}}}", parts.join(", "))
+        let mut text = String::new();
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(self.len());
+        for atom in self.iter() {
+            let start = text.len();
+            atom.write_to(vocab, &mut text);
+            spans.push((start, text.len()));
+        }
+        // Byte order is `str` order.
+        let bytes = text.as_bytes();
+        spans.sort_unstable_by(|&(a, b), &(c, d)| bytes[a..b].cmp(&bytes[c..d]));
+        let mut out = String::with_capacity(text.len() + 2 * spans.len() + 2);
+        out.push('{');
+        for (i, &(start, end)) in spans.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&text[start..end]);
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -529,6 +550,35 @@ mod tests {
 
     fn atom(p: u32, args: &[Term]) -> Atom {
         Atom::new(PredId(p), args.to_vec())
+    }
+
+    /// `display` sorts atoms by their rendered text (so `_:n10` before
+    /// `_:n2`, ASCII before `⟨cK⟩`) and joins them with `", "`: the
+    /// served result fingerprint hashes this text.
+    #[test]
+    fn display_pins_sorted_text() {
+        let mut vocab = Vocabulary::new();
+        let r = vocab.pred("R", 2).unwrap();
+        let s = vocab.pred("S", 1).unwrap();
+        let a = Term::Const(vocab.constant("a"));
+        let b = Term::Const(vocab.constant("b"));
+        let n = |i| Term::Null(NullId(i));
+        let inst = Instance::from_atoms([
+            Atom::new(s, vec![c(7)]),
+            Atom::new(r, vec![a, n(2)]),
+            Atom::new(r, vec![c(12), n(3)]),
+            Atom::new(r, vec![b, a]),
+            Atom::new(r, vec![a, n(10)]),
+        ]);
+        assert_eq!(
+            inst.display(&vocab),
+            "{R(a,_:n10), R(a,_:n2), R(b,a), R(⟨c12⟩,_:n3), S(⟨c7⟩)}"
+        );
+        // Same text as sorting and joining each atom's own rendering.
+        let mut parts: Vec<String> = inst.iter().map(|x| x.display(&vocab)).collect();
+        parts.sort();
+        assert_eq!(inst.display(&vocab), format!("{{{}}}", parts.join(", ")));
+        assert_eq!(Instance::new().display(&vocab), "{}");
     }
 
     #[test]

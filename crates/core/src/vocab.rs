@@ -159,14 +159,31 @@ impl Vocabulary {
     /// Renders a term for human consumption. Nulls render as `_:nK`;
     /// constants unknown to this vocabulary render as `⟨cK⟩`.
     pub fn term_to_string(&self, term: Term) -> String {
-        match term {
+        let mut out = String::new();
+        self.write_term(&mut out, term);
+        out
+    }
+
+    /// Appends [`Vocabulary::term_to_string`]'s rendering of `term` to
+    /// `out`, without an intermediate `String`.
+    pub fn write_term(&self, out: &mut String, term: Term) {
+        use std::fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = match term {
             Term::Const(c) => match self.consts.get(c.index()) {
-                Some(name) => name.clone(),
-                None => format!("⟨c{}⟩", c.0),
+                Some(name) => {
+                    out.push_str(name);
+                    Ok(())
+                }
+                None => write!(out, "⟨c{}⟩", c.0),
             },
-            Term::Null(NullId(n)) => format!("_:n{n}"),
-            Term::Var(v) => format!("?{}", self.var_name(v)),
-        }
+            Term::Null(NullId(n)) => write!(out, "_:n{n}"),
+            Term::Var(v) => {
+                out.push('?');
+                out.push_str(self.var_name(v));
+                Ok(())
+            }
+        };
     }
 }
 

@@ -47,10 +47,18 @@
 //! The engine registers the TGD set's composite-index plan on its
 //! working instance up front, turning most head-satisfaction searches
 //! (Definition 3.1's activeness test) into single index probes.
+//!
+//! A trigger of a single-head full TGD has a ground head, so its check
+//! is one membership probe, and it can run at discovery: under `Fifo`,
+//! `Lifo` and `PriorityTgd` such a trigger whose head already holds is
+//! never queued, and under `Fifo` only the earliest trigger for each
+//! head is (see `SeenKey`). The applied triggers and their order are
+//! unchanged; the pop-time check stays for everything that is queued.
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
+use chase_core::atom::Atom;
 use chase_core::ids::{fx_set, PredId, VarId};
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
@@ -68,8 +76,8 @@ use crate::profiling::{
 };
 use crate::skolem::{SkolemPolicy, SkolemTable};
 use crate::trigger::{
-    for_each_trigger_using_with, for_each_trigger_with, head_satisfied_with, ChaseScratch, Trigger,
-    TriggerFp,
+    for_each_trigger_using_with, for_each_trigger_with, ground_head_into, head_satisfied_with,
+    ChaseScratch, Trigger, TriggerFp,
 };
 
 pub use crate::governor::{Budget, Outcome};
@@ -276,6 +284,49 @@ impl Queued {
     #[inline]
     fn pairs<'a>(&self, arena: &'a [(VarId, Term)]) -> &'a [(VarId, Term)] {
         &arena[self.start as usize..(self.start + self.len) as usize]
+    }
+}
+
+/// How the loop keys a discovered trigger of one TGD in its `seen` set,
+/// and whether it drops the trigger outright.
+///
+/// A trigger of a single-head full TGD has a ground head, and it is
+/// active exactly while that atom is missing (Definition 3.1). The
+/// instance only grows, so a trigger whose head is already present
+/// when it is discovered would pop inactive under any strategy:
+/// dropping it then applies the same triggers in the same order,
+/// except under [`Strategy::Random`], whose draw depends on the queue
+/// length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SeenKey {
+    /// By TGD and body binding; queued whatever its head. Every TGD of
+    /// the oblivious variants and of `Random`, and every existential or
+    /// multi-head TGD.
+    Trigger,
+    /// Dropped when its ground head holds at discovery, else keyed by
+    /// TGD and body binding: single-head full TGDs under `Lifo` and
+    /// `PriorityTgd`.
+    TriggerUnlessHeadHolds,
+    /// Dropped when its ground head holds at discovery, else keyed by
+    /// that head, across all such TGDs: single-head full TGDs under
+    /// `Fifo`. FIFO pops the earliest queued trigger for a head first,
+    /// and once it has popped the head is present, so every later
+    /// trigger for that head would pop inactive.
+    GroundHead,
+}
+
+impl SeenKey {
+    fn of(variant: ChaseVariant, tgd: &Tgd) -> SeenKey {
+        let full_single_head = tgd.is_single_head() && tgd.existentials().is_empty();
+        match variant {
+            ChaseVariant::Restricted(Strategy::Fifo) if full_single_head => SeenKey::GroundHead,
+            ChaseVariant::Restricted(Strategy::Lifo | Strategy::PriorityTgd)
+                if full_single_head =>
+            {
+                SeenKey::TriggerUnlessHeadHolds
+            }
+            _ => SeenKey::Trigger,
+        }
     }
 }
 
@@ -494,6 +545,31 @@ impl<'a> RestrictedChase<'a> {
         run
     }
 
+    /// The `seen` key of a discovered trigger of TGD `id`, or `None`
+    /// when the trigger can never fire and is dropped (see [`SeenKey`]).
+    #[inline]
+    fn seen_key(
+        &self,
+        keys: &[SeenKey],
+        id: TgdId,
+        binding: &Binding,
+        instance: &Instance,
+        head: &mut Atom,
+    ) -> Option<TriggerFp> {
+        let tgd = self.set.tgd(id);
+        let key = keys[id.index()];
+        if key != SeenKey::Trigger {
+            ground_head_into(tgd, binding, head);
+            if instance.contains(head) {
+                return None;
+            }
+            if key == SeenKey::GroundHead {
+                return Some(TriggerFp::of_ground_head(head));
+            }
+        }
+        Some(TriggerFp::of(id, binding, self.variant.fp_vars(tgd)))
+    }
+
     fn run_inner<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
@@ -529,6 +605,7 @@ impl<'a> RestrictedChase<'a> {
             matcher,
             probe,
             binding: check_binding,
+            head,
         } = scratch;
         let mut instance = database.clone();
         // Register the TGD set's composite-index plan before any
@@ -555,10 +632,18 @@ impl<'a> RestrictedChase<'a> {
             _ => None,
         };
 
+        let keys: Vec<SeenKey> = self
+            .set
+            .iter()
+            .map(|(_, tgd)| SeenKey::of(self.variant, tgd))
+            .collect();
+
         // Seed: all triggers on the database.
         let seed_guard = span_enter(obs, spans::SEED, NO_TGD);
         let _ = for_each_trigger_with(matcher, self.set, &instance, &mut |id, b| {
-            let fp = TriggerFp::of(id, b, self.variant.fp_vars(self.set.tgd(id)));
+            let Some(fp) = self.seen_key(&keys, id, b, &instance, head) else {
+                return ControlFlow::Continue(());
+            };
             if seen.insert(fp) {
                 emit_detail(obs, || Event::TriggerDiscovered {
                     engine,
@@ -724,7 +809,9 @@ impl<'a> RestrictedChase<'a> {
                     &instance,
                     slot,
                     &mut |id, b| {
-                        let fp = TriggerFp::of(id, b, self.variant.fp_vars(self.set.tgd(id)));
+                        let Some(fp) = self.seen_key(&keys, id, b, &instance, head) else {
+                            return ControlFlow::Continue(());
+                        };
                         if seen.insert(fp) {
                             emit_detail(obs, || Event::TriggerDiscovered {
                                 engine,
@@ -961,6 +1048,43 @@ mod tests {
         );
         // Every applied trigger was checked active first.
         assert!(s.counter(names::TRIGGERS_ACTIVE) >= s.counter(names::TRIGGERS_APPLIED));
+    }
+
+    /// Under FIFO a single-head full TGD's trigger is queued only while
+    /// its ground head is missing and no earlier queued trigger has the
+    /// same head, so every queued trigger fires.
+    #[test]
+    fn fifo_closure_queues_only_triggers_that_fire() {
+        use chase_telemetry::{names, CountingObserver};
+        let src = "
+            E(a,b). E(b,c). E(c,d). E(d,a). E(a,c). E(b,d).
+            E(x,y) -> P(x,y).
+            E(x,y), P(y,z) -> P(x,z).
+            E(x,y), E(y,z) -> E(x,z).
+        ";
+        let mut vocab = Vocabulary::new();
+        let p = parse_program(src, &mut vocab).unwrap();
+        let set = p.tgd_set(&vocab).unwrap();
+        let mut obs = CountingObserver::new();
+        let run =
+            RestrictedChase::new(&set).run_observed(&p.database, Budget::steps(1000), &mut obs);
+        assert_eq!(run.outcome, Outcome::Terminated);
+        // E and P both close to the full 4x4 relation.
+        assert_eq!(run.instance.len(), 32);
+        let s = obs.summary();
+        assert_eq!(s.counter(names::TRIGGERS_DEACTIVATED), Some(0));
+        assert_eq!(
+            s.counter(names::TRIGGERS_DISCOVERED),
+            s.counter(names::TRIGGERS_APPLIED)
+        );
+        assert_eq!(s.counter(names::TRIGGERS_APPLIED), Some(run.steps as u64));
+        // The random strategy keeps queueing them: its draws depend on
+        // the queue length.
+        let mut obs = CountingObserver::new();
+        RestrictedChase::new(&set)
+            .strategy(Strategy::Random(3))
+            .run_observed(&p.database, Budget::steps(1000), &mut obs);
+        assert!(obs.summary().counter(names::TRIGGERS_DEACTIVATED) > Some(0));
     }
 
     #[test]

@@ -14,12 +14,12 @@
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 
-use chase_core::atom::Atom;
+use chase_core::atom::{ArgVec, Atom};
 use chase_core::hom::{
     exists_homomorphism, exists_homomorphism_with, for_each_homomorphism_with,
     head_satisfied_probe, with_scratch, HomScratch,
 };
-use chase_core::ids::VarId;
+use chase_core::ids::{PredId, VarId};
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
 use chase_core::term::Term;
@@ -49,13 +49,23 @@ pub const FP_INLINE_TERMS: usize = 6;
 /// Two triggers denote the same trigger iff their fingerprints are
 /// equal — this is [`Trigger::key`] compressed into a fixed-size,
 /// allocation-free representation.
+///
+/// [`TriggerFp::of_ground_head`] builds the other kind of key, a
+/// ground atom: the predicate tagged with a high bit plus the
+/// packed arguments. It never equals a trigger's fingerprint, so both
+/// kinds share one set.
 #[derive(Debug, Clone)]
 pub struct TriggerFp {
-    tgd: TgdId,
+    /// The TGD id, or `GROUND_HEAD_TAG | predicate` for a ground head.
+    owner: u32,
     len: u8,
     inline: [u64; FP_INLINE_TERMS],
     spill: Option<Box<[u64]>>,
 }
+
+/// The bit that marks a [`TriggerFp`] as a ground-head key. TGD ids
+/// stay below it: a set of 2^31 TGDs does not fit in memory.
+const GROUND_HEAD_TAG: u32 = 1 << 31;
 
 /// Packs a term into a `u64`: tag in bits 32..34, interned id below.
 #[inline]
@@ -72,27 +82,42 @@ impl TriggerFp {
     /// layout `vars` (engines pass `tgd.sorted_body_vars()`, or
     /// `tgd.frontier()` for the semi-oblivious identification).
     pub fn of(tgd_id: TgdId, binding: &Binding, vars: &[VarId]) -> TriggerFp {
+        debug_assert!(
+            tgd_id.0 < GROUND_HEAD_TAG,
+            "TGD id collides with the head tag"
+        );
+        TriggerFp::packed(
+            tgd_id.0,
+            vars.iter().map(|&v| binding.get(v).unwrap_or(Term::Var(v))),
+        )
+    }
+
+    /// Builds the key of the ground atom `head`: equal for equal atoms,
+    /// never equal to a trigger's fingerprint. Inline (no heap
+    /// allocation) up to [`FP_INLINE_TERMS`] arguments.
+    pub fn of_ground_head(head: &Atom) -> TriggerFp {
+        TriggerFp::packed(GROUND_HEAD_TAG | head.pred.0, head.args.iter().copied())
+    }
+
+    fn packed(owner: u32, terms: impl ExactSizeIterator<Item = Term>) -> TriggerFp {
         let mut inline = [0u64; FP_INLINE_TERMS];
-        if vars.len() <= FP_INLINE_TERMS {
-            for (i, &v) in vars.iter().enumerate() {
-                inline[i] = pack_term(binding.get(v).unwrap_or(Term::Var(v)));
+        if terms.len() <= FP_INLINE_TERMS {
+            let len = terms.len() as u8;
+            for (slot, t) in inline.iter_mut().zip(terms) {
+                *slot = pack_term(t);
             }
             TriggerFp {
-                tgd: tgd_id,
-                len: vars.len() as u8,
+                owner,
+                len,
                 inline,
                 spill: None,
             }
         } else {
-            let spill: Box<[u64]> = vars
-                .iter()
-                .map(|&v| pack_term(binding.get(v).unwrap_or(Term::Var(v))))
-                .collect();
             TriggerFp {
-                tgd: tgd_id,
+                owner,
                 len: 0,
                 inline,
-                spill: Some(spill),
+                spill: Some(terms.map(pack_term).collect()),
             }
         }
     }
@@ -115,14 +140,14 @@ impl TriggerFp {
 
 impl PartialEq for TriggerFp {
     fn eq(&self, other: &Self) -> bool {
-        self.tgd == other.tgd && self.terms() == other.terms()
+        self.owner == other.owner && self.terms() == other.terms()
     }
 }
 impl Eq for TriggerFp {}
 
 impl Hash for TriggerFp {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u32(self.tgd.0);
+        state.write_u32(self.owner);
         for &t in self.terms() {
             state.write_u64(t);
         }
@@ -216,7 +241,7 @@ impl Trigger {
 /// keeps the arenas warm instead of reallocating them every run. The
 /// scratch carries no run-scoped state: results never depend on which
 /// scratch a run borrowed.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ChaseScratch {
     /// Drives trigger enumeration (homomorphism search).
     pub(crate) matcher: HomScratch,
@@ -224,6 +249,41 @@ pub struct ChaseScratch {
     pub(crate) probe: HomScratch,
     /// Rebuilds a queued trigger's binding before its check.
     pub(crate) binding: Binding,
+    /// A discovered trigger's ground head (see [`ground_head_into`]).
+    pub(crate) head: Atom,
+}
+
+impl Default for ChaseScratch {
+    fn default() -> Self {
+        ChaseScratch {
+            matcher: HomScratch::default(),
+            probe: HomScratch::default(),
+            binding: Binding::default(),
+            head: Atom::new(PredId(0), ArgVec::new()),
+        }
+    }
+}
+
+/// Writes `h(head(σ))`, the ground head of a trigger of the single-head
+/// full TGD `tgd`, into `out`, reusing its argument buffer: no heap
+/// allocation up to [`ARG_INLINE`](chase_core::atom::ARG_INLINE)
+/// arguments, nor above it once `out` has held an atom that wide.
+///
+/// The instance only grows, so once this atom is present the trigger is
+/// inactive for good (Definition 3.1): the restricted chase drops such a
+/// trigger when it discovers it.
+pub fn ground_head_into(tgd: &Tgd, binding: &Binding, out: &mut Atom) {
+    let head = &tgd.head()[0];
+    debug_assert!(tgd.is_single_head() && tgd.existentials().is_empty());
+    out.pred = head.pred;
+    out.args.clear();
+    for &t in &head.args {
+        out.args.push(match t {
+            // Total: a full TGD's head variables are body variables.
+            Term::Var(v) => binding.get(v).unwrap_or(t),
+            ground => ground,
+        });
+    }
 }
 
 /// Head-satisfaction check for a `(tgd, binding)` pair: whether some

@@ -374,6 +374,11 @@ fn handle_connection(stream: Stream, shared: &Arc<Shared>) {
                 );
             }
             Ok(Request::Shutdown { abort }) => {
+                // Close admission before the ack goes out, so no
+                // session sent after the client has read it is admitted.
+                if shared.scheduler.close() {
+                    shared.poke_acceptor();
+                }
                 conn.send_line(
                     &Reply::new("shutdown_ack")
                         .str("mode", if abort { "abort" } else { "graceful" })
@@ -381,9 +386,6 @@ fn handle_connection(stream: Stream, shared: &Arc<Shared>) {
                         .num("running", shared.scheduler.running() as u64)
                         .finish(),
                 );
-                if shared.scheduler.close() {
-                    shared.poke_acceptor();
-                }
                 if abort {
                     shared.registry.abort_all();
                 }
