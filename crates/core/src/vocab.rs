@@ -168,22 +168,18 @@ impl Vocabulary {
     /// `out`, without an intermediate `String`.
     pub fn write_term(&self, out: &mut String, term: Term) {
         use std::fmt::Write;
-        // Writing into a `String` cannot fail.
-        let _ = match term {
+        // `write!` into a `String` cannot fail.
+        match term {
             Term::Const(c) => match self.consts.get(c.index()) {
-                Some(name) => {
-                    out.push_str(name);
-                    Ok(())
-                }
-                None => write!(out, "⟨c{}⟩", c.0),
+                Some(name) => out.push_str(name),
+                None => drop(write!(out, "⟨c{}⟩", c.0)),
             },
-            Term::Null(NullId(n)) => write!(out, "_:n{n}"),
+            Term::Null(NullId(n)) => drop(write!(out, "_:n{n}")),
             Term::Var(v) => {
                 out.push('?');
                 out.push_str(self.var_name(v));
-                Ok(())
             }
-        };
+        }
     }
 }
 

@@ -83,7 +83,9 @@ impl fmt::Display for InterruptReason {
 /// corresponding interned ids in `chase-core`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// A candidate trigger passed the seen-set and was enqueued.
+    /// A candidate trigger passed the seen-set and was enqueued. A
+    /// trigger the restricted chase drops at discovery, because its
+    /// ground head already holds, emits none.
     TriggerDiscovered {
         /// Producing engine.
         engine: EngineKind,

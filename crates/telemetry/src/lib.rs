@@ -96,7 +96,8 @@ pub mod spans {
 /// (`CountingObserver`) and consumers (`report`, `chasectl stats`)
 /// so the two sides cannot drift apart.
 pub mod names {
-    /// Candidate triggers enqueued (after dedup).
+    /// Candidate triggers enqueued (after dedup and the restricted
+    /// chase's discovery-time drop).
     pub const TRIGGERS_DISCOVERED: &str = "triggers.discovered";
     /// Activeness checks performed on popped triggers.
     pub const TRIGGERS_CHECKED: &str = "triggers.checked";
