@@ -316,6 +316,7 @@ enum SeenKey {
 }
 
 impl SeenKey {
+    #[inline]
     fn of(variant: ChaseVariant, tgd: &Tgd) -> SeenKey {
         let full_single_head = tgd.is_single_head() && tgd.existentials().is_empty();
         match variant {
@@ -550,14 +551,13 @@ impl<'a> RestrictedChase<'a> {
     #[inline]
     fn seen_key(
         &self,
-        keys: &[SeenKey],
         id: TgdId,
         binding: &Binding,
         instance: &Instance,
         head: &mut Atom,
     ) -> Option<TriggerFp> {
         let tgd = self.set.tgd(id);
-        let key = keys[id.index()];
+        let key = SeenKey::of(self.variant, tgd);
         if key != SeenKey::Trigger {
             ground_head_into(tgd, binding, head);
             if instance.contains(head) {
@@ -632,16 +632,10 @@ impl<'a> RestrictedChase<'a> {
             _ => None,
         };
 
-        let keys: Vec<SeenKey> = self
-            .set
-            .iter()
-            .map(|(_, tgd)| SeenKey::of(self.variant, tgd))
-            .collect();
-
         // Seed: all triggers on the database.
         let seed_guard = span_enter(obs, spans::SEED, NO_TGD);
         let _ = for_each_trigger_with(matcher, self.set, &instance, &mut |id, b| {
-            let Some(fp) = self.seen_key(&keys, id, b, &instance, head) else {
+            let Some(fp) = self.seen_key(id, b, &instance, head) else {
                 return ControlFlow::Continue(());
             };
             if seen.insert(fp) {
@@ -809,7 +803,7 @@ impl<'a> RestrictedChase<'a> {
                     &instance,
                     slot,
                     &mut |id, b| {
-                        let Some(fp) = self.seen_key(&keys, id, b, &instance, head) else {
+                        let Some(fp) = self.seen_key(id, b, &instance, head) else {
                             return ControlFlow::Continue(());
                         };
                         if seen.insert(fp) {
