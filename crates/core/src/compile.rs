@@ -41,7 +41,7 @@ use crate::atom::AtomRef;
 use crate::error::CoreError;
 use crate::ids::{fx_map, FxHasher};
 use crate::instance::Instance;
-use crate::parser::parse_program;
+use crate::parser::{parse_program, Program};
 use crate::term::Term;
 use crate::tgd::{Tgd, TgdSet};
 use crate::vocab::Vocabulary;
@@ -134,71 +134,152 @@ impl CompiledProgram {
 /// error surfaces the same way.
 pub fn compile(source: &str) -> Result<Arc<CompiledProgram>, CoreError> {
     let mut vocab = Vocabulary::new();
-    let program = parse_program(source, &mut vocab)?;
-    let set = program.tgd_set(&vocab)?;
-    let fingerprint = canonical_fingerprint(&set, &program.database, &vocab);
-    let approx_bytes = approx_bytes(source, &set, &program.database, &vocab);
+    let Program { rules, database } = parse_program(source, &mut vocab)?;
+    let set = TgdSet::new(rules, &vocab)?;
+    let fingerprint = canonical_fingerprint(&set, &database, &vocab);
+    let approx_bytes = approx_bytes(source, &set, &database, &vocab);
     Ok(Arc::new(CompiledProgram {
         vocab,
-        database: program.database,
+        database,
         set,
         fingerprint,
         approx_bytes,
     }))
 }
 
+/// The fingerprint's canonical text, hashed as it is written: bytes
+/// collect in a buffer of whole 8-byte words that is flushed into both
+/// hashers when full. Since every flush is a whole number of words, the
+/// hashes equal one [`FxHasher::write`] of the entire text (its final
+/// partial word included), and the text itself is never materialised.
+struct FingerprintWriter {
+    lo: FxHasher,
+    hi: FxHasher,
+    buf: [u8; 256],
+    len: usize,
+}
+
+impl FingerprintWriter {
+    fn new() -> Self {
+        let mut lo = FxHasher::default();
+        lo.write(b"chase-program-fp/lo");
+        let mut hi = FxHasher::default();
+        hi.write(b"chase-program-fp/hi");
+        FingerprintWriter {
+            lo,
+            hi,
+            buf: [0; 256],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn bytes(&mut self, bytes: &[u8]) {
+        if let Some(dst) = self.buf.get_mut(self.len..self.len + bytes.len()) {
+            dst.copy_from_slice(bytes);
+            self.len += bytes.len();
+        } else {
+            for &b in bytes {
+                self.byte(b);
+            }
+        }
+    }
+
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        if self.len == self.buf.len() {
+            self.flush();
+        }
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    #[inline(never)]
+    fn flush(&mut self) {
+        self.lo.write(&self.buf);
+        self.hi.write(&self.buf);
+        self.len = 0;
+    }
+
+    #[inline]
+    fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
+
+    /// Writes `n` in decimal.
+    fn decimal(&mut self, mut n: usize) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.bytes(&digits[at..]);
+    }
+
+    fn finish(mut self) -> ProgramFingerprint {
+        self.lo.write(&self.buf[..self.len]);
+        self.hi.write(&self.buf[..self.len]);
+        ProgramFingerprint(((self.hi.finish() as u128) << 64) | self.lo.finish() as u128)
+    }
+}
+
 /// Renders one atom with canonical, rule-local positional variable
 /// numbering (`v0`, `v1`, … in first-occurrence order).
 fn render_atom(
-    out: &mut String,
+    out: &mut FingerprintWriter,
     atom: AtomRef<'_>,
     vocab: &Vocabulary,
     numbering: &mut crate::ids::FxHashMap<crate::ids::VarId, usize>,
 ) {
-    out.push_str(vocab.pred_name(atom.pred));
-    out.push('(');
+    out.str(vocab.pred_name(atom.pred));
+    out.byte(b'(');
     for (i, term) in atom.args.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.byte(b',');
         }
         match *term {
             Term::Var(v) => {
                 let next = numbering.len();
                 let n = *numbering.entry(v).or_insert(next);
-                out.push('v');
-                out.push_str(&n.to_string());
+                out.byte(b'v');
+                out.decimal(n);
             }
             // Rules are constant-free and null-free by construction
             // ([`Tgd::new`] rejects both), but render defensively so a
             // future relaxation cannot silently alias distinct rules.
             Term::Const(c) => {
-                out.push('"');
-                out.push_str(vocab.const_name(c));
-                out.push('"');
+                out.byte(b'"');
+                out.str(vocab.const_name(c));
+                out.byte(b'"');
             }
             Term::Null(n) => {
-                out.push_str("_:");
-                out.push_str(&n.index().to_string());
+                out.str("_:");
+                out.decimal(n.index());
             }
         }
     }
-    out.push(')');
+    out.byte(b')');
 }
 
 /// Renders one rule canonically: body atoms, `->`, head atoms, with
 /// variables renumbered positionally (body first).
-fn render_rule(out: &mut String, tgd: &Tgd, vocab: &Vocabulary) {
+fn render_rule(out: &mut FingerprintWriter, tgd: &Tgd, vocab: &Vocabulary) {
     let mut numbering = fx_map();
     for (i, atom) in tgd.body().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.byte(b',');
         }
         render_atom(out, atom.into(), vocab, &mut numbering);
     }
-    out.push_str("->");
+    out.str("->");
     for (i, atom) in tgd.head().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.byte(b',');
         }
         render_atom(out, atom.into(), vocab, &mut numbering);
     }
@@ -213,30 +294,23 @@ pub fn canonical_fingerprint(
     database: &Instance,
     vocab: &Vocabulary,
 ) -> ProgramFingerprint {
-    let mut text = String::with_capacity(64 * (set.len() + database.len()) + 64);
+    let mut out = FingerprintWriter::new();
     for (_, info) in vocab.preds() {
-        text.push_str(&info.name);
-        text.push(',');
+        out.str(&info.name);
+        out.byte(b',');
     }
-    text.push_str("\n=rules=\n");
+    out.str("\n=rules=\n");
     for tgd in set.tgds() {
-        render_rule(&mut text, tgd, vocab);
-        text.push('\n');
+        render_rule(&mut out, tgd, vocab);
+        out.byte(b'\n');
     }
-    text.push_str("=facts=\n");
+    out.str("=facts=\n");
     let mut no_vars = fx_map();
     for atom in database.iter() {
-        render_atom(&mut text, atom, vocab, &mut no_vars);
-        text.push('\n');
+        render_atom(&mut out, atom, vocab, &mut no_vars);
+        out.byte(b'\n');
     }
-
-    let mut lo = FxHasher::default();
-    lo.write(b"chase-program-fp/lo");
-    lo.write(text.as_bytes());
-    let mut hi = FxHasher::default();
-    hi.write(b"chase-program-fp/hi");
-    hi.write(text.as_bytes());
-    ProgramFingerprint(((hi.finish() as u128) << 64) | lo.finish() as u128)
+    out.finish()
 }
 
 /// The byte estimate backing [`CompiledProgram::approx_bytes`].

@@ -77,19 +77,17 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// Hashes `bytes` as little-endian 8-byte words; a final partial
+    /// word of `n` bytes is zero-extended and xor-ed with `n`.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(chunk);
-            self.add_to_hash(u64::from_le_bytes(buf));
+            self.add_to_hash(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.add_to_hash(u64::from_le_bytes(buf) ^ rem.len() as u64);
+            self.add_to_hash(tail_word(rem) ^ rem.len() as u64);
         }
     }
 
@@ -116,6 +114,25 @@ impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.hash
+    }
+}
+
+/// The little-endian value of 1 to 7 bytes, zero-extended, read with
+/// two overlapping loads instead of a variable-length copy (short
+/// names are the common case of [`FxHasher::write`]).
+#[inline]
+fn tail_word(bytes: &[u8]) -> u64 {
+    let n = bytes.len();
+    debug_assert!((1..8).contains(&n));
+    let load = |at: usize, width: usize| -> u64 {
+        let mut word = [0u8; 8];
+        word[..width].copy_from_slice(&bytes[at..at + width]);
+        u64::from_le_bytes(word)
+    };
+    match n {
+        4.. => load(0, 4) | load(n - 4, 4) << ((n - 4) * 8),
+        2.. => load(0, 2) | load(n - 2, 2) << ((n - 2) * 8),
+        _ => u64::from(bytes[0]),
     }
 }
 
@@ -165,6 +182,32 @@ mod tests {
         }
         // Same prefix, different lengths must not collide trivially.
         assert_ne!(h(b"abc"), h(b"abc\0"));
+    }
+
+    #[test]
+    fn fx_hasher_bytes_match_the_word_definition() {
+        // Reference: zero-padded little-endian words, the last partial
+        // one xor-ed with its length.
+        fn reference(bytes: &[u8]) -> u64 {
+            let mut hasher = FxHasher::default();
+            for chunk in bytes.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                let tag = if chunk.len() < 8 {
+                    chunk.len() as u64
+                } else {
+                    0
+                };
+                hasher.add_to_hash(u64::from_le_bytes(word) ^ tag);
+            }
+            hasher.finish()
+        }
+        let data: Vec<u8> = (0u8..40).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        for len in 0..=data.len() {
+            let mut hasher = FxHasher::default();
+            hasher.write(&data[..len]);
+            assert_eq!(hasher.finish(), reference(&data[..len]), "length {len}");
+        }
     }
 
     #[test]

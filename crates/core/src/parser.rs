@@ -1,4 +1,4 @@
-//! A hand-rolled parser for rule/fact files.
+//! A hand-rolled, single-pass parser for rule/fact files.
 //!
 //! Syntax (see DESIGN.md §5):
 //!
@@ -13,10 +13,23 @@
 //! constant-free, as in the paper); inside facts every identifier is a
 //! constant. Each rule has its own variable scope, so parsed rule sets
 //! are automatically variable-disjoint as the paper assumes.
+//!
+//! The source is read once, front to back, with one token of
+//! lookahead. Tokens are spans of the source, names are interned
+//! straight from them, and a statement's atoms live in buffers reused
+//! by the next statement, so a fact costs no allocation of its own.
+//! Names are interned in source order (predicate, then arguments, one
+//! statement at a time), which fixes every `PredId` and `ConstId`.
+//!
+//! Errors: a lexical error (a stray character, `-` without `>`)
+//! anywhere in the source outranks any other error; otherwise the
+//! first error in source order wins, with an atom list's syntax checked
+//! before its names are resolved. Positions are a 1-based line and a
+//! 1-based byte column, computed only when an error is built.
 
-use crate::atom::Atom;
+use crate::atom::{ArgVec, Atom};
 use crate::error::CoreError;
-use crate::ids::VarId;
+use crate::ids::{PredId, VarId};
 use crate::instance::Instance;
 use crate::term::Term;
 use crate::tgd::{Tgd, TgdSet};
@@ -38,9 +51,10 @@ impl Program {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token. An identifier is a span of the source, never a copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     LParen,
     RParen,
     Comma,
@@ -48,342 +62,368 @@ enum Tok {
     Dot,
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: usize,
-    col: usize,
+/// A token and the byte offset it starts at.
+#[derive(Debug, Clone, Copy)]
+struct Token<'a> {
+    tok: Tok<'a>,
+    start: usize,
 }
 
-#[derive(Debug, Clone)]
-struct Spanned {
-    tok: Tok,
-    line: usize,
-    col: usize,
+/// The 1-based line and byte column of `offset` in `src`: line is one
+/// more than the newlines before it, column one more than the bytes
+/// since the last of them. Only error paths compute it.
+fn line_col(src: &str, offset: usize) -> (usize, usize) {
+    let before = &src.as_bytes()[..offset];
+    let line_start = before
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+    (line, 1 + offset - line_start)
+}
+
+#[cold]
+fn error_at(src: &str, offset: usize, message: impl Into<String>) -> CoreError {
+    let (line, column) = line_col(src, offset);
+    CoreError::Parse {
+        line,
+        column,
+        message: message.into(),
+    }
+}
+
+#[cold]
+fn unexpected_character(src: &str, offset: usize, byte: u8) -> CoreError {
+    error_at(
+        src,
+        offset,
+        format!("unexpected character '{}'", byte as char),
+    )
+}
+
+/// Pulls tokens off the source one at a time. A lexical error leaves
+/// the lexer on the offending byte, so lexing on reports it again.
+#[derive(Clone)]
+struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = *self.src.get(self.pos)?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(b)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-
-    fn error(&self, message: impl Into<String>) -> CoreError {
-        CoreError::Parse {
-            line: self.line,
-            column: self.col,
-            message: message.into(),
-        }
-    }
-
-    fn tokens(mut self) -> Result<Vec<Spanned>, CoreError> {
-        let mut out = Vec::new();
+    /// Skips whitespace and comments (`%`, `#` and `//`, each up to
+    /// and including the end of its line).
+    fn skip_trivia(&mut self) {
+        let bytes = self.src.as_bytes();
         loop {
-            // Skip whitespace and comments.
-            loop {
-                match self.peek() {
-                    Some(b) if b.is_ascii_whitespace() => {
-                        self.bump();
-                    }
-                    Some(b'%') | Some(b'#') => {
-                        while let Some(b) = self.bump() {
-                            if b == b'\n' {
-                                break;
-                            }
-                        }
-                    }
-                    Some(b'/') if self.peek2() == Some(b'/') => {
-                        while let Some(b) = self.bump() {
-                            if b == b'\n' {
-                                break;
-                            }
-                        }
-                    }
-                    _ => break,
-                }
+            match bytes.get(self.pos) {
+                Some(b) if b.is_ascii_whitespace() => self.pos += 1,
+                Some(b'%' | b'#') => self.skip_line(),
+                Some(b'/') if bytes.get(self.pos + 1) == Some(&b'/') => self.skip_line(),
+                _ => return,
             }
-            let (line, col) = (self.line, self.col);
-            let Some(b) = self.peek() else { break };
-            let tok = match b {
-                b'(' => {
-                    self.bump();
-                    Tok::LParen
-                }
-                b')' => {
-                    self.bump();
-                    Tok::RParen
-                }
-                b',' => {
-                    self.bump();
-                    Tok::Comma
-                }
-                b'.' => {
-                    self.bump();
-                    Tok::Dot
-                }
-                b'-' => {
-                    self.bump();
-                    if self.peek() == Some(b'>') {
-                        self.bump();
-                        Tok::Arrow
-                    } else {
-                        return Err(self.error("expected '->'"));
-                    }
-                }
-                b if b.is_ascii_alphanumeric() || b == b'_' => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b.is_ascii_alphanumeric() || b == b'_' || b == b'\'' {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                    let text = std::str::from_utf8(&self.src[start..self.pos])
-                        .map_err(|_| self.error("invalid utf-8 in identifier"))?;
-                    Tok::Ident(text.to_string())
-                }
-                other => {
-                    return Err(self.error(format!("unexpected character '{}'", other as char)))
-                }
-            };
-            out.push(Spanned { tok, line, col });
         }
-        Ok(out)
+    }
+
+    fn skip_line(&mut self) {
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |i| i + 1);
+    }
+
+    /// The next token, or `None` at the end of the source.
+    fn next_token(&mut self) -> Result<Option<Token<'a>>, CoreError> {
+        self.skip_trivia();
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        let Some(&b) = bytes.get(start) else {
+            return Ok(None);
+        };
+        self.pos += 1;
+        let tok = match b {
+            b'(' => Tok::LParen,
+            b')' => Tok::RParen,
+            b',' => Tok::Comma,
+            b'.' => Tok::Dot,
+            b'-' if bytes.get(self.pos) == Some(&b'>') => {
+                self.pos += 1;
+                Tok::Arrow
+            }
+            b'-' => {
+                self.pos = start;
+                return Err(error_at(self.src, start + 1, "expected '->'"));
+            }
+            b if b.is_ascii_alphanumeric() || b == b'_' => {
+                while bytes
+                    .get(self.pos)
+                    .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_' || b == b'\'')
+                {
+                    self.pos += 1;
+                }
+                Tok::Ident(&self.src[start..self.pos])
+            }
+            other => {
+                self.pos = start;
+                return Err(unexpected_character(self.src, start, other));
+            }
+        };
+        Ok(Some(Token { tok, start }))
+    }
+
+    /// The first lexical error from here to the end of the source.
+    /// Lexical errors outrank every other error, wherever they occur.
+    fn first_error(mut self) -> Option<CoreError> {
+        loop {
+            match self.next_token() {
+                Ok(Some(_)) => {}
+                Ok(None) => return None,
+                Err(e) => return Some(e),
+            }
+        }
     }
 }
 
-struct Parser<'v> {
-    toks: Vec<Spanned>,
-    pos: usize,
+/// An atom before its names are resolved: spans of the source, its
+/// arguments a range of [`Parser::args`].
+#[derive(Clone, Copy)]
+struct RawAtom<'a> {
+    pred: &'a str,
+    start: usize,
+    args: (usize, usize),
+}
+
+/// A single streaming pass: one token of lookahead, statements parsed
+/// into reused span buffers and resolved against the vocabulary once
+/// the statement's syntax is known to be right.
+struct Parser<'a, 'v> {
+    lexer: Lexer<'a>,
+    look: Option<Token<'a>>,
+    /// Start of the most recently lexed token: the lookahead, or the
+    /// last token of the source once the lookahead is exhausted.
+    /// Syntax errors are reported here.
+    last_start: Option<usize>,
     vocab: &'v mut Vocabulary,
+    /// The predicate interned last: name, arity and id.
+    last_pred: Option<(&'a str, usize, PredId)>,
+    atoms: Vec<RawAtom<'a>>,
+    args: Vec<&'a str>,
+    scope: Vec<(&'a str, VarId)>,
+    declared: Vec<&'a str>,
+    fact_args: ArgVec,
 }
 
-/// A raw atom before variable/constant resolution.
-struct RawAtom {
-    pred: String,
-    args: Vec<String>,
-    line: usize,
-    col: usize,
-}
-
-impl<'v> Parser<'v> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|s| &s.tok)
+impl<'a, 'v> Parser<'a, 'v> {
+    fn new(src: &'a str, vocab: &'v mut Vocabulary) -> Result<Self, CoreError> {
+        let mut parser = Parser {
+            lexer: Lexer { src, pos: 0 },
+            look: None,
+            last_start: None,
+            vocab,
+            last_pred: None,
+            atoms: Vec::new(),
+            args: Vec::new(),
+            scope: Vec::new(),
+            declared: Vec::new(),
+            fact_args: ArgVec::new(),
+        };
+        parser.advance()?;
+        Ok(parser)
     }
 
-    fn here(&self) -> (usize, usize) {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|s| (s.line, s.col))
-            .unwrap_or((0, 0))
-    }
-
-    fn error(&self, message: impl Into<String>) -> CoreError {
-        let (line, column) = self.here();
-        CoreError::Parse {
-            line,
-            column,
-            message: message.into(),
+    /// Lexes the next lookahead token.
+    fn advance(&mut self) -> Result<(), CoreError> {
+        self.look = self.lexer.next_token()?;
+        if let Some(t) = self.look {
+            self.last_start = Some(t.start);
         }
+        Ok(())
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|s| s.tok.clone());
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.look.map(|t| t.tok)
+    }
+
+    fn bump(&mut self) -> Result<Option<Token<'a>>, CoreError> {
+        let t = self.look;
         if t.is_some() {
-            self.pos += 1;
+            self.advance()?;
         }
-        t
+        Ok(t)
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<(), CoreError> {
-        match self.bump() {
-            Some(t) if t == tok => Ok(()),
+    #[cold]
+    fn error(&self, message: impl Into<String>) -> CoreError {
+        match self.last_start {
+            Some(offset) => error_at(self.lexer.src, offset, message),
+            None => CoreError::Parse {
+                line: 0,
+                column: 0,
+                message: message.into(),
+            },
+        }
+    }
+
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<(), CoreError> {
+        match self.bump()? {
+            Some(t) if t.tok == tok => Ok(()),
             _ => Err(self.error(format!("expected {what}"))),
         }
     }
 
-    fn raw_atom(&mut self) -> Result<RawAtom, CoreError> {
-        let (line, col) = self.here();
-        let pred = match self.bump() {
-            Some(Tok::Ident(name)) => name,
+    fn raw_atom(&mut self) -> Result<(), CoreError> {
+        let (pred, start) = match self.bump()? {
+            Some(Token {
+                tok: Tok::Ident(name),
+                start,
+            }) => (name, start),
             _ => return Err(self.error("expected a predicate name")),
         };
         self.expect(Tok::LParen, "'('")?;
-        let mut args = Vec::new();
+        let first = self.args.len();
         loop {
-            match self.bump() {
-                Some(Tok::Ident(arg)) => args.push(arg),
+            match self.bump()? {
+                Some(Token {
+                    tok: Tok::Ident(arg),
+                    ..
+                }) => self.args.push(arg),
                 _ => return Err(self.error("expected a term")),
             }
-            match self.bump() {
+            match self.bump()?.map(|t| t.tok) {
                 Some(Tok::Comma) => continue,
                 Some(Tok::RParen) => break,
                 _ => return Err(self.error("expected ',' or ')'")),
             }
         }
-        Ok(RawAtom {
+        self.atoms.push(RawAtom {
             pred,
-            args,
-            line,
-            col,
-        })
+            start,
+            args: (first, self.args.len()),
+        });
+        Ok(())
     }
 
-    fn raw_atom_list(&mut self) -> Result<Vec<RawAtom>, CoreError> {
-        let mut atoms = vec![self.raw_atom()?];
-        while self.peek() == Some(&Tok::Comma) {
-            self.bump();
-            atoms.push(self.raw_atom()?);
+    /// Parses a comma-separated atom list into `atoms`/`args`.
+    fn raw_atom_list(&mut self) -> Result<(), CoreError> {
+        self.atoms.clear();
+        self.args.clear();
+        self.raw_atom()?;
+        while self.peek() == Some(Tok::Comma) {
+            self.bump()?;
+            self.raw_atom()?;
         }
-        Ok(atoms)
+        Ok(())
     }
 
-    /// Resolves a raw atom inside a rule: all arguments are variables
-    /// in the per-rule `scope`.
-    fn resolve_rule_atom(
-        &mut self,
-        raw: RawAtom,
-        scope: &mut Vec<(String, VarId)>,
-    ) -> Result<Atom, CoreError> {
-        let pred = self
-            .vocab
-            .pred(&raw.pred, raw.args.len())
-            .map_err(|e| self.rewrap_arity(e, raw.line, raw.col))?;
-        let args = raw
-            .args
-            .into_iter()
-            .map(|name| {
-                let v = match scope.iter().find(|(n, _)| *n == name) {
-                    Some((_, v)) => *v,
+    /// Interns a raw atom's predicate at its arity, reporting an arity
+    /// error at the predicate's position.
+    fn pred(&mut self, raw: RawAtom<'a>) -> Result<PredId, CoreError> {
+        let arity = raw.args.1 - raw.args.0;
+        // Facts of one predicate tend to come in runs.
+        if let Some((name, known, id)) = self.last_pred {
+            if name == raw.pred && known == arity {
+                return Ok(id);
+            }
+        }
+        let id = self.vocab.pred(raw.pred, arity).map_err(|e| match e {
+            CoreError::ArityMismatch { .. }
+            | CoreError::ZeroArity { .. }
+            | CoreError::ArityTooLarge { .. } => error_at(self.lexer.src, raw.start, e.to_string()),
+            other => other,
+        })?;
+        self.last_pred = Some((raw.pred, arity, id));
+        Ok(id)
+    }
+
+    /// Resolves the parsed atom list inside a rule: every argument is
+    /// a variable of the rule's `scope`.
+    fn resolve_rule_atoms(&mut self) -> Result<Vec<Atom>, CoreError> {
+        let mut out = Vec::with_capacity(self.atoms.len());
+        for i in 0..self.atoms.len() {
+            let raw = self.atoms[i];
+            let pred = self.pred(raw)?;
+            let mut args = ArgVec::new();
+            for &name in &self.args[raw.args.0..raw.args.1] {
+                let v = match self.scope.iter().find(|(n, _)| *n == name) {
+                    Some(&(_, v)) => v,
                     None => {
-                        let v = self.vocab.fresh_var(&name);
-                        scope.push((name, v));
+                        let v = self.vocab.fresh_var(name);
+                        self.scope.push((name, v));
                         v
                     }
                 };
-                Term::Var(v)
-            })
-            .collect::<crate::atom::ArgVec>();
-        Ok(Atom::new(pred, args))
-    }
-
-    /// Resolves a raw atom as a fact: all arguments are constants.
-    fn resolve_fact_atom(&mut self, raw: RawAtom) -> Result<Atom, CoreError> {
-        let pred = self
-            .vocab
-            .pred(&raw.pred, raw.args.len())
-            .map_err(|e| self.rewrap_arity(e, raw.line, raw.col))?;
-        let args = raw
-            .args
-            .into_iter()
-            .map(|name| Term::Const(self.vocab.constant(&name)))
-            .collect::<crate::atom::ArgVec>();
-        Ok(Atom::new(pred, args))
-    }
-
-    fn rewrap_arity(&self, e: CoreError, line: usize, col: usize) -> CoreError {
-        match e {
-            CoreError::ArityMismatch { .. }
-            | CoreError::ZeroArity { .. }
-            | CoreError::ArityTooLarge { .. } => CoreError::Parse {
-                line,
-                column: col,
-                message: e.to_string(),
-            },
-            other => other,
+                args.push(Term::Var(v));
+            }
+            out.push(Atom::new(pred, args));
         }
+        Ok(out)
+    }
+
+    /// Resolves the parsed single-atom list as a fact: every argument
+    /// is a constant.
+    fn resolve_fact(&mut self) -> Result<Atom, CoreError> {
+        let raw = self.atoms[0];
+        let pred = self.pred(raw)?;
+        self.fact_args.clear();
+        for &name in &self.args[raw.args.0..raw.args.1] {
+            self.fact_args.push(Term::Const(self.vocab.constant(name)));
+        }
+        Ok(Atom::new(pred, self.fact_args.clone()))
+    }
+
+    /// The rest of a rule, after its body atom list and `->`.
+    fn rule(&mut self) -> Result<Tgd, CoreError> {
+        self.scope.clear();
+        let body = self.resolve_rule_atoms()?;
+        // Optional `exists v1, v2.` prefix.
+        self.declared.clear();
+        if self.peek() == Some(Tok::Ident("exists")) {
+            self.bump()?;
+            loop {
+                match self.bump()?.map(|t| t.tok) {
+                    Some(Tok::Ident(v)) => self.declared.push(v),
+                    _ => return Err(self.error("expected a variable after 'exists'")),
+                }
+                match self.bump()?.map(|t| t.tok) {
+                    Some(Tok::Comma) => continue,
+                    Some(Tok::Dot) => break,
+                    _ => return Err(self.error("expected ',' or '.' in exists list")),
+                }
+            }
+        }
+        let body_scope_len = self.scope.len();
+        self.raw_atom_list()?;
+        let head = self.resolve_rule_atoms()?;
+        self.expect(Tok::Dot, "'.' at end of rule")?;
+        // Each declared variable must be head-only.
+        let (body_scope, head_scope) = self.scope.split_at(body_scope_len);
+        for &name in &self.declared {
+            let in_body = body_scope.iter().any(|(n, _)| *n == name);
+            let in_head = head_scope.iter().any(|(n, _)| *n == name);
+            if in_body || !in_head {
+                return Err(CoreError::BadExistential {
+                    variable: name.to_string(),
+                });
+            }
+        }
+        Tgd::new(body, head)
     }
 
     fn program(&mut self) -> Result<Program, CoreError> {
         let mut rules = Vec::new();
         let mut database = Instance::new();
-        while self.peek().is_some() {
-            let atoms = self.raw_atom_list()?;
-            match self.peek() {
-                Some(&Tok::Arrow) => {
-                    self.bump();
-                    let mut scope: Vec<(String, VarId)> = Vec::new();
-                    let body = atoms
-                        .into_iter()
-                        .map(|raw| self.resolve_rule_atom(raw, &mut scope))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    // Optional `exists v1, v2.` prefix.
-                    let mut declared: Vec<String> = Vec::new();
-                    if let Some(Tok::Ident(kw)) = self.peek() {
-                        if kw == "exists" {
-                            self.bump();
-                            loop {
-                                match self.bump() {
-                                    Some(Tok::Ident(v)) => declared.push(v),
-                                    _ => {
-                                        return Err(self.error("expected a variable after 'exists'"))
-                                    }
-                                }
-                                match self.bump() {
-                                    Some(Tok::Comma) => continue,
-                                    Some(Tok::Dot) => break,
-                                    _ => {
-                                        return Err(self.error("expected ',' or '.' in exists list"))
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let body_scope_len = scope.len();
-                    let head_raw = self.raw_atom_list()?;
-                    let head = head_raw
-                        .into_iter()
-                        .map(|raw| self.resolve_rule_atom(raw, &mut scope))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    self.expect(Tok::Dot, "'.' at end of rule")?;
-                    // Validate exists declarations: each declared
-                    // variable must be head-only.
-                    for name in &declared {
-                        let in_body = scope[..body_scope_len].iter().any(|(n, _)| n == name);
-                        let in_head = scope[body_scope_len..].iter().any(|(n, _)| n == name);
-                        if in_body || !in_head {
-                            return Err(CoreError::BadExistential {
-                                variable: name.clone(),
-                            });
-                        }
-                    }
-                    rules.push(Tgd::new(body, head)?);
+        while self.look.is_some() {
+            self.raw_atom_list()?;
+            if self.peek() == Some(Tok::Arrow) {
+                self.bump()?;
+                rules.push(self.rule()?);
+            } else {
+                // A fact statement: exactly one atom then '.'.
+                if self.atoms.len() != 1 {
+                    return Err(self.error("expected '->' after atom list"));
                 }
-                _ => {
-                    // A fact statement: exactly one atom then '.'.
-                    if atoms.len() != 1 {
-                        return Err(self.error("expected '->' after atom list"));
-                    }
-                    self.expect(Tok::Dot, "'.' at end of fact")?;
-                    let fact =
-                        self.resolve_fact_atom(atoms.into_iter().next().expect("one atom"))?;
-                    database.insert(fact);
-                }
+                self.expect(Tok::Dot, "'.' at end of fact")?;
+                database.insert(self.resolve_fact()?);
             }
         }
         Ok(Program { rules, database })
@@ -392,13 +432,10 @@ impl<'v> Parser<'v> {
 
 /// Parses a program (rules and facts) from text.
 pub fn parse_program(src: &str, vocab: &mut Vocabulary) -> Result<Program, CoreError> {
-    let toks = Lexer::new(src).tokens()?;
-    Parser {
-        toks,
-        pos: 0,
-        vocab,
-    }
-    .program()
+    let mut parser = Parser::new(src, vocab)?;
+    parser
+        .program()
+        .map_err(|e| parser.lexer.clone().first_error().unwrap_or(e))
 }
 
 /// Parses rules only and returns them as a validated [`TgdSet`];
@@ -524,6 +561,29 @@ mod tests {
         let mut vocab = Vocabulary::new();
         assert!(parse_tgds("R(a,b).", &mut vocab).is_err());
         assert!(parse_tgds("R(x,y) -> S(x).", &mut vocab).is_ok());
+    }
+
+    #[test]
+    fn lexical_errors_outrank_earlier_errors() {
+        let mut vocab = Vocabulary::new();
+        let err = parse_program("R(a,b).\nR(a).\nR(c) -", &mut vocab).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Parse {
+                line: 3,
+                column: 7,
+                message: "expected '->'".into(),
+            }
+        );
+    }
+
+    #[test]
+    fn positions_count_bytes_from_the_last_newline() {
+        // The CR is a byte of line 1; a two-byte char is two columns.
+        assert_eq!(line_col("R(a).\r\nS(\u{e9}", 9), (2, 3));
+        assert_eq!(line_col("R(a).\r\nS(\u{e9}", 11), (2, 5));
+        assert_eq!(line_col("abc", 0), (1, 1));
+        assert_eq!(line_col("a\n\nb", 3), (3, 1));
     }
 
     #[test]

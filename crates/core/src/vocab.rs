@@ -5,8 +5,10 @@
 //! All structural code paths work on interned identifiers only; names
 //! are needed just for parsing and pretty-printing.
 
+use std::hash::Hasher;
+
 use crate::error::CoreError;
-use crate::ids::{fx_map, ConstId, FxHashMap, NullId, PredId, VarId};
+use crate::ids::{fx_map, ConstId, FxHashMap, FxHasher, NullId, PredId, VarId};
 use crate::term::Term;
 
 /// The widest predicate [`Vocabulary::pred`] accepts. Instances pack an
@@ -23,13 +25,95 @@ pub struct PredInfo {
     pub arity: usize,
 }
 
+/// Interned constant names without a heap allocation per name: the
+/// names are concatenated in one arena and found through an
+/// open-addressing table of ids. A database can bring a new constant
+/// with almost every fact, so this is the parser's hottest table.
+#[derive(Debug, Default, Clone)]
+struct ConstTable {
+    /// Every name, back to back.
+    text: String,
+    /// Name `i` is `text[bounds[i]..bounds[i + 1]]`; empty until the
+    /// first name is interned.
+    bounds: Vec<usize>,
+    /// `(hash, id + 1)` per slot, `id + 1 == 0` marking an empty slot.
+    /// The length is zero or a power of two, and at most half the
+    /// slots are used.
+    slots: Vec<(u64, u32)>,
+}
+
+impl ConstTable {
+    fn hash(name: &str) -> u64 {
+        let mut h = FxHasher::default();
+        h.write(name.as_bytes());
+        h.finish()
+    }
+
+    fn len(&self) -> usize {
+        self.bounds.len().saturating_sub(1)
+    }
+
+    #[inline]
+    fn name(&self, index: usize) -> Option<&str> {
+        match *self.bounds.get(index..index + 2)? {
+            [start, end] => Some(&self.text[start..end]),
+            _ => None,
+        }
+    }
+
+    /// The slot holding `name`, or the empty slot where it belongs. The
+    /// probe starts at the hash's top bits: FxHash ends in a multiply,
+    /// which mixes every input bit into the top of the word only.
+    fn find(&self, name: &str, hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let (h, id) = self.slots[i];
+            if id == 0 || (h == hash && self.name(id as usize - 1) == Some(name)) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn intern(&mut self, name: &str) -> ConstId {
+        if (self.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let hash = Self::hash(name);
+        let slot = self.find(name, hash);
+        match self.slots[slot].1 {
+            0 => {
+                let id = self.len() as u32;
+                if self.bounds.is_empty() {
+                    self.bounds.push(0);
+                }
+                self.text.push_str(name);
+                self.bounds.push(self.text.len());
+                self.slots[slot] = (hash, id + 1);
+                ConstId(id)
+            }
+            id => ConstId(id - 1),
+        }
+    }
+
+    fn grow(&mut self) {
+        let capacity = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); capacity]);
+        for (hash, id) in old.into_iter().filter(|&(_, id)| id != 0) {
+            let name = self.name(id as usize - 1).expect("interned id");
+            let slot = self.find(name, hash);
+            self.slots[slot] = (hash, id);
+        }
+    }
+}
+
 /// Interning tables for every named symbol in a program.
 #[derive(Debug, Default, Clone)]
 pub struct Vocabulary {
     preds: Vec<PredInfo>,
     pred_by_name: FxHashMap<String, PredId>,
-    consts: Vec<String>,
-    const_by_name: FxHashMap<String, ConstId>,
+    consts: ConstTable,
     vars: Vec<String>,
 }
 
@@ -39,8 +123,7 @@ impl Vocabulary {
         Vocabulary {
             preds: Vec::new(),
             pred_by_name: fx_map(),
-            consts: Vec::new(),
-            const_by_name: fx_map(),
+            consts: ConstTable::default(),
             vars: Vec::new(),
         }
     }
@@ -89,13 +172,7 @@ impl Vocabulary {
 
     /// Interns a constant name.
     pub fn constant(&mut self, name: &str) -> ConstId {
-        if let Some(&id) = self.const_by_name.get(name) {
-            return id;
-        }
-        let id = ConstId(self.consts.len() as u32);
-        self.consts.push(name.to_string());
-        self.const_by_name.insert(name.to_string(), id);
-        id
+        self.consts.intern(name)
     }
 
     /// Allocates a fresh variable with the given display name.
@@ -124,10 +201,7 @@ impl Vocabulary {
     /// placeholder for constants minted outside this vocabulary (e.g.
     /// by the witness realiser, which allocates structural constants).
     pub fn const_name(&self, c: ConstId) -> &str {
-        self.consts
-            .get(c.index())
-            .map(String::as_str)
-            .unwrap_or("⟨fresh⟩")
+        self.consts.name(c.index()).unwrap_or("⟨fresh⟩")
     }
 
     /// Returns the display name of a variable.
@@ -170,7 +244,7 @@ impl Vocabulary {
         use std::fmt::Write;
         // `write!` into a `String` cannot fail.
         match term {
-            Term::Const(c) => match self.consts.get(c.index()) {
+            Term::Const(c) => match self.consts.name(c.index()) {
                 Some(name) => out.push_str(name),
                 None => drop(write!(out, "⟨c{}⟩", c.0)),
             },
@@ -241,6 +315,26 @@ mod tests {
         assert_ne!(x1, x2);
         assert_eq!(v.var_name(x1), "x");
         assert_eq!(v.var_name(x2), "x");
+    }
+
+    #[test]
+    fn constant_ids_are_dense_and_stable_across_table_growth() {
+        let mut v = Vocabulary::new();
+        let names: Vec<String> = (0..5000).map(|i| format!("e{i:x}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(v.constant(name), ConstId(i as u32));
+        }
+        assert_eq!(
+            v.constant(""),
+            ConstId(5000),
+            "the empty name is a name too"
+        );
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(v.constant(name), ConstId(i as u32));
+            assert_eq!(v.const_name(ConstId(i as u32)), name);
+        }
+        assert_eq!(v.const_count(), 5001);
+        assert_eq!(v.const_name(ConstId(5001)), "⟨fresh⟩");
     }
 
     #[test]
