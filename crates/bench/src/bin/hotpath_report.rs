@@ -23,15 +23,19 @@
 //! bytes). The `scale` row times the restricted engine alone on the
 //! ontology-scale chain workload (`chase_workloads::scale`, ≥4·10⁴
 //! facts even in smoke mode) with its peak instance bytes; the seed
-//! engine is too slow to pair with it.
+//! engine is too slow to pair with it. The `ingest_compile` row times a
+//! cold `compile` of the ~190 KB ingest-shaped program
+//! (`chase_bench::ingest_program`) and reports it per source byte; it
+//! carries no gate.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use chase_bench::{
-    closure_workload, existential_workload, fan_workload, triangle_workload,
+    closure_workload, existential_workload, fan_workload, ingest_program, triangle_workload,
     wide_existential_workload,
 };
+use chase_core::compile::compile;
 use chase_core::instance::Instance;
 use chase_core::tgd::TgdSet;
 use chase_engine::restricted::{Budget, ChaseVariant, RestrictedChase};
@@ -131,6 +135,37 @@ fn server_warm_section(rules: usize, runs: usize) -> ServerWarm {
         source_bytes: source.len(),
         cold_ns,
         warm_ns,
+    }
+}
+
+/// Cold [`compile`] of an ingest-shaped program
+/// ([`chase_bench::ingest_program`]): the parse/compile layer a served
+/// `chase_ingest` request pays before its chase starts.
+struct IngestCompile {
+    source_bytes: usize,
+    facts: usize,
+    ns: u128,
+}
+
+impl IngestCompile {
+    fn ns_per_byte(&self) -> f64 {
+        self.ns as f64 / self.source_bytes.max(1) as f64
+    }
+}
+
+fn ingest_compile_section(runs: usize) -> IngestCompile {
+    let source = ingest_program(4000);
+    let facts = compile(&source)
+        .expect("ingest program compiles")
+        .database()
+        .len();
+    let ns = min_ns(runs, || {
+        black_box(compile(&source).expect("ingest program compiles"));
+    });
+    IngestCompile {
+        source_bytes: source.len(),
+        facts,
+        ns,
     }
 }
 
@@ -320,6 +355,7 @@ fn write_json(
     rows: &[Row],
     scale: &ScaleRow,
     server_warm: &ServerWarm,
+    ingest: &IngestCompile,
 ) -> std::io::Result<()> {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
@@ -365,12 +401,21 @@ fn write_json(
     out.push_str(&format!(
         "  \"server_warm\": {{\"workload\": \"program cache resolve (cold compile vs \
          warm content-addressed hit)\", \"rules\": {}, \"source_bytes\": {}, \
-         \"cold_ns\": {}, \"warm_ns\": {}, \"speedup\": {:.2}}}\n",
+         \"cold_ns\": {}, \"warm_ns\": {}, \"speedup\": {:.2}}},\n",
         server_warm.rules,
         server_warm.source_bytes,
         server_warm.cold_ns,
         server_warm.warm_ns,
         server_warm.speedup(),
+    ));
+    out.push_str(&format!(
+        "  \"ingest_compile\": {{\"workload\": \"cold compile of an ingest-shaped program \
+         (min of runs)\", \"source_bytes\": {}, \"facts\": {}, \"ns\": {}, \
+         \"ns_per_byte\": {:.2}}}\n",
+        ingest.source_bytes,
+        ingest.facts,
+        ingest.ns,
+        ingest.ns_per_byte(),
     ));
     out.push_str("}\n");
     std::fs::write(path, out)
@@ -433,6 +478,7 @@ fn main() {
     // cold compile is a realistic multi-millisecond admission cost.
     let server_warm = server_warm_section(if smoke { 150 } else { 500 }, runs);
     let scale = scale_row(chain_params.name(), &chain_set, &chain_db, budget, 3);
+    let ingest = ingest_compile_section(2 * runs + 1);
 
     println!(
         "hot-path report ({}):",
@@ -466,6 +512,13 @@ fn main() {
         server_warm.warm_ns,
         server_warm.speedup(),
     );
+    println!(
+        "ingest_compile: source={}B facts={} ns={} ns_per_byte={:.2}",
+        ingest.source_bytes,
+        ingest.facts,
+        ingest.ns,
+        ingest.ns_per_byte(),
+    );
 
     write_json(
         &out_path,
@@ -474,6 +527,7 @@ fn main() {
         &rows,
         &scale,
         &server_warm,
+        &ingest,
     )
     .expect("write report");
     println!("wrote {out_path}");

@@ -91,6 +91,45 @@ pub fn wide_existential_workload(width: usize, facts: usize) -> (Vocabulary, Tgd
     setup_with_db(&rules, &db)
 }
 
+/// A program shaped like the served `chase_ingest` requests: cheap
+/// rules over many fresh facts, `facts` facts in each of three parts.
+///
+/// - The data-exchange mapping of width 8 (`S_i(x,y) → ∃z T_i(y,z)`,
+///   `T_i(u,v) → W_i(u)`) over `S_i(c_j, d_{j mod 7})` facts.
+/// - Wide existential pairs `X_i(x,y,u) → ∃z Y_i(x,y,z)`,
+///   `Y_i(p,q,r) → Z_i(p,q)` over `X_i(c_{j mod 5}, d_{j mod 7}, e_j)`
+///   facts, `e_j` in hex as the served workload writes it.
+/// - A triangle rule over a random `E`-graph with `facts` nodes.
+///
+/// With `facts = 4000` the source is about 190 KB.
+pub fn ingest_program(facts: usize) -> String {
+    use std::fmt::Write as _;
+    const WIDTH: usize = 8;
+    let mut src = chase_workloads::families::data_exchange(WIDTH);
+    for i in 0..WIDTH {
+        let _ = writeln!(src, "X{i}(x,y,u) -> exists z. Y{i}(x,y,z).");
+        let _ = writeln!(src, "Y{i}(p,q,r) -> Z{i}(p,q).");
+    }
+    src.push_str("E(x,y), E(y,z), E(x,z) -> exists w. M(x,z,w).\n");
+    for j in 0..facts {
+        let _ = writeln!(src, "S{}(c{},d{}).", j % WIDTH, j / WIDTH, j % 7);
+    }
+    for j in 0..facts {
+        let _ = writeln!(
+            src,
+            "X{}(c{},d{},e{:x}).",
+            j % WIDTH,
+            j % 5,
+            j % 7,
+            0x1000 + j
+        );
+    }
+    src.push_str(&chase_workloads::families::edge_database(
+        "E", facts, facts, 7,
+    ));
+    src
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +160,15 @@ mod tests {
         let (_, set, db) = triangle_workload(10, 20);
         assert_eq!(set.len(), 1);
         assert!(!db.is_empty());
+    }
+
+    #[test]
+    fn ingest_program_compiles_every_fact() {
+        let src = ingest_program(40);
+        let program = chase_core::compile::compile(&src).unwrap();
+        assert_eq!(program.tgd_set().len(), 33);
+        // Random edges may repeat; the other two parts are distinct.
+        assert!(program.database().len() > 80 && program.database().len() <= 120);
     }
 
     #[test]

@@ -193,9 +193,9 @@ struct RawAtom<'a> {
     args: (usize, usize),
 }
 
-/// A single streaming pass: one token of lookahead, statements parsed
-/// into reused span buffers and resolved against the vocabulary once
-/// the statement's syntax is known to be right.
+/// A single streaming pass: one token of lookahead, atom lists parsed
+/// into reused span buffers, each list resolved against the vocabulary
+/// once its syntax is known to be right.
 struct Parser<'a, 'v> {
     lexer: Lexer<'a>,
     look: Option<Token<'a>>,
@@ -441,15 +441,15 @@ pub fn parse_program(src: &str, vocab: &mut Vocabulary) -> Result<Program, CoreE
 /// Parses rules only and returns them as a validated [`TgdSet`];
 /// errors if the source contains facts.
 pub fn parse_tgds(src: &str, vocab: &mut Vocabulary) -> Result<TgdSet, CoreError> {
-    let program = parse_program(src, vocab)?;
-    if !program.database.is_empty() {
+    let Program { rules, database } = parse_program(src, vocab)?;
+    if !database.is_empty() {
         return Err(CoreError::Parse {
             line: 0,
             column: 0,
             message: "expected rules only, found facts".into(),
         });
     }
-    program.tgd_set(vocab)
+    TgdSet::new(rules, vocab)
 }
 
 #[cfg(test)]

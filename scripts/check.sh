@@ -133,9 +133,10 @@ cargo run --offline --release -q -p chase-bench --bin expreport >/dev/null
 
 echo "== BENCH_hotpath.json schema gate (host-honesty fields) =="
 # The committed report must record the host it was measured on
-# ("host_cpus") and carry the program-cache cold/warm comparison
-# ("server_warm") behind the >= 5x smoke gate.
-for field in '"host_cpus"' '"server_warm"'; do
+# ("host_cpus"), carry the program-cache cold/warm comparison
+# ("server_warm") behind the >= 5x smoke gate, and the cold compile
+# of the ingest-shaped program per source byte ("ingest_compile").
+for field in '"host_cpus"' '"server_warm"' '"ingest_compile"'; do
     if ! grep -q "$field" BENCH_hotpath.json; then
         echo "BENCH_hotpath.json schema gate: missing required field $field" >&2
         exit 1
@@ -144,6 +145,9 @@ done
 
 echo "== zero-alloc proof (NullObserver hot path) =="
 cargo test --offline -q -p chase-bench --test hotpath_alloc
+
+echo "== parse allocation gate (<= 1 allocation per fact compiling a ~190 KB ingest program) =="
+cargo test --offline -q -p chase-bench --test parse_alloc
 
 echo "== profiler smoke gate (overhead <= ${PROFILE_GATE_OVERHEAD:-10}% + report round-trip + full-trace fold) =="
 # The overhead estimate (median of interleaved paired ratios) is
