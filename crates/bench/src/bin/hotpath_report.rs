@@ -24,7 +24,7 @@
 //! ontology-scale chain workload (`chase_workloads::scale`, ≥4·10⁴
 //! facts even in smoke mode) with its peak instance bytes; the seed
 //! engine is too slow to pair with it. The `ingest_compile` row times a
-//! cold `compile` of the ~190 KB ingest-shaped program
+//! cold `compile` of the ~182 KB ingest-shaped program
 //! (`chase_bench::ingest_program`) and reports it per source byte; it
 //! carries no gate.
 

@@ -1,5 +1,5 @@
 //! Allocation gate for compiling a program: a cold [`compile`] of a
-//! ~190 KB ingest-shaped program ([`chase_bench::ingest_program`])
+//! ~182 KB ingest-shaped program ([`chase_bench::ingest_program`])
 //! makes at most one heap allocation per parsed fact. The parser
 //! streams tokens as spans of the source and resolves each fact into
 //! reused buffers, and the vocabulary interns constant names into one

@@ -201,8 +201,8 @@ struct Parser<'a, 'v> {
     look: Option<Token<'a>>,
     /// Start of the most recently lexed token: the lookahead, or the
     /// last token of the source once the lookahead is exhausted.
-    /// Syntax errors are reported here.
-    last_start: Option<usize>,
+    /// Syntax errors are reported here (only ever after a token).
+    last_start: usize,
     vocab: &'v mut Vocabulary,
     /// The predicate interned last: name, arity and id.
     last_pred: Option<(&'a str, usize, PredId)>,
@@ -218,7 +218,7 @@ impl<'a, 'v> Parser<'a, 'v> {
         let mut parser = Parser {
             lexer: Lexer { src, pos: 0 },
             look: None,
-            last_start: None,
+            last_start: 0,
             vocab,
             last_pred: None,
             atoms: Vec::new(),
@@ -235,7 +235,7 @@ impl<'a, 'v> Parser<'a, 'v> {
     fn advance(&mut self) -> Result<(), CoreError> {
         self.look = self.lexer.next_token()?;
         if let Some(t) = self.look {
-            self.last_start = Some(t.start);
+            self.last_start = t.start;
         }
         Ok(())
     }
@@ -254,14 +254,7 @@ impl<'a, 'v> Parser<'a, 'v> {
 
     #[cold]
     fn error(&self, message: impl Into<String>) -> CoreError {
-        match self.last_start {
-            Some(offset) => error_at(self.lexer.src, offset, message),
-            None => CoreError::Parse {
-                line: 0,
-                column: 0,
-                message: message.into(),
-            },
-        }
+        error_at(self.lexer.src, self.last_start, message)
     }
 
     fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<(), CoreError> {

@@ -146,7 +146,7 @@ done
 echo "== zero-alloc proof (NullObserver hot path) =="
 cargo test --offline -q -p chase-bench --test hotpath_alloc
 
-echo "== parse allocation gate (<= 1 allocation per fact compiling a ~190 KB ingest program) =="
+echo "== parse allocation gate (<= 1 allocation per fact compiling a ~182 KB ingest program) =="
 cargo test --offline -q -p chase-bench --test parse_alloc
 
 echo "== profiler smoke gate (overhead <= ${PROFILE_GATE_OVERHEAD:-10}% + report round-trip + full-trace fold) =="
