@@ -19,7 +19,9 @@ pub mod suite;
 /// One-stop imports.
 pub mod prelude {
     pub use crate::families;
-    pub use crate::random::{random_database, random_tgds, RandomTgdParams};
+    pub use crate::random::{
+        random_database, random_tgds, RandomTgdParams, DECIDE_SWEEP, DECIDE_SWEEP_SEEDS,
+    };
     pub use crate::runner::{run_labelled_suite, run_suite_entries, SuiteRun, SuiteRunEntry};
     pub use crate::scale::{scale_workload, ScaleParams, Shape};
     pub use crate::suite::{labelled_suite, Expected, SuiteEntry};

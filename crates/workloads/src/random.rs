@@ -33,6 +33,21 @@ impl Default for RandomTgdParams {
     }
 }
 
+/// The generator of the decide sweep: 3 predicates of arity up to 3, 4
+/// rules with bodies of up to 3 atoms, 35% existential head
+/// variables. Seeds `0..DECIDE_SWEEP_SEEDS` of it are pinned in
+/// `tests/golden/decide_sweep.txt` and timed by `hotpath_report`.
+pub const DECIDE_SWEEP: RandomTgdParams = RandomTgdParams {
+    predicates: 3,
+    max_arity: 3,
+    rules: 4,
+    max_body: 3,
+    existential_pct: 35,
+};
+
+/// The number of [`DECIDE_SWEEP`] seeds in the sweep.
+pub const DECIDE_SWEEP_SEEDS: u64 = 200;
+
 /// Generates a random rule file (rules only) from a seed.
 ///
 /// Construction guarantees validity: bodies are non-empty; each head

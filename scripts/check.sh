@@ -61,6 +61,11 @@ echo "== sticky-vs-linear decider sweep (1,500 random linear sets) =="
 # on every random linear set.
 cargo test --offline -q --release --test decider_consistency -- --ignored
 
+echo "== decide sweep golden, all 200 seeds (release) =="
+# Tier-1 runs the seeds that decide in under 0.2 s; this runs the slow
+# ones too (about 30 s in release on a 2-CPU host).
+cargo test --offline -q --release --test decide_sweep every_seed -- --ignored
+
 echo "== fault-injection suite (chase-engine faults) =="
 cargo test --offline -q -p chase-engine faults
 
