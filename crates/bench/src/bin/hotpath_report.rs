@@ -26,7 +26,13 @@
 //! engine is too slow to pair with it. The `ingest_compile` row times a
 //! cold `compile` of the ~182 KB ingest-shaped program
 //! (`chase_bench::ingest_program`) and reports it per source byte; it
-//! carries no gate.
+//! carries no gate. The `decide_sweep` section decides seeds 0–199 of
+//! the decide sweep (`chase_workloads::random::DECIDE_SWEEP`, the
+//! generator `tests/golden/decide_sweep.txt` pins) and records the
+//! verdict counts, the certificate kinds and each seed's decide time
+//! (min of 3 runs; one run for a seed whose first takes a second or
+//! more), with the total, p50, p99, max and the five slowest seeds.
+//! Smoke mode decides the first 8 seeds; the section carries no gate.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -37,11 +43,15 @@ use chase_bench::{
 };
 use chase_core::compile::compile;
 use chase_core::instance::Instance;
+use chase_core::parser::parse_tgds;
 use chase_core::tgd::TgdSet;
+use chase_core::vocab::Vocabulary;
 use chase_engine::restricted::{Budget, ChaseVariant, RestrictedChase};
 use chase_engine::seed::{SeedObliviousChase, SeedRestrictedChase};
 use chase_server::cache::{ProgramCache, ProgramCacheConfig};
 use chase_telemetry::{spans, SpanObserver};
+use chase_termination::{decide, DeciderConfig, TerminationVerdict};
+use chase_workloads::random::{random_tgds, DECIDE_SWEEP, DECIDE_SWEEP_SEEDS};
 use chase_workloads::scale::{scale_workload, ScaleParams, Shape};
 
 /// Phase attribution from one profiled run of a workload: where the
@@ -167,6 +177,73 @@ fn ingest_compile_section(runs: usize) -> IngestCompile {
         facts,
         ns,
     }
+}
+
+/// `decide` over the first seeds of the decide sweep: verdicts,
+/// certificate kinds and each seed's decide time.
+struct DecideSweep {
+    terminating: usize,
+    non_terminating: usize,
+    unknown: usize,
+    /// Terminating verdicts per certificate kind, by kind name.
+    certificates: std::collections::BTreeMap<String, usize>,
+    /// Each seed's minimum decide time, in seed order.
+    ns: Vec<u128>,
+}
+
+impl DecideSweep {
+    /// The nearest-rank `q` quantile of the per-seed times.
+    fn quantile(&self, q: f64) -> u128 {
+        let mut sorted = self.ns.clone();
+        sorted.sort_unstable();
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+        sorted.get(rank - 1).copied().unwrap_or(0)
+    }
+
+    /// The five slowest seeds, slowest first.
+    fn slowest(&self) -> Vec<(usize, u128)> {
+        let mut by_time: Vec<(usize, u128)> = self.ns.iter().copied().enumerate().collect();
+        by_time.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        by_time.truncate(5);
+        by_time
+    }
+}
+
+fn decide_sweep_section(seeds: u64) -> DecideSweep {
+    let config = DeciderConfig::default();
+    let mut sweep = DecideSweep {
+        terminating: 0,
+        non_terminating: 0,
+        unknown: 0,
+        certificates: Default::default(),
+        ns: Vec::new(),
+    };
+    for seed in 0..seeds {
+        let mut vocab = Vocabulary::new();
+        let set =
+            parse_tgds(&random_tgds(&DECIDE_SWEEP, seed), &mut vocab).expect("sweep rules parse");
+        let start = Instant::now();
+        let verdict = decide(&set, &vocab, &config);
+        let first = start.elapsed().as_nanos();
+        let runs = if first >= 1_000_000_000 { 0 } else { 2 };
+        let rest = min_ns(runs, || {
+            black_box(decide(&set, &vocab, &config));
+        });
+        sweep
+            .ns
+            .push(if runs == 0 { first } else { first.min(rest) });
+        match verdict {
+            TerminationVerdict::AllInstancesTerminating(cert) => {
+                sweep.terminating += 1;
+                let kind = format!("{cert:?}");
+                let kind = kind.split(' ').next().unwrap_or_default().to_string();
+                *sweep.certificates.entry(kind).or_default() += 1;
+            }
+            TerminationVerdict::NonTerminating(_) => sweep.non_terminating += 1,
+            TerminationVerdict::Unknown { .. } => sweep.unknown += 1,
+        }
+    }
+    sweep
 }
 
 /// The restricted engine alone on one ontology-scale workload.
@@ -348,15 +425,16 @@ fn scale_row(
     }
 }
 
-fn write_json(
-    path: &str,
+/// The JSON report.
+fn render_json(
     mode: &str,
     host_cpus: usize,
     rows: &[Row],
     scale: &ScaleRow,
     server_warm: &ServerWarm,
     ingest: &IngestCompile,
-) -> std::io::Result<()> {
+    sweep: &DecideSweep,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(
@@ -411,14 +489,45 @@ fn write_json(
     out.push_str(&format!(
         "  \"ingest_compile\": {{\"workload\": \"cold compile of an ingest-shaped program \
          (min of runs)\", \"source_bytes\": {}, \"facts\": {}, \"ns\": {}, \
-         \"ns_per_byte\": {:.2}}}\n",
+         \"ns_per_byte\": {:.2}}},\n",
         ingest.source_bytes,
         ingest.facts,
         ingest.ns,
         ingest.ns_per_byte(),
     ));
+    let certificates: Vec<String> = sweep
+        .certificates
+        .iter()
+        .map(|(kind, n)| format!("\"{kind}\": {n}"))
+        .collect();
+    let slowest: Vec<String> = sweep
+        .slowest()
+        .iter()
+        .map(|(seed, ns)| format!("{{\"seed\": {seed}, \"ns\": {ns}}}"))
+        .collect();
+    let per_seed: Vec<String> = sweep.ns.iter().map(u128::to_string).collect();
+    out.push_str(&format!(
+        "  \"decide_sweep\": {{\"workload\": \"decide, default config, on seeds 0..{} of \
+         random_tgds(DECIDE_SWEEP): 3 predicates, arity <= 3, 4 rules, bodies <= 3 atoms, \
+         35% existentials (min of 3 runs per seed, 1 run for a seed whose first takes >= 1 \
+         s)\", \"seeds\": {}, \"terminating\": {}, \"non_terminating\": {}, \"unknown\": {}, \
+         \"certificates\": {{{}}}, \"total_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
+         \"max_ns\": {}, \"slowest\": [{}], \"per_seed_ns\": [{}]}}\n",
+        sweep.ns.len(),
+        sweep.ns.len(),
+        sweep.terminating,
+        sweep.non_terminating,
+        sweep.unknown,
+        certificates.join(", "),
+        sweep.ns.iter().sum::<u128>(),
+        sweep.quantile(0.5),
+        sweep.quantile(0.99),
+        sweep.quantile(1.0),
+        slowest.join(", "),
+        per_seed.join(", "),
+    ));
     out.push_str("}\n");
-    std::fs::write(path, out)
+    out
 }
 
 fn main() {
@@ -479,6 +588,7 @@ fn main() {
     let server_warm = server_warm_section(if smoke { 150 } else { 500 }, runs);
     let scale = scale_row(chain_params.name(), &chain_set, &chain_db, budget, 3);
     let ingest = ingest_compile_section(2 * runs + 1);
+    let sweep = decide_sweep_section(if smoke { 8 } else { DECIDE_SWEEP_SEEDS });
 
     println!(
         "hot-path report ({}):",
@@ -520,16 +630,30 @@ fn main() {
         ingest.ns_per_byte(),
     );
 
-    write_json(
-        &out_path,
+    println!(
+        "decide_sweep: seeds={} terminating={} non_terminating={} unknown={} total={}ns \
+         p50={}ns p99={}ns max={}ns slowest={:?}",
+        sweep.ns.len(),
+        sweep.terminating,
+        sweep.non_terminating,
+        sweep.unknown,
+        sweep.ns.iter().sum::<u128>(),
+        sweep.quantile(0.5),
+        sweep.quantile(0.99),
+        sweep.quantile(1.0),
+        sweep.slowest(),
+    );
+
+    let report = render_json(
         if smoke { "smoke" } else { "full" },
         host_cpus,
         &rows,
         &scale,
         &server_warm,
         &ingest,
-    )
-    .expect("write report");
+        &sweep,
+    );
+    std::fs::write(&out_path, report).expect("write report");
     println!("wrote {out_path}");
 
     if smoke {

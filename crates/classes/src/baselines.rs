@@ -11,17 +11,25 @@
 //!   (a still stronger requirement).
 //!
 //! Both chase-based checks are budget-bounded: `Holds` proves the
-//! criterion, and `BudgetExhausted` means the budget ran out (the
-//! criterion very likely fails; on all suite workloads the budget is
-//! decisive). Under a governor with a deadline or cancellation token,
-//! `Interrupted` reports that the check was stopped before either.
+//! criterion, and `BudgetExhausted` means the budget ran out first.
+//! That establishes nothing: the chase may saturate under a larger
+//! budget, and a set that fails the criterion may still be in
+//! `CT^res_∀∀` (`R(x,y) → ∃z R(z,x)` below). Under a governor with a
+//! deadline or cancellation token, `Interrupted` reports that the
+//! check was stopped before either.
+//!
+//! [`semi_oblivious_critical_until_cyclic`] is the cheap first pass of
+//! the guarded decider: it gives up with `CyclicTerm` at the first
+//! cyclic Skolem term (see `chase_engine::skolem`). A cyclic term does
+//! not mean the chase diverges, so a caller that needs the answer runs
+//! the full check afterwards.
 
 use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
 use chase_engine::critical::critical_database;
 use chase_engine::governor::ResourceGovernor;
 use chase_engine::restricted::{
-    Budget, ChaseRun, ChaseVariant, NullObserver, Outcome, RestrictedChase,
+    Budget, ChaseObserver, ChaseRun, ChaseVariant, NullObserver, Outcome, RestrictedChase,
 };
 
 /// Outcome of a budget-bounded termination criterion.
@@ -33,9 +41,12 @@ pub enum CriterionOutcome {
         /// Trigger applications needed to saturate.
         steps: usize,
     },
-    /// The budget was exhausted; the criterion is not established
-    /// (and, for the workloads in this repository, fails).
+    /// The budget was exhausted; the criterion is not established.
     BudgetExhausted,
+    /// [`semi_oblivious_critical_until_cyclic`] met its first cyclic
+    /// Skolem term before the chase saturated; nothing is established
+    /// either way.
+    CyclicTerm,
     /// A deadline or cancellation (the carried outcome) stopped the
     /// chase first; nothing is established either way.
     Interrupted(Outcome),
@@ -70,22 +81,46 @@ pub fn semi_oblivious_critical(
     vocab: &mut Vocabulary,
     budget: Budget,
 ) -> CriterionOutcome {
-    semi_oblivious_critical_governed(set, vocab, &ResourceGovernor::from_budget(budget))
+    semi_oblivious_critical_governed(
+        set,
+        vocab,
+        &ResourceGovernor::from_budget(budget),
+        &mut NullObserver,
+    )
 }
 
 /// [`semi_oblivious_critical`] under a full governor, so a deadline or
-/// cancellation stops the check with [`CriterionOutcome::Interrupted`].
-pub fn semi_oblivious_critical_governed(
+/// cancellation stops the check with [`CriterionOutcome::Interrupted`],
+/// streaming the chase's events to `obs`.
+pub fn semi_oblivious_critical_governed<O: ChaseObserver + ?Sized>(
     set: &TgdSet,
     vocab: &mut Vocabulary,
     gov: &ResourceGovernor,
+    obs: &mut O,
 ) -> CriterionOutcome {
     let db = critical_database(set, vocab);
     criterion(
         RestrictedChase::new(set)
             .variant(ChaseVariant::SemiOblivious)
-            .run_governed(&db, gov, &mut NullObserver, None),
+            .run_governed(&db, gov, obs, None),
     )
+}
+
+/// [`semi_oblivious_critical_governed`] that answers
+/// [`CriterionOutcome::CyclicTerm`] at the chase's first cyclic Skolem
+/// term. Its other answers are the full check's: the stop never cuts a
+/// run that ends in them.
+pub fn semi_oblivious_critical_until_cyclic<O: ChaseObserver + ?Sized>(
+    set: &TgdSet,
+    vocab: &mut Vocabulary,
+    gov: &ResourceGovernor,
+    obs: &mut O,
+) -> CriterionOutcome {
+    let db = critical_database(set, vocab);
+    RestrictedChase::new(set)
+        .variant(ChaseVariant::SemiOblivious)
+        .run_until_cyclic_term(&db, gov, obs)
+        .map_or(CriterionOutcome::CyclicTerm, criterion)
 }
 
 /// Reads a critical-database run as a criterion outcome.

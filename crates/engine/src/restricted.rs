@@ -65,8 +65,7 @@ use chase_core::subst::Binding;
 use chase_core::term::Term;
 use chase_core::tgd::{Tgd, TgdId, TgdSet};
 use chase_telemetry::{
-    emit, emit_detail, span_enter, span_enter_sampled, spans, ChaseObserver, EngineKind, Event,
-    NO_TGD,
+    emit, emit_detail, span_enter, span_enter_sampled, spans, EngineKind, Event, NO_TGD,
 };
 
 use crate::derivation::{Derivation, Step};
@@ -81,6 +80,8 @@ use crate::trigger::{
 };
 
 pub use crate::governor::{Budget, Outcome};
+/// What a run streams its events to.
+pub use chase_telemetry::ChaseObserver;
 /// The observer of an unobserved [`RestrictedChase::run_governed`].
 pub use chase_telemetry::NullObserver;
 
@@ -541,7 +542,28 @@ impl<'a> RestrictedChase<'a> {
         let mut fresh = ChaseScratch::default();
         let scratch = scratch.unwrap_or(&mut fresh);
         let run_guard = span_enter(obs, spans::RUN, NO_TGD);
-        let run = self.run_inner(database, gov, obs, scratch);
+        let run = self.run_inner(database, gov, obs, scratch, false);
+        run_guard.exit(obs);
+        run.expect("only a cyclic-term stop ends a run without a result")
+    }
+
+    /// [`RestrictedChase::run_governed`] that gives up at the first
+    /// cyclic Skolem term (see [`crate::skolem`]): `None` when a step
+    /// invented one and more triggers were queued, otherwise the run
+    /// exactly as [`RestrictedChase::run_governed`] returns it.
+    ///
+    /// A run that stops here says nothing about termination: a chase
+    /// may build a cyclic term and still saturate a few steps later.
+    /// The semi-oblivious check on the critical database uses it to
+    /// put its full-budget run off until the cheaper evidence is in.
+    pub fn run_until_cyclic_term<O: ChaseObserver + ?Sized>(
+        &self,
+        database: &Instance,
+        gov: &ResourceGovernor,
+        obs: &mut O,
+    ) -> Option<ChaseRun> {
+        let run_guard = span_enter(obs, spans::RUN, NO_TGD);
+        let run = self.run_inner(database, gov, obs, &mut ChaseScratch::default(), true);
         run_guard.exit(obs);
         run
     }
@@ -570,13 +592,16 @@ impl<'a> RestrictedChase<'a> {
         Some(TriggerFp::of(id, binding, self.variant.fp_vars(tgd)))
     }
 
+    /// The chase loop; `None` only when `stop_at_cyclic_term` stopped
+    /// it (see [`RestrictedChase::run_until_cyclic_term`]).
     fn run_inner<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
         scratch: &mut ChaseScratch,
-    ) -> ChaseRun {
+        stop_at_cyclic_term: bool,
+    ) -> Option<ChaseRun> {
         let engine = self.variant.kind();
         let restricted = matches!(self.variant, ChaseVariant::Restricted(_));
         let record = self.record && restricted;
@@ -594,12 +619,12 @@ impl<'a> RestrictedChase<'a> {
                     .interrupt_reason()
                     .unwrap_or(chase_telemetry::InterruptReason::Deadline),
             });
-            return ChaseRun {
+            return Some(ChaseRun {
                 outcome,
                 instance: database.clone(),
                 steps: 0,
                 derivation: Derivation::default(),
-            };
+            });
         }
         let ChaseScratch {
             matcher,
@@ -621,6 +646,9 @@ impl<'a> RestrictedChase<'a> {
             self.variant.skolem(),
             instance.iter().flat_map(|a| a.args.iter().copied()),
         );
+        if stop_at_cyclic_term {
+            skolem.track_cycles();
+        }
         let mut queue = TriggerQueue::new(strategy, self.set.len());
         // Flat binding arena backing all queued spans for the whole
         // run; bounded by the number of discovered triggers (which the
@@ -679,16 +707,19 @@ impl<'a> RestrictedChase<'a> {
                         queue.len() as u64,
                     );
                 }
-                return ChaseRun {
+                return Some(ChaseRun {
                     outcome,
                     instance,
                     steps,
                     derivation,
-                };
+                });
             }
             let Some(popped) = queue.pop(strategy, &mut rng) else {
                 break;
             };
+            if stop_at_cyclic_term && skolem.cyclic_term_invented() {
+                return None;
+            }
             let sampled = pop_idx.is_multiple_of(self.profile_sample_every);
             pop_idx += 1;
             let step_guard = span_enter_sampled(obs, spans::STEP, popped.tgd.0, sampled, None);
@@ -741,12 +772,12 @@ impl<'a> RestrictedChase<'a> {
                         queue.len() as u64,
                     );
                 }
-                return ChaseRun {
+                return Some(ChaseRun {
                     outcome: Outcome::BudgetExhausted,
                     instance,
                     steps,
                     derivation,
-                };
+                });
             }
             // Materialise the applied trigger (the only place a queued
             // candidate becomes an owned Trigger).
@@ -849,12 +880,12 @@ impl<'a> RestrictedChase<'a> {
         if let Some(start) = run_start {
             emit_profile_sample(obs, engine, start, &instance, steps as u64, 0);
         }
-        ChaseRun {
+        Some(ChaseRun {
             outcome: Outcome::Terminated,
             instance,
             steps,
             derivation,
-        }
+        })
     }
 }
 
@@ -1193,6 +1224,45 @@ mod tests {
         assert_eq!(semi.outcome, Outcome::Terminated);
         assert_eq!(full.instance.len(), 4); // 2 db + 2 S-atoms
         assert_eq!(semi.instance.len(), 3); // 2 db + 1 S-atom
+    }
+
+    /// The semi-oblivious run of `src` until its first cyclic term,
+    /// and the same run without that stop.
+    fn semi_until_cyclic(src: &str) -> (Option<ChaseRun>, ChaseRun) {
+        let mut vocab = Vocabulary::new();
+        let p = parse_program(src, &mut vocab).unwrap();
+        let set = p.tgd_set(&vocab).unwrap();
+        let engine = RestrictedChase::new(&set).variant(ChaseVariant::SemiOblivious);
+        let gov = ResourceGovernor::from_budget(Budget::steps(200));
+        let short = engine.run_until_cyclic_term(&p.database, &gov, &mut NullObserver);
+        (
+            short,
+            engine.run_governed(&p.database, &gov, &mut NullObserver, None),
+        )
+    }
+
+    #[test]
+    fn run_until_cyclic_term_stops_only_at_a_nested_skolem_term() {
+        // Right recursion nests its null in its own symbol at once.
+        let (short, full) = semi_until_cyclic("R(a,a). R(x,y) -> exists z. R(y,z).");
+        assert!(short.is_none());
+        assert_eq!(full.outcome, Outcome::BudgetExhausted);
+        // Left recursion never nests: the short run is the full run.
+        let (short, full) = semi_until_cyclic("R(a,a). R(x,y) -> exists z. R(x,z).");
+        let short = short.expect("no cyclic term");
+        assert_eq!(full.outcome, Outcome::Terminated);
+        assert_eq!((short.outcome, short.steps), (full.outcome, full.steps));
+        assert_eq!(short.instance, full.instance);
+        // A cyclic term is not divergence: B(n0,n1) nests n1 = f(n0),
+        // but n0 has no D-fact, so E(n1) is the last step.
+        let (short, full) = semi_until_cyclic(
+            "A(c). B(c,c). D(c).
+             A(x) -> exists z. B(x,z).
+             B(x,y), D(x) -> A(y).
+             B(x,y) -> E(y).",
+        );
+        assert!(short.is_none());
+        assert_eq!(full.outcome, Outcome::Terminated);
     }
 
     #[test]

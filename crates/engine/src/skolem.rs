@@ -10,6 +10,14 @@
 //!
 //! The semi-oblivious variant keys nulls by `(σ, h|fr(σ), x)` instead,
 //! identifying triggers that agree on the frontier.
+//!
+//! On request ([`SkolemTable::track_cycles`]) the table also reports
+//! the first *cyclic* Skolem term: a null `c^{σ,h}_x` whose key terms
+//! already descend from a null of the same `(σ, x)`, i.e. a term
+//! `f_{σ,x}(…f_{σ,x}(…)…)`. This is the test behind model-faithful
+//! acyclicity (Cuenca Grau et al., "Acyclicity notions for existential
+//! rules", JAIR 2013): a chase that never builds a cyclic term invents
+//! terms of bounded depth only.
 
 use chase_core::ids::{fx_map, FxHashMap, NullId, VarId};
 use chase_core::subst::Binding;
@@ -33,6 +41,40 @@ pub struct SkolemTable {
     policy: SkolemPolicy,
     map: FxHashMap<(TgdId, Vec<Term>, VarId), NullId>,
     factory: NullFactory,
+    /// `Some` once [`SkolemTable::track_cycles`] was called.
+    cycles: Option<CycleTracker>,
+}
+
+/// The Skolem function symbols inside each invented null's term.
+#[derive(Debug, Clone)]
+struct CycleTracker {
+    /// The first null the table invents; smaller nulls come from the
+    /// database and carry no symbol.
+    base: u32,
+    /// Entry `n - base`: the sorted `(σ, x)` symbols of null `n`'s term.
+    labels: Vec<Vec<(TgdId, VarId)>>,
+    /// Whether a cyclic term was invented.
+    cyclic: bool,
+}
+
+impl CycleTracker {
+    /// Records the symbols of the fresh null `null = f_label(key)`.
+    fn record(&mut self, null: NullId, label: (TgdId, VarId), key: &[Term]) {
+        let mut symbols: Vec<(TgdId, VarId)> = Vec::new();
+        for &t in key {
+            if let Some(i) = t.as_null().and_then(|n| n.0.checked_sub(self.base)) {
+                symbols.extend_from_slice(&self.labels[i as usize]);
+            }
+        }
+        symbols.sort_unstable();
+        symbols.dedup();
+        match symbols.binary_search(&label) {
+            Ok(_) => self.cyclic = true,
+            Err(at) => symbols.insert(at, label),
+        }
+        debug_assert_eq!((null.0 - self.base) as usize, self.labels.len());
+        self.labels.push(symbols);
+    }
 }
 
 impl SkolemTable {
@@ -42,6 +84,7 @@ impl SkolemTable {
             policy,
             map: fx_map(),
             factory: NullFactory::new(),
+            cycles: None,
         }
     }
 
@@ -52,7 +95,26 @@ impl SkolemTable {
             policy,
             map: fx_map(),
             factory: NullFactory::above(existing),
+            cycles: None,
         }
+    }
+
+    /// Starts recording the Skolem symbols of every null invented from
+    /// now on, so [`SkolemTable::cyclic_term_invented`] can answer.
+    /// Untracked tables (the default) pay nothing for it.
+    pub fn track_cycles(&mut self) {
+        self.cycles = Some(CycleTracker {
+            base: self.factory.allocated(),
+            labels: Vec::new(),
+            cyclic: false,
+        });
+    }
+
+    /// Whether a tracked table has invented a cyclic Skolem term (see
+    /// the module docs); always `false` without
+    /// [`SkolemTable::track_cycles`].
+    pub fn cyclic_term_invented(&self) -> bool {
+        self.cycles.as_ref().is_some_and(|c| c.cyclic)
     }
 
     /// The key terms identifying the trigger under the current policy:
@@ -76,6 +138,9 @@ impl SkolemTable {
             return n;
         }
         let n = self.factory.fresh();
+        if let Some(cycles) = &mut self.cycles {
+            cycles.record(n, (tgd_id, x), &key.1);
+        }
         self.map.insert(key, n);
         n
     }
@@ -137,6 +202,79 @@ mod tests {
         let n1 = table.null_for(TgdId(0), tgd, &h1, z);
         let n2 = table.null_for(TgdId(0), tgd, &h2, z);
         assert_eq!(n1, n2);
+    }
+
+    /// `pred(x,y) -> exists z. pred(y,z)` (`right`) or `pred(x,y) ->
+    /// exists z. pred(x,z)`, its variables `x`, `y`, `z` and a tracked
+    /// per-frontier table.
+    fn recursion(
+        vocab: &mut Vocabulary,
+        pred: &str,
+        right: bool,
+    ) -> (TgdSet, [VarId; 3], SkolemTable) {
+        let mut b = RuleBuilder::new(vocab);
+        let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
+        b.body(pred, &[x, y]).unwrap();
+        b.head(pred, &[if right { y } else { x }, z]).unwrap();
+        let set = TgdSet::new(vec![b.build().unwrap()], vocab).unwrap();
+        let vars = [x, y, z].map(|v| v.as_var().unwrap());
+        let mut table = SkolemTable::new(SkolemPolicy::PerFrontier);
+        table.track_cycles();
+        (set, vars, table)
+    }
+
+    #[test]
+    fn right_recursion_is_cyclic_at_its_second_null() {
+        // P(x,y) → ∃z P(y,z): from P(c,c) the chase invents
+        // n0 = f(c), then n1 = f(n0), a term nested in its own symbol.
+        let mut vocab = Vocabulary::new();
+        let (set, [x, y, z], mut table) = recursion(&mut vocab, "P", true);
+        let tgd = set.tgd(TgdId(0));
+        let n0 = table.null_for(
+            TgdId(0),
+            tgd,
+            &Binding::from_pairs([(x, c(0)), (y, c(0))]),
+            z,
+        );
+        assert!(!table.cyclic_term_invented());
+        let h1 = Binding::from_pairs([(x, c(0)), (y, Term::Null(n0))]);
+        table.null_for(TgdId(0), tgd, &h1, z);
+        assert!(table.cyclic_term_invented());
+    }
+
+    #[test]
+    fn left_recursion_is_never_cyclic() {
+        // R(x,y) → ∃z R(x,z): from R(c,c) every atom is R(c,·), so
+        // every trigger presents the key (c) and gets n0 back.
+        let mut vocab = Vocabulary::new();
+        let (set, [x, y, z], mut table) = recursion(&mut vocab, "R", false);
+        let tgd = set.tgd(TgdId(0));
+        let n0 = table.null_for(
+            TgdId(0),
+            tgd,
+            &Binding::from_pairs([(x, c(0)), (y, c(0))]),
+            z,
+        );
+        let h1 = Binding::from_pairs([(x, c(0)), (y, Term::Null(n0))]);
+        assert_eq!(table.null_for(TgdId(0), tgd, &h1, z), n0);
+        assert!(!table.cyclic_term_invented());
+    }
+
+    #[test]
+    fn untracked_tables_report_no_cycle() {
+        let mut vocab = Vocabulary::new();
+        let (set, x, y, z) = rule(&mut vocab);
+        let tgd = set.tgd(TgdId(0));
+        let mut table = SkolemTable::new(SkolemPolicy::PerFrontier);
+        let n0 = table.null_for(
+            TgdId(0),
+            tgd,
+            &Binding::from_pairs([(x, c(0)), (y, c(0))]),
+            z,
+        );
+        let h1 = Binding::from_pairs([(x, c(0)), (y, Term::Null(n0))]);
+        table.null_for(TgdId(0), tgd, &h1, z);
+        assert!(!table.cyclic_term_invented());
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!
 //! * **Termination provers** (each sound): never-active-TGD
 //!   elimination, full-TGD sets, weak acyclicity, joint acyclicity,
-//!   semi-oblivious termination on the critical database.
+//!   semi-oblivious termination on the critical database. The last
+//!   runs in two parts: up to its first cyclic Skolem term before the
+//!   seed search, and to its full budget only after an inconclusive
+//!   one (DESIGN.md §4.2).
 //! * **Non-termination detector** (sound): one FIFO restricted chase
 //!   per seed of a family of *acyclic seed databases* (Theorem 5.5
 //!   justifies acyclic seeds) — canonical bodies, longs-for-glued
@@ -36,7 +39,9 @@ use chase_engine::derivation::Step;
 use chase_engine::governor::ResourceGovernor;
 use chase_engine::restricted::{Budget, Outcome, RestrictedChase, Strategy};
 use chase_telemetry::{emit, names, time_phase, ChaseObserver, Event, NullObserver};
-use tgd_classes::baselines::{semi_oblivious_critical_governed, CriterionOutcome};
+use tgd_classes::baselines::{
+    semi_oblivious_critical_governed, semi_oblivious_critical_until_cyclic, CriterionOutcome,
+};
 use tgd_classes::guarded::guard_index;
 use tgd_classes::weakly_acyclic::is_weakly_acyclic;
 
@@ -250,11 +255,12 @@ pub fn decide_guarded(
 }
 
 /// [`decide_guarded`], streaming telemetry to `obs`: a
-/// `guarded.provers` phase span around the termination provers, a
-/// `guarded.seed_search` span around the non-termination detector
-/// (whose internal restricted-chase runs stream their own trigger and
-/// queue events), and the number of seeds actually chased on the
-/// `guarded.seeds_tried` counter.
+/// `guarded.provers` phase span around the termination provers (and a
+/// second one around the semi-oblivious check's full-budget run, when
+/// it runs), a `guarded.seed_search` span around the non-termination
+/// detector, and the number of seeds actually chased on the
+/// `guarded.seeds_tried` counter. Every internal chase streams its own
+/// trigger and queue events.
 ///
 /// Every internal chase runs under the config's deadline and
 /// cancellation; an interrupted chase yields an `Unknown` whose reason
@@ -271,6 +277,20 @@ pub fn decide_guarded_observed<O: ChaseObserver + ?Sized>(
 /// [`decide_guarded_observed`] under `gov`, the deadline and
 /// cancellation of an enclosing `decide` (its budget is ignored: each
 /// chase gets its own from `config`).
+///
+/// The portfolio runs in this order:
+/// 1. the syntactic provers (full TGDs, weak and joint acyclicity);
+/// 2. the semi-oblivious chase on the critical database, until it
+///    saturates or invents its first cyclic Skolem term;
+/// 3. the seed search;
+/// 4. only when step 2 stopped at a cyclic term and the seed search is
+///    inconclusive, step 2 again without that stop, to the full
+///    `chase_budget`, in its own `guarded.provers` span.
+///
+/// A cyclic term does not mean the chase diverges (some sets saturate
+/// a few steps after building one), so step 4 keeps every verdict of
+/// the full-budget check, at the price of a second run only where the
+/// seed search found nothing.
 pub(crate) fn decide_guarded_governed<O: ChaseObserver + ?Sized>(
     set: &TgdSet,
     vocab: &Vocabulary,
@@ -285,9 +305,22 @@ pub(crate) fn decide_guarded_governed<O: ChaseObserver + ?Sized>(
         };
     }
     let mut scratch = vocab.clone();
+    let semi_oblivious_verdict = |outcome| match outcome {
+        CriterionOutcome::Holds { steps } => Some(TerminationVerdict::AllInstancesTerminating(
+            TerminationCertificate::SemiObliviousCritical { steps },
+        )),
+        CriterionOutcome::Interrupted(outcome) => Some(TerminationVerdict::interrupted(
+            outcome,
+            "during the guarded provers",
+        )),
+        CriterionOutcome::BudgetExhausted | CriterionOutcome::CyclicTerm => None,
+    };
 
     // ── Termination provers ───────────────────────────────────────
-    let proved = time_phase(obs, "guarded.provers", |_| {
+    // The never-active-free set, kept when the semi-oblivious check
+    // stopped at a cyclic term and owes its full-budget run.
+    let mut deferred = None;
+    let proved = time_phase(obs, "guarded.provers", |obs| {
         let simplified = drop_never_active(set, vocab);
         if simplified
             .tgds()
@@ -308,72 +341,124 @@ pub(crate) fn decide_guarded_governed<O: ChaseObserver + ?Sized>(
                 TerminationCertificate::JointlyAcyclic,
             ));
         }
-        match semi_oblivious_critical_governed(
+        let outcome = semi_oblivious_critical_until_cyclic(
             &simplified,
             &mut scratch,
             &budgeted(config.chase_budget),
-        ) {
-            CriterionOutcome::Holds { steps } => Some(TerminationVerdict::AllInstancesTerminating(
-                TerminationCertificate::SemiObliviousCritical { steps },
-            )),
-            CriterionOutcome::Interrupted(outcome) => Some(TerminationVerdict::interrupted(
-                outcome,
-                "during the guarded provers",
-            )),
-            CriterionOutcome::BudgetExhausted => None,
+            obs,
+        );
+        if outcome == CriterionOutcome::CyclicTerm {
+            deferred = Some(simplified);
         }
+        semi_oblivious_verdict(outcome)
     });
     if let Some(verdict) = proved {
         return verdict;
     }
 
     // ── Non-termination detector over acyclic seeds ───────────────
-    time_phase(obs, "guarded.seed_search", |obs| {
-        let seeds = acyclic_seeds(set, &mut scratch, config.max_seeds);
-        let engine = RestrictedChase::new(set).strategy(Strategy::Fifo);
-        // One FIFO run per seed. FIFO is deterministic and a run stops
-        // on budget only at exactly its step cap, so a shorter run from
-        // the same seed is a prefix of this one: the repetition search
-        // reads the first `horizon` steps, and the witness is the first
-        // `witness_steps`.
-        let horizon = 2 * (config.chase_budget / 4);
-        let run_gov = budgeted(horizon.max(config.witness_steps));
-        for seed in &seeds {
-            emit(obs, || Event::CounterAdd {
-                name: names::GUARDED_SEEDS,
-                delta: 1,
-            });
-            let mut run = engine.run_governed(seed, &run_gov, obs, None);
-            if run.outcome.is_interrupted() {
-                return TerminationVerdict::interrupted(
-                    run.outcome,
-                    "during the guarded seed search",
-                );
-            }
-            if run.outcome == Outcome::Terminated && run.steps <= horizon {
-                continue;
-            }
-            if has_repeating_guard_path(set, &run.derivation.steps[..horizon]) {
-                run.derivation.steps.truncate(config.witness_steps);
-                if run.derivation.validate(seed, set, false).is_ok() {
-                    return TerminationVerdict::NonTerminating(Box::new(NonTerminationWitness {
+    let inconclusive = match time_phase(obs, "guarded.seed_search", |obs| {
+        seed_search(set, &mut scratch, config, gov, obs)
+    }) {
+        Ok(verdict) => return verdict,
+        Err(inconclusive) => inconclusive,
+    };
+
+    // ── The semi-oblivious check's full-budget run ────────────────
+    if let Some(simplified) = deferred {
+        let full = time_phase(obs, "guarded.provers", |obs| {
+            semi_oblivious_critical_governed(
+                &simplified,
+                &mut scratch,
+                &budgeted(config.chase_budget),
+                obs,
+            )
+        });
+        if let Some(verdict) = semi_oblivious_verdict(full) {
+            return verdict;
+        }
+    }
+    TerminationVerdict::Unknown {
+        reason: format!(
+            "guarded portfolio inconclusive: of {} acyclic seeds, {} saturated within {} steps \
+             and {} reached that horizon without a replayable pumpable guard path",
+            inconclusive.saturated + inconclusive.unpumped,
+            inconclusive.saturated,
+            inconclusive.horizon,
+            inconclusive.unpumped,
+        ),
+    }
+}
+
+/// How an inconclusive seed search ended.
+struct Inconclusive {
+    /// Seeds whose chase saturated within the horizon.
+    saturated: usize,
+    /// Seeds whose chase reached the horizon without a repeating guard
+    /// path whose witness replays.
+    unpumped: usize,
+    /// The horizon, in steps.
+    horizon: usize,
+}
+
+/// The non-termination detector: one FIFO restricted chase per
+/// acyclic seed, under `gov`'s deadline and cancellation. `Ok` carries
+/// a witnessed `NonTerminating` verdict or the `Unknown` of an
+/// interrupted chase.
+fn seed_search<O: ChaseObserver + ?Sized>(
+    set: &TgdSet,
+    scratch: &mut Vocabulary,
+    config: &DeciderConfig,
+    gov: &ResourceGovernor,
+    obs: &mut O,
+) -> Result<TerminationVerdict, Inconclusive> {
+    let seeds = acyclic_seeds(set, scratch, config.max_seeds);
+    let engine = RestrictedChase::new(set).strategy(Strategy::Fifo);
+    // One FIFO run per seed. FIFO is deterministic and a run stops on
+    // budget only at exactly its step cap, so a shorter run from the
+    // same seed is a prefix of this one: the repetition search reads
+    // the first `horizon` steps, and the witness is the first
+    // `witness_steps`.
+    let horizon = 2 * (config.chase_budget / 4);
+    let run_gov = gov
+        .clone()
+        .with_budget(Budget::steps(horizon.max(config.witness_steps)));
+    let mut saturated = 0;
+    for seed in &seeds {
+        emit(obs, || Event::CounterAdd {
+            name: names::GUARDED_SEEDS,
+            delta: 1,
+        });
+        let mut run = engine.run_governed(seed, &run_gov, obs, None);
+        if run.outcome.is_interrupted() {
+            return Ok(TerminationVerdict::interrupted(
+                run.outcome,
+                "during the guarded seed search",
+            ));
+        }
+        if run.outcome == Outcome::Terminated && run.steps <= horizon {
+            saturated += 1;
+            continue;
+        }
+        if has_repeating_guard_path(set, &run.derivation.steps[..horizon]) {
+            run.derivation.steps.truncate(config.witness_steps);
+            if run.derivation.validate(seed, set, false).is_ok() {
+                return Ok(TerminationVerdict::NonTerminating(Box::new(
+                    NonTerminationWitness {
                         database: seed.clone(),
                         derivation: run.derivation,
                         description: "guarded seed chase with repeating guard-path signature"
                             .to_string(),
                         finitary: true,
-                    }));
-                }
+                    },
+                )));
             }
         }
-        TerminationVerdict::Unknown {
-            reason: format!(
-                "guarded portfolio inconclusive: {} acyclic seeds terminated within budget {} \
-                 and no pumpable guard path was found",
-                seeds.len(),
-                config.chase_budget
-            ),
-        }
+    }
+    Err(Inconclusive {
+        saturated,
+        unpumped: seeds.len() - saturated,
+        horizon,
     })
 }
 
@@ -412,6 +497,27 @@ mod tests {
         if let TerminationVerdict::NonTerminating(w) = v {
             assert!(w.derivation.len() >= 16);
         }
+    }
+
+    #[test]
+    fn inconclusive_reason_counts_saturated_and_horizon_seeds_apart() {
+        // A 4-step budget leaves a 2-step horizon, too short for a
+        // repeating guard path: the canonical body R(s0,s1) runs into
+        // the horizon, the critical database R(c,c) saturates at once.
+        let mut vocab = Vocabulary::new();
+        let set = parse_tgds("R(x,y) -> exists z. R(y,z).", &mut vocab).unwrap();
+        let config = DeciderConfig {
+            chase_budget: 4,
+            ..DeciderConfig::default()
+        };
+        let TerminationVerdict::Unknown { reason } = decide_guarded(&set, &vocab, &config) else {
+            panic!("a 4-step budget must be inconclusive");
+        };
+        assert_eq!(
+            reason,
+            "guarded portfolio inconclusive: of 2 acyclic seeds, 1 saturated within 2 steps and \
+             1 reached that horizon without a replayable pumpable guard path"
+        );
     }
 
     #[test]

@@ -139,9 +139,10 @@ cargo run --offline --release -q -p chase-bench --bin expreport >/dev/null
 echo "== BENCH_hotpath.json schema gate (host-honesty fields) =="
 # The committed report must record the host it was measured on
 # ("host_cpus"), carry the program-cache cold/warm comparison
-# ("server_warm") behind the >= 5x smoke gate, and the cold compile
-# of the ingest-shaped program per source byte ("ingest_compile").
-for field in '"host_cpus"' '"server_warm"' '"ingest_compile"'; do
+# ("server_warm") behind the >= 5x smoke gate, the cold compile of the
+# ingest-shaped program per source byte ("ingest_compile"), and the
+# per-seed decide times of the decide sweep ("decide_sweep").
+for field in '"host_cpus"' '"server_warm"' '"ingest_compile"' '"decide_sweep"'; do
     if ! grep -q "$field" BENCH_hotpath.json; then
         echo "BENCH_hotpath.json schema gate: missing required field $field" >&2
         exit 1

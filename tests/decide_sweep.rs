@@ -48,7 +48,11 @@ fn golden_lines() -> Vec<String> {
 /// Compares the seeds `keep` selects against the golden file.
 fn check(keep: impl Fn(u64) -> bool) {
     let golden = golden_lines();
-    assert_eq!(golden.len() as u64, DECIDE_SWEEP_SEEDS, "{GOLDEN_PATH}: one line per seed");
+    assert_eq!(
+        golden.len() as u64,
+        DECIDE_SWEEP_SEEDS,
+        "{GOLDEN_PATH}: one line per seed"
+    );
     for (seed, want) in (0..DECIDE_SWEEP_SEEDS).zip(&golden) {
         if keep(seed) {
             assert_eq!(

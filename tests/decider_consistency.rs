@@ -5,8 +5,13 @@
 //! automaton is right.
 
 use proptest::prelude::*;
+use restricted_chase::classes::baselines::{
+    semi_oblivious_critical_until_cyclic, CriterionOutcome,
+};
+use restricted_chase::engine::restricted::NullObserver;
 use restricted_chase::engine::restricted::Strategy;
 use restricted_chase::prelude::*;
+use restricted_chase::termination::guarded::{decide_guarded, drop_never_active};
 use restricted_chase::termination::linear::decide_linear;
 
 /// Generates the source of a random *linear* rule set (single body
@@ -235,7 +240,7 @@ fn guarded_portfolio_triple_check_on_linear_sweep() {
             continue;
         }
         let lin = decide_linear(&set, &vocab, &config);
-        let guarded = restricted_chase::termination::guarded::decide_guarded(&set, &vocab, &config);
+        let guarded = decide_guarded(&set, &vocab, &config);
         if lin.is_unknown() || guarded.is_unknown() {
             continue;
         }
@@ -251,6 +256,125 @@ fn guarded_portfolio_triple_check_on_linear_sweep() {
         triple_agreements >= 60,
         "only {triple_agreements} conclusive guarded verdicts"
     );
+}
+
+/// Checks the guarded portfolio's semi-oblivious prover against the
+/// full-budget check it shortcuts: Marnette's criterion on the
+/// never-active-free set, run to `config.chase_budget`. A
+/// `SemiObliviousCritical { steps }` answer needs that check to hold
+/// in `steps`, and a check that holds needs that answer unless an
+/// earlier prover answered first.
+fn semi_oblivious_prover_matches_full_check(
+    name: &str,
+    set: &TgdSet,
+    vocab: &Vocabulary,
+    config: &DeciderConfig,
+) {
+    use TerminationCertificate::*;
+    let verdict = decide_guarded(set, vocab, config);
+    if let TerminationVerdict::AllInstancesTerminating(FullTgds | WeaklyAcyclic | JointlyAcyclic) =
+        verdict
+    {
+        return;
+    }
+    let full = semi_oblivious_critical(
+        &drop_never_active(set, vocab),
+        &mut vocab.clone(),
+        Budget::steps(config.chase_budget),
+    );
+    let answered = match &verdict {
+        TerminationVerdict::AllInstancesTerminating(SemiObliviousCritical { steps }) => {
+            Some(*steps)
+        }
+        _ => None,
+    };
+    let held = match full {
+        CriterionOutcome::Holds { steps } => Some(steps),
+        _ => None,
+    };
+    assert_eq!(
+        answered,
+        held,
+        "{name}: decide_guarded answered {verdict:?}, the full-budget check {full:?}\n{}",
+        set.display(vocab)
+    );
+}
+
+/// The semi-oblivious prover stops at its first cyclic Skolem term and
+/// runs to the full budget only after an inconclusive seed search; its
+/// answers must be those of the full-budget check, on the labelled
+/// suite and on the random generators of this file and of the decide
+/// sweep.
+#[test]
+fn semi_oblivious_prover_agrees_with_the_full_budget_check() {
+    let config = DeciderConfig::default();
+    for entry in labelled_suite() {
+        let (vocab, set) = entry.build();
+        if set.require_single_head().is_ok() {
+            semi_oblivious_prover_matches_full_check(entry.name, &set, &vocab, &config);
+        }
+    }
+    // A lighter budget for the random sets, as in the triple check.
+    let config = DeciderConfig {
+        chase_budget: 2_000,
+        max_seeds: 16,
+        ..DeciderConfig::default()
+    };
+    for seed in 0..100u64 {
+        for rules in [2, 3] {
+            let (vocab, set) = random_linear_set(seed, rules);
+            let name = format!("linear seed {seed} ({rules} rules)");
+            semi_oblivious_prover_matches_full_check(&name, &set, &vocab, &config);
+        }
+        let (vocab, set) = parse_set(&random_tgds(&DECIDE_SWEEP, seed));
+        let name = format!("sweep seed {seed}");
+        semi_oblivious_prover_matches_full_check(&name, &set, &vocab, &config);
+    }
+}
+
+/// Sweep seed 102 (`DECIDE_SWEEP`): the semi-oblivious chase of its
+/// critical database builds a cyclic Skolem term in its last step and
+/// saturates there, after 4 steps.
+const SWEEP_SEED_102: &str = "\
+P2(r0b0a0,r0b0a1,r0b0a2), P2(r0b0a0,r0b1a1,r0b1a2), P1(r0b2a0,r0b0a2) -> exists r0e0. P2(r0e0,r0b2a0,r0b1a1).
+P2(r1b0a0,r1b0a1,r1b0a1) -> P0(r1b0a1).
+P0(r2b0a0), P2(r2b0a0,r2b0a0,r2b1a2), P1(r2b2a0,r2b2a1) -> exists r2e2. P2(r2b1a2,r2b2a1,r2e2).
+P1(r3b0a0,r3b0a0), P1(r3b1a0,r3b0a0) -> exists r3e1. P1(r3b1a0,r3e1).
+";
+
+/// A cyclic Skolem term does not mean the chase diverges. Seed 102's
+/// chase saturates in the step that builds one, so the provers' first
+/// run already holds; seed 2's saturates 7 steps in, after building
+/// one earlier, so its first run stops short and the verdict comes
+/// from the full-budget run after the seed search. Both stay
+/// terminating with the full check's step count.
+#[test]
+fn a_cyclic_term_that_saturates_keeps_its_terminating_verdict() {
+    assert_eq!(random_tgds(&DECIDE_SWEEP, 102), SWEEP_SEED_102);
+    let seed_2 = random_tgds(&DECIDE_SWEEP, 2);
+    for (src, first_run, steps) in [
+        (SWEEP_SEED_102, CriterionOutcome::Holds { steps: 4 }, 4),
+        (seed_2.as_str(), CriterionOutcome::CyclicTerm, 7),
+    ] {
+        let (vocab, set) = parse_set(src);
+        let short = semi_oblivious_critical_until_cyclic(
+            &drop_never_active(&set, &vocab),
+            &mut vocab.clone(),
+            &ResourceGovernor::from_budget(Budget::steps(20_000)),
+            &mut NullObserver,
+        );
+        assert_eq!(short, first_run, "{src}");
+        let verdict = decide(&set, &vocab, &DeciderConfig::default());
+        assert!(
+            matches!(
+                verdict,
+                TerminationVerdict::AllInstancesTerminating(
+                    TerminationCertificate::SemiObliviousCritical { steps: s }
+                ) if s == steps
+            ),
+            "{verdict:?}\n{src}"
+        );
+    }
 }
 
 /// Heavy sweep (run explicitly with `--ignored`): 1,500 random linear

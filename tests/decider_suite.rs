@@ -9,9 +9,9 @@ use std::collections::{HashSet, VecDeque};
 
 use restricted_chase::prelude::*;
 use restricted_chase::telemetry::names::{AUTOMATON_STATES, GUARDED_SEEDS, TRIGGERS_APPLIED};
-use restricted_chase::telemetry::CountingObserver;
+use restricted_chase::telemetry::{CountingObserver, EngineKind, Event, RecordingObserver};
 use restricted_chase::termination::sticky::{CatState, StickyAutomaton};
-use restricted_chase::termination::{decide_with_telemetry, decider_class};
+use restricted_chase::termination::{decide_observed, decide_with_telemetry, decider_class};
 
 #[test]
 fn deciders_agree_with_ground_truth_on_the_entire_suite() {
@@ -85,7 +85,9 @@ fn non_termination_witnesses_replay_and_diverge() {
 /// first seed (σ0's canonical body) saturates after one step and the
 /// second diverges to the `2 * (chase_budget / 4)` horizon, whose
 /// prefix is the witness. Re-running a seed shows up as extra
-/// applied triggers.
+/// restricted-chase applied triggers. The provers' semi-oblivious
+/// check is observed too, and stops at its first cyclic Skolem term,
+/// `P(ν0,ν1)` at step 4.
 #[test]
 fn guarded_seed_search_chases_each_seed_once() {
     let mut vocab = Vocabulary::new();
@@ -94,8 +96,19 @@ fn guarded_seed_search_chases_each_seed_once() {
     let set = program.tgd_set(&vocab).unwrap();
     let (verdict, summary) = decide_with_telemetry(&set, &vocab, &DeciderConfig::default());
     assert!(verdict.is_non_terminating(), "{verdict:?}");
-    assert_eq!(summary.counter(TRIGGERS_APPLIED), Some(10_001));
     assert_eq!(summary.counter(GUARDED_SEEDS), Some(2));
+    let mut recording = RecordingObserver::default();
+    decide_observed(&set, &vocab, &DeciderConfig::default(), &mut recording);
+    let applied = |kind: EngineKind| {
+        recording
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::TriggerApplied { engine, .. } if *engine == kind))
+            .count() as u64
+    };
+    assert_eq!(applied(EngineKind::Restricted), 10_001);
+    assert_eq!(applied(EngineKind::SemiOblivious), 4);
+    assert_eq!(summary.counter(TRIGGERS_APPLIED), Some(10_001 + 4));
 }
 
 const GUARDED_GOLDEN_PATH: &str = "tests/golden/guarded_suite.txt";
