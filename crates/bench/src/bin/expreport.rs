@@ -60,7 +60,7 @@ fn e2() {
         let run = RestrictedChase::new(&set)
             .strategy(Strategy::PriorityTgd)
             .run(&db, Budget::steps(h));
-        print!("  {h}→{}", unfairness_age(&db, &set, &run.derivation));
+        print!("  {h}→{}", unfairness_age(&db, &set, &run.derivation(&set)));
     }
     println!();
     print!("single-head, FIFO age by horizon:       ");
@@ -68,7 +68,7 @@ fn e2() {
         let run = RestrictedChase::new(&set)
             .strategy(Strategy::Fifo)
             .run(&db, Budget::steps(h));
-        print!("  {h}→{}", unfairness_age(&db, &set, &run.derivation));
+        print!("  {h}→{}", unfairness_age(&db, &set, &run.derivation(&set)));
     }
     println!();
     // Lemma 4.4's set A: bounded for single-head, growing for B.1.
@@ -82,7 +82,7 @@ fn e2() {
         let run = RestrictedChase::new(&set_b1)
             .strategy(Strategy::PriorityTgd)
             .run(&db_b1, Budget::steps(h));
-        let p = persistently_active(&db_b1, &set_b1, &run.derivation);
+        let p = persistently_active(&db_b1, &set_b1, &run.derivation(&set_b1));
         let mut skolem = SkolemTable::above(
             SkolemPolicy::PerTrigger,
             run.instance.iter().flat_map(|a| a.args.iter().copied()),
@@ -90,7 +90,7 @@ fn e2() {
         let result = p[0]
             .trigger
             .result(set_b1.tgd(p[0].trigger.tgd), &mut skolem);
-        let a = chase_engine::fairness::stopped_indices(&set_b1, &run.derivation, &result);
+        let a = chase_engine::fairness::stopped_indices(&set_b1, &run.derivation(&set_b1), &result);
         print!("  {h}→{}", a.len());
     }
     println!("\n");
@@ -149,8 +149,9 @@ fn e4() {
         .strategy(Strategy::Fifo)
         .run(&db, Budget::steps(100));
     let fragment = RealOchase::build(&db, &set, OchaseLimits::default());
-    let n = chase_engine::chaseable::roundtrip_theorem_5_3(&db, &set, &run.derivation, &fragment)
-        .expect("roundtrip");
+    let n =
+        chase_engine::chaseable::roundtrip_theorem_5_3(&db, &set, &run.derivation(&set), &fragment)
+            .expect("roundtrip");
     println!(
         "derivation of {} steps ↦ chaseable set of {} vertices ↦ re-extracted derivation: OK\n",
         run.steps, n
@@ -170,9 +171,14 @@ fn e5() {
         .run(&db, Budget::steps(20));
     let pairs = chase_engine_longs_for(&set, &db, &run);
     println!("longs-for pairs discovered: {pairs}");
-    let dac =
-        chase_termination::guarded::treeify::treeify(&set, &mut vocab, &db, &run.derivation, 4)
-            .expect("treeify");
+    let dac = chase_termination::guarded::treeify::treeify(
+        &set,
+        &mut vocab,
+        &db,
+        &run.derivation(&set),
+        4,
+    )
+    .expect("treeify");
     let dac_run = RestrictedChase::new(&set)
         .strategy(Strategy::Fifo)
         .run(&dac, Budget::steps(100));
@@ -199,7 +205,7 @@ fn chase_engine_longs_for(
     db: &chase_core::instance::Instance,
     run: &chase_engine::restricted::ChaseRun,
 ) -> usize {
-    chase_termination::guarded::treeify::longs_for(set, db, &run.derivation).len()
+    chase_termination::guarded::treeify::longs_for(set, db, &run.derivation(set)).len()
 }
 
 fn e6_e7_e8() {

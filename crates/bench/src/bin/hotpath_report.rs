@@ -33,6 +33,10 @@
 //! (min of 3 runs; one run for a seed whose first takes a second or
 //! more), with the total, p50, p99, max and the five slowest seeds.
 //! Smoke mode decides the first 8 seeds; the section carries no gate.
+//! The `guarded_seed_search` section decides the two guarded suite
+//! entries whose verdict comes from the seed search (`example-5-6` and
+//! `guarded-side-unlocks-loop`) and records each one's minimum decide
+//! time and the heap allocations of one decide; it carries no gate.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -53,6 +57,39 @@ use chase_telemetry::{spans, SpanObserver};
 use chase_termination::{decide, DeciderConfig, TerminationVerdict};
 use chase_workloads::random::{random_tgds, DECIDE_SWEEP, DECIDE_SWEEP_SEEDS};
 use chase_workloads::scale::{scale_workload, ScaleParams, Shape};
+use chase_workloads::suite::labelled_suite;
+
+/// Counts every allocation (and reallocation) into
+/// [`chase_telemetry::alloc_track`], for the allocation figures of the
+/// `guarded_seed_search` section. The library crate forbids `unsafe`,
+/// so the `GlobalAlloc` shim lives here in the binary.
+struct CountingAlloc;
+
+// SAFETY: delegates verbatim to `System`; the extra work is one
+// relaxed atomic add, which cannot allocate, unwind or alias.
+unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        chase_telemetry::alloc_track::note(1);
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        chase_telemetry::alloc_track::note(1);
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+        chase_telemetry::alloc_track::note(1);
+        unsafe { std::alloc::System.alloc_zeroed(layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Phase attribution from one profiled run of a workload: where the
 /// wall-clock inside the engine actually went.
@@ -246,6 +283,49 @@ fn decide_sweep_section(seeds: u64) -> DecideSweep {
     sweep
 }
 
+/// The guarded suite entries whose non-terminating verdict comes from
+/// the seed search.
+const GUARDED_SEED_SEARCH_ENTRIES: [&str; 2] = ["example-5-6", "guarded-side-unlocks-loop"];
+
+/// One guarded entry's decide: minimum time and the allocations of
+/// one run.
+struct GuardedDecide {
+    name: &'static str,
+    ns: u128,
+    allocations: u64,
+}
+
+fn guarded_seed_search_section(runs: usize) -> Vec<GuardedDecide> {
+    let config = DeciderConfig::default();
+    let suite = labelled_suite();
+    GUARDED_SEED_SEARCH_ENTRIES
+        .iter()
+        .map(|&name| {
+            let entry = suite
+                .iter()
+                .find(|e| e.name == name)
+                .expect("guarded suite entry");
+            let (vocab, set) = entry.build();
+            let before = chase_telemetry::alloc_track::allocations();
+            let verdict = decide(&set, &vocab, &config);
+            let allocations = chase_telemetry::alloc_track::allocations() - before;
+            assert!(
+                matches!(verdict, TerminationVerdict::NonTerminating(_)),
+                "{name}: {verdict:?}"
+            );
+            drop(verdict);
+            let ns = min_ns(runs, || {
+                black_box(decide(&set, &vocab, &config));
+            });
+            GuardedDecide {
+                name,
+                ns,
+                allocations,
+            }
+        })
+        .collect()
+}
+
 /// The restricted engine alone on one ontology-scale workload.
 struct ScaleRow {
     workload: String,
@@ -308,7 +388,7 @@ fn restricted_row(
     runs: usize,
 ) -> Row {
     let seed_engine = SeedRestrictedChase::new(set);
-    let opt_engine = RestrictedChase::new(set).record_derivation(false);
+    let opt_engine = RestrictedChase::new(set);
 
     let reference = seed_engine.run(db, budget);
     let run = opt_engine.run(db, budget);
@@ -406,7 +486,7 @@ fn scale_row(
     budget: Budget,
     runs: usize,
 ) -> ScaleRow {
-    let engine = RestrictedChase::new(set).record_derivation(false);
+    let engine = RestrictedChase::new(set);
     let reference = engine.run(db, budget);
     let mut obs = SpanObserver::new();
     let profiled = engine.run_observed(db, budget, &mut obs);
@@ -425,16 +505,30 @@ fn scale_row(
     }
 }
 
-/// The JSON report.
-fn render_json(
-    mode: &str,
+/// Everything the JSON report holds.
+struct Report<'a> {
+    mode: &'a str,
     host_cpus: usize,
-    rows: &[Row],
-    scale: &ScaleRow,
-    server_warm: &ServerWarm,
-    ingest: &IngestCompile,
-    sweep: &DecideSweep,
-) -> String {
+    rows: &'a [Row],
+    scale: &'a ScaleRow,
+    server_warm: &'a ServerWarm,
+    ingest: &'a IngestCompile,
+    sweep: &'a DecideSweep,
+    guarded: &'a [GuardedDecide],
+}
+
+/// The JSON report.
+fn render_json(report: &Report) -> String {
+    let &Report {
+        mode,
+        host_cpus,
+        rows,
+        scale,
+        server_warm,
+        ingest,
+        sweep,
+        guarded,
+    } = report;
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(
@@ -512,7 +606,7 @@ fn render_json(
          35% existentials (min of 3 runs per seed, 1 run for a seed whose first takes >= 1 \
          s)\", \"seeds\": {}, \"terminating\": {}, \"non_terminating\": {}, \"unknown\": {}, \
          \"certificates\": {{{}}}, \"total_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-         \"max_ns\": {}, \"slowest\": [{}], \"per_seed_ns\": [{}]}}\n",
+         \"max_ns\": {}, \"slowest\": [{}], \"per_seed_ns\": [{}]}},\n",
         sweep.ns.len(),
         sweep.ns.len(),
         sweep.terminating,
@@ -525,6 +619,21 @@ fn render_json(
         sweep.quantile(1.0),
         slowest.join(", "),
         per_seed.join(", "),
+    ));
+    let entries: Vec<String> = guarded
+        .iter()
+        .map(|g| {
+            format!(
+                "{{\"name\": \"{}\", \"ns\": {}, \"allocations\": {}}}",
+                g.name, g.ns, g.allocations
+            )
+        })
+        .collect();
+    out.push_str(&format!(
+        "  \"guarded_seed_search\": {{\"workload\": \"decide, default config, on the \
+         guarded suite entries answered by the seed search (min of runs; allocations of one \
+         decide)\", \"entries\": [{}]}}\n",
+        entries.join(", "),
     ));
     out.push_str("}\n");
     out
@@ -589,6 +698,7 @@ fn main() {
     let scale = scale_row(chain_params.name(), &chain_set, &chain_db, budget, 3);
     let ingest = ingest_compile_section(2 * runs + 1);
     let sweep = decide_sweep_section(if smoke { 8 } else { DECIDE_SWEEP_SEEDS });
+    let guarded = guarded_seed_search_section(if smoke { 3 } else { 2 * runs + 1 });
 
     println!(
         "hot-path report ({}):",
@@ -644,15 +754,23 @@ fn main() {
         sweep.slowest(),
     );
 
-    let report = render_json(
-        if smoke { "smoke" } else { "full" },
+    for g in &guarded {
+        println!(
+            "guarded_seed_search: {} ns={} allocations={}",
+            g.name, g.ns, g.allocations
+        );
+    }
+
+    let report = render_json(&Report {
+        mode: if smoke { "smoke" } else { "full" },
         host_cpus,
-        &rows,
-        &scale,
-        &server_warm,
-        &ingest,
-        &sweep,
-    );
+        rows: &rows,
+        scale: &scale,
+        server_warm: &server_warm,
+        ingest: &ingest,
+        sweep: &sweep,
+        guarded: &guarded,
+    });
     std::fs::write(&out_path, report).expect("write report");
     println!("wrote {out_path}");
 

@@ -669,7 +669,6 @@ fn cmd_chase(
     let run = time_phase(telemetry, "chase", |obs| {
         RestrictedChase::new(set)
             .variant(variant)
-            .record_derivation(false)
             .run_governed(db, gov, obs, None)
     });
     let name = match variant {
@@ -729,7 +728,7 @@ fn cmd_dot(
         .run(db, Budget::steps(steps));
     print!(
         "{}",
-        chase_engine::dot::derivation_to_dot(&run.derivation, set, vocab)
+        chase_engine::dot::derivation_to_dot(&run.derivation(set), set, vocab)
     );
     Ok(())
 }

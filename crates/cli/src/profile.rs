@@ -50,11 +50,10 @@ pub struct ProfileOptions {
     pub variant: ChaseVariant,
     /// Timing repetitions; the minimum is reported (default 3).
     pub runs: usize,
-    /// Periodic sample cadence in steps. Each sample walks the whole
-    /// instance (`memory_footprint` is O(atoms + index entries)), so
-    /// the default is coarse enough that sampling stays a rounding
-    /// error in the overhead gate while still streaming progress
-    /// several times a second on dense workloads.
+    /// Periodic sample cadence in steps. The default is coarse enough
+    /// that sampling stays a rounding error in the overhead gate while
+    /// still streaming progress several times a second on dense
+    /// workloads.
     pub heartbeat_every: u64,
     /// Step-span sampling cadence: 1 in this many queue pops gets a
     /// full span subtree (`None` = the engine default, 64; `1` spans
@@ -105,7 +104,6 @@ fn run_once<O: ChaseObserver + ?Sized>(
     let sample_every = opts.sample_every.unwrap_or(DEFAULT_PROFILE_SAMPLE_EVERY);
     let run = RestrictedChase::new(set)
         .variant(opts.variant)
-        .record_derivation(false)
         .heartbeat_every(opts.heartbeat_every)
         .profile_sample_every(sample_every)
         .run_observed(db, budget, obs);

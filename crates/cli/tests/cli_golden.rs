@@ -178,6 +178,31 @@ fn regenerate_examples_golden() {
     std::fs::write(EXAMPLES_GOLDEN, examples_stdout()).unwrap();
 }
 
+/// `decide --metrics` on Example 5.6 counts the guarded portfolio's
+/// chases: four semi-oblivious steps up to the first cyclic Skolem
+/// term, then one step on σ0's canonical body and 10,000 on the
+/// second seed, which diverges. Timings are stripped; the counters
+/// show that each decide is the same run.
+#[test]
+fn decide_metrics_count_the_guarded_runs() {
+    let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/rules/example_5_6.chase");
+    let out = run(&["decide", file.to_str().unwrap(), "--metrics"]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let counter = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|line| {
+                let mut cols = line.split_whitespace();
+                (cols.next() == Some(name)).then(|| cols.next()?.parse().ok())?
+            })
+            .unwrap_or_else(|| panic!("no {name} counter in {text}"))
+    };
+    assert_eq!(counter("triggers.applied"), 10_005);
+    assert_eq!(counter("triggers.discovered"), 10_007);
+    assert_eq!(counter("nulls.invented"), 10_001);
+    assert_eq!(counter("guarded.seeds_tried"), 2);
+}
+
 #[test]
 fn decide_without_deadline_exits_zero() {
     let rules = rule_file("decide", INFINITE);

@@ -72,9 +72,34 @@ impl Default for SlotList {
     }
 }
 
+/// The heap bytes of one index family's spilled [`SlotList`]s, kept
+/// current at the push sites so [`Instance::memory_footprint`] need
+/// not walk the cells.
+#[derive(Debug, Clone, Copy, Default)]
+struct SpillBytes {
+    /// The spill vectors' reserved capacities: what the footprint
+    /// reports.
+    reserved: usize,
+    /// The spill vectors' lengths. A cloned instance's capacities equal
+    /// these, since `Vec::clone` reserves exactly the length.
+    used: usize,
+}
+
+impl SpillBytes {
+    /// The counts of a clone of the lists these counts describe.
+    fn cloned(self) -> SpillBytes {
+        SpillBytes {
+            reserved: self.used,
+            used: self.used,
+        }
+    }
+}
+
 impl SlotList {
+    /// Appends `slot`, adding any heap growth to `spill`.
     #[inline]
-    fn push(&mut self, slot: usize) {
+    fn push(&mut self, slot: usize, spill: &mut SpillBytes) {
+        const WORD: usize = std::mem::size_of::<usize>();
         match self {
             SlotList::Inline { len, buf } => {
                 if (*len as usize) < SLOT_INLINE {
@@ -84,10 +109,17 @@ impl SlotList {
                     let mut v = Vec::with_capacity(SLOT_INLINE * 2);
                     v.extend_from_slice(buf);
                     v.push(slot);
+                    spill.reserved += v.capacity() * WORD;
+                    spill.used += v.len() * WORD;
                     *self = SlotList::Spill(v);
                 }
             }
-            SlotList::Spill(v) => v.push(slot),
+            SlotList::Spill(v) => {
+                let before = v.capacity();
+                v.push(slot);
+                spill.reserved += (v.capacity() - before) * WORD;
+                spill.used += WORD;
+            }
         }
     }
 
@@ -101,7 +133,7 @@ impl SlotList {
 
     /// Heap bytes owned by this list: 0 while inline, the spill
     /// vector's reserved capacity otherwise.
-    #[inline]
+    #[cfg(test)]
     fn heap_bytes(&self) -> usize {
         match self {
             SlotList::Inline { .. } => 0,
@@ -151,7 +183,7 @@ const _: () = assert!(MAX_ARITY as u64 == META_ARITY_MASK);
 /// Insertion order matters because chase derivations are sequences;
 /// the engines identify atoms by their *slot* (insertion index), which
 /// is also the atom's row in the storage columns (see the module docs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Instance {
     /// Predicate ids, one per slot. Its length is the instance size.
     preds: Vec<PredId>,
@@ -177,6 +209,29 @@ pub struct Instance {
     /// predicate id; `(a, b)` normalised to `a < b`). Empty until an
     /// engine registers pairs from its join plans.
     pair_plans: Vec<Vec<(u16, u16)>>,
+    /// Heap bytes of the spilled slot lists in `dedup`.
+    dedup_spill: SpillBytes,
+    /// Heap bytes of the spilled slot lists in `by_pred`, `by_pos` and
+    /// `by_pair`.
+    index_spill: SpillBytes,
+}
+
+impl Clone for Instance {
+    fn clone(&self) -> Self {
+        Instance {
+            preds: self.preds.clone(),
+            meta: self.meta.clone(),
+            inline_args: self.inline_args.clone(),
+            spill: self.spill.clone(),
+            dedup: self.dedup.clone(),
+            by_pred: self.by_pred.clone(),
+            by_pos: self.by_pos.clone(),
+            by_pair: self.by_pair.clone(),
+            pair_plans: self.pair_plans.clone(),
+            dedup_spill: self.dedup_spill.cloned(),
+            index_spill: self.index_spill.cloned(),
+        }
+    }
 }
 
 impl Instance {
@@ -199,12 +254,34 @@ impl Instance {
     }
 
     /// Estimated heap footprint of the instance's containers, for the
-    /// profiler's memory samples: exact reserved capacities for the
-    /// vectors, a capacity-based model for the hash maps (the
-    /// `Instance` struct itself is excluded). This walks every index
-    /// cell (O(atoms + cells)), so engines only call it at heartbeat
-    /// boundaries of profiling runs.
+    /// profiler's memory samples and the program cache's weights:
+    /// exact reserved capacities for the vectors, a capacity-based
+    /// model for the hash maps (the `Instance` struct itself is
+    /// excluded). O(1): the spilled slot lists' bytes are counted as
+    /// they grow.
     pub fn memory_footprint(&self) -> MemoryFootprint {
+        use std::mem::size_of;
+        let atom_bytes = self.preds.capacity() * size_of::<PredId>()
+            + self.meta.capacity() * size_of::<u64>()
+            + self.inline_args.capacity() * size_of::<Term>();
+        let arg_spill_bytes = self.spill.capacity() * size_of::<Term>();
+        let dedup_bytes = map_heap_bytes(&self.dedup) + self.dedup_spill.reserved;
+        let index_bytes = self.by_pred.capacity() * size_of::<SlotList>()
+            + map_heap_bytes(&self.by_pos)
+            + map_heap_bytes(&self.by_pair)
+            + self.index_spill.reserved;
+        MemoryFootprint {
+            atom_bytes: atom_bytes as u64,
+            arg_spill_bytes: arg_spill_bytes as u64,
+            dedup_bytes: dedup_bytes as u64,
+            index_bytes: index_bytes as u64,
+        }
+    }
+
+    /// [`Instance::memory_footprint`] by walking every index cell, the
+    /// reference the running counts must equal.
+    #[cfg(test)]
+    fn memory_footprint_walked(&self) -> MemoryFootprint {
         use std::mem::size_of;
         let atom_bytes = self.preds.capacity() * size_of::<PredId>()
             + self.meta.capacity() * size_of::<u64>()
@@ -262,12 +339,12 @@ impl Instance {
         if pred_idx >= self.by_pred.len() {
             self.by_pred.resize_with(pred_idx + 1, SlotList::default);
         }
-        self.by_pred[pred_idx].push(slot);
+        self.by_pred[pred_idx].push(slot, &mut self.index_spill);
         for (i, &t) in atom.args.iter().enumerate() {
             self.by_pos
                 .entry((atom.pred, i as u16, t))
                 .or_default()
-                .push(slot);
+                .push(slot, &mut self.index_spill);
         }
         if let Some(plan) = self.pair_plans.get(pred_idx) {
             for &(a, b) in plan {
@@ -278,10 +355,16 @@ impl Instance {
                     atom.args[a as usize],
                     atom.args[b as usize],
                 );
-                self.by_pair.entry(cell).or_default().push(slot);
+                self.by_pair
+                    .entry(cell)
+                    .or_default()
+                    .push(slot, &mut self.index_spill);
             }
         }
-        self.dedup.entry(key).or_default().push(slot);
+        self.dedup
+            .entry(key)
+            .or_default()
+            .push(slot, &mut self.dedup_spill);
         self.preds.push(atom.pred);
         let arena = if atom.arity() <= ARG_INLINE {
             &mut self.inline_args
@@ -349,7 +432,10 @@ impl Instance {
                 debug_assert!((b as usize) < atom.arity(), "pair position out of arity");
                 (pred, a, b, atom.args[a as usize], atom.args[b as usize])
             };
-            self.by_pair.entry(cell).or_default().push(slot);
+            self.by_pair
+                .entry(cell)
+                .or_default()
+                .push(slot, &mut self.index_spill);
         }
     }
 
@@ -796,6 +882,48 @@ mod tests {
         let mut wide = Instance::new();
         wide.insert(atom(1, &[c(0), c(1), c(2), c(3), c(4), c(5)]));
         assert!(wide.memory_footprint().arg_spill_bytes > 0);
+    }
+
+    proptest::proptest! {
+        /// The running spill counts equal the cell walk after random
+        /// inserts, with pair indexes registered before and after the
+        /// atoms arrive, and on clones (whose spill vectors reserve
+        /// only their length) and on clones grown further.
+        #[test]
+        fn memory_footprint_counts_match_the_cell_walk(
+            atoms in proptest::collection::vec((0u32..3, 0u32..4, 0u32..4, 0u32..40), 0..400),
+            early in proptest::collection::vec((0u32..3, 0usize..3, 0usize..3), 0..4),
+            late in proptest::collection::vec((0u32..3, 0usize..3, 0usize..3), 0..4),
+        ) {
+            let make = |(p, a, b, k): (u32, u32, u32, u32)| {
+                // Predicate 2 is wide, so its arguments spill too.
+                let arity = if p == 2 { 6 } else { 3 };
+                let args: Vec<Term> = (0..arity).map(|i| c([a, b, k][i % 3] + i as u32)).collect();
+                atom(p, &args)
+            };
+            let mut inst = Instance::new();
+            for &(p, a, b) in &early {
+                inst.register_pair_index(PredId(p), a, b);
+            }
+            let (first, second) = atoms.split_at(atoms.len() / 2);
+            for &t in first {
+                inst.insert(make(t));
+            }
+            for &(p, a, b) in &late {
+                inst.register_pair_index(PredId(p), a, b);
+            }
+            proptest::prop_assert_eq!(inst.memory_footprint(), inst.memory_footprint_walked());
+            let mut copy = inst.clone();
+            proptest::prop_assert_eq!(copy.memory_footprint(), copy.memory_footprint_walked());
+            for &t in second {
+                inst.insert(make(t));
+                copy.insert(make(t));
+            }
+            proptest::prop_assert_eq!(inst.memory_footprint(), inst.memory_footprint_walked());
+            proptest::prop_assert_eq!(copy.memory_footprint(), copy.memory_footprint_walked());
+            let twice = copy.clone();
+            proptest::prop_assert_eq!(twice.memory_footprint(), twice.memory_footprint_walked());
+        }
     }
 
     #[test]

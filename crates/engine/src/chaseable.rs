@@ -190,8 +190,8 @@ mod tests {
             .run(&db, Budget::steps(100));
         let fragment = RealOchase::build(&db, &set, OchaseLimits::default());
         assert!(fragment.complete);
-        let n = roundtrip_theorem_5_3(&db, &set, &run.derivation, &fragment).unwrap();
-        assert_eq!(n, db.len() + run.derivation.len());
+        let n = roundtrip_theorem_5_3(&db, &set, &run.derivation(&set), &fragment).unwrap();
+        assert_eq!(n, db.len() + run.derivation(&set).len());
     }
 
     #[test]
@@ -262,7 +262,7 @@ mod tests {
                 max_depth: 12,
             },
         );
-        let n = roundtrip_theorem_5_3(&db, &set, &run.derivation, &fragment).unwrap();
+        let n = roundtrip_theorem_5_3(&db, &set, &run.derivation(&set), &fragment).unwrap();
         assert_eq!(n, 1 + 8);
     }
 }

@@ -9,8 +9,11 @@
 
 use chase_core::atom::Atom;
 use chase_core::hom::exists_homomorphism;
+use chase_core::ids::VarId;
 use chase_core::instance::Instance;
-use chase_core::tgd::TgdSet;
+use chase_core::subst::Binding;
+use chase_core::term::Term;
+use chase_core::tgd::{TgdId, TgdSet};
 use chase_core::vocab::Vocabulary;
 
 use crate::skolem::SkolemTable;
@@ -30,6 +33,84 @@ pub struct Step {
 pub struct Derivation {
     /// The steps, in application order.
     pub steps: Vec<Step>,
+}
+
+/// The applied steps of a restricted chase run, as cheaply as its loop
+/// can keep them: each step's TGD and the span of its body binding in
+/// the binding arena the loop queued its triggers in, plus the run's
+/// first invented null.
+///
+/// Every applied trigger is new to the run, so it invents one fresh
+/// null per existential variable, in [`Tgd::existentials`] order (see
+/// [`crate::skolem`]). The nulls of step `i` therefore follow from the
+/// TGDs of the steps before it, and [`StepLog::derivation`] rebuilds
+/// each step's `result(σ,h)` exactly, without the run having kept an
+/// owned binding or atom per step.
+///
+/// [`Tgd::existentials`]: chase_core::tgd::Tgd::existentials
+#[derive(Debug, Clone, Default)]
+pub struct StepLog {
+    /// The run's binding arena; the spans of queued and applied
+    /// triggers index into it.
+    pub(crate) arena: Vec<(VarId, Term)>,
+    /// Per applied step: the TGD, and the start and length of its
+    /// binding in `arena`.
+    pub(crate) steps: Vec<(TgdId, u32, u32)>,
+    /// The first null the run invented.
+    pub(crate) first_null: u32,
+}
+
+impl StepLog {
+    /// An empty log of a run whose first invented null is `first_null`.
+    pub(crate) fn starting_at(first_null: u32) -> StepLog {
+        StepLog {
+            first_null,
+            ..StepLog::default()
+        }
+    }
+
+    /// Number of logged steps.
+    pub fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Whether no step was logged.
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty()
+    }
+
+    /// The TGD applied at step `i`.
+    pub fn tgd(&self, i: usize) -> TgdId {
+        self.steps[i].0
+    }
+
+    /// The body binding of step `i`'s trigger, one `(var, term)` pair
+    /// per body variable.
+    pub fn binding(&self, i: usize) -> &[(VarId, Term)] {
+        let (_, start, len) = self.steps[i];
+        &self.arena[start as usize..(start + len) as usize]
+    }
+
+    /// The derivation of the first `n` logged steps (all of them when
+    /// `n` exceeds the log): each step's trigger and its `result(σ,h)`,
+    /// nulls included, as the run applied them.
+    pub fn derivation(&self, set: &TgdSet, n: usize) -> Derivation {
+        let mut next_null = self.first_null;
+        let steps = (0..n.min(self.len()))
+            .map(|i| {
+                let tgd = set.tgd(self.tgd(i));
+                let trigger = Trigger {
+                    tgd: self.tgd(i),
+                    binding: Binding::from_pairs(self.binding(i).iter().copied()),
+                };
+                let mut added = Vec::with_capacity(tgd.head().len());
+                Trigger::result_named(tgd, &trigger.binding, next_null, &mut added);
+                next_null += tgd.existentials().len() as u32;
+                Step { trigger, added }
+            })
+            .collect();
+        Derivation { steps }
+    }
 }
 
 /// Why a derivation failed validation.

@@ -108,7 +108,7 @@ mod tests {
         let run = RestrictedChase::new(&set)
             .strategy(Strategy::Fifo)
             .run(&p.database, Budget::steps(100));
-        let dot = derivation_to_dot(&run.derivation, &set, &vocab);
+        let dot = derivation_to_dot(&run.derivation(&set), &set, &vocab);
         assert!(dot.starts_with("digraph derivation"));
         assert!(dot.contains("s0"));
         assert!(dot.contains("s0 -> s1")); // T(b) consumes S(b,·)

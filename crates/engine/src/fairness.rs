@@ -328,12 +328,12 @@ mod tests {
             .strategy(Strategy::PriorityTgd)
             .run(&db, Budget::steps(30));
         assert_eq!(run.outcome, Outcome::BudgetExhausted);
-        let persistent = persistently_active(&db, &set, &run.derivation);
+        let persistent = persistently_active(&db, &set, &run.derivation(&set));
         assert!(!persistent.is_empty());
         assert_eq!(persistent[0].first_active, 0);
         // σ1's trigger on R(a,b) has been active for the whole run.
-        assert_eq!(unfairness_age(&db, &set, &run.derivation), 30);
-        assert!(!is_fair_within_horizon(&db, &set, &run.derivation, 5));
+        assert_eq!(unfairness_age(&db, &set, &run.derivation(&set)), 30);
+        assert!(!is_fair_within_horizon(&db, &set, &run.derivation(&set), 5));
     }
 
     #[test]
@@ -347,7 +347,7 @@ mod tests {
             // within the last queue-length steps; the age must not
             // grow linearly with the horizon (contrast with the
             // PriorityTgd test above, where age == horizon).
-            let age = unfairness_age(&db, &set, &run.derivation);
+            let age = unfairness_age(&db, &set, &run.derivation(&set));
             assert!(age * 2 <= horizon + 8, "age {age} at horizon {horizon}");
         }
     }
@@ -359,11 +359,16 @@ mod tests {
             .strategy(Strategy::PriorityTgd)
             .run(&db, Budget::steps(20));
         let cutoff = 5;
-        assert!(!is_fair_within_horizon(&db, &set, &run.derivation, cutoff));
-        match repair(&db, &set, &run.derivation, 20, cutoff) {
+        assert!(!is_fair_within_horizon(
+            &db,
+            &set,
+            &run.derivation(&set),
+            cutoff
+        ));
+        match repair(&db, &set, &run.derivation(&set), 20, cutoff) {
             RepairOutcome::Fair(fixed, rounds) => {
                 assert!(rounds > 0);
-                assert_eq!(fixed.len(), run.derivation.len() + rounds);
+                assert_eq!(fixed.len(), run.derivation(&set).len() + rounds);
                 // Lemma 4.5: still a valid restricted derivation.
                 fixed.validate(&db, &set, false).unwrap();
                 assert!(is_fair_within_horizon(&db, &set, &fixed, cutoff));
@@ -389,7 +394,7 @@ mod tests {
             let run = RestrictedChase::new(&set)
                 .strategy(Strategy::PriorityTgd)
                 .run(&db, Budget::steps(horizon));
-            let persistent = persistently_active(&db, &set, &run.derivation);
+            let persistent = persistently_active(&db, &set, &run.derivation(&set));
             let target = &persistent[0];
             let mut skolem = SkolemTable::above(
                 SkolemPolicy::PerTrigger,
@@ -398,7 +403,7 @@ mod tests {
             let result = target
                 .trigger
                 .result(set.tgd(target.trigger.tgd), &mut skolem);
-            sizes.push(stopped_indices(&set, &run.derivation, &result).len());
+            sizes.push(stopped_indices(&set, &run.derivation(&set), &result).len());
         }
         assert!(sizes[0] < sizes[1] && sizes[1] < sizes[2], "{sizes:?}");
         // Contrast: for the single-head unfair set, A is empty at any
@@ -407,7 +412,7 @@ mod tests {
         let run1 = RestrictedChase::new(&set1)
             .strategy(Strategy::PriorityTgd)
             .run(&db1, Budget::steps(20));
-        let p1 = persistently_active(&db1, &set1, &run1.derivation);
+        let p1 = persistently_active(&db1, &set1, &run1.derivation(&set1));
         let mut skolem = SkolemTable::above(
             SkolemPolicy::PerTrigger,
             run1.instance.iter().flat_map(|a| a.args.iter().copied()),
@@ -415,7 +420,7 @@ mod tests {
         let result1 = p1[0]
             .trigger
             .result(set1.tgd(p1[0].trigger.tgd), &mut skolem);
-        assert!(stopped_indices(&set1, &run1.derivation, &result1).is_empty());
+        assert!(stopped_indices(&set1, &run1.derivation(&set1), &result1).is_empty());
     }
 
     #[test]
@@ -427,8 +432,8 @@ mod tests {
             .strategy(Strategy::PriorityTgd)
             .run(&db, Budget::steps(15));
         assert_eq!(run.outcome, Outcome::BudgetExhausted);
-        let persistent = persistently_active(&db, &set, &run.derivation);
-        let spliced = splice_at(&db, &set, &run.derivation, &persistent[0].trigger, 1);
+        let persistent = persistently_active(&db, &set, &run.derivation(&set));
+        let spliced = splice_at(&db, &set, &run.derivation(&set), &persistent[0].trigger, 1);
         match spliced.validate(&db, &set, false) {
             Err(crate::derivation::DerivationFault::NotActive(i)) => assert!(i >= 1),
             other => panic!("expected NotActive fault, got {other:?}"),

@@ -53,7 +53,7 @@ pub mod prelude {
         chaseable_from_derivation, check_chaseable, derivation_from_chaseable, ChaseableFault,
     };
     pub use crate::critical::critical_database;
-    pub use crate::derivation::{Derivation, DerivationFault, Step};
+    pub use crate::derivation::{Derivation, DerivationFault, Step, StepLog};
     pub use crate::dot::{derivation_to_dot, ochase_to_dot};
     pub use crate::fairness::{is_fair_within_horizon, persistently_active, repair, RepairOutcome};
     pub use crate::faults::{FaultPlan, FlakyWriter};

@@ -32,8 +32,8 @@ pub const DEFAULT_PROFILE_SAMPLE_EVERY: u64 = 64;
 /// describing the instance and run progress at a step boundary.
 ///
 /// Callers hold a `Some(run_start)` exactly when the observer opted
-/// into profiling, so the O(n) [`Instance::memory_footprint`] walk is
-/// never paid on unprofiled runs.
+/// into profiling, so unprofiled runs never read the clock or the
+/// [`Instance::memory_footprint`] for a sample.
 pub(crate) fn emit_profile_sample<O: ChaseObserver + ?Sized>(
     obs: &mut O,
     engine: EngineKind,

@@ -126,7 +126,6 @@ impl ConjunctiveQuery {
     ) -> Result<Vec<Vec<Term>>, QueryError> {
         let run = RestrictedChase::new(tgds)
             .strategy(Strategy::Fifo)
-            .record_derivation(false)
             .run(database, budget);
         if run.outcome != Outcome::Terminated {
             return Err(QueryError::ChaseBudgetExhausted);
@@ -197,7 +196,6 @@ pub fn contained_in(
     let (canonical, tuple) = q1.freeze(vocab)?;
     let run = RestrictedChase::new(tgds)
         .strategy(Strategy::Fifo)
-        .record_derivation(false)
         .run(&canonical, budget);
     if run.outcome != Outcome::Terminated {
         return Err(QueryError::ChaseBudgetExhausted);

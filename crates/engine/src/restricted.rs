@@ -9,7 +9,7 @@
 //! when it is applied. A [`ChaseVariant`] supplies exactly those
 //! choices to [`RestrictedChase`]'s loop; the restricted variant also
 //! carries its queue [`Strategy`], the oblivious ones always queue
-//! FIFO and never record a derivation. [`ChaseVariant::parse`] is the
+//! FIFO and never log their steps. [`ChaseVariant::parse`] is the
 //! one place that turns `engine`/`strategy`/`seed` names into a
 //! variant, for the CLI and the server alike.
 //!
@@ -39,8 +39,18 @@
 //! activeness checking perform no heap allocation. Queued candidates
 //! live as `Copy` spans into a flat binding arena, so queueing a
 //! trigger allocates nothing and a [`Trigger`] value is materialised
-//! only for the triggers actually *applied*. A caller may keep the
+//! only when a caller asks for the derivation. A caller may keep the
 //! scratch warm across runs.
+//!
+//! ## Step log
+//!
+//! The restricted chase hands its applied steps back on
+//! [`ChaseRun::log`]: per step, the TGD and the span of its binding in
+//! the binding arena, which the run keeps anyway. Invented nulls come
+//! from a counter (see [`crate::skolem`]), so the log determines every
+//! step's added atoms, and [`ChaseRun::derivation`] rebuilds the full
+//! derivation on demand. A run pays nothing per step for a derivation
+//! nobody reads.
 //!
 //! ## Restriction checks
 //!
@@ -68,7 +78,7 @@ use chase_telemetry::{
     emit, emit_detail, span_enter, span_enter_sampled, spans, EngineKind, Event, NO_TGD,
 };
 
-use crate::derivation::{Derivation, Step};
+use crate::derivation::{Derivation, StepLog};
 use crate::governor::ResourceGovernor;
 use crate::profiling::{
     emit_profile_sample, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
@@ -111,8 +121,8 @@ pub enum Strategy {
 /// trigger must still be active. The oblivious variants always queue
 /// FIFO (the queue order does not change a terminating oblivious
 /// run's result), so a strategy is only expressible for
-/// [`ChaseVariant::Restricted`], and only that variant records a
-/// derivation.
+/// [`ChaseVariant::Restricted`], and only that variant logs its
+/// steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaseVariant {
     /// The restricted chase: applies a popped trigger only while it is
@@ -221,8 +231,18 @@ pub struct ChaseRun {
     pub instance: Instance,
     /// Number of trigger applications performed.
     pub steps: usize,
-    /// The recorded derivation (empty if recording was disabled).
-    pub derivation: Derivation,
+    /// The applied steps of a restricted run (empty for the oblivious
+    /// variants and the seed oracles).
+    pub log: StepLog,
+}
+
+impl ChaseRun {
+    /// The run's derivation, rebuilt from its [`StepLog`]; `set` is the
+    /// TGD set the run chased. Empty for the oblivious variants and
+    /// the seed oracles.
+    pub fn derivation(&self, set: &TgdSet) -> Derivation {
+        self.log.derivation(set, self.log.len())
+    }
 }
 
 /// A tiny deterministic xorshift64 PRNG, so the engine does not need a
@@ -437,19 +457,17 @@ impl TriggerQueue {
 pub struct RestrictedChase<'a> {
     set: &'a TgdSet,
     variant: ChaseVariant,
-    record: bool,
     heartbeat_every: u64,
     profile_sample_every: u64,
 }
 
 impl<'a> RestrictedChase<'a> {
-    /// Creates an engine with FIFO (fair) strategy and derivation
-    /// recording enabled.
+    /// Creates an engine running the restricted chase under FIFO, the
+    /// fair strategy.
     pub fn new(set: &'a TgdSet) -> Self {
         RestrictedChase {
             set,
             variant: ChaseVariant::default(),
-            record: true,
             heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
             profile_sample_every: DEFAULT_PROFILE_SAMPLE_EVERY,
         }
@@ -465,14 +483,6 @@ impl<'a> RestrictedChase<'a> {
     /// `variant(ChaseVariant::Restricted(strategy))`.
     pub fn strategy(self, strategy: Strategy) -> Self {
         self.variant(ChaseVariant::Restricted(strategy))
-    }
-
-    /// Enables or disables derivation recording (disable in benches).
-    /// Only the restricted chase records one; the oblivious variants'
-    /// derivation is always empty.
-    pub fn record_derivation(mut self, record: bool) -> Self {
-        self.record = record;
-        self
     }
 
     /// Sets the step cadence of the profiling stream's periodic
@@ -517,7 +527,7 @@ impl<'a> RestrictedChase<'a> {
     /// before seed discovery and at the top of every queue iteration;
     /// an interrupted run emits one [`Event::RunInterrupted`] and
     /// returns the truthful partial result (valid instance, step count
-    /// and derivation for the work actually performed).
+    /// and step log for the work actually performed).
     ///
     /// `scratch`: `Some` borrows the matcher arenas from a caller's
     /// [`ChaseScratch`], so a resident process (the chase server's
@@ -604,7 +614,6 @@ impl<'a> RestrictedChase<'a> {
     ) -> Option<ChaseRun> {
         let engine = self.variant.kind();
         let restricted = matches!(self.variant, ChaseVariant::Restricted(_));
-        let record = self.record && restricted;
         let strategy = self.variant.queue_strategy();
         // `Some` exactly when the observer opted into profiling;
         // doubles as the heartbeat reference clock, so unprofiled runs
@@ -623,7 +632,7 @@ impl<'a> RestrictedChase<'a> {
                 outcome,
                 instance: database.clone(),
                 steps: 0,
-                derivation: Derivation::default(),
+                log: StepLog::default(),
             });
         }
         let ChaseScratch {
@@ -650,10 +659,11 @@ impl<'a> RestrictedChase<'a> {
             skolem.track_cycles();
         }
         let mut queue = TriggerQueue::new(strategy, self.set.len());
-        // Flat binding arena backing all queued spans for the whole
-        // run; bounded by the number of discovered triggers (which the
-        // queue held as owned bindings before this existed).
-        let mut arena: Vec<(VarId, Term)> = Vec::new();
+        // `log.arena` is the flat binding arena backing all queued
+        // spans for the whole run; it is bounded by the number of
+        // discovered triggers, and an applied step's log entry is its
+        // queued span.
+        let mut log = StepLog::starting_at(skolem.invented());
         let mut seen: chase_core::ids::FxHashSet<TriggerFp> = fx_set();
         let mut rng = match strategy {
             Strategy::Random(seed) => Some(XorShift64::new(seed)),
@@ -672,7 +682,7 @@ impl<'a> RestrictedChase<'a> {
                     tgd: id.0,
                     step: 0,
                 });
-                queue.push(Queued::store(&mut arena, id, b));
+                queue.push(Queued::store(&mut log.arena, id, b));
             }
             ControlFlow::Continue(())
         });
@@ -685,7 +695,7 @@ impl<'a> RestrictedChase<'a> {
 
         let mut steps = 0usize;
         let mut pop_idx: u64 = 0;
-        let mut derivation = Derivation::default();
+        let mut added: Vec<Atom> = Vec::new();
         let mut new_slots: Vec<usize> = Vec::new();
         loop {
             if let Some(outcome) = gov.interrupted(steps) {
@@ -711,7 +721,7 @@ impl<'a> RestrictedChase<'a> {
                     outcome,
                     instance,
                     steps,
-                    derivation,
+                    log,
                 });
             }
             let Some(popped) = queue.pop(strategy, &mut rng) else {
@@ -728,11 +738,11 @@ impl<'a> RestrictedChase<'a> {
             // (`exit_now`/`_at`) to keep profiling overhead within the
             // gate's budget.
             let mut check_end = step_guard.start();
+            check_binding.clear();
+            for &(v, t) in popped.pairs(&log.arena) {
+                check_binding.push(v, t);
+            }
             if restricted {
-                check_binding.clear();
-                for &(v, t) in popped.pairs(&arena) {
-                    check_binding.push(v, t);
-                }
                 let check_guard = span_enter_sampled(
                     obs,
                     spans::RESTRICTION_CHECK,
@@ -776,27 +786,22 @@ impl<'a> RestrictedChase<'a> {
                     outcome: Outcome::BudgetExhausted,
                     instance,
                     steps,
-                    derivation,
+                    log,
                 });
             }
-            // Materialise the applied trigger (the only place a queued
-            // candidate becomes an owned Trigger).
-            let trigger = Trigger {
-                tgd: popped.tgd,
-                binding: Binding::from_pairs(popped.pairs(&arena).iter().copied()),
-            };
             let insert_guard =
                 span_enter_sampled(obs, spans::INSERT, popped.tgd.0, sampled, check_end);
             new_slots.clear();
             let mut fresh_atoms = 0u32;
-            let nulls_before = skolem.invented();
-            let added = trigger.result(tgd, &mut skolem);
+            let nulls_before = skolem.fresh_nulls(popped.tgd, tgd, check_binding);
             let nulls_after = skolem.invented();
-            for atom in &added {
-                let (slot, fresh) = instance.insert(atom.clone());
+            Trigger::result_named(tgd, check_binding, nulls_before, &mut added);
+            for atom in added.drain(..) {
+                let predicate = atom.pred.0;
+                let (slot, fresh) = instance.insert(atom);
                 emit_detail(obs, || Event::AtomInserted {
                     engine,
-                    predicate: atom.pred.0,
+                    predicate,
                     step: steps as u64 + 1,
                     fresh,
                 });
@@ -821,8 +826,8 @@ impl<'a> RestrictedChase<'a> {
                 new_atoms: fresh_atoms,
                 new_nulls: nulls_after - nulls_before,
             });
-            if record {
-                derivation.steps.push(Step { trigger, added });
+            if restricted {
+                log.steps.push((popped.tgd, popped.start, popped.len));
             }
             // Delta discovery: only triggers using a fresh atom.
             let match_guard =
@@ -843,7 +848,7 @@ impl<'a> RestrictedChase<'a> {
                                 tgd: id.0,
                                 step: steps as u64,
                             });
-                            queue.push(Queued::store(&mut arena, id, b));
+                            queue.push(Queued::store(&mut log.arena, id, b));
                         }
                         ControlFlow::Continue(())
                     },
@@ -884,7 +889,7 @@ impl<'a> RestrictedChase<'a> {
             outcome: Outcome::Terminated,
             instance,
             steps,
-            derivation,
+            log,
         })
     }
 }
@@ -950,7 +955,7 @@ mod tests {
         let (run, set, db) = run(src, Strategy::Fifo, Budget::steps(1000));
         assert_eq!(run.outcome, Outcome::Terminated);
         assert!(satisfies_all(&run.instance, &set));
-        let replayed = run.derivation.validate(&db, &set, true).unwrap();
+        let replayed = run.derivation(&set).validate(&db, &set, true).unwrap();
         assert_eq!(replayed, run.instance);
     }
 
@@ -1168,11 +1173,7 @@ mod tests {
         let (run, _, _) = run(src, Strategy::PriorityTgd, Budget::steps(25));
         assert_eq!(run.outcome, Outcome::BudgetExhausted);
         // Every applied step was TGD 0.
-        assert!(run
-            .derivation
-            .steps
-            .iter()
-            .all(|s| s.trigger.tgd == TgdId(0)));
+        assert!((0..run.log.len()).all(|i| run.log.tgd(i) == TgdId(0)));
     }
 
     #[test]
@@ -1186,7 +1187,7 @@ mod tests {
         );
         assert_eq!(run.outcome, Outcome::BudgetExhausted);
         assert_eq!(run.instance.len(), 51);
-        assert!(run.derivation.steps.is_empty());
+        assert!(run.log.is_empty());
     }
 
     #[test]
@@ -1263,6 +1264,65 @@ mod tests {
         );
         assert!(short.is_none());
         assert_eq!(full.outcome, Outcome::Terminated);
+    }
+
+    /// A head that repeats an existential variable reuses its null
+    /// within the trigger, in every variant and on multi-head TGDs,
+    /// and the counter-named nulls match the seed oracles' memoised
+    /// ones exactly.
+    #[test]
+    fn repeated_existential_reuses_its_null_within_the_trigger() {
+        use crate::seed::{SeedObliviousChase, SeedRestrictedChase};
+        for src in [
+            "R(a,b). R(b,c).
+             R(x,y) -> exists z. S(y,z,z).
+             S(x,y,y) -> exists u. R(y,u).",
+            "R(a,b). R(b,c).
+             R(x,y) -> exists z. S(y,z,z), T(z,x,z).
+             S(x,y,y) -> exists u,w. R(y,u), T(w,u,w).",
+        ] {
+            let mut vocab = Vocabulary::new();
+            let p = parse_program(src, &mut vocab).unwrap();
+            let set = p.tgd_set(&vocab).unwrap();
+            let budget = Budget::steps(12);
+            for variant in [
+                ChaseVariant::Restricted(Strategy::Fifo),
+                ChaseVariant::Oblivious,
+                ChaseVariant::SemiOblivious,
+            ] {
+                let run = RestrictedChase::new(&set)
+                    .variant(variant)
+                    .run(&p.database, budget);
+                let oracle = match variant {
+                    ChaseVariant::Restricted(strategy) => SeedRestrictedChase::new(&set)
+                        .strategy(strategy)
+                        .run(&p.database, budget),
+                    ChaseVariant::Oblivious => {
+                        SeedObliviousChase::new(&set).run(&p.database, budget)
+                    }
+                    ChaseVariant::SemiOblivious => SeedObliviousChase::new(&set)
+                        .semi_oblivious()
+                        .run(&p.database, budget),
+                };
+                assert_eq!(run.outcome, oracle.outcome, "{variant:?}");
+                assert_eq!(run.steps, oracle.steps, "{variant:?}");
+                assert_eq!(run.instance, oracle.instance, "{variant:?}");
+                // S(_, z, z) and T(w, _, w): the repeated positions
+                // carry one null.
+                let mut repeats = 0;
+                for atom in run.instance.iter() {
+                    let pair = match vocab.pred_name(atom.pred) {
+                        "S" => (atom.args[1], atom.args[2]),
+                        "T" => (atom.args[0], atom.args[2]),
+                        _ => continue,
+                    };
+                    assert!(pair.0.is_null(), "{variant:?}: {atom:?}");
+                    assert_eq!(pair.0, pair.1, "{variant:?}: {atom:?}");
+                    repeats += 1;
+                }
+                assert!(repeats >= 2, "{variant:?}: {repeats} repeating atoms");
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use chase_core::subst::Binding;
 use chase_core::term::Term;
 use chase_core::tgd::TgdSet;
 
-use crate::derivation::Derivation;
+use crate::derivation::StepLog;
 use crate::restricted::{Budget, ChaseRun, Outcome, Strategy};
 use crate::skolem::{SkolemPolicy, SkolemTable};
 use crate::trigger::Trigger;
@@ -214,7 +214,7 @@ impl<'a> SeedRestrictedChase<'a> {
                     outcome: Outcome::BudgetExhausted,
                     instance,
                     steps,
-                    derivation: Derivation::default(),
+                    log: StepLog::default(),
                 };
             }
             let tgd = self.set.tgd(trigger.tgd);
@@ -240,7 +240,7 @@ impl<'a> SeedRestrictedChase<'a> {
             outcome: Outcome::Terminated,
             instance,
             steps,
-            derivation: Derivation::default(),
+            log: StepLog::default(),
         }
     }
 }
@@ -307,7 +307,7 @@ impl<'a> SeedObliviousChase<'a> {
                     outcome: Outcome::BudgetExhausted,
                     instance,
                     steps,
-                    derivation: Derivation::default(),
+                    log: StepLog::default(),
                 };
             }
             let tgd = self.set.tgd(trigger.tgd);
@@ -333,7 +333,7 @@ impl<'a> SeedObliviousChase<'a> {
             outcome: Outcome::Terminated,
             instance,
             steps,
-            derivation: Derivation::default(),
+            log: StepLog::default(),
         }
     }
 }

@@ -11,6 +11,20 @@
 //! The semi-oblivious variant keys nulls by `(σ, h|fr(σ), x)` instead,
 //! identifying triggers that agree on the frontier.
 //!
+//! The chase loop ([`crate::restricted`]) needs no memo. Its `seen`
+//! set admits each trigger identity once, and that identity is the
+//! Skolem key: the sorted body-variable images for the restricted and
+//! oblivious chase, the frontier images for the semi-oblivious one,
+//! and full TGDs invent no nulls. Every lookup would miss, so the loop
+//! takes consecutive nulls from [`SkolemTable::fresh_nulls`], and only
+//! a head that repeats an existential variable reuses a null, within
+//! its own trigger. The memo of [`SkolemTable::null_for`] stays for
+//! the callers that can present one trigger twice: the chase-order
+//! search (`chase_termination::orders`), the real oblivious chase
+//! ([`crate::real_oblivious`]), the fairness repair
+//! ([`crate::fairness`]), [`crate::derivation::apply_trigger`] and the
+//! seed oracles ([`crate::seed`]).
+//!
 //! On request ([`SkolemTable::track_cycles`]) the table also reports
 //! the first *cyclic* Skolem term: a null `c^{σ,h}_x` whose key terms
 //! already descend from a null of the same `(σ, x)`, i.e. a term
@@ -128,6 +142,25 @@ impl SkolemTable {
         vars.iter()
             .map(|&v| binding.get(v).unwrap_or(Term::Var(v)))
             .collect()
+    }
+
+    /// Invents the nulls of a trigger that the caller presents only
+    /// once: one fresh null per existential variable of `tgd`, in
+    /// [`Tgd::existentials`] order, so variable `k` gets the returned
+    /// id plus `k`. These are the nulls [`SkolemTable::null_for`] would
+    /// hand out for a trigger it has not seen, without the memo entry:
+    /// the chase loop admits each trigger identity once (see the module
+    /// docs). A tracked table still records each null's symbols.
+    pub fn fresh_nulls(&mut self, tgd_id: TgdId, tgd: &Tgd, binding: &Binding) -> u32 {
+        let first = self.factory.allocated();
+        let key = self.cycles.is_some().then(|| self.key_terms(tgd, binding));
+        for &x in tgd.existentials() {
+            let n = self.factory.fresh();
+            if let (Some(cycles), Some(key)) = (&mut self.cycles, &key) {
+                cycles.record(n, (tgd_id, x), key);
+            }
+        }
+        first
     }
 
     /// The null witnessing existential variable `x` for trigger

@@ -246,7 +246,6 @@ fn run_task_on<O: ChaseObserver + ?Sized>(
 ) -> Result<TaskOutput, TaskError> {
     let run = RestrictedChase::new(program.tgd_set())
         .variant(spec.engine)
-        .record_derivation(false)
         .run_governed(program.database(), &spec.governor(), obs, scratch);
     Ok(TaskOutput {
         outcome: run.outcome,

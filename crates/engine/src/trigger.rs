@@ -19,7 +19,7 @@ use chase_core::hom::{
     exists_homomorphism, exists_homomorphism_with, for_each_homomorphism_with,
     head_satisfied_probe, with_scratch, HomScratch,
 };
-use chase_core::ids::{PredId, VarId};
+use chase_core::ids::{NullId, PredId, VarId};
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
 use chase_core::term::Term;
@@ -217,6 +217,35 @@ impl Trigger {
             out.push(Atom::new(head.pred, args));
         }
         out
+    }
+
+    /// `result(σ, h)` with the existential variables named by
+    /// position instead of by a [`SkolemTable`]: `tgd.existentials()[k]`
+    /// gets the null `first_null + k`. These are the nulls
+    /// [`SkolemTable::fresh_nulls`] invents, and the ones
+    /// [`Trigger::result`] gets for a trigger its table has not seen.
+    /// Appends one atom per head atom to `out`.
+    pub(crate) fn result_named(tgd: &Tgd, binding: &Binding, first_null: u32, out: &mut Vec<Atom>) {
+        for head in tgd.head() {
+            let args = head
+                .args
+                .iter()
+                .map(|&t| match t {
+                    Term::Var(v) => binding.get(v).unwrap_or_else(|| {
+                        let k = tgd
+                            .existentials()
+                            .iter()
+                            .position(|&e| e == v)
+                            // invariant: a head variable the body does
+                            // not bind is existential.
+                            .expect("unbound head variable is existential");
+                        Term::Null(NullId(first_null + k as u32))
+                    }),
+                    ground => ground,
+                })
+                .collect::<ArgVec>();
+            out.push(Atom::new(head.pred, args));
+        }
     }
 
     /// The 0-based positions of the (single) head atom that carry

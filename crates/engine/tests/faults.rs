@@ -46,7 +46,7 @@ fn assert_runs_identical(a: &ChaseRun, b: &ChaseRun) {
     assert_eq!(a.outcome, b.outcome);
     assert_eq!(a.steps, b.steps);
     assert_eq!(a.instance, b.instance);
-    assert_eq!(format!("{:?}", a.derivation), format!("{:?}", b.derivation));
+    assert_eq!(format!("{:?}", a.log), format!("{:?}", b.log));
 }
 
 proptest! {
@@ -66,7 +66,7 @@ proptest! {
         let run = RestrictedChase::new(&set).run_governed(&db, &gov, &mut NullObserver, None);
         prop_assert_eq!(run.outcome, Outcome::DeadlineExceeded);
         prop_assert_eq!(run.steps, n);
-        let replayed = run.derivation.validate(&db, &set, false)
+        let replayed = run.derivation(&set).validate(&db, &set, false)
             .map_err(|f| TestCaseError::fail(format!("replay: {f}")))?;
         prop_assert_eq!(replayed, run.instance);
     }
@@ -87,7 +87,7 @@ proptest! {
         prop_assert_eq!(run.outcome, Outcome::Cancelled);
         prop_assert_eq!(run.steps, n);
         prop_assert!(handle.is_cancelled());
-        let replayed = run.derivation.validate(&db, &set, false)
+        let replayed = run.derivation(&set).validate(&db, &set, false)
             .map_err(|f| TestCaseError::fail(format!("replay: {f}")))?;
         prop_assert_eq!(replayed, run.instance);
     }
@@ -148,7 +148,7 @@ proptest! {
         prop_assert_eq!(run.outcome, expected, "plan {:?}", plan);
 
         // The partial state is never poisoned: the derivation replays.
-        let replayed = run.derivation.validate(&db, &set, false)
+        let replayed = run.derivation(&set).validate(&db, &set, false)
             .map_err(|f| TestCaseError::fail(format!("replay: {f}")))?;
         prop_assert_eq!(replayed, run.instance);
 

@@ -30,9 +30,9 @@ fn assert_untouched(
 ) {
     assert_eq!(run.steps, 0);
     assert_eq!(&run.instance, db);
-    assert!(run.derivation.is_empty());
+    assert!(run.log.is_empty());
     let replayed = run
-        .derivation
+        .derivation(set)
         .validate(db, set, false)
         .expect("empty derivation replays");
     assert_eq!(&replayed, db);
@@ -120,7 +120,7 @@ fn cancelling_mid_run_from_a_cloned_token_stops_the_run() {
     assert_eq!(run.steps, 5);
     assert!(external_handle.is_cancelled(), "clones share the flag");
     let replayed = run
-        .derivation
+        .derivation(&set)
         .validate(&db, &set, false)
         .expect("partial derivation replays");
     assert_eq!(replayed, run.instance);

@@ -29,15 +29,14 @@ pub mod ajt_chaseable;
 pub mod sideatom;
 pub mod treeify;
 
-use chase_core::eqtype::EqType;
+use chase_core::eqtype::{canonical_classes, EqType};
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
 use chase_core::tgd::{TgdId, TgdSet};
 use chase_core::vocab::Vocabulary;
 use chase_engine::critical::critical_database;
-use chase_engine::derivation::Step;
 use chase_engine::governor::ResourceGovernor;
-use chase_engine::restricted::{Budget, Outcome, RestrictedChase, Strategy};
+use chase_engine::restricted::{Budget, ChaseRun, Outcome, RestrictedChase, Strategy};
 use chase_telemetry::{emit, names, time_phase, ChaseObserver, Event, NullObserver};
 use tgd_classes::baselines::{
     semi_oblivious_critical_governed, semi_oblivious_critical_until_cyclic, CriterionOutcome,
@@ -190,38 +189,49 @@ struct PathSignature {
     ty: EqType,
 }
 
-/// Looks for a repeated signature window along a guard-parent chain of
-/// the derivation `steps` — evidence that the derivation is entering
-/// a self-similar regime rather than merely being slow.
-fn has_repeating_guard_path(set: &TgdSet, steps: &[Step]) -> bool {
-    // For each step, its produced atom and the step producing its
-    // guard-parent (or none if the guard-parent is a database atom).
-    let mut producer: chase_core::ids::FxHashMap<chase_core::atom::Atom, usize> =
-        chase_core::ids::fx_map();
-    for (i, s) in steps.iter().enumerate() {
-        for a in &s.added {
-            producer.entry(a.clone()).or_insert(i);
-        }
-    }
+/// Looks for a repeated signature window along a guard-parent chain
+/// among the first `steps` steps of `run`, a FIFO restricted chase of
+/// a single-head set from a database of `seed_len` atoms — evidence
+/// that the derivation is entering a self-similar regime rather than
+/// merely being slow.
+///
+/// The walk reads the run's [`StepLog`](chase_engine::derivation::StepLog)
+/// and its final instance, not a recorded derivation. Every applied
+/// step of a single-head restricted run inserts exactly one fresh atom,
+/// so step `i` added the atom at slot `seed_len + i`, and the step that
+/// produced a guard atom is its slot minus `seed_len` (none for a
+/// database atom).
+pub fn has_repeating_guard_path(
+    set: &TgdSet,
+    run: &ChaseRun,
+    seed_len: usize,
+    steps: usize,
+) -> bool {
+    let steps = steps.min(run.log.len());
+    debug_assert_eq!(run.instance.len(), seed_len + run.log.len());
     let guard_parent_step = |i: usize| -> Option<usize> {
-        let s = &steps[i];
-        let tgd = set.tgd(s.trigger.tgd);
+        let tgd = set.tgd(run.log.tgd(i));
         let gi = guard_index(tgd)?;
-        let guard_atom = s.trigger.binding.apply_atom(&tgd.body()[gi]);
-        producer.get(&guard_atom).copied().filter(|&j| j < i)
+        let binding = Binding::from_pairs(run.log.binding(i).iter().copied());
+        let guard_atom = binding.apply_atom(&tgd.body()[gi]);
+        let slot = run.instance.slot_of(&guard_atom)?;
+        slot.checked_sub(seed_len).filter(|&j| j < i)
     };
     // Follow chains backwards from the last steps; look for a
     // signature period, up to 2·window, repeated 3 times along one
     // chain.
     let window = 1.max(set.len());
-    for start in (steps.len().saturating_sub(8)..steps.len()).rev() {
+    for start in (steps.saturating_sub(8)..steps).rev() {
         let mut chain = Vec::new();
         let mut cur = Some(start);
         while let Some(i) = cur {
-            let s = &steps[i];
+            let added = run.instance.atom(seed_len + i);
             chain.push(PathSignature {
-                tgd: s.trigger.tgd,
-                ty: EqType::of_atom(&s.added[0]),
+                tgd: run.log.tgd(i),
+                ty: EqType {
+                    pred: added.pred,
+                    classes: canonical_classes(added.args),
+                },
             });
             cur = guard_parent_step(i);
             if chain.len() > 256 {
@@ -418,7 +428,7 @@ fn seed_search<O: ChaseObserver + ?Sized>(
     // budget only at exactly its step cap, so a shorter run from the
     // same seed is a prefix of this one: the repetition search reads
     // the first `horizon` steps, and the witness is the first
-    // `witness_steps`.
+    // `witness_steps`, rebuilt from the run's step log.
     let horizon = 2 * (config.chase_budget / 4);
     let run_gov = gov
         .clone()
@@ -429,7 +439,7 @@ fn seed_search<O: ChaseObserver + ?Sized>(
             name: names::GUARDED_SEEDS,
             delta: 1,
         });
-        let mut run = engine.run_governed(seed, &run_gov, obs, None);
+        let run = engine.run_governed(seed, &run_gov, obs, None);
         if run.outcome.is_interrupted() {
             return Ok(TerminationVerdict::interrupted(
                 run.outcome,
@@ -440,13 +450,13 @@ fn seed_search<O: ChaseObserver + ?Sized>(
             saturated += 1;
             continue;
         }
-        if has_repeating_guard_path(set, &run.derivation.steps[..horizon]) {
-            run.derivation.steps.truncate(config.witness_steps);
-            if run.derivation.validate(seed, set, false).is_ok() {
+        if has_repeating_guard_path(set, &run, seed.len(), horizon) {
+            let derivation = run.log.derivation(set, config.witness_steps);
+            if derivation.validate(seed, set, false).is_ok() {
                 return Ok(TerminationVerdict::NonTerminating(Box::new(
                     NonTerminationWitness {
                         database: seed.clone(),
-                        derivation: run.derivation,
+                        derivation,
                         description: "guarded seed chase with repeating guard-path signature"
                             .to_string(),
                         finitary: true,

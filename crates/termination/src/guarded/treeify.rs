@@ -205,7 +205,8 @@ mod tests {
         let run = RestrictedChase::new(&set)
             .strategy(Strategy::Fifo)
             .run(&p.database, Budget::steps(20));
-        (vocab, set, p.database, run.derivation)
+        let derivation = run.derivation(&set);
+        (vocab, set, p.database, derivation)
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub fn decide_linear(
                     let short = RestrictedChase::new(&sub_set)
                         .strategy(Strategy::Fifo)
                         .run(&db, Budget::steps(config.witness_steps));
-                    crate::orders::relabel_subset_derivation(&subset, &short.derivation)
+                    crate::orders::relabel_subset_derivation(&subset, &short.derivation(&sub_set))
                 };
                 if evidence.validate(&db, set, false).is_ok() {
                     let _ = run;

@@ -122,7 +122,8 @@ pub fn all_orders_terminate(
 /// Runs the FIFO restricted chase from `database` using every rule
 /// subset of size ≤ 2 plus the full set; returns the first subset
 /// whose chase exhausts the budget (an infinite unfair derivation of
-/// the full set), together with its recorded run.
+/// the full set), together with its run (whose step log is against
+/// the subset's TGD identifiers).
 pub fn diverging_subset_run(
     set: &TgdSet,
     vocab: &Vocabulary,
@@ -209,7 +210,8 @@ mod tests {
             diverging_subset_run(&set, &vocab, &program.database, Budget::steps(100))
                 .expect("diverging subset");
         assert_eq!(subset, vec![1]);
-        let relabelled = relabel_subset_derivation(&subset, &run.derivation);
+        let sub_set = TgdSet::new(vec![set.tgds()[1].clone()], &vocab).unwrap();
+        let relabelled = relabel_subset_derivation(&subset, &run.derivation(&sub_set));
         relabelled
             .validate(&program.database, &set, false)
             .expect("subset derivation is a valid unfair derivation of the full set");

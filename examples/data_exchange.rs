@@ -48,7 +48,7 @@ fn main() {
     // The result is a model of the dependencies...
     assert!(satisfies_all(&run.instance, &set));
     // ...and the recorded derivation replays (auditable materialisation).
-    run.derivation
+    run.derivation(&set)
         .validate(&program.database, &set, true)
         .expect("derivation must replay");
 

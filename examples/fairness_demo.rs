@@ -32,7 +32,8 @@ fn main() {
     let unfair = RestrictedChase::new(&set)
         .strategy(Strategy::PriorityTgd)
         .run(&program.database, Budget::steps(30));
-    let age = chase_engine::fairness::unfairness_age(&program.database, &set, &unfair.derivation);
+    let age =
+        chase_engine::fairness::unfairness_age(&program.database, &set, &unfair.derivation(&set));
     println!(
         "priority strategy, 30 steps: unfairness age = {age} (σ1's first trigger was active the \
          whole run)"
@@ -41,11 +42,11 @@ fn main() {
         .strategy(Strategy::Fifo)
         .run(&program.database, Budget::steps(30));
     let fifo_age =
-        chase_engine::fairness::unfairness_age(&program.database, &set, &fair.derivation);
+        chase_engine::fairness::unfairness_age(&program.database, &set, &fair.derivation(&set));
     println!("FIFO strategy,     30 steps: unfairness age = {fifo_age} (bounded by queue latency)");
 
     // ── 2. Repairing the unfair prefix (Theorem 4.1's construction) ─
-    match repair(&program.database, &set, &unfair.derivation, 20, 5) {
+    match repair(&program.database, &set, &unfair.derivation(&set), 20, 5) {
         RepairOutcome::Fair(fixed, rounds) => {
             println!(
                 "\nrepair: {rounds} splices discharged every trigger older than cutoff 5; the \
@@ -89,11 +90,15 @@ fn main() {
 
     // Where the proof breaks: splicing σ1's result into the unfair
     // prefix deactivates every later σ0 trigger.
-    let persistent = persistently_active(&program_b1.database, &set_b1, &unfair_b1.derivation);
+    let persistent = persistently_active(
+        &program_b1.database,
+        &set_b1,
+        &unfair_b1.derivation(&set_b1),
+    );
     let spliced = chase_engine::fairness::splice_at(
         &program_b1.database,
         &set_b1,
-        &unfair_b1.derivation,
+        &unfair_b1.derivation(&set_b1),
         &persistent[0].trigger,
         1,
     );

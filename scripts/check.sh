@@ -66,6 +66,12 @@ echo "== decide sweep golden, all 200 seeds (release) =="
 # ones too (about 30 s in release on a 2-CPU host).
 cargo test --offline -q --release --test decide_sweep every_seed -- --ignored
 
+echo "== guard-path slot walk vs derivation walk, all 200 sweep seeds (release) =="
+# Tier-1 checks the labelled suite and the first 60 sweep seeds; this
+# checks every seed the guarded seed search chases (about 12 s in
+# release on a 2-CPU host).
+cargo test --offline -q --release --test decider_suite guard_path_slot_walk_on_every_sweep_seed -- --ignored
+
 echo "== fault-injection suite (chase-engine faults) =="
 cargo test --offline -q -p chase-engine faults
 
@@ -140,9 +146,12 @@ echo "== BENCH_hotpath.json schema gate (host-honesty fields) =="
 # The committed report must record the host it was measured on
 # ("host_cpus"), carry the program-cache cold/warm comparison
 # ("server_warm") behind the >= 5x smoke gate, the cold compile of the
-# ingest-shaped program per source byte ("ingest_compile"), and the
-# per-seed decide times of the decide sweep ("decide_sweep").
-for field in '"host_cpus"' '"server_warm"' '"ingest_compile"' '"decide_sweep"'; do
+# ingest-shaped program per source byte ("ingest_compile"), the
+# per-seed decide times of the decide sweep ("decide_sweep"), and the
+# decide time and allocations of the guarded suite entries answered by
+# the seed search ("guarded_seed_search").
+for field in '"host_cpus"' '"server_warm"' '"ingest_compile"' '"decide_sweep"' \
+    '"guarded_seed_search"'; do
     if ! grep -q "$field" BENCH_hotpath.json; then
         echo "BENCH_hotpath.json schema gate: missing required field $field" >&2
         exit 1

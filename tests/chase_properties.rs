@@ -36,7 +36,7 @@ proptest! {
             .run(&db, Budget::new(400, 4_000));
         if run.outcome == Outcome::Terminated {
             prop_assert!(satisfies_all(&run.instance, &set));
-            let replayed = run.derivation.validate(&db, &set, true)
+            let replayed = run.derivation(&set).validate(&db, &set, true)
                 .map_err(|f| TestCaseError::fail(format!("replay: {f}")))?;
             prop_assert_eq!(replayed, run.instance);
         }
@@ -139,7 +139,7 @@ proptest! {
             .strategy(Strategy::Fifo)
             .run(&db, Budget::new(horizon, 4_000));
         if run.outcome == Outcome::BudgetExhausted && run.steps == horizon {
-            let age = chase_engine::fairness::unfairness_age(&db, &set, &run.derivation);
+            let age = chase_engine::fairness::unfairness_age(&db, &set, &run.derivation(&set));
             // Under FIFO a trigger waits at most one full queue drain;
             // random workloads here have small queues.
             prop_assert!(age <= horizon, "age {} at horizon {}", age, horizon);

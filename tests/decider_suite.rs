@@ -68,7 +68,7 @@ fn non_termination_witnesses_replay_and_diverge() {
             let evidence = RestrictedChase::new(&set)
                 .strategy(Strategy::Fifo)
                 .run(&witness.database, Budget::steps(config.witness_steps));
-            let (got, want) = (&witness.derivation.steps, &evidence.derivation.steps);
+            let (got, want) = (&witness.derivation.steps, &evidence.derivation(&set).steps);
             assert_eq!(got.len(), want.len(), "{}: witness length", entry.name);
             for (i, (g, w)) in got.iter().zip(want).enumerate() {
                 assert!(
@@ -109,6 +109,138 @@ fn guarded_seed_search_chases_each_seed_once() {
     assert_eq!(applied(EngineKind::Restricted), 10_001);
     assert_eq!(applied(EngineKind::SemiOblivious), 4);
     assert_eq!(summary.counter(TRIGGERS_APPLIED), Some(10_001 + 4));
+}
+
+/// The guard-path search as it was before the step log: it walks a
+/// recorded derivation and finds each guard atom's producer in a map
+/// of every added atom. The slot walk must agree with it.
+fn derivation_walked_guard_path(set: &TgdSet, steps: &[Step]) -> bool {
+    use restricted_chase::classes::guarded::guard_index;
+    let mut producer: std::collections::HashMap<Atom, usize> = Default::default();
+    for (i, s) in steps.iter().enumerate() {
+        for a in &s.added {
+            producer.entry(a.clone()).or_insert(i);
+        }
+    }
+    let guard_parent_step = |i: usize| -> Option<usize> {
+        let s = &steps[i];
+        let tgd = set.tgd(s.trigger.tgd);
+        let gi = guard_index(tgd)?;
+        let guard_atom = s.trigger.binding.apply_atom(&tgd.body()[gi]);
+        producer.get(&guard_atom).copied().filter(|&j| j < i)
+    };
+    let window = 1.max(set.len());
+    for start in (steps.len().saturating_sub(8)..steps.len()).rev() {
+        let mut chain = Vec::new();
+        let mut cur = Some(start);
+        while let Some(i) = cur {
+            let s = &steps[i];
+            chain.push((s.trigger.tgd, EqType::of_atom(&s.added[0])));
+            cur = guard_parent_step(i);
+            if chain.len() > 256 {
+                break;
+            }
+        }
+        if chain.len() < 3 * window {
+            continue;
+        }
+        for period in 1..=(2 * window).min(chain.len() / 3) {
+            let a = &chain[0..period];
+            let b = &chain[period..2 * period];
+            let c = &chain[2 * period..3 * period];
+            if a == b && b == c {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// Chases every acyclic seed of `set` as the guarded seed search does
+/// and checks the slot invariant and the slot walk against
+/// [`derivation_walked_guard_path`]. Returns how many seeds reached
+/// the horizon.
+fn check_guard_path_walks(set: &TgdSet, vocab: &Vocabulary, name: &str) -> usize {
+    use restricted_chase::termination::guarded::{acyclic_seeds, has_repeating_guard_path};
+    let config = DeciderConfig::default();
+    let horizon = 2 * (config.chase_budget / 4);
+    let budget = Budget::steps(horizon.max(config.witness_steps));
+    let mut scratch = vocab.clone();
+    let mut diverged = 0;
+    for (k, seed) in acyclic_seeds(set, &mut scratch, config.max_seeds)
+        .iter()
+        .enumerate()
+    {
+        let run = RestrictedChase::new(set)
+            .strategy(Strategy::Fifo)
+            .run(seed, budget);
+        assert_eq!(
+            run.instance.len(),
+            seed.len() + run.steps,
+            "{name} seed {k}"
+        );
+        let derivation = run.derivation(set);
+        assert_eq!(derivation.len(), run.steps, "{name} seed {k}");
+        for (i, step) in derivation.steps.iter().enumerate() {
+            assert!(
+                run.instance.atom(seed.len() + i) == step.added[0],
+                "{name} seed {k}: step {i} added {:?}",
+                step.added
+            );
+        }
+        let n = horizon.min(run.steps);
+        diverged += usize::from(n == horizon);
+        assert_eq!(
+            has_repeating_guard_path(set, &run, seed.len(), n),
+            derivation_walked_guard_path(set, &derivation.steps[..n]),
+            "{name} seed {k}"
+        );
+    }
+    diverged
+}
+
+/// [`check_guard_path_walks`] on the decide sweep's guarded sets among
+/// `seeds`; returns how many seeds reached the horizon.
+fn check_sweep_guard_path_walks(seeds: std::ops::Range<u64>) -> usize {
+    let mut diverged = 0;
+    for seed in seeds {
+        let mut vocab = Vocabulary::new();
+        let set = parse_tgds(&random_tgds(&DECIDE_SWEEP, seed), &mut vocab).unwrap();
+        if decider_class(&set) == "guarded" {
+            diverged += check_guard_path_walks(&set, &vocab, &format!("sweep seed {seed}"));
+        }
+    }
+    diverged
+}
+
+/// The guard-path slot walk agrees with the derivation walk on every
+/// seed the guarded portfolio chases for the labelled suite and the
+/// first decide-sweep sets, and step `i` of each run added the atom at
+/// slot `seed.len() + i`.
+#[test]
+fn guard_path_slot_walk_matches_the_derivation_walk() {
+    let mut diverged = 0;
+    for entry in labelled_suite() {
+        let (vocab, set) = entry.build();
+        if decider_class(&set) == "guarded" {
+            diverged += check_guard_path_walks(&set, &vocab, entry.name);
+        }
+    }
+    assert!(diverged > 0, "no suite seed reached the horizon");
+    assert!(check_sweep_guard_path_walks(0..SWEEP_SEEDS_IN_TIER_1) > 0);
+}
+
+/// How many decide-sweep seeds the tier-1 slot-walk test covers; the
+/// ignored test below covers all of them (run in release by
+/// `scripts/check.sh`).
+const SWEEP_SEEDS_IN_TIER_1: u64 = 60;
+
+/// [`guard_path_slot_walk_matches_the_derivation_walk`] on every seed
+/// of the decide sweep.
+#[test]
+#[ignore]
+fn guard_path_slot_walk_on_every_sweep_seed() {
+    assert!(check_sweep_guard_path_walks(0..DECIDE_SWEEP_SEEDS) > 0);
 }
 
 const GUARDED_GOLDEN_PATH: &str = "tests/golden/guarded_suite.txt";

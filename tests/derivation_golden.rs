@@ -100,7 +100,7 @@ fn golden_text() -> String {
                 .strategy(strategy)
                 .run(&program.database, Budget::new(1_000, 4_000));
             let mut derivation = Fnv::new();
-            for step in &run.derivation.steps {
+            for step in &run.derivation(&set).steps {
                 derivation.write(format!("t{}:", step.trigger.tgd.0).as_bytes());
                 let mut pairs: Vec<(VarId, Term)> = step.trigger.binding.iter().collect();
                 pairs.sort_by_key(|&(v, _)| v);

@@ -66,7 +66,7 @@ proptest! {
         let budget = Budget::new(200, 2_000);
         let run = RestrictedChase::new(&set).run(&db, budget);
         let must_saturate = run.outcome == Outcome::Terminated;
-        match run.derivation.validate(&db, &set, must_saturate) {
+        match run.derivation(&set).validate(&db, &set, must_saturate) {
             Ok(final_instance) => prop_assert_eq!(&final_instance, &run.instance),
             Err(fault) => prop_assert!(false, "replay fault: {}", fault),
         }

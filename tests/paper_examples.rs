@@ -161,7 +161,7 @@ fn example_b1_multi_head_fairness_counterexample() {
         .run(&program.database, Budget::steps(200));
     assert_eq!(unfair.outcome, Outcome::BudgetExhausted);
     unfair
-        .derivation
+        .derivation(&set)
         .validate(&program.database, &set, false)
         .unwrap();
 
@@ -200,7 +200,7 @@ fn theorem_5_3_roundtrip() {
     let members = chase_engine::chaseable::roundtrip_theorem_5_3(
         &program.database,
         &set,
-        &run.derivation,
+        &run.derivation(&set),
         &fragment,
     )
     .unwrap();
