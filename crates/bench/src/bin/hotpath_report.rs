@@ -22,11 +22,14 @@
 //! per workload: wall-clock per engine phase plus peak instance
 //! bytes). The `scale` row times the restricted engine alone on the
 //! ontology-scale chain workload (`chase_workloads::scale`, ≥4·10⁴
-//! facts even in smoke mode) with its peak instance bytes; the seed
-//! engine is too slow to pair with it. The `ingest_compile` row times a
-//! cold `compile` of the ~182 KB ingest-shaped program
-//! (`chase_bench::ingest_program`) and reports it per source byte; it
-//! carries no gate. The `decide_sweep` section decides seeds 0–199 of
+//! facts even in smoke mode) with its peak instance bytes and the
+//! final instance's bytes per atom; the seed engine is too slow to
+//! pair with it. The `ingest_compile` row times a cold `compile` of the
+//! ~182 KB ingest-shaped program (`chase_bench::ingest_program`) and
+//! reports it per source byte, with the compiled database's
+//! `Instance::memory_footprint` (`instance_bytes`) and its bytes per
+//! atom; it carries no gate (`tests/instance_bytes.rs` bounds the bytes
+//! per atom). The `decide_sweep` section decides seeds 0–199 of
 //! the decide sweep (`chase_workloads::random::DECIDE_SWEEP`, the
 //! generator `tests/golden/decide_sweep.txt` pins) and records the
 //! verdict counts, the certificate kinds and each seed's decide time
@@ -192,27 +195,32 @@ struct IngestCompile {
     source_bytes: usize,
     facts: usize,
     ns: u128,
+    /// The compiled database's `Instance::memory_footprint` total.
+    instance_bytes: u64,
 }
 
 impl IngestCompile {
     fn ns_per_byte(&self) -> f64 {
         self.ns as f64 / self.source_bytes.max(1) as f64
     }
+
+    fn bytes_per_atom(&self) -> f64 {
+        self.instance_bytes as f64 / self.facts.max(1) as f64
+    }
 }
 
 fn ingest_compile_section(runs: usize) -> IngestCompile {
     let source = ingest_program(4000);
-    let facts = compile(&source)
-        .expect("ingest program compiles")
-        .database()
-        .len();
+    let program = compile(&source).expect("ingest program compiles");
+    let database = program.database();
     let ns = min_ns(runs, || {
         black_box(compile(&source).expect("ingest program compiles"));
     });
     IngestCompile {
         source_bytes: source.len(),
-        facts,
+        facts: database.len(),
         ns,
+        instance_bytes: database.memory_footprint().total(),
     }
 }
 
@@ -333,6 +341,14 @@ struct ScaleRow {
     atoms: usize,
     ns: u128,
     peak_bytes: u64,
+    /// The final instance's `Instance::memory_footprint` total.
+    instance_bytes: u64,
+}
+
+impl ScaleRow {
+    fn bytes_per_atom(&self) -> f64 {
+        self.instance_bytes as f64 / self.atoms.max(1) as f64
+    }
 }
 
 /// Minimum wall-clock nanoseconds over `runs` invocations of `f`.
@@ -502,6 +518,7 @@ fn scale_row(
             black_box(engine.run(db, budget));
         }),
         peak_bytes: obs.profile().peak_bytes,
+        instance_bytes: reference.instance.memory_footprint().total(),
     }
 }
 
@@ -567,8 +584,13 @@ fn render_json(report: &Report) -> String {
     out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"scale\": {{\"workload\": \"{}\", \"engine\": \"restricted\", \"steps\": {}, \
-         \"atoms\": {}, \"ns\": {}, \"peak_bytes\": {}}},\n",
-        scale.workload, scale.steps, scale.atoms, scale.ns, scale.peak_bytes
+         \"atoms\": {}, \"ns\": {}, \"peak_bytes\": {}, \"bytes_per_atom\": {:.1}}},\n",
+        scale.workload,
+        scale.steps,
+        scale.atoms,
+        scale.ns,
+        scale.peak_bytes,
+        scale.bytes_per_atom(),
     ));
     out.push_str(&format!(
         "  \"server_warm\": {{\"workload\": \"program cache resolve (cold compile vs \
@@ -583,11 +605,13 @@ fn render_json(report: &Report) -> String {
     out.push_str(&format!(
         "  \"ingest_compile\": {{\"workload\": \"cold compile of an ingest-shaped program \
          (min of runs)\", \"source_bytes\": {}, \"facts\": {}, \"ns\": {}, \
-         \"ns_per_byte\": {:.2}}},\n",
+         \"ns_per_byte\": {:.2}, \"instance_bytes\": {}, \"bytes_per_atom\": {:.1}}},\n",
         ingest.source_bytes,
         ingest.facts,
         ingest.ns,
         ingest.ns_per_byte(),
+        ingest.instance_bytes,
+        ingest.bytes_per_atom(),
     ));
     let certificates: Vec<String> = sweep
         .certificates
@@ -721,8 +745,13 @@ fn main() {
         );
     }
     println!(
-        "scale ({}): steps={} atoms={} ns={} peak={}B",
-        scale.workload, scale.steps, scale.atoms, scale.ns, scale.peak_bytes
+        "scale ({}): steps={} atoms={} ns={} peak={}B bytes_per_atom={:.1}",
+        scale.workload,
+        scale.steps,
+        scale.atoms,
+        scale.ns,
+        scale.peak_bytes,
+        scale.bytes_per_atom(),
     );
     println!(
         "server_warm: rules={} source={}B cold={}ns warm={}ns speedup={:.2}x",
@@ -733,11 +762,13 @@ fn main() {
         server_warm.speedup(),
     );
     println!(
-        "ingest_compile: source={}B facts={} ns={} ns_per_byte={:.2}",
+        "ingest_compile: source={}B facts={} ns={} ns_per_byte={:.2} instance={}B bytes_per_atom={:.1}",
         ingest.source_bytes,
         ingest.facts,
         ingest.ns,
         ingest.ns_per_byte(),
+        ingest.instance_bytes,
+        ingest.bytes_per_atom(),
     );
 
     println!(

@@ -119,8 +119,8 @@ impl CompiledProgram {
     }
 
     /// Approximate resident size in bytes, for cache byte-accounting.
-    /// Counts the database's container footprint plus a per-rule and
-    /// per-symbol estimate for the plans and interning tables; the
+    /// Counts the database's container footprint, the vocabulary's
+    /// table bytes and a per-rule estimate for the plans; the
     /// point is a stable, monotone-in-program-size figure for LRU
     /// caps, not allocator-exact truth.
     pub fn approx_bytes(&self) -> usize {
@@ -324,7 +324,7 @@ fn approx_bytes(source: &str, set: &TgdSet, database: &Instance, vocab: &Vocabul
         + source.len()
         + set.len() * 512 // per-rule plans: frontier, sorted vars, pair plans, probes
         + atoms * 64 // per-atom storage inside the rule vectors
-        + (vocab.pred_count() + vocab.const_count()) * 48 // interning tables
+        + vocab.heap_bytes()
         + std::mem::size_of::<CompiledProgram>()
 }
 
@@ -350,6 +350,16 @@ mod tests {
         assert_eq!(p.database().len(), 1);
         assert!(p.vocab().lookup_pred("R").is_some());
         assert!(p.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn approx_bytes_count_the_database_and_vocabulary_tables() {
+        let facts: String = (0..500).map(|i| format!("R(a{i},b{i}).\n")).collect();
+        let p = compile(&facts).unwrap();
+        let tables = p.database().memory_footprint().total() as usize + p.vocab().heap_bytes();
+        assert!(p.approx_bytes() >= tables + facts.len());
+        // 1000 constants: their text and at least 16 table bytes each.
+        assert!(p.vocab().heap_bytes() >= 1000 * (4 + 16));
     }
 
     #[test]

@@ -91,10 +91,10 @@ fn boundness(pattern: &Atom, binding: &Binding) -> usize {
 /// Candidates it filters out would have failed `unify_atom` anyway, so
 /// swapping it in changes the number of probes, never the sequence of
 /// matches — the bit-identity the seed oracle suite checks.
-fn push_candidates(pattern: &Atom, binding: &Binding, instance: &Instance, out: &mut Vec<usize>) {
-    let mut best: Option<&[usize]> = None;
+fn push_candidates(pattern: &Atom, binding: &Binding, instance: &Instance, out: &mut Vec<u32>) {
+    let mut best: Option<&[u32]> = None;
     let mut first_ground: Option<(usize, Term)> = None;
-    let mut pair: Option<&[usize]> = None;
+    let mut pair: Option<&[u32]> = None;
     for (i, term) in pattern.args.iter().enumerate() {
         let ground = match *term {
             Term::Var(v) => match binding.get(v) {
@@ -150,7 +150,7 @@ struct Frame {
 #[derive(Debug)]
 pub struct HomScratch {
     frames: Vec<Frame>,
-    slots: Vec<usize>,
+    slots: Vec<u32>,
     remaining: Vec<u32>,
     binding: Binding,
     /// Reusable ground atom for the membership fast path of
@@ -279,7 +279,7 @@ fn search_iterative(
             scratch.frames[fi].cursor += 1;
             let slot = scratch.slots[(slots_start + cursor) as usize];
             let pat = &patterns[pattern as usize];
-            if let Some(mark) = unify_atom(pat, instance.atom(slot), binding) {
+            if let Some(mark) = unify_atom(pat, instance.atom(slot as usize), binding) {
                 if scratch.remaining.is_empty() {
                     let flow = f(binding);
                     binding.truncate(mark);
@@ -370,7 +370,7 @@ fn exists_ground_fast(
                 ground => probe.args.push(ground),
             }
         }
-        if !instance.contains(probe) {
+        if !instance.contains(&*probe) {
             return Some(false);
         }
     }
@@ -426,9 +426,9 @@ pub fn head_satisfied_probe(tgd: &Tgd, instance: &Instance, binding: &Binding) -
     for &(_, var) in constraints {
         binding.get(var)?;
     }
-    let hit = |slots: &[usize], check: &[(u16, VarId)]| -> bool {
+    let hit = |slots: &[u32], check: &[(u16, VarId)]| -> bool {
         slots.iter().any(|&slot| {
-            let atom = instance.atom(slot);
+            let atom = instance.atom(slot as usize);
             check
                 .iter()
                 .all(|&(pos, var)| binding.get(var) == Some(atom.args[pos as usize]))
@@ -447,7 +447,7 @@ pub fn head_satisfied_probe(tgd: &Tgd, instance: &Instance, binding: &Binding) -
         }
     }
     // Tightest single-position index, else the predicate list.
-    let mut best: Option<&[usize]> = None;
+    let mut best: Option<&[u32]> = None;
     for &(pos, var) in constraints {
         let t = binding.get(var)?;
         let slots = instance.slots_with_pred_pos(probe.pred, pos as usize, t);
@@ -558,8 +558,8 @@ pub mod reference {
         pattern: &Atom,
         binding: &Binding,
         instance: &'i Instance,
-    ) -> &'i [usize] {
-        let mut best: Option<&[usize]> = None;
+    ) -> &'i [u32] {
+        let mut best: Option<&[u32]> = None;
         for (i, term) in pattern.args.iter().enumerate() {
             let ground = match *term {
                 Term::Var(v) => match binding.get(v) {
@@ -599,9 +599,9 @@ pub mod reference {
             }
         }
         let pattern = remaining.swap_remove(best_idx);
-        let slots: Vec<usize> = candidate_slots(pattern, binding, instance).to_vec();
+        let slots: Vec<u32> = candidate_slots(pattern, binding, instance).to_vec();
         for slot in slots {
-            let target = instance.atom(slot);
+            let target = instance.atom(slot as usize);
             if let Some(mark) = unify_atom(pattern, target, binding) {
                 let flow = search(remaining, instance, binding, f);
                 binding.truncate(mark);

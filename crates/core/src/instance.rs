@@ -16,24 +16,39 @@
 //! rows, and reading an atom ([`Instance::atom`]) hands out a borrowed
 //! [`AtomRef`] — two array reads, no clone.
 //!
-//! ## Index layout
+//! ## Dedup and index layout
 //!
-//! Three index families back the matcher, all storing ascending slot
-//! lists in a `SlotList` (inline up to three slots, spilling to a
-//! `Vec` beyond — most `(pred, position, term)` cells hold one or two
-//! slots, so the common case clones by `memcpy` and never touches the
-//! heap):
+//! Outside the columns a slot is a `u32`: an instance holds at most
+//! `u32::MAX - 1` atoms ([`Instance::insert`] panics past that).
 //!
-//! * a **per-predicate** list (dense `Vec` indexed by predicate id —
-//!   predicates are few and the list is probed hot);
-//! * a **single-position** inverted index `(pred, position, term) →
-//!   slots` — the PR-2 workhorse;
-//! * **composite two-position** indexes `(pred, posA, posB, termA,
+//! * **Dedup** is an `IdTable`, the open-addressing table the constant
+//!   interner uses too: 8-byte buckets of `(tag, slot + 1)`, the tag
+//!   being the top half of the atom's FxHash, at most half full. A
+//!   probe compares tags and reads the atom columns only on a tag
+//!   match, so a membership miss — the closure chase's usual ground
+//!   head probe — reads nothing but buckets; a grow moves tags and
+//!   never rehashes an atom.
+//! * A **per-predicate** slot list (dense `Vec` indexed by predicate
+//!   id — predicates are few and the list is probed hot).
+//! * A **single-position** inverted index `(pred, position, term) →
+//!   slots` — the matcher's workhorse.
+//! * **Composite two-position** indexes `(pred, posA, posB, termA,
 //!   termB) → slots`, built lazily: nothing is maintained until an
 //!   engine registers a `(pred, posA, posB)` pair via
 //!   [`Instance::register_pair_index`] (derived from its TGD join
-//!   plans), after which the pair cell is backfilled from the existing
-//!   atoms and kept current by [`Instance::insert`].
+//!   plans), after which the pair cells are backfilled from the
+//!   existing atoms and kept current by [`Instance::insert`].
+//!
+//! Most position and pair cells list one slot, so a cell is 8 bytes:
+//! the slot itself, or — from the second slot on — the index of a
+//! shared `SlotList` (24 bytes: up to three `u32` slots inline, then a
+//! `Vec<u32>`). The per-predicate lists are `SlotList`s too.
+//!
+//! On the compiled `chase_bench::ingest_program(4000)` database (11,999
+//! facts of arity 2 and 3) this is 111 bytes per atom: 38 of columns,
+//! 22 of dedup buckets and 51 of indexes (it was 171: 38, 49 and 84
+//! with `usize` slots, a `u64 → SlotList` dedup map and 32-byte
+//! `SlotList` cell values). `tests/instance_bytes.rs` bounds it at 115.
 //!
 //! Because every index lists slots in ascending insertion order, a
 //! tighter index is always an order-preserving subset of a looser one:
@@ -41,10 +56,12 @@
 //! only the number of candidates filtered out by unification. This is
 //! what keeps the optimised engines bit-identical to the seed oracle.
 
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
 use crate::atom::{Atom, AtomRef, ARG_INLINE};
 use crate::ids::{fx_set, FxHashMap, FxHasher, PredId};
+use crate::table::IdTable;
 use crate::term::Term;
 use crate::vocab::{Vocabulary, MAX_ARITY};
 
@@ -53,15 +70,14 @@ const SLOT_INLINE: usize = 3;
 
 /// An ascending list of atom slots, inline up to [`SLOT_INLINE`]
 /// entries. Cloning an inline list is a `memcpy`; only spilled lists
-/// (cells with four or more atoms) allocate. `Instance::clone` sits on
-/// the hot path of every engine run (the working instance is a clone
-/// of the caller's database), and most index cells are tiny, so this
-/// removes the dominant share of per-run allocations.
+/// (four or more slots) allocate.
 #[derive(Debug, Clone)]
 enum SlotList {
-    Inline { len: u8, buf: [usize; SLOT_INLINE] },
-    Spill(Vec<usize>),
+    Inline { len: u8, buf: [u32; SLOT_INLINE] },
+    Spill(Vec<u32>),
 }
+
+const _: () = assert!(std::mem::size_of::<SlotList>() <= 24);
 
 impl Default for SlotList {
     fn default() -> Self {
@@ -72,9 +88,9 @@ impl Default for SlotList {
     }
 }
 
-/// The heap bytes of one index family's spilled [`SlotList`]s, kept
+/// The heap bytes of the index families' spilled [`SlotList`]s, kept
 /// current at the push sites so [`Instance::memory_footprint`] need
-/// not walk the cells.
+/// not walk the lists.
 #[derive(Debug, Clone, Copy, Default)]
 struct SpillBytes {
     /// The spill vectors' reserved capacities: what the footprint
@@ -98,8 +114,8 @@ impl SpillBytes {
 impl SlotList {
     /// Appends `slot`, adding any heap growth to `spill`.
     #[inline]
-    fn push(&mut self, slot: usize, spill: &mut SpillBytes) {
-        const WORD: usize = std::mem::size_of::<usize>();
+    fn push(&mut self, slot: u32, spill: &mut SpillBytes) {
+        const WORD: usize = std::mem::size_of::<u32>();
         match self {
             SlotList::Inline { len, buf } => {
                 if (*len as usize) < SLOT_INLINE {
@@ -124,7 +140,7 @@ impl SlotList {
     }
 
     #[inline]
-    fn as_slice(&self) -> &[usize] {
+    fn as_slice(&self) -> &[u32] {
         match self {
             SlotList::Inline { len, buf } => &buf[..*len as usize],
             SlotList::Spill(v) => v,
@@ -137,7 +153,59 @@ impl SlotList {
     fn heap_bytes(&self) -> usize {
         match self {
             SlotList::Inline { .. } => 0,
-            SlotList::Spill(v) => v.capacity() * std::mem::size_of::<usize>(),
+            SlotList::Spill(v) => v.capacity() * std::mem::size_of::<u32>(),
+        }
+    }
+}
+
+/// One cell of the position or pair index, 8 bytes. Most cells list a
+/// single slot, which the cell holds itself; from its second slot on, a
+/// cell names its [`SlotList`] in the instance's shared `lists`.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// The cell's one slot while `list` is 0.
+    slot: u32,
+    /// One plus the index of the cell's list in `lists`, or 0.
+    list: u32,
+}
+
+impl Cell {
+    /// The cell's slots, ascending.
+    #[inline]
+    fn slots<'a>(&'a self, lists: &'a [SlotList]) -> &'a [u32] {
+        match self.list {
+            0 => std::slice::from_ref(&self.slot),
+            list => lists[list as usize - 1].as_slice(),
+        }
+    }
+}
+
+/// Appends `slot` to the cell at `key`, creating the cell or moving it
+/// into a shared list as needed.
+#[inline]
+fn push_cell<K: Hash + Eq>(
+    cells: &mut FxHashMap<K, Cell>,
+    key: K,
+    slot: u32,
+    lists: &mut Vec<SlotList>,
+    spill: &mut SpillBytes,
+) {
+    match cells.entry(key) {
+        Entry::Vacant(e) => {
+            e.insert(Cell { slot, list: 0 });
+        }
+        Entry::Occupied(mut e) => {
+            let cell = e.get_mut();
+            match cell.list {
+                0 => {
+                    lists.push(SlotList::Inline {
+                        len: 2,
+                        buf: [cell.slot, slot, 0],
+                    });
+                    cell.list = u32::try_from(lists.len()).expect("u32 list index");
+                }
+                list => lists[list as usize - 1].push(slot, spill),
+            }
         }
     }
 }
@@ -151,10 +219,10 @@ pub struct MemoryFootprint {
     pub atom_bytes: u64,
     /// The spill arena holding the arguments of wide atoms.
     pub arg_spill_bytes: u64,
-    /// The dedup hash map, including spilled slot lists.
+    /// The dedup table's buckets.
     pub dedup_bytes: u64,
     /// The per-predicate, single-position and composite pair indexes,
-    /// including spilled slot lists.
+    /// including their shared and spilled slot lists.
     pub index_bytes: u64,
 }
 
@@ -177,6 +245,41 @@ const META_ARITY_BITS: u32 = 16;
 const META_ARITY_MASK: u64 = (1 << META_ARITY_BITS) - 1;
 const _: () = assert!(MAX_ARITY as u64 == META_ARITY_MASK);
 
+/// `slot` as the `u32` the dedup table and the indexes store.
+///
+/// # Panics
+///
+/// If `slot` is past `u32::MAX - 1`, the last slot an instance has.
+#[inline]
+fn slot_id(slot: usize) -> u32 {
+    match u32::try_from(slot) {
+        Ok(id) if id <= IdTable::MAX_ID => id,
+        _ => panic!("instance is full: slot {slot} is past u32::MAX - 1"),
+    }
+}
+
+/// A term as one hash word: its kind above its id.
+#[inline]
+fn term_word(t: Term) -> u64 {
+    match t {
+        Term::Const(c) => u64::from(c.0),
+        Term::Null(n) => 1 << 32 | u64::from(n.0),
+        Term::Var(v) => 2 << 32 | u64::from(v.0),
+    }
+}
+
+/// The dedup hash of an atom: FxHash over its predicate and one word
+/// per argument.
+#[inline]
+fn atom_hash(atom: AtomRef<'_>) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u32(atom.pred.0);
+    for &t in atom.args {
+        h.write_u64(term_word(t));
+    }
+    h.finish()
+}
+
 /// A (finite) instance: a duplicate-free set of ground atoms over
 /// constants and nulls, remembering insertion order.
 ///
@@ -195,24 +298,21 @@ pub struct Instance {
     inline_args: Vec<Term>,
     /// Argument arena for atoms of arity > [`ARG_INLINE`].
     spill: Vec<Term>,
-    /// Dedup index: atom hash → candidate slots. Storing slots instead
-    /// of owned `Atom` keys means `Instance::clone` — the first thing
-    /// every engine run does to the caller's database — never re-clones
-    /// an atom's argument vector for the map; equality is resolved
-    /// against the stored atom on (rare) colliding lookups.
-    dedup: FxHashMap<u64, SlotList>,
+    /// Dedup table: atom hash tag → slot, the atom itself read from
+    /// the columns on a tag match.
+    dedup: IdTable,
     /// Dense per-predicate slot lists, indexed by `PredId::index()`.
     by_pred: Vec<SlotList>,
-    by_pos: FxHashMap<(PredId, u16, Term), SlotList>,
-    by_pair: FxHashMap<(PredId, u16, u16, Term, Term), SlotList>,
+    by_pos: FxHashMap<(PredId, u16, Term), Cell>,
+    by_pair: FxHashMap<(PredId, u16, u16, Term, Term), Cell>,
+    /// The slot lists of `by_pos` and `by_pair` cells with two or more
+    /// slots.
+    lists: Vec<SlotList>,
     /// Registered composite position pairs per predicate (dense by
     /// predicate id; `(a, b)` normalised to `a < b`). Empty until an
     /// engine registers pairs from its join plans.
     pair_plans: Vec<Vec<(u16, u16)>>,
-    /// Heap bytes of the spilled slot lists in `dedup`.
-    dedup_spill: SpillBytes,
-    /// Heap bytes of the spilled slot lists in `by_pred`, `by_pos` and
-    /// `by_pair`.
+    /// Heap bytes of the spilled slot lists in `by_pred` and `lists`.
     index_spill: SpillBytes,
 }
 
@@ -227,8 +327,8 @@ impl Clone for Instance {
             by_pred: self.by_pred.clone(),
             by_pos: self.by_pos.clone(),
             by_pair: self.by_pair.clone(),
+            lists: self.lists.clone(),
             pair_plans: self.pair_plans.clone(),
-            dedup_spill: self.dedup_spill.cloned(),
             index_spill: self.index_spill.cloned(),
         }
     }
@@ -255,60 +355,39 @@ impl Instance {
 
     /// Estimated heap footprint of the instance's containers, for the
     /// profiler's memory samples and the program cache's weights:
-    /// exact reserved capacities for the vectors, a capacity-based
-    /// model for the hash maps (the `Instance` struct itself is
-    /// excluded). O(1): the spilled slot lists' bytes are counted as
-    /// they grow.
+    /// exact reserved capacities for the vectors and the dedup table,
+    /// a capacity-based model for the hash maps (the `Instance` struct
+    /// itself is excluded). O(1): the spilled slot lists' bytes are
+    /// counted as they grow.
     pub fn memory_footprint(&self) -> MemoryFootprint {
+        self.footprint(self.index_spill.reserved)
+    }
+
+    /// The footprint with `index_spill` bytes of spilled slot lists.
+    fn footprint(&self, index_spill: usize) -> MemoryFootprint {
         use std::mem::size_of;
         let atom_bytes = self.preds.capacity() * size_of::<PredId>()
             + self.meta.capacity() * size_of::<u64>()
             + self.inline_args.capacity() * size_of::<Term>();
         let arg_spill_bytes = self.spill.capacity() * size_of::<Term>();
-        let dedup_bytes = map_heap_bytes(&self.dedup) + self.dedup_spill.reserved;
-        let index_bytes = self.by_pred.capacity() * size_of::<SlotList>()
+        let index_bytes = (self.by_pred.capacity() + self.lists.capacity()) * size_of::<SlotList>()
             + map_heap_bytes(&self.by_pos)
             + map_heap_bytes(&self.by_pair)
-            + self.index_spill.reserved;
+            + index_spill;
         MemoryFootprint {
             atom_bytes: atom_bytes as u64,
             arg_spill_bytes: arg_spill_bytes as u64,
-            dedup_bytes: dedup_bytes as u64,
+            dedup_bytes: self.dedup.heap_bytes() as u64,
             index_bytes: index_bytes as u64,
         }
     }
 
-    /// [`Instance::memory_footprint`] by walking every index cell, the
+    /// [`Instance::memory_footprint`] by walking every slot list, the
     /// reference the running counts must equal.
     #[cfg(test)]
     fn memory_footprint_walked(&self) -> MemoryFootprint {
-        use std::mem::size_of;
-        let atom_bytes = self.preds.capacity() * size_of::<PredId>()
-            + self.meta.capacity() * size_of::<u64>()
-            + self.inline_args.capacity() * size_of::<Term>();
-        let arg_spill_bytes = self.spill.capacity() * size_of::<Term>();
-        let dedup_bytes = map_heap_bytes(&self.dedup)
-            + self.dedup.values().map(SlotList::heap_bytes).sum::<usize>();
-        let index_bytes = self.by_pred.capacity() * size_of::<SlotList>()
-            + self.by_pred.iter().map(SlotList::heap_bytes).sum::<usize>()
-            + map_heap_bytes(&self.by_pos)
-            + self
-                .by_pos
-                .values()
-                .map(SlotList::heap_bytes)
-                .sum::<usize>()
-            + map_heap_bytes(&self.by_pair)
-            + self
-                .by_pair
-                .values()
-                .map(SlotList::heap_bytes)
-                .sum::<usize>();
-        MemoryFootprint {
-            atom_bytes: atom_bytes as u64,
-            arg_spill_bytes: arg_spill_bytes as u64,
-            dedup_bytes: dedup_bytes as u64,
-            index_bytes: index_bytes as u64,
-        }
+        let lists = self.by_pred.iter().chain(&self.lists);
+        self.footprint(lists.map(SlotList::heap_bytes).sum())
     }
 
     /// Inserts an atom; returns its slot and whether it was new.
@@ -321,50 +400,51 @@ impl Instance {
     ///
     /// # Panics
     ///
-    /// If the atom's arity exceeds [`MAX_ARITY`]; predicates interned
-    /// through [`Vocabulary::pred`] never do.
+    /// If the atom's arity exceeds [`MAX_ARITY`] (predicates interned
+    /// through [`Vocabulary::pred`] never do), or if the atom is new
+    /// and its slot would be past `u32::MAX - 1`.
     pub fn insert(&mut self, atom: Atom) -> (usize, bool) {
         debug_assert!(atom.is_ground(), "instances hold ground atoms only");
         assert!(atom.arity() <= MAX_ARITY, "atom arity exceeds MAX_ARITY");
-        let key = Self::atom_key(&atom);
-        if let Some(bucket) = self.dedup.get(&key) {
-            for &s in bucket.as_slice() {
-                if self.atom(s) == atom {
-                    return (s, false);
-                }
-            }
-        }
-        let slot = self.len();
+        let tag = IdTable::tag(atom_hash((&atom).into()));
+        let vacant = match self.dedup.find(tag, |s| self.atom(s as usize) == atom) {
+            Ok(s) => return (s as usize, false),
+            Err(vacant) => vacant,
+        };
+        let slot = slot_id(self.len());
+        self.dedup.insert_vacant(tag, vacant);
         let pred_idx = atom.pred.index();
         if pred_idx >= self.by_pred.len() {
             self.by_pred.resize_with(pred_idx + 1, SlotList::default);
         }
         self.by_pred[pred_idx].push(slot, &mut self.index_spill);
         for (i, &t) in atom.args.iter().enumerate() {
-            self.by_pos
-                .entry((atom.pred, i as u16, t))
-                .or_default()
-                .push(slot, &mut self.index_spill);
+            push_cell(
+                &mut self.by_pos,
+                (atom.pred, i as u16, t),
+                slot,
+                &mut self.lists,
+                &mut self.index_spill,
+            );
         }
         if let Some(plan) = self.pair_plans.get(pred_idx) {
             for &(a, b) in plan {
-                let cell = (
+                let key = (
                     atom.pred,
                     a,
                     b,
                     atom.args[a as usize],
                     atom.args[b as usize],
                 );
-                self.by_pair
-                    .entry(cell)
-                    .or_default()
-                    .push(slot, &mut self.index_spill);
+                push_cell(
+                    &mut self.by_pair,
+                    key,
+                    slot,
+                    &mut self.lists,
+                    &mut self.index_spill,
+                );
             }
         }
-        self.dedup
-            .entry(key)
-            .or_default()
-            .push(slot, &mut self.dedup_spill);
         self.preds.push(atom.pred);
         let arena = if atom.arity() <= ARG_INLINE {
             &mut self.inline_args
@@ -374,20 +454,7 @@ impl Instance {
         self.meta
             .push(((arena.len() as u64) << META_ARITY_BITS) | atom.arity() as u64);
         arena.extend_from_slice(&atom.args);
-        (slot, true)
-    }
-
-    /// The dedup-map key of an atom: its FxHash over predicate and
-    /// arguments. Collisions are handled by the bucket's slot list, so
-    /// the key only has to be stable within one process.
-    #[inline]
-    fn atom_key(atom: &Atom) -> u64 {
-        let mut h = FxHasher::default();
-        atom.pred.hash(&mut h);
-        for t in &atom.args {
-            t.hash(&mut h);
-        }
-        h.finish()
+        (slot as usize, true)
     }
 
     /// Registers a composite two-position index on `pred` over
@@ -420,22 +487,20 @@ impl Instance {
         // copied out so atom reads (immutable borrows of the columns)
         // and cell pushes (mutable borrows) do not overlap; this is
         // cold code, paid once per registered pair.
-        let slots: Vec<usize> = self
-            .by_pred
-            .get(pred_idx)
-            .map(SlotList::as_slice)
-            .unwrap_or(&[])
-            .to_vec();
+        let slots = self.slots_with_pred(pred).to_vec();
         for slot in slots {
-            let cell = {
-                let atom = self.atom(slot);
+            let key = {
+                let atom = self.atom(slot as usize);
                 debug_assert!((b as usize) < atom.arity(), "pair position out of arity");
                 (pred, a, b, atom.args[a as usize], atom.args[b as usize])
             };
-            self.by_pair
-                .entry(cell)
-                .or_default()
-                .push(slot, &mut self.index_spill);
+            push_cell(
+                &mut self.by_pair,
+                key,
+                slot,
+                &mut self.lists,
+                &mut self.index_spill,
+            );
         }
     }
 
@@ -452,21 +517,22 @@ impl Instance {
             .is_some_and(|plan| plan.contains(&(a, b)))
     }
 
-    /// Membership test.
+    /// Membership test; takes an [`AtomRef`] or an `&Atom`.
     #[inline]
-    pub fn contains(&self, atom: &Atom) -> bool {
+    pub fn contains<'a>(&self, atom: impl Into<AtomRef<'a>>) -> bool {
         self.slot_of(atom).is_some()
     }
 
-    /// Finds the slot of an atom, if present (one hash lookup).
+    /// Finds the slot of an atom, if present (one table probe); takes
+    /// an [`AtomRef`] or an `&Atom`.
     #[inline]
-    pub fn slot_of(&self, atom: &Atom) -> Option<usize> {
-        let bucket = self.dedup.get(&Self::atom_key(atom))?;
-        bucket
-            .as_slice()
-            .iter()
-            .copied()
-            .find(|&s| self.atom(s) == *atom)
+    pub fn slot_of<'a>(&self, atom: impl Into<AtomRef<'a>>) -> Option<usize> {
+        let atom = atom.into();
+        let tag = IdTable::tag(atom_hash(atom));
+        self.dedup
+            .find(tag, |s| self.atom(s as usize) == atom)
+            .ok()
+            .map(|s| s as usize)
     }
 
     /// Number of atoms.
@@ -504,7 +570,7 @@ impl Instance {
     }
 
     /// Slots of all atoms with the given predicate, ascending.
-    pub fn slots_with_pred(&self, pred: PredId) -> &[usize] {
+    pub fn slots_with_pred(&self, pred: PredId) -> &[u32] {
         self.by_pred
             .get(pred.index())
             .map(SlotList::as_slice)
@@ -513,11 +579,10 @@ impl Instance {
 
     /// Slots of all atoms with `pred` whose argument at `position`
     /// equals `term`, ascending.
-    pub fn slots_with_pred_pos(&self, pred: PredId, position: usize, term: Term) -> &[usize] {
+    pub fn slots_with_pred_pos(&self, pred: PredId, position: usize, term: Term) -> &[u32] {
         self.by_pos
             .get(&(pred, position as u16, term))
-            .map(SlotList::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |cell| cell.slots(&self.lists))
     }
 
     /// Slots of all atoms with `pred` whose arguments at positions
@@ -533,7 +598,7 @@ impl Instance {
         term_a: Term,
         pos_b: usize,
         term_b: Term,
-    ) -> Option<&[usize]> {
+    ) -> Option<&[u32]> {
         let (a, ta, b, tb) = if pos_a < pos_b {
             (pos_a as u16, term_a, pos_b as u16, term_b)
         } else {
@@ -549,8 +614,7 @@ impl Instance {
         Some(
             self.by_pair
                 .get(&(pred, a, b, ta, tb))
-                .map(SlotList::as_slice)
-                .unwrap_or(&[]),
+                .map_or(&[], |cell| cell.slots(&self.lists)),
         )
     }
 
@@ -614,7 +678,7 @@ impl PartialEq for Instance {
     /// Set equality (insertion order and registered pair indexes are
     /// irrelevant).
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().all(|a| other.contains(&a.to_atom()))
+        self.len() == other.len() && self.iter().all(|a| other.contains(a))
     }
 }
 impl Eq for Instance {}
@@ -705,7 +769,7 @@ mod tests {
         for i in 0..(SLOT_INLINE + 2) as u32 {
             inst.insert(atom(0, &[c(i), c(0)]));
         }
-        let expect: Vec<usize> = (0..SLOT_INLINE + 2).collect();
+        let expect: Vec<u32> = (0..(SLOT_INLINE + 2) as u32).collect();
         assert_eq!(inst.slots_with_pred(PredId(0)), expect.as_slice());
         assert_eq!(
             inst.slots_with_pred_pos(PredId(0), 1, c(0)),
@@ -795,8 +859,8 @@ mod tests {
         inst.insert(b.clone());
         inst.insert(a.clone());
         inst.insert(b.clone());
-        let sa = inst.slot_of(&a).unwrap();
-        let sb = inst.slot_of(&b).unwrap();
+        let sa = inst.slot_of(&a).unwrap() as u32;
+        let sb = inst.slot_of(&b).unwrap() as u32;
         assert_eq!(
             inst.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(1))
                 .unwrap(),
@@ -885,7 +949,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The running spill counts equal the cell walk after random
+        /// The running spill counts equal the walk over every slot
+        /// list (per-predicate and shared cell lists) after random
         /// inserts, with pair indexes registered before and after the
         /// atoms arrive, and on clones (whose spill vectors reserve
         /// only their length) and on clones grown further.
@@ -924,6 +989,265 @@ mod tests {
             let twice = copy.clone();
             proptest::prop_assert_eq!(twice.memory_footprint(), twice.memory_footprint_walked());
         }
+    }
+
+    /// A term of the reference-model runs: four constants and two
+    /// nulls, so atoms repeat and index cells fill past one slot.
+    fn model_term(k: u64) -> Term {
+        match k % 6 {
+            k @ 0..=3 => c(k as u32),
+            k => Term::Null(NullId(k as u32 - 4)),
+        }
+    }
+
+    /// Predicate `p` (0–5) of the reference-model runs has arity
+    /// `p + 1`, so atoms of arity 5 and 6 spill their arguments.
+    fn model_atom(p: u32, bits: u64) -> Atom {
+        let args: Vec<Term> = (0..=p).map(|i| model_term(bits >> (3 * i))).collect();
+        atom(p, &args)
+    }
+
+    /// The pairs `(pred, a, b)`, `a < b`, registered in a model run.
+    type RegisteredPairs = Vec<(u32, usize, usize)>;
+
+    /// The slots of the model's atoms that `keep` accepts, ascending.
+    fn model_slots(model: &[Atom], keep: impl Fn(&Atom) -> bool) -> Vec<u32> {
+        (0..model.len() as u32)
+            .filter(|&s| keep(&model[s as usize]))
+            .collect()
+    }
+
+    /// Checks every lookup of `inst` against the naive model: its atoms
+    /// in slot order and its registered pairs `(pred, a, b)`, `a < b`.
+    fn check_against_model(
+        inst: &Instance,
+        model: &[Atom],
+        pairs: &[(u32, usize, usize)],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::{prop_assert, prop_assert_eq};
+        prop_assert_eq!(inst.len(), model.len());
+        for (s, a) in model.iter().enumerate() {
+            prop_assert!(inst.atom(s) == *a, "slot {s} holds {:?}", inst.atom(s));
+            prop_assert_eq!(inst.slot_of(a), Some(s));
+            prop_assert_eq!(inst.slot_of(inst.atom(s)), Some(s));
+        }
+        // Every atom of arity ≤ 3 over the model's terms, present or
+        // absent, and each present wide atom with its last argument
+        // changed.
+        let mut probes: Vec<Atom> = (0u32..3)
+            .flat_map(|p| (0..6u64.pow(p + 1)).map(move |i| (p, i)))
+            .map(|(p, i)| {
+                let args: Vec<Term> = (0..=p).map(|j| model_term(i / 6u64.pow(j))).collect();
+                atom(p, &args)
+            })
+            .collect();
+        for a in model.iter().filter(|a| a.arity() > 3) {
+            for k in 0..6 {
+                let mut b = a.clone();
+                let last = b.arity() - 1;
+                b.args[last] = model_term(k);
+                probes.push(b);
+            }
+        }
+        for a in &probes {
+            let expect = model.iter().position(|m| m == a);
+            prop_assert_eq!(inst.slot_of(a), expect);
+            prop_assert_eq!(inst.contains(a), expect.is_some());
+        }
+        for p in 0u32..6 {
+            let pred = PredId(p);
+            let expect = model_slots(model, |a| a.pred == pred);
+            prop_assert_eq!(inst.slots_with_pred(pred), expect.as_slice());
+            for pos in 0..=p as usize {
+                for k in 0..6 {
+                    let t = model_term(k);
+                    let expect = model_slots(model, |a| a.pred == pred && a.args[pos] == t);
+                    prop_assert_eq!(inst.slots_with_pred_pos(pred, pos, t), expect.as_slice());
+                }
+                for b in pos + 1..=p as usize {
+                    let registered = pairs.contains(&(p, pos, b));
+                    prop_assert_eq!(inst.pair_index_registered(pred, b, pos), registered);
+                    if !registered {
+                        prop_assert!(inst
+                            .slots_with_pred_pair(pred, pos, c(0), b, c(0))
+                            .is_none());
+                        continue;
+                    }
+                    for (ka, kb) in (0..6).flat_map(|ka| (0..6).map(move |kb| (ka, kb))) {
+                        let (ta, tb) = (model_term(ka), model_term(kb));
+                        let expect = model_slots(model, |a| {
+                            a.pred == pred && a.args[pos] == ta && a.args[b] == tb
+                        });
+                        prop_assert_eq!(
+                            inst.slots_with_pred_pair(pred, pos, ta, b, tb),
+                            Some(expect.as_slice())
+                        );
+                        prop_assert_eq!(
+                            inst.slots_with_pred_pair(pred, b, tb, pos, ta),
+                            Some(expect.as_slice())
+                        );
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(inst.memory_footprint(), inst.memory_footprint_walked());
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 64,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Random interleavings of inserts (fresh and duplicate, arity
+        /// 1–6), pair registrations, and clones that are then grown,
+        /// against a naive `Vec<Atom>` model: `insert`'s
+        /// `(slot, fresh)`, `slot_of` and `contains` on present and
+        /// absent atoms, and every per-predicate, position and pair
+        /// list. A clone's original must not see the clone's growth.
+        #[test]
+        fn instance_matches_the_reference_model(
+            ops in proptest::collection::vec((0u32..16, 0u32..6, 0u64..u64::MAX, 0usize..64), 0..160),
+        ) {
+            let mut inst = Instance::new();
+            let mut model: Vec<Atom> = Vec::new();
+            let mut pairs: RegisteredPairs = Vec::new();
+            let mut frozen: Vec<(Instance, Vec<Atom>, RegisteredPairs)> = Vec::new();
+            for (kind, p, bits, extra) in ops {
+                match kind {
+                    0..=10 => {
+                        let a = match model.len() {
+                            n if kind >= 8 && n > 0 => model[bits as usize % n].clone(),
+                            _ => model_atom(p, bits),
+                        };
+                        let expect = match model.iter().position(|m| *m == a) {
+                            Some(s) => (s, false),
+                            None => {
+                                model.push(a.clone());
+                                (model.len() - 1, true)
+                            }
+                        };
+                        proptest::prop_assert_eq!(inst.insert(a.clone()), expect);
+                        proptest::prop_assert_eq!(inst.slot_of(&a), Some(expect.0));
+                    }
+                    11..=13 => {
+                        let arity = p as usize + 1;
+                        let (a, b) = (extra % arity, extra / 8 % arity);
+                        inst.register_pair_index(PredId(p), a, b);
+                        let key = (p, a.min(b), a.max(b));
+                        if a != b && !pairs.contains(&key) {
+                            pairs.push(key);
+                        }
+                    }
+                    14 => {
+                        let copy = inst.clone();
+                        check_against_model(&copy, &model, &pairs)?;
+                        frozen.push((std::mem::replace(&mut inst, copy), model.clone(), pairs.clone()));
+                    }
+                    _ => check_against_model(&inst, &model, &pairs)?,
+                }
+            }
+            check_against_model(&inst, &model, &pairs)?;
+            for (original, model, pairs) in &frozen {
+                check_against_model(original, model, pairs)?;
+            }
+        }
+    }
+
+    /// FxHash's word step, as `FxHasher` applies it.
+    fn fx(state: u64, word: u64) -> u64 {
+        (state.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+    }
+
+    /// Pairs of distinct atoms `P3(cx, cy, cz)` with equal dedup
+    /// hashes, hence equal tags and one home bucket. `z` is a 32-bit
+    /// id, so it only flips the low half of the rotated state it is
+    /// mixed into: a birthday search over random `(x, y)` finds two
+    /// prefixes whose rotated states agree in the top half, and then
+    /// for each `z1` the `z2` that makes the final words equal is
+    /// solved.
+    fn colliding_atoms(pairs: u32) -> Vec<(Atom, Atom)> {
+        let state = |(x, y): (u32, u32)| fx(fx(fx(0, 3), x.into()), y.into()).rotate_left(5);
+        let mut seen = crate::ids::fx_map::<u32, (u32, u32)>();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let (p1, p2) = std::iter::from_fn(|| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            Some((rng as u32, (rng >> 32) as u32))
+        })
+        .find_map(|p| {
+            let other = seen.insert((state(p) >> 32) as u32, p)?;
+            (other != p).then_some((other, p))
+        })
+        .expect("a birthday collision");
+        (0..pairs)
+            .map(|z1| {
+                let z2 = state(p1) ^ state(p2) ^ u64::from(z1);
+                let z2 = u32::try_from(z2).expect("the top halves cancel");
+                (
+                    atom(3, &[c(p1.0), c(p1.1), c(z1)]),
+                    atom(3, &[c(p2.0), c(p2.1), c(z2)]),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn atoms_with_equal_hashes_are_told_apart() {
+        let pairs = colliding_atoms(8);
+        for (a, b) in &pairs {
+            assert_ne!(a, b);
+            assert_eq!(atom_hash(a.into()), atom_hash(b.into()));
+        }
+        // One atom of each pair, among fillers, across several grows.
+        let mut inst = Instance::new();
+        for (i, (a, _)) in pairs.iter().enumerate() {
+            let slot = inst.len();
+            assert_eq!(inst.insert(a.clone()), (slot, true));
+            for k in 0..50 {
+                inst.insert(atom(0, &[c(i as u32), c(k)]));
+            }
+        }
+        // A present tag does not make its partner present.
+        for (a, b) in &pairs {
+            assert!(inst.contains(a));
+            assert!(!inst.contains(b));
+        }
+        let partners: Vec<usize> = pairs
+            .iter()
+            .map(|(_, b)| {
+                let slot = inst.len();
+                assert_eq!(inst.insert(b.clone()), (slot, true));
+                slot
+            })
+            .collect();
+        let mut copy = inst.clone();
+        for (_, b) in &pairs {
+            assert!(!copy.insert(b.clone()).1, "a duplicate");
+        }
+        for inst in [&inst, &copy] {
+            for ((a, b), &sb) in pairs.iter().zip(&partners) {
+                let sa = inst.slot_of(a).expect("present");
+                assert_ne!(sa, sb);
+                assert_eq!(inst.slot_of(b), Some(sb));
+                assert_eq!(inst.atom(sa), *a);
+                assert_eq!(inst.atom(sb), *b);
+            }
+        }
+        assert_eq!(copy.len(), inst.len());
+    }
+
+    #[test]
+    fn the_last_slot_is_u32_max_minus_one() {
+        assert_eq!(slot_id(u32::MAX as usize - 1), u32::MAX - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past u32::MAX - 1")]
+    fn slots_past_u32_max_minus_one_are_refused() {
+        slot_id(u32::MAX as usize);
     }
 
     #[test]

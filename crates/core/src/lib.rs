@@ -39,6 +39,7 @@ pub mod ids;
 pub mod instance;
 pub mod parser;
 pub mod subst;
+mod table;
 pub mod term;
 pub mod tgd;
 pub mod vocab;

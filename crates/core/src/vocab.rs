@@ -9,6 +9,7 @@ use std::hash::Hasher;
 
 use crate::error::CoreError;
 use crate::ids::{fx_map, ConstId, FxHashMap, FxHasher, NullId, PredId, VarId};
+use crate::table::IdTable;
 use crate::term::Term;
 
 /// The widest predicate [`Vocabulary::pred`] accepts. Instances pack an
@@ -27,7 +28,7 @@ pub struct PredInfo {
 
 /// Interned constant names without a heap allocation per name: the
 /// names are concatenated in one arena and found through an
-/// open-addressing table of ids. A database can bring a new constant
+/// [`IdTable`] of tags and ids. A database can bring a new constant
 /// with almost every fact, so this is the parser's hottest table.
 #[derive(Debug, Default, Clone)]
 struct ConstTable {
@@ -36,10 +37,8 @@ struct ConstTable {
     /// Name `i` is `text[bounds[i]..bounds[i + 1]]`; empty until the
     /// first name is interned.
     bounds: Vec<usize>,
-    /// `(hash, id + 1)` per slot, `id + 1 == 0` marking an empty slot.
-    /// The length is zero or a power of two, and at most half the
-    /// slots are used.
-    slots: Vec<(u64, u32)>,
+    /// Constant ids by name hash.
+    ids: IdTable,
 }
 
 impl ConstTable {
@@ -61,50 +60,30 @@ impl ConstTable {
         }
     }
 
-    /// The slot holding `name`, or the empty slot where it belongs. The
-    /// probe starts at the hash's top bits: FxHash ends in a multiply,
-    /// which mixes every input bit into the top of the word only.
-    fn find(&self, name: &str, hash: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
-        loop {
-            let (h, id) = self.slots[i];
-            if id == 0 || (h == hash && self.name(id as usize - 1) == Some(name)) {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
     fn intern(&mut self, name: &str) -> ConstId {
-        if (self.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let hash = Self::hash(name);
-        let slot = self.find(name, hash);
-        match self.slots[slot].1 {
-            0 => {
-                let id = self.len() as u32;
+        let tag = IdTable::tag(Self::hash(name));
+        match self
+            .ids
+            .find(tag, |id| self.name(id as usize) == Some(name))
+        {
+            Ok(id) => ConstId(id),
+            Err(vacant) => {
+                let id = self.ids.insert_vacant(tag, vacant);
                 if self.bounds.is_empty() {
                     self.bounds.push(0);
                 }
                 self.text.push_str(name);
                 self.bounds.push(self.text.len());
-                self.slots[slot] = (hash, id + 1);
                 ConstId(id)
             }
-            id => ConstId(id - 1),
         }
     }
 
-    fn grow(&mut self) {
-        let capacity = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0); capacity]);
-        for (hash, id) in old.into_iter().filter(|&(_, id)| id != 0) {
-            let name = self.name(id as usize - 1).expect("interned id");
-            let slot = self.find(name, hash);
-            self.slots[slot] = (hash, id);
-        }
+    /// Heap bytes of the arena, its bounds and the id table.
+    fn heap_bytes(&self) -> usize {
+        self.text.capacity()
+            + self.bounds.capacity() * std::mem::size_of::<usize>()
+            + self.ids.heap_bytes()
     }
 }
 
@@ -222,6 +201,24 @@ impl Vocabulary {
         self.consts.len()
     }
 
+    /// Heap bytes of the interning tables: reserved capacities of the
+    /// vectors, strings and the constant table, plus a capacity-based
+    /// model of the predicate-name map (one entry and one control byte
+    /// per reserved slot).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        fn text<'a>(names: impl Iterator<Item = &'a String>) -> usize {
+            names.map(String::capacity).sum()
+        }
+        self.preds.capacity() * size_of::<PredInfo>()
+            + text(self.preds.iter().map(|p| &p.name))
+            + self.pred_by_name.capacity() * (size_of::<(String, PredId)>() + 1)
+            + text(self.pred_by_name.keys())
+            + self.consts.heap_bytes()
+            + self.vars.capacity() * size_of::<String>()
+            + text(self.vars.iter())
+    }
+
     /// Iterates over all interned predicates.
     pub fn preds(&self) -> impl Iterator<Item = (PredId, &PredInfo)> {
         self.preds
@@ -335,6 +332,75 @@ mod tests {
         }
         assert_eq!(v.const_count(), 5001);
         assert_eq!(v.const_name(ConstId(5001)), "⟨fresh⟩");
+    }
+
+    /// Two distinct 16-byte names with equal FxHashes, hence equal
+    /// tags and one home bucket. The second name's last 8 bytes are
+    /// solved from the FxHash state: FxHash maps state `s` and a last
+    /// word `w` to `(s.rotl(5) ^ w) * SEED`, and `SEED` is odd, so `w`
+    /// has one solution; about 1 in 2,800 is printable.
+    fn colliding_names() -> (String, String) {
+        const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        // FX_SEED⁻¹ mod 2⁶⁴ by Newton's iteration.
+        let mut inverse = FX_SEED;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(FX_SEED.wrapping_mul(inverse)));
+        }
+        let a = "const-a-abcdefgh".to_string();
+        let target = ConstTable::hash(&a).wrapping_mul(inverse);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        loop {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let first: String = (0..8)
+                .map(|i| char::from(b'a' + ((rng >> (8 * i)) % 26) as u8))
+                .collect();
+            let mut h = FxHasher::default();
+            h.write(first.as_bytes());
+            let last = (target ^ h.finish().rotate_left(5)).to_le_bytes();
+            if last.iter().all(|b| (b' '..=b'~').contains(b)) {
+                let tail = std::str::from_utf8(&last).expect("printable ASCII");
+                return (a, format!("{first}{tail}"));
+            }
+        }
+    }
+
+    #[test]
+    fn names_with_equal_hashes_intern_apart() {
+        let (a, b) = colliding_names();
+        assert_ne!(a, b);
+        assert_eq!(ConstTable::hash(&a), ConstTable::hash(&b));
+        let mut v = Vocabulary::new();
+        let ia = v.constant(&a);
+        for i in 0..40 {
+            v.constant(&format!("f{i}"));
+        }
+        let ib = v.constant(&b);
+        assert_ne!(ia, ib);
+        // Both survive several grows.
+        for i in 0..2000 {
+            v.constant(&format!("g{i}"));
+        }
+        assert_eq!(v.constant(&a), ia);
+        assert_eq!(v.constant(&b), ib);
+        assert_eq!(v.const_name(ia), a);
+        assert_eq!(v.const_name(ib), b);
+        assert_eq!(v.const_count(), 2042);
+    }
+
+    #[test]
+    fn heap_bytes_count_the_constant_table() {
+        let mut v = Vocabulary::new();
+        let empty = v.heap_bytes();
+        let names: Vec<String> = (0..1000).map(|i| format!("name{i:04}")).collect();
+        for name in &names {
+            v.constant(name);
+        }
+        // The text, one bound per name, and at least two 8-byte
+        // buckets per name (the table is at most half full).
+        let floor = 8 * names.len() + 8 * names.len() + 2 * 8 * names.len();
+        assert!(v.heap_bytes() >= empty + floor, "{}", v.heap_bytes());
     }
 
     #[test]

@@ -592,7 +592,7 @@ impl<'a> RestrictedChase<'a> {
         let key = SeenKey::of(self.variant, tgd);
         if key != SeenKey::Trigger {
             ground_head_into(tgd, binding, head);
-            if instance.contains(head) {
+            if instance.contains(&*head) {
                 return None;
             }
             if key == SeenKey::GroundHead {

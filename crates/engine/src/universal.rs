@@ -111,9 +111,7 @@ pub fn core_of(instance: &Instance) -> Instance {
 /// Whether `instance` is its own core (no null can be retracted away).
 pub fn is_core(instance: &Instance) -> bool {
     core_of(instance).len() == instance.len()
-        && core_of(instance)
-            .iter()
-            .all(|a| instance.contains(&a.to_atom()))
+        && core_of(instance).iter().all(|a| instance.contains(a))
 }
 
 #[cfg(test)]

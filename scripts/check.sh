@@ -147,11 +147,12 @@ echo "== BENCH_hotpath.json schema gate (host-honesty fields) =="
 # ("host_cpus"), carry the program-cache cold/warm comparison
 # ("server_warm") behind the >= 5x smoke gate, the cold compile of the
 # ingest-shaped program per source byte ("ingest_compile"), the
-# per-seed decide times of the decide sweep ("decide_sweep"), and the
+# per-seed decide times of the decide sweep ("decide_sweep"), the
 # decide time and allocations of the guarded suite entries answered by
-# the seed search ("guarded_seed_search").
+# the seed search ("guarded_seed_search"), and the instance bytes per
+# stored atom of the ingest and scale rows ("bytes_per_atom").
 for field in '"host_cpus"' '"server_warm"' '"ingest_compile"' '"decide_sweep"' \
-    '"guarded_seed_search"'; do
+    '"guarded_seed_search"' '"bytes_per_atom"'; do
     if ! grep -q "$field" BENCH_hotpath.json; then
         echo "BENCH_hotpath.json schema gate: missing required field $field" >&2
         exit 1
