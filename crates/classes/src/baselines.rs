@@ -6,11 +6,9 @@
 //!   database (Marnette's criterion: the critical database is critical
 //!   for the semi-oblivious chase, and semi-oblivious termination for
 //!   every database implies restricted termination for every
-//!   database);
-//! * termination of the **oblivious** chase on the critical database
-//!   (a still stronger requirement).
+//!   database).
 //!
-//! Both chase-based checks are budget-bounded: `Holds` proves the
+//! The chase-based check is budget-bounded: `Holds` proves the
 //! criterion, and `BudgetExhausted` means the budget ran out first.
 //! That establishes nothing: the chase may saturate under a larger
 //! budget, and a set that fails the criterion may still be in
@@ -57,21 +55,6 @@ impl CriterionOutcome {
     pub fn holds(self) -> bool {
         matches!(self, CriterionOutcome::Holds { .. })
     }
-}
-
-/// Checks whether the *oblivious* chase terminates on the critical
-/// database within the budget.
-pub fn oblivious_critical(
-    set: &TgdSet,
-    vocab: &mut Vocabulary,
-    budget: Budget,
-) -> CriterionOutcome {
-    let db = critical_database(set, vocab);
-    criterion(
-        RestrictedChase::new(set)
-            .variant(ChaseVariant::Oblivious)
-            .run(&db, budget),
-    )
 }
 
 /// Checks whether the *semi-oblivious* chase terminates on the
@@ -139,6 +122,8 @@ mod tests {
     use super::*;
     use chase_core::parser::parse_tgds;
 
+    /// The semi-oblivious criterion, or (`semi == false`) the same
+    /// check under the oblivious chase, a still stronger requirement.
     fn outcome(src: &str, semi: bool) -> CriterionOutcome {
         let mut vocab = Vocabulary::new();
         let set = parse_tgds(src, &mut vocab).unwrap();
@@ -146,7 +131,12 @@ mod tests {
         if semi {
             semi_oblivious_critical(&set, &mut vocab, budget)
         } else {
-            oblivious_critical(&set, &mut vocab, budget)
+            let db = critical_database(&set, &mut vocab);
+            criterion(
+                RestrictedChase::new(&set)
+                    .variant(ChaseVariant::Oblivious)
+                    .run(&db, budget),
+            )
         }
     }
 

@@ -6,7 +6,7 @@
 //! single atom (hence trivially guarded).
 
 use chase_core::ids::VarId;
-use chase_core::tgd::{Tgd, TgdId, TgdSet};
+use chase_core::tgd::{Tgd, TgdSet};
 
 /// Returns the index (within the body) of the guard of `tgd` — the
 /// left-most body atom containing all body variables — or `None` if
@@ -39,18 +39,6 @@ pub fn all_guarded(set: &TgdSet) -> bool {
 /// Whether every TGD in the set is linear.
 pub fn all_linear(set: &TgdSet) -> bool {
     set.tgds().iter().all(is_linear)
-}
-
-/// Guard indexes for a whole set: `guards[i]` is the guard's body
-/// position for TGD `i`, or `None` if TGD `i` is unguarded.
-pub fn guard_table(set: &TgdSet) -> Vec<Option<usize>> {
-    set.tgds().iter().map(guard_index).collect()
-}
-
-/// Looks up the guard index for one TGD of a set (convenience for the
-/// `RealOchase::guard_parent` callback).
-pub fn guard_of(set: &TgdSet, id: TgdId) -> Option<usize> {
-    guard_index(set.tgd(id))
 }
 
 #[cfg(test)]
@@ -102,7 +90,6 @@ mod tests {
              R(x2,y2), T(y2) -> P(x2,y2).
              P(x3,y3) -> exists z3. P(y3,z3).");
         assert!(all_guarded(&s));
-        let table = guard_table(&s);
-        assert_eq!(table, vec![Some(0), Some(0), Some(0)]);
+        assert!(s.tgds().iter().all(|tgd| guard_index(tgd) == Some(0)));
     }
 }

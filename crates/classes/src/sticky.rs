@@ -5,7 +5,7 @@
 
 use chase_core::ids::{fx_set, FxHashSet, VarId};
 use chase_core::term::Term;
-use chase_core::tgd::{Tgd, TgdId, TgdSet};
+use chase_core::tgd::{TgdId, TgdSet};
 
 /// The fixpoint of the marking procedure over a TGD set.
 ///
@@ -89,33 +89,6 @@ impl Marking {
     #[inline]
     pub fn is_marked(&self, v: VarId) -> bool {
         self.marked.contains(&v)
-    }
-
-    /// The 0-based head positions of a single-head TGD whose variable
-    /// is **not** marked — the *immortal* positions of atoms produced
-    /// by this TGD (Section 6.1): terms at these positions are
-    /// propagated for ever by stickiness.
-    pub fn immortal_head_positions(&self, tgd: &Tgd) -> Vec<usize> {
-        let Some(head) = tgd.single_head() else {
-            return Vec::new();
-        };
-        head.args
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| match t {
-                Term::Var(v) => !self.is_marked(*v),
-                _ => false,
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Whether head position `i` of `tgd` is immortal.
-    pub fn is_immortal(&self, tgd: &Tgd, i: usize) -> bool {
-        match tgd.single_head().and_then(|h| h.args.get(i)) {
-            Some(Term::Var(v)) => !self.is_marked(*v),
-            _ => false,
-        }
     }
 }
 
@@ -222,24 +195,6 @@ mod tests {
         let s = set("R(x,y) -> exists z. R(y,z).
              R(u,v) -> S(u).");
         assert!(is_sticky(&s));
-    }
-
-    #[test]
-    fn immortal_positions_follow_marking() {
-        // σ1: R(x,y) -> ∃z T(x,z);  σ2: T(u,v) -> ∃w T(u,w).
-        // v is marked in σ2 (dropped from the head), so position 1 of
-        // T-heads is mortal (nulls born there can be consumed and
-        // forgotten), while position 0 (x/u, never marked) is
-        // immortal: whatever lands there is propagated for ever.
-        let s = set("R(x,y) -> exists z. T(x,z).
-             T(u,v) -> exists w. T(u,w).");
-        let marking = Marking::compute(&s);
-        let sigma1 = &s.tgds()[0];
-        assert_eq!(marking.immortal_head_positions(sigma1), vec![0]);
-        let sigma2 = &s.tgds()[1];
-        assert_eq!(marking.immortal_head_positions(sigma2), vec![0]);
-        assert!(marking.is_immortal(sigma1, 0));
-        assert!(!marking.is_immortal(sigma1, 1));
     }
 
     #[test]

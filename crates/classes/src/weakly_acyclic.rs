@@ -163,36 +163,6 @@ impl DependencyGraph {
             .iter()
             .any(|&(f, t, special)| special && comp[f] == comp[t])
     }
-
-    /// The *rank* bound of weak acyclicity: an upper bound on the
-    /// number of special edges along any path, usable to bound chase
-    /// depth. `None` if the graph has a special cycle.
-    pub fn max_special_rank(&self) -> Option<usize> {
-        if self.has_special_cycle() {
-            return None;
-        }
-        // Longest path by special-edge count over the condensed DAG;
-        // computed by iterating to fixpoint (graph is small).
-        // rank[t] = max over incoming edges of rank[f] + [special].
-        // Converges because ranks are bounded by the special-edge
-        // count (no special cycles) and only ever increase.
-        let n = self.positions.len();
-        let mut rank = vec![0usize; n];
-        loop {
-            let mut changed = false;
-            for &(f, t, special) in &self.edges {
-                let candidate = rank[f] + usize::from(special);
-                if candidate > rank[t] {
-                    rank[t] = candidate;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        rank.into_iter().max().or(Some(0))
-    }
 }
 
 /// Whether the TGD set is weakly acyclic.
@@ -249,18 +219,6 @@ mod tests {
             "A(x) -> exists y. B(x,y).
              B(u,v) -> A(v)."
         ));
-    }
-
-    #[test]
-    fn rank_bound_none_iff_cyclic() {
-        let mut vocab = Vocabulary::new();
-        let wa = parse_tgds("R(x,y) -> exists z. R(x,z).", &mut vocab).unwrap();
-        let g = DependencyGraph::build(&wa, &vocab);
-        assert_eq!(g.max_special_rank(), Some(1));
-        let mut vocab2 = Vocabulary::new();
-        let non = parse_tgds("R(x,y) -> exists z. R(y,z).", &mut vocab2).unwrap();
-        let g2 = DependencyGraph::build(&non, &vocab2);
-        assert_eq!(g2.max_special_rank(), None);
     }
 
     #[test]

@@ -283,21 +283,6 @@ impl Atom {
             .collect()
     }
 
-    /// The 0-based positions at which the ground term `t` occurs.
-    pub fn positions_of_term(&self, t: Term) -> Vec<usize> {
-        self.args
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| **u == t)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Returns `true` if the ground term `t` occurs in this atom.
-    pub fn mentions(&self, t: Term) -> bool {
-        self.args.contains(&t)
-    }
-
     /// Renders the atom using the vocabulary.
     pub fn display(&self, vocab: &Vocabulary) -> String {
         AtomRef::from(self).display(vocab)
@@ -415,16 +400,6 @@ mod tests {
         assert_eq!(a.positions_of_var(x), vec![0, 2]);
         assert_eq!(a.positions_of_var(y), vec![1]);
         assert_eq!(a.positions_of_var(VarId(9)), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn positions_of_term() {
-        let c = Term::Const(ConstId(5));
-        let d = Term::Const(ConstId(6));
-        let a = atom(1, &[c, d, c]);
-        assert_eq!(a.positions_of_term(c), vec![0, 2]);
-        assert!(a.mentions(d));
-        assert!(!a.mentions(Term::Const(ConstId(7))));
     }
 
     #[test]

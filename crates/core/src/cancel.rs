@@ -49,11 +49,6 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }
-
-    /// Whether two tokens share the same underlying flag.
-    pub fn same_flag(&self, other: &CancelToken) -> bool {
-        Arc::ptr_eq(&self.flag, &other.flag)
-    }
 }
 
 impl fmt::Debug for CancelToken {
@@ -78,7 +73,6 @@ mod tests {
     fn clones_share_the_flag() {
         let t = CancelToken::new();
         let c = t.clone();
-        assert!(t.same_flag(&c));
         c.cancel();
         assert!(t.is_cancelled());
         // Idempotent.
@@ -92,7 +86,6 @@ mod tests {
         let b = CancelToken::new();
         a.cancel();
         assert!(!b.is_cancelled());
-        assert!(!a.same_flag(&b));
     }
 
     #[test]

@@ -52,19 +52,6 @@ impl EqType {
         }
     }
 
-    /// Builds an equality type directly from a class vector,
-    /// re-canonicalising so that classes are first-occurrence numbered.
-    pub fn from_classes(pred: PredId, raw: &[u8]) -> Self {
-        let terms: Vec<Term> = raw
-            .iter()
-            .map(|&c| Term::Null(crate::ids::NullId(c as u32)))
-            .collect();
-        EqType {
-            pred,
-            classes: canonical_classes(&terms),
-        }
-    }
-
     /// Arity of the underlying predicate.
     pub fn arity(&self) -> usize {
         self.classes.len()
@@ -79,33 +66,10 @@ impl EqType {
             .unwrap_or(0)
     }
 
-    /// Positions (0-based) belonging to class `c`.
-    pub fn positions_of_class(&self, c: u8) -> Vec<usize> {
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k == c)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The class of position `i`.
     #[inline]
     pub fn class_of(&self, i: usize) -> u8 {
         self.classes[i]
-    }
-
-    /// A canonical ground atom with this equality type, using nulls
-    /// `ν0, ν1, ...` as class representatives (the paper's
-    /// `R(⋆1,...,⋆n)`).
-    pub fn canonical_atom(&self) -> Atom {
-        Atom::new(
-            self.pred,
-            self.classes
-                .iter()
-                .map(|&c| Term::Null(crate::ids::NullId(c as u32)))
-                .collect::<crate::atom::ArgVec>(),
-        )
     }
 }
 
@@ -161,11 +125,6 @@ impl LabeledEqType {
                 .collect(),
         }
     }
-
-    /// The label of the class at position `i`.
-    pub fn label_at_position(&self, i: usize) -> Option<u8> {
-        self.labels[self.ty.class_of(i) as usize]
-    }
 }
 
 #[cfg(test)]
@@ -201,23 +160,8 @@ mod tests {
     fn class_queries() {
         let ty = EqType::of_atom(&atom(0, &[c(0), c(1), c(0), c(2)]));
         assert_eq!(ty.class_count(), 3);
-        assert_eq!(ty.positions_of_class(0), vec![0, 2]);
         assert_eq!(ty.class_of(3), 2);
         assert_eq!(ty.arity(), 4);
-    }
-
-    #[test]
-    fn canonical_atom_roundtrips() {
-        let ty = EqType::of_atom(&atom(0, &[c(0), c(1), c(0)]));
-        let canon = ty.canonical_atom();
-        assert_eq!(EqType::of_atom(&canon), ty);
-    }
-
-    #[test]
-    fn from_classes_recanonicalises() {
-        // [2, 0, 2] should canonicalise to [0, 1, 0].
-        let ty = EqType::from_classes(PredId(0), &[2, 0, 2]);
-        assert_eq!(ty.classes, vec![0, 1, 0]);
     }
 
     #[test]
@@ -225,7 +169,6 @@ mod tests {
         let ty = EqType::of_atom(&atom(0, &[c(0), c(1), c(0)]));
         let l = LabeledEqType::identity(ty);
         assert_eq!(l.labels, vec![Some(0), Some(1)]);
-        assert_eq!(l.label_at_position(2), Some(0));
     }
 
     #[test]

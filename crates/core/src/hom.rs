@@ -463,19 +463,6 @@ pub fn head_satisfied_probe(tgd: &Tgd, instance: &Instance, binding: &Binding) -
     Some(hit(slots, constraints))
 }
 
-/// Collects every homomorphism from `patterns` into `instance` as an
-/// owned [`Binding`]. Intended for tests and small inputs; engines use
-/// [`for_each_homomorphism`] to avoid allocation.
-pub fn all_homomorphisms(patterns: &[Atom], instance: &Instance) -> Vec<Binding> {
-    let mut out = Vec::new();
-    let mut binding = Binding::new();
-    let _ = for_each_homomorphism(patterns, instance, &mut binding, &mut |b| {
-        out.push(b.clone());
-        ControlFlow::Continue(())
-    });
-    out
-}
-
 /// Whether `instance |= tgd`: for every homomorphism `h` of the body,
 /// some extension of `h|fr` maps the head into the instance.
 ///
@@ -658,6 +645,17 @@ mod tests {
 
     fn atom(p: u32, args: &[Term]) -> Atom {
         Atom::new(PredId(p), args.to_vec())
+    }
+
+    /// Every homomorphism from `patterns` into `instance`, owned.
+    fn all_homomorphisms(patterns: &[Atom], instance: &Instance) -> Vec<Binding> {
+        let mut out = Vec::new();
+        let mut binding = Binding::new();
+        let _ = for_each_homomorphism(patterns, instance, &mut binding, &mut |b| {
+            out.push(b.clone());
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     /// Instance { R(0,1), R(1,2), R(2,0), P(1) } with R=pred 0, P=pred 1.

@@ -52,8 +52,8 @@ pub mod prelude {
     pub use crate::eqtype::{EqType, LabeledEqType};
     pub use crate::error::CoreError;
     pub use crate::hom::{
-        all_homomorphisms, exists_homomorphism, for_each_homomorphism, ground_homomorphism_exists,
-        satisfies, satisfies_all,
+        exists_homomorphism, for_each_homomorphism, ground_homomorphism_exists, satisfies,
+        satisfies_all,
     };
     pub use crate::ids::{ConstId, NullId, PredId, VarId};
     pub use crate::instance::{Database, Instance, MemoryFootprint};

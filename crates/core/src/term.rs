@@ -45,15 +45,6 @@ impl Term {
         }
     }
 
-    /// Returns the constant identifier if this term is a constant.
-    #[inline]
-    pub fn as_const(self) -> Option<ConstId> {
-        match self {
-            Term::Const(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Returns the null identifier if this term is a null.
     #[inline]
     pub fn as_null(self) -> Option<NullId> {
@@ -130,7 +121,6 @@ mod tests {
     fn term_accessors() {
         assert_eq!(Term::Var(VarId(3)).as_var(), Some(VarId(3)));
         assert_eq!(Term::Const(ConstId(3)).as_var(), None);
-        assert_eq!(Term::Const(ConstId(4)).as_const(), Some(ConstId(4)));
         assert_eq!(Term::Null(NullId(5)).as_null(), Some(NullId(5)));
     }
 

@@ -191,11 +191,6 @@ impl Vocabulary {
             .unwrap_or("?unknown")
     }
 
-    /// Number of interned predicates.
-    pub fn pred_count(&self) -> usize {
-        self.preds.len()
-    }
-
     /// Number of interned constants.
     pub fn const_count(&self) -> usize {
         self.consts.len()
@@ -264,7 +259,6 @@ mod tests {
         let r1 = v.pred("R", 2).unwrap();
         let r2 = v.pred("R", 2).unwrap();
         assert_eq!(r1, r2);
-        assert_eq!(v.pred_count(), 1);
         assert_eq!(v.arity(r1), 2);
         assert_eq!(v.pred_name(r1), "R");
     }

@@ -8,7 +8,6 @@
 //! claimed to be terminating must leave no active trigger.
 
 use chase_core::atom::Atom;
-use chase_core::hom::exists_homomorphism;
 use chase_core::ids::VarId;
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
@@ -16,7 +15,6 @@ use chase_core::term::Term;
 use chase_core::tgd::{TgdId, TgdSet};
 use chase_core::vocab::Vocabulary;
 
-use crate::skolem::SkolemTable;
 use crate::trigger::Trigger;
 
 /// One chase step: the trigger applied and the atoms it added.
@@ -263,46 +261,10 @@ fn added_atoms_consistent(added: &[Atom], tgd: &chase_core::tgd::Tgd, trigger: &
     true
 }
 
-/// Checks whether the instance satisfies every TGD (`I |= T`), i.e.
-/// the chase has reached a model. Exposed here for symmetry with
-/// validation.
-pub fn is_model(instance: &Instance, set: &TgdSet) -> bool {
-    set.tgds().iter().all(|tgd| {
-        let mut ok = true;
-        let mut binding = chase_core::subst::Binding::new();
-        let _ =
-            chase_core::hom::for_each_homomorphism(tgd.body(), instance, &mut binding, &mut |h| {
-                let r = h.restricted_to(tgd.frontier());
-                if exists_homomorphism(tgd.head(), instance, &r) {
-                    std::ops::ControlFlow::Continue(())
-                } else {
-                    ok = false;
-                    std::ops::ControlFlow::Break(())
-                }
-            });
-        ok
-    })
-}
-
-/// Re-derives the result atoms for a trigger (convenience for tests
-/// that construct derivations manually).
-pub fn apply_trigger(
-    trigger: &Trigger,
-    set: &TgdSet,
-    skolem: &mut SkolemTable,
-    instance: &mut Instance,
-) -> Vec<Atom> {
-    let atoms = trigger.result(set.tgd(trigger.tgd), skolem);
-    for a in &atoms {
-        instance.insert(a.clone());
-    }
-    atoms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skolem::SkolemPolicy;
+    use crate::skolem::{SkolemPolicy, SkolemTable};
     use crate::trigger::active_triggers;
     use chase_core::parser::parse_program;
     use chase_core::vocab::Vocabulary;
@@ -312,16 +274,15 @@ mod tests {
         let mut vocab = Vocabulary::new();
         let p = parse_program("R(a,b). R(x,y) -> S(y).", &mut vocab).unwrap();
         let set = p.tgd_set(&vocab).unwrap();
-        let mut inst = p.database.clone();
+        let inst = p.database.clone();
         let mut skolem = SkolemTable::new(SkolemPolicy::PerTrigger);
         let t = active_triggers(&set, &inst).pop().unwrap();
-        let added = apply_trigger(&t, &set, &mut skolem, &mut inst);
+        let added = t.result(set.tgd(t.tgd), &mut skolem);
         let derivation = Derivation {
             steps: vec![Step { trigger: t, added }],
         };
         let final_inst = derivation.validate(&p.database, &set, true).unwrap();
         assert_eq!(final_inst.len(), 2);
-        assert!(is_model(&final_inst, &set));
     }
 
     #[test]

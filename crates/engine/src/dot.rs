@@ -1,7 +1,5 @@
-//! Graphviz (DOT) export of chase artefacts: derivations, the real
-//! oblivious chase with its parent/stop relations, and instances as
-//! term-sharing graphs. Purely diagnostic — handy when debugging why a
-//! trigger is (not) active or how a witness derivation unfolds.
+//! Graphviz (DOT) export of derivations. Purely diagnostic — handy
+//! when debugging how a witness derivation unfolds.
 
 use std::fmt::Write as _;
 
@@ -9,8 +7,6 @@ use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
 
 use crate::derivation::Derivation;
-use crate::real_oblivious::RealOchase;
-use crate::relations::OchaseRelations;
 
 fn escape(s: &str) -> String {
     s.replace('"', "\\\"")
@@ -48,51 +44,9 @@ pub fn derivation_to_dot(derivation: &Derivation, set: &TgdSet, vocab: &Vocabula
     out
 }
 
-/// Renders a real-oblivious-chase fragment as a DOT digraph: solid
-/// edges = parent relation `≺p`, dashed red edges = stop relation
-/// `≺s`. Database vertices are drawn as ellipses.
-pub fn ochase_to_dot(
-    fragment: &RealOchase,
-    relations: &OchaseRelations,
-    vocab: &Vocabulary,
-) -> String {
-    let mut out =
-        String::from("digraph ochase {\n  rankdir=TB;\n  node [fontname=\"monospace\"];\n");
-    for (id, node) in fragment.iter() {
-        let shape = if fragment.is_database_node(id) {
-            "ellipse"
-        } else {
-            "box"
-        };
-        let origin = match &node.trigger {
-            None => "⊥".to_string(),
-            Some(t) => format!("σ{}", t.tgd.0),
-        };
-        let _ = writeln!(
-            out,
-            "  n{} [shape={shape}, label=\"{}\\n{origin}\"];",
-            id.0,
-            escape(&node.atom.display(vocab))
-        );
-    }
-    for &(v, u) in &relations.parent {
-        let _ = writeln!(out, "  n{} -> n{};", v.0, u.0);
-    }
-    for &(v, u) in &relations.stop {
-        let _ = writeln!(
-            out,
-            "  n{} -> n{} [style=dashed, color=red, constraint=false];",
-            v.0, u.0
-        );
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::real_oblivious::OchaseLimits;
     use crate::restricted::{Budget, RestrictedChase, Strategy};
     use chase_core::parser::parse_program;
 
@@ -113,33 +67,5 @@ mod tests {
         assert!(dot.contains("s0"));
         assert!(dot.contains("s0 -> s1")); // T(b) consumes S(b,·)
         assert!(dot.ends_with("}\n"));
-    }
-
-    #[test]
-    fn ochase_dot_marks_database_and_stops() {
-        let mut vocab = Vocabulary::new();
-        let p = parse_program(
-            "P(a,b).
-             P(x1,y1) -> R(x1,y1).
-             P(x2,y2) -> S(x2).
-             R(x3,y3) -> S(x3).
-             S(x4) -> exists y4. R(x4,y4).",
-            &mut vocab,
-        )
-        .unwrap();
-        let set = p.tgd_set(&vocab).unwrap();
-        let fragment = RealOchase::build(
-            &p.database,
-            &set,
-            OchaseLimits {
-                max_nodes: 100,
-                max_depth: 2,
-            },
-        );
-        let relations = OchaseRelations::compute(&fragment, &set);
-        let dot = ochase_to_dot(&fragment, &relations, &vocab);
-        assert!(dot.contains("shape=ellipse")); // database vertex
-        assert!(dot.contains("style=dashed")); // the S(a) ↔ S(a) stops
-        assert!(dot.contains("σ1") || dot.contains("σ0"));
     }
 }

@@ -54,11 +54,11 @@ pub mod prelude {
     };
     pub use crate::critical::critical_database;
     pub use crate::derivation::{Derivation, DerivationFault, Step, StepLog};
-    pub use crate::dot::{derivation_to_dot, ochase_to_dot};
+    pub use crate::dot::derivation_to_dot;
     pub use crate::fairness::{is_fair_within_horizon, persistently_active, repair, RepairOutcome};
     pub use crate::faults::{FaultPlan, FlakyWriter};
     pub use crate::governor::ResourceGovernor;
-    pub use crate::query::{contained_in, ConjunctiveQuery, QueryError};
+    pub use crate::query::{ConjunctiveQuery, QueryError};
     pub use crate::real_oblivious::{NodeId, OchaseLimits, OchaseNode, RealOchase};
     pub use crate::relations::{stops, OchaseRelations};
     pub use crate::restricted::{

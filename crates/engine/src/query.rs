@@ -1,13 +1,11 @@
-//! Conjunctive queries over chase results: certain answers and query
-//! containment under TGDs — the applications (query answering and
-//! containment under constraints) that the paper's introduction cites
-//! as the reason for the chase's ubiquity.
+//! Conjunctive queries over chase results: certain answers under TGDs —
+//! query answering under constraints, one of the applications that the
+//! paper's introduction cites as the reason for the chase's ubiquity.
 //!
-//! Both procedures are *sound and complete when the chase terminates*:
+//! The procedure is *sound and complete when the chase terminates*:
 //! the chase result is a universal model, so evaluating the CQ over it
 //! and keeping the all-constant answers yields exactly the certain
-//! answers, and containment reduces to evaluating the candidate
-//! container over the chased canonical database of the containee.
+//! answers.
 
 use std::ops::ControlFlow;
 
@@ -18,7 +16,6 @@ use chase_core::instance::Instance;
 use chase_core::subst::Binding;
 use chase_core::term::Term;
 use chase_core::tgd::TgdSet;
-use chase_core::vocab::Vocabulary;
 
 use crate::restricted::{Budget, Outcome, RestrictedChase, Strategy};
 
@@ -136,71 +133,6 @@ impl ConjunctiveQuery {
             .filter(|tuple| tuple.iter().all(|t| t.is_const()))
             .collect())
     }
-
-    /// The canonical (frozen) database of the query body: every
-    /// variable becomes a fresh constant. Returns the database and the
-    /// frozen images of the answer variables.
-    ///
-    /// Fails with [`QueryError::UnsafeAnswerVariable`] if the query
-    /// was built by hand with an answer variable missing from the body.
-    pub fn freeze(&self, vocab: &mut Vocabulary) -> Result<(Instance, Vec<Term>), QueryError> {
-        self.check_safe()?;
-        let mut frozen: Vec<(VarId, Term)> = Vec::new();
-        let lookup = |v: VarId, vocab: &mut Vocabulary, frozen: &mut Vec<(VarId, Term)>| {
-            if let Some(&(_, t)) = frozen.iter().find(|(w, _)| *w == v) {
-                return t;
-            }
-            let t = Term::Const(vocab.constant(&format!("⋆frz{}", v.0)));
-            frozen.push((v, t));
-            t
-        };
-        let atoms: Vec<Atom> = self
-            .body
-            .iter()
-            .map(|a| {
-                Atom::new(
-                    a.pred,
-                    a.args
-                        .iter()
-                        .map(|t| match t {
-                            Term::Var(v) => lookup(*v, vocab, &mut frozen),
-                            ground => *ground,
-                        })
-                        .collect::<chase_core::atom::ArgVec>(),
-                )
-            })
-            .collect();
-        let tuple = self
-            .answer_vars
-            .iter()
-            // invariant: `check_safe` guaranteed every answer variable
-            // occurs in the body, so freezing the body froze it.
-            .filter_map(|&v| frozen.iter().find(|(w, _)| *w == v).map(|&(_, t)| t))
-            .collect();
-        Ok((Instance::from_atoms(atoms), tuple))
-    }
-}
-
-/// Whether `q1 ⊑ q2` under `tgds` (every certain answer of `q1` is one
-/// of `q2`, over all databases): chase the frozen body of `q1` and
-/// check that `q2` retrieves the frozen answer tuple — the classic
-/// chase-based containment test, sound and complete when the chase
-/// terminates.
-pub fn contained_in(
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-    tgds: &TgdSet,
-    vocab: &mut Vocabulary,
-    budget: Budget,
-) -> Result<bool, QueryError> {
-    let (canonical, tuple) = q1.freeze(vocab)?;
-    let run = RestrictedChase::new(tgds)
-        .strategy(Strategy::Fifo)
-        .run(&canonical, budget);
-    if run.outcome != Outcome::Terminated {
-        return Err(QueryError::ChaseBudgetExhausted);
-    }
-    Ok(q2.answers(&run.instance)?.into_iter().any(|t| t == tuple))
 }
 
 #[cfg(test)]
@@ -208,6 +140,7 @@ mod tests {
     use super::*;
     use chase_core::parser::parse_program;
     use chase_core::tgd::RuleBuilder;
+    use chase_core::vocab::Vocabulary;
 
     /// Builds a CQ from a rule-shaped source string: the head lists
     /// the answer variables, e.g. `R(x,y), S(y) -> Ans(x).`.
@@ -289,34 +222,5 @@ mod tests {
             q.answers(&p.database),
             Err(QueryError::UnsafeAnswerVariable(stray))
         );
-        assert_eq!(
-            q.freeze(&mut vocab).unwrap_err(),
-            QueryError::UnsafeAnswerVariable(stray)
-        );
-    }
-
-    #[test]
-    fn containment_under_tgds() {
-        // Under  Sub(x,y) ∧ Ta(y) → Ta(x)  (taught-by propagates down
-        // a subclass edge), q1(x) :- Sub(x,y), Ta(y) is contained in
-        // q2(x) :- Ta(x), but not vice versa.
-        let mut vocab = Vocabulary::new();
-        let set = chase_core::parser::parse_tgds("Sub(x,y), Ta(y) -> Ta(x).", &mut vocab).unwrap();
-        let q1 = cq("Sub(x1,y1), Ta(y1) -> Ans(x1).", &mut vocab);
-        let q2 = cq("Ta(x2) -> Ans(x2).", &mut vocab);
-        assert!(contained_in(&q1, &q2, &set, &mut vocab, Budget::steps(1_000)).unwrap());
-        assert!(!contained_in(&q2, &q1, &set, &mut vocab, Budget::steps(1_000)).unwrap());
-    }
-
-    #[test]
-    fn containment_without_tgds_is_plain_cq_containment() {
-        let mut vocab = Vocabulary::new();
-        let set = chase_core::parser::parse_tgds("Dummy(q) -> Dummy2(q).", &mut vocab).unwrap();
-        // q1(x) :- R(x,y), R(y,x)  ⊑  q2(x) :- R(x,z) ... wait, q2
-        // needs R edges from x: holds. The converse fails.
-        let q1 = cq("R(x1,y1), R(y1,x1) -> Ans(x1).", &mut vocab);
-        let q2 = cq("R(x2,z2) -> Ans(x2).", &mut vocab);
-        assert!(contained_in(&q1, &q2, &set, &mut vocab, Budget::steps(100)).unwrap());
-        assert!(!contained_in(&q2, &q1, &set, &mut vocab, Budget::steps(100)).unwrap());
     }
 }

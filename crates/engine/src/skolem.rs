@@ -22,8 +22,7 @@
 //! the callers that can present one trigger twice: the chase-order
 //! search (`chase_termination::orders`), the real oblivious chase
 //! ([`crate::real_oblivious`]), the fairness repair
-//! ([`crate::fairness`]), [`crate::derivation::apply_trigger`] and the
-//! seed oracles ([`crate::seed`]).
+//! ([`crate::fairness`]) and the seed oracles ([`crate::seed`]).
 //!
 //! On request ([`SkolemTable::track_cycles`]) the table also reports
 //! the first *cyclic* Skolem term: a null `c^{σ,h}_x` whose key terms

@@ -85,18 +85,6 @@ impl CacheCounters {
     fn add(field: &AtomicU64, n: u64) {
         field.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// A point-in-time copy (hits, misses, evictions, runs). Every miss
-    /// runs one compile or decide, so runs equals misses.
-    pub fn snapshot(&self) -> [u64; 4] {
-        let misses = self.misses.load(Ordering::Relaxed);
-        [
-            self.hits.load(Ordering::Relaxed),
-            misses,
-            self.evictions.load(Ordering::Relaxed),
-            misses,
-        ]
-    }
 }
 
 /// A bounded LRU map: values with their byte weight and use-stamp, and
@@ -377,6 +365,20 @@ pub struct Caches {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CacheCounters {
+        /// A point-in-time copy (hits, misses, evictions, runs). Every
+        /// miss runs one compile or decide, so runs equals misses.
+        fn snapshot(&self) -> [u64; 4] {
+            let misses = self.misses.load(Ordering::Relaxed);
+            [
+                self.hits.load(Ordering::Relaxed),
+                misses,
+                self.evictions.load(Ordering::Relaxed),
+                misses,
+            ]
+        }
+    }
 
     const FINITE: &str = "R(a,b).\nR(x,y) -> S(x).\n";
 

@@ -118,8 +118,6 @@ pub mod names {
     pub const QUEUE_DEPTH: &str = "queue.depth";
     /// Runs stopped by a resource governor (deadline or cancellation).
     pub const RUNS_INTERRUPTED: &str = "runs.interrupted";
-    /// Telemetry sink write failures (events dropped, run unharmed).
-    pub const SINK_IO_ERRORS: &str = "sink.io_errors";
     /// Büchi states explored by the sticky decider.
     pub const AUTOMATON_STATES: &str = "sticky.automaton_states";
     /// Acyclic seed instances tried by the guarded decider.

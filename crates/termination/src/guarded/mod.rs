@@ -1,14 +1,10 @@
 //! The guarded decision procedure (Section 5), with the documented
 //! substitution of DESIGN.md §4.2 for the final MSOL step.
 //!
-//! Faithfully implemented: sideatom types ([`sideatom`]), abstract
-//! join trees and their `Δ(T)` semantics ([`ajt`]), and the
-//! treeification machinery — remote-side-parent situations, the
-//! longs-for relation and the acyclic database construction
-//! ([`treeify`]).
-//!
-//! The MSOL-satisfiability emptiness check is replaced by a two-sided
-//! certificate-producing portfolio ([`decide_guarded`]):
+//! The paper reduces guarded termination to MSOL satisfiability over
+//! abstract join trees (Defs 5.8 and 5.10). This module builds no join
+//! tree: that step is replaced by a two-sided certificate-producing
+//! portfolio ([`decide_guarded`]):
 //!
 //! * **Termination provers** (each sound): never-active-TGD
 //!   elimination, full-TGD sets, weak acyclicity, joint acyclicity,
@@ -23,10 +19,12 @@
 //!   repeating guard-path signature; every positive answer ships a
 //!   prefix of that run, replay-validated by `Derivation::validate`.
 //! * Otherwise: an honest `Unknown`.
+//!
+//! [`treeify`] implements the treeification construction of Theorem
+//! 5.5 — remote-side-parent situations, the longs-for relation and the
+//! acyclic database `D_ac`. The decider does not call it; the
+//! experiment report (E5) does.
 
-pub mod ajt;
-pub mod ajt_chaseable;
-pub mod sideatom;
 pub mod treeify;
 
 use chase_core::eqtype::{canonical_classes, EqType};

@@ -9,9 +9,11 @@
 //!   over caterpillar words (Appendix D.2), with replay-validated
 //!   non-termination witnesses (finitary caterpillar realisations);
 //! * [`guarded`] — the guarded procedure (Theorem 5.1) with the
-//!   documented substitution of DESIGN.md §4.2 for the MSOL step:
-//!   faithful sideatom types, abstract join trees and treeification,
-//!   plus a certificate-producing portfolio decider;
+//!   documented substitution of DESIGN.md §4.2 for the MSOL step: a
+//!   certificate-producing portfolio decider whose non-termination
+//!   search chases acyclic seed databases, plus the treeification
+//!   construction of Theorem 5.5 (`guarded::treeify`), which the
+//!   experiment report runs;
 //! * [`decide`] — the top-level dispatcher.
 
 #![warn(missing_docs)]
