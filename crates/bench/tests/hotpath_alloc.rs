@@ -16,6 +16,7 @@ use chase_bench::closure_workload;
 use chase_core::atom::Atom;
 use chase_core::hom::{exists_homomorphism_with, HomScratch};
 use chase_core::ids::fx_set;
+use chase_engine::restricted::{ChaseVariant, Strategy};
 use chase_engine::trigger::{
     for_each_trigger_using_with, for_each_trigger_with, ground_head_into, TriggerFp,
 };
@@ -69,6 +70,7 @@ fn warmed_trigger_hot_path_allocates_nothing() {
     let mut probe_scratch = HomScratch::new();
     let mut head = Atom::new(chase_core::ids::PredId(0), Vec::new());
     let mut seen = fx_set();
+    let fifo = ChaseVariant::Restricted(Strategy::Fifo);
 
     // Warm-up pass: drive every buffer to its capacity high-water mark
     // and populate the seen-set (insertion allocates; the measured
@@ -76,9 +78,10 @@ fn warmed_trigger_hot_path_allocates_nothing() {
     let mut pass = |count: bool,
                     hits: &mut usize,
                     seen: &mut chase_core::ids::FxHashSet<TriggerFp>| {
-        // What the restricted chase does per discovered trigger of a
-        // single-head full TGD: build the ground head, probe the
-        // instance for it, and key the trigger by it.
+        // What the restricted chase does per discovered trigger: key
+        // it by the images of `ChaseVariant::fp_vars` (the frontier
+        // under FIFO), and for a single-head full TGD build the ground
+        // head, probe the instance for it, and key the trigger by it.
         let mut discover = |fp: TriggerFp, head: &Atom, hits: &mut usize| {
             let _ = instance.contains(head);
             let head_fp = TriggerFp::of_ground_head(head);
@@ -99,7 +102,7 @@ fn warmed_trigger_hot_path_allocates_nothing() {
         let _ = for_each_trigger_with(&mut enum_scratch, &set, &instance, &mut |id, b| {
             let tgd = set.tgd(id);
             ground_head_into(tgd, b, &mut head);
-            discover(TriggerFp::of(id, b, tgd.sorted_body_vars()), &head, hits);
+            discover(TriggerFp::of(id, b, fifo.fp_vars(tgd)), &head, hits);
             // Activeness probe seeded with the full body binding.
             let active = !exists_homomorphism_with(&mut probe_scratch, tgd.head(), &instance, b);
             let _ = active;
@@ -113,7 +116,7 @@ fn warmed_trigger_hot_path_allocates_nothing() {
             &mut |id, b| {
                 let tgd = set.tgd(id);
                 ground_head_into(tgd, b, &mut head);
-                discover(TriggerFp::of(id, b, tgd.sorted_body_vars()), &head, hits);
+                discover(TriggerFp::of(id, b, fifo.fp_vars(tgd)), &head, hits);
                 ControlFlow::Continue(())
             },
         );

@@ -381,6 +381,29 @@ fn profile_reports_spans_and_writes_a_parseable_json_report() {
     let _ = std::fs::remove_file(folded);
 }
 
+/// The `allocations` figure of `profile`'s `memory @ step` line counts
+/// the profiled run's allocations, not the process's, so the same
+/// command reports the same figure every time, whichever rep was the
+/// fastest.
+#[test]
+fn profile_allocations_count_the_profiled_run_only() {
+    let rules = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/rules/closure.chase");
+    let allocations = || {
+        let out = run(&["profile", rules.to_str().unwrap(), "--runs", "5"]);
+        assert_eq!(code(&out), 0, "{}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("memory @ step"))
+            .unwrap_or_else(|| panic!("no memory line in {stdout}"));
+        let (_, rest) = line.split_once("allocations ").expect("allocations field");
+        rest.split_whitespace().next().unwrap().to_owned()
+    };
+    let first = allocations();
+    assert_ne!(first, "0", "chasectl installs a counting allocator");
+    assert_eq!(first, allocations());
+}
+
 #[test]
 fn profile_usage_errors() {
     let rules = rule_file("profile-usage", CLOSURE);

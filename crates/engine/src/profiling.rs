@@ -28,16 +28,35 @@ pub(crate) const DEFAULT_HEARTBEAT_EVERY: u64 = 1024;
 /// `profile_sample_every(1)` for exhaustive spans.
 pub const DEFAULT_PROFILE_SAMPLE_EVERY: u64 = 64;
 
+/// Where a profiled run started: the heartbeat reference clock and the
+/// allocation count that its samples report allocations relative to.
+#[derive(Clone, Copy)]
+pub(crate) struct RunStart {
+    clock: Instant,
+    allocations: u64,
+}
+
+impl RunStart {
+    /// The current instant and allocation count.
+    pub(crate) fn now() -> RunStart {
+        RunStart {
+            clock: Instant::now(),
+            allocations: chase_telemetry::alloc_track::allocations(),
+        }
+    }
+}
+
 /// Emits one [`Event::MemorySampled`] + [`Event::Heartbeat`] pair
 /// describing the instance and run progress at a step boundary.
 ///
 /// Callers hold a `Some(run_start)` exactly when the observer opted
-/// into profiling, so unprofiled runs never read the clock or the
-/// [`Instance::memory_footprint`] for a sample.
+/// into profiling, so unprofiled runs never read the clock, the
+/// allocation counter or the [`Instance::memory_footprint`] for a
+/// sample.
 pub(crate) fn emit_profile_sample<O: ChaseObserver + ?Sized>(
     obs: &mut O,
     engine: EngineKind,
-    run_start: Instant,
+    run_start: RunStart,
     instance: &Instance,
     steps: u64,
     depth: u64,
@@ -52,9 +71,9 @@ pub(crate) fn emit_profile_sample<O: ChaseObserver + ?Sized>(
         dedup_bytes: fp.dedup_bytes,
         index_bytes: fp.index_bytes,
         queue_depth: depth,
-        allocations: chase_telemetry::alloc_track::allocations(),
+        allocations: chase_telemetry::alloc_track::allocations() - run_start.allocations,
     });
-    let elapsed_ns = u64::try_from(run_start.elapsed().as_nanos())
+    let elapsed_ns = u64::try_from(run_start.clock.elapsed().as_nanos())
         .unwrap_or(u64::MAX)
         .max(1);
     let per_sec = |n: u64| n.saturating_mul(1_000_000_000) / elapsed_ns;

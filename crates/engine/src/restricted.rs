@@ -62,8 +62,11 @@
 //! is one membership probe, and it can run at discovery: under `Fifo`,
 //! `Lifo` and `PriorityTgd` such a trigger whose head already holds is
 //! never queued, and under `Fifo` only the earliest trigger for each
-//! head is (see `SeenKey`). The applied triggers and their order are
-//! unchanged; the pop-time check stays for everything that is queued.
+//! head is. Under `Fifo` every other TGD queues only the earliest
+//! trigger for each frontier image, because activeness depends on
+//! nothing else (see `SeenKey`). The applied triggers and their order
+//! are unchanged; the pop-time check stays for everything that is
+//! queued.
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -81,7 +84,7 @@ use chase_telemetry::{
 use crate::derivation::{Derivation, StepLog};
 use crate::governor::ResourceGovernor;
 use crate::profiling::{
-    emit_profile_sample, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
+    emit_profile_sample, RunStart, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
 };
 use crate::skolem::{SkolemPolicy, SkolemTable};
 use crate::trigger::{
@@ -195,11 +198,18 @@ impl ChaseVariant {
         }
     }
 
-    /// The variables whose images identify a trigger of `tgd`.
+    /// The variables whose images identify a queued trigger of `tgd`
+    /// ([`TriggerFp::of`]): the frontier for the semi-oblivious chase
+    /// and for the restricted chase under `Fifo`, every body variable
+    /// otherwise. Under the restricted strategies but `Random`, a
+    /// single-head full TGD's trigger is keyed by its ground head
+    /// instead.
     #[inline]
-    fn fp_vars(self, tgd: &Tgd) -> &[VarId] {
+    pub fn fp_vars(self, tgd: &Tgd) -> &[VarId] {
         match self {
-            ChaseVariant::SemiOblivious => tgd.frontier(),
+            ChaseVariant::SemiOblivious | ChaseVariant::Restricted(Strategy::Fifo) => {
+                tgd.frontier()
+            }
             ChaseVariant::Restricted(_) | ChaseVariant::Oblivious => tgd.sorted_body_vars(),
         }
     }
@@ -311,18 +321,24 @@ impl Queued {
 /// How the loop keys a discovered trigger of one TGD in its `seen` set,
 /// and whether it drops the trigger outright.
 ///
-/// A trigger of a single-head full TGD has a ground head, and it is
-/// active exactly while that atom is missing (Definition 3.1). The
-/// instance only grows, so a trigger whose head is already present
-/// when it is discovered would pop inactive under any strategy:
-/// dropping it then applies the same triggers in the same order,
-/// except under [`Strategy::Random`], whose draw depends on the queue
-/// length.
+/// Whether a restricted trigger is active depends only on its TGD and
+/// its image of the frontier (Definition 3.1), and the instance only
+/// grows. So a trigger that would pop after another with the same TGD
+/// and frontier image, or after the head it produces is present, would
+/// pop inactive: dropping it at discovery applies the same triggers in
+/// the same order. Under `Fifo` the earliest-discovered trigger pops
+/// first, so that holds for every later one; under the other
+/// strategies only the ground-head test is safe, and under
+/// [`Strategy::Random`] not even that, because its draw depends on the
+/// queue length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SeenKey {
-    /// By TGD and body binding; queued whatever its head. Every TGD of
-    /// the oblivious variants and of `Random`, and every existential or
-    /// multi-head TGD.
+    /// By TGD and the images of [`ChaseVariant::fp_vars`]; queued
+    /// whatever its head. Every TGD of the oblivious variants and of
+    /// `Random`, and every existential or multi-head TGD. Under the
+    /// semi-oblivious chase and the restricted `Fifo` chase the key is
+    /// the frontier image, so only the first trigger for each image is
+    /// queued; otherwise it is the whole body binding.
     Trigger,
     /// Dropped when its ground head holds at discovery, else keyed by
     /// TGD and body binding: single-head full TGDs under `Lifo` and
@@ -616,9 +632,10 @@ impl<'a> RestrictedChase<'a> {
         let restricted = matches!(self.variant, ChaseVariant::Restricted(_));
         let strategy = self.variant.queue_strategy();
         // `Some` exactly when the observer opted into profiling;
-        // doubles as the heartbeat reference clock, so unprofiled runs
-        // never read the clock or walk the instance for samples.
-        let run_start = (obs.enabled() && obs.profiling()).then(std::time::Instant::now);
+        // doubles as the heartbeat reference clock and allocation
+        // count, so unprofiled runs never read the clock or walk the
+        // instance for samples.
+        let run_start = (obs.enabled() && obs.profiling()).then(RunStart::now);
         if let Some(outcome) = gov.interrupted(0) {
             emit(obs, || Event::RunInterrupted {
                 engine,
@@ -1115,6 +1132,55 @@ mod tests {
             .strategy(Strategy::Random(3))
             .run_observed(&p.database, Budget::steps(1000), &mut obs);
         assert!(obs.summary().counter(names::TRIGGERS_DEACTIVATED) > Some(0));
+    }
+
+    /// Under FIFO an existential TGD's trigger is queued only for a
+    /// frontier image no earlier trigger of that TGD had. A body with
+    /// an atom off the frontier (`P0(a,b)` below; frontier `{c}`) used
+    /// to queue one trigger per pair of `P0` atoms.
+    #[test]
+    fn fifo_queues_one_trigger_per_frontier_image() {
+        use crate::seed::SeedRestrictedChase;
+        use chase_core::hom::for_each_homomorphism;
+        use chase_telemetry::{names, CountingObserver};
+        let src = "
+            P0(a,b). P0(b,c). P0(c,d). P1(a,b). P1(c,b).
+            P0(a,b), P0(c,d) -> exists e. P0(e,c).
+            P0(x,y) -> exists e. P0(x,e).
+            P1(a,b), P1(c,b) -> P0(b,b).
+        ";
+        let mut vocab = Vocabulary::new();
+        let p = parse_program(src, &mut vocab).unwrap();
+        let set = p.tgd_set(&vocab).unwrap();
+        let budget = Budget::steps(150);
+        let mut obs = CountingObserver::new();
+        let run = RestrictedChase::new(&set).run_observed(&p.database, budget, &mut obs);
+        let oracle = SeedRestrictedChase::new(&set).run(&p.database, budget);
+        assert_eq!(run.outcome, Outcome::BudgetExhausted);
+        assert_eq!(run.steps, oracle.steps);
+        assert_eq!(run.instance, oracle.instance);
+        // Every discovered trigger's body lies in the final instance, so
+        // its distinct (TGD, frontier image) pairs bound the queue.
+        let (mut images, mut bindings) = (fx_set::<(TgdId, Vec<Term>)>(), 0u64);
+        for (i, tgd) in set.tgds().iter().enumerate() {
+            let mut binding = Binding::new();
+            let _ = for_each_homomorphism(tgd.body(), &run.instance, &mut binding, &mut |h| {
+                let image = tgd.frontier().iter().map(|&v| h.get(v).unwrap());
+                images.insert((TgdId(i as u32), image.collect()));
+                bindings += 1;
+                ControlFlow::Continue(())
+            });
+        }
+        let discovered = obs.summary().counter(names::TRIGGERS_DISCOVERED).unwrap();
+        assert!(
+            discovered <= images.len() as u64,
+            "{discovered} discovered, {} frontier images",
+            images.len()
+        );
+        assert!(
+            10 * discovered < bindings,
+            "{discovered} of {bindings} body bindings"
+        );
     }
 
     #[test]

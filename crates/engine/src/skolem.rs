@@ -12,10 +12,13 @@
 //! identifying triggers that agree on the frontier.
 //!
 //! The chase loop ([`crate::restricted`]) needs no memo. Its `seen`
-//! set admits each trigger identity once, and that identity is the
-//! Skolem key: the sorted body-variable images for the restricted and
-//! oblivious chase, the frontier images for the semi-oblivious one,
-//! and full TGDs invent no nulls. Every lookup would miss, so the loop
+//! set admits each trigger identity once, and two triggers with
+//! different identities have different Skolem keys: the identity is
+//! the sorted body-variable images for the oblivious chase and the
+//! non-FIFO restricted chase, and the frontier images for the
+//! semi-oblivious chase (its Skolem key) and the FIFO restricted chase
+//! (distinct frontier images mean distinct body bindings); full TGDs
+//! invent no nulls. Every lookup would miss, so the loop
 //! takes consecutive nulls from [`SkolemTable::fresh_nulls`], and only
 //! a head that repeats an existential variable reuses a null, within
 //! its own trigger. The memo of [`SkolemTable::null_for`] stays for

@@ -231,8 +231,8 @@ pub enum Event {
         index_bytes: u64,
         /// Queued candidate triggers at the sample point.
         queue_depth: u64,
-        /// Process-wide heap allocations recorded so far (0 unless a
-        /// counting allocator feeds [`crate::alloc_track`]).
+        /// Process-wide heap allocations recorded since the run started
+        /// (0 unless a counting allocator feeds [`crate::alloc_track`]).
         allocations: u64,
     },
     /// Periodic progress heartbeat (profiling runs only), sized for

@@ -94,7 +94,7 @@ pub struct MemorySample {
     pub index_bytes: u64,
     /// Queued candidate triggers.
     pub queue_depth: u64,
-    /// Process-wide allocations recorded so far.
+    /// Process-wide allocations recorded since the run started.
     pub allocations: u64,
 }
 

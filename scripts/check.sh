@@ -55,10 +55,13 @@ for example in examples/*.rs; do
     cargo run --offline -q --example "$name" >/dev/null
 done
 
-echo "== sticky-vs-linear decider sweep (1,500 random linear sets) =="
-# The ignored exhaustive sweep of tests/decider_consistency.rs: the
-# sticky Büchi decider and the independent linear decider must agree
-# on every random linear set.
+echo "== decider consistency sweeps (1,500 random linear sets; guarded NOT verdicts vs the order search) =="
+# The ignored sweeps of tests/decider_consistency.rs: the sticky Büchi
+# decider and the independent linear decider must agree on every
+# random linear set, and no NOT verdict of the guarded portfolio on
+# about 2,500 random guarded, non-linear, non-sticky sets may be
+# refuted by an exhaustive chase-order search from its witness
+# database.
 cargo test --offline -q --release --test decider_consistency -- --ignored
 
 echo "== decide sweep golden, all 200 seeds (release) =="

@@ -411,3 +411,58 @@ fn exhaustive_linear_sweep() {
     eprintln!("exhaustive sweep: {decided}/1500 decided by both, all agree");
     assert!(decided >= 400);
 }
+
+/// Heavy sweep (run explicitly with `--ignored`): every NOT verdict of
+/// the guarded portfolio on a random guarded, non-linear, non-sticky
+/// set must survive an exhaustive search over chase orders from its
+/// witness database. The portfolio answers NOT on a repeating
+/// guard-path pattern, not on the paper's join-tree certificate
+/// (DESIGN.md §4.2), so this checks the verdicts that rest on that
+/// pattern alone: the search must not prove that every order
+/// terminates.
+#[test]
+#[ignore = "heavy; run with: cargo test --release --test decider_consistency -- --ignored"]
+fn guarded_non_termination_survives_the_order_search() {
+    let params = RandomTgdParams {
+        predicates: 3,
+        max_arity: 3,
+        rules: 3,
+        max_body: 2,
+        existential_pct: 40,
+    };
+    let config = DeciderConfig {
+        chase_budget: 4_000,
+        max_seeds: 16,
+        ..DeciderConfig::default()
+    };
+    let (mut drawn, mut non_terminating, mut deep) = (0usize, 0usize, 0usize);
+    for seed in 0..12_000u64 {
+        let (vocab, set) = parse_set(&random_tgds(&params, seed));
+        if !all_guarded(&set) || all_linear(&set) || is_sticky(&set) {
+            continue;
+        }
+        drawn += 1;
+        let verdict = decide_guarded(&set, &vocab, &config);
+        let TerminationVerdict::NonTerminating(witness) = verdict else {
+            continue;
+        };
+        non_terminating += 1;
+        let search = all_orders_terminate(&set, &witness.database, OrderSearchLimits::default());
+        assert_ne!(
+            search,
+            Some(true),
+            "seed {seed}: NOT verdict, but every chase order from the witness database terminates\n{}",
+            set.display(&vocab)
+        );
+        deep += usize::from(search == Some(false));
+    }
+    eprintln!(
+        "guarded NOT sweep: {non_terminating} NOT verdicts over {drawn} sets, none refuted; \
+         {deep} with an order past the depth limit"
+    );
+    assert!(
+        drawn >= 1_000,
+        "only {drawn} guarded, non-linear, non-sticky sets"
+    );
+    assert!(non_terminating >= 20, "only {non_terminating} NOT verdicts");
+}
