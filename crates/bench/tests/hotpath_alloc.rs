@@ -1,8 +1,9 @@
 //! Proof of the hot path's zero-allocation claim: once the scratch
-//! arenas are warmed, trigger enumeration, fingerprint interning,
-//! the discovery-time ground-head probe and activeness checking
-//! perform **no heap allocation**, and neither does a warmed JSON
-//! Lines sink encoding an event.
+//! arenas are warmed, trigger enumeration, the per-TGD trigger
+//! identity (the discovery-time ground-head probe and the `seen` key),
+//! rebuilding a binding and activeness checking perform **no heap
+//! allocation**, and neither does a warmed JSON Lines sink encoding an
+//! event.
 //!
 //! The test installs a counting global allocator and must therefore be
 //! the only test in this binary (other tests' allocations on sibling
@@ -13,13 +14,12 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use chase_bench::closure_workload;
-use chase_core::atom::Atom;
-use chase_core::hom::{exists_homomorphism_with, HomScratch};
+use chase_core::hom::{exists_homomorphism_with, HomScratch, SlotBinding};
 use chase_core::ids::fx_set;
-use chase_engine::restricted::{ChaseVariant, Strategy};
-use chase_engine::trigger::{
-    for_each_trigger_using_with, for_each_trigger_with, ground_head_into, TriggerFp,
-};
+use chase_core::subst::Binding;
+use chase_core::tgd::TgdId;
+use chase_engine::restricted::{ChaseVariant, Strategy, TriggerIdentity};
+use chase_engine::trigger::{for_each_trigger_using_with, for_each_trigger_with, TriggerFp};
 use chase_telemetry::{ChaseObserver, EngineKind, Event, JsonlWriter};
 
 /// Delegates to the system allocator, counting allocation events while
@@ -68,74 +68,82 @@ fn warmed_trigger_hot_path_allocates_nothing() {
 
     let mut enum_scratch = HomScratch::new();
     let mut probe_scratch = HomScratch::new();
-    let mut head = Atom::new(chase_core::ids::PredId(0), Vec::new());
+    let mut head = Vec::new();
+    let mut binding = Binding::new();
     let mut seen = fx_set();
-    let fifo = ChaseVariant::Restricted(Strategy::Fifo);
+    // The identities a run fixes per TGD: the restricted FIFO chase's
+    // (the ground head, for these full rules) and the semi-oblivious
+    // chase's (the frontier image).
+    let identities: Vec<[TriggerIdentity<'_>; 2]> = set
+        .tgds()
+        .iter()
+        .map(|tgd| {
+            [
+                TriggerIdentity::of(ChaseVariant::Restricted(Strategy::Fifo), tgd),
+                TriggerIdentity::of(ChaseVariant::SemiOblivious, tgd),
+            ]
+        })
+        .collect();
 
     // Warm-up pass: drive every buffer to its capacity high-water mark
     // and populate the seen-set (insertion allocates; the measured
-    // pass only probes membership).
-    let mut pass = |count: bool,
-                    hits: &mut usize,
-                    seen: &mut chase_core::ids::FxHashSet<TriggerFp>| {
-        // What the restricted chase does per discovered trigger: key
-        // it by the images of `ChaseVariant::fp_vars` (the frontier
-        // under FIFO), and for a single-head full TGD build the ground
-        // head, probe the instance for it, and key the trigger by it.
-        let mut discover = |fp: TriggerFp, head: &Atom, hits: &mut usize| {
-            let _ = instance.contains(head);
-            let head_fp = TriggerFp::of_ground_head(head);
-            assert!(
-                fp.is_inline() && head_fp.is_inline(),
-                "closure keys stay inline"
-            );
-            for fp in [fp, head_fp] {
-                if count {
-                    if seen.contains(&fp) {
-                        *hits += 1;
-                    }
-                } else {
-                    seen.insert(fp);
+    // pass admits nothing new, so it only probes).
+    let mut pass = |seen: &mut chase_core::ids::FxHashSet<TriggerFp>| -> (usize, usize) {
+        let (mut candidates, mut admitted) = (0usize, 0usize);
+        // What the chase does per discovered trigger: admit it through
+        // its TGD's identity, which for a single-head full TGD under
+        // FIFO builds the ground head from the match's slots and probes
+        // the seen-set and the instance for it.
+        let mut discover = |id: TgdId, m: &SlotBinding<'_>| {
+            for identity in identities[id.index()] {
+                candidates += 1;
+                if identity.admit(id, m, &instance, seen, &mut head) {
+                    admitted += 1;
                 }
             }
         };
-        let _ = for_each_trigger_with(&mut enum_scratch, &set, &instance, &mut |id, b| {
+        let _ = for_each_trigger_with(&mut enum_scratch, &set, &instance, |id, m| {
+            discover(id, m);
+            // Activeness probe seeded with the full body binding,
+            // rebuilt as the chase rebuilds a popped trigger's.
+            binding.clear();
+            for (v, t) in m.pairs() {
+                binding.push(v, t);
+            }
             let tgd = set.tgd(id);
-            ground_head_into(tgd, b, &mut head);
-            discover(TriggerFp::of(id, b, fifo.fp_vars(tgd)), &head, hits);
-            // Activeness probe seeded with the full body binding.
-            let active = !exists_homomorphism_with(&mut probe_scratch, tgd.head(), &instance, b);
+            let active =
+                !exists_homomorphism_with(&mut probe_scratch, tgd.head(), &instance, &binding);
             let _ = active;
             ControlFlow::Continue(())
         });
-        let _ = for_each_trigger_using_with(
-            &mut enum_scratch,
-            &set,
-            &instance,
-            delta_slot,
-            &mut |id, b| {
-                let tgd = set.tgd(id);
-                ground_head_into(tgd, b, &mut head);
-                discover(TriggerFp::of(id, b, fifo.fp_vars(tgd)), &head, hits);
+        let _ =
+            for_each_trigger_using_with(&mut enum_scratch, &set, &instance, delta_slot, |id, m| {
+                discover(id, m);
                 ControlFlow::Continue(())
-            },
-        );
+            });
+        (candidates, admitted)
     };
 
-    let mut warm_hits = 0usize;
-    pass(false, &mut warm_hits, &mut seen);
-    let total = seen.len();
-    assert!(total > 0, "workload must produce triggers");
+    let (_, warm_admitted) = pass(&mut seen);
+    assert!(warm_admitted > 0, "workload must produce triggers");
+    assert!(
+        seen.iter().all(TriggerFp::is_inline),
+        "closure keys stay inline"
+    );
 
-    // Measured pass: identical enumeration + fingerprints + ground
-    // heads + activeness + membership probes, zero allocations.
-    let mut hits = 0usize;
+    // Measured pass: identical enumeration + identities (ground heads,
+    // seen-set and membership probes, keys) + activeness, zero
+    // allocations.
     ALLOCATIONS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
-    pass(true, &mut hits, &mut seen);
+    let (candidates, admitted) = pass(&mut seen);
     COUNTING.store(false, Ordering::SeqCst);
 
-    assert!(hits >= total, "measured pass re-discovered every trigger");
+    assert!(candidates > warm_admitted, "measured pass re-ran discovery");
+    assert_eq!(
+        admitted, 0,
+        "measured pass re-discovered only seen triggers"
+    );
     assert_eq!(
         ALLOCATIONS.load(Ordering::SeqCst),
         0,

@@ -9,20 +9,31 @@
 //!
 //! ## Hot-path architecture
 //!
-//! The matcher is *iterative*, not recursive: the choice-point stack
+//! The matcher runs over a compiled [`Pattern`]: each variable is a
+//! dense *slot* (its first-occurrence index) and each argument a slot
+//! or a ground term. A search keeps one value per slot plus a trail of
+//! the slots it bound, in binding order, so binding, lookup and undo are
+//! array operations instead of scans of a `(VarId, Term)` list. A
+//! [`Tgd`] compiles its body once ([`Tgd::body_pattern`]); ad-hoc
+//! patterns (queries, satisfaction checks) are compiled into the
+//! scratch per call and go through the same search.
+//!
+//! The search is *iterative*, not recursive: the choice-point stack
 //! lives in a reusable [`HomScratch`] arena (frames, candidate-slot
-//! buffer, remaining-pattern worklist), so steady-state matching
-//! performs **zero heap allocations** — every buffer reaches a
-//! high-water capacity and is reused across calls. Engines own a
+//! buffer, remaining-pattern worklist, slot values and trail), so
+//! steady-state matching performs **zero heap allocations**. The last
+//! remaining atom gets no frame: it is matched in a tight loop over its
+//! index slice, borrowed from the instance. Callbacks are generic, so
+//! an engine's per-match work inlines into that loop. Engines own a
 //! scratch and pass it to the `*_with` entry points; the plain entry
-//! points borrow one from a thread-local pool so the public API is
-//! unchanged.
+//! points borrow one from a thread-local pool.
 //!
 //! The original recursive matcher is preserved verbatim in
 //! [`reference`](mod@reference) as the executable specification: the iterative
 //! matcher enumerates homomorphisms in *exactly* the same order (same
-//! dynamic selection, same tie-breaks, same candidate ordering), which
-//! the equivalence test suite checks end-to-end through the engines.
+//! dynamic selection, same first-max tie-break over the same
+//! `swap_remove`/push-back worklist, same candidate ordering), and
+//! hands out bindings whose entries are in the same order.
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -34,102 +45,136 @@ use crate::subst::Binding;
 use crate::term::Term;
 use crate::tgd::{Tgd, TgdSet};
 
-/// Attempts to unify `pattern` (which may contain variables) with the
-/// ground atom `target` under `binding`, extending the binding.
-/// Returns `Some(mark)` (the trail mark to truncate to on undo) on
-/// success, `None` on failure (in which case the binding is restored).
-fn unify_atom(pattern: &Atom, target: AtomRef<'_>, binding: &mut Binding) -> Option<usize> {
-    debug_assert_eq!(pattern.pred, target.pred);
-    debug_assert_eq!(pattern.arity(), target.arity());
-    let mark = binding.mark();
-    for (p, &t) in pattern.args.iter().zip(target.args.iter()) {
-        match *p {
-            Term::Var(v) => match binding.get(v) {
-                Some(bound) => {
-                    if bound != t {
-                        binding.truncate(mark);
-                        return None;
-                    }
-                }
-                None => binding.push(v, t),
-            },
-            ground => {
-                if ground != t {
-                    binding.truncate(mark);
-                    return None;
-                }
-            }
-        }
-    }
-    Some(mark)
+/// One argument of a compiled [`Pattern`] atom.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg {
+    /// The pattern variable with this slot.
+    Slot(u32),
+    /// A ground term the matched atom must hold here.
+    Ground(Term),
 }
 
-/// How "bound" a pattern atom is under the current binding: the number
-/// of argument positions already forced to a ground term. Used to pick
-/// the next atom to match (most selective first).
-fn boundness(pattern: &Atom, binding: &Binding) -> usize {
-    pattern
-        .args
-        .iter()
-        .filter(|t| match **t {
-            Term::Var(v) => binding.get(v).is_some(),
-            _ => true,
-        })
-        .count()
+/// A conjunction of atoms compiled for the matcher. Each variable gets
+/// a dense slot, its index in first-occurrence order ([`Pattern::vars`]);
+/// each argument becomes a slot or a ground term.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Pattern {
+    vars: Vec<VarId>,
+    /// Per atom: its predicate and the range of its arguments in `args`.
+    atoms: Vec<(PredId, u32, u32)>,
+    args: Vec<Arg>,
 }
 
-/// Appends the slots of candidate atoms for `pattern` under `binding`
-/// to `out`. Uses the tightest index available — a registered
-/// composite two-position index over the pattern's first two ground
-/// positions when it beats the best single-position list — falling
-/// back to single-position indexes and then the per-predicate list.
-///
-/// The composite probe preserves the enumeration order of
-/// [`reference::candidate_slots`]: every index lists slots ascending,
-/// and the pair list is exactly the order-preserving subset of the
-/// single lists whose atoms satisfy *both* position constraints.
-/// Candidates it filters out would have failed `unify_atom` anyway, so
-/// swapping it in changes the number of probes, never the sequence of
-/// matches — the bit-identity the seed oracle suite checks.
-fn push_candidates(pattern: &Atom, binding: &Binding, instance: &Instance, out: &mut Vec<u32>) {
-    let mut best: Option<&[u32]> = None;
-    let mut first_ground: Option<(usize, Term)> = None;
-    let mut pair: Option<&[u32]> = None;
-    for (i, term) in pattern.args.iter().enumerate() {
-        let ground = match *term {
-            Term::Var(v) => match binding.get(v) {
-                Some(t) => t,
-                None => continue,
-            },
-            t => t,
-        };
-        let slots = instance.slots_with_pred_pos(pattern.pred, i, ground);
-        if slots.is_empty() {
-            return;
-        }
-        if best.is_none_or(|b| slots.len() < b.len()) {
-            best = Some(slots);
-        }
-        match first_ground {
-            None => first_ground = Some((i, ground)),
-            Some((fi, ft)) if pair.is_none() => {
-                pair = instance.slots_with_pred_pair(pattern.pred, fi, ft, i, ground);
+impl Pattern {
+    /// Compiles `atoms`.
+    pub fn compile(atoms: &[Atom]) -> Pattern {
+        let mut pattern = Pattern::default();
+        pattern.compile_into(atoms);
+        pattern
+    }
+
+    /// Recompiles `atoms` into this pattern, reusing its buffers.
+    fn compile_into(&mut self, atoms: &[Atom]) {
+        self.vars.clear();
+        self.atoms.clear();
+        self.args.clear();
+        for atom in atoms {
+            for &t in &atom.args {
+                self.args.push(match t {
+                    Term::Var(v) => Arg::Slot(match self.slot_of(v) {
+                        Some(slot) => slot,
+                        None => {
+                            self.vars.push(v);
+                            self.vars.len() as u32 - 1
+                        }
+                    }),
+                    ground => Arg::Ground(ground),
+                });
             }
-            Some(_) => {}
+            let start = self.args.len() - atom.args.len();
+            self.atoms
+                .push((atom.pred, start as u32, self.args.len() as u32));
         }
     }
-    if let Some(p) = pair {
-        if best.is_none_or(|b| p.len() < b.len()) {
-            out.extend_from_slice(p);
-            return;
+
+    /// The variable of each slot: the pattern's variables in
+    /// first-occurrence order.
+    #[inline]
+    pub fn vars(&self) -> &[VarId] {
+        &self.vars
+    }
+
+    /// The slot of variable `v`, if the pattern mentions it.
+    pub fn slot_of(&self, v: VarId) -> Option<u32> {
+        self.vars.iter().position(|&w| w == v).map(|s| s as u32)
+    }
+
+    /// Number of atoms.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.atoms.len()
+    }
+
+    /// Whether the pattern has no atom.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.atoms.is_empty()
+    }
+
+    /// The predicate and compiled arguments of atom `i`.
+    #[inline]
+    pub fn atom(&self, i: usize) -> (PredId, &[Arg]) {
+        let (pred, start, end) = self.atoms[i];
+        (pred, &self.args[start as usize..end as usize])
+    }
+
+    /// Whether every predicate of the pattern has an atom in `instance`
+    /// (a cheap precheck: otherwise nothing matches).
+    fn populated_in(&self, instance: &Instance) -> bool {
+        self.atoms
+            .iter()
+            .all(|&(pred, ..)| !instance.slots_with_pred(pred).is_empty())
+    }
+}
+
+/// A homomorphism found by the search, read through the pattern's
+/// slots. Lives only for the callback that receives it.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotBinding<'a> {
+    vars: &'a [VarId],
+    values: &'a [Option<Term>],
+    trail: &'a [u32],
+}
+
+impl SlotBinding<'_> {
+    /// The image of slot `slot` (the variable itself while unbound).
+    #[inline]
+    pub fn get(&self, slot: u32) -> Term {
+        match self.values[slot as usize] {
+            Some(t) => t,
+            None => Term::Var(self.vars[slot as usize]),
         }
     }
-    out.extend_from_slice(best.unwrap_or_else(|| instance.slots_with_pred(pattern.pred)));
+
+    /// The `(variable, image)` pairs this search bound, in binding
+    /// order: the entries a [`Binding`] built by the reference matcher
+    /// would have gained, in the same order.
+    #[inline]
+    pub fn pairs(&self) -> impl Iterator<Item = (VarId, Term)> + '_ {
+        self.trail
+            .iter()
+            .map(|&s| (self.vars[s as usize], self.get(s)))
+    }
+
+    /// The bound pairs as an owned [`Binding`].
+    pub fn to_binding(&self) -> Binding {
+        Binding::from_pairs(self.pairs())
+    }
 }
 
 /// One choice point of the iterative matcher: which pattern atom was
 /// selected at this depth, where its candidate slots live in the
-/// shared slot buffer, the enumeration cursor, and the binding mark of
+/// shared slot buffer, the enumeration cursor, and the trail mark of
 /// the unification currently being explored below this frame.
 #[derive(Debug, Clone, Copy, Default)]
 struct Frame {
@@ -140,18 +185,332 @@ struct Frame {
     mark: u32,
 }
 
-/// Reusable scratch arena for the iterative homomorphism search.
-///
-/// Holds the choice-point stack, the concatenated candidate-slot
-/// buffer, the remaining-pattern worklist, and a spare [`Binding`]
-/// used by the borrowing entry points ([`exists_homomorphism`],
-/// trigger enumeration). All buffers retain their capacity between
-/// runs, so a warmed scratch performs no heap allocation.
-#[derive(Debug)]
-pub struct HomScratch {
+/// The search state: choice points, candidate buffer, worklist, and
+/// the slot values with their trail.
+#[derive(Debug, Default)]
+struct Search {
     frames: Vec<Frame>,
     slots: Vec<u32>,
     remaining: Vec<u32>,
+    values: Vec<Option<Term>>,
+    trail: Vec<u32>,
+    /// The last atom's plan: `(position, term)` for each position that
+    /// is ground before it is matched.
+    checks: Vec<(u32, Term)>,
+    /// `(position, slot)` for each slot the last atom binds, at its
+    /// first occurrence, in argument order.
+    binds: Vec<(u32, u32)>,
+    /// `(position, earlier position)` for each repeat of a slot the
+    /// last atom binds.
+    repeats: Vec<(u32, u32)>,
+}
+
+impl Search {
+    /// Clears the state for a pattern of `n_vars` slots, all unbound.
+    #[inline]
+    fn reset(&mut self, n_vars: usize) {
+        self.values.clear();
+        self.values.resize(n_vars, None);
+        self.trail.clear();
+        self.remaining.clear();
+    }
+
+    #[inline]
+    fn view<'a>(&'a self, pattern: &'a Pattern) -> SlotBinding<'a> {
+        SlotBinding {
+            vars: &pattern.vars,
+            values: &self.values,
+            trail: &self.trail,
+        }
+    }
+
+    /// Unbinds every slot bound after trail position `mark`.
+    #[inline]
+    fn undo(&mut self, mark: usize) {
+        for &s in &self.trail[mark..] {
+            self.values[s as usize] = None;
+        }
+        self.trail.truncate(mark);
+    }
+
+    /// Unifies compiled `args` with the ground `target`, binding and
+    /// trailing the slots it fixes in argument order. On failure the
+    /// slots bound here are undone.
+    #[inline]
+    fn unify(&mut self, args: &[Arg], target: &[Term]) -> bool {
+        debug_assert_eq!(args.len(), target.len());
+        let mark = self.trail.len();
+        for (a, &t) in args.iter().zip(target) {
+            let ok = match *a {
+                Arg::Slot(s) => match self.values[s as usize] {
+                    Some(bound) => bound == t,
+                    None => {
+                        self.values[s as usize] = Some(t);
+                        self.trail.push(s);
+                        true
+                    }
+                },
+                Arg::Ground(g) => g == t,
+            };
+            if !ok {
+                self.undo(mark);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// How "bound" compiled `args` are: the number of positions already
+    /// forced to a ground term. Used to pick the next atom to match
+    /// (most selective first).
+    #[inline]
+    fn boundness(&self, args: &[Arg]) -> usize {
+        args.iter()
+            .filter(|a| match **a {
+                Arg::Slot(s) => self.values[s as usize].is_some(),
+                Arg::Ground(_) => true,
+            })
+            .count()
+    }
+
+    /// The slots of candidate atoms for `pred(args)` under the current
+    /// values. Uses the tightest index available — a registered
+    /// composite two-position index over the atom's first two ground
+    /// positions when it beats the best single-position list — falling
+    /// back to single-position indexes and then the per-predicate list.
+    ///
+    /// The composite probe preserves the enumeration order of
+    /// [`reference::candidate_slots`]: every index lists slots ascending,
+    /// and the pair list is exactly the order-preserving subset of the
+    /// single lists whose atoms satisfy *both* position constraints.
+    /// Candidates it filters out would have failed unification anyway,
+    /// so swapping it in changes the number of probes, never the
+    /// sequence of matches.
+    #[inline]
+    fn candidates<'i>(&self, pred: PredId, args: &[Arg], instance: &'i Instance) -> &'i [u32] {
+        let mut best: Option<&[u32]> = None;
+        let mut first_ground: Option<(usize, Term)> = None;
+        let mut pair: Option<&[u32]> = None;
+        for (i, a) in args.iter().enumerate() {
+            let ground = match *a {
+                Arg::Slot(s) => match self.values[s as usize] {
+                    Some(t) => t,
+                    None => continue,
+                },
+                Arg::Ground(t) => t,
+            };
+            let slots = instance.slots_with_pred_pos(pred, i, ground);
+            if slots.is_empty() {
+                return slots;
+            }
+            if best.is_none_or(|b| slots.len() < b.len()) {
+                best = Some(slots);
+            }
+            match first_ground {
+                None => first_ground = Some((i, ground)),
+                Some((fi, ft)) if pair.is_none() => {
+                    pair = instance.slots_with_pred_pair(pred, fi, ft, i, ground);
+                }
+                Some(_) => {}
+            }
+        }
+        if let Some(p) = pair {
+            if best.is_none_or(|b| p.len() < b.len()) {
+                return p;
+            }
+        }
+        best.unwrap_or_else(|| instance.slots_with_pred(pred))
+    }
+
+    /// Selects the most-bound remaining pattern (first-max tie-break,
+    /// identical to the reference matcher), removes it from the
+    /// worklist and pushes a frame with its candidate slots.
+    fn push_node(&mut self, pattern: &Pattern, instance: &Instance) {
+        let mut best_idx = 0;
+        let mut best_score = 0;
+        for (i, &p) in self.remaining.iter().enumerate() {
+            let score = self.boundness(pattern.atom(p as usize).1);
+            if i == 0 || score > best_score {
+                best_idx = i;
+                best_score = score;
+            }
+        }
+        let p = self.remaining.swap_remove(best_idx);
+        let (pred, args) = pattern.atom(p as usize);
+        let start = self.slots.len();
+        let candidates = self.candidates(pred, args, instance);
+        self.slots.extend_from_slice(candidates);
+        self.frames.push(Frame {
+            pattern: p,
+            slots_start: start as u32,
+            slots_len: (self.slots.len() - start) as u32,
+            cursor: 0,
+            mark: 0,
+        });
+    }
+
+    /// Matches the one remaining atom, frameless: a tight loop over its
+    /// candidate list, borrowed from the instance. What unification
+    /// would do is planned once per call — the positions that must hold
+    /// a known term, the slots bound (trailed once, in argument order,
+    /// and overwritten per candidate) and the repeats among them — so a
+    /// candidate costs a few compares. The worklist is left as it was,
+    /// as the reference's `swap_remove` and push-back of a one-atom
+    /// worklist leave it.
+    #[inline]
+    fn last_atom<F>(&mut self, pattern: &Pattern, instance: &Instance, f: &mut F) -> ControlFlow<()>
+    where
+        F: FnMut(&SlotBinding<'_>) -> ControlFlow<()>,
+    {
+        let (pred, args) = pattern.atom(self.remaining[0] as usize);
+        let candidates = self.candidates(pred, args, instance);
+        if candidates.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        self.checks.clear();
+        self.binds.clear();
+        self.repeats.clear();
+        for (pos, a) in args.iter().enumerate() {
+            let pos = pos as u32;
+            match *a {
+                Arg::Ground(t) => self.checks.push((pos, t)),
+                Arg::Slot(s) => match self.values[s as usize] {
+                    Some(t) => self.checks.push((pos, t)),
+                    None => match self.binds.iter().find(|&&(_, b)| b == s) {
+                        Some(&(first, _)) => self.repeats.push((pos, first)),
+                        None => self.binds.push((pos, s)),
+                    },
+                },
+            }
+        }
+        let mark = self.trail.len();
+        self.trail.extend(self.binds.iter().map(|&(_, s)| s));
+        let Search {
+            values,
+            trail,
+            checks,
+            binds,
+            repeats,
+            ..
+        } = self;
+        let mut flow = ControlFlow::Continue(());
+        'candidates: for &slot in candidates {
+            let target = instance.args(slot as usize);
+            for &(pos, t) in checks.iter() {
+                if target[pos as usize] != t {
+                    continue 'candidates;
+                }
+            }
+            for &(pos, first) in repeats.iter() {
+                if target[pos as usize] != target[first as usize] {
+                    continue 'candidates;
+                }
+            }
+            for &(pos, s) in binds.iter() {
+                values[s as usize] = Some(target[pos as usize]);
+            }
+            flow = f(&SlotBinding {
+                vars: &pattern.vars,
+                values,
+                trail,
+            });
+            if flow.is_break() {
+                break;
+            }
+        }
+        self.undo(mark);
+        flow
+    }
+}
+
+/// The iterative backtracking search over the atoms of `pattern` listed
+/// in `search.remaining`, from the slot values already in `search`.
+/// Replicates the enumeration order of
+/// [`reference::for_each_homomorphism`] exactly; see the module docs.
+/// Leaves the values and trail as it found them.
+fn search_iterative<F>(
+    search: &mut Search,
+    pattern: &Pattern,
+    instance: &Instance,
+    f: &mut F,
+) -> ControlFlow<()>
+where
+    F: FnMut(&SlotBinding<'_>) -> ControlFlow<()>,
+{
+    match search.remaining.len() {
+        0 => return f(&search.view(pattern)),
+        1 => return search.last_atom(pattern, instance, f),
+        _ => {}
+    }
+    let base = search.trail.len();
+    search.frames.clear();
+    search.slots.clear();
+    search.push_node(pattern, instance);
+    loop {
+        // Advance the top frame to its next matching slot.
+        let fi = search.frames.len() - 1;
+        let mut descended = false;
+        loop {
+            let Frame {
+                pattern: p,
+                slots_start,
+                slots_len,
+                cursor,
+                ..
+            } = search.frames[fi];
+            if cursor >= slots_len {
+                break;
+            }
+            search.frames[fi].cursor += 1;
+            let slot = search.slots[(slots_start + cursor) as usize];
+            let mark = search.trail.len();
+            let args = pattern.atom(p as usize).1;
+            if !search.unify(args, instance.args(slot as usize)) {
+                continue;
+            }
+            if search.remaining.len() > 1 {
+                search.frames[fi].mark = mark as u32;
+                search.push_node(pattern, instance);
+                descended = true;
+                break;
+            }
+            let flow = search.last_atom(pattern, instance, f);
+            search.undo(mark);
+            if flow.is_break() {
+                search.undo(base);
+                return ControlFlow::Break(());
+            }
+        }
+        if descended {
+            continue;
+        }
+        // Top frame exhausted: undo its selection and resume the parent.
+        let done = search.frames.pop().expect("frame stack non-empty");
+        search.remaining.push(done.pattern);
+        search.slots.truncate(done.slots_start as usize);
+        match search.frames.last() {
+            None => {
+                debug_assert_eq!(search.trail.len(), base);
+                return ControlFlow::Continue(());
+            }
+            Some(parent) => {
+                let mark = parent.mark as usize;
+                search.undo(mark);
+            }
+        }
+    }
+}
+
+/// Reusable scratch arena for the iterative homomorphism search.
+///
+/// Holds the search state, a pattern buffer that ad-hoc atom lists are
+/// compiled into, and a spare [`Binding`] used by [`satisfies`]. All
+/// buffers retain their capacity between runs, so a warmed scratch
+/// performs no heap allocation.
+#[derive(Debug)]
+pub struct HomScratch {
+    search: Search,
+    pattern: Pattern,
     binding: Binding,
     /// Reusable ground atom for the membership fast path of
     /// [`exists_homomorphism_with`]; its argument buffer keeps its
@@ -162,9 +521,8 @@ pub struct HomScratch {
 impl Default for HomScratch {
     fn default() -> Self {
         HomScratch {
-            frames: Vec::new(),
-            slots: Vec::new(),
-            remaining: Vec::new(),
+            search: Search::default(),
+            pattern: Pattern::default(),
             binding: Binding::new(),
             probe: Atom::new(PredId(0), Vec::new()),
         }
@@ -177,49 +535,16 @@ impl HomScratch {
         Self::default()
     }
 
-    /// Takes the spare binding out of the scratch (leaving an empty
-    /// one), so callers can seed and use it while the scratch itself
-    /// drives a search. Pair with [`HomScratch::put_binding`].
-    #[inline]
-    pub fn take_binding(&mut self) -> Binding {
-        std::mem::take(&mut self.binding)
-    }
-
-    /// Returns a binding taken via [`HomScratch::take_binding`],
-    /// preserving its capacity for the next reuse.
-    #[inline]
-    pub fn put_binding(&mut self, binding: Binding) {
-        self.binding = binding;
-    }
-
-    /// Selects the most-bound remaining pattern (first-max tie-break,
-    /// identical to the reference matcher), removes it from the
-    /// worklist and pushes a frame with its candidate slots.
-    fn push_node(&mut self, patterns: &[Atom], instance: &Instance, binding: &Binding) {
-        let mut best_idx = 0;
-        let mut best_score = 0;
-        for (i, &p) in self.remaining.iter().enumerate() {
-            let score = boundness(&patterns[p as usize], binding);
-            if i == 0 || score > best_score {
-                best_idx = i;
-                best_score = score;
-            }
-        }
-        let pattern = self.remaining.swap_remove(best_idx);
-        let start = self.slots.len();
-        push_candidates(
-            &patterns[pattern as usize],
-            binding,
-            instance,
-            &mut self.slots,
-        );
-        self.frames.push(Frame {
-            pattern,
-            slots_start: start as u32,
-            slots_len: (self.slots.len() - start) as u32,
-            cursor: 0,
-            mark: 0,
-        });
+    /// Compiles the ad-hoc `patterns` into the scratch's pattern buffer
+    /// and seeds each slot from `binding`; every atom is left to match.
+    fn load(&mut self, patterns: &[Atom], binding: &Binding) {
+        self.pattern.compile_into(patterns);
+        let search = &mut self.search;
+        search.reset(0);
+        search
+            .values
+            .extend(self.pattern.vars.iter().map(|&v| binding.get(v)));
+        search.remaining.extend(0..patterns.len() as u32);
     }
 }
 
@@ -242,94 +567,92 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut HomScratch) -> R) -> R {
     out
 }
 
-/// The iterative backtracking search. Replicates the enumeration
-/// order of [`reference::for_each_homomorphism`] exactly; see the
-/// module docs.
-fn search_iterative(
+/// Enumerates every homomorphism from the compiled `pattern` into
+/// `instance`, from all slots unbound, handing each to `f` as a
+/// [`SlotBinding`]. Allocation-free once the scratch is warmed. Stops
+/// early if `f` breaks. Returns the final flow.
+pub fn for_each_match_with<F>(
     scratch: &mut HomScratch,
-    patterns: &[Atom],
+    pattern: &Pattern,
     instance: &Instance,
-    binding: &mut Binding,
-    f: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    if patterns.is_empty() {
-        return f(binding);
+    mut f: F,
+) -> ControlFlow<()>
+where
+    F: FnMut(&SlotBinding<'_>) -> ControlFlow<()>,
+{
+    if !pattern.populated_in(instance) {
+        return ControlFlow::Continue(());
     }
-    let base = binding.mark();
-    scratch.frames.clear();
-    scratch.slots.clear();
-    scratch.remaining.clear();
-    scratch.remaining.extend(0..patterns.len() as u32);
-    scratch.push_node(patterns, instance, binding);
-    loop {
-        // Advance the top frame to its next matching slot.
-        let fi = scratch.frames.len() - 1;
-        let mut descended = false;
-        loop {
-            let Frame {
-                pattern,
-                slots_start,
-                slots_len,
-                cursor,
-                ..
-            } = scratch.frames[fi];
-            if cursor >= slots_len {
-                break;
-            }
-            scratch.frames[fi].cursor += 1;
-            let slot = scratch.slots[(slots_start + cursor) as usize];
-            let pat = &patterns[pattern as usize];
-            if let Some(mark) = unify_atom(pat, instance.atom(slot as usize), binding) {
-                if scratch.remaining.is_empty() {
-                    let flow = f(binding);
-                    binding.truncate(mark);
-                    if flow.is_break() {
-                        binding.truncate(base);
-                        return ControlFlow::Break(());
-                    }
-                } else {
-                    scratch.frames[fi].mark = mark as u32;
-                    scratch.push_node(patterns, instance, binding);
-                    descended = true;
-                    break;
-                }
-            }
-        }
-        if descended {
-            continue;
-        }
-        // Top frame exhausted: undo its selection and resume the parent.
-        let done = scratch.frames.pop().expect("frame stack non-empty");
-        scratch.remaining.push(done.pattern);
-        scratch.slots.truncate(done.slots_start as usize);
-        match scratch.frames.last() {
-            None => {
-                debug_assert_eq!(binding.mark(), base);
-                return ControlFlow::Continue(());
-            }
-            Some(parent) => binding.truncate(parent.mark as usize),
-        }
+    let search = &mut scratch.search;
+    search.reset(pattern.vars.len());
+    search.remaining.extend(0..pattern.len() as u32);
+    search_iterative(search, pattern, instance, &mut f)
+}
+
+/// The semi-naive delta of [`for_each_match_with`]: enumerates the
+/// homomorphisms that map atom `i` of `pattern` onto `target` and the
+/// other atoms into `instance`. The slots `target` fixes come first in
+/// each [`SlotBinding::pairs`], in argument order, as if the reference
+/// matcher had been seeded by unifying them.
+pub fn for_each_match_using_with<F>(
+    scratch: &mut HomScratch,
+    pattern: &Pattern,
+    i: usize,
+    target: AtomRef<'_>,
+    instance: &Instance,
+    mut f: F,
+) -> ControlFlow<()>
+where
+    F: FnMut(&SlotBinding<'_>) -> ControlFlow<()>,
+{
+    let (pred, args) = pattern.atom(i);
+    debug_assert_eq!(pred, target.pred);
+    let search = &mut scratch.search;
+    search.reset(pattern.vars.len());
+    if !search.unify(args, target.args) || !pattern.populated_in(instance) {
+        return ControlFlow::Continue(());
     }
+    search
+        .remaining
+        .extend((0..pattern.len() as u32).filter(|&j| j as usize != i));
+    search_iterative(search, pattern, instance, &mut f)
 }
 
 /// Enumerates all homomorphisms from the conjunction `patterns` into
 /// `instance` that extend `binding`, invoking `f` for each, using the
-/// caller's scratch arena (allocation-free once warmed). Stops early
-/// if `f` breaks. Returns the final flow.
-pub fn for_each_homomorphism_with(
+/// caller's scratch arena (allocation-free once warmed). `f` sees
+/// `binding` extended by the variables the match bound, in binding
+/// order. Stops early if `f` breaks. Returns the final flow, with
+/// `binding` as it was.
+pub fn for_each_homomorphism_with<F>(
     scratch: &mut HomScratch,
     patterns: &[Atom],
     instance: &Instance,
     binding: &mut Binding,
-    f: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
-) -> ControlFlow<()> {
+    mut f: F,
+) -> ControlFlow<()>
+where
+    F: FnMut(&Binding) -> ControlFlow<()>,
+{
     // Fast precheck: every pattern predicate must be populated.
     for p in patterns {
         if instance.slots_with_pred(p.pred).is_empty() {
             return ControlFlow::Continue(());
         }
     }
-    search_iterative(scratch, patterns, instance, binding, f)
+    scratch.load(patterns, binding);
+    let base = binding.mark();
+    let HomScratch {
+        search, pattern, ..
+    } = scratch;
+    search_iterative(search, pattern, instance, &mut |m| {
+        for (v, t) in m.pairs() {
+            binding.push(v, t);
+        }
+        let flow = f(binding);
+        binding.truncate(base);
+        flow
+    })
 }
 
 /// Enumerates all homomorphisms from the conjunction `patterns` into
@@ -338,12 +661,15 @@ pub fn for_each_homomorphism_with(
 ///
 /// Borrows a scratch arena from the thread-local pool; engines hold
 /// their own arena and call [`for_each_homomorphism_with`] instead.
-pub fn for_each_homomorphism(
+pub fn for_each_homomorphism<F>(
     patterns: &[Atom],
     instance: &Instance,
     binding: &mut Binding,
-    f: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
-) -> ControlFlow<()> {
+    f: F,
+) -> ControlFlow<()>
+where
+    F: FnMut(&Binding) -> ControlFlow<()>,
+{
     with_scratch(|scratch| for_each_homomorphism_with(scratch, patterns, instance, binding, f))
 }
 
@@ -393,14 +719,17 @@ pub fn exists_homomorphism_with(
     if let Some(hit) = exists_ground_fast(scratch, patterns, instance, binding) {
         return hit;
     }
-    let mut b = scratch.take_binding();
-    b.copy_from(binding);
-    let out = for_each_homomorphism_with(scratch, patterns, instance, &mut b, &mut |_| {
-        ControlFlow::Break(())
-    })
-    .is_break();
-    scratch.put_binding(b);
-    out
+    if patterns
+        .iter()
+        .any(|p| instance.slots_with_pred(p.pred).is_empty())
+    {
+        return false;
+    }
+    scratch.load(patterns, binding);
+    let HomScratch {
+        search, pattern, ..
+    } = scratch;
+    search_iterative(search, pattern, instance, &mut |_| ControlFlow::Break(())).is_break()
 }
 
 /// Whether some homomorphism from `patterns` into `instance` extends
@@ -473,17 +802,16 @@ pub fn head_satisfied_probe(tgd: &Tgd, instance: &Instance, binding: &Binding) -
 /// consulted — same result, no allocation.
 pub fn satisfies(instance: &Instance, tgd: &Tgd) -> bool {
     with_scratch(|outer| {
-        let mut binding = outer.take_binding();
+        let mut binding = std::mem::take(&mut outer.binding);
         binding.clear();
-        let flow =
-            for_each_homomorphism_with(outer, tgd.body(), instance, &mut binding, &mut |h| {
-                if exists_homomorphism(tgd.head(), instance, h) {
-                    ControlFlow::Continue(())
-                } else {
-                    ControlFlow::Break(())
-                }
-            });
-        outer.put_binding(binding);
+        let flow = for_each_homomorphism_with(outer, tgd.body(), instance, &mut binding, |h| {
+            if exists_homomorphism(tgd.head(), instance, h) {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        });
+        outer.binding = binding;
         flow.is_continue()
     })
 }
@@ -531,12 +859,56 @@ pub fn ground_homomorphism_exists(from: &Instance, to: &Instance) -> bool {
 /// for the hot-path benchmarks (`BENCH_hotpath.json`). Allocates a
 /// candidate-slot `Vec` per search node; do not use on hot paths.
 pub mod reference {
-    use super::{boundness, unify_atom};
-    use crate::atom::Atom;
+    use crate::atom::{Atom, AtomRef};
     use crate::instance::Instance;
     use crate::subst::Binding;
     use crate::term::Term;
     use std::ops::ControlFlow;
+
+    /// Attempts to unify `pattern` (which may contain variables) with
+    /// the ground atom `target` under `binding`, extending the binding.
+    /// Returns `Some(mark)` (the trail mark to truncate to on undo) on
+    /// success, `None` on failure (in which case the binding is
+    /// restored).
+    fn unify_atom(pattern: &Atom, target: AtomRef<'_>, binding: &mut Binding) -> Option<usize> {
+        debug_assert_eq!(pattern.pred, target.pred);
+        debug_assert_eq!(pattern.arity(), target.arity());
+        let mark = binding.mark();
+        for (p, &t) in pattern.args.iter().zip(target.args.iter()) {
+            match *p {
+                Term::Var(v) => match binding.get(v) {
+                    Some(bound) => {
+                        if bound != t {
+                            binding.truncate(mark);
+                            return None;
+                        }
+                    }
+                    None => binding.push(v, t),
+                },
+                ground => {
+                    if ground != t {
+                        binding.truncate(mark);
+                        return None;
+                    }
+                }
+            }
+        }
+        Some(mark)
+    }
+
+    /// How "bound" a pattern atom is under the current binding: the
+    /// number of argument positions already forced to a ground term.
+    /// Used to pick the next atom to match (most selective first).
+    fn boundness(pattern: &Atom, binding: &Binding) -> usize {
+        pattern
+            .args
+            .iter()
+            .filter(|t| match **t {
+                Term::Var(v) => binding.get(v).is_some(),
+                _ => true,
+            })
+            .count()
+    }
 
     /// Fetches the slots of candidate atoms for `pattern` under
     /// `binding`. Uses the tightest single-position index available;
@@ -651,7 +1023,7 @@ mod tests {
     fn all_homomorphisms(patterns: &[Atom], instance: &Instance) -> Vec<Binding> {
         let mut out = Vec::new();
         let mut binding = Binding::new();
-        let _ = for_each_homomorphism(patterns, instance, &mut binding, &mut |b| {
+        let _ = for_each_homomorphism(patterns, instance, &mut binding, |b| {
             out.push(b.clone());
             ControlFlow::Continue(())
         });
@@ -718,7 +1090,7 @@ mod tests {
         let mut binding = Binding::new();
         binding.push(crate::ids::VarId(0), c(2));
         let mut count = 0;
-        let _ = for_each_homomorphism(&[atom(0, &[v(0), v(1)])], &inst, &mut binding, &mut |h| {
+        let _ = for_each_homomorphism(&[atom(0, &[v(0), v(1)])], &inst, &mut binding, |h| {
             assert_eq!(h.get(crate::ids::VarId(0)), Some(c(2)));
             count += 1;
             ControlFlow::Continue(())
@@ -790,7 +1162,7 @@ mod tests {
         for patterns in &patterns_sets {
             let mut opt = Vec::new();
             let mut bind = Binding::new();
-            let _ = for_each_homomorphism(patterns, &inst, &mut bind, &mut |b| {
+            let _ = for_each_homomorphism(patterns, &inst, &mut bind, |b| {
                 opt.push(b.clone());
                 ControlFlow::Continue(())
             });
@@ -861,7 +1233,7 @@ mod tests {
         ];
         let mut opt = Vec::new();
         let mut bind = Binding::new();
-        let _ = for_each_homomorphism(&patterns, &inst, &mut bind, &mut |b| {
+        let _ = for_each_homomorphism(&patterns, &inst, &mut bind, |b| {
             opt.push(b.clone());
             ControlFlow::Continue(())
         });
@@ -923,7 +1295,7 @@ mod tests {
             &[atom(0, &[v(0), v(1)]), atom(0, &[v(1), v(2)])],
             &inst,
             &mut binding,
-            &mut |_| ControlFlow::Break(()),
+            |_| ControlFlow::Break(()),
         );
         assert!(flow.is_break());
         assert_eq!(binding.len(), 1);
@@ -944,7 +1316,7 @@ mod tests {
                 &[atom(0, &[v(0), v(1)]), atom(0, &[v(1), v(2)])],
                 &inst,
                 &mut b,
-                &mut |_| {
+                |_| {
                     n += 1;
                     ControlFlow::Continue(())
                 },
@@ -957,7 +1329,7 @@ mod tests {
                 &[atom(1, &[v(7)])],
                 &inst,
                 &mut b,
-                &mut |_| {
+                |_| {
                     m += 1;
                     ControlFlow::Continue(())
                 },

@@ -550,6 +550,16 @@ impl Instance {
     /// The atom stored at `slot`, as a borrowed view into the columns.
     #[inline]
     pub fn atom(&self, slot: usize) -> AtomRef<'_> {
+        AtomRef {
+            pred: self.preds[slot],
+            args: self.args(slot),
+        }
+    }
+
+    /// The arguments of the atom stored at `slot` ([`Instance::atom`]
+    /// without its predicate).
+    #[inline]
+    pub fn args(&self, slot: usize) -> &[Term] {
         let m = self.meta[slot];
         let arity = (m & META_ARITY_MASK) as usize;
         let off = (m >> META_ARITY_BITS) as usize;
@@ -558,10 +568,7 @@ impl Instance {
         } else {
             &self.spill
         };
-        AtomRef {
-            pred: self.preds[slot],
-            args: &arena[off..off + arity],
-        }
+        &arena[off..off + arity]
     }
 
     /// Iterates over atoms in insertion order.

@@ -8,6 +8,7 @@
 
 use crate::atom::Atom;
 use crate::error::CoreError;
+use crate::hom::Pattern;
 use crate::ids::{fx_set, PredId, VarId};
 use crate::term::Term;
 use crate::vocab::Vocabulary;
@@ -120,9 +121,10 @@ impl TgdId {
 ///
 /// Beyond the syntactic parts, a `Tgd` precomputes the layouts the
 /// chase hot path needs — the body variables in sorted order (trigger
-/// fingerprints, skolem keys) and one "body minus atom `i`" view per
-/// body atom (semi-naive delta matching) — so engines never sort or
-/// rebuild atom lists per trigger.
+/// fingerprints, skolem keys), one "body minus atom `i`" view per body
+/// atom, and the body compiled for the matcher with the slot lists a
+/// trigger's identity and ground head are read through — so engines
+/// never sort, rebuild atom lists or look variables up per trigger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tgd {
     body: Vec<Atom>,
@@ -132,6 +134,10 @@ pub struct Tgd {
     body_vars: Vec<VarId>,
     sorted_body_vars: Vec<VarId>,
     body_minus: Vec<Vec<Atom>>,
+    body_pattern: Pattern,
+    frontier_slots: Vec<u32>,
+    sorted_body_slots: Vec<u32>,
+    ground_head: Option<(PredId, Vec<u32>)>,
     body_pair_plan: Vec<(PredId, u16, u16)>,
     pair_plan: Vec<(PredId, u16, u16)>,
     head_probe: Option<HeadProbe>,
@@ -193,6 +199,26 @@ impl Tgd {
                     .collect()
             })
             .collect();
+
+        // The compiled body: slot `i` is `body_vars[i]`, both being
+        // first-occurrence order.
+        let body_pattern = Pattern::compile(&body);
+        debug_assert_eq!(body_pattern.vars(), body_vars.as_slice());
+        let slots_of = |vars: &[VarId]| -> Vec<u32> {
+            vars.iter()
+                .map(|&v| body_pattern.slot_of(v).expect("a body variable"))
+                .collect()
+        };
+        let frontier_slots = slots_of(&frontier);
+        let sorted_body_slots = slots_of(&sorted_body_vars);
+        // Rules are constant-free, so every head argument is a variable,
+        // and a full TGD's are all body variables.
+        let ground_head = match head.as_slice() {
+            [h] if existentials.is_empty() => {
+                Some((h.pred, slots_of(&h.vars().collect::<Vec<_>>())))
+            }
+            _ => None,
+        };
 
         // Composite-index plan: every (pred, posA, posB) key a
         // simulated matcher descent would probe with two bound
@@ -257,6 +283,10 @@ impl Tgd {
             body_vars,
             sorted_body_vars,
             body_minus,
+            body_pattern,
+            frontier_slots,
+            sorted_body_slots,
+            ground_head,
             body_pair_plan,
             pair_plan,
             head_probe,
@@ -322,6 +352,35 @@ impl Tgd {
     #[inline]
     pub fn body_without(&self, i: usize) -> &[Atom] {
         &self.body_minus[i]
+    }
+
+    /// The body compiled for the matcher: slot `i` is
+    /// [`Tgd::body_vars`]`[i]`.
+    #[inline]
+    pub fn body_pattern(&self) -> &Pattern {
+        &self.body_pattern
+    }
+
+    /// The body-pattern slots of [`Tgd::frontier`], in its order.
+    #[inline]
+    pub fn frontier_slots(&self) -> &[u32] {
+        &self.frontier_slots
+    }
+
+    /// The body-pattern slots of [`Tgd::sorted_body_vars`], in its order.
+    #[inline]
+    pub fn sorted_body_slots(&self) -> &[u32] {
+        &self.sorted_body_slots
+    }
+
+    /// For a single-head full TGD, the head predicate and the
+    /// body-pattern slot of each head argument: a trigger's ground head
+    /// `h(head(σ))` read straight from its slots. `None` otherwise.
+    #[inline]
+    pub fn ground_head(&self) -> Option<(PredId, &[u32])> {
+        self.ground_head
+            .as_ref()
+            .map(|(pred, slots)| (*pred, slots.as_slice()))
     }
 
     /// The composite `(pred, posA, posB)` index keys a matcher descent

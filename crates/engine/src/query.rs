@@ -92,7 +92,7 @@ impl ConjunctiveQuery {
         self.check_safe()?;
         let mut out: Vec<Vec<Term>> = Vec::new();
         let mut binding = Binding::new();
-        let _ = for_each_homomorphism(&self.body, instance, &mut binding, &mut |h| {
+        let _ = for_each_homomorphism(&self.body, instance, &mut binding, |h| {
             let tuple: Vec<Term> = self
                 .answer_vars
                 .iter()

@@ -129,7 +129,7 @@ impl RealOchase {
             let mut pending: Vec<(TgdId, Binding)> = Vec::new();
             for (tgd_id, tgd) in set.iter() {
                 let mut binding = Binding::new();
-                let _ = for_each_homomorphism(tgd.body(), &inst, &mut binding, &mut |b| {
+                let _ = for_each_homomorphism(tgd.body(), &inst, &mut binding, |b| {
                     pending.push((tgd_id, b.clone()));
                     ControlFlow::Continue(())
                 });

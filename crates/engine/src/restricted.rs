@@ -33,14 +33,16 @@
 //!
 //! The run loop borrows two [`HomScratch`](chase_core::hom::HomScratch)
 //! arenas from a [`ChaseScratch`] (one driving trigger enumeration, one
-//! probing activeness), identifies triggers by packed
-//! [`TriggerFp`] fingerprints, and enumerates delta triggers through
-//! the borrowing `*_with` entry points — steady-state discovery and
-//! activeness checking perform no heap allocation. Queued candidates
-//! live as `Copy` spans into a flat binding arena, so queueing a
-//! trigger allocates nothing and a [`Trigger`] value is materialised
-//! only when a caller asks for the derivation. A caller may keep the
-//! scratch warm across runs.
+//! probing activeness), and enumerates seed and delta triggers through
+//! the borrowing `*_with` entry points, which match each TGD's compiled
+//! body. Each TGD's [`TriggerIdentity`] is fixed once per run; a
+//! candidate's ground-head probe and `seen` key are read straight from
+//! its slots — steady-state discovery and activeness checking perform
+//! no heap allocation. Queued candidates live as `Copy` spans into a
+//! flat binding arena, written in binding order only for a kept
+//! trigger, so queueing allocates nothing and a [`Trigger`] value is
+//! materialised only when a caller asks for the derivation. A caller
+//! may keep the scratch warm across runs.
 //!
 //! ## Step log
 //!
@@ -64,17 +66,17 @@
 //! never queued, and under `Fifo` only the earliest trigger for each
 //! head is. Under `Fifo` every other TGD queues only the earliest
 //! trigger for each frontier image, because activeness depends on
-//! nothing else (see `SeenKey`). The applied triggers and their order
+//! nothing else (see [`TriggerIdentity`]). The applied triggers and their order
 //! are unchanged; the pop-time check stays for everything that is
 //! queued.
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use chase_core::atom::Atom;
-use chase_core::ids::{fx_set, PredId, VarId};
+use chase_core::atom::{Atom, AtomRef, ARG_INLINE};
+use chase_core::hom::SlotBinding;
+use chase_core::ids::{fx_set, FxHashSet, PredId, VarId};
 use chase_core::instance::Instance;
-use chase_core::subst::Binding;
 use chase_core::term::Term;
 use chase_core::tgd::{Tgd, TgdId, TgdSet};
 use chase_telemetry::{
@@ -88,8 +90,8 @@ use crate::profiling::{
 };
 use crate::skolem::{SkolemPolicy, SkolemTable};
 use crate::trigger::{
-    for_each_trigger_using_with, for_each_trigger_with, ground_head_into, head_satisfied_with,
-    ChaseScratch, Trigger, TriggerFp,
+    for_each_trigger_using_with, for_each_trigger_with, head_satisfied_with, ChaseScratch, Trigger,
+    TriggerFp,
 };
 
 pub use crate::governor::{Budget, Outcome};
@@ -198,22 +200,6 @@ impl ChaseVariant {
         }
     }
 
-    /// The variables whose images identify a queued trigger of `tgd`
-    /// ([`TriggerFp::of`]): the frontier for the semi-oblivious chase
-    /// and for the restricted chase under `Fifo`, every body variable
-    /// otherwise. Under the restricted strategies but `Random`, a
-    /// single-head full TGD's trigger is keyed by its ground head
-    /// instead.
-    #[inline]
-    pub fn fp_vars(self, tgd: &Tgd) -> &[VarId] {
-        match self {
-            ChaseVariant::SemiOblivious | ChaseVariant::Restricted(Strategy::Fifo) => {
-                tgd.frontier()
-            }
-            ChaseVariant::Restricted(_) | ChaseVariant::Oblivious => tgd.sorted_body_vars(),
-        }
-    }
-
     /// How invented nulls are named.
     fn skolem(self) -> SkolemPolicy {
         match self {
@@ -299,11 +285,11 @@ struct Queued {
 }
 
 impl Queued {
-    /// Copies `binding`'s entries into `arena` and returns the span
-    /// handle.
-    fn store(arena: &mut Vec<(VarId, Term)>, tgd: TgdId, binding: &Binding) -> Queued {
+    /// Copies the match's pairs into `arena`, in binding order, and
+    /// returns the span handle.
+    fn store(arena: &mut Vec<(VarId, Term)>, tgd: TgdId, m: &SlotBinding<'_>) -> Queued {
         let start = arena.len();
-        arena.extend(binding.iter());
+        arena.extend(m.pairs());
         Queued {
             tgd,
             start: start as u32,
@@ -318,8 +304,10 @@ impl Queued {
     }
 }
 
-/// How the loop keys a discovered trigger of one TGD in its `seen` set,
-/// and whether it drops the trigger outright.
+/// How the loop identifies a discovered trigger of one TGD in its
+/// `seen` set, and whether it drops the trigger outright: one identity
+/// per (variant, TGD), fixed for the run by [`TriggerIdentity::of`] and
+/// read from the slots of the TGD's compiled body.
 ///
 /// Whether a restricted trigger is active depends only on its TGD and
 /// its image of the frontier (Definition 3.1), and the instance only
@@ -332,40 +320,123 @@ impl Queued {
 /// [`Strategy::Random`] not even that, because its draw depends on the
 /// queue length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SeenKey {
-    /// By TGD and the images of [`ChaseVariant::fp_vars`]; queued
-    /// whatever its head. Every TGD of the oblivious variants and of
-    /// `Random`, and every existential or multi-head TGD. Under the
-    /// semi-oblivious chase and the restricted `Fifo` chase the key is
-    /// the frontier image, so only the first trigger for each image is
-    /// queued; otherwise it is the whole body binding.
-    Trigger,
+pub enum TriggerIdentity<'t> {
+    /// Keyed by TGD and the images of these slots, and queued whatever
+    /// its head: every TGD of the oblivious variants and of `Random`,
+    /// and every existential or multi-head TGD. The slots are the
+    /// frontier's under the semi-oblivious chase and the restricted
+    /// `Fifo` chase, so only the first trigger for each frontier image
+    /// is queued, and every body variable's otherwise.
+    Slots(&'t [u32]),
     /// Dropped when its ground head holds at discovery, else keyed by
     /// TGD and body binding: single-head full TGDs under `Lifo` and
     /// `PriorityTgd`.
-    TriggerUnlessHeadHolds,
+    SlotsUnlessHeadHolds {
+        /// The head predicate.
+        pred: PredId,
+        /// The slot of each head argument.
+        head: &'t [u32],
+        /// The slots of every body variable, in sorted-variable order.
+        key: &'t [u32],
+    },
     /// Dropped when its ground head holds at discovery, else keyed by
     /// that head, across all such TGDs: single-head full TGDs under
     /// `Fifo`. FIFO pops the earliest queued trigger for a head first,
     /// and once it has popped the head is present, so every later
     /// trigger for that head would pop inactive.
-    GroundHead,
+    GroundHead {
+        /// The head predicate.
+        pred: PredId,
+        /// The slot of each head argument.
+        head: &'t [u32],
+    },
 }
 
-impl SeenKey {
-    #[inline]
-    fn of(variant: ChaseVariant, tgd: &Tgd) -> SeenKey {
-        let full_single_head = tgd.is_single_head() && tgd.existentials().is_empty();
-        match variant {
-            ChaseVariant::Restricted(Strategy::Fifo) if full_single_head => SeenKey::GroundHead,
-            ChaseVariant::Restricted(Strategy::Lifo | Strategy::PriorityTgd)
-                if full_single_head =>
-            {
-                SeenKey::TriggerUnlessHeadHolds
+impl<'t> TriggerIdentity<'t> {
+    /// The identity of `tgd`'s triggers under `variant`.
+    pub fn of(variant: ChaseVariant, tgd: &'t Tgd) -> TriggerIdentity<'t> {
+        match (variant, tgd.ground_head()) {
+            (ChaseVariant::Restricted(Strategy::Fifo), Some((pred, head))) => {
+                TriggerIdentity::GroundHead { pred, head }
             }
-            _ => SeenKey::Trigger,
+            (
+                ChaseVariant::Restricted(Strategy::Lifo | Strategy::PriorityTgd),
+                Some((pred, head)),
+            ) => TriggerIdentity::SlotsUnlessHeadHolds {
+                pred,
+                head,
+                key: tgd.sorted_body_slots(),
+            },
+            (ChaseVariant::SemiOblivious | ChaseVariant::Restricted(Strategy::Fifo), _) => {
+                TriggerIdentity::Slots(tgd.frontier_slots())
+            }
+            (ChaseVariant::Restricted(_) | ChaseVariant::Oblivious, _) => {
+                TriggerIdentity::Slots(tgd.sorted_body_slots())
+            }
         }
     }
+
+    /// Whether the trigger `(id, m)` is new to the run and may fire,
+    /// recording it in `seen` if so. `head` is a reused buffer for a
+    /// ground head wider than [`ARG_INLINE`].
+    ///
+    /// A trigger keyed by its ground head is looked up in `seen` before
+    /// the instance: both say "drop", and under FIFO most candidates
+    /// for a pending or applied head hit the small `seen` table first.
+    #[inline]
+    pub fn admit(
+        self,
+        id: TgdId,
+        m: &SlotBinding<'_>,
+        instance: &Instance,
+        seen: &mut FxHashSet<TriggerFp>,
+        head: &mut Vec<Term>,
+    ) -> bool {
+        match self {
+            TriggerIdentity::Slots(key) => seen.insert(TriggerFp::of_slots(id, m, key)),
+            TriggerIdentity::SlotsUnlessHeadHolds {
+                pred,
+                head: slots,
+                key,
+            } => {
+                !with_ground_head(m, pred, slots, head, |ground| instance.contains(ground))
+                    && seen.insert(TriggerFp::of_slots(id, m, key))
+            }
+            TriggerIdentity::GroundHead { pred, head: slots } => {
+                with_ground_head(m, pred, slots, head, |ground| {
+                    let fp = TriggerFp::of_ground_head(ground);
+                    !seen.contains(&fp) && !instance.contains(ground) && seen.insert(fp)
+                })
+            }
+        }
+    }
+}
+
+/// Calls `f` on the ground head `pred(m(slots))`, built on the stack up
+/// to [`ARG_INLINE`] arguments and in `spill` above.
+#[inline(always)]
+fn with_ground_head<R>(
+    m: &SlotBinding<'_>,
+    pred: PredId,
+    slots: &[u32],
+    spill: &mut Vec<Term>,
+    f: impl FnOnce(AtomRef<'_>) -> R,
+) -> R {
+    let mut inline = [Term::Var(VarId(0)); ARG_INLINE];
+    let args: &[Term] = match inline.get_mut(..slots.len()) {
+        Some(inline) => {
+            for (t, &s) in inline.iter_mut().zip(slots) {
+                *t = m.get(s);
+            }
+            inline
+        }
+        None => {
+            spill.clear();
+            spill.extend(slots.iter().map(|&s| m.get(s)));
+            spill
+        }
+    };
+    f(AtomRef { pred, args })
 }
 
 /// Strategy-shaped trigger queue.
@@ -594,30 +665,6 @@ impl<'a> RestrictedChase<'a> {
         run
     }
 
-    /// The `seen` key of a discovered trigger of TGD `id`, or `None`
-    /// when the trigger can never fire and is dropped (see [`SeenKey`]).
-    #[inline]
-    fn seen_key(
-        &self,
-        id: TgdId,
-        binding: &Binding,
-        instance: &Instance,
-        head: &mut Atom,
-    ) -> Option<TriggerFp> {
-        let tgd = self.set.tgd(id);
-        let key = SeenKey::of(self.variant, tgd);
-        if key != SeenKey::Trigger {
-            ground_head_into(tgd, binding, head);
-            if instance.contains(&*head) {
-                return None;
-            }
-            if key == SeenKey::GroundHead {
-                return Some(TriggerFp::of_ground_head(head));
-            }
-        }
-        Some(TriggerFp::of(id, binding, self.variant.fp_vars(tgd)))
-    }
-
     /// The chase loop; `None` only when `stop_at_cyclic_term` stopped
     /// it (see [`RestrictedChase::run_until_cyclic_term`]).
     fn run_inner<O: ChaseObserver + ?Sized>(
@@ -681,7 +728,13 @@ impl<'a> RestrictedChase<'a> {
         // discovered triggers, and an applied step's log entry is its
         // queued span.
         let mut log = StepLog::starting_at(skolem.invented());
-        let mut seen: chase_core::ids::FxHashSet<TriggerFp> = fx_set();
+        let mut seen: FxHashSet<TriggerFp> = fx_set();
+        let identities: Vec<TriggerIdentity<'_>> = self
+            .set
+            .tgds()
+            .iter()
+            .map(|tgd| TriggerIdentity::of(self.variant, tgd))
+            .collect();
         let mut rng = match strategy {
             Strategy::Random(seed) => Some(XorShift64::new(seed)),
             _ => None,
@@ -689,17 +742,14 @@ impl<'a> RestrictedChase<'a> {
 
         // Seed: all triggers on the database.
         let seed_guard = span_enter(obs, spans::SEED, NO_TGD);
-        let _ = for_each_trigger_with(matcher, self.set, &instance, &mut |id, b| {
-            let Some(fp) = self.seen_key(id, b, &instance, head) else {
-                return ControlFlow::Continue(());
-            };
-            if seen.insert(fp) {
+        let _ = for_each_trigger_with(matcher, self.set, &instance, |id, m| {
+            if identities[id.index()].admit(id, m, &instance, &mut seen, head) {
                 emit_detail(obs, || Event::TriggerDiscovered {
                     engine,
                     tgd: id.0,
                     step: 0,
                 });
-                queue.push(Queued::store(&mut log.arena, id, b));
+                queue.push(Queued::store(&mut log.arena, id, m));
             }
             ControlFlow::Continue(())
         });
@@ -850,26 +900,17 @@ impl<'a> RestrictedChase<'a> {
             let match_guard =
                 span_enter_sampled(obs, spans::MATCH, popped.tgd.0, sampled, insert_end);
             for &slot in &new_slots {
-                let _ = for_each_trigger_using_with(
-                    matcher,
-                    self.set,
-                    &instance,
-                    slot,
-                    &mut |id, b| {
-                        let Some(fp) = self.seen_key(id, b, &instance, head) else {
-                            return ControlFlow::Continue(());
-                        };
-                        if seen.insert(fp) {
-                            emit_detail(obs, || Event::TriggerDiscovered {
-                                engine,
-                                tgd: id.0,
-                                step: steps as u64,
-                            });
-                            queue.push(Queued::store(&mut log.arena, id, b));
-                        }
-                        ControlFlow::Continue(())
-                    },
-                );
+                let _ = for_each_trigger_using_with(matcher, self.set, &instance, slot, |id, m| {
+                    if identities[id.index()].admit(id, m, &instance, &mut seen, head) {
+                        emit_detail(obs, || Event::TriggerDiscovered {
+                            engine,
+                            tgd: id.0,
+                            step: steps as u64,
+                        });
+                        queue.push(Queued::store(&mut log.arena, id, m));
+                    }
+                    ControlFlow::Continue(())
+                });
             }
             let match_end = match_guard.exit_now(obs);
             emit_detail(obs, || Event::QueueDepth {
@@ -1163,8 +1204,8 @@ mod tests {
         // its distinct (TGD, frontier image) pairs bound the queue.
         let (mut images, mut bindings) = (fx_set::<(TgdId, Vec<Term>)>(), 0u64);
         for (i, tgd) in set.tgds().iter().enumerate() {
-            let mut binding = Binding::new();
-            let _ = for_each_homomorphism(tgd.body(), &run.instance, &mut binding, &mut |h| {
+            let mut binding = chase_core::subst::Binding::new();
+            let _ = for_each_homomorphism(tgd.body(), &run.instance, &mut binding, |h| {
                 let image = tgd.frontier().iter().map(|&v| h.get(v).unwrap());
                 images.insert((TgdId(i as u32), image.collect()));
                 bindings += 1;

@@ -1,25 +1,32 @@
 //! Triggers and trigger application (Definition 3.1).
 //!
-//! Hot-path notes: engines identify triggers by an interned
-//! [`TriggerFp`] fingerprint — the TGD id plus the images of its body
-//! variables in the precomputed sorted-variable layout, each packed
-//! into a `u64` and stored inline for up to [`FP_INLINE_TERMS`]
-//! variables. Computing a fingerprint neither sorts nor allocates (for
-//! inline-sized bodies), so duplicate-trigger detection is free of the
-//! per-trigger `Vec<Term>` sort the seed engine paid. The `*_with`
-//! enumeration entry points thread a caller-owned
-//! [`HomScratch`] through the matcher and hand bindings out by
-//! reference, so enumerating already-seen triggers allocates nothing.
+//! ## Hot-path architecture
+//!
+//! The `*_with` enumeration entry points run the matcher over each
+//! TGD's compiled body ([`Tgd::body_pattern`]) through a caller-owned
+//! [`HomScratch`], and hand each trigger to a generic callback as a
+//! [`SlotBinding`]: the body variables' images by slot, plus the
+//! `(variable, image)` pairs in binding order. Nothing is allocated or
+//! copied per enumerated trigger; the caller copies the pairs only for
+//! a trigger it keeps.
+//!
+//! Engines identify triggers by an interned [`TriggerFp`] fingerprint —
+//! the TGD id plus the images of a fixed list of slots (the frontier's
+//! or every body variable's, in sorted-variable order), each packed
+//! into a `u64` and stored inline for up to [`FP_INLINE_TERMS`] terms —
+//! or, for a single-head full TGD, by its ground head, read from the
+//! slots of [`Tgd::ground_head`]. Neither sorts nor allocates (for
+//! inline-sized keys).
 
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 
-use chase_core::atom::{ArgVec, Atom};
+use chase_core::atom::{ArgVec, Atom, AtomRef};
 use chase_core::hom::{
-    exists_homomorphism, exists_homomorphism_with, for_each_homomorphism_with,
-    head_satisfied_probe, with_scratch, HomScratch,
+    exists_homomorphism, exists_homomorphism_with, for_each_match_using_with, for_each_match_with,
+    head_satisfied_probe, with_scratch, HomScratch, SlotBinding,
 };
-use chase_core::ids::{NullId, PredId, VarId};
+use chase_core::ids::{NullId, VarId};
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
 use chase_core::term::Term;
@@ -92,10 +99,23 @@ impl TriggerFp {
         )
     }
 
+    /// [`TriggerFp::of`] read from a match of the TGD's body pattern:
+    /// the images of `slots` (engines pass [`Tgd::sorted_body_slots`]
+    /// or [`Tgd::frontier_slots`], the slots of the layouts above).
+    #[inline]
+    pub fn of_slots(tgd_id: TgdId, m: &SlotBinding<'_>, slots: &[u32]) -> TriggerFp {
+        debug_assert!(
+            tgd_id.0 < GROUND_HEAD_TAG,
+            "TGD id collides with the head tag"
+        );
+        TriggerFp::packed(tgd_id.0, slots.iter().map(|&s| m.get(s)))
+    }
+
     /// Builds the key of the ground atom `head`: equal for equal atoms,
     /// never equal to a trigger's fingerprint. Inline (no heap
     /// allocation) up to [`FP_INLINE_TERMS`] arguments.
-    pub fn of_ground_head(head: &Atom) -> TriggerFp {
+    pub fn of_ground_head<'a>(head: impl Into<AtomRef<'a>>) -> TriggerFp {
+        let head = head.into();
         TriggerFp::packed(GROUND_HEAD_TAG | head.pred.0, head.args.iter().copied())
     }
 
@@ -270,7 +290,7 @@ impl Trigger {
 /// keeps the arenas warm instead of reallocating them every run. The
 /// scratch carries no run-scoped state: results never depend on which
 /// scratch a run borrowed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ChaseScratch {
     /// Drives trigger enumeration (homomorphism search).
     pub(crate) matcher: HomScratch,
@@ -278,41 +298,9 @@ pub struct ChaseScratch {
     pub(crate) probe: HomScratch,
     /// Rebuilds a queued trigger's binding before its check.
     pub(crate) binding: Binding,
-    /// A discovered trigger's ground head (see [`ground_head_into`]).
-    pub(crate) head: Atom,
-}
-
-impl Default for ChaseScratch {
-    fn default() -> Self {
-        ChaseScratch {
-            matcher: HomScratch::default(),
-            probe: HomScratch::default(),
-            binding: Binding::default(),
-            head: Atom::new(PredId(0), ArgVec::new()),
-        }
-    }
-}
-
-/// Writes `h(head(σ))`, the ground head of a trigger of the single-head
-/// full TGD `tgd`, into `out`, reusing its argument buffer: no heap
-/// allocation up to [`ARG_INLINE`](chase_core::atom::ARG_INLINE)
-/// arguments, nor above it once `out` has held an atom that wide.
-///
-/// The instance only grows, so once this atom is present the trigger is
-/// inactive for good (Definition 3.1): the restricted chase drops such a
-/// trigger when it discovers it.
-pub fn ground_head_into(tgd: &Tgd, binding: &Binding, out: &mut Atom) {
-    let head = &tgd.head()[0];
-    debug_assert!(tgd.is_single_head() && tgd.existentials().is_empty());
-    out.pred = head.pred;
-    out.args.clear();
-    for &t in &head.args {
-        out.args.push(match t {
-            // Total: a full TGD's head variables are body variables.
-            Term::Var(v) => binding.get(v).unwrap_or(t),
-            ground => ground,
-        });
-    }
+    /// A discovered trigger's ground head arguments (see
+    /// [`crate::restricted::TriggerIdentity`]).
+    pub(crate) head: Vec<Term>,
 }
 
 /// Head-satisfaction check for a `(tgd, binding)` pair: whether some
@@ -336,24 +324,20 @@ pub fn head_satisfied_with(
 }
 
 /// Enumerates every trigger for `set` on `instance` through a
-/// caller-owned scratch, handing out `(tgd, &binding)` pairs without
-/// constructing [`Trigger`] values — the caller clones the binding
+/// caller-owned scratch, handing out `(tgd, &match)` pairs without
+/// constructing [`Trigger`] values — the caller copies the binding
 /// only for triggers it decides to keep. Stops early when `f` breaks.
-pub fn for_each_trigger_with(
+pub fn for_each_trigger_with<F>(
     scratch: &mut HomScratch,
     set: &TgdSet,
     instance: &Instance,
-    f: &mut dyn FnMut(TgdId, &Binding) -> ControlFlow<()>,
-) -> ControlFlow<()> {
+    mut f: F,
+) -> ControlFlow<()>
+where
+    F: FnMut(TgdId, &SlotBinding<'_>) -> ControlFlow<()>,
+{
     for (id, tgd) in set.iter() {
-        let mut binding = scratch.take_binding();
-        binding.clear();
-        let flow =
-            for_each_homomorphism_with(scratch, tgd.body(), instance, &mut binding, &mut |b| {
-                f(id, b)
-            });
-        scratch.put_binding(binding);
-        flow?;
+        for_each_match_with(scratch, tgd.body_pattern(), instance, |m| f(id, m))?;
     }
     ControlFlow::Continue(())
 }
@@ -362,58 +346,28 @@ pub fn for_each_trigger_with(
 /// on `instance` in which the body atom at some position is matched to
 /// the atom stored at `new_slot` — the semi-naive delta used after
 /// inserting that atom. Triggers not involving the new atom are *not*
-/// reported. The new atom is borrowed in place and the remaining body
-/// is the TGD's precomputed `body_without(i)` view, so the enumeration
-/// itself allocates nothing.
-pub fn for_each_trigger_using_with(
+/// reported. The new atom is unified into the compiled body in place
+/// and the rest of the body completed against the instance, so the
+/// enumeration allocates nothing. Each match lists the new atom's
+/// bindings first, as if the body minus that atom
+/// ([`Tgd::body_without`]) had been matched from them.
+pub fn for_each_trigger_using_with<F>(
     scratch: &mut HomScratch,
     set: &TgdSet,
     instance: &Instance,
     new_slot: usize,
-    f: &mut dyn FnMut(TgdId, &Binding) -> ControlFlow<()>,
-) -> ControlFlow<()> {
+    mut f: F,
+) -> ControlFlow<()>
+where
+    F: FnMut(TgdId, &SlotBinding<'_>) -> ControlFlow<()>,
+{
     let new_atom = instance.atom(new_slot);
     for (id, tgd) in set.iter() {
-        for (i, body_atom) in tgd.body().iter().enumerate() {
-            if body_atom.pred != new_atom.pred {
-                continue;
+        let body = tgd.body_pattern();
+        for i in 0..body.len() {
+            if body.atom(i).0 == new_atom.pred {
+                for_each_match_using_with(scratch, body, i, new_atom, instance, |m| f(id, m))?;
             }
-            // Seed the binding by unifying body_atom with the new atom.
-            let mut binding = scratch.take_binding();
-            binding.clear();
-            let mut ok = true;
-            for (p, &t) in body_atom.args.iter().zip(new_atom.args.iter()) {
-                match *p {
-                    Term::Var(v) => match binding.get(v) {
-                        Some(bound) if bound != t => {
-                            ok = false;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => binding.push(v, t),
-                    },
-                    ground => {
-                        if ground != t {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !ok {
-                scratch.put_binding(binding);
-                continue;
-            }
-            // Complete the rest of the body against the instance.
-            let flow = for_each_homomorphism_with(
-                scratch,
-                tgd.body_without(i),
-                instance,
-                &mut binding,
-                &mut |b| f(id, b),
-            );
-            scratch.put_binding(binding);
-            flow?;
         }
     }
     ControlFlow::Continue(())
@@ -428,10 +382,10 @@ pub fn for_each_trigger(
     f: &mut dyn FnMut(Trigger) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     with_scratch(|scratch| {
-        for_each_trigger_with(scratch, set, instance, &mut |id, b| {
+        for_each_trigger_with(scratch, set, instance, |id, m| {
             f(Trigger {
                 tgd: id,
-                binding: b.clone(),
+                binding: m.to_binding(),
             })
         })
     })
@@ -521,8 +475,8 @@ mod tests {
         assert!(fresh);
         let mut delta = Vec::new();
         let mut scratch = HomScratch::new();
-        let _ = for_each_trigger_using_with(&mut scratch, &set, &inst, slot, &mut |id, b| {
-            delta.push((id, b.clone()));
+        let _ = for_each_trigger_using_with(&mut scratch, &set, &inst, slot, |id, m| {
+            delta.push((id, m.to_binding()));
             ControlFlow::Continue(())
         });
         // New triggers: (R(b,c),R(c,d)) and (R(c,d),?) — only the former completes.

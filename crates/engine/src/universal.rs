@@ -54,7 +54,7 @@ fn retract_away(instance: &Instance, prey: NullId) -> Option<Instance> {
     let prey_var = *var_of.get(&prey)?;
     let mut result = None;
     let mut binding = Binding::new();
-    let _ = for_each_homomorphism(&patterns, instance, &mut binding, &mut |h| {
+    let _ = for_each_homomorphism(&patterns, instance, &mut binding, |h| {
         if h.get(prey_var) == Some(Term::Null(prey)) {
             return ControlFlow::Continue(()); // prey not eliminated; keep searching
         }

@@ -68,7 +68,7 @@ fn main() {
 
     let mut answers: Vec<String> = Vec::new();
     let mut binding = Binding::new();
-    let _ = for_each_homomorphism(query.body(), &run.instance, &mut binding, &mut |h| {
+    let _ = for_each_homomorphism(query.body(), &run.instance, &mut binding, |h| {
         let image = h.get(e.as_var().unwrap()).expect("bound");
         if image.is_const() && !answers.contains(&vocab.term_to_string(image)) {
             answers.push(vocab.term_to_string(image));

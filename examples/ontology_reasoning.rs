@@ -31,7 +31,7 @@ fn count_answers(instance: &Instance, vocab: &mut Vocabulary, body: &[(&str, &[&
     };
     let mut count = 0usize;
     let mut binding = Binding::new();
-    let _ = for_each_homomorphism(&grounded, instance, &mut binding, &mut |_| {
+    let _ = for_each_homomorphism(&grounded, instance, &mut binding, |_| {
         count += 1;
         ControlFlow::Continue(())
     });
