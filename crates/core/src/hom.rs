@@ -1176,6 +1176,164 @@ mod tests {
         }
     }
 
+    /// Arity of predicate `p` in the random enumeration-order cases.
+    const ORDER_ARITY: [usize; 3] = [1, 2, 3];
+
+    /// A random body's term: codes 0–4 are variables, 5–7 constants.
+    fn body_term(k: u32) -> Term {
+        if k < 5 {
+            v(k)
+        } else {
+            c(k - 5)
+        }
+    }
+
+    /// A random case's instance term: three constants and one null.
+    fn instance_term(k: u32) -> Term {
+        if k < 3 {
+            c(k)
+        } else {
+            Term::Null(NullId(0))
+        }
+    }
+
+    type OrderAtom = (u32, u32, u32, u32);
+
+    fn order_atom((p, a, b, d): OrderAtom, term: fn(u32) -> Term) -> Atom {
+        let codes = [a, b, d];
+        let args: Vec<Term> = codes[..ORDER_ARITY[p as usize]]
+            .iter()
+            .map(|&k| term(k))
+            .collect();
+        Atom::new(PredId(p), args)
+    }
+
+    /// Every binding the reference matcher hands out, in order.
+    fn reference_sequence(patterns: &[Atom], inst: &Instance, seed: &Binding) -> Vec<Binding> {
+        let mut out = Vec::new();
+        let mut b = seed.clone();
+        let _ = reference::for_each_homomorphism(patterns, inst, &mut b, &mut |h| {
+            out.push(h.clone());
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// The sequence of bindings — not the set — that the matcher hands
+    /// out equals the reference's on a random body of 1–5 atoms (with
+    /// repeated variables and constants) and a random instance, with
+    /// random composite indexes registered: through an ad-hoc pattern
+    /// and through the compiled pattern, from the empty binding, and
+    /// as a delta from every instance atom unified into every body
+    /// position (against `body_without(i)` seeded with that unifier).
+    /// Ties in the most-bound-first choice are common on such bodies,
+    /// so this pins the first-max tie-break and the `swap_remove` and
+    /// push-back order of the worklist, which permutes later ties.
+    fn check_enumeration_order(
+        body: &[OrderAtom],
+        atoms: &[OrderAtom],
+        pairs: &[(u32, usize, usize)],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let body: Vec<Atom> = body.iter().map(|&a| order_atom(a, body_term)).collect();
+        let mut inst = Instance::from_atoms(atoms.iter().map(|&a| order_atom(a, instance_term)));
+        for &(p, a, b) in pairs {
+            if a < b && b < ORDER_ARITY[p as usize] {
+                inst.register_pair_index(PredId(p), a, b);
+            }
+        }
+        let pattern = Pattern::compile(&body);
+        let mut scratch = HomScratch::new();
+
+        let want = reference_sequence(&body, &inst, &Binding::new());
+        let mut got = Vec::new();
+        let _ = for_each_homomorphism(&body, &inst, &mut Binding::new(), |h| {
+            got.push(h.clone());
+            ControlFlow::Continue(())
+        });
+        proptest::prop_assert_eq!(&got, &want, "ad-hoc pattern from the empty binding");
+        got.clear();
+        let _ = for_each_match_with(&mut scratch, &pattern, &inst, |m| {
+            got.push(m.to_binding());
+            ControlFlow::Continue(())
+        });
+        proptest::prop_assert_eq!(&got, &want, "compiled pattern from the empty binding");
+
+        for slot in 0..inst.len() {
+            let target = inst.atom(slot);
+            for (i, atom) in body.iter().enumerate() {
+                if atom.pred != target.pred {
+                    continue;
+                }
+                let mut seed = Binding::new();
+                let unifies = atom.args.iter().zip(target.args).all(|(&p, &t)| match p {
+                    Term::Var(x) => match seed.get(x) {
+                        Some(bound) => bound == t,
+                        None => {
+                            seed.push(x, t);
+                            true
+                        }
+                    },
+                    ground => ground == t,
+                });
+                let mut rest = body.clone();
+                rest.remove(i);
+                let want = if unifies {
+                    reference_sequence(&rest, &inst, &seed)
+                } else {
+                    Vec::new()
+                };
+                got.clear();
+                let _ = for_each_match_using_with(&mut scratch, &pattern, i, target, &inst, |m| {
+                    got.push(m.to_binding());
+                    ControlFlow::Continue(())
+                });
+                proptest::prop_assert_eq!(&got, &want, "compiled delta at slot {slot}, atom {i}");
+                if unifies {
+                    got.clear();
+                    let _ = for_each_homomorphism(&rest, &inst, &mut seed, |h| {
+                        got.push(h.clone());
+                        ControlFlow::Continue(())
+                    });
+                    proptest::prop_assert_eq!(
+                        &got,
+                        &want,
+                        "seeded ad-hoc at slot {slot}, atom {i}"
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn enumeration_order_matches_reference(
+            body in proptest::collection::vec((0u32..3, 0u32..8, 0u32..8, 0u32..8), 1..6),
+            atoms in proptest::collection::vec((0u32..3, 0u32..4, 0u32..4, 0u32..4), 0..40),
+            pairs in proptest::collection::vec((0u32..3, 0usize..3, 0usize..3), 0..3),
+        ) {
+            check_enumeration_order(&body, &atoms, &pairs)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 4096,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+        /// [`enumeration_order_matches_reference`] at 4,096 cases (run
+        /// in release by `scripts/check.sh`).
+        #[test]
+        #[ignore = "4,096 cases; run in release by scripts/check.sh"]
+        fn enumeration_order_matches_reference_at_scale(
+            body in proptest::collection::vec((0u32..3, 0u32..8, 0u32..8, 0u32..8), 1..6),
+            atoms in proptest::collection::vec((0u32..3, 0u32..4, 0u32..4, 0u32..4), 0..40),
+            pairs in proptest::collection::vec((0u32..3, 0usize..3, 0usize..3), 0..3),
+        ) {
+            check_enumeration_order(&body, &atoms, &pairs)?;
+        }
+    }
+
     /// The ground membership fast path of `exists_homomorphism_with`
     /// agrees with the reference search on ground, partially-ground
     /// and unbound seeds.

@@ -291,9 +291,10 @@ impl ProgramCache {
 
 /// Memoized termination verdicts: fingerprint × decider class →
 /// definitive verdict, LRU-bounded at `max_entries`; `Unknown` is
-/// never stored.
+/// never stored. Verdicts are shared, so a hit costs a reference count,
+/// not a copy of the verdict's witness instance and derivation.
 pub struct DecideCache {
-    verdicts: Mutex<Lru<(ProgramFingerprint, &'static str), TerminationVerdict>>,
+    verdicts: Mutex<Lru<(ProgramFingerprint, &'static str), Arc<TerminationVerdict>>>,
     counters: CacheCounters,
 }
 
@@ -306,7 +307,9 @@ impl DecideCache {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Lru<(ProgramFingerprint, &'static str), TerminationVerdict>> {
+    fn lock(
+        &self,
+    ) -> MutexGuard<'_, Lru<(ProgramFingerprint, &'static str), Arc<TerminationVerdict>>> {
         self.verdicts.lock().expect("decide cache poisoned")
     }
 
@@ -317,8 +320,12 @@ impl DecideCache {
 
     /// The memoized verdict for `fp` under `class`, if any; counts a
     /// hit or a miss.
-    pub fn get(&self, fp: ProgramFingerprint, class: &'static str) -> Option<TerminationVerdict> {
-        let hit = self.lock().get(&(fp, class)).cloned();
+    pub fn get(
+        &self,
+        fp: ProgramFingerprint,
+        class: &'static str,
+    ) -> Option<Arc<TerminationVerdict>> {
+        let hit = self.lock().get(&(fp, class)).map(Arc::clone);
         let counter = match hit {
             Some(_) => &self.counters.hits,
             None => &self.counters.misses,
@@ -338,7 +345,9 @@ impl DecideCache {
         if verdict.is_unknown() {
             return;
         }
-        let evicted = self.lock().insert((fp, class), verdict.clone(), 0);
+        let evicted = self
+            .lock()
+            .insert((fp, class), Arc::new(verdict.clone()), 0);
         CacheCounters::add(&self.counters.evictions, evicted.len() as u64);
     }
 

@@ -144,10 +144,10 @@ pub fn run_session(
         }
         SessionOp::Decide => {
             let (verdict, cached) = decide_memoized(req, program, caches, &mut stream);
-            let (name, reason) = match verdict {
+            let (name, reason) = match &*verdict {
                 TerminationVerdict::AllInstancesTerminating(_) => ("terminating", None),
                 TerminationVerdict::NonTerminating(_) => ("non_terminating", None),
-                TerminationVerdict::Unknown { reason } => ("unknown", Some(reason)),
+                TerminationVerdict::Unknown { reason } => ("unknown", Some(reason.clone())),
             };
             let reply = head
                 .str("status", "ok")
@@ -181,7 +181,7 @@ fn decide_memoized(
     program: &CompiledProgram,
     caches: &Caches,
     stream: &mut EventStream,
-) -> (TerminationVerdict, bool) {
+) -> (Arc<TerminationVerdict>, bool) {
     let set = program.tgd_set();
     let fp = program.fingerprint();
     let class = decider_class(set);
@@ -208,5 +208,5 @@ fn decide_memoized(
         decide_observed(set, vocab, &config, &mut NullObserver)
     };
     caches.decide.insert(fp, class, &verdict);
-    (verdict, false)
+    (Arc::new(verdict), false)
 }

@@ -64,6 +64,14 @@ echo "== decider consistency sweeps (1,500 random linear sets; guarded NOT verdi
 # database.
 cargo test --offline -q --release --test decider_consistency -- --ignored
 
+echo "== matcher enumeration order vs the reference matcher, 4,096 random bodies (release) =="
+# The ignored scale run of chase_core::hom's order proptest: random
+# bodies of 1-5 atoms with repeated variables and constants on random
+# instances, from the empty binding and as a delta from every atom in
+# every body position; the sequence of bindings must equal
+# hom::reference's, tie-break permutations included.
+cargo test --offline -q --release -p chase-core --lib enumeration_order_matches_reference_at_scale -- --ignored
+
 echo "== decide sweep golden, all 200 seeds (release) =="
 # Tier-1 runs the seeds that decide in under 0.2 s; this runs the slow
 # ones too (about 30 s in release on a 2-CPU host).
