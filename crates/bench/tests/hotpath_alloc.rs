@@ -15,10 +15,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use chase_bench::closure_workload;
 use chase_core::hom::{exists_homomorphism_with, HomScratch, SlotBinding};
-use chase_core::ids::fx_set;
+use chase_core::ids::fx_map;
 use chase_core::subst::Binding;
 use chase_core::tgd::TgdId;
-use chase_engine::restricted::{ChaseVariant, Strategy, TriggerIdentity};
+use chase_engine::restricted::{ChaseVariant, Seen, Strategy, TriggerIdentity};
 use chase_engine::trigger::{for_each_trigger_using_with, for_each_trigger_with, TriggerFp};
 use chase_telemetry::{ChaseObserver, EngineKind, Event, JsonlWriter};
 
@@ -70,7 +70,7 @@ fn warmed_trigger_hot_path_allocates_nothing() {
     let mut probe_scratch = HomScratch::new();
     let mut head = Vec::new();
     let mut binding = Binding::new();
-    let mut seen = fx_set();
+    let mut seen: Seen = fx_map();
     // The identities a run fixes per TGD: the restricted FIFO chase's
     // (the ground head, for these full rules) and the semi-oblivious
     // chase's (the frontier image).
@@ -88,7 +88,7 @@ fn warmed_trigger_hot_path_allocates_nothing() {
     // Warm-up pass: drive every buffer to its capacity high-water mark
     // and populate the seen-set (insertion allocates; the measured
     // pass admits nothing new, so it only probes).
-    let mut pass = |seen: &mut chase_core::ids::FxHashSet<TriggerFp>| -> (usize, usize) {
+    let mut pass = |seen: &mut Seen| -> (usize, usize) {
         let (mut candidates, mut admitted) = (0usize, 0usize);
         // What the chase does per discovered trigger: admit it through
         // its TGD's identity, which for a single-head full TGD under
@@ -127,7 +127,7 @@ fn warmed_trigger_hot_path_allocates_nothing() {
     let (_, warm_admitted) = pass(&mut seen);
     assert!(warm_admitted > 0, "workload must produce triggers");
     assert!(
-        seen.iter().all(TriggerFp::is_inline),
+        seen.keys().all(TriggerFp::is_inline),
         "closure keys stay inline"
     );
 

@@ -455,6 +455,7 @@ pub struct TgdSet {
     preds: Vec<PredId>,
     pair_plans: Vec<(PredId, u16, u16)>,
     body_pair_plans: Vec<(PredId, u16, u16)>,
+    body_atoms_by_pred: Vec<Vec<(TgdId, u32)>>,
 }
 
 impl TgdSet {
@@ -500,12 +501,23 @@ impl TgdSet {
                 }
             }
         }
+        let mut body_atoms_by_pred: Vec<Vec<(TgdId, u32)>> = Vec::new();
+        for (t, tgd) in tgds.iter().enumerate() {
+            for (i, atom) in tgd.body.iter().enumerate() {
+                let p = atom.pred.index();
+                if body_atoms_by_pred.len() <= p {
+                    body_atoms_by_pred.resize_with(p + 1, Vec::new);
+                }
+                body_atoms_by_pred[p].push((TgdId(t as u32), i as u32));
+            }
+        }
         Ok(TgdSet {
             tgds,
             max_arity,
             preds,
             pair_plans,
             body_pair_plans,
+            body_atoms_by_pred,
         })
     }
 
@@ -565,6 +577,16 @@ impl TgdSet {
     #[inline]
     pub fn body_pair_plans(&self) -> &[(PredId, u16, u16)] {
         &self.body_pair_plans
+    }
+
+    /// The body atoms with predicate `pred`, as `(TGD, body position)`
+    /// pairs in declaration order, then body order: the atoms a new
+    /// `pred` atom can be matched to in semi-naive delta matching.
+    #[inline]
+    pub fn body_atoms_with_pred(&self, pred: PredId) -> &[(TgdId, u32)] {
+        self.body_atoms_by_pred
+            .get(pred.index())
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Whether every TGD is single-head; the termination deciders

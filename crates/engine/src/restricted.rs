@@ -70,12 +70,13 @@
 //! are unchanged; the pop-time check stays for everything that is
 //! queued.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use chase_core::atom::{Atom, AtomRef, ARG_INLINE};
 use chase_core::hom::SlotBinding;
-use chase_core::ids::{fx_set, FxHashSet, PredId, VarId};
+use chase_core::ids::{fx_map, FxHashMap, PredId, VarId};
 use chase_core::instance::Instance;
 use chase_core::term::Term;
 use chase_core::tgd::{Tgd, TgdId, TgdSet};
@@ -382,30 +383,39 @@ impl<'t> TriggerIdentity<'t> {
     ///
     /// A trigger keyed by its ground head is looked up in `seen` before
     /// the instance: both say "drop", and under FIFO most candidates
-    /// for a pending or applied head hit the small `seen` table first.
+    /// for a pending or applied head are found in `seen`, in one probe
+    /// that also places a new key.
     #[inline]
     pub fn admit(
         self,
         id: TgdId,
         m: &SlotBinding<'_>,
         instance: &Instance,
-        seen: &mut FxHashSet<TriggerFp>,
+        seen: &mut Seen,
         head: &mut Vec<Term>,
     ) -> bool {
         match self {
-            TriggerIdentity::Slots(key) => seen.insert(TriggerFp::of_slots(id, m, key)),
+            TriggerIdentity::Slots(key) => {
+                seen.insert(TriggerFp::of_slots(id, m, key), ()).is_none()
+            }
             TriggerIdentity::SlotsUnlessHeadHolds {
                 pred,
                 head: slots,
                 key,
             } => {
                 !with_ground_head(m, pred, slots, head, |ground| instance.contains(ground))
-                    && seen.insert(TriggerFp::of_slots(id, m, key))
+                    && seen.insert(TriggerFp::of_slots(id, m, key), ()).is_none()
             }
             TriggerIdentity::GroundHead { pred, head: slots } => {
                 with_ground_head(m, pred, slots, head, |ground| {
-                    let fp = TriggerFp::of_ground_head(ground);
-                    !seen.contains(&fp) && !instance.contains(ground) && seen.insert(fp)
+                    match seen.entry(TriggerFp::of_ground_head(ground)) {
+                        Entry::Occupied(_) => false,
+                        Entry::Vacant(_) if instance.contains(ground) => false,
+                        Entry::Vacant(new) => {
+                            new.insert(());
+                            true
+                        }
+                    }
                 })
             }
         }
@@ -438,6 +448,10 @@ fn with_ground_head<R>(
     };
     f(AtomRef { pred, args })
 }
+
+/// The keys of the triggers a run has admitted (see
+/// [`TriggerIdentity::admit`]). A map, not a set, for its entry API.
+pub type Seen = FxHashMap<TriggerFp, ()>;
 
 /// Strategy-shaped trigger queue.
 ///
@@ -728,7 +742,7 @@ impl<'a> RestrictedChase<'a> {
         // discovered triggers, and an applied step's log entry is its
         // queued span.
         let mut log = StepLog::starting_at(skolem.invented());
-        let mut seen: FxHashSet<TriggerFp> = fx_set();
+        let mut seen: Seen = fx_map();
         let identities: Vec<TriggerIdentity<'_>> = self
             .set
             .tgds()
@@ -1202,7 +1216,7 @@ mod tests {
         assert_eq!(run.instance, oracle.instance);
         // Every discovered trigger's body lies in the final instance, so
         // its distinct (TGD, frontier image) pairs bound the queue.
-        let (mut images, mut bindings) = (fx_set::<(TgdId, Vec<Term>)>(), 0u64);
+        let (mut images, mut bindings) = (chase_core::ids::fx_set::<(TgdId, Vec<Term>)>(), 0u64);
         for (i, tgd) in set.tgds().iter().enumerate() {
             let mut binding = chase_core::subst::Binding::new();
             let _ = for_each_homomorphism(tgd.body(), &run.instance, &mut binding, |h| {

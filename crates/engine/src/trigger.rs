@@ -346,8 +346,10 @@ where
 /// on `instance` in which the body atom at some position is matched to
 /// the atom stored at `new_slot` — the semi-naive delta used after
 /// inserting that atom. Triggers not involving the new atom are *not*
-/// reported. The new atom is unified into the compiled body in place
-/// and the rest of the body completed against the instance, so the
+/// reported. The body atoms tried are the set's index of body atoms by
+/// predicate ([`TgdSet::body_atoms_with_pred`]), in TGD then body
+/// order; the new atom is unified into the compiled body in place and
+/// the rest of the body completed against the instance, so the
 /// enumeration allocates nothing. Each match lists the new atom's
 /// bindings first, as if the body minus that atom
 /// ([`Tgd::body_without`]) had been matched from them.
@@ -362,13 +364,9 @@ where
     F: FnMut(TgdId, &SlotBinding<'_>) -> ControlFlow<()>,
 {
     let new_atom = instance.atom(new_slot);
-    for (id, tgd) in set.iter() {
-        let body = tgd.body_pattern();
-        for i in 0..body.len() {
-            if body.atom(i).0 == new_atom.pred {
-                for_each_match_using_with(scratch, body, i, new_atom, instance, |m| f(id, m))?;
-            }
-        }
+    for &(id, i) in set.body_atoms_with_pred(new_atom.pred) {
+        let body = set.tgd(id).body_pattern();
+        for_each_match_using_with(scratch, body, i as usize, new_atom, instance, |m| f(id, m))?;
     }
     ControlFlow::Continue(())
 }
