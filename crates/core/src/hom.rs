@@ -78,6 +78,10 @@ impl Pattern {
         self.vars.clear();
         self.atoms.clear();
         self.args.clear();
+        let n_args = atoms.iter().map(|a| a.args.len()).sum();
+        self.atoms.reserve(atoms.len());
+        self.args.reserve(n_args);
+        self.vars.reserve(n_args);
         for atom in atoms {
             for &t in &atom.args {
                 self.args.push(match t {
@@ -1225,7 +1229,8 @@ mod tests {
     /// random composite indexes registered: through an ad-hoc pattern
     /// and through the compiled pattern, from the empty binding, and
     /// as a delta from every instance atom unified into every body
-    /// position (against `body_without(i)` seeded with that unifier).
+    /// position (against the body minus atom `i`, seeded with that
+    /// unifier).
     /// Ties in the most-bound-first choice are common on such bodies,
     /// so this pins the first-max tie-break and the `swap_remove` and
     /// push-back order of the worklist, which permutes later ties.

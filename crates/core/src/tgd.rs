@@ -35,19 +35,21 @@ pub struct HeadProbe {
 }
 
 /// Simulates the iterative matcher's *first descent* over `patterns`
-/// starting from the variables in `seed` bound: repeatedly pick the
-/// pattern with the most bound argument positions (first-maximum
-/// tie-break over a `swap_remove` worklist, mirroring
-/// `hom::search_iterative`) and bind its variables. Returns the
-/// pattern indexes in selection order.
+/// but the one at `skip` (the atom a delta search starts from), with
+/// the variables in `seed` bound: repeatedly pick the pattern with the
+/// most bound argument positions (first-maximum tie-break over a
+/// `swap_remove` worklist, mirroring `hom::search_iterative`) and bind
+/// its variables. Returns the pattern indexes in selection order.
 ///
 /// This is a *heuristic* mirror only — after backtracking the real
 /// matcher's worklist order can diverge on ties — so the result is
 /// used to decide which composite indexes to register, never to fix
 /// the matcher's own selection.
-fn simulate_first_descent(patterns: &[Atom], seed: &[VarId]) -> Vec<u32> {
+fn simulate_first_descent(patterns: &[Atom], skip: Option<usize>, seed: &[VarId]) -> Vec<u32> {
     let mut bound: Vec<VarId> = seed.to_vec();
-    let mut remaining: Vec<u32> = (0..patterns.len() as u32).collect();
+    let mut remaining: Vec<u32> = (0..patterns.len() as u32)
+        .filter(|&p| Some(p as usize) != skip)
+        .collect();
     let mut order = Vec::with_capacity(patterns.len());
     while !remaining.is_empty() {
         let mut best_idx = 0usize;
@@ -77,14 +79,19 @@ fn simulate_first_descent(patterns: &[Atom], seed: &[VarId]) -> Vec<u32> {
     order
 }
 
-/// Walks a simulated descent over `patterns` (seeded with `seed`
-/// bound) and records, for every pattern probed with two or more
+/// Walks a simulated descent over `patterns` but the one at `skip`
+/// (seeded with `seed` bound) and records, for every pattern probed with two or more
 /// bound positions, the composite key the matcher would ask the
 /// instance for: the predicate plus the *first two* bound positions in
 /// position order. Deduplicates into `acc`.
-fn collect_pair_keys(patterns: &[Atom], seed: &[VarId], acc: &mut Vec<(PredId, u16, u16)>) {
+fn collect_pair_keys(
+    patterns: &[Atom],
+    skip: Option<usize>,
+    seed: &[VarId],
+    acc: &mut Vec<(PredId, u16, u16)>,
+) {
     let mut bound: Vec<VarId> = seed.to_vec();
-    for &p in &simulate_first_descent(patterns, seed) {
+    for &p in &simulate_first_descent(patterns, skip, seed) {
         let pat = &patterns[p as usize];
         let mut bound_positions = pat.args.iter().enumerate().filter_map(|(i, t)| match t {
             Term::Var(v) if bound.contains(v) => Some(i as u16),
@@ -121,23 +128,26 @@ impl TgdId {
 ///
 /// Beyond the syntactic parts, a `Tgd` precomputes the layouts the
 /// chase hot path needs — the body variables in sorted order (trigger
-/// fingerprints, skolem keys), one "body minus atom `i`" view per body
-/// atom, and the body compiled for the matcher with the slot lists a
-/// trigger's identity and ground head are read through — so engines
-/// never sort, rebuild atom lists or look variables up per trigger.
+/// fingerprints, skolem keys) and the body compiled for the matcher
+/// with the slot lists a trigger's identity and ground head are read
+/// through — so engines never sort, rebuild atom lists or look
+/// variables up per trigger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tgd {
     body: Vec<Atom>,
     head: Vec<Atom>,
     frontier: Vec<VarId>,
     existentials: Vec<VarId>,
-    body_vars: Vec<VarId>,
     sorted_body_vars: Vec<VarId>,
-    body_minus: Vec<Vec<Atom>>,
+    /// The compiled body; its variables are the body variables in
+    /// first-occurrence order.
     body_pattern: Pattern,
-    frontier_slots: Vec<u32>,
-    sorted_body_slots: Vec<u32>,
-    ground_head: Option<(PredId, Vec<u32>)>,
+    /// The body-pattern slots of the frontier, then of the sorted body
+    /// variables, then (for a single-head full TGD) of the head's
+    /// arguments.
+    slot_lists: Vec<u32>,
+    /// The head predicate of a single-head full TGD.
+    ground_head_pred: Option<PredId>,
     body_pair_plan: Vec<(PredId, u16, u16)>,
     pair_plan: Vec<(PredId, u16, u16)>,
     head_probe: Option<HeadProbe>,
@@ -165,14 +175,10 @@ impl Tgd {
                 }
             }
         }
-        let mut body_vars: Vec<VarId> = Vec::new();
-        for atom in &body {
-            for v in atom.vars() {
-                if !body_vars.contains(&v) {
-                    body_vars.push(v);
-                }
-            }
-        }
+        // The compiled body: slot `i` is the `i`-th body variable in
+        // first-occurrence order.
+        let body_pattern = Pattern::compile(&body);
+        let body_vars = body_pattern.vars();
         let mut frontier: Vec<VarId> = Vec::new();
         let mut existentials: Vec<VarId> = Vec::new();
         for atom in &head {
@@ -188,37 +194,22 @@ impl Tgd {
         }
         frontier.sort();
         existentials.sort();
-        let mut sorted_body_vars = body_vars.clone();
+        let mut sorted_body_vars = body_vars.to_vec();
         sorted_body_vars.sort();
-        let body_minus: Vec<Vec<Atom>> = (0..body.len())
-            .map(|i| {
-                body.iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, a)| a.clone())
-                    .collect()
-            })
-            .collect();
-
-        // The compiled body: slot `i` is `body_vars[i]`, both being
-        // first-occurrence order.
-        let body_pattern = Pattern::compile(&body);
-        debug_assert_eq!(body_pattern.vars(), body_vars.as_slice());
-        let slots_of = |vars: &[VarId]| -> Vec<u32> {
-            vars.iter()
-                .map(|&v| body_pattern.slot_of(v).expect("a body variable"))
-                .collect()
-        };
-        let frontier_slots = slots_of(&frontier);
-        let sorted_body_slots = slots_of(&sorted_body_vars);
         // Rules are constant-free, so every head argument is a variable,
         // and a full TGD's are all body variables.
         let ground_head = match head.as_slice() {
-            [h] if existentials.is_empty() => {
-                Some((h.pred, slots_of(&h.vars().collect::<Vec<_>>())))
-            }
+            [h] if existentials.is_empty() => Some(h),
             _ => None,
         };
+        let slot_lists: Vec<u32> = frontier
+            .iter()
+            .chain(&sorted_body_vars)
+            .copied()
+            .chain(ground_head.into_iter().flat_map(Atom::vars))
+            .map(|v| body_pattern.slot_of(v).expect("a body variable"))
+            .collect();
+        let ground_head_pred = ground_head.map(|h| h.pred);
 
         // Composite-index plan: every (pred, posA, posB) key a
         // simulated matcher descent would probe with two bound
@@ -235,14 +226,14 @@ impl Tgd {
         // run restriction checks (the oblivious chase probes body
         // joins only; head keys would be dead maintenance weight).
         let mut body_pair_plan: Vec<(PredId, u16, u16)> = Vec::new();
-        collect_pair_keys(&body, &[], &mut body_pair_plan);
+        collect_pair_keys(&body, None, &[], &mut body_pair_plan);
         for (i, atom) in body.iter().enumerate() {
             let seed: Vec<VarId> = atom.vars().collect();
-            collect_pair_keys(&body_minus[i], &seed, &mut body_pair_plan);
+            collect_pair_keys(&body, Some(i), &seed, &mut body_pair_plan);
         }
         let mut pair_plan = body_pair_plan.clone();
         if !existentials.is_empty() {
-            collect_pair_keys(&head, &frontier, &mut pair_plan);
+            collect_pair_keys(&head, None, &frontier, &mut pair_plan);
         }
 
         // O(1) activeness probe: single head atom, at least one
@@ -280,13 +271,10 @@ impl Tgd {
             head,
             frontier,
             existentials,
-            body_vars,
             sorted_body_vars,
-            body_minus,
             body_pattern,
-            frontier_slots,
-            sorted_body_slots,
-            ground_head,
+            slot_lists,
+            ground_head_pred,
             body_pair_plan,
             pair_plan,
             head_probe,
@@ -335,7 +323,7 @@ impl Tgd {
     /// All body variables, in first-occurrence order.
     #[inline]
     pub fn body_vars(&self) -> &[VarId] {
-        &self.body_vars
+        self.body_pattern.vars()
     }
 
     /// All body variables, sorted — the canonical variable order used
@@ -344,14 +332,6 @@ impl Tgd {
     #[inline]
     pub fn sorted_body_vars(&self) -> &[VarId] {
         &self.sorted_body_vars
-    }
-
-    /// The body with the atom at position `i` removed, in original
-    /// order — the "rest of the body" completed against the instance
-    /// during semi-naive delta matching. Precomputed at construction.
-    #[inline]
-    pub fn body_without(&self, i: usize) -> &[Atom] {
-        &self.body_minus[i]
     }
 
     /// The body compiled for the matcher: slot `i` is
@@ -364,13 +344,14 @@ impl Tgd {
     /// The body-pattern slots of [`Tgd::frontier`], in its order.
     #[inline]
     pub fn frontier_slots(&self) -> &[u32] {
-        &self.frontier_slots
+        &self.slot_lists[..self.frontier.len()]
     }
 
     /// The body-pattern slots of [`Tgd::sorted_body_vars`], in its order.
     #[inline]
     pub fn sorted_body_slots(&self) -> &[u32] {
-        &self.sorted_body_slots
+        let start = self.frontier.len();
+        &self.slot_lists[start..start + self.sorted_body_vars.len()]
     }
 
     /// For a single-head full TGD, the head predicate and the
@@ -378,9 +359,9 @@ impl Tgd {
     /// `h(head(σ))` read straight from its slots. `None` otherwise.
     #[inline]
     pub fn ground_head(&self) -> Option<(PredId, &[u32])> {
-        self.ground_head
-            .as_ref()
-            .map(|(pred, slots)| (*pred, slots.as_slice()))
+        let start = self.frontier.len() + self.sorted_body_vars.len();
+        self.ground_head_pred
+            .map(|pred| (pred, &self.slot_lists[start..]))
     }
 
     /// The composite `(pred, posA, posB)` index keys a matcher descent
@@ -455,7 +436,11 @@ pub struct TgdSet {
     preds: Vec<PredId>,
     pair_plans: Vec<(PredId, u16, u16)>,
     body_pair_plans: Vec<(PredId, u16, u16)>,
-    body_atoms_by_pred: Vec<Vec<(TgdId, u32)>>,
+    /// Every body atom as `(TGD, body position)`, grouped by predicate
+    /// (declaration then body order within a group); predicate `p`'s
+    /// group is `body_atoms[body_atom_starts[p]..body_atom_starts[p + 1]]`.
+    body_atoms: Vec<(TgdId, u32)>,
+    body_atom_starts: Vec<u32>,
 }
 
 impl TgdSet {
@@ -501,14 +486,27 @@ impl TgdSet {
                 }
             }
         }
-        let mut body_atoms_by_pred: Vec<Vec<(TgdId, u32)>> = Vec::new();
+        // A counting sort of the body atoms by predicate, which keeps
+        // declaration then body order within a predicate.
+        let body_atom_preds = || {
+            tgds.iter()
+                .flat_map(|tgd| tgd.body.iter().map(|a| a.pred.index()))
+        };
+        let n_preds = body_atom_preds().max().map_or(0, |p| p + 1);
+        let mut body_atom_starts = vec![0u32; n_preds + 1];
+        for p in body_atom_preds() {
+            body_atom_starts[p + 1] += 1;
+        }
+        for p in 0..n_preds {
+            body_atom_starts[p + 1] += body_atom_starts[p];
+        }
+        let mut next = body_atom_starts.clone();
+        let mut body_atoms = vec![(TgdId(0), 0u32); body_atom_starts[n_preds] as usize];
         for (t, tgd) in tgds.iter().enumerate() {
             for (i, atom) in tgd.body.iter().enumerate() {
-                let p = atom.pred.index();
-                if body_atoms_by_pred.len() <= p {
-                    body_atoms_by_pred.resize_with(p + 1, Vec::new);
-                }
-                body_atoms_by_pred[p].push((TgdId(t as u32), i as u32));
+                let at = &mut next[atom.pred.index()];
+                body_atoms[*at as usize] = (TgdId(t as u32), i as u32);
+                *at += 1;
             }
         }
         Ok(TgdSet {
@@ -517,7 +515,8 @@ impl TgdSet {
             preds,
             pair_plans,
             body_pair_plans,
-            body_atoms_by_pred,
+            body_atoms,
+            body_atom_starts,
         })
     }
 
@@ -584,9 +583,10 @@ impl TgdSet {
     /// `pred` atom can be matched to in semi-naive delta matching.
     #[inline]
     pub fn body_atoms_with_pred(&self, pred: PredId) -> &[(TgdId, u32)] {
-        self.body_atoms_by_pred
-            .get(pred.index())
-            .map_or(&[], Vec::as_slice)
+        match self.body_atom_starts.get(pred.index()..pred.index() + 2) {
+            Some(&[start, end]) => &self.body_atoms[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// Whether every TGD is single-head; the termination deciders
@@ -711,9 +711,18 @@ mod tests {
         let mut expect = tgd.body_vars().to_vec();
         expect.sort();
         assert_eq!(tgd.sorted_body_vars(), expect.as_slice());
-        // Body-minus views drop exactly one atom, preserving order.
-        assert_eq!(tgd.body_without(0), &tgd.body()[1..]);
-        assert_eq!(tgd.body_without(1), &tgd.body()[..1]);
+        // Slot `i` is the `i`-th body variable, and the slot lists
+        // name the frontier, the sorted body variables and the ground
+        // head's arguments in their orders.
+        assert_eq!(tgd.body_pattern().vars(), tgd.body_vars());
+        let vars_of = |slots: &[u32]| -> Vec<VarId> {
+            slots.iter().map(|&s| tgd.body_vars()[s as usize]).collect()
+        };
+        assert_eq!(vars_of(tgd.frontier_slots()), tgd.frontier());
+        assert_eq!(vars_of(tgd.sorted_body_slots()), tgd.sorted_body_vars());
+        let (pred, head) = tgd.ground_head().expect("single-head full TGD");
+        assert_eq!(pred, tgd.head()[0].pred);
+        assert_eq!(vars_of(head), [x.as_var().unwrap()]);
     }
 
     #[test]
@@ -878,10 +887,8 @@ mod tests {
         // head-satisfaction key.
         assert!(tgd.body_pair_plan().contains(&(e, 0, 1)));
         assert!(!tgd.body_pair_plan().contains(&(m, 0, 1)));
-        assert_eq!(
-            tgd.body_without(1),
-            [tgd.body()[0].clone(), tgd.body()[2].clone()]
-        );
+        // Existential: no ground head.
+        assert!(tgd.ground_head().is_none());
     }
 
     #[test]

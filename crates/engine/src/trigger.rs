@@ -351,8 +351,8 @@ where
 /// order; the new atom is unified into the compiled body in place and
 /// the rest of the body completed against the instance, so the
 /// enumeration allocates nothing. Each match lists the new atom's
-/// bindings first, as if the body minus that atom
-/// ([`Tgd::body_without`]) had been matched from them.
+/// bindings first, as if the body minus that atom had been matched
+/// from them.
 pub fn for_each_trigger_using_with<F>(
     scratch: &mut HomScratch,
     set: &TgdSet,
