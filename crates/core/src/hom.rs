@@ -13,7 +13,7 @@
 //! dense *slot* (its first-occurrence index) and each argument a slot
 //! or a ground term. A search keeps one value per slot plus a trail of
 //! the slots it bound, in binding order, so binding, lookup and undo are
-//! array operations instead of scans of a `(VarId, Term)` list. A
+//! array operations. A
 //! [`Tgd`] compiles its body once ([`Tgd::body_pattern`]); ad-hoc
 //! patterns (queries, satisfaction checks) are compiled into the
 //! scratch per call and go through the same search.
@@ -47,7 +47,7 @@ use crate::tgd::{Tgd, TgdSet};
 
 /// One argument of a compiled [`Pattern`] atom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arg {
+pub(crate) enum Arg {
     /// The pattern variable with this slot.
     Slot(u32),
     /// A ground term the matched atom must hold here.
@@ -55,7 +55,7 @@ pub enum Arg {
 }
 
 /// A conjunction of atoms compiled for the matcher. Each variable gets
-/// a dense slot, its index in first-occurrence order ([`Pattern::vars`]);
+/// a dense slot, its index in first-occurrence order;
 /// each argument becomes a slot or a ground term.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Pattern {
@@ -67,7 +67,7 @@ pub struct Pattern {
 
 impl Pattern {
     /// Compiles `atoms`.
-    pub fn compile(atoms: &[Atom]) -> Pattern {
+    pub(crate) fn compile(atoms: &[Atom]) -> Pattern {
         let mut pattern = Pattern::default();
         pattern.compile_into(atoms);
         pattern
@@ -104,30 +104,24 @@ impl Pattern {
     /// The variable of each slot: the pattern's variables in
     /// first-occurrence order.
     #[inline]
-    pub fn vars(&self) -> &[VarId] {
+    pub(crate) fn vars(&self) -> &[VarId] {
         &self.vars
     }
 
     /// The slot of variable `v`, if the pattern mentions it.
-    pub fn slot_of(&self, v: VarId) -> Option<u32> {
+    pub(crate) fn slot_of(&self, v: VarId) -> Option<u32> {
         self.vars.iter().position(|&w| w == v).map(|s| s as u32)
     }
 
     /// Number of atoms.
     #[inline]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.atoms.len()
-    }
-
-    /// Whether the pattern has no atom.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
     }
 
     /// The predicate and compiled arguments of atom `i`.
     #[inline]
-    pub fn atom(&self, i: usize) -> (PredId, &[Arg]) {
+    fn atom(&self, i: usize) -> (PredId, &[Arg]) {
         let (pred, start, end) = self.atoms[i];
         (pred, &self.args[start as usize..end as usize])
     }

@@ -559,7 +559,7 @@ impl Instance {
     /// The arguments of the atom stored at `slot` ([`Instance::atom`]
     /// without its predicate).
     #[inline]
-    pub fn args(&self, slot: usize) -> &[Term] {
+    pub(crate) fn args(&self, slot: usize) -> &[Term] {
         let m = self.meta[slot];
         let arity = (m & META_ARITY_MASK) as usize;
         let off = (m >> META_ARITY_BITS) as usize;
