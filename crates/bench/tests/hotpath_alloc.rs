@@ -5,13 +5,15 @@
 //! allocation**, and neither does a warmed JSON Lines sink encoding an
 //! event.
 //!
-//! The test installs a counting global allocator and must therefore be
-//! the only test in this binary (other tests' allocations on sibling
-//! threads would pollute the counter).
+//! The test installs a counting global allocator. It counts only the
+//! allocations of the thread that raised its thread-local `COUNTING`
+//! flag, so allocations by the harness or any other thread of the test
+//! process never land in a counting window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use chase_bench::closure_workload;
 use chase_core::hom::{exists_homomorphism_with, HomScratch, SlotBinding};
@@ -22,32 +24,39 @@ use chase_engine::restricted::{ChaseVariant, Seen, Strategy, TriggerIdentity};
 use chase_engine::trigger::{for_each_trigger_using_with, for_each_trigger_with, TriggerFp};
 use chase_telemetry::{ChaseObserver, EngineKind, Event, JsonlWriter};
 
-/// Delegates to the system allocator, counting allocation events while
-/// the `COUNTING` gate is up.
+/// Delegates to the system allocator, counting the allocation events of
+/// a thread whose `COUNTING` flag is up.
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Up while this thread is inside a counting window. Const-initialised
+    /// and without a destructor, so the allocator can read it without
+    /// allocating or registering anything.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocation event if the calling thread is counting.
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -135,9 +144,9 @@ fn warmed_trigger_hot_path_allocates_nothing() {
     // seen-set and membership probes, keys) + activeness, zero
     // allocations.
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     let (candidates, admitted) = pass(&mut seen);
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
 
     assert!(candidates > warm_admitted, "measured pass re-ran discovery");
     assert_eq!(
@@ -176,11 +185,11 @@ fn warmed_trigger_hot_path_allocates_nothing() {
         sink.on_event(event);
     }
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     for event in events.iter().cycle().take(3_000) {
         sink.on_event(event);
     }
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     assert_eq!(sink.events_written(), 3_003);
     assert_eq!(
         ALLOCATIONS.load(Ordering::SeqCst),

@@ -5,42 +5,51 @@
 //! reused buffers, and the vocabulary interns constant names into one
 //! arena, so what remains is the growth of the tables themselves.
 //!
-//! The test installs a counting global allocator and must therefore be
-//! the only test in this binary (other tests' allocations on sibling
-//! threads would pollute the counter).
+//! The test installs a counting global allocator. It counts only the
+//! allocations of the thread that raised its thread-local `COUNTING`
+//! flag, so allocations by the harness or any other thread of the test
+//! process never land in a counting window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use chase_bench::ingest_program;
 use chase_core::compile::compile;
 
-/// Delegates to the system allocator, counting allocation events while
-/// the `COUNTING` gate is up.
+/// Delegates to the system allocator, counting the allocation events of
+/// a thread whose `COUNTING` flag is up.
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Up while this thread is inside a counting window. Const-initialised
+    /// and without a destructor, so the allocator can read it without
+    /// allocating or registering anything.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocation event if the calling thread is counting.
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -63,9 +72,9 @@ fn compiling_allocates_at_most_once_per_fact() {
     let facts = src.lines().filter(|line| !line.contains("->")).count();
 
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     let program = compile(&src).expect("ingest program compiles");
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     let allocations = ALLOCATIONS.load(Ordering::SeqCst);
 
     assert!(program.database().len() <= facts);

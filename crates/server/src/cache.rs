@@ -293,6 +293,8 @@ impl ProgramCache {
 /// definitive verdict, LRU-bounded at `max_entries`; `Unknown` is
 /// never stored. Verdicts are shared, so a hit costs a reference count,
 /// not a copy of the verdict's witness instance and derivation.
+/// Admission probes it once per decide and answers a hit on the
+/// connection's handler thread; only a miss takes a runner.
 pub struct DecideCache {
     verdicts: Mutex<Lru<(ProgramFingerprint, &'static str), Arc<TerminationVerdict>>>,
     counters: CacheCounters,

@@ -109,14 +109,22 @@ impl Jitter {
     }
 }
 
-/// Connects, sends one request line and returns a reader for the
-/// replies.
-fn send(endpoint: &Endpoint, request_line: &str) -> Result<impl BufRead, ClientError> {
+/// `line` and its newline in `buf`, which is cleared first: the bytes
+/// [`send`] writes.
+fn frame<'a>(buf: &'a mut Vec<u8>, line: &str) -> &'a [u8] {
+    buf.clear();
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    buf
+}
+
+/// Connects, sends one framed request line (newline included) in one
+/// write, and returns a reader for the replies.
+fn send(endpoint: &Endpoint, framed: &[u8]) -> Result<impl BufRead, ClientError> {
     let io = |e: std::io::Error| ClientError::Io(e.to_string());
     let (read, mut write) = endpoint.connect().map_err(io)?;
     write
-        .write_all(request_line.as_bytes())
-        .and_then(|()| write.write_all(b"\n"))
+        .write_all(framed)
         .and_then(|()| write.flush())
         .map_err(io)?;
     Ok(BufReader::new(read))
@@ -130,7 +138,7 @@ pub fn request_once(
     endpoint: &Endpoint,
     request_line: &str,
 ) -> Result<BTreeMap<String, Scalar>, ClientError> {
-    let mut reader = send(endpoint, request_line)?;
+    let mut reader = send(endpoint, frame(&mut Vec::new(), request_line))?;
     let mut line = String::new();
     match reader.read_line(&mut line) {
         Ok(0) => Err(ClientError::Protocol("server closed the connection".into())),
@@ -174,9 +182,11 @@ where
     let mut jitter = Jitter(config.jitter_seed);
     let mut attempts = 0u32;
     let mut line = request_line;
+    // The framed line, reused by every attempt.
+    let mut framed = Vec::new();
     loop {
         attempts += 1;
-        match drive_once(endpoint, line, &mut on_line) {
+        match drive_once(endpoint, frame(&mut framed, line), &mut on_line) {
             Ok(Driven::Finished { result, events }) => {
                 return Ok(SessionResult {
                     result,
@@ -226,16 +236,12 @@ enum Driven {
     },
 }
 
-fn drive_once<F>(
-    endpoint: &Endpoint,
-    request_line: &str,
-    on_line: &mut F,
-) -> Result<Driven, ClientError>
+fn drive_once<F>(endpoint: &Endpoint, framed: &[u8], on_line: &mut F) -> Result<Driven, ClientError>
 where
     F: FnMut(&BTreeMap<String, Scalar>),
 {
     let mut events = 0u64;
-    for line in send(endpoint, request_line)?.lines() {
+    for line in send(endpoint, framed)?.lines() {
         let line = line.map_err(|e| ClientError::Io(e.to_string()))?;
         if line.trim().is_empty() {
             continue;

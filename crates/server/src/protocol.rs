@@ -36,14 +36,14 @@
 //!
 //! | `type`         | meaning |
 //! |----------------|---------|
-//! | `accepted`     | session admitted; carries `program` (the canonical fingerprint, usable as `program_ref` later). Admission's program-cache counter events (`server.program_cache.*`, telemetry sessions only) come before it; every line a runner writes for the session — its events and the result — follows it (any interleaving with other sessions on the same connection) |
+//! | `accepted`     | session admitted; carries `program` (the canonical fingerprint, usable as `program_ref` later). Admission's program-cache counter events (`server.program_cache.*`, telemetry sessions only) come before it; every line written for the session after admission — its events and the result — follows it (any interleaving with other sessions on the same connection). A decide whose verdict is memoized is answered at admission: `accepted`, the `server.decide_cache.hits` counter (telemetry sessions), then its `result` |
 //! | `event`        | one telemetry event of session `id`: `type` and `id`, then the event's own fields (`event`, `v`, ...) as in a trace line |
 //! | `result`       | terminal: `status` is `ok`, `parse_error` or `panicked`. Every `ok` result, chase or decide, carries `events_sent`, `events_dropped` and `elapsed_ms`; a chase adds `outcome`, `steps`, `atoms` and `fingerprint` (hex); a decide adds `verdict`, `cached` (memoized verdict, no decider ran) and, when the verdict is `unknown`, `reason`. `parse_error` and `panicked` results carry `error` and `elapsed_ms`. `parse_error` is produced at admission — malformed programs never occupy a scheduler slot |
 //! | `unknown_program` | the `program_ref` fingerprint is not cached and no in-line `program` fallback was supplied; resubmit with full source |
-//! | `overloaded`   | load-shed: not admitted, retry after `retry_after_ms` |
+//! | `overloaded`   | load-shed: not admitted, retry after `retry_after_ms`. Only a session that needs a runner is shed: a decide answered from the decide cache never is |
 //! | `shutting_down`| not admitted: the server is draining |
 //! | `cancel_ack` / `pong` / `shutdown_ack` | control-plane acknowledgements (`shutdown_ack` echoes `mode`) |
-//! | `error`        | malformed request (the connection stays up) |
+//! | `error`        | malformed request, including a line that is not valid UTF-8 (the connection stays up) |
 
 use std::collections::BTreeMap;
 use std::time::Duration;

@@ -7,6 +7,16 @@
 //! (every line carries the session `id`), so clients demultiplex by
 //! `id` rather than by stream.
 //!
+//! Each connection is served by one handler thread, and handler
+//! threads are reused: a handler that finishes a connection parks, and
+//! the accept loop hands the next connection to the most recently
+//! parked handler. Only when no handler is parked does it spawn a new
+//! one, so a connection never waits behind another connection. A
+//! parked handler exits after [`HANDLER_IDLE`] without work, so an idle
+//! server returns to its runner threads alone. A one-request client
+//! (a connection per request) thus costs a channel handoff instead of
+//! a thread spawn and join.
+//!
 //! Shutdown is an in-band `{"op":"shutdown"}` request (any connection
 //! may send it — the server fleet's supervisor owns the socket, so
 //! in-band is the honest interface in a `std`-only process with no
@@ -26,7 +36,9 @@
 //! [`ProgramCache`] *before* a scheduler slot is taken, so repeated
 //! rule sets share one compiled bundle and malformed programs are
 //! rejected with a typed `parse_error` result without ever occupying
-//! a runner.
+//! a runner. A `decide` whose verdict is memoized in the
+//! [`DecideCache`] is answered right there too, on the handler thread:
+//! it never queues, never takes a runner and is never shed.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -34,16 +46,26 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 use chase_core::cancel::CancelToken;
 use chase_core::compile::CompiledProgram;
 use chase_telemetry::{names, Event};
+use chase_termination::decider_class;
 
 use crate::cache::{Caches, DecideCache, ProgramCache, ProgramCacheConfig, Resolution};
-use crate::protocol::{parse_request, Reply, Request, SessionRequest};
+use crate::protocol::{parse_request, Reply, Request, SessionOp, SessionRequest};
 use crate::scheduler::{Rejected, RunnerCtx, Scheduler, SchedulerConfig};
-use crate::session::{event_line, run_session};
+use crate::session::{answer_cached_decide, event_line, run_chase, run_decide};
+
+/// How long a connection handler thread stays parked, waiting for its
+/// next connection, before it exits. Spawning and joining a thread
+/// costs about 20 µs (2-CPU x86-64 host), so a busy server reuses its
+/// handlers and an idle one keeps none for long.
+pub const HANDLER_IDLE: Duration = Duration::from_secs(2);
 
 /// Where the server listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,6 +174,9 @@ pub struct ConnWriter {
 
 struct WriterInner {
     stream: Box<dyn Write + Send>,
+    /// The line being written and its newline, so each line is one
+    /// write on the socket.
+    buf: Vec<u8>,
     degraded: bool,
 }
 
@@ -160,10 +185,12 @@ impl WriterInner {
         if self.degraded {
             return false;
         }
+        self.buf.clear();
+        self.buf.extend_from_slice(line.as_bytes());
+        self.buf.push(b'\n');
         let wrote = self
             .stream
-            .write_all(line.as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
+            .write_all(&self.buf)
             .and_then(|()| self.stream.flush());
         if let Err(e) = wrote {
             self.degraded = true;
@@ -179,6 +206,7 @@ impl ConnWriter {
         ConnWriter {
             inner: Mutex::new(WriterInner {
                 stream,
+                buf: Vec::new(),
                 degraded: false,
             }),
         }
@@ -238,6 +266,72 @@ impl Registry {
     }
 }
 
+/// Connection handlers parked between connections.
+#[derive(Default)]
+struct Parked {
+    state: Mutex<ParkedState>,
+}
+
+#[derive(Default)]
+struct ParkedState {
+    /// Each parked handler's thread and inbox, most recently parked
+    /// last.
+    idle: Vec<(ThreadId, SyncSender<Stream>)>,
+    /// Shutdown began: no handler parks again.
+    closed: bool,
+}
+
+impl Parked {
+    fn lock(&self) -> MutexGuard<'_, ParkedState> {
+        self.state.lock().expect("handler list poisoned")
+    }
+
+    /// Parks the calling handler. Its next connection arrives on the
+    /// returned receiver, which disconnects if the server shuts down
+    /// first; `None` once shutdown has begun.
+    fn park(&self) -> Option<Receiver<Stream>> {
+        let mut state = self.lock();
+        if state.closed {
+            return None;
+        }
+        let (inbox, next) = sync_channel(1);
+        state.idle.push((std::thread::current().id(), inbox));
+        Some(next)
+    }
+
+    /// Takes the calling handler off the list after its idle wait ran
+    /// out: `true` if it was still parked, `false` if the accept loop
+    /// or shutdown claimed it first.
+    fn retire(&self) -> bool {
+        let me = std::thread::current().id();
+        let mut state = self.lock();
+        let slot = state.idle.iter().position(|(thread, _)| *thread == me);
+        slot.map(|i| state.idle.remove(i)).is_some()
+    }
+
+    /// Hands `stream` to the most recently parked handler, or gives it
+    /// back when none is parked.
+    fn hand_off(&self, stream: Stream) -> Result<(), Stream> {
+        let Some((_, inbox)) = self.lock().idle.pop() else {
+            return Err(stream);
+        };
+        let sent = inbox.send(stream);
+        assert!(
+            sent.is_ok(),
+            "a parked handler waits on its inbox until it is sent a connection or retires"
+        );
+        Ok(())
+    }
+
+    /// Shutdown: stops handlers from parking, and drops every parked
+    /// handler's inbox, which wakes it to exit.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        state.idle.clear();
+    }
+}
+
 /// The resident chase server. [`Server::bind`] then [`Server::run`];
 /// `run` returns after a graceful drain.
 pub struct Server {
@@ -251,6 +345,7 @@ struct Shared {
     scheduler: Scheduler,
     registry: Registry,
     caches: Caches,
+    parked: Parked,
 }
 
 impl Shared {
@@ -289,6 +384,7 @@ impl Server {
                     programs: ProgramCache::new(config.cache.programs),
                     decide: DecideCache::new(config.cache.decide_entries),
                 },
+                parked: Parked::default(),
             }),
         })
     }
@@ -299,8 +395,13 @@ impl Server {
     }
 
     /// Serves until a `shutdown` request completes its drain. Each
-    /// connection gets its own handler thread; sessions run on the
-    /// scheduler regardless of which connection submitted them.
+    /// connection is served by its own handler thread: a parked handler
+    /// if there is one, else a newly spawned one, which parks for reuse
+    /// when its connection closes and exits after [`HANDLER_IDLE`]
+    /// unused. Sessions run on the scheduler regardless of which
+    /// connection submitted them; memoized decides are answered on the
+    /// handler thread. Shutdown wakes every parked handler and joins
+    /// every handler once its client hangs up.
     pub fn run(self) -> std::io::Result<()> {
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
@@ -318,17 +419,22 @@ impl Server {
                     continue;
                 }
             };
+            let Err(stream) = self.shared.parked.hand_off(stream) else {
+                continue;
+            };
             let shared = Arc::clone(&self.shared);
-            // Drop the handles of finished handlers so their thread
+            // Drop the handles of retired handlers so their thread
             // stacks are unmapped now, not at shutdown.
             handlers.retain(|h| !h.is_finished());
             handlers.push(std::thread::spawn(move || {
-                handle_connection(stream, &shared)
+                serve_connections(stream, &shared)
             }));
         }
-        // Drain: joining the runners finishes queued + running
-        // sessions; then join the handler threads (their clients have
-        // their results).
+        // Parked handlers exit now; busy ones exit when their client
+        // hangs up. Drain: joining the runners finishes queued +
+        // running sessions; then join the handler threads (their
+        // clients have their results).
+        self.shared.parked.close();
         self.shared.scheduler.shutdown();
         if let Endpoint::Unix(path) = &self.shared.endpoint {
             let _ = std::fs::remove_file(path);
@@ -340,24 +446,62 @@ impl Server {
     }
 }
 
-fn handle_connection(stream: Stream, shared: &Arc<Shared>) {
-    let (read, write) = match stream.split() {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("chase-server: cannot split connection: {e}");
-            return;
+/// A connection handler thread: serves `stream`, then parks and serves
+/// each connection the accept loop hands it, until it sits parked for
+/// [`HANDLER_IDLE`] or the server shuts down.
+fn serve_connections(mut stream: Stream, shared: &Arc<Shared>) {
+    loop {
+        let mut open = stream
+            .split()
+            .map(|(read, write)| (BufReader::new(read), Arc::new(ConnWriter::new(write))));
+        match &mut open {
+            Ok((reader, conn)) => handle_connection(reader, conn, shared),
+            Err(e) => eprintln!("chase-server: cannot split connection: {e}"),
         }
-    };
-    let conn = Arc::new(ConnWriter::new(write));
-    for line in BufReader::new(read).lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
+        // The connection closes when `open` drops, after the handler
+        // has parked: a client that waits for the close and then
+        // connects again finds this handler ready to serve it.
+        let next = shared.parked.park();
+        drop(open);
+        let Some(next) = next else {
+            return;
         };
+        stream = match next.recv_timeout(HANDLER_IDLE) {
+            Ok(stream) => stream,
+            // Claimed as the wait ran out: a connection, or shutdown's
+            // disconnect, is on its way.
+            Err(RecvTimeoutError::Timeout) if !shared.parked.retire() => match next.recv() {
+                Ok(stream) => stream,
+                Err(_) => return,
+            },
+            Err(_) => return,
+        };
+    }
+}
+
+/// Serves one connection's requests until the client hangs up.
+fn handle_connection(reader: &mut impl BufRead, conn: &Arc<ConnWriter>, shared: &Arc<Shared>) {
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        match reader.read_until(b'\n', &mut bytes) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            conn.send_line(
+                &Reply::new("error")
+                    .str("message", "request line is not valid UTF-8")
+                    .finish(),
+            );
+            continue;
+        };
+        let line = line.strip_suffix('\n').unwrap_or(line);
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
+        match parse_request(line) {
             Err(msg) => {
                 conn.send_line(&Reply::new("error").str("message", &msg).finish());
             }
@@ -394,8 +538,8 @@ fn handle_connection(stream: Stream, shared: &Arc<Shared>) {
                 // already closed.
             }
             Ok(Request::Session(req)) => {
-                if let Some(program) = resolve_program(shared, &conn, &req) {
-                    submit_session(shared, &conn, req, program);
+                if let Some(program) = resolve_program(shared, conn, &req) {
+                    submit_session(shared, conn, req, program);
                 }
             }
         }
@@ -493,9 +637,14 @@ fn resolve_program(
 }
 
 /// Admission control for one session: shutdown gate, duplicate-id
-/// check, scheduler submit with typed shed replies. The registry holds
-/// a clone of the token the session will actually poll, so `cancel`
-/// requests reach it.
+/// check, decide-cache probe, scheduler submit with typed shed
+/// replies. The registry holds a clone of the token the session will
+/// actually poll, so `cancel` requests reach it.
+///
+/// A decide whose verdict is memoized is answered here, on the
+/// handler thread: `accepted`, the `decide_cache.hits` counter
+/// (telemetry sessions), then the `result` line. It never takes a
+/// runner, so it is never shed.
 fn submit_session(
     shared: &Arc<Shared>,
     conn: &Arc<ConnWriter>,
@@ -522,12 +671,30 @@ fn submit_session(
         .str("id", &id)
         .str("program", &program.fingerprint().to_hex())
         .finish();
+    // A decide's class on a cache miss; `None` for a chase.
+    let decide_class = match req.op {
+        SessionOp::Chase { .. } => None,
+        SessionOp::Decide => {
+            let class = decider_class(program.tgd_set());
+            if let Some(verdict) = shared.caches.decide.get(program.fingerprint(), class) {
+                conn.send_line(&accepted);
+                let line = answer_cached_decide(&req, &verdict, conn);
+                shared.registry.remove(&id);
+                conn.send_line(&line);
+                return;
+            }
+            Some(class)
+        }
+    };
     let tenant = req.tenant.clone();
     let job = {
         let conn = Arc::clone(conn);
         let shared = Arc::clone(shared);
         move |runner: &mut RunnerCtx| {
-            let line = run_session(&req, &program, &conn, &shared.caches, runner);
+            let line = match decide_class {
+                Some(class) => run_decide(&req, &program, class, &conn, &shared.caches.decide),
+                None => run_chase(&req, &program, &conn, runner),
+            };
             // Free the id before the client can read the result: only
             // live ids clash.
             shared.registry.remove(&req.id);

@@ -13,7 +13,7 @@ use chase_engine::governor::Budget;
 use chase_engine::task::{run_chase_task, ChaseTaskSpec};
 use chase_server::client::{request_once, run_session, ClientConfig};
 use chase_server::scheduler::SchedulerConfig;
-use chase_server::server::{Endpoint, Server, ServerConfig};
+use chase_server::server::{Endpoint, Server, ServerConfig, HANDLER_IDLE};
 use chase_telemetry::json::Scalar;
 use chase_telemetry::NullObserver;
 
@@ -506,6 +506,200 @@ fn finished_connection_handlers_are_reaped() {
         "1,000 closed connections grew the mappings from {before} to {after}"
     );
 
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
+/// Polls the process's thread count until it is at most `want`, for up
+/// to `limit`; returns the last count read.
+fn await_threads_at_most(want: usize, limit: Duration) -> usize {
+    let started = std::time::Instant::now();
+    loop {
+        let now = os_threads();
+        if now <= want || started.elapsed() > limit {
+            return now;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// The ids of this process's threads, from `/proc/self/task`.
+fn thread_ids() -> std::collections::BTreeSet<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .map(|entry| {
+            entry
+                .expect("task entry")
+                .file_name()
+                .into_string()
+                .expect("tid")
+        })
+        .collect()
+}
+
+/// Connection handlers are reused: 1,000 sequential one-request
+/// connections are served by at most two handler threads, not one
+/// thread each. Each client reads its pong (while the connection's
+/// handler is alive, its thread id is recorded), then closes its write
+/// side and reads until the server closes the connection, so it
+/// connects again only once the server is done with the previous one.
+#[test]
+fn sequential_connections_reuse_handler_threads() {
+    use std::io::{BufRead, Read, Write};
+    let _serial = serial();
+    let (endpoint, server) = boot(ServerConfig::default(), "handler-reuse");
+    let resting = os_threads();
+    let mut seen = thread_ids();
+    let resting_ids = seen.len();
+    for _ in 0..1_000 {
+        let (mut stream, mut reader) = connect(&endpoint);
+        stream.write_all(b"{\"op\":\"ping\"}\n").expect("send ping");
+        let mut pong = String::new();
+        reader.read_line(&mut pong).expect("read pong");
+        assert_eq!(pong, "{\"type\":\"pong\"}\n");
+        seen.extend(thread_ids());
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("close the write side");
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).expect("read to EOF");
+        assert_eq!(rest, "");
+    }
+    let after = os_threads();
+    assert!(
+        after <= resting + 2,
+        "1,000 sequential pings grew the process from {resting} to {after} threads"
+    );
+    assert!(
+        seen.len() <= resting_ids + 2,
+        "1,000 sequential pings ran on {} threads besides the {resting_ids} resting ones",
+        seen.len() - resting_ids
+    );
+
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
+/// A parked handler exits once it has waited `HANDLER_IDLE` without a
+/// connection, so the thread count falls back to its resting value.
+#[test]
+fn parked_handlers_retire_after_the_idle_period() {
+    assert!(
+        HANDLER_IDLE <= Duration::from_secs(2),
+        "this test waits out the idle period"
+    );
+    let _serial = serial();
+    let (endpoint, server) = boot(ServerConfig::default(), "handler-idle");
+    // Let the previous test's harness thread finish exiting first.
+    std::thread::sleep(Duration::from_millis(200));
+    let resting = os_threads();
+    for _ in 0..50 {
+        request_once(&endpoint, r#"{"op":"ping"}"#).expect("ping");
+    }
+    assert!(os_threads() > resting, "a served ping parks its handler");
+    let settled = await_threads_at_most(resting, HANDLER_IDLE + Duration::from_secs(5));
+    assert_eq!(
+        settled, resting,
+        "parked handlers must retire after {HANDLER_IDLE:?} idle"
+    );
+    // The server still serves: a new connection spawns a new handler.
+    let pong = request_once(&endpoint, r#"{"op":"ping"}"#).expect("ping after idle");
+    assert_eq!(pong.get("type").and_then(Scalar::as_str), Some("pong"));
+
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
+/// Decides `FINITE` in session `id`; returns the result line.
+fn decide_finite(endpoint: &Endpoint, id: &str) -> BTreeMap<String, Scalar> {
+    let request = format!(
+        r#"{{"op":"decide","id":"{id}","program":"{}"}}"#,
+        escaped(FINITE)
+    );
+    let done = run_session(endpoint, &request, &ClientConfig::default(), |_| {})
+        .unwrap_or_else(|e| panic!("decide {id}: {e}"));
+    assert_eq!(result_str(&done.result, "verdict"), "terminating");
+    done.result
+}
+
+/// Connections that stay open without sending hold their handlers, but
+/// a new connection never waits behind them: its ping and a cached
+/// decide both answer within a second.
+#[test]
+fn silent_connections_do_not_delay_new_ones() {
+    let _serial = serial();
+    let (endpoint, server) = boot(ServerConfig::default(), "silent");
+    decide_finite(&endpoint, "warm");
+
+    let silent: Vec<_> = (0..8).map(|_| connect(&endpoint)).collect();
+    let started = std::time::Instant::now();
+    let pong = request_once(&endpoint, r#"{"op":"ping"}"#).expect("ping");
+    assert_eq!(pong.get("type").and_then(Scalar::as_str), Some("pong"));
+    let hit = decide_finite(&endpoint, "hit");
+    assert_eq!(hit.get("cached"), Some(&Scalar::Bool(true)));
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "8 silent connections delayed a new one by {:?}",
+        started.elapsed()
+    );
+
+    drop(silent);
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
+/// A memoized decide is answered at admission: with the only runner
+/// busy on a long chase, it still returns `cached:true`, and the chase
+/// is still live (a `cancel` finds it) when it does.
+#[test]
+fn cached_decide_answers_while_the_only_runner_is_busy() {
+    use std::io::Write;
+    let _serial = serial();
+    let (endpoint, server) = boot(one_runner(), "hit-busy");
+    let warm = decide_finite(&endpoint, "warm");
+    assert_eq!(warm.get("cached"), Some(&Scalar::Bool(false)));
+
+    let (mut stream, mut reader) = connect(&endpoint);
+    writeln!(stream, "{}", endless_chase("busy", true)).expect("send busy chase");
+    await_line(&mut reader, "busy", "runner");
+    // Read the chase's event stream on another thread, so its runner
+    // never blocks on a full socket.
+    let busy = std::thread::spawn(move || await_results(&mut reader, 1));
+
+    let hit = decide_finite(&endpoint, "hit");
+    assert_eq!(hit.get("cached"), Some(&Scalar::Bool(true)));
+
+    let ack = request_once(&endpoint, r#"{"op":"cancel","id":"busy"}"#).expect("cancel ack");
+    assert_eq!(
+        result_str(&ack, "known"),
+        "true",
+        "the chase finished before the cached decide was answered"
+    );
+    let results = busy.join().expect("reader thread");
+    assert_eq!(result_str(&results["busy"], "outcome"), "cancelled");
+
+    drop(stream);
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
+/// A request line that is not valid UTF-8 gets a typed `error` reply,
+/// and the connection keeps serving.
+#[test]
+fn invalid_utf8_line_gets_a_typed_error_and_the_connection_lives_on() {
+    use std::io::Write;
+    let _serial = serial();
+    let (endpoint, server) = boot(ServerConfig::default(), "utf8");
+    let (mut stream, mut reader) = connect(&endpoint);
+    stream
+        .write_all(b"{\"op\":\"p\xffing\"}\n{\"op\":\"ping\"}\n")
+        .expect("send lines");
+    let error = read_reply(&mut reader);
+    assert_eq!(result_str(&error, "type"), "error");
+    assert!(result_str(&error, "message").contains("UTF-8"), "{error:?}");
+    assert_eq!(result_str(&read_reply(&mut reader), "type"), "pong");
+
+    drop((stream, reader));
     shutdown(&endpoint);
     server.join().expect("server thread");
 }
