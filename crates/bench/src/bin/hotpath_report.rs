@@ -29,7 +29,10 @@
 //! reports it per source byte, with the compiled database's
 //! `Instance::memory_footprint` (`instance_bytes`) and its bytes per
 //! atom; it carries no gate (`tests/instance_bytes.rs` bounds the bytes
-//! per atom). The `decide_sweep` section decides seeds 0–199 of
+//! per atom). The `compile_examples` row times a cold `compile` of the
+//! small example programs `examples/rules/example_5_6.chase` and
+//! `intro.chase` (min over samples of 200 compiles, per compile); it
+//! carries no gate. The `decide_sweep` section decides seeds 0–199 of
 //! the decide sweep (`chase_workloads::random::DECIDE_SWEEP`, the
 //! generator `tests/golden/decide_sweep.txt` pins) and records the
 //! verdict counts, the certificate kinds and each seed's decide time
@@ -101,7 +104,6 @@ struct PhaseProfile {
     check_ns: u64,
     insert_ns: u64,
     seed_ns: u64,
-    index_ns: u64,
     peak_bytes: u64,
 }
 
@@ -222,6 +224,50 @@ fn ingest_compile_section(runs: usize) -> IngestCompile {
         ns,
         instance_bytes: database.memory_footprint().total(),
     }
+}
+
+/// Cold [`compile`] of one small example program, per compile.
+struct ExampleCompile {
+    name: &'static str,
+    source_bytes: usize,
+    rules: usize,
+    ns: u128,
+}
+
+/// The programs of the `compile_examples` row, by file name.
+const COMPILE_EXAMPLES: [(&str, &str); 2] = [
+    (
+        "example_5_6.chase",
+        include_str!("../../../../examples/rules/example_5_6.chase"),
+    ),
+    (
+        "intro.chase",
+        include_str!("../../../../examples/rules/intro.chase"),
+    ),
+];
+
+/// Compiles per timed sample: one compile of an example program takes a
+/// few microseconds, too close to the clock's own cost to time alone.
+const COMPILES_PER_SAMPLE: u32 = 200;
+
+fn compile_examples_section(samples: usize) -> Vec<ExampleCompile> {
+    COMPILE_EXAMPLES
+        .iter()
+        .map(|&(name, source)| {
+            let rules = compile(source).expect("example compiles").tgd_set().len();
+            let ns = min_ns(samples, || {
+                for _ in 0..COMPILES_PER_SAMPLE {
+                    black_box(compile(black_box(source)).expect("example compiles"));
+                }
+            });
+            ExampleCompile {
+                name,
+                source_bytes: source.len(),
+                rules,
+                ns: ns / u128::from(COMPILES_PER_SAMPLE),
+            }
+        })
+        .collect()
 }
 
 /// `decide` over the first seeds of the decide sweep: verdicts,
@@ -391,7 +437,6 @@ fn profile_restricted(
         check_ns: p.span_total(spans::RESTRICTION_CHECK),
         insert_ns: p.span_total(spans::INSERT),
         seed_ns: p.span_total(spans::SEED),
-        index_ns: p.span_total(spans::INDEX_MAINTAIN),
         peak_bytes: p.peak_bytes,
     }
 }
@@ -473,7 +518,6 @@ fn oblivious_row(
             check_ns: p.span_total(spans::RESTRICTION_CHECK),
             insert_ns: p.span_total(spans::INSERT),
             seed_ns: p.span_total(spans::SEED),
-            index_ns: p.span_total(spans::INDEX_MAINTAIN),
             peak_bytes: p.peak_bytes,
         }
     };
@@ -530,6 +574,7 @@ struct Report<'a> {
     scale: &'a ScaleRow,
     server_warm: &'a ServerWarm,
     ingest: &'a IngestCompile,
+    examples: &'a [ExampleCompile],
     sweep: &'a DecideSweep,
     guarded: &'a [GuardedDecide],
 }
@@ -543,6 +588,7 @@ fn render_json(report: &Report) -> String {
         scale,
         server_warm,
         ingest,
+        examples,
         sweep,
         guarded,
     } = report;
@@ -564,8 +610,7 @@ fn render_json(report: &Report) -> String {
             "    {{\"name\": \"{}\", \"steps\": {}, \"atoms\": {}, \
              \"seed_ns\": {}, \"optimised_ns\": {}, \"speedup\": {:.2}, \
              \"profile\": {{\"match_ns\": {}, \"restriction_check_ns\": {}, \
-             \"insert_ns\": {}, \"seed_phase_ns\": {}, \"index_maintain_ns\": {}, \
-             \"peak_bytes\": {}}}}}{}\n",
+             \"insert_ns\": {}, \"seed_phase_ns\": {}, \"peak_bytes\": {}}}}}{}\n",
             r.name,
             r.steps,
             r.atoms,
@@ -576,7 +621,6 @@ fn render_json(report: &Report) -> String {
             r.profile.check_ns,
             r.profile.insert_ns,
             r.profile.seed_ns,
-            r.profile.index_ns,
             r.profile.peak_bytes,
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -612,6 +656,20 @@ fn render_json(report: &Report) -> String {
         ingest.ns_per_byte(),
         ingest.instance_bytes,
         ingest.bytes_per_atom(),
+    ));
+    let entries: Vec<String> = examples
+        .iter()
+        .map(|e| {
+            format!(
+                "{{\"name\": \"{}\", \"source_bytes\": {}, \"rules\": {}, \"ns\": {}}}",
+                e.name, e.source_bytes, e.rules, e.ns
+            )
+        })
+        .collect();
+    out.push_str(&format!(
+        "  \"compile_examples\": {{\"workload\": \"cold compile of examples/rules programs \
+         (min over samples of {COMPILES_PER_SAMPLE} compiles, per compile)\", \"entries\": [{}]}},\n",
+        entries.join(", "),
     ));
     let certificates: Vec<String> = sweep
         .certificates
@@ -721,6 +779,7 @@ fn main() {
     let server_warm = server_warm_section(if smoke { 150 } else { 500 }, runs);
     let scale = scale_row(chain_params.name(), &chain_set, &chain_db, budget, 3);
     let ingest = ingest_compile_section(2 * runs + 1);
+    let examples = compile_examples_section(if smoke { 5 } else { 30 });
     let sweep = decide_sweep_section(if smoke { 8 } else { DECIDE_SWEEP_SEEDS });
     let guarded = guarded_seed_search_section(if smoke { 3 } else { 2 * runs + 1 });
 
@@ -740,8 +799,8 @@ fn main() {
         );
         let p = &r.profile;
         println!(
-            "  {:<28} profile: match={}ns check={}ns insert={}ns seed={}ns index={}ns peak={}B",
-            "", p.match_ns, p.check_ns, p.insert_ns, p.seed_ns, p.index_ns, p.peak_bytes
+            "  {:<28} profile: match={}ns check={}ns insert={}ns seed={}ns peak={}B",
+            "", p.match_ns, p.check_ns, p.insert_ns, p.seed_ns, p.peak_bytes
         );
     }
     println!(
@@ -770,6 +829,12 @@ fn main() {
         ingest.instance_bytes,
         ingest.bytes_per_atom(),
     );
+    for e in &examples {
+        println!(
+            "compile_examples: {} source={}B rules={} ns={}",
+            e.name, e.source_bytes, e.rules, e.ns
+        );
+    }
 
     println!(
         "decide_sweep: seeds={} terminating={} non_terminating={} unknown={} total={}ns \
@@ -799,6 +864,7 @@ fn main() {
         scale: &scale,
         server_warm: &server_warm,
         ingest: &ingest,
+        examples: &examples,
         sweep: &sweep,
         guarded: &guarded,
     });

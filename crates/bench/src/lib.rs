@@ -63,7 +63,8 @@ pub fn existential_workload(width: usize, facts: usize) -> (Vocabulary, TgdSet, 
 /// M(x,z,w)` over a random edge database. The third body atom joins on
 /// *two* already-bound positions, and the activeness check constrains
 /// `M` on two frontier positions, so both the body matcher and the
-/// restriction check exercise the composite pair indexes.
+/// restriction check filter a position list on a second bound
+/// position.
 pub fn triangle_workload(nodes: usize, edges: usize) -> (Vocabulary, TgdSet, Instance) {
     let facts = chase_workloads::families::edge_database("E", nodes, edges, 7);
     setup_with_db("E(x,y), E(y,z), E(x,z) -> exists w. M(x,z,w).", &facts)
@@ -75,7 +76,7 @@ pub fn triangle_workload(nodes: usize, edges: usize) -> (Vocabulary, TgdSet, Ins
 /// distinct trigger, but the frontier `(x,y)` only takes 35 values per
 /// relation, so almost all triggers are deactivated by an earlier
 /// witness — the restriction check dominates, and each check
-/// constrains `T_i` on two positions (a composite pair probe).
+/// constrains `T_i` on two positions.
 pub fn wide_existential_workload(width: usize, facts: usize) -> (Vocabulary, TgdSet, Instance) {
     let mut rules = String::new();
     for i in 0..width {

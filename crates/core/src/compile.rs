@@ -322,7 +322,7 @@ fn approx_bytes(source: &str, set: &TgdSet, database: &Instance, vocab: &Vocabul
         .sum();
     database.memory_footprint().total() as usize
         + source.len()
-        + set.len() * 512 // per-rule plans: frontier, sorted vars, pair plans, probes
+        + set.len() * 512 // per-rule plans: frontier, sorted vars, compiled body, probes
         + atoms * 64 // per-atom storage inside the rule vectors
         + vocab.heap_bytes()
         + std::mem::size_of::<CompiledProgram>()

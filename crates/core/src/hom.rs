@@ -272,23 +272,18 @@ impl Search {
     }
 
     /// The slots of candidate atoms for `pred(args)` under the current
-    /// values. Uses the tightest index available — a registered
-    /// composite two-position index over the atom's first two ground
-    /// positions when it beats the best single-position list — falling
-    /// back to single-position indexes and then the per-predicate list.
+    /// values: the shortest single-position list over the atom's ground
+    /// positions, else the per-predicate list.
     ///
-    /// The composite probe preserves the enumeration order of
-    /// [`reference::candidate_slots`]: every index lists slots ascending,
-    /// and the pair list is exactly the order-preserving subset of the
-    /// single lists whose atoms satisfy *both* position constraints.
-    /// Candidates it filters out would have failed unification anyway,
-    /// so swapping it in changes the number of probes, never the
-    /// sequence of matches.
+    /// This preserves the enumeration order of
+    /// [`reference::candidate_slots`]: every index lists slots
+    /// ascending, so each position list is an order-preserving subset
+    /// of the predicate list. Candidates it leaves out would have
+    /// failed unification anyway, so the choice changes the number of
+    /// probes, never the sequence of matches.
     #[inline]
     fn candidates<'i>(&self, pred: PredId, args: &[Arg], instance: &'i Instance) -> &'i [u32] {
         let mut best: Option<&[u32]> = None;
-        let mut first_ground: Option<(usize, Term)> = None;
-        let mut pair: Option<&[u32]> = None;
         for (i, a) in args.iter().enumerate() {
             let ground = match *a {
                 Arg::Slot(s) => match self.values[s as usize] {
@@ -303,18 +298,6 @@ impl Search {
             }
             if best.is_none_or(|b| slots.len() < b.len()) {
                 best = Some(slots);
-            }
-            match first_ground {
-                None => first_ground = Some((i, ground)),
-                Some((fi, ft)) if pair.is_none() => {
-                    pair = instance.slots_with_pred_pair(pred, fi, ft, i, ground);
-                }
-                Some(_) => {}
-            }
-        }
-        if let Some(p) = pair {
-            if best.is_none_or(|b| p.len() < b.len()) {
-                return p;
             }
         }
         best.unwrap_or_else(|| instance.slots_with_pred(pred))
@@ -753,26 +736,6 @@ pub fn head_satisfied_probe(tgd: &Tgd, instance: &Instance, binding: &Binding) -
     for &(_, var) in constraints {
         binding.get(var)?;
     }
-    let hit = |slots: &[u32], check: &[(u16, VarId)]| -> bool {
-        slots.iter().any(|&slot| {
-            let atom = instance.atom(slot as usize);
-            check
-                .iter()
-                .all(|&(pos, var)| binding.get(var) == Some(atom.args[pos as usize]))
-        })
-    };
-    // Composite probe on the first two constraints, when registered.
-    if constraints.len() >= 2 {
-        let (p0, v0) = constraints[0];
-        let (p1, v1) = constraints[1];
-        let t0 = binding.get(v0)?;
-        let t1 = binding.get(v1)?;
-        if let Some(slots) =
-            instance.slots_with_pred_pair(probe.pred, p0 as usize, t0, p1 as usize, t1)
-        {
-            return Some(hit(slots, &constraints[2..]));
-        }
-    }
     // Tightest single-position index, else the predicate list.
     let mut best: Option<&[u32]> = None;
     for &(pos, var) in constraints {
@@ -787,7 +750,12 @@ pub fn head_satisfied_probe(tgd: &Tgd, instance: &Instance, binding: &Binding) -
         }
     }
     let slots = best.unwrap_or_else(|| instance.slots_with_pred(probe.pred));
-    Some(hit(slots, constraints))
+    Some(slots.iter().any(|&slot| {
+        let atom = instance.atom(slot as usize);
+        constraints
+            .iter()
+            .all(|&(pos, var)| binding.get(var) == Some(atom.args[pos as usize]))
+    }))
 }
 
 /// Whether `instance |= tgd`: for every homomorphism `h` of the body,
@@ -1219,27 +1187,20 @@ mod tests {
 
     /// The sequence of bindings — not the set — that the matcher hands
     /// out equals the reference's on a random body of 1–5 atoms (with
-    /// repeated variables and constants) and a random instance, with
-    /// random composite indexes registered: through an ad-hoc pattern
-    /// and through the compiled pattern, from the empty binding, and
-    /// as a delta from every instance atom unified into every body
-    /// position (against the body minus atom `i`, seeded with that
-    /// unifier).
+    /// repeated variables and constants) and a random instance: through
+    /// an ad-hoc pattern and through the compiled pattern, from the
+    /// empty binding, and as a delta from every instance atom unified
+    /// into every body position (against the body minus atom `i`,
+    /// seeded with that unifier).
     /// Ties in the most-bound-first choice are common on such bodies,
     /// so this pins the first-max tie-break and the `swap_remove` and
     /// push-back order of the worklist, which permutes later ties.
     fn check_enumeration_order(
         body: &[OrderAtom],
         atoms: &[OrderAtom],
-        pairs: &[(u32, usize, usize)],
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         let body: Vec<Atom> = body.iter().map(|&a| order_atom(a, body_term)).collect();
-        let mut inst = Instance::from_atoms(atoms.iter().map(|&a| order_atom(a, instance_term)));
-        for &(p, a, b) in pairs {
-            if a < b && b < ORDER_ARITY[p as usize] {
-                inst.register_pair_index(PredId(p), a, b);
-            }
-        }
+        let inst = Instance::from_atoms(atoms.iter().map(|&a| order_atom(a, instance_term)));
         let pattern = Pattern::compile(&body);
         let mut scratch = HomScratch::new();
 
@@ -1309,9 +1270,8 @@ mod tests {
         fn enumeration_order_matches_reference(
             body in proptest::collection::vec((0u32..3, 0u32..8, 0u32..8, 0u32..8), 1..6),
             atoms in proptest::collection::vec((0u32..3, 0u32..4, 0u32..4, 0u32..4), 0..40),
-            pairs in proptest::collection::vec((0u32..3, 0usize..3, 0usize..3), 0..3),
         ) {
-            check_enumeration_order(&body, &atoms, &pairs)?;
+            check_enumeration_order(&body, &atoms)?;
         }
     }
 
@@ -1327,9 +1287,8 @@ mod tests {
         fn enumeration_order_matches_reference_at_scale(
             body in proptest::collection::vec((0u32..3, 0u32..8, 0u32..8, 0u32..8), 1..6),
             atoms in proptest::collection::vec((0u32..3, 0u32..4, 0u32..4, 0u32..4), 0..40),
-            pairs in proptest::collection::vec((0u32..3, 0usize..3, 0usize..3), 0..3),
         ) {
-            check_enumeration_order(&body, &atoms, &pairs)?;
+            check_enumeration_order(&body, &atoms)?;
         }
     }
 
@@ -1373,40 +1332,8 @@ mod tests {
         }
     }
 
-    /// Registering a composite pair index must not change the
-    /// enumeration order — only the number of candidates probed.
-    #[test]
-    fn pair_index_preserves_enumeration_order() {
-        let mut inst = triangle();
-        inst.insert(atom(0, &[c(0), c(2)]));
-        inst.insert(atom(0, &[c(3), c(3)]));
-        inst.register_pair_index(PredId(0), 0, 1);
-        // Triangle query: the third atom is probed with both
-        // positions bound, hitting the pair index.
-        let patterns = vec![
-            atom(0, &[v(0), v(1)]),
-            atom(0, &[v(1), v(2)]),
-            atom(0, &[v(0), v(2)]),
-        ];
-        let mut opt = Vec::new();
-        let mut bind = Binding::new();
-        let _ = for_each_homomorphism(&patterns, &inst, &mut bind, |b| {
-            opt.push(b.clone());
-            ControlFlow::Continue(())
-        });
-        // The reference matcher never consults the pair index.
-        let mut refr = Vec::new();
-        let mut bind = Binding::new();
-        let _ = reference::for_each_homomorphism(&patterns, &inst, &mut bind, &mut |b| {
-            refr.push(b.clone());
-            ControlFlow::Continue(())
-        });
-        assert!(!opt.is_empty());
-        assert_eq!(opt, refr);
-    }
-
     /// `head_satisfied_probe` agrees with the reference existence check
-    /// on every binding, with and without a registered pair index.
+    /// on every binding.
     #[test]
     fn head_probe_agrees_with_reference() {
         let mut vocab = Vocabulary::new();
@@ -1416,28 +1343,19 @@ mod tests {
         b.head("S", &[x, y, z]).unwrap();
         let tgd = b.build().unwrap();
         let s = vocab.lookup_pred("S").unwrap();
-        let mut inst = Instance::from_atoms([
+        let inst = Instance::from_atoms([
             Atom::new(s, vec![c(0), c(1), c(9)]),
             Atom::new(s, vec![c(0), c(2), c(9)]),
             Atom::new(s, vec![c(1), c(1), c(8)]),
         ]);
-        for registered in [false, true] {
-            if registered {
-                inst.register_pair_index(s, 0, 1);
-            }
-            for xv in 0..3 {
-                for yv in 0..3 {
-                    let mut binding = Binding::new();
-                    binding.push(x.as_var().unwrap(), c(xv));
-                    binding.push(y.as_var().unwrap(), c(yv));
-                    let got =
-                        head_satisfied_probe(&tgd, &inst, &binding).expect("probe-eligible TGD");
-                    let want = reference::exists_homomorphism(tgd.head(), &inst, &binding);
-                    assert_eq!(
-                        got, want,
-                        "diverged at x={xv} y={yv} registered={registered}"
-                    );
-                }
+        for xv in 0..3 {
+            for yv in 0..3 {
+                let mut binding = Binding::new();
+                binding.push(x.as_var().unwrap(), c(xv));
+                binding.push(y.as_var().unwrap(), c(yv));
+                let got = head_satisfied_probe(&tgd, &inst, &binding).expect("probe-eligible TGD");
+                let want = reference::exists_homomorphism(tgd.head(), &inst, &binding);
+                assert_eq!(got, want, "diverged at x={xv} y={yv}");
             }
         }
     }

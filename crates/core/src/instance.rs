@@ -31,15 +31,13 @@
 //! * A **per-predicate** slot list (dense `Vec` indexed by predicate
 //!   id — predicates are few and the list is probed hot).
 //! * A **single-position** inverted index `(pred, position, term) →
-//!   slots` — the matcher's workhorse.
-//! * **Composite two-position** indexes `(pred, posA, posB, termA,
-//!   termB) → slots`, built lazily: nothing is maintained until an
-//!   engine registers a `(pred, posA, posB)` pair via
-//!   [`Instance::register_pair_index`] (derived from its TGD join
-//!   plans), after which the pair cells are backfilled from the
-//!   existing atoms and kept current by [`Instance::insert`].
+//!   slots` — the matcher's only candidate index beside the
+//!   per-predicate lists. There is no composite two-position index:
+//!   on a chain chase one cost a quarter of the bytes per atom and a
+//!   fifth of the time, for a small gain on two-position joins
+//!   (DESIGN §13.2).
 //!
-//! Most position and pair cells list one slot, so a cell is 8 bytes:
+//! Most position cells list one slot, so a cell is 8 bytes:
 //! the slot itself, or — from the second slot on — the index of a
 //! shared `SlotList` (24 bytes: up to three `u32` slots inline, then a
 //! `Vec<u32>`). The per-predicate lists are `SlotList`s too.
@@ -52,12 +50,13 @@
 //!
 //! Because every index lists slots in ascending insertion order, a
 //! tighter index is always an order-preserving subset of a looser one:
-//! swapping in a composite list never changes the sequence of matches,
-//! only the number of candidates filtered out by unification. This is
-//! what keeps the optimised engines bit-identical to the seed oracle.
+//! choosing the shortest position list never changes the sequence of
+//! matches, only the number of candidates filtered out by unification.
+//! This is what keeps the optimised engines bit-identical to the seed
+//! oracle.
 
 use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 use crate::atom::{Atom, AtomRef, ARG_INLINE};
 use crate::ids::{fx_set, FxHashMap, FxHasher, PredId};
@@ -158,7 +157,7 @@ impl SlotList {
     }
 }
 
-/// One cell of the position or pair index, 8 bytes. Most cells list a
+/// One cell of the position index, 8 bytes. Most cells list a
 /// single slot, which the cell holds itself; from its second slot on, a
 /// cell names its [`SlotList`] in the instance's shared `lists`.
 #[derive(Debug, Clone, Copy)]
@@ -183,9 +182,9 @@ impl Cell {
 /// Appends `slot` to the cell at `key`, creating the cell or moving it
 /// into a shared list as needed.
 #[inline]
-fn push_cell<K: Hash + Eq>(
-    cells: &mut FxHashMap<K, Cell>,
-    key: K,
+fn push_cell(
+    cells: &mut FxHashMap<(PredId, u16, Term), Cell>,
+    key: (PredId, u16, Term),
     slot: u32,
     lists: &mut Vec<SlotList>,
     spill: &mut SpillBytes,
@@ -221,8 +220,8 @@ pub struct MemoryFootprint {
     pub arg_spill_bytes: u64,
     /// The dedup table's buckets.
     pub dedup_bytes: u64,
-    /// The per-predicate, single-position and composite pair indexes,
-    /// including their shared and spilled slot lists.
+    /// The per-predicate and single-position indexes, including their
+    /// shared and spilled slot lists.
     pub index_bytes: u64,
 }
 
@@ -304,14 +303,8 @@ pub struct Instance {
     /// Dense per-predicate slot lists, indexed by `PredId::index()`.
     by_pred: Vec<SlotList>,
     by_pos: FxHashMap<(PredId, u16, Term), Cell>,
-    by_pair: FxHashMap<(PredId, u16, u16, Term, Term), Cell>,
-    /// The slot lists of `by_pos` and `by_pair` cells with two or more
-    /// slots.
+    /// The slot lists of `by_pos` cells with two or more slots.
     lists: Vec<SlotList>,
-    /// Registered composite position pairs per predicate (dense by
-    /// predicate id; `(a, b)` normalised to `a < b`). Empty until an
-    /// engine registers pairs from its join plans.
-    pair_plans: Vec<Vec<(u16, u16)>>,
     /// Heap bytes of the spilled slot lists in `by_pred` and `lists`.
     index_spill: SpillBytes,
 }
@@ -326,9 +319,7 @@ impl Clone for Instance {
             dedup: self.dedup.clone(),
             by_pred: self.by_pred.clone(),
             by_pos: self.by_pos.clone(),
-            by_pair: self.by_pair.clone(),
             lists: self.lists.clone(),
-            pair_plans: self.pair_plans.clone(),
             index_spill: self.index_spill.cloned(),
         }
     }
@@ -372,7 +363,6 @@ impl Instance {
         let arg_spill_bytes = self.spill.capacity() * size_of::<Term>();
         let index_bytes = (self.by_pred.capacity() + self.lists.capacity()) * size_of::<SlotList>()
             + map_heap_bytes(&self.by_pos)
-            + map_heap_bytes(&self.by_pair)
             + index_spill;
         MemoryFootprint {
             atom_bytes: atom_bytes as u64,
@@ -395,8 +385,7 @@ impl Instance {
     /// Duplicate inserts are no-ops returning the *existing* slot as
     /// `(slot, false)`, so callers never need a follow-up lookup to
     /// identify the atom they just presented. In particular a
-    /// duplicate insert leaves every index — including registered
-    /// composite pair cells — untouched.
+    /// duplicate insert leaves every index untouched.
     ///
     /// # Panics
     ///
@@ -427,24 +416,6 @@ impl Instance {
                 &mut self.index_spill,
             );
         }
-        if let Some(plan) = self.pair_plans.get(pred_idx) {
-            for &(a, b) in plan {
-                let key = (
-                    atom.pred,
-                    a,
-                    b,
-                    atom.args[a as usize],
-                    atom.args[b as usize],
-                );
-                push_cell(
-                    &mut self.by_pair,
-                    key,
-                    slot,
-                    &mut self.lists,
-                    &mut self.index_spill,
-                );
-            }
-        }
         self.preds.push(atom.pred);
         let arena = if atom.arity() <= ARG_INLINE {
             &mut self.inline_args
@@ -455,66 +426,6 @@ impl Instance {
             .push(((arena.len() as u64) << META_ARITY_BITS) | atom.arity() as u64);
         arena.extend_from_slice(&atom.args);
         (slot as usize, true)
-    }
-
-    /// Registers a composite two-position index on `pred` over
-    /// argument positions `a` and `b` (order-insensitive; normalised
-    /// internally). The index is built from the atoms already present
-    /// and maintained by subsequent inserts; registering the same pair
-    /// again is a no-op.
-    ///
-    /// Engines call this once per pair of their precomputed TGD join
-    /// plans before a run, so the cost of the backfill scan is paid
-    /// once and only for pairs the matcher will actually probe.
-    pub fn register_pair_index(&mut self, pred: PredId, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        let (a, b) = if a < b {
-            (a as u16, b as u16)
-        } else {
-            (b as u16, a as u16)
-        };
-        let pred_idx = pred.index();
-        if pred_idx >= self.pair_plans.len() {
-            self.pair_plans.resize_with(pred_idx + 1, Vec::new);
-        }
-        if self.pair_plans[pred_idx].contains(&(a, b)) {
-            return;
-        }
-        self.pair_plans[pred_idx].push((a, b));
-        // Backfill from the atoms already present. The slot list is
-        // copied out so atom reads (immutable borrows of the columns)
-        // and cell pushes (mutable borrows) do not overlap; this is
-        // cold code, paid once per registered pair.
-        let slots = self.slots_with_pred(pred).to_vec();
-        for slot in slots {
-            let key = {
-                let atom = self.atom(slot as usize);
-                debug_assert!((b as usize) < atom.arity(), "pair position out of arity");
-                (pred, a, b, atom.args[a as usize], atom.args[b as usize])
-            };
-            push_cell(
-                &mut self.by_pair,
-                key,
-                slot,
-                &mut self.lists,
-                &mut self.index_spill,
-            );
-        }
-    }
-
-    /// Whether the composite pair `(pred, a, b)` has been registered
-    /// (order-insensitive).
-    pub fn pair_index_registered(&self, pred: PredId, a: usize, b: usize) -> bool {
-        let (a, b) = if a < b {
-            (a as u16, b as u16)
-        } else {
-            (b as u16, a as u16)
-        };
-        self.pair_plans
-            .get(pred.index())
-            .is_some_and(|plan| plan.contains(&(a, b)))
     }
 
     /// Membership test; takes an [`AtomRef`] or an `&Atom`.
@@ -592,39 +503,6 @@ impl Instance {
             .map_or(&[], |cell| cell.slots(&self.lists))
     }
 
-    /// Slots of all atoms with `pred` whose arguments at positions
-    /// `pos_a`/`pos_b` equal `term_a`/`term_b` respectively, ascending.
-    /// Returns `None` unless the pair `(pred, pos_a, pos_b)` has been
-    /// registered via [`Instance::register_pair_index`] — callers then
-    /// fall back to the single-position index. The positions may be
-    /// given in either order.
-    pub fn slots_with_pred_pair(
-        &self,
-        pred: PredId,
-        pos_a: usize,
-        term_a: Term,
-        pos_b: usize,
-        term_b: Term,
-    ) -> Option<&[u32]> {
-        let (a, ta, b, tb) = if pos_a < pos_b {
-            (pos_a as u16, term_a, pos_b as u16, term_b)
-        } else {
-            (pos_b as u16, term_b, pos_a as u16, term_a)
-        };
-        if !self
-            .pair_plans
-            .get(pred.index())
-            .is_some_and(|plan| plan.contains(&(a, b)))
-        {
-            return None;
-        }
-        Some(
-            self.by_pair
-                .get(&(pred, a, b, ta, tb))
-                .map_or(&[], |cell| cell.slots(&self.lists)),
-        )
-    }
-
     /// The active domain `dom(I)`: all terms occurring in the
     /// instance, deduplicated, in first-occurrence order.
     pub fn active_domain(&self) -> Vec<Term> {
@@ -682,8 +560,7 @@ impl FromIterator<Atom> for Instance {
 }
 
 impl PartialEq for Instance {
-    /// Set equality (insertion order and registered pair indexes are
-    /// irrelevant).
+    /// Set equality (insertion order is irrelevant).
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().all(|a| other.contains(a))
     }
@@ -785,121 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_index_lazily_built_from_existing_atoms() {
-        let mut inst = Instance::new();
-        inst.insert(atom(0, &[c(0), c(1), c(2)]));
-        inst.insert(atom(0, &[c(0), c(1), c(3)]));
-        inst.insert(atom(0, &[c(0), c(2), c(2)]));
-        // Unregistered pair: unavailable, callers fall back.
-        assert!(inst
-            .slots_with_pred_pair(PredId(0), 0, c(0), 1, c(1))
-            .is_none());
-        assert!(!inst.pair_index_registered(PredId(0), 0, 1));
-        // Registration backfills from the atoms already present.
-        inst.register_pair_index(PredId(0), 0, 1);
-        assert!(inst.pair_index_registered(PredId(0), 0, 1));
-        assert!(
-            inst.pair_index_registered(PredId(0), 1, 0),
-            "order-insensitive"
-        );
-        assert_eq!(
-            inst.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(1))
-                .unwrap(),
-            &[0, 1]
-        );
-        // ...and in swapped position order.
-        assert_eq!(
-            inst.slots_with_pred_pair(PredId(0), 1, c(1), 0, c(0))
-                .unwrap(),
-            &[0, 1]
-        );
-        assert_eq!(
-            inst.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(2))
-                .unwrap(),
-            &[2]
-        );
-        assert!(inst
-            .slots_with_pred_pair(PredId(0), 0, c(9), 1, c(1))
-            .unwrap()
-            .is_empty());
-        // Other pairs on the same predicate stay unregistered.
-        assert!(inst
-            .slots_with_pred_pair(PredId(0), 0, c(0), 2, c(2))
-            .is_none());
-    }
-
-    #[test]
-    fn pair_index_maintained_by_insert() {
-        let mut inst = Instance::new();
-        inst.register_pair_index(PredId(0), 0, 1);
-        inst.insert(atom(0, &[c(0), c(1)]));
-        inst.insert(atom(0, &[c(0), c(2)]));
-        inst.insert(atom(0, &[c(0), c(1)])); // duplicate: no index growth
-        assert_eq!(
-            inst.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(1))
-                .unwrap(),
-            &[0]
-        );
-        assert_eq!(
-            inst.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(2))
-                .unwrap(),
-            &[1]
-        );
-        // Registering again is a no-op (no duplicate slots).
-        inst.register_pair_index(PredId(0), 1, 0);
-        assert_eq!(
-            inst.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(1))
-                .unwrap(),
-            &[0]
-        );
-    }
-
-    #[test]
-    fn pair_index_respects_dedup_and_slot_of() {
-        // The pair cells must agree with `slot_of` even when inserts
-        // interleave duplicates with registration.
-        let mut inst = Instance::new();
-        let a = atom(0, &[c(0), c(1)]);
-        let b = atom(0, &[c(0), c(2)]);
-        inst.insert(a.clone());
-        inst.register_pair_index(PredId(0), 0, 1);
-        inst.insert(b.clone());
-        inst.insert(a.clone());
-        inst.insert(b.clone());
-        let sa = inst.slot_of(&a).unwrap() as u32;
-        let sb = inst.slot_of(&b).unwrap() as u32;
-        assert_eq!(
-            inst.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(1))
-                .unwrap(),
-            &[sa]
-        );
-        assert_eq!(
-            inst.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(2))
-                .unwrap(),
-            &[sb]
-        );
-    }
-
-    #[test]
-    fn pair_index_survives_clone() {
-        let mut inst = Instance::new();
-        inst.register_pair_index(PredId(0), 0, 1);
-        inst.insert(atom(0, &[c(0), c(1)]));
-        let mut copy = inst.clone();
-        copy.insert(atom(0, &[c(0), c(2)]));
-        assert_eq!(
-            copy.slots_with_pred_pair(PredId(0), 0, c(0), 1, c(2))
-                .unwrap(),
-            &[1]
-        );
-        // The original is unaffected.
-        assert!(inst
-            .slots_with_pred_pair(PredId(0), 0, c(0), 1, c(2))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
     fn active_domain_first_occurrence_order() {
         let mut inst = Instance::new();
         inst.insert(atom(0, &[c(1), c(0)]));
@@ -929,7 +691,6 @@ mod tests {
         assert_eq!(empty.memory_footprint().total(), 0);
 
         let mut inst = Instance::new();
-        inst.register_pair_index(PredId(0), 0, 1);
         for i in 0..100 {
             inst.insert(atom(0, &[c(i), c(i + 1)]));
         }
@@ -958,14 +719,11 @@ mod tests {
     proptest::proptest! {
         /// The running spill counts equal the walk over every slot
         /// list (per-predicate and shared cell lists) after random
-        /// inserts, with pair indexes registered before and after the
-        /// atoms arrive, and on clones (whose spill vectors reserve
-        /// only their length) and on clones grown further.
+        /// inserts, on clones (whose spill vectors reserve only their
+        /// length) and on clones grown further.
         #[test]
         fn memory_footprint_counts_match_the_cell_walk(
             atoms in proptest::collection::vec((0u32..3, 0u32..4, 0u32..4, 0u32..40), 0..400),
-            early in proptest::collection::vec((0u32..3, 0usize..3, 0usize..3), 0..4),
-            late in proptest::collection::vec((0u32..3, 0usize..3, 0usize..3), 0..4),
         ) {
             let make = |(p, a, b, k): (u32, u32, u32, u32)| {
                 // Predicate 2 is wide, so its arguments spill too.
@@ -974,15 +732,9 @@ mod tests {
                 atom(p, &args)
             };
             let mut inst = Instance::new();
-            for &(p, a, b) in &early {
-                inst.register_pair_index(PredId(p), a, b);
-            }
             let (first, second) = atoms.split_at(atoms.len() / 2);
             for &t in first {
                 inst.insert(make(t));
-            }
-            for &(p, a, b) in &late {
-                inst.register_pair_index(PredId(p), a, b);
             }
             proptest::prop_assert_eq!(inst.memory_footprint(), inst.memory_footprint_walked());
             let mut copy = inst.clone();
@@ -1014,9 +766,6 @@ mod tests {
         atom(p, &args)
     }
 
-    /// The pairs `(pred, a, b)`, `a < b`, registered in a model run.
-    type RegisteredPairs = Vec<(u32, usize, usize)>;
-
     /// The slots of the model's atoms that `keep` accepts, ascending.
     fn model_slots(model: &[Atom], keep: impl Fn(&Atom) -> bool) -> Vec<u32> {
         (0..model.len() as u32)
@@ -1025,11 +774,10 @@ mod tests {
     }
 
     /// Checks every lookup of `inst` against the naive model: its atoms
-    /// in slot order and its registered pairs `(pred, a, b)`, `a < b`.
+    /// in slot order.
     fn check_against_model(
         inst: &Instance,
         model: &[Atom],
-        pairs: &[(u32, usize, usize)],
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         use proptest::{prop_assert, prop_assert_eq};
         prop_assert_eq!(inst.len(), model.len());
@@ -1071,30 +819,6 @@ mod tests {
                     let expect = model_slots(model, |a| a.pred == pred && a.args[pos] == t);
                     prop_assert_eq!(inst.slots_with_pred_pos(pred, pos, t), expect.as_slice());
                 }
-                for b in pos + 1..=p as usize {
-                    let registered = pairs.contains(&(p, pos, b));
-                    prop_assert_eq!(inst.pair_index_registered(pred, b, pos), registered);
-                    if !registered {
-                        prop_assert!(inst
-                            .slots_with_pred_pair(pred, pos, c(0), b, c(0))
-                            .is_none());
-                        continue;
-                    }
-                    for (ka, kb) in (0..6).flat_map(|ka| (0..6).map(move |kb| (ka, kb))) {
-                        let (ta, tb) = (model_term(ka), model_term(kb));
-                        let expect = model_slots(model, |a| {
-                            a.pred == pred && a.args[pos] == ta && a.args[b] == tb
-                        });
-                        prop_assert_eq!(
-                            inst.slots_with_pred_pair(pred, pos, ta, b, tb),
-                            Some(expect.as_slice())
-                        );
-                        prop_assert_eq!(
-                            inst.slots_with_pred_pair(pred, b, tb, pos, ta),
-                            Some(expect.as_slice())
-                        );
-                    }
-                }
             }
         }
         prop_assert_eq!(inst.memory_footprint(), inst.memory_footprint_walked());
@@ -1108,20 +832,18 @@ mod tests {
         })]
 
         /// Random interleavings of inserts (fresh and duplicate, arity
-        /// 1–6), pair registrations, and clones that are then grown,
-        /// against a naive `Vec<Atom>` model: `insert`'s
-        /// `(slot, fresh)`, `slot_of` and `contains` on present and
-        /// absent atoms, and every per-predicate, position and pair
-        /// list. A clone's original must not see the clone's growth.
+        /// 1–6) and clones that are then grown, against a naive
+        /// `Vec<Atom>` model: `insert`'s `(slot, fresh)`, `slot_of` and
+        /// `contains` on present and absent atoms, and every
+        /// per-predicate and position list. A clone's original must not see the clone's growth.
         #[test]
         fn instance_matches_the_reference_model(
-            ops in proptest::collection::vec((0u32..16, 0u32..6, 0u64..u64::MAX, 0usize..64), 0..160),
+            ops in proptest::collection::vec((0u32..13, 0u32..6, 0u64..u64::MAX), 0..160),
         ) {
             let mut inst = Instance::new();
             let mut model: Vec<Atom> = Vec::new();
-            let mut pairs: RegisteredPairs = Vec::new();
-            let mut frozen: Vec<(Instance, Vec<Atom>, RegisteredPairs)> = Vec::new();
-            for (kind, p, bits, extra) in ops {
+            let mut frozen: Vec<(Instance, Vec<Atom>)> = Vec::new();
+            for (kind, p, bits) in ops {
                 match kind {
                     0..=10 => {
                         let a = match model.len() {
@@ -1138,26 +860,17 @@ mod tests {
                         proptest::prop_assert_eq!(inst.insert(a.clone()), expect);
                         proptest::prop_assert_eq!(inst.slot_of(&a), Some(expect.0));
                     }
-                    11..=13 => {
-                        let arity = p as usize + 1;
-                        let (a, b) = (extra % arity, extra / 8 % arity);
-                        inst.register_pair_index(PredId(p), a, b);
-                        let key = (p, a.min(b), a.max(b));
-                        if a != b && !pairs.contains(&key) {
-                            pairs.push(key);
-                        }
-                    }
-                    14 => {
+                    11 => {
                         let copy = inst.clone();
-                        check_against_model(&copy, &model, &pairs)?;
-                        frozen.push((std::mem::replace(&mut inst, copy), model.clone(), pairs.clone()));
+                        check_against_model(&copy, &model)?;
+                        frozen.push((std::mem::replace(&mut inst, copy), model.clone()));
                     }
-                    _ => check_against_model(&inst, &model, &pairs)?,
+                    _ => check_against_model(&inst, &model)?,
                 }
             }
-            check_against_model(&inst, &model, &pairs)?;
-            for (original, model, pairs) in &frozen {
-                check_against_model(original, model, pairs)?;
+            check_against_model(&inst, &model)?;
+            for (original, model) in &frozen {
+                check_against_model(original, model)?;
             }
         }
     }

@@ -34,84 +34,6 @@ pub struct HeadProbe {
     pub constraints: Vec<(u16, VarId)>,
 }
 
-/// Simulates the iterative matcher's *first descent* over `patterns`
-/// but the one at `skip` (the atom a delta search starts from), with
-/// the variables in `seed` bound: repeatedly pick the pattern with the
-/// most bound argument positions (first-maximum tie-break over a
-/// `swap_remove` worklist, mirroring `hom::search_iterative`) and bind
-/// its variables. Returns the pattern indexes in selection order.
-///
-/// This is a *heuristic* mirror only — after backtracking the real
-/// matcher's worklist order can diverge on ties — so the result is
-/// used to decide which composite indexes to register, never to fix
-/// the matcher's own selection.
-fn simulate_first_descent(patterns: &[Atom], skip: Option<usize>, seed: &[VarId]) -> Vec<u32> {
-    let mut bound: Vec<VarId> = seed.to_vec();
-    let mut remaining: Vec<u32> = (0..patterns.len() as u32)
-        .filter(|&p| Some(p as usize) != skip)
-        .collect();
-    let mut order = Vec::with_capacity(patterns.len());
-    while !remaining.is_empty() {
-        let mut best_idx = 0usize;
-        let mut best_score = 0usize;
-        for (i, &p) in remaining.iter().enumerate() {
-            let score = patterns[p as usize]
-                .args
-                .iter()
-                .filter(|t| match t {
-                    Term::Var(v) => bound.contains(v),
-                    _ => true,
-                })
-                .count();
-            if i == 0 || score > best_score {
-                best_idx = i;
-                best_score = score;
-            }
-        }
-        let p = remaining.swap_remove(best_idx);
-        for v in patterns[p as usize].vars() {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-        order.push(p);
-    }
-    order
-}
-
-/// Walks a simulated descent over `patterns` but the one at `skip`
-/// (seeded with `seed` bound) and records, for every pattern probed with two or more
-/// bound positions, the composite key the matcher would ask the
-/// instance for: the predicate plus the *first two* bound positions in
-/// position order. Deduplicates into `acc`.
-fn collect_pair_keys(
-    patterns: &[Atom],
-    skip: Option<usize>,
-    seed: &[VarId],
-    acc: &mut Vec<(PredId, u16, u16)>,
-) {
-    let mut bound: Vec<VarId> = seed.to_vec();
-    for &p in &simulate_first_descent(patterns, skip, seed) {
-        let pat = &patterns[p as usize];
-        let mut bound_positions = pat.args.iter().enumerate().filter_map(|(i, t)| match t {
-            Term::Var(v) if bound.contains(v) => Some(i as u16),
-            Term::Var(_) => None,
-            _ => Some(i as u16),
-        });
-        if let (Some(a), Some(b)) = (bound_positions.next(), bound_positions.next()) {
-            let key = (pat.pred, a, b);
-            if !acc.contains(&key) {
-                acc.push(key);
-            }
-        }
-        for v in pat.vars() {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-    }
-}
-
 /// Identifies a TGD within a [`TgdSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TgdId(pub u32);
@@ -148,8 +70,6 @@ pub struct Tgd {
     slot_lists: Vec<u32>,
     /// The head predicate of a single-head full TGD.
     ground_head_pred: Option<PredId>,
-    body_pair_plan: Vec<(PredId, u16, u16)>,
-    pair_plan: Vec<(PredId, u16, u16)>,
     head_probe: Option<HeadProbe>,
 }
 
@@ -211,31 +131,6 @@ impl Tgd {
             .collect();
         let ground_head_pred = ground_head.map(|h| h.pred);
 
-        // Composite-index plan: every (pred, posA, posB) key a
-        // simulated matcher descent would probe with two bound
-        // positions, across all the searches the engines run — full
-        // body enumeration, per-atom delta matching, and
-        // head-satisfaction seeded with the frontier. The descent order
-        // depends only on which variables are bound, so one simulated
-        // descent per search covers every branch of the real one.
-        // Full TGDs skip the head search: their activeness
-        // check always takes the ground membership fast path (a fully
-        // bound head never needs a candidate scan), so a pair index on
-        // their head predicates would be maintained but never probed.
-        // The body-only plan is kept separately for engines that never
-        // run restriction checks (the oblivious chase probes body
-        // joins only; head keys would be dead maintenance weight).
-        let mut body_pair_plan: Vec<(PredId, u16, u16)> = Vec::new();
-        collect_pair_keys(&body, None, &[], &mut body_pair_plan);
-        for (i, atom) in body.iter().enumerate() {
-            let seed: Vec<VarId> = atom.vars().collect();
-            collect_pair_keys(&body, Some(i), &seed, &mut body_pair_plan);
-        }
-        let mut pair_plan = body_pair_plan.clone();
-        if !existentials.is_empty() {
-            collect_pair_keys(&head, None, &frontier, &mut pair_plan);
-        }
-
         // O(1) activeness probe: single head atom, at least one
         // existential, none of which occurs twice in the head.
         let head_probe = if head.len() == 1 && !existentials.is_empty() {
@@ -275,8 +170,6 @@ impl Tgd {
             body_pattern,
             slot_lists,
             ground_head_pred,
-            body_pair_plan,
-            pair_plan,
             head_probe,
         })
     }
@@ -364,24 +257,6 @@ impl Tgd {
             .map(|pred| (pred, &self.slot_lists[start..]))
     }
 
-    /// The composite `(pred, posA, posB)` index keys a matcher descent
-    /// over this TGD may probe (body joins, delta matching, and head
-    /// satisfaction), deduplicated. Engines register these with
-    /// [`crate::instance::Instance::register_pair_index`] before a run.
-    #[inline]
-    pub fn pair_plan(&self) -> &[(PredId, u16, u16)] {
-        &self.pair_plan
-    }
-
-    /// The body-join subset of [`Tgd::pair_plan`]: keys a matcher may
-    /// probe during body enumeration and delta matching, excluding the
-    /// head-satisfaction keys. Engines that never run restriction
-    /// checks (oblivious/semi-oblivious) register only these.
-    #[inline]
-    pub fn body_pair_plan(&self) -> &[(PredId, u16, u16)] {
-        &self.body_pair_plan
-    }
-
     /// The precomputed O(1) activeness probe, if this TGD admits one
     /// (single head atom with ≥1 existential, none repeated).
     #[inline]
@@ -434,8 +309,6 @@ pub struct TgdSet {
     tgds: Vec<Tgd>,
     max_arity: usize,
     preds: Vec<PredId>,
-    pair_plans: Vec<(PredId, u16, u16)>,
-    body_pair_plans: Vec<(PredId, u16, u16)>,
     /// Every body atom as `(TGD, body position)`, grouped by predicate
     /// (declaration then body order within a group); predicate `p`'s
     /// group is `body_atoms[body_atom_starts[p]..body_atom_starts[p + 1]]`.
@@ -472,20 +345,6 @@ impl TgdSet {
                 }
             }
         }
-        let mut pair_plans: Vec<(PredId, u16, u16)> = Vec::new();
-        let mut body_pair_plans: Vec<(PredId, u16, u16)> = Vec::new();
-        for tgd in &tgds {
-            for &key in &tgd.pair_plan {
-                if !pair_plans.contains(&key) {
-                    pair_plans.push(key);
-                }
-            }
-            for &key in &tgd.body_pair_plan {
-                if !body_pair_plans.contains(&key) {
-                    body_pair_plans.push(key);
-                }
-            }
-        }
         // A counting sort of the body atoms by predicate, which keeps
         // declaration then body order within a predicate.
         let body_atom_preds = || {
@@ -513,8 +372,6 @@ impl TgdSet {
             tgds,
             max_arity,
             preds,
-            pair_plans,
-            body_pair_plans,
             body_atoms,
             body_atom_starts,
         })
@@ -560,22 +417,6 @@ impl TgdSet {
     #[inline]
     pub fn max_arity(&self) -> usize {
         self.max_arity
-    }
-
-    /// The union of all member TGDs' composite-index plans (see
-    /// [`Tgd::pair_plan`]), deduplicated. Engines register each key on
-    /// their working instance once, before the run.
-    #[inline]
-    pub fn pair_plans(&self) -> &[(PredId, u16, u16)] {
-        &self.pair_plans
-    }
-
-    /// The union of the body-join subsets (see
-    /// [`Tgd::body_pair_plan`]), deduplicated. For engines that never
-    /// run restriction checks.
-    #[inline]
-    pub fn body_pair_plans(&self) -> &[(PredId, u16, u16)] {
-        &self.body_pair_plans
     }
 
     /// The body atoms with predicate `pred`, as `(TGD, body position)`
@@ -696,6 +537,8 @@ mod tests {
         assert!(tgd.is_frontier(x));
         assert!(!tgd.is_frontier(y));
         assert!(tgd.is_existential(z));
+        // Existential: no ground head.
+        assert!(tgd.ground_head().is_none());
     }
 
     #[test]
@@ -863,87 +706,6 @@ mod tests {
             .unwrap()
             .constraints
             .is_empty());
-    }
-
-    #[test]
-    fn pair_plan_covers_join_bodies_and_heads() {
-        let mut vocab = Vocabulary::new();
-        // E(x,y), E(y,z), E(x,z) -> exists w. M(x,z,w): the full-body
-        // descent reaches the third atom with both positions bound
-        // (pair key on E), and the frontier-seeded head search probes
-        // M on its two frontier positions (pair key on M).
-        let mut b = RuleBuilder::new(&mut vocab);
-        let (x, y, z, w) = (b.var("x"), b.var("y"), b.var("z"), b.var("w"));
-        b.body("E", &[x, y]).unwrap();
-        b.body("E", &[y, z]).unwrap();
-        b.body("E", &[x, z]).unwrap();
-        b.head("M", &[x, z, w]).unwrap();
-        let tgd = b.build().unwrap();
-        let e = tgd.body()[0].pred;
-        let m = tgd.head()[0].pred;
-        assert!(tgd.pair_plan().contains(&(e, 0, 1)));
-        assert!(tgd.pair_plan().contains(&(m, 0, 1)));
-        // The body-only plan keeps the join key but drops the
-        // head-satisfaction key.
-        assert!(tgd.body_pair_plan().contains(&(e, 0, 1)));
-        assert!(!tgd.body_pair_plan().contains(&(m, 0, 1)));
-        // Existential: no ground head.
-        assert!(tgd.ground_head().is_none());
-    }
-
-    #[test]
-    fn full_tgds_contribute_no_head_pair_keys() {
-        // E(x,y), E(y,z) -> E(x,z): the activeness check of a full TGD
-        // always takes the ground membership fast path, so its head
-        // must not register a composite pair index that would be
-        // maintained on every insert but never probed.
-        let mut vocab = Vocabulary::new();
-        let mut b = RuleBuilder::new(&mut vocab);
-        let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
-        b.body("E", &[x, y]).unwrap();
-        b.body("E", &[y, z]).unwrap();
-        b.head("E", &[x, z]).unwrap();
-        let tgd = b.build().unwrap();
-        assert!(tgd.pair_plan().is_empty());
-    }
-
-    #[test]
-    fn multi_head_pair_keys_follow_the_frontier_seeded_search() {
-        // P(x,y) -> exists z. Q(x,z), S(x,z): the head search binds x,
-        // matches Q(x,z) on one bound position, then probes S with x
-        // and z bound. Q is never probed with two bound positions, so
-        // it gets no pair index.
-        let mut vocab = Vocabulary::new();
-        let mut b = RuleBuilder::new(&mut vocab);
-        let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
-        b.body("P", &[x, y]).unwrap();
-        b.head("Q", &[x, z]).unwrap();
-        b.head("S", &[x, z]).unwrap();
-        let tgd = b.build().unwrap();
-        let (q, s) = (tgd.head()[0].pred, tgd.head()[1].pred);
-        assert_eq!(tgd.pair_plan(), [(s, 0, 1)]);
-        assert!(!tgd.pair_plan().contains(&(q, 0, 1)));
-    }
-
-    #[test]
-    fn tgd_set_aggregates_plans() {
-        let mut vocab = Vocabulary::new();
-        let t1 = intro_rule(&mut vocab); // single-atom body
-        let mut b = RuleBuilder::new(&mut vocab);
-        let (x, y, z, w) = (b.var("jx"), b.var("jy"), b.var("jz"), b.var("jw"));
-        b.body("E", &[x, y]).unwrap();
-        b.body("E", &[y, z]).unwrap();
-        b.head("M", &[x, z, w]).unwrap();
-        let t2 = b.build().unwrap();
-        let set = TgdSet::new(vec![t1, t2], &vocab).unwrap();
-        let m = set.tgd(TgdId(1)).head()[0].pred;
-        assert!(set.pair_plans().contains(&(m, 0, 1)));
-        assert!(!set.body_pair_plans().contains(&(m, 0, 1)));
-        // Aggregation deduplicates across TGDs.
-        let mut sorted = set.pair_plans().to_vec();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), set.pair_plans().len());
     }
 
     #[test]

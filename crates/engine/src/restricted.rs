@@ -56,9 +56,10 @@
 //!
 //! ## Restriction checks
 //!
-//! The engine registers the TGD set's composite-index plan on its
-//! working instance up front, turning most head-satisfaction searches
-//! (Definition 3.1's activeness test) into single index probes.
+//! Most head-satisfaction searches (Definition 3.1's activeness test)
+//! are single index probes: an existential single-head TGD's check
+//! scans the tightest position list of its head predicate
+//! ([`chase_core::hom::head_satisfied_probe`]).
 //!
 //! A trigger of a single-head full TGD has a ground head, so its check
 //! is one membership probe, and it can run at discovery: under `Fifo`,
@@ -206,15 +207,6 @@ impl ChaseVariant {
         match self {
             ChaseVariant::SemiOblivious => SkolemPolicy::PerFrontier,
             ChaseVariant::Restricted(_) | ChaseVariant::Oblivious => SkolemPolicy::PerTrigger,
-        }
-    }
-
-    /// The composite-index keys to register: body joins, plus the
-    /// head-satisfaction keys when the variant runs restriction checks.
-    fn pair_plans(self, set: &TgdSet) -> &[(PredId, u16, u16)] {
-        match self {
-            ChaseVariant::Restricted(_) => set.pair_plans(),
-            ChaseVariant::Oblivious | ChaseVariant::SemiOblivious => set.body_pair_plans(),
         }
     }
 }
@@ -639,8 +631,7 @@ impl<'a> RestrictedChase<'a> {
     /// When `obs` opts into profiling (see
     /// [`ChaseObserver::profiling`]) the run additionally streams
     /// hierarchical spans (`run → seed | step →
-    /// {restriction_check, insert, match}`, plus `index_maintain`),
-    /// periodic memory samples
+    /// {restriction_check, insert, match}`), periodic memory samples
     /// and progress heartbeats. The profiling stream never influences
     /// the derivation: profiled and unprofiled runs are bit-identical.
     pub fn run_governed<O: ChaseObserver + ?Sized>(
@@ -720,15 +711,6 @@ impl<'a> RestrictedChase<'a> {
             head,
         } = scratch;
         let mut instance = database.clone();
-        // Register the TGD set's composite-index plan before any
-        // matching: pair cells are maintained incrementally from here
-        // on, and candidate pruning through them is order-preserving
-        // (see `chase_core::hom`), so seed-engine bit-identity holds.
-        let index_guard = span_enter(obs, spans::INDEX_MAINTAIN, NO_TGD);
-        for &(pred, a, b) in self.variant.pair_plans(self.set) {
-            instance.register_pair_index(pred, a as usize, b as usize);
-        }
-        index_guard.exit(obs);
         let mut skolem = SkolemTable::above(
             self.variant.skolem(),
             instance.iter().flat_map(|a| a.args.iter().copied()),

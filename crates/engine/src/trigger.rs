@@ -26,7 +26,7 @@ use chase_core::hom::{
     exists_homomorphism, exists_homomorphism_with, for_each_match_using_with, for_each_match_with,
     head_satisfied_probe, with_scratch, HomScratch, SlotBinding,
 };
-use chase_core::ids::{NullId, VarId};
+use chase_core::ids::NullId;
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
 use chase_core::term::Term;
@@ -85,23 +85,10 @@ fn pack_term(t: Term) -> u64 {
 }
 
 impl TriggerFp {
-    /// Builds the fingerprint of `(tgd_id, binding)` over the variable
-    /// layout `vars` (engines pass `tgd.sorted_body_vars()`, or
-    /// `tgd.frontier()` for the semi-oblivious identification).
-    pub fn of(tgd_id: TgdId, binding: &Binding, vars: &[VarId]) -> TriggerFp {
-        debug_assert!(
-            tgd_id.0 < GROUND_HEAD_TAG,
-            "TGD id collides with the head tag"
-        );
-        TriggerFp::packed(
-            tgd_id.0,
-            vars.iter().map(|&v| binding.get(v).unwrap_or(Term::Var(v))),
-        )
-    }
-
-    /// [`TriggerFp::of`] read from a match of the TGD's body pattern:
-    /// the images of `slots` (engines pass [`Tgd::sorted_body_slots`]
-    /// or [`Tgd::frontier_slots`], the slots of the layouts above).
+    /// Builds the fingerprint of a match of TGD `tgd_id`'s body
+    /// pattern: the images of `slots` (engines pass
+    /// [`Tgd::sorted_body_slots`], or [`Tgd::frontier_slots`] for the
+    /// semi-oblivious identification).
     #[inline]
     pub fn of_slots(tgd_id: TgdId, m: &SlotBinding<'_>, slots: &[u32]) -> TriggerFp {
         debug_assert!(
@@ -189,12 +176,6 @@ impl Trigger {
                 .map(|&v| self.binding.get(v).unwrap_or(Term::Var(v)))
                 .collect(),
         )
-    }
-
-    /// The packed fingerprint of this trigger (see [`TriggerFp`]).
-    #[inline]
-    pub fn fingerprint(&self, tgd: &Tgd) -> TriggerFp {
-        TriggerFp::of(self.tgd, &self.binding, tgd.sorted_body_vars())
     }
 
     /// Whether this trigger is *active* on `instance`: no extension of
@@ -495,56 +476,55 @@ mod tests {
         assert_eq!(k1.1.len(), 2);
     }
 
+    /// The fingerprint and the owned key of every trigger of `source`'s
+    /// rules on its database, as `for_each_trigger_with` hands them out.
+    fn fingerprints_and_keys(source: &str) -> Vec<(TriggerFp, (TgdId, Vec<Term>))> {
+        let mut vocab = Vocabulary::new();
+        let p = parse_program(source, &mut vocab).unwrap();
+        let set = p.tgd_set(&vocab).unwrap();
+        let mut out = Vec::new();
+        let _ = for_each_trigger_with(&mut HomScratch::new(), &set, &p.database, |id, m| {
+            let tgd = set.tgd(id);
+            let fp = TriggerFp::of_slots(id, m, tgd.sorted_body_slots());
+            // Same match → same fingerprint.
+            assert_eq!(fp, TriggerFp::of_slots(id, m, tgd.sorted_body_slots()));
+            let t = Trigger {
+                tgd: id,
+                binding: m.to_binding(),
+            };
+            out.push((fp, t.key(tgd)));
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
     #[test]
     fn fingerprint_agrees_with_key() {
-        use chase_core::ids::fx_set;
-        let mut vocab = Vocabulary::new();
-        let p = parse_program(
-            "R(a,b). R(b,c). R(b,b). R(x,y), R(y,z) -> exists w. R(z,w).",
-            &mut vocab,
-        )
-        .unwrap();
-        let set = p.tgd_set(&vocab).unwrap();
-        let triggers = all_triggers(&set, &p.database);
-        assert!(!triggers.is_empty());
-        let mut keys = fx_set();
-        let mut fps = fx_set();
-        for t in &triggers {
-            let tgd = set.tgd(t.tgd);
-            let fp = t.fingerprint(tgd);
-            assert!(fp.is_inline(), "benchmark-sized bodies stay inline");
-            // Same trigger → same fingerprint.
-            assert_eq!(fp, t.fingerprint(tgd));
-            keys.insert(t.key(tgd));
-            fps.insert(fp);
+        let found =
+            fingerprints_and_keys("R(a,b). R(b,c). R(b,b). R(x,y), R(y,z) -> exists w. R(z,w).");
+        assert!(found.len() > 1);
+        // Fingerprints induce exactly the key equivalence: equal
+        // fingerprints ⇔ equal keys, over every pair of triggers.
+        for (fa, ka) in &found {
+            assert!(fa.is_inline(), "benchmark-sized bodies stay inline");
+            for (fb, kb) in &found {
+                assert_eq!(fa == fb, ka == kb, "{ka:?} vs {kb:?}");
+            }
         }
-        // Fingerprints induce exactly the key equivalence.
-        assert_eq!(keys.len(), fps.len());
     }
 
     #[test]
     fn fingerprint_spills_beyond_inline_capacity() {
-        use chase_core::ids::ConstId;
         // 8 distinct body variables force the spill representation.
-        let mut vocab = Vocabulary::new();
-        let p =
-            parse_program("P8(x1,x2,x3,x4,x5,x6,x7,x8) -> exists u. Q(u).", &mut vocab).unwrap();
-        let set = p.tgd_set(&vocab).unwrap();
-        let tgd = set.tgd(TgdId(0));
-        let binding = Binding::from_pairs(
-            tgd.body_vars()
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, Term::Const(ConstId(i as u32)))),
+        let found = fingerprints_and_keys(
+            "P8(a,b,c,d,e,f,g,h). P8(x1,x2,x3,x4,x5,x6,x7,x8) -> exists u. Q(u).",
         );
-        let t = Trigger {
-            tgd: TgdId(0),
-            binding,
+        let [(fp, key)] = found.as_slice() else {
+            panic!("one trigger, got {found:?}");
         };
-        let fp = t.fingerprint(tgd);
         assert!(!fp.is_inline());
         assert_eq!(fp.terms().len(), 8);
-        assert_eq!(fp, t.fingerprint(tgd));
+        assert_eq!(key.1.len(), 8);
     }
 
     #[test]

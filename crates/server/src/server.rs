@@ -67,6 +67,14 @@ use crate::session::{answer_cached_decide, event_line, run_chase, run_decide};
 /// handlers and an idle one keeps none for long.
 pub const HANDLER_IDLE: Duration = Duration::from_secs(2);
 
+/// How long one reply write to an accepted connection may block before
+/// the connection degrades (see [`ConnWriter`]). A client that stops
+/// reading fills its socket; without a bound, the runner writing its
+/// session's events would block until the client read again, and hold
+/// its scheduler slot that long. A reading client drains a socket
+/// buffer in far less than this.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Where the server listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
@@ -155,6 +163,14 @@ enum Stream {
 }
 
 impl Stream {
+    /// Bounds how long each write to the stream may block.
+    fn set_write_timeout(&self, timeout: Duration) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(Some(timeout)),
+            Stream::Unix(s) => s.set_write_timeout(Some(timeout)),
+        }
+    }
+
     /// The stream's read and write halves.
     fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
         match self {
@@ -165,9 +181,10 @@ impl Stream {
 }
 
 /// One connection's shared, mutex-guarded line writer. All sessions of
-/// the connection funnel through it; a write failure flips it into
-/// degraded mode (silently dropping further lines — the client is
-/// gone) after warning once on stderr.
+/// the connection funnel through it; a write failure — including a
+/// write blocked past [`WRITE_TIMEOUT`] by a client that stopped
+/// reading — flips it into degraded mode (silently dropping further
+/// lines — the client is gone) after warning once on stderr.
 pub struct ConnWriter {
     inner: Mutex<WriterInner>,
 }
@@ -452,11 +469,12 @@ impl Server {
 fn serve_connections(mut stream: Stream, shared: &Arc<Shared>) {
     loop {
         let mut open = stream
-            .split()
+            .set_write_timeout(WRITE_TIMEOUT)
+            .and_then(|()| stream.split())
             .map(|(read, write)| (BufReader::new(read), Arc::new(ConnWriter::new(write))));
         match &mut open {
             Ok((reader, conn)) => handle_connection(reader, conn, shared),
-            Err(e) => eprintln!("chase-server: cannot split connection: {e}"),
+            Err(e) => eprintln!("chase-server: cannot set up connection: {e}"),
         }
         // The connection closes when `open` drops, after the handler
         // has parked: a client that waits for the close and then

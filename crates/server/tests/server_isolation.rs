@@ -13,7 +13,7 @@ use chase_engine::governor::Budget;
 use chase_engine::task::{run_chase_task, ChaseTaskSpec};
 use chase_server::client::{request_once, run_session, ClientConfig};
 use chase_server::scheduler::SchedulerConfig;
-use chase_server::server::{Endpoint, Server, ServerConfig, HANDLER_IDLE};
+use chase_server::server::{Endpoint, Server, ServerConfig, HANDLER_IDLE, WRITE_TIMEOUT};
 use chase_telemetry::json::Scalar;
 use chase_telemetry::NullObserver;
 
@@ -679,6 +679,51 @@ fn cached_decide_answers_while_the_only_runner_is_busy() {
     assert_eq!(result_str(&results["busy"], "outcome"), "cancelled");
 
     drop(stream);
+    shutdown(&endpoint);
+    server.join().expect("server thread");
+}
+
+/// A client that opens a telemetry chase and never reads fills its
+/// socket, and the runner's next event write blocks. The write gives up
+/// after [`WRITE_TIMEOUT`], the connection degrades, and the chase ends
+/// at its 300 ms deadline, so the only runner is free again: another
+/// client's uncached decide still gets its result.
+#[test]
+fn a_non_reading_telemetry_client_does_not_park_the_runner() {
+    use std::io::Write;
+    let _serial = serial();
+    let (endpoint, server) = boot(one_runner(), "no-reader");
+    let (mut silent, unread) = connect(&endpoint);
+    writeln!(
+        silent,
+        r#"{{"op":"chase","id":"a","program":"{}","deadline_ms":300,"telemetry":true}}"#,
+        escaped(INFINITE)
+    )
+    .expect("send the unread chase");
+    // Let the chase take the only runner before the decide arrives.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let (mut stream, mut reader) = connect(&endpoint);
+    stream
+        .set_read_timeout(Some(WRITE_TIMEOUT + Duration::from_secs(15)))
+        .expect("set read timeout");
+    writeln!(
+        stream,
+        r#"{{"op":"decide","id":"b","program":"{}"}}"#,
+        escaped("P(a).\nP(x) -> exists y. Q(x,y).\n")
+    )
+    .expect("send decide");
+    let result = loop {
+        let reply = read_reply(&mut reader);
+        if reply.get("type").and_then(Scalar::as_str) == Some("result") {
+            break reply;
+        }
+    };
+    assert_eq!(result_str(&result, "id"), "b");
+    assert_eq!(result_str(&result, "verdict"), "terminating");
+    assert_eq!(result.get("cached"), Some(&Scalar::Bool(false)));
+
+    drop((silent, unread, stream, reader));
     shutdown(&endpoint);
     server.join().expect("server thread");
 }

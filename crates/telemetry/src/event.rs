@@ -227,7 +227,7 @@ pub enum Event {
         arg_spill_bytes: u64,
         /// Bytes of the dedup hash map (incl. spilled slot lists).
         dedup_bytes: u64,
-        /// Bytes of the predicate/position/pair indexes.
+        /// Bytes of the predicate and position indexes.
         index_bytes: u64,
         /// Queued candidate triggers at the sample point.
         queue_depth: u64,

@@ -71,14 +71,15 @@ pub use summary::TelemetrySummary;
 /// Well-known span names of the profiling stream, shared by the
 /// engines (producers) and the profiler / `chasectl stats`
 /// (consumers). The hierarchy is
-/// `run → seed | step → {restriction_check, insert, match}`, with
-/// `index_maintain` under `run`.
+/// `run → seed | step → {restriction_check, insert, match}`.
 pub mod spans {
     /// A whole engine run.
     pub const RUN: &str = "run";
     /// Initial trigger discovery over the input database.
     pub const SEED: &str = "seed";
-    /// Pair-index registration before the run starts.
+    /// Composite pair-index registration before a run. No engine emits
+    /// it any more (the pair index was deleted, DESIGN §13.2); the name
+    /// stays for readers that still subtract its total, which reads 0.
     pub const INDEX_MAINTAIN: &str = "index_maintain";
     /// One chase iteration, attributed to its TGD.
     pub const STEP: &str = "step";

@@ -90,7 +90,7 @@ pub struct MemorySample {
     pub arg_spill_bytes: u64,
     /// Bytes of the dedup hash map.
     pub dedup_bytes: u64,
-    /// Bytes of the predicate/position/pair indexes.
+    /// Bytes of the predicate and position indexes.
     pub index_bytes: u64,
     /// Queued candidate triggers.
     pub queue_depth: u64,
